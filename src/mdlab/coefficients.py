@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .exact import (
+    _block_moment_steps,
     conditional_block_moments,
     conditional_sum_norms,
     long_run_variance,
@@ -201,7 +203,8 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float,
                   tol: float) -> tuple[float, float]:
     env = _MixingEnvelope(model)
     scale = math.sqrt(m) * sig
-    h_norm = float(np.max(np.abs(poisson_solution(model))))
+    h = poisson_solution(model)
+    h_norm = float(np.max(np.abs(h)))
 
     j_cap = 1 << 22
     j = 64
@@ -214,7 +217,12 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float,
         raise NoDecayCertificate(
             f"drift series tail cannot be certified below {tol} (J={j}, err={err})")
 
-    norms = conditional_sum_norms(model, m * j)[m - 1::m]  # ||E[S_{mj}|F_0]||, j=1..J
+    # E[S_t | Y_0] = h - P^t h, stepped through t = m, 2m, ..., Jm with P^m
+    p_m = np.linalg.matrix_power(model.transition, m)
+    u, norms = h, np.empty(j)
+    for i in range(j):
+        u = p_m @ u
+        norms[i] = float(np.max(np.abs(h - u)))
     js = np.arange(1, j + 1, dtype=float)
     partial = float(np.sum(js ** -1.5 * norms))
     tail = h_norm * float(zeta(1.5, j + 1))
@@ -339,8 +347,8 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
 
     half = m // 2
     t_weighted = sum(i * cert.eta2_at(i) for i in range(1, half + 1))
-    t_cross = bound_x0 * sum(_eta1_tail_sum(cert, 2 * i) for i in range(1, half + 1))
-    t_far = m * _eta2_tail_sum(cert, max(1, half))
+    t_cross = bound_x0 * sum(_eta_tail_sum(cert, "eta1", 2 * i) for i in range(1, half + 1))
+    t_far = m * _eta_tail_sum(cert, "eta2", max(1, half))
     delta_sq_bound = c2 / (m * sigma_n ** 2) * (
         s_head ** 2 + t_weighted + t_cross + t_far)
 
@@ -377,24 +385,15 @@ def _series_eta_over_sqrt(cert: DecayCertificate, start: int) -> float:
                             1.0 / math.sqrt(last_i))
 
 
-def _eta1_tail_sum(cert: DecayCertificate, start: int) -> float:
-    n_stored = cert.eta1.size
+def _eta_tail_sum(cert: DecayCertificate, which: str, start: int) -> float:
+    """sum_{i >= start} of eta1 or eta2, window plus geometric closed form."""
+    n_stored = getattr(cert, which).size
+    at = getattr(cert, f"{which}_at")
     if start > n_stored and cert.geometric_rho is None:
         raise InsufficientCertificateLength(
-            f"eta1 stored up to {n_stored}, tail starts at {start}")
-    idx = range(start, max(n_stored, start) + 1)
-    head = sum(cert.eta1_at(i) for i in idx)
-    return head + _geo_tail(cert.eta1_at(max(n_stored, start)), cert.geometric_rho)
-
-
-def _eta2_tail_sum(cert: DecayCertificate, start: int) -> float:
-    n_stored = cert.eta2.size
-    if start > n_stored and cert.geometric_rho is None:
-        raise InsufficientCertificateLength(
-            f"eta2 stored up to {n_stored}, tail starts at {start}")
-    idx = range(start, max(n_stored, start) + 1)
-    head = sum(cert.eta2_at(i) for i in idx)
-    return head + _geo_tail(cert.eta2_at(max(n_stored, start)), cert.geometric_rho)
+            f"{which} stored up to {n_stored}, tail starts at {start}")
+    head = sum(at(i) for i in range(start, max(n_stored, start) + 1))
+    return head + _geo_tail(at(max(n_stored, start)), cert.geometric_rho)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +504,9 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     value = float(partial[-1]) + tail
 
     sig_sq = long_run_variance(model)
-    dev = _second_moment_deviations(model, n_max, sig_sq)
+    steps = islice(_block_moment_steps(model), n_max)
+    dev = np.array([np.max(np.abs(second / t - sig_sq))
+                    for t, (_, second) in enumerate(steps, start=1)])
     anchor = dev[max(0, n_max // 10 - 1)]
     stabilizes = bool(dev[-1] <= max(1e-8, 0.5 * anchor))
 
@@ -515,21 +516,3 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
                           second_moment_dev=dev, sigma_sq=sig_sq,
                           series_converges=bool(np.isfinite(value)),
                           variance_stabilizes=stabilizes)
-
-
-def _second_moment_deviations(model: FiniteLatticeModel, n_max: int,
-                              sig_sq: float) -> np.ndarray:
-    p = model.transition
-    x = model.x_values
-    s = model.n_states
-    mass = np.eye(s)
-    first = np.zeros((s, s))
-    second = np.zeros((s, s))
-    out = np.empty(n_max)
-    for t in range(1, n_max + 1):
-        mass_next = mass @ p
-        first_next = first @ p + mass_next * x
-        second = second @ p + 2.0 * (first @ p) * x + mass_next * x * x
-        mass, first = mass_next, first_next
-        out[t - 1] = np.max(np.abs(second.sum(axis=1) / t - sig_sq))
-    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .normal import normal_cdf
 
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB
 MASS_TOL = 1e-10
+SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
 
 
 @dataclass(frozen=True)
@@ -126,44 +127,49 @@ class ConditionalMoments:
 # covariances and sigma_n
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _autocov_prefix(model: FiniteLatticeModel, kmax: int) -> np.ndarray:
-    """gamma(0..kmax) under the stationary law."""
-    x = model.x_values
-    out = np.empty(kmax + 1)
-    u = x.copy()
-    out[0] = float(model.pi @ (x * x))
-    for k in range(1, kmax + 1):
-        u = model.transition @ u
-        out[k] = float(model.pi @ (x * u))
-    return out
-
-
 def autocovariance(model: FiniteLatticeModel, k: int) -> float:
     """Cov(X_0, X_k) of the centered payoff under the stationary law."""
     _require_exact(model)
     if k < 0:
         raise ParamOutOfRange("lag must be >= 0")
-    return float(_autocov_prefix(model, k)[k])
+    x = model.x_values
+    a = model.transition - model.pi  # A = P - 1 pi^T: P^k x = A^k x, and A^k -> 0
+    return float(model.pi @ (x * (np.linalg.matrix_power(a, k) @ x)))
 
 
 def sigma_n(model: FiniteLatticeModel, n: int) -> float:
-    """Standard deviation of W_n = S_n / sqrt(n):
-    sigma_n^2 = gamma(0) + 2 sum_{k<n} (1 - k/n) gamma(k)."""
+    """Standard deviation of W_n = S_n / sqrt(n): sigma_n^2 = gamma(0) + 2 pi(x v),
+    v = sum_{k=1}^{n-1} (1 - k/n) A^k x = S x - x - T x / n with S = sum_{k<n} A^k
+    and T = sum_{k<n} k A^k, by binary powering in O(s^3 log n).  A block of
+    lags of length L carries (A^L, S_L x, T_L x); prepending it to (S x, T x)
+    gives (S_L x + A^L S x, T_L x + A^L (T x + L S x)), and doubling is
+    prepending it to itself, so only A^L is ever a matrix."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
-    g = _autocov_prefix(model, n - 1)
-    ks = np.arange(1, n)
-    var = g[0] + 2.0 * np.sum((1.0 - ks / n) * g[1:])
+    x = model.x_values
+    power = model.transition - model.pi  # A^L, from L = 1
+    s_blk, t_blk = x, np.zeros_like(x)
+    s_x = t_x = np.zeros_like(x)
+    length = 1
+    while True:
+        if n & length:
+            s_x, t_x = s_blk + power @ s_x, t_blk + power @ (t_x + length * s_x)
+        if 2 * length > n:
+            break
+        s_blk, t_blk = s_blk + power @ s_blk, t_blk + power @ (t_blk + length * s_blk)
+        power = power @ power
+        length *= 2
+    v = s_x - x - t_x / n
+    var = float(model.pi @ (x * x)) + 2.0 * float(model.pi @ (x * v))
     if var <= 1e-14:
         raise DegenerateVariance(f"sigma_n^2 = {var!r} at n = {n}")
     return float(np.sqrt(var))
 
 
 def sigma_any(model, n: int) -> float:
-    """sigma_n for either tier: exact recursion on the lattice, or the same
-    weighted sum over a sampled model's analytic autocovariances."""
+    """sigma_n for either tier: exact on the lattice, or the lag-weighted sum
+    over a sampled model's analytic autocovariances."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
     if getattr(model, "autocov", None) is None:
@@ -210,28 +216,30 @@ def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:
     return out
 
 
-def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalMoments:
-    """Exact E[S_m | Y_0 = s] and E[S_m^2 | Y_0 = s] for every state.
-
-    Forward recursion over t, carrying per current state the conditional mass
-    and the first and second moments of the running sum.
-    """
-    _require_exact(model)
-    if m < 1:
-        raise ParamOutOfRange("m must be >= 1")
+def _block_moment_steps(model: FiniteLatticeModel):
+    """Yield E[S_t | Y_0 = s] and E[S_t^2 | Y_0 = s] per state for t = 1, 2, ...,
+    carrying per current state the conditional mass and the sum's moments."""
     p = model.transition
     x = model.x_values
     s = model.n_states
     mass = np.eye(s)
     first = np.zeros((s, s))
     second = np.zeros((s, s))
-    for _ in range(m):
+    while True:
         mass_next = mass @ p
-        first_next = first @ p + mass_next * x
-        second = second @ p + 2.0 * (first @ p) * x + mass_next * x * x
-        mass, first = mass_next, first_next
-    return ConditionalMoments(m=m, mean_by_state=first.sum(axis=1),
-                              second_by_state=second.sum(axis=1))
+        first_p = first @ p
+        second = second @ p + 2.0 * first_p * x + mass_next * x * x
+        mass, first = mass_next, first_p + mass_next * x
+        yield first.sum(axis=1), second.sum(axis=1)
+
+
+def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalMoments:
+    """Exact E[S_m | Y_0 = s] and E[S_m^2 | Y_0 = s] for every state."""
+    _require_exact(model)
+    if m < 1:
+        raise ParamOutOfRange("m must be >= 1")
+    mean, second = next(islice(_block_moment_steps(model), m - 1, None))
+    return ConditionalMoments(m=m, mean_by_state=mean, second_by_state=second)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +307,7 @@ def exact_tail(table: TailTable, x) -> np.ndarray | float:
     """log P(W_n >= x sigma_n), inclusive at atoms; -inf beyond the support."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     suffix = _suffix_logsum(table.logp)
-    thr = (xs * table.sigma_n * np.sqrt(table.n) + table.center) * table.denom
-    idx = np.searchsorted(table.offsets, thr, side="left")
+    idx = np.searchsorted(table.offsets, _lattice_threshold(table, xs), side="left")
     out = np.where(idx < table.offsets.size,
                    suffix[np.minimum(idx, table.offsets.size - 1)], -np.inf)
     return out if np.ndim(x) else float(out[0])
@@ -310,10 +317,19 @@ def exact_lower_tail(table: TailTable, x) -> np.ndarray | float:
     """log P(W_n <= -x sigma_n), inclusive at atoms (mirror of exact_tail)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     prefix = _prefix_logsum(table.logp)
-    thr = (table.center - xs * table.sigma_n * np.sqrt(table.n)) * table.denom
-    idx = np.searchsorted(table.offsets, thr, side="right") - 1
+    idx = np.searchsorted(table.offsets, _lattice_threshold(table, -xs), side="right") - 1
     out = np.where(idx >= 0, prefix[np.maximum(idx, 0)], -np.inf)
     return out if np.ndim(x) else float(out[0])
+
+
+def _lattice_threshold(table: TailTable, xs: np.ndarray) -> np.ndarray:
+    """W_n = xs sigma_n in lattice numerator units.  A value within rounding
+    of an integer is snapped to it, so an atom's own x hits the atom."""
+    thr = (xs * table.sigma_n * np.sqrt(table.n) + table.center) * table.denom
+    near = np.rint(thr)
+    slack = SNAP_ULPS * np.spacing(np.maximum(np.abs(thr), abs(table.center * table.denom)))
+    with np.errstate(invalid="ignore"):  # x = +-inf has no lattice neighbour
+        return np.where(np.abs(thr - near) <= slack, near, thr)
 
 
 def _suffix_logsum(logp: np.ndarray) -> np.ndarray:

@@ -98,3 +98,22 @@ def two_state_sigma_sq(rho: float, n: int) -> float:
     """sigma_n^2 for the symmetric two-state chain from gamma(k) = rho^k."""
     ks = np.arange(1, n)
     return float(1.0 + 2.0 * np.sum((1.0 - ks / n) * rho ** ks))
+
+
+def autocov_by_lags(model, kmax: int) -> np.ndarray:
+    """gamma(0..kmax) of the centered payoff, one mat-vec with P per lag."""
+    x = model.x_values
+    out = np.empty(kmax + 1)
+    u = x.copy()
+    out[0] = float(model.pi @ (x * x))
+    for k in range(1, kmax + 1):
+        u = model.transition @ u
+        out[k] = float(model.pi @ (x * u))
+    return out
+
+
+def sigma_n_by_lags(model, n: int) -> float:
+    """sigma_n from sigma_n^2 = gamma(0) + 2 sum_{k<n} (1 - k/n) gamma(k)."""
+    g = autocov_by_lags(model, n - 1)
+    ks = np.arange(1, n)
+    return math.sqrt(g[0] + 2.0 * np.sum((1.0 - ks / n) * g[1:]))

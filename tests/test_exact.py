@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from mdlab import (
     sigma_n,
 )
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
+from mdlab.exact import _prefix_logsum, _suffix_logsum
 from mdlab.normal import normal_cdf
 
 import oracles
@@ -47,6 +49,48 @@ def test_sigma_n_two_state_small_and_limit(two_state04):
 def test_sigma_n_rademacher_is_one(rademacher):
     for n in (1, 7, 100):
         assert sigma_n(rademacher, n) == pytest.approx(1.0, abs=1e-14)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_model(name: str):
+    if name == "asymmetric3":
+        # nonzero stationary payoff mean, so the centering is exercised
+        return build_finite_lattice_model(
+            ["lo", "mid", "hi"],
+            [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2)
+    kind, _, value = name.partition(":")
+    if kind == "two_state":
+        return builtin("two_state", rho=float(value))
+    return builtin("dyadic_contracting", L=int(value))
+
+
+ORACLE_MODELS = ("two_state:0.4", "two_state:0.99", "two_state:0.999", "asymmetric3",
+                 "dyadic:6", "dyadic:9")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4097, 10 ** 5])
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_sigma_n_matches_lag_recursion(name, n):
+    model = _oracle_model(name)
+    assert sigma_n(model, n) == pytest.approx(oracles.sigma_n_by_lags(model, n), rel=1e-13)
+
+
+@pytest.mark.parametrize("rho", [0.4, 0.99, 0.999])
+def test_sigma_n_two_state_closed_form_at_a_million(rho):
+    model = builtin("two_state", rho=rho)
+    r = model.transition[0, 0] - model.transition[0, 1]  # the stored kernel's eigenvalue
+    n = 10 ** 6
+    # 1 + 2 sum_{k<n} (1 - k/n) r^k, summed in closed form
+    expected = (1 + r) / (1 - r) - 2 * r * (1 - r ** n) / (n * (1 - r) ** 2)
+    assert sigma_n(model, n) ** 2 == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["two_state:0.999", "asymmetric3", "dyadic:6"])
+def test_autocovariance_matches_lag_recursion(name):
+    model = _oracle_model(name)
+    want = oracles.autocov_by_lags(model, 100)
+    got = np.array([autocovariance(model, k) for k in range(101)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * want[0])
 
 
 def test_sampled_tier_rejected(rademacher):
@@ -164,6 +208,15 @@ def test_exact_tail_edges(rademacher):
     assert exact_tail(table, 10.0) == -math.inf
     assert exact_lower_tail(table, 10.0) == -math.inf
     assert exact_lower_tail(table, -10.0) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [("two_state:0.4", 256), ("dyadic:3", 40),
+                                     ("asymmetric3", 200), ("two_state:0.99", 1024)])
+def test_tails_inclusive_at_every_atom(name, n):
+    table = distribution_of_Sn(_oracle_model(name), n)
+    at = table.what_values
+    np.testing.assert_array_equal(exact_tail(table, at), _suffix_logsum(table.logp))
+    np.testing.assert_array_equal(exact_lower_tail(table, -at), _prefix_logsum(table.logp))
 
 
 def test_tail_symmetry_two_state(table_two_state_256):
