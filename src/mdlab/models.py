@@ -32,7 +32,6 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
-STATIONARY_RESIDUAL_TOL = 1e-14
 EXACT_SOLVE_MAX_STATES = 64
 BURN_IN_TOL = 1e-12
 
@@ -195,49 +194,27 @@ class SampledModel:
 # construction helpers
 # ---------------------------------------------------------------------------
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-
-    def reach(a):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(a[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return seen
-
-    return bool(reach(adj).all() and reach(adj.T).all())
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of every state from state 0; -1 if unreached."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
 
 
-def _period(adj: np.ndarray) -> int:
-    # BFS levels from state 0; the period is the gcd of level[u] + 1 - level[v]
-    # over all edges (u, v) of a strongly connected graph.
-    n = adj.shape[0]
-    level = np.full(n, -1)
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.nonzero(adj[u])[0]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(adj[u])[0]:
-            g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g) if g else 1
+def _exact_stationary(rows: list[dict]) -> list[Fraction]:
+    """Solve pi P = pi, sum(pi) = 1 by Gaussian elimination over Fractions.
 
-
-def _exact_stationary(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Solve pi P = pi, sum(pi) = 1 by Gaussian elimination over Fractions."""
+    ``rows[j]`` maps the nonzero columns of row j to their exact entries.
+    """
     n = len(rows)
     # Build (P^T - I) with the last equation replaced by sum(pi) = 1.
-    a = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = [[rows[j].get(i, 0) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     b = [Fraction(0)] * n
     a[-1] = [Fraction(1)] * n
     b[-1] = Fraction(1)
@@ -253,21 +230,18 @@ def _exact_stationary(rows: list[list[Fraction]]) -> list[Fraction]:
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
                 b[r] -= f * b[col]
     return b
 
 
-def _power_iteration_stationary(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(200000):
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < STATIONARY_RESIDUAL_TOL:
-            return nxt
-        pi = nxt
-    raise ReducibleChain("power iteration for the stationary vector did not converge")
+def _float_stationary(p: np.ndarray) -> np.ndarray:
+    """The same bordered system as ``_exact_stationary``, solved in floats."""
+    a = p.T - np.eye(p.shape[0])
+    a[-1] = 1.0
+    b = np.zeros(p.shape[0])
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
 
 
 def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
@@ -275,45 +249,55 @@ def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
     """Build and validate an exact-tier model.
 
     Rows within 1e-12 of stochastic are renormalized exactly; anything worse
-    raises.  The chain must be irreducible and aperiodic, and the payoff must
-    be non-constant under the stationary law.
+    (or not finite) raises.  The chain must be irreducible and aperiodic, and
+    the payoff must be non-constant under the stationary law.
     """
-    trans = np.asarray(transition, dtype=float)
+    raw = np.asarray(transition, dtype=float)
     fn = np.asarray(f_num, dtype=np.int64)
     states = tuple(states)
     n = len(states)
-    if trans.shape != (n, n):
-        raise NonStochasticRow(f"transition must be {n}x{n}, got {trans.shape}")
+    if raw.shape != (n, n):
+        raise NonStochasticRow(f"transition must be {n}x{n}, got {raw.shape}")
     if fn.shape != (n,):
         raise ParamOutOfRange("f_num must have one entry per state")
     if denom < 1:
         raise ParamOutOfRange("denom must be a positive integer")
-    if np.any(trans < 0):
+    if n == 0:
+        raise ParamOutOfRange("a model needs at least one state")
+    if np.any(raw < 0):
         raise NonStochasticRow("transition entries must be nonnegative")
-    sums = trans.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    sums = raw.sum(axis=1)
+    # negated so that a row holding NaN (whose sum is NaN) fails too
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
     if bad.size:
         raise NonStochasticRow(f"row {bad[0]} sums to {sums[bad[0]]!r}")
 
-    # exact rational renormalization of each row
+    # exact rational renormalization of each row's nonzero entries, written
+    # into a fresh array (never into the caller's)
+    trans = np.zeros((n, n))
     frac_rows = []
     for r in range(n):
-        row = [Fraction(float(v)) for v in trans[r]]
-        s = sum(row)
-        frac_rows.append([v / s for v in row])
-    trans = np.array([[float(v) for v in row] for row in frac_rows])
+        cols = np.flatnonzero(raw[r])
+        vals = [Fraction(float(v)) for v in raw[r, cols]]
+        s = sum(vals)
+        frac_rows.append({int(c): v / s for c, v in zip(cols, vals)})
+        trans[r, cols] = [float(v) for v in frac_rows[r].values()]
 
     adj = trans > 0.0
-    if not _strongly_connected(adj):
+    level = _bfs_levels(adj)
+    if (level < 0).any() or (_bfs_levels(adj.T) < 0).any():
         raise ReducibleChain("transition graph is not strongly connected")
-    if _period(adj) != 1:
-        raise PeriodicChain(f"chain has period {_period(adj)}")
+    # the period is the gcd of level[u] + 1 - level[v] over all edges (u, v)
+    u, v = np.nonzero(adj)
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
+    if period != 1:
+        raise PeriodicChain(f"chain has period {period}")
 
     if n <= EXACT_SOLVE_MAX_STATES:
         pi_frac = _exact_stationary(frac_rows)
         pi = np.array([float(v) for v in pi_frac])
     else:
-        pi = _power_iteration_stationary(trans)
+        pi = _float_stationary(trans)
         pi_frac = [Fraction(float(v)) for v in pi]
 
     if np.any(pi < -1e-15):

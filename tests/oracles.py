@@ -117,3 +117,63 @@ def sigma_n_by_lags(model, n: int) -> float:
     g = autocov_by_lags(model, n - 1)
     ks = np.arange(1, n)
     return math.sqrt(g[0] + 2.0 * np.sum((1.0 - ks / n) * g[1:]))
+
+
+def dense_renormalise(transition) -> np.ndarray:
+    """Rows renormalised in exact rational arithmetic over every dense entry,
+    zeros included, then rounded back to floats."""
+    out = []
+    for raw in np.asarray(transition, dtype=float):
+        row = [Fraction(float(v)) for v in raw]
+        s = sum(row)
+        out.append([float(v / s) for v in row])
+    return np.array(out)
+
+
+def strongly_connected(adj: np.ndarray) -> bool:
+    """Depth-first reachability from state 0 in the graph and its reverse."""
+    n = adj.shape[0]
+
+    def reach(a):
+        seen = np.zeros(n, dtype=bool)
+        stack = [0]
+        seen[0] = True
+        while stack:
+            u = stack.pop()
+            for v in np.nonzero(a[u])[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(int(v))
+        return seen
+
+    return bool(reach(adj).all() and reach(adj.T).all())
+
+
+def period(adj: np.ndarray) -> int:
+    """Period of a strongly connected graph: the gcd of
+    level[u] + 1 - level[v] over all edges, with queue-based BFS levels."""
+    n = adj.shape[0]
+    level = np.full(n, -1)
+    level[0] = 0
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for v in np.nonzero(adj[u])[0]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(int(v))
+    g = 0
+    for u in range(n):
+        for v in np.nonzero(adj[u])[0]:
+            g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
+    return abs(g) if g else 1
+
+
+def birth_death_stationary(transition: np.ndarray) -> list[Fraction]:
+    """Product-form stationary law of a birth-death chain, in Fractions:
+    pi_i is proportional to prod_{j<=i} T[j-1, j] / T[j, j-1]."""
+    w = [Fraction(1)]
+    for j in range(1, transition.shape[0]):
+        w.append(w[-1] * Fraction(transition[j - 1, j]) / Fraction(transition[j, j - 1]))
+    total = sum(w)
+    return [v / total for v in w]

@@ -188,3 +188,15 @@ def test_manifest_headers_share_config_hash(tmp_path):
         first = (out / name).read_text().splitlines()[0]
         hashes.add(json.loads(first[2:])["config_hash"])
     assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("body, code", [
+    ("states =\ndenom = 1\nf_num =\ntransition =\n", 2),
+    ("states = a b\ndenom = 1\nf_num = 1 -1\ntransition = nan nan 0.5 0.5\n", 3),
+])
+def test_malformed_model_file_exit_code(tmp_path, capsys, body, code):
+    model_file = tmp_path / "bad.model"
+    model_file.write_text(body)
+    assert main(["coeffs", "--model", str(model_file), "--n", "16", "--m", "2",
+                 "--out", str(tmp_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err

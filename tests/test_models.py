@@ -228,3 +228,105 @@ def test_parse_model_text_errors():
         parse_model_text("states = a b\ndenom = 1\nf_num = 1 -1\n")
     with pytest.raises(ParamOutOfRange):
         parse_model_text("states = a\ndenom = 1\nf_num = 1\ntransition = 0.5 0.5\n")
+
+
+@st.composite
+def _random_supports(draw):
+    """Weighted transition matrices on random supports of 1-8 states:
+    unrestricted, block-triangular (reducible) or cyclic over 2 or 3 classes."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["free", "reducible", "cyclic2", "cyclic3"]))
+    cls = [draw(st.integers(min_value=0, max_value=size - 1)) for _ in range(size)]
+    if kind == "reducible":
+        split = draw(st.integers(min_value=0, max_value=size))
+        allowed = [[not (i >= split > j) for j in range(size)] for i in range(size)]
+    elif kind.startswith("cyclic"):
+        d = int(kind[-1])
+        allowed = [[cls[j] % d == (cls[i] + 1) % d for j in range(size)]
+                   for i in range(size)]
+    else:
+        allowed = [[True] * size for _ in range(size)]
+    rows = []
+    for i in range(size):
+        cols = [j for j in range(size) if allowed[i][j]] or [i]
+        picked = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=2 * size))
+        weights = np.zeros(size)
+        for j in picked:
+            weights[j] += draw(st.integers(min_value=1, max_value=9))
+        row = weights / weights.sum()
+        if draw(st.booleans()):
+            row[row == 0] = -0.0
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(_random_supports())
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_dense_oracle(trans):
+    from fractions import Fraction
+    from oracles import dense_renormalise, period, strongly_connected
+    size = trans.shape[0]
+    expected = dense_renormalise(trans)
+    adj = expected > 0.0
+    args = ([str(i) for i in range(size)], trans, np.arange(size), 1)
+    if not strongly_connected(adj):
+        with pytest.raises(ReducibleChain):
+            build_finite_lattice_model(*args)
+        return
+    if period(adj) != 1:
+        with pytest.raises(PeriodicChain, match=f"chain has period {period(adj)}$"):
+            build_finite_lattice_model(*args)
+        return
+    if size == 1:
+        with pytest.raises(DegeneratePayoff):
+            build_finite_lattice_model(*args)
+        return
+    model = build_finite_lattice_model(*args)
+    assert model.transition.tobytes() == expected.tobytes()
+    # pi_exact is stationary for the exactly renormalised rows
+    rows = [[Fraction(float(v)) for v in r] for r in trans]
+    rows = [[v / sum(r) for v in r] for r in rows]
+    for j in range(size):
+        assert sum(model.pi_exact[i] * rows[i][j] for i in range(size)) == model.pi_exact[j]
+
+
+def test_caller_transition_is_not_modified():
+    trans = np.array([[0.3, 0.7 + 1e-13, -0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    before = trans.tobytes()
+    model = build_finite_lattice_model(["a", "b", "c"], trans, [0, 1, 2], 1)
+    assert trans.tobytes() == before
+    assert model.transition is not trans
+    assert not np.signbit(model.transition).any()
+
+
+def _birth_death(size, up, down):
+    trans = np.zeros((size, size))
+    for i in range(size):
+        if i + 1 < size:
+            trans[i, i + 1] = up
+        if i > 0:
+            trans[i, i - 1] = down
+        trans[i, i] = 1.0 - trans[i].sum()
+    return trans
+
+
+@pytest.mark.parametrize("up", [0.0101, 0.02])
+def test_large_birth_death_chain_matches_product_form(up):
+    from oracles import birth_death_stationary
+    # 65 states: above the exact-solve size, slowly mixing
+    model = build_finite_lattice_model(range(65), _birth_death(65, up, 0.01),
+                                       np.arange(65), 1)
+    exact = np.array([float(v) for v in birth_death_stationary(model.transition)])
+    assert np.max(np.abs(model.pi - exact)) <= 1e-12
+    assert np.max(np.abs(np.array([float(v) for v in model.pi_exact]) - exact)) <= 1e-12
+
+
+def test_empty_and_non_finite_models_rejected():
+    from mdlab.errors import NonStochasticRow
+    with pytest.raises(ParamOutOfRange, match="at least one state"):
+        build_finite_lattice_model([], np.zeros((0, 0)), [], 1)
+    nan = float("nan")
+    for trans in ([[nan, nan], [0.5, 0.5]], [[nan, 1.0], [0.5, 0.5]],
+                  [[0.5, 0.5], [np.inf, nan]]):
+        with pytest.raises(NonStochasticRow):
+            build_finite_lattice_model(["a", "b"], trans, [0, 1], 1)
