@@ -30,6 +30,7 @@ from .bounds import (
     envelope_curve,
     freedman_bound,
     gaussian_tail_sandwich,
+    peligrad_bound,
 )
 from .coefficients import (
     admissibility,
@@ -40,7 +41,8 @@ from .coefficients import (
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
 from .errors import ConfigError, MdlabError, VerificationError
-from .exact import distribution_of_Sn, exact_tail, ks_distance_exact, sigma_any
+from .exact import (conditional_sum_norms, distribution_of_Sn, exact_tail,
+                    ks_distance_exact, sigma_any)
 from .models import builtin, parse_model_text
 from .montecarlo import _binomial_log_tail, mdp_diagnostic, ratio_curve
 from .normal import normal_sf
@@ -204,42 +206,33 @@ def _verify_tasks(model, n: int, m: int, xs: np.ndarray, gate_mode: str, c: floa
         return grid, lo, normal_sf(grid), hi
 
     def peligrad_task():
-        return _peligrad_check(model)
+        # exact max-of-partial-sums tails of the model against the maximal inequality
+        norms = conditional_sum_norms(model, PELIGRAD_N)
+        return [(x, _max_abs_tail(model, PELIGRAD_N, x),
+                 float(peligrad_bound(x, PELIGRAD_N, model.bound, norms))) for x in PELIGRAD_XS]
 
     return ratio_task, bern_task, freedman_task, sandwich_task, peligrad_task
 
 
-def _peligrad_check(model):
-    """Exhaustive max-of-partial-sums tail at a small horizon against the
-    maximal inequality (falls back to a fair-sign reference for chains too
-    large to enumerate)."""
-    from .bounds import peligrad_bound
-    from .exact import conditional_sum_norms
-
-    n = PELIGRAD_N
-    if model.tier != "exact" or model.n_states ** (n + 1) > 1 << 22:
-        ref = builtin("rademacher")
-    else:
-        ref = model
-    probs, maxima = _enumerate_max_abs(ref, n)
-    norms = conditional_sum_norms(ref, n)
-    rows = []
-    for x in PELIGRAD_XS:
-        exact_p = float(probs[maxima >= x].sum())
-        bound = float(peligrad_bound(x, n, ref.bound, norms))
-        rows.append((x, exact_p, bound))
-    return ref.name, n, rows
-
-
-def _enumerate_max_abs(model, n: int):
-    """All state paths Y_0..Y_n with their probabilities and max_i |S_i|."""
-    s = model.n_states
-    paths = np.indices((s,) * (n + 1)).reshape(n + 1, -1).T
-    logp = np.log(model.pi[paths[:, 0]])
-    for t in range(1, n + 1):
-        logp = logp + np.log(model.transition[paths[:, t - 1], paths[:, t]])
-    partial = np.cumsum(model.x_values[paths[:, 1:]], axis=1)
-    return np.exp(logp), np.abs(partial).max(axis=1)
+def _max_abs_tail(model, n: int, x: float) -> float:
+    """P(max_{1<=i<=n} |S_i| >= x) by a forward DP over (state, raw lattice
+    sum): mass moves to the hit total at the first i whose centred sum
+    k / denom - i * mean reaches x in absolute value."""
+    lo = min(0, n * int(model.f_num.min()))
+    width = max(0, n * int(model.f_num.max())) - lo + 1
+    # row j's column c draws from column c - f_num[j]; the wrap-around only
+    # reads columns the walk cannot have reached yet
+    src = (np.arange(width) - model.f_num[:, None]) % width
+    raw = (lo + np.arange(width)) / model.denom
+    live = np.zeros((model.n_states, width))
+    live[:, -lo] = model.pi
+    hit = 0.0
+    for i in range(1, n + 1):
+        live = np.take_along_axis(model.transition.T @ live, src, axis=1)
+        crossed = np.abs(raw - i * float(model.mean_fraction)) >= x
+        hit += float(live[:, crossed].sum())
+        live[:, crossed] = 0.0
+    return hit
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -259,12 +252,11 @@ def cmd_verify(cfg: dict) -> int:
     tasks = _verify_tasks(model, n, m, xs, gate_mode, c)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(t) for t in tasks]
-        curve, bern_pack, fred_pack, sand_pack, peli_pack = [f.result() for f in futures]
+        curve, bern_pack, fred_pack, sand_pack, prows = [f.result() for f in futures]
 
     coeffs, table, pos, exact_p, bern = bern_pack
     fgrid, fexact, fbound = fred_pack
     sgrid, slo, ssf, shi = sand_pack
-    pname, pn, prows = peli_pack
 
     failure = None
     for x, e, b in zip(pos, exact_p, bern):
@@ -307,7 +299,7 @@ def cmd_verify(cfg: dict) -> int:
         "checks": {
             "bernstein_points": int(pos.size),
             "freedman_reference_points": int(fgrid.size),
-            "peligrad_reference": {"model": pname, "n": pn},
+            "peligrad_reference": {"model": model.name, "n": PELIGRAD_N},
             "sandwich_points": int(sgrid.size),
             "violation": list(failure) if failure else None,
         },

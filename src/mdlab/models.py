@@ -549,8 +549,7 @@ def sample_trajectory(model, n: int, seed: int) -> Trajectory:
         raise ParamOutOfRange("n must be >= 1")
     if model.tier == "sampled":
         return model.sampler(seed, n)
-    rng = child_rng(seed, 0)
-    states = _simulate_states(model, n, 1, rng)[0]
+    states = np.concatenate(list(_simulate_states(model, n, 1, child_rng(seed, 0))))
     return Trajectory(values=model.x_values[states[1:]], states=states)
 
 
@@ -566,19 +565,20 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
     out = np.empty((chains, n + 1), dtype=np.int64)
     for block, lo in enumerate(range(0, chains, CHAIN_CHUNK)):
         hi = min(lo + CHAIN_CHUNK, chains)
-        out[lo:hi] = _simulate_states(model, n, hi - lo, child_rng(seed, block))
+        for t, y in enumerate(_simulate_states(model, n, hi - lo, child_rng(seed, block))):
+            out[lo:hi, t] = y
     return out
 
 
 def _simulate_states(model: FiniteLatticeModel, n: int, chains: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator):
+    """Yield the states Y_t of `chains` stationary trajectories for t = 0..n."""
     cum_pi = np.cumsum(model.pi)
     cum_rows = np.cumsum(model.transition, axis=1)
     cum_pi[-1] = cum_rows[:, -1] = 1.0
-    paths = np.empty((chains, n + 1), dtype=np.int64)
-    paths[:, 0] = np.searchsorted(cum_pi, rng.random(chains), side="left")
-    for t in range(1, n + 1):
+    y = np.searchsorted(cum_pi, rng.random(chains), side="left")
+    yield y
+    for _ in range(n):
         u = rng.random(chains)
-        rows = cum_rows[paths[:, t - 1]]
-        paths[:, t] = (rows < u[:, None]).sum(axis=1)
-    return paths
+        y = (cum_rows[y] < u[:, None]).sum(axis=1)
+        yield y

@@ -31,6 +31,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact import (
+    SNAP_ULPS,
     distribution_of_Sn,
     exact_lower_tail,
     exact_tail,
@@ -114,11 +115,12 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
         raise ParamOutOfRange("n must be >= 1")
     out = np.empty(chains)
     if model.tier == "exact":
-        x = model.x_values
         for block, lo in enumerate(range(0, chains, CHAIN_CHUNK)):
             hi = min(lo + CHAIN_CHUNK, chains)
-            states = _simulate_states(model, n, hi - lo, child_rng(seed, block))
-            out[lo:hi] = x[states[:, 1:]].sum(axis=1)
+            steps = _simulate_states(model, n, hi - lo, child_rng(seed, block))
+            next(steps)  # Y_0 carries no payoff
+            k = sum(model.f_num[y] for y in steps)  # raw lattice sums: exact in any order
+            out[lo:hi] = k / model.denom - n * float(model.mean_fraction)
     else:
         for i in range(chains):
             child = int(np.random.SeedSequence(
@@ -274,7 +276,9 @@ def _is_iid_sign(model) -> bool:
 
 def _binomial_log_tail(n: int, t: float) -> float:
     """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs."""
-    k0 = max(0, math.ceil((n + t) / 2.0 - 1e-12))
+    half = (n + t) / 2.0
+    near = round(half)  # taken when t is an atom's value up to rounding
+    k0 = max(0, near if abs(half - near) <= SNAP_ULPS * math.ulp(half) else math.ceil(half))
     if k0 > n:
         return -math.inf
     ks = np.arange(k0, n + 1)

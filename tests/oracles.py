@@ -89,6 +89,15 @@ def sign_sum_log_tail(n: int, t: float) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in logs))
 
 
+def binom_log_tail_from(n: int, k0: int) -> float:
+    """log P(Binomial(n, 1/2) >= k0) via plain lgamma sums (no scipy), the
+    first index given as an integer so no threshold rounding is involved."""
+    logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            - n * math.log(2.0) for k in range(max(k0, 0), n + 1)]
+    peak = max(logs)
+    return peak + math.log(sum(math.exp(v - peak) for v in logs))
+
+
 def two_state_cond_sum_norm(rho: float, n: int) -> float:
     """||E[S_n | F_0]||_inf for the symmetric two-state chain, closed form."""
     return rho * (1.0 - rho ** n) / (1.0 - rho)

@@ -1,8 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mdlab.cli import main
+from mdlab import build_finite_lattice_model, builtin
+from mdlab.cli import _max_abs_tail, main
+from mdlab.errors import ReducibleChain
+
+import oracles
 
 
 def read_json(path):
@@ -200,3 +206,61 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, body, code):
     assert main(["coeffs", "--model", str(model_file), "--n", "16", "--m", "2",
                  "--out", str(tmp_path)]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):
+    # a 64-state chain is checked on its own paths, not on a stand-in
+    assert main(["verify", "--model", "dyadic_contracting:L=6", "--n", "16",
+                 "--m", "2", "--out", str(tmp_path)]) == 0
+    checks = read_json(tmp_path / "ks.json")["checks"]
+    assert checks["peligrad_reference"] == {"model": "dyadic_contracting(L=6)", "n": 12}
+    assert checks["violation"] is None
+
+
+@pytest.mark.parametrize("name, params, n, xs", [
+    # atoms that the centred sums reach exactly: the tail is inclusive there
+    ("rademacher", {}, 12, [1.0, 2.0, 4.0, 8.0, 12.0, 12.5]),
+    ("two_state", {"rho": 0.4}, 10, [1.0, 3.0, 4.0, 10.0]),
+    ("dyadic_contracting", {"L": 2}, 8, [0.375, 0.75, 1.0, 1.125, 3.375]),
+])
+def test_max_abs_tail_at_atoms(name, params, n, xs):
+    model = builtin(name, **params)
+    for x in xs:
+        expected = oracles.enum_max_abs_tail(model, n, x)
+        assert _max_abs_tail(model, n, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def lattice_chains(draw):
+    s = draw(st.integers(2, 3))
+    weights = [[draw(st.integers(1 if i == j else 0, 9)) for j in range(s)]
+               for i in range(s)]
+    # the first numerator is negative, the rest free
+    f_num = [draw(st.integers(-4, -1))] + [draw(st.integers(-4, 4)) for _ in range(s - 1)]
+    denom = draw(st.integers(1, 4))
+    assume(len(set(f_num)) > 1)
+    try:
+        model = build_finite_lattice_model(
+            [str(i) for i in range(s)], [[w / sum(row) for w in row] for row in weights],
+            f_num, denom)
+    except ReducibleChain:
+        assume(False)
+    assume(model.mean_fraction != 0)
+    return model
+
+
+@given(lattice_chains(), st.integers(1, 8),
+       st.lists(st.floats(0.05, 6.0), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_max_abs_tail_matches_enumeration(model, n, xs):
+    # thresholds that tie with a reachable |S_i| are decided by rounding
+    # (in the DP and the oracle alike) when the mean is not a float; the
+    # inclusive tie itself is pinned by test_max_abs_tail_at_atoms
+    lo, hi = min(0, n * int(model.f_num.min())), max(0, n * int(model.f_num.max()))
+    reached = {abs(Fraction(k, model.denom) - i * model.mean_fraction)
+               for i in range(1, n + 1) for k in range(lo, hi + 1)}
+    xs = [x for x in xs if min(abs(Fraction(x) - v) for v in reached) > 1e-9]
+    assume(xs)
+    for x in xs:
+        expected = oracles.enum_max_abs_tail(model, n, x)
+        assert _max_abs_tail(model, n, x) == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -24,6 +24,7 @@ from mdlab.errors import (
     TooFewSamples,
     ZeroDenominator,
 )
+from mdlab.models import CHAIN_CHUNK, parse_model_text, sample_state_paths, sample_trajectory
 from mdlab.normal import normal_sf
 
 import oracles
@@ -44,6 +45,35 @@ def test_simulate_mean_clt_sanity(two_state04):
     w = simulate_W(two_state04, 64, chains, seed=3)
     sig = sigma_n(two_state04, 64)
     assert abs(w.mean()) <= 4.0 * sig / math.sqrt(chains)
+
+
+FILE_MODEL = """\
+states = lo mid hi
+denom = 2
+f_num = -2 1 3
+transition = 0.5 0.3 0.2  0.25 0.5 0.25  0.1 0.4 0.5
+"""
+
+
+@pytest.mark.parametrize("name", ["two_state", "dyadic6", "file"])
+def test_streamed_sums_match_path_reduction(name):
+    # simulate_W adds lattice numerators as it steps; it must agree with
+    # reducing the stacked paths, over two full blocks and a ragged third
+    model = {"two_state": builtin("two_state", rho=0.4),
+             "dyadic6": builtin("dyadic_contracting", L=6),
+             "file": parse_model_text(FILE_MODEL, name="file.model")}[name]
+    n, chains, seed = 24, 2 * CHAIN_CHUNK + 123, 5
+    w = simulate_W(model, n, chains, seed)
+    paths = sample_state_paths(model, n, chains, seed)
+    reduced = model.x_values[paths[:, 1:]].sum(axis=1) / math.sqrt(n)
+    if name == "file":  # its centred payoffs are inexact floats
+        assert np.all(np.abs(w - reduced) <= 1e-12 * np.maximum(1.0, np.abs(reduced)))
+    else:
+        assert w.tobytes() == reduced.tobytes()
+    # one trajectory is the first chain of block 0
+    traj = sample_trajectory(model, n, seed)
+    assert np.array_equal(traj.states, sample_state_paths(model, n, 1, seed)[0])
+    assert traj.states.dtype == paths.dtype == np.int64
 
 
 def test_sampled_tier_simulation_deterministic():
@@ -174,6 +204,16 @@ def test_mdp_rademacher_binomial_oracle(rademacher):
     t = 4096 ** 0.75
     expected = oracles.sign_sum_log_tail(4096, t) / math.sqrt(4096)
     assert small.scaled[0] == pytest.approx(expected, abs=1e-10)
+
+
+def test_mdp_binomial_tail_keeps_its_atom_at_large_n(rademacher):
+    # c / a_n * sqrt(n) is 2^19 up to rounding, so the tail starts at the atom
+    # K = (2^20 + 2^19) / 2; a slack of 1e-12 is below one ulp there
+    n = 2 ** 20
+    diag = mdp_diagnostic(rademacher, 2.0, 0.4, [n])
+    an = float(n) ** -0.4
+    expected = an * an * oracles.binom_log_tail_from(n, 786432)
+    assert diag.scaled[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_mdp_zero_level(rademacher):
