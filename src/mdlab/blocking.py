@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .coefficients import coefficient_set
 from .errors import (
     NestedEstimateUnavailable,
     ParamOutOfRange,
@@ -180,8 +181,6 @@ def quadratic_characteristic_deviation(model: FiniteLatticeModel, n: int, m: int
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not 1 <= m <= n:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
-    from .coefficients import coefficient_set
-
     k = n // m
     rem = n - k * m
     sig = sigma_any(model, n)

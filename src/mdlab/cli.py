@@ -41,8 +41,8 @@ from .coefficients import (
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
 from .errors import ConfigError, MdlabError, VerificationError
-from .exact import (conditional_sum_norms, distribution_of_Sn, exact_tail,
-                    ks_distance_exact, sigma_any)
+from .exact import (_max_abs_tail, conditional_sum_norms, distribution_of_Sn,
+                    exact_tail, ks_distance_exact, sigma_any)
 from .models import builtin, parse_model_text
 from .montecarlo import _binomial_log_tail, mdp_diagnostic, ratio_curve
 from .normal import normal_sf
@@ -212,27 +212,6 @@ def _verify_tasks(model, n: int, m: int, xs: np.ndarray, gate_mode: str, c: floa
                  float(peligrad_bound(x, PELIGRAD_N, model.bound, norms))) for x in PELIGRAD_XS]
 
     return ratio_task, bern_task, freedman_task, sandwich_task, peligrad_task
-
-
-def _max_abs_tail(model, n: int, x: float) -> float:
-    """P(max_{1<=i<=n} |S_i| >= x) by a forward DP over (state, raw lattice
-    sum): mass moves to the hit total at the first i whose centred sum
-    k / denom - i * mean reaches x in absolute value."""
-    lo = min(0, n * int(model.f_num.min()))
-    width = max(0, n * int(model.f_num.max())) - lo + 1
-    # row j's column c draws from column c - f_num[j]; the wrap-around only
-    # reads columns the walk cannot have reached yet
-    src = (np.arange(width) - model.f_num[:, None]) % width
-    raw = (lo + np.arange(width)) / model.denom
-    live = np.zeros((model.n_states, width))
-    live[:, -lo] = model.pi
-    hit = 0.0
-    for i in range(1, n + 1):
-        live = np.take_along_axis(model.transition.T @ live, src, axis=1)
-        crossed = np.abs(raw - i * float(model.mean_fraction)) >= x
-        hit += float(live[:, crossed].sum())
-        live[:, crossed] = 0.0
-    return hit
 
 
 def cmd_verify(cfg: dict) -> int:

@@ -2,10 +2,10 @@
 
 Everything here is deterministic linear algebra on the chain: stationary
 autocovariances, the normalized-sum standard deviation, per-state conditional
-block moments, and the full distribution of the partial sum S_n by dynamic
-programming over (state, lattice value).  All probability mass is accumulated
-in log space, so tails far below the double-precision linear range remain
-representable.
+block moments, and the law of S_n by one forward DP over (state, lattice
+value).  It keeps log-masses, so tails far below the double-precision linear
+range remain representable, and mixes each column in linear space after
+shifting it by its maximum, summing in log space where a term could underflow.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -246,57 +246,81 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 # distribution of S_n
 # ---------------------------------------------------------------------------
 
-def distribution_of_Sn(model: FiniteLatticeModel, n: int,
-                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> TailTable:
-    """Exact law of S_n from a stationary start, by log-space DP convolution
-    over (state, lattice sum)."""
+def _sum_law_steps(model: FiniteLatticeModel, n: int,
+                   budget_bytes: int = DEFAULT_BUDGET_BYTES):
+    """Yield (k0, logp) for t = 1..n from a stationary start, logp[j, i] =
+    log P(Y_t = j, S_t = (k0 + i) / denom) on the live window.  Scaled forward
+    algorithm (Rabiner 1989): each lattice column is shifted by its largest
+    log-mass, mixed by one product with P^T, logged and shifted back; row j
+    moves right by f_num[j].  Columns where a term could fall below 2^-960 are
+    summed in log space.  Entries set to -inf drop out; logp is reused."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
-    xnum = model.f_num.astype(np.int64)
-    xmin, xmax = int(xnum.min()), int(xnum.max())
-    # the walk starts at 0 and after t steps lives in [t*xmin, t*xmax]
-    k_lo, k_hi = min(0, n * xmin), max(0, n * xmax)
-    width = k_hi - k_lo + 1
-    s = model.n_states
-    need = 2 * s * width * 8
-    if need > budget_bytes:
-        raise BudgetExceeded(
-            f"DP table needs {need} bytes ({s} states x {width} lattice points "
-            f"x 2 buffers) against a budget of {budget_bytes}")
-
+    p, xnum = model.transition, model.f_num.astype(np.int64)
+    xmin, spread = int(xnum.min()), int(xnum.max() - xnum.min())
+    s, width = model.n_states, n * spread + 1
+    if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > budget_bytes:
+        raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} lattice points, "
+                             f"3 float and 2 flag buffers) against a budget of {budget_bytes}")
+    cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
+    spare = np.empty((s, width))  # log-space scratch, touched only when a column needs it
+    low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
+    top = np.empty(width)
     with np.errstate(divide="ignore"):
-        log_t = np.log(model.transition)
-        log_pi = np.log(model.pi)
-
-    # index i holds lattice numerator k = k_lo + i
-    logp = np.full((s, width), -np.inf)
-    zero_idx = -k_lo
-    logp[:, zero_idx] = log_pi
-    cur = logp
-    nxt = np.full((s, width), -np.inf)
-    lo = hi = zero_idx  # live index window [lo, hi]
+        log_t, cur[:, 0] = np.log(p), np.log(model.pi)
+    log_floor = np.log(2.0 ** -960 / p[p > 0].min())  # min P * exp(log_floor) = 2^-960
     for t in range(1, n + 1):
-        nxt[:, :] = -np.inf
-        new_lo, new_hi = lo + xmin, hi + xmax
-        window = slice(lo, hi + 1)
-        for sp in range(s):
-            acc = np.logaddexp.reduce(cur[:, window] + log_t[:, sp][:, None], axis=0)
-            d = int(xnum[sp])
-            nxt[sp, lo + d:hi + d + 1] = acc
-        cur, nxt = nxt, cur
-        lo, hi = new_lo, new_hi
+        w = (t - 1) * spread + 1
+        lin, prod, mx, flag = cur[:, :w], nxt[:, :w], top[:w], low[:, :w]
+        with np.errstate(divide="ignore"):
+            np.max(lin, axis=0, out=mx)
+            np.maximum(mx, np.finfo(float).min, out=mx)  # an empty column stays empty
+            lin -= mx
+            np.less(lin, log_floor, out=flag)
+            flag &= np.greater(lin, -np.inf, out=live[:, :w])
+            rare = np.flatnonzero(flag.any(axis=0)) if flag.any() else None
+            if rare is not None:  # sum over source states in log space
+                acc, tmp = spare[:, :rare.size], nxt[:, :rare.size]
+                acc.fill(-np.inf)
+                for i in range(s):
+                    np.add(log_t[i, :, None], lin[i, rare] + mx[rare], out=tmp)
+                    np.logaddexp(acc, tmp, out=acc)
+            np.exp(lin, out=lin)
+            np.matmul(p.T, lin, out=prod)
+            np.log(prod, out=prod)
+            prod += mx
+            if rare is not None:
+                prod[:, rare] = acc
+        cur[:, :w + spread] = -np.inf  # lin is spent: the shifted rows land in cur
+        for j, d in enumerate(xnum - xmin):
+            cur[j, d:d + w] = prod[j]
+        yield t * xmin, cur[:, :w + spread]
 
-    marg = np.logaddexp.reduce(cur, axis=0)
+
+def distribution_of_Sn(model: FiniteLatticeModel, n: int,
+                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> TailTable:
+    """Exact law of S_n from a stationary start: the sum-law DP, marginalised."""
+    for k0, logp in _sum_law_steps(model, n, budget_bytes):
+        pass
+    marg = np.logaddexp.reduce(logp, axis=0)
     finite = marg > -np.inf
-    offsets = (np.arange(width, dtype=np.int64) + k_lo)[finite]
-    logp_out = marg[finite]
+    offsets, logp_out = np.flatnonzero(finite) + k0, marg[finite]
     total = float(np.logaddexp.reduce(logp_out))
     if abs(total) > MASS_TOL:
         raise MdlabError(f"DP mass check failed: log total mass {total!r}")
-    return TailTable(n=n, denom=model.denom, offsets=offsets,
-                     logp=logp_out, sigma_n=sigma_n(model, n),
-                     center=float(n * model.mean_fraction))
+    return TailTable(n=n, denom=model.denom, offsets=offsets, logp=logp_out,
+                     sigma_n=sigma_n(model, n), center=float(n * model.mean_fraction))
+
+
+def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
+    """P(max_{1<=i<=n} |S_i| >= x): mass leaves the DP once its centred |S_i| >= x."""
+    hit, mean = 0.0, float(model.mean_fraction)
+    for i, (k0, logp) in enumerate(_sum_law_steps(model, n), start=1):
+        crossed = np.abs((k0 + np.arange(logp.shape[1])) / model.denom - i * mean) >= x
+        hit += float(np.exp(logp[:, crossed]).sum())
+        logp[:, crossed] = -np.inf
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,7 @@ class MdpDiagnostic:
         return "\n".join(lines) + "\n"
 
 
-def mdp_diagnostic(model, c: float, a_exponent: float, n_grid,
-                   budget_bytes: Optional[int] = None) -> MdpDiagnostic:
+def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
     I.i.d. sign models use the closed-form binomial tail in log space, which
@@ -246,8 +245,8 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid,
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
-    if c < 0:
-        raise ParamOutOfRange("c must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise ParamOutOfRange(f"c must be finite and >= 0, got {c}")
     ns = np.asarray(n_grid, dtype=np.int64)
     scaled = np.empty(ns.size)
     for i, n in enumerate(ns):
@@ -256,8 +255,7 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid,
         if _is_iid_sign(model):
             logp = _binomial_log_tail(int(n), threshold * math.sqrt(n))
         else:
-            kwargs = {} if budget_bytes is None else {"budget_bytes": budget_bytes}
-            table = distribution_of_Sn(model, int(n), **kwargs)
+            table = distribution_of_Sn(model, int(n))
             logp = float(exact_tail(table, threshold / table.sigma_n))
         scaled[i] = an * an * logp
     sig_sq = 1.0 if _is_iid_sign(model) else long_run_variance(model)

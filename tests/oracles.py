@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 Nothing here shares code with the package's computational paths: sum
-distributions come from exhaustive path enumeration, binomial tails from
+distributions come from exhaustive path enumeration or from a plain log-space
+DP that sums one destination state at a time, binomial tails from
 exact integer combinatorics or plain lgamma sums, and scalar formulas are
 re-evaluated inline where they are checked.
 """
@@ -62,6 +63,35 @@ def enum_max_abs_tail(model, n: int, x: float) -> float:
         running += model.x_values[paths[:, t]]
         np.maximum(peak, np.abs(running), out=peak)
     return float(prob[peak >= x].sum())
+
+
+def log_dp_distribution(model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Law of the raw lattice numerator of S_n as (offsets, logp), by a
+    log-space DP over (state, lattice sum) that adds every transition term
+    with logaddexp, one destination state at a time (no scaling, so no
+    underflow at any depth)."""
+    xnum = model.f_num.astype(np.int64)
+    xmin, xmax = int(xnum.min()), int(xnum.max())
+    k_lo, k_hi = min(0, n * xmin), max(0, n * xmax)
+    width = k_hi - k_lo + 1
+    s = model.n_states
+    with np.errstate(divide="ignore"):
+        log_t = np.log(model.transition)
+        log_pi = np.log(model.pi)
+    cur = np.full((s, width), -np.inf)
+    cur[:, -k_lo] = log_pi
+    lo = hi = -k_lo  # live index window [lo, hi]
+    for _ in range(n):
+        nxt = np.full((s, width), -np.inf)
+        for sp in range(s):
+            acc = np.logaddexp.reduce(cur[:, lo:hi + 1] + log_t[:, sp][:, None], axis=0)
+            d = int(xnum[sp])
+            nxt[sp, lo + d:hi + d + 1] = acc
+        cur = nxt
+        lo, hi = lo + xmin, hi + xmax
+    marg = np.logaddexp.reduce(cur, axis=0)
+    finite = marg > -np.inf
+    return (np.arange(width, dtype=np.int64) + k_lo)[finite], marg[finite]
 
 
 def binom_tail_exact(n: int, k0: int) -> float:

@@ -161,6 +161,13 @@ def test_mdp_subcommand(tmp_path):
     assert abs(float(rows[0][1]) + 0.5) <= 0.05
 
 
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_mdp_rejects_non_finite_level(tmp_path, capsys, c):
+    assert main(["mdp", "--model", "rademacher", "--n", "10", "--c", c,
+                 "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_coupling_subcommand(tmp_path):
     assert main(["coupling", "--model", "two_state:rho=0.4", "--n", "256",
                  "--m", "5", "--chains", "5000", "--out", str(tmp_path)]) == 0

@@ -58,6 +58,13 @@ def _oracle_model(name: str):
         return build_finite_lattice_model(
             ["lo", "mid", "hi"],
             [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2)
+    if name == "rare5":
+        # transition entries of 1e-200: atoms sit at log-mass near -921
+        eps = 1e-200
+        return build_finite_lattice_model(
+            [str(i) for i in range(5)],
+            [[0.5 - eps, 0.5, eps, 0, 0], [0.5, 0.5, 0, 0, 0], [0.5 - eps, 0.5, 0, eps, 0],
+             [0, 0, 0, 0, 1], [0.5, 0.5, 0, 0, 0]], [0, 1, 0, 0, 7], 1)
     kind, _, value = name.partition(":")
     if kind == "two_state":
         return builtin("two_state", rho=float(value))
@@ -173,6 +180,18 @@ def test_dp_handles_one_sided_payoffs():
     assert table.center == pytest.approx(5 * float(model.mean_fraction), abs=1e-12)
     # centered support straddles zero even though raw sums are all positive
     assert table.sum_values.min() < 0 < table.sum_values.max()
+
+
+@pytest.mark.parametrize("name, n", [
+    ("dyadic:3", 40), ("two_state:0.99", 1024), ("asymmetric3", 200),
+    ("rare5", 3), ("rare5", 5), ("rare5", 40),
+])
+def test_dp_matches_log_space_reference(name, n):
+    model = _oracle_model(name)
+    table = distribution_of_Sn(model, n)
+    offsets, logp = oracles.log_dp_distribution(model, n)
+    assert np.array_equal(table.offsets, offsets)
+    assert np.all(np.abs(table.logp - logp) <= 1e-12 * np.maximum(1.0, np.abs(logp)))
 
 
 def test_table_second_moment_consistent_with_sigma(table_two_state_256):
