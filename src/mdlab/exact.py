@@ -26,10 +26,9 @@ from .errors import (
     OutOfRange,
     ParamOutOfRange,
 )
-from .models import FiniteLatticeModel, _require_exact
+from .models import DEFAULT_BUDGET_BYTES, FiniteLatticeModel, _require_exact
 from .normal import normal_cdf
 
-DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB
 MASS_TOL = 1e-10
 SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
 
@@ -169,14 +168,15 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
 
 def sigma_any(model, n: int) -> float:
     """sigma_n for either tier: exact on the lattice, or the lag-weighted sum
-    over a sampled model's analytic autocovariances."""
+    over a sampled model's analytic autocovariances, up to their support."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
     if getattr(model, "autocov", None) is None:
         raise DegenerateVariance(
             f"{model.name!r} has no analytic autocovariance; sigma_n unavailable")
-    g = np.array([model.autocov(k) for k in range(n)])
-    ks = np.arange(1, n)
+    lags = n if model.autocov_support is None else min(n, model.autocov_support + 1)
+    g = np.array([model.autocov(k) for k in range(lags)])
+    ks = np.arange(1, lags)
     var = g[0] + 2.0 * float(np.sum((1.0 - ks / n) * g[1:]))
     if var <= 1e-14:
         raise DegenerateVariance(f"sigma_n^2 = {var!r} at n = {n}")

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DegeneratePayoff,
     NonStochasticRow,
     ParamOutOfRange,
@@ -34,6 +35,7 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 EXACT_SOLVE_MAX_STATES = 64
 BURN_IN_TOL = 1e-12
+DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,9 @@ class SampledModel:
 
     ``sampler(seed, n)`` must return a Trajectory of n bounded centered
     values, bit-identical for identical seeds.  ``autocov`` (optional) gives
-    the analytic autocovariance, and ``conditional_sampler`` (optional)
-    redraws a trajectory forward of a time index while freezing the
-    innovations before it.
+    the analytic autocovariance, zero beyond lag ``autocov_support`` if set;
+    ``conditional_sampler`` (optional) redraws a trajectory forward of a
+    time index while freezing the innovations before it.
     """
 
     name: str
@@ -174,6 +176,7 @@ class SampledModel:
     decay: DecayCertificate
     burn_in: int
     autocov: Optional[Callable[[int], float]] = None
+    autocov_support: Optional[int] = None
     conditional_sampler: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
@@ -389,6 +392,7 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
                             rate_constant=2.0 * c, geometric_rho=rho_geom)
     return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", sampler=sampler,
                         bound=bound, decay=cert, burn_in=burn_in, autocov=autocov,
+                        autocov_support=L,
                         conditional_sampler=conditional_sampler,
                         params={"c": c, "L_trunc": L})
 
@@ -535,6 +539,8 @@ def _require_exact(model) -> None:
 # ---------------------------------------------------------------------------
 
 CHAIN_CHUNK = 4096
+SLAB_BYTES = 1 << 20  # step uniforms drawn ahead, in total over the blocks of a call
+CHAIN_BYTES = 64  # held per chain while stepping: states, sums, draws, temporaries
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
@@ -543,42 +549,73 @@ def child_rng(seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
+def _check_chain_budget(chains: int, per_chain: int) -> None:
+    """Refuse, before allocating, a simulation holding per_chain bytes per chain."""
+    if (need := chains * per_chain) > DEFAULT_BUDGET_BYTES:
+        raise BudgetExceeded(f"{chains} chains need {need} bytes against a budget "
+                             f"of {DEFAULT_BUDGET_BYTES}")
+
+
 def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     """One stationary trajectory of length n, deterministic per seed."""
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     if model.tier == "sampled":
         return model.sampler(seed, n)
-    states = np.concatenate(list(_simulate_states(model, n, 1, child_rng(seed, 0))))
+    states = sample_state_paths(model, n, 1, seed)[0]
     return Trajectory(values=model.x_values[states[1:]], states=states)
 
 
 def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
                        seed: int) -> np.ndarray:
-    """State paths Y_0..Y_n for `chains` independent stationary trajectories.
+    """State paths Y_0..Y_n for `chains` independent stationary trajectories,
+    one column per step of `_simulate_states`.
 
-    Chains are generated in fixed-size blocks with child seeds derived from
-    (seed, block index), so any parallel schedule that preserves block order
-    reproduces the sequential output bit for bit.
+    Each block of CHAIN_CHUNK chains draws from its own child generator of
+    (seed, block index), so the paths do not depend on how blocks are
+    scheduled.  Raises BudgetExceeded, before allocating, when the paths
+    would not fit in DEFAULT_BUDGET_BYTES.
     """
     _require_exact(model)
+    _check_chain_budget(chains, CHAIN_BYTES + 8 * (n + 1))
     out = np.empty((chains, n + 1), dtype=np.int64)
-    for block, lo in enumerate(range(0, chains, CHAIN_CHUNK)):
-        hi = min(lo + CHAIN_CHUNK, chains)
-        for t, y in enumerate(_simulate_states(model, n, hi - lo, child_rng(seed, block))):
-            out[lo:hi, t] = y
+    for t, y in enumerate(_simulate_states(model, n, chains, seed)):
+        out[:, t] = y
     return out
 
 
-def _simulate_states(model: FiniteLatticeModel, n: int, chains: int,
-                     rng: np.random.Generator):
-    """Yield the states Y_t of `chains` stationary trajectories for t = 0..n."""
+def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int):
+    """Yield the states Y_t of `chains` stationary trajectories for t = 0..n,
+    one array over all chains per step.
+
+    Block b of CHAIN_CHUNK chains draws from child_rng(seed, b) its Y_0
+    uniforms, then its step uniforms as (T x size) slabs, the same stream as
+    T calls of rng.random(size); one slab over all blocks holds SLAB_BYTES.
+    A chain at y moves through the nonzero columns of row y only, to the
+    column of the first cut >= u, where the cuts are the full cumsum of P[y]
+    at those columns, the last set to 1.0: no u, 0.0 included, takes a
+    zero-probability move.
+    """
+    p = model.transition
+    support = np.count_nonzero(p, axis=1)
+    r = int(support.max())
+    cols = np.argsort(p == 0.0, axis=1, kind="stable")[:, :r]  # nonzero columns first
+    cuts = np.take_along_axis(np.cumsum(p, axis=1), cols, axis=1)
+    cuts[np.arange(r) >= support[:, None] - 1] = 1.0  # u < 1 never passes these
+    cuts_by_rank = np.ascontiguousarray(cuts.T[:-1])  # the last rank is all 1.0
+    cols = cols.ravel()
     cum_pi = np.cumsum(model.pi)
-    cum_rows = np.cumsum(model.transition, axis=1)
-    cum_pi[-1] = cum_rows[:, -1] = 1.0
-    y = np.searchsorted(cum_pi, rng.random(chains), side="left")
+    cum_pi[-1] = 1.0
+    blocks = [(child_rng(seed, b), min(CHAIN_CHUNK, chains - lo))
+              for b, lo in enumerate(range(0, chains, CHAIN_CHUNK))]
+    y = np.searchsorted(cum_pi, np.concatenate([g.random(m) for g, m in blocks]), side="left")
     yield y
-    for _ in range(n):
-        u = rng.random(chains)
-        y = (cum_rows[y] < u[:, None]).sum(axis=1)
-        yield y
+    steps = max(1, SLAB_BYTES // (8 * chains))
+    for t0 in range(0, n, steps):
+        t = min(steps, n - t0)
+        for u in np.concatenate([g.random((t, m)) for g, m in blocks], axis=1):
+            k = y * r
+            for cut in cuts_by_rank:
+                k += cut.take(y) < u
+            y = cols.take(k)
+            yield y

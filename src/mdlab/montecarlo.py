@@ -38,7 +38,7 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import CHAIN_CHUNK, FiniteLatticeModel, _simulate_states, child_rng
+from .models import CHAIN_BYTES, FiniteLatticeModel, _check_chain_budget, _simulate_states
 from .normal import normal_cdf, normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -108,20 +108,22 @@ class RatioCurve:
 # ---------------------------------------------------------------------------
 
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
-    """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories."""
+    """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
+    in O(chains) memory; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES."""
     if chains < 1:
         raise ParamOutOfRange("chains must be >= 1")
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
-    out = np.empty(chains)
+    _check_chain_budget(chains, CHAIN_BYTES)
     if model.tier == "exact":
-        for block, lo in enumerate(range(0, chains, CHAIN_CHUNK)):
-            hi = min(lo + CHAIN_CHUNK, chains)
-            steps = _simulate_states(model, n, hi - lo, child_rng(seed, block))
-            next(steps)  # Y_0 carries no payoff
-            k = sum(model.f_num[y] for y in steps)  # raw lattice sums: exact in any order
-            out[lo:hi] = k / model.denom - n * float(model.mean_fraction)
+        steps = _simulate_states(model, n, chains, seed)
+        next(steps)  # Y_0 carries no payoff
+        k = np.zeros(chains, dtype=np.int64)
+        for y in steps:
+            k += model.f_num.take(y)  # raw lattice sums: exact in any order
+        out = k / model.denom - n * float(model.mean_fraction)
     else:
+        out = np.empty(chains)
         for i in range(chains):
             child = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(i,)).generate_state(1)[0])

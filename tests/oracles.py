@@ -216,3 +216,32 @@ def birth_death_stationary(transition: np.ndarray) -> list[Fraction]:
         w.append(w[-1] * Fraction(transition[j - 1, j]) / Fraction(transition[j, j - 1]))
     total = sum(w)
     return [v / total for v in w]
+
+
+def dense_next_state(transition: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The dense u -> next-state rule: the number of entries of the full
+    cumulative row P[y] below u, each row's last entry set to 1.0 (which
+    moves u = 0.0 to state 0 even where P[y, 0] = 0)."""
+    cum = np.cumsum(transition, axis=1)
+    cum[:, -1] = 1.0
+    return (cum[y] < u[:, None]).sum(axis=1)
+
+
+def state_paths_by_block(model, n: int, chains: int, seed: int, block: int) -> np.ndarray:
+    """(chains, n + 1) stationary state paths, stepped one block of `block`
+    chains at a time: block b draws from PCG64(SeedSequence(seed, spawn_key
+    (b,))) its Y_0 uniforms, then one call of random(size) per step, mapped by
+    `dense_next_state`."""
+    cum_pi = np.cumsum(model.pi)
+    cum_pi[-1] = 1.0
+    out = np.empty((chains, n + 1), dtype=np.int64)
+    for b, lo in enumerate(range(0, chains, block)):
+        hi = min(lo + block, chains)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(b,))))
+        y = np.searchsorted(cum_pi, rng.random(hi - lo), side="left")
+        out[lo:hi, 0] = y
+        for t in range(1, n + 1):
+            y = dense_next_state(model.transition, y, rng.random(hi - lo))
+            out[lo:hi, t] = y
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -20,7 +21,7 @@ from mdlab import (
     sigma_n,
 )
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import _prefix_logsum, _suffix_logsum
+from mdlab.exact import _prefix_logsum, _suffix_logsum, sigma_any
 from mdlab.normal import normal_cdf
 
 import oracles
@@ -106,6 +107,18 @@ def test_sampled_tier_rejected(rademacher):
         autocovariance(ma, 1)
     with pytest.raises(SampledTierUnsupported):
         distribution_of_Sn(ma, 4)
+
+
+@pytest.mark.parametrize("L", [4, 20])
+def test_sampled_sigma_sums_lags_up_to_the_stated_support(L):
+    ma = builtin("moving_average", c=1.0, L_trunc=L)
+    assert ma.autocov_support == L
+    assert all(ma.autocov(k) == 0.0 for k in range(L + 1, 4 * L))
+    every_lag = dataclasses.replace(ma, autocov_support=None)
+    for n in (2, L, 256, 4096, 10 ** 6):
+        # the same positive terms, grouped differently by the summation
+        want = sigma_any(every_lag, n)
+        assert sigma_any(ma, n) == pytest.approx(want, rel=(L + 1) * 2.0 ** -52)
 
 
 # -- conditional block moments -------------------------------------------------

@@ -17,14 +17,22 @@ from mdlab import (
     simulate_W,
     wilson_interval,
 )
+from mdlab import models
 from mdlab.errors import (
+    BudgetExceeded,
     ExponentOutOfRange,
     ParamOutOfRange,
     SampledTierUnsupported,
     TooFewSamples,
     ZeroDenominator,
 )
-from mdlab.models import CHAIN_CHUNK, parse_model_text, sample_state_paths, sample_trajectory
+from mdlab.models import (
+    CHAIN_CHUNK,
+    build_finite_lattice_model,
+    parse_model_text,
+    sample_state_paths,
+    sample_trajectory,
+)
 from mdlab.normal import normal_sf
 
 import oracles
@@ -74,6 +82,96 @@ def test_streamed_sums_match_path_reduction(name):
     traj = sample_trajectory(model, n, seed)
     assert np.array_equal(traj.states, sample_state_paths(model, n, 1, seed)[0])
     assert traj.states.dtype == paths.dtype == np.int64
+
+
+# row 0 ends at column 3 with a float cumulative sum of 1 - 2^-52, so the
+# dense rule sends u = 1 - 2^-53 to state 4; rows 1-3 put no mass on state 0
+GAPPED_ROWS = [[3 / 27, 14 / 27, 1 / 27, 9 / 27, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0],
+               [0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5],
+               [0.5, 0.0, 0.0, 0.0, 0.5]]
+MODELS = {"two_state": lambda: builtin("two_state", rho=0.4),
+          "rademacher": lambda: builtin("rademacher"),
+          "dyadic3": lambda: builtin("dyadic_contracting", L=3),
+          "dyadic6": lambda: builtin("dyadic_contracting", L=6),
+          "file": lambda: parse_model_text(FILE_MODEL, name="file.model"),
+          "gapped": lambda: build_finite_lattice_model(range(5), GAPPED_ROWS, range(5), 1)}
+
+
+class FixedDraws:
+    """Stands in for a block's generator: Y_0 uniforms first, then step uniforms."""
+
+    def __init__(self, start, steps):
+        self.draws = [np.asarray(start, dtype=float), np.asarray(steps, dtype=float)]
+
+    def random(self, size):
+        return self.draws.pop(0).reshape(size)
+
+
+@pytest.mark.parametrize("name", ["dyadic3", "file", "gapped"])
+def test_no_move_along_a_zero_probability_entry(name, monkeypatch):
+    # every row meets u = 0.0, each cumulative sum of the row, its neighbours
+    # on both sides and the largest double below 1
+    model = MODELS[name]()
+    p = model.transition
+    rows, us = [], []
+    for y, cum in enumerate(np.cumsum(p, axis=1)):
+        cand = {0.0, 1.0 - 2.0 ** -53}
+        for c in cum:
+            cand |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
+        cand = sorted(u for u in cand if 0.0 <= u < 1.0)
+        rows += [y] * len(cand)
+        us += cand
+    rows, us = np.array(rows), np.array(us)
+    assert rows.size <= CHAIN_CHUNK  # one block
+    cum_pi = np.concatenate([[0.0], np.cumsum(model.pi)])
+    start = (cum_pi[rows] + cum_pi[rows + 1]) / 2  # a Y_0 uniform inside state y's slice
+    monkeypatch.setattr(models, "child_rng", lambda seed, b: FixedDraws(start, us))
+    y0, picked = models._simulate_states(model, 1, rows.size, seed=0)
+    assert np.array_equal(y0, rows)
+    assert np.all(p[rows, picked] > 0.0)
+    dense = oracles.dense_next_state(p, rows, us)
+    legal = p[rows, dense] > 0.0
+    assert np.array_equal(picked[legal], dense[legal])
+    # the dense rule's zero-probability moves, which the table cannot make
+    if name != "file":
+        at_zero = (us == 0.0) & (p[rows, 0] == 0.0)
+        assert at_zero.any() and np.all(dense[at_zero] == 0)
+    if name == "gapped":
+        gap = (rows == 0) & (us > np.cumsum(p[0])[3])
+        assert gap.any() and np.all(dense[gap] == 4) and np.all(picked[gap] == 3)
+
+
+@pytest.mark.parametrize("slab_steps", [1, 3, None])
+@pytest.mark.parametrize("chains", [1, CHAIN_CHUNK - 1, CHAIN_CHUNK, 2 * CHAIN_CHUNK + 123])
+@pytest.mark.parametrize("name", ["two_state", "rademacher", "dyadic3", "dyadic6", "file"])
+def test_lockstep_blocks_match_per_block_stepping(name, chains, slab_steps, monkeypatch):
+    # slabs of 1 and 3 steps put slab boundaries at small n; the default slab
+    # holds 15 steps of 2 * CHAIN_CHUNK + 123 chains
+    model = MODELS[name]()
+    n, seed = 10 if slab_steps else 40, 7
+    if slab_steps:
+        monkeypatch.setattr(models, "SLAB_BYTES", slab_steps * 8 * chains)
+    ref = oracles.state_paths_by_block(model, n, chains, seed, CHAIN_CHUNK)
+    assert sample_state_paths(model, n, chains, seed).tobytes() == ref.tobytes()
+    k = model.f_num[ref[:, 1:]].sum(axis=1)
+    w = (k / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
+    assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
+    if chains == 1:
+        traj = sample_trajectory(model, n, seed)
+        assert traj.states.tobytes() == ref[0].tobytes()
+        assert traj.values.tobytes() == model.x_values[ref[0, 1:]].tobytes()
+
+
+def test_simulation_refuses_sizes_beyond_the_budget():
+    two = builtin("two_state", rho=0.4)
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    for call in (lambda: sample_state_paths(two, 10 ** 6, 10 ** 4, 0),
+                 lambda: sample_trajectory(two, 10 ** 9, 0),
+                 lambda: simulate_W(two, 10, 10 ** 9, 0),
+                 lambda: simulate_W(ma, 10, 10 ** 9, 0)):
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert err.value.exit_code == 2
 
 
 def test_sampled_tier_simulation_deterministic():
