@@ -313,7 +313,10 @@ def cmd_coupling(cfg: dict) -> int:
 def cmd_mdp(cfg: dict) -> int:
     model = _parse_model_arg(cfg["model"])
     if cfg.get("n_grid"):
-        grid = [int(v) for v in str(cfg["n_grid"]).split(",")]
+        try:
+            grid = [int(v) for v in str(cfg["n_grid"]).split(",")]
+        except ValueError:
+            raise ConfigError(f"--n-grid must list integers, got {cfg['n_grid']!r}") from None
     else:
         base = int(cfg["n"])
         grid = [base, base * 4, base * 16]

@@ -38,7 +38,6 @@ from .errors import (
 from .exact import (
     _block_moment_steps,
     conditional_block_moments,
-    conditional_sum_norms,
     long_run_variance,
     poisson_solution,
     sigma_n as exact_sigma_n,
@@ -493,7 +492,11 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     if n_max < 2:
         raise ParamOutOfRange("n_max must be >= 2")
     env = _MixingEnvelope(model)
-    norms = conditional_sum_norms(model, n_max)
+    sig_sq = long_run_variance(model)
+    norms, dev = np.empty(n_max), np.empty(n_max)
+    for t, (mean, second) in enumerate(islice(_block_moment_steps(model), n_max), start=1):
+        norms[t - 1] = np.max(np.abs(mean))
+        dev[t - 1] = np.max(np.abs(second / t - sig_sq))
     ts = np.arange(1, n_max + 1, dtype=float)
     partial = np.cumsum(ts ** -1.5 * norms)
 
@@ -503,10 +506,6 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     uncertainty = env.residual(n_max + 1) * ztail
     value = float(partial[-1]) + tail
 
-    sig_sq = long_run_variance(model)
-    steps = islice(_block_moment_steps(model), n_max)
-    dev = np.array([np.max(np.abs(second / t - sig_sq))
-                    for t, (_, second) in enumerate(steps, start=1)])
     anchor = dev[max(0, n_max // 10 - 1)]
     stabilizes = bool(dev[-1] <= max(1e-8, 0.5 * anchor))
 

@@ -2,10 +2,12 @@
 
 Everything here is deterministic linear algebra on the chain: stationary
 autocovariances, the normalized-sum standard deviation, per-state conditional
-block moments, and the law of S_n by one forward DP over (state, lattice
-value).  It keeps log-masses, so tails far below the double-precision linear
-range remain representable, and mixes each column in linear space after
-shifting it by its maximum, summing in log space where a term could underflow.
+block moments by one recursion on the first step (two mat-vecs with P per
+step, which also gives the conditional-sum norms), and the law of S_n by one
+forward DP over (state, lattice value).  The DP keeps log-masses, so tails far
+below the double-precision linear range remain representable, and mixes each
+column in linear space after shifting it by its maximum, summing in log space
+where a term could underflow.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -205,32 +207,22 @@ def long_run_variance(model: FiniteLatticeModel) -> float:
 def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:
     """Uniform norms of the conditional sums: ||E[S_t | F_0]||_inf, t = 1..n_max."""
     _require_exact(model)
-    x = model.x_values
-    u = x.copy()
-    g = np.zeros(model.n_states)
-    out = np.empty(n_max)
-    for t in range(1, n_max + 1):
-        u = model.transition @ u
-        g = g + u
-        out[t - 1] = float(np.max(np.abs(g)))
-    return out
+    if n_max < 1:
+        raise ParamOutOfRange("n_max must be >= 1")
+    steps = islice(_block_moment_steps(model), n_max)
+    return np.fromiter((np.max(np.abs(mean)) for mean, _ in steps), float, count=n_max)
 
 
 def _block_moment_steps(model: FiniteLatticeModel):
-    """Yield E[S_t | Y_0 = s] and E[S_t^2 | Y_0 = s] per state for t = 1, 2, ...,
-    carrying per current state the conditional mass and the sum's moments."""
-    p = model.transition
-    x = model.x_values
-    s = model.n_states
-    mass = np.eye(s)
-    first = np.zeros((s, s))
-    second = np.zeros((s, s))
+    """Yield a_t = E[S_t | Y_0 = s] and b_t = E[S_t^2 | Y_0 = s] per state for
+    t = 1, 2, ...  Conditioning on Y_1, S_t = X_1 + S'_{t-1} with S' the sum
+    from Y_1, so a_t = P(x + a_{t-1}) and b_t = P(x^2 + 2x a_{t-1} + b_{t-1}):
+    two mat-vecs a step."""
+    p, x = model.transition, model.x_values
+    first = second = np.zeros(model.n_states)
     while True:
-        mass_next = mass @ p
-        first_p = first @ p
-        second = second @ p + 2.0 * first_p * x + mass_next * x * x
-        mass, first = mass_next, first_p + mass_next * x
-        yield first.sum(axis=1), second.sum(axis=1)
+        first, second = p @ (x + first), p @ (x * x + 2.0 * x * first + second)
+        yield first, second
 
 
 def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalMoments:

@@ -250,6 +250,8 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if not 0.0 <= c < math.inf:
         raise ParamOutOfRange(f"c must be finite and >= 0, got {c}")
     ns = np.asarray(n_grid, dtype=np.int64)
+    if np.any(ns < 1):
+        raise ParamOutOfRange(f"every n in n_grid must be >= 1, got {ns.tolist()}")
     scaled = np.empty(ns.size)
     for i, n in enumerate(ns):
         an = float(n) ** -a_exponent

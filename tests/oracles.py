@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 
 def all_state_paths(n_states: int, length: int) -> np.ndarray:
@@ -128,6 +129,59 @@ def binom_log_tail_from(n: int, k0: int) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in logs))
 
 
+def enum_block_moments(model, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n_states) arrays of E[S_t | Y_0 = s] and E[S_t^2 | Y_0 = s],
+    t = 1..m, by enumerating every path of length m from each start state:
+    the later steps of a path sum out of the moments of S_t."""
+    paths = all_state_paths(model.n_states, m + 1)
+    prob = np.ones(paths.shape[0])
+    for t in range(1, m + 1):
+        prob *= model.transition[paths[:, t - 1], paths[:, t]]
+    start = paths[:, 0]
+    sums = np.zeros(paths.shape[0])
+    first = np.empty((m, model.n_states))
+    second = np.empty((m, model.n_states))
+    for t in range(1, m + 1):
+        sums += model.x_values[paths[:, t]]
+        first[t - 1] = np.bincount(start, prob * sums, minlength=model.n_states)
+        second[t - 1] = np.bincount(start, prob * sums * sums, minlength=model.n_states)
+    return first, second
+
+
+def forward_block_moments(model, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n_states) arrays of E[S_t | Y_0 = s] and E[S_t^2 | Y_0 = s],
+    t = 1..m, by the forward recursion over (start state, current state):
+    s x s matrices of the conditional mass and of the sum's first two moments
+    on each current state, O(m s^3)."""
+    p = model.transition
+    x = model.x_values
+    s = model.n_states
+    mass = np.eye(s)
+    first = np.zeros((s, s))
+    second = np.zeros((s, s))
+    means = np.empty((m, s))
+    seconds = np.empty((m, s))
+    for t in range(m):
+        mass_next = mass @ p
+        first_p = first @ p
+        second = second @ p + 2.0 * first_p * x + mass_next * x * x
+        mass, first = mass_next, first_p + mass_next * x
+        means[t], seconds[t] = first.sum(axis=1), second.sum(axis=1)
+    return means, seconds
+
+
+def cond_sum_norms_by_powers(model, n_max: int) -> np.ndarray:
+    """||E[S_t | F_0]||_inf for t = 1..n_max as the running sum of P^k x."""
+    u = model.x_values.copy()
+    g = np.zeros(model.n_states)
+    out = np.empty(n_max)
+    for t in range(n_max):
+        u = model.transition @ u
+        g = g + u
+        out[t] = float(np.max(np.abs(g)))
+    return out
+
+
 def two_state_cond_sum_norm(rho: float, n: int) -> float:
     """||E[S_n | F_0]||_inf for the symmetric two-state chain, closed form."""
     return rho * (1.0 - rho ** n) / (1.0 - rho)
@@ -140,13 +194,15 @@ def two_state_sigma_sq(rho: float, n: int) -> float:
 
 
 def autocov_by_lags(model, kmax: int) -> np.ndarray:
-    """gamma(0..kmax) of the centered payoff, one mat-vec with P per lag."""
+    """gamma(0..kmax) of the centered payoff, one mat-vec with P per lag
+    (a CSR copy of P, so each step touches only the nonzero entries)."""
     x = model.x_values
+    p = sparse.csr_matrix(model.transition)
     out = np.empty(kmax + 1)
     u = x.copy()
     out[0] = float(model.pi @ (x * x))
     for k in range(1, kmax + 1):
-        u = model.transition @ u
+        u = p @ u
         out[k] = float(model.pi @ (x * u))
     return out
 

@@ -168,6 +168,16 @@ def test_mdp_rejects_non_finite_level(tmp_path, capsys, c):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0", "-4", "8,x", "8,0"])
+@pytest.mark.parametrize("model", ["rademacher", "two_state:rho=0.4"])
+def test_mdp_rejects_bad_grid_entries(tmp_path, capsys, model, grid):
+    assert main(["mdp", "--model", model, "--n", "10", "--n-grid", grid,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("mdlab: error:")
+    assert not (tmp_path / "mdp.csv").exists()
+
+
 def test_coupling_subcommand(tmp_path):
     assert main(["coupling", "--model", "two_state:rho=0.4", "--n", "256",
                  "--m", "5", "--chains", "5000", "--out", str(tmp_path)]) == 0

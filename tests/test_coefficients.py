@@ -7,6 +7,7 @@ from scipy.special import zeta
 from mdlab import (
     DecayCertificate,
     admissibility,
+    build_finite_lattice_model,
     builtin,
     check_dedecker_conditions,
     coefficient_set,
@@ -239,6 +240,31 @@ def test_dedecker_slow_chain_converges_with_large_constant():
     assert rep_slow.series_converges
     assert rep_slow.series_value > 20 * rep_fast.series_value
     assert rep_slow.second_moment_dev[-1] > rep_fast.second_moment_dev[-1]
+
+
+@pytest.mark.parametrize("name", ["two_state", "dyadic6", "asymmetric3"])
+def test_dedecker_one_pass_matches_two_pass_reference(name):
+    model = {"two_state": lambda: builtin("two_state", rho=0.4),
+             "dyadic6": lambda: builtin("dyadic_contracting", L=6),
+             "asymmetric3": lambda: build_finite_lattice_model(
+                 ["lo", "mid", "hi"], [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]],
+                 [-2, 1, 3], 2)}[name]()
+    n_max = 2000
+    rep = check_dedecker_conditions(model, n_max)
+    # reference: the norms from the running sum of P^k x, the second moments
+    # from a separate forward pass
+    ts = np.arange(1, n_max + 1, dtype=float)
+    partial = np.cumsum(ts ** -1.5 * oracles.cond_sum_norms_by_powers(model, n_max))
+    _, seconds = oracles.forward_block_moments(model, n_max)
+    dev = np.max(np.abs(seconds / ts[:, None] - rep.sigma_sq), axis=1)
+    np.testing.assert_allclose(rep.partial_sums, partial, rtol=1e-12)
+    assert rep.series_value == pytest.approx(partial[-1] + rep.closed_form_tail, rel=1e-12)
+    # each deviation is a difference of terms of size sigma^2
+    np.testing.assert_allclose(rep.second_moment_dev, dev, rtol=1e-12,
+                               atol=1e-12 * rep.sigma_sq)
+    anchor = dev[n_max // 10 - 1]
+    assert rep.variance_stabilizes == (dev[-1] <= max(1e-8, 0.5 * anchor))
+    assert rep.series_converges
 
 
 # -- admissibility gates ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from mdlab import (
     sigma_n,
 )
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import _prefix_logsum, _suffix_logsum, sigma_any
+from mdlab.exact import _prefix_logsum, _suffix_logsum, conditional_sum_norms, sigma_any
 from mdlab.normal import normal_cdf
 
 import oracles
@@ -66,6 +66,8 @@ def _oracle_model(name: str):
             [str(i) for i in range(5)],
             [[0.5 - eps, 0.5, eps, 0, 0], [0.5, 0.5, 0, 0, 0], [0.5 - eps, 0.5, 0, eps, 0],
              [0, 0, 0, 0, 1], [0.5, 0.5, 0, 0, 0]], [0, 1, 0, 0, 7], 1)
+    if name == "rademacher":
+        return builtin("rademacher")
     kind, _, value = name.partition(":")
     if kind == "two_state":
         return builtin("two_state", rho=float(value))
@@ -146,6 +148,41 @@ def test_conditional_moments_average_reproduces_variance(two_state04):
 def test_conditional_mean_is_pi_centered(two_state04):
     cm = conditional_block_moments(two_state04, 17)
     assert float(two_state04.pi @ cm.mean_by_state) == pytest.approx(0.0, abs=1e-10)
+
+
+def _assert_moments_close(got, want):
+    # 1e-12 relative to the uniform norm of the reference (at least 1)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", ["two_state:0.4", "rademacher", "asymmetric3",
+                                  "dyadic:2", "rare5"])
+def test_conditional_moments_match_path_enumeration(name):
+    model = _oracle_model(name)
+    means, seconds = oracles.enum_block_moments(model, 6)
+    for m in range(1, 7):
+        cm = conditional_block_moments(model, m)
+        _assert_moments_close(cm.mean_by_state, means[m - 1])
+        _assert_moments_close(cm.second_by_state, seconds[m - 1])
+    _assert_moments_close(conditional_sum_norms(model, 6), np.max(np.abs(means), axis=1))
+
+
+@pytest.mark.parametrize("name", ["dyadic:6", "asymmetric3"])
+def test_conditional_moments_match_forward_recursion(name):
+    model = _oracle_model(name)
+    means, seconds = oracles.forward_block_moments(model, 200)
+    for m in (1, 2, 3, 8, 52, 199, 200):
+        cm = conditional_block_moments(model, m)
+        _assert_moments_close(cm.mean_by_state, means[m - 1])
+        _assert_moments_close(cm.second_by_state, seconds[m - 1])
+    _assert_moments_close(conditional_sum_norms(model, 200), np.max(np.abs(means), axis=1))
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_conditional_sum_norms_rejects_an_empty_horizon(two_state04, n_max):
+    with pytest.raises(ParamOutOfRange):
+        conditional_sum_norms(two_state04, n_max)
 
 
 # -- distribution of S_n -------------------------------------------------------
