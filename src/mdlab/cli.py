@@ -35,7 +35,6 @@ from .bounds import (
 from .coefficients import (
     admissibility,
     coefficient_set,
-    eta_certificate,
     certified_coefficient_bounds,
     select_block_size,
 )
@@ -75,10 +74,10 @@ def _parse_model_arg(spec: str):
                 params[key.strip()] = float(val)
             except ValueError:
                 raise ConfigError(f"model parameter {key!r} must be numeric") from None
-    if "L" in params:
-        params["L"] = int(params["L"])
-    if "L_trunc" in params:
-        params["L_trunc"] = int(params["L_trunc"])
+    for key in [k for k in ("L", "L_trunc") if k in params]:
+        if not params[key].is_integer():
+            raise ConfigError(f"model parameter {key!r} must be an integer, got {params[key]!r}")
+        params[key] = int(params[key])
     return builtin(name.strip(), **params)
 
 
@@ -166,9 +165,8 @@ def cmd_coeffs(cfg: dict) -> int:
                    "coefficients": coeffs.to_json_dict(),
                    "gates": gates.to_json_dict()}
     else:
-        cert = eta_certificate(model, int(cfg.get("cert_window", 64)))
         sig = sigma_any(model, n)
-        rb = certified_coefficient_bounds(cert, m, n, sig, model.bound)
+        rb = certified_coefficient_bounds(model.decay, m, n, sig, model.bound)
         payload = {"mode": "certified_upper_bounds", "model": model.describe(),
                    "coefficients": {"n": n, "m": m, "sigma_n": sig,
                                     "eps_m": m * model.bound / (math.sqrt(n) * sig),
@@ -223,8 +221,8 @@ def cmd_verify(cfg: dict) -> int:
     xs = _x_grid(cfg)
     gate_mode = cfg.get("gate_mode", "practical")
     c = float(cfg.get("constant", 1.0))
-    if c <= 0:
-        raise ConfigError(f"envelope constant must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ConfigError(f"envelope constant must be finite and positive, got {c}")
     threads = max(1, int(cfg.get("threads", 1)))
     out = cfg.get("out", ".")
 

@@ -134,8 +134,8 @@ def coupling_report(model, n: int, m: int, draws: int, seed: int,
     on draws inside |Y| <= alpha / varsigma; the exponential slope of the
     normalized gap's log-survival is fitted on its upper decile.
     """
-    if alpha <= 0 or c_alpha <= 0:
-        raise ParamOutOfRange("alpha and c_alpha must be positive")
+    if not (0 < alpha < math.inf and 0 < c_alpha < math.inf):
+        raise ParamOutOfRange(f"alpha, c_alpha must be finite and positive: {alpha}, {c_alpha}")
     coeffs = coefficient_set(model, n, m)
     vs = varsigma(coeffs)
     if not (np.isfinite(vs) and vs > 1e-300):

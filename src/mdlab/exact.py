@@ -4,10 +4,11 @@ Everything here is deterministic linear algebra on the chain: stationary
 autocovariances, the normalized-sum standard deviation, per-state conditional
 block moments by one recursion on the first step (two mat-vecs with P per
 step, which also gives the conditional-sum norms), and the law of S_n by one
-forward DP over (state, lattice value).  The DP keeps log-masses, so tails far
-below the double-precision linear range remain representable, and mixes each
-column in linear space after shifting it by its maximum, summing in log space
-where a term could underflow.
+forward DP over (state, lattice value); one pass to the largest n of a horizon
+grid marginalises at every n of the grid on its way.  The DP keeps log-masses,
+so tails far below the double-precision linear range remain representable, and
+mixes each column in linear space after shifting it by its maximum, summing in
+log space where a term could underflow.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -293,16 +294,25 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
 def distribution_of_Sn(model: FiniteLatticeModel, n: int,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> TailTable:
     """Exact law of S_n from a stationary start: the sum-law DP, marginalised."""
-    for k0, logp in _sum_law_steps(model, n, budget_bytes):
-        pass
-    marg = np.logaddexp.reduce(logp, axis=0)
-    finite = marg > -np.inf
-    offsets, logp_out = np.flatnonzero(finite) + k0, marg[finite]
-    total = float(np.logaddexp.reduce(logp_out))
-    if abs(total) > MASS_TOL:
-        raise MdlabError(f"DP mass check failed: log total mass {total!r}")
-    return TailTable(n=n, denom=model.denom, offsets=offsets, logp=logp_out,
-                     sigma_n=sigma_n(model, n), center=float(n * model.mean_fraction))
+    return _sum_law_tables(model, [n], budget_bytes)[0]
+
+
+def _sum_law_tables(model: FiniteLatticeModel, ns: list[int],
+                    budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list[TailTable]:
+    """The laws of S_n for every n in ns (order and repeats kept), read off one
+    sum-law pass to max(ns) by marginalising over the state at each wanted t."""
+    want, tables = set(ns), {}
+    for t, (k0, logp) in enumerate(_sum_law_steps(model, max(ns), budget_bytes), start=1):
+        if t not in want:
+            continue
+        marg = np.logaddexp.reduce(logp, axis=0)
+        keep = np.flatnonzero(marg > -np.inf)
+        total = float(np.logaddexp.reduce(marg[keep]))
+        if abs(total) > MASS_TOL:
+            raise MdlabError(f"DP mass check failed: log total mass {total!r}")
+        tables[t] = TailTable(n=t, denom=model.denom, offsets=keep + k0, logp=marg[keep],
+                              sigma_n=sigma_n(model, t), center=float(t * model.mean_fraction))
+    return [tables[n] for n in ns]
 
 
 def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exact import (
     SNAP_ULPS,
+    _sum_law_tables,
     distribution_of_Sn,
     exact_lower_tail,
     exact_tail,
@@ -242,8 +243,8 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
     I.i.d. sign models use the closed-form binomial tail in log space, which
-    reaches n = 10^6 in milliseconds; other exact models go through the DP
-    oracle (subject to the memory budget).
+    reaches n = 10^6 in milliseconds; other exact models read every n of the
+    grid off one DP pass to its largest n (subject to the memory budget).
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
@@ -252,20 +253,15 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     ns = np.asarray(n_grid, dtype=np.int64)
     if np.any(ns < 1):
         raise ParamOutOfRange(f"every n in n_grid must be >= 1, got {ns.tolist()}")
-    scaled = np.empty(ns.size)
-    for i, n in enumerate(ns):
-        an = float(n) ** -a_exponent
-        threshold = c / an  # in W_n units
-        if _is_iid_sign(model):
-            logp = _binomial_log_tail(int(n), threshold * math.sqrt(n))
-        else:
-            table = distribution_of_Sn(model, int(n))
-            logp = float(exact_tail(table, threshold / table.sigma_n))
-        scaled[i] = an * an * logp
-    sig_sq = 1.0 if _is_iid_sign(model) else long_run_variance(model)
-    limit = -c * c / (2.0 * sig_sq)
-    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled,
-                         limit=limit)
+    ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold is c / a_n in W_n units
+    if iid := _is_iid_sign(model):
+        logp = [_binomial_log_tail(int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
+    else:
+        tables = _sum_law_tables(model, ns.tolist()) if ns.size else []
+        logp = [float(exact_tail(tb, c / an / tb.sigma_n)) for tb, an in zip(tables, ans)]
+    scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
+    limit = -c * c / (2.0 * (1.0 if iid else long_run_variance(model)))
+    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit)
 
 
 def _is_iid_sign(model) -> bool:

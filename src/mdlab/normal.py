@@ -26,11 +26,6 @@ def normal_log_sf(x):
     return special.log_ndtr(-np.asarray(x, dtype=float))
 
 
-def normal_log_cdf(x):
-    """log Phi(x)."""
-    return special.log_ndtr(np.asarray(x, dtype=float))
-
-
 def normal_quantile(s):
     """Phi^{-1}(s) for s in (0, 1); maps 0 and 1 to -inf and +inf."""
     return special.ndtri(np.asarray(s, dtype=float))

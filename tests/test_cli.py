@@ -134,6 +134,14 @@ def test_verify_rejects_bad_constant(tmp_path):
                  "--constant", "-1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_constant(tmp_path, capsys, c):
+    assert main(["verify", "--model", "rademacher", "--n", "64", "--m", "4",
+                 f"--constant={c}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("mdlab: error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_byte_identical_across_threads(tmp_path):
     out1, out4 = tmp_path / "a", tmp_path / "b"
     for out, threads in ((out1, "1"), (out4, "4")):
@@ -188,6 +196,26 @@ def test_coupling_subcommand(tmp_path):
     assert len(rows) == 5000
     z, y, gap = (float(v) for v in rows[0])
     assert gap == pytest.approx(abs(y - z), abs=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                         ("--c-alpha", "nan"), ("--c-alpha", "inf")])
+def test_coupling_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    assert main(["coupling", "--model", "two_state:rho=0.4", "--n", "64", "--m", "4",
+                 "--chains", "1000", flag, value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("mdlab: error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["dyadic_contracting:L=2.5", "dyadic_contracting:L=inf",
+                                  "moving_average:c=1,L_trunc=20.7",
+                                  "moving_average:c=1,L_trunc=nan"])
+def test_integer_model_parameters_are_not_truncated(tmp_path, capsys, spec):
+    assert main(["coeffs", "--model", spec, "--n", "64", "--m", "4",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error:") and "must be an integer" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_subcommand(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ def test_coupling_report_validation(two_state04):
     with pytest.raises(ParamOutOfRange):
         sample_coupled_pairs(
             build_quantile_transform(distribution_of_Sn(two_state04, 8)), 0, seed=0)
+
+
+@pytest.mark.parametrize("alpha, c_alpha", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                                            (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
+def test_coupling_report_needs_finite_positive_parameters(two_state04, alpha, c_alpha):
+    with pytest.raises(ParamOutOfRange):
+        coupling_report(two_state04, 64, 4, 1000, seed=0, alpha=alpha, c_alpha=c_alpha)
 
 
 def test_normalized_gap_concentrates_for_iid(rademacher):

@@ -21,7 +21,8 @@ from mdlab import (
     sigma_n,
 )
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import _prefix_logsum, _suffix_logsum, conditional_sum_norms, sigma_any
+from mdlab.exact import (_prefix_logsum, _suffix_logsum, _sum_law_tables,
+                         conditional_sum_norms, sigma_any)
 from mdlab.normal import normal_cdf
 
 import oracles
@@ -242,6 +243,20 @@ def test_dp_matches_log_space_reference(name, n):
     offsets, logp = oracles.log_dp_distribution(model, n)
     assert np.array_equal(table.offsets, offsets)
     assert np.all(np.abs(table.logp - logp) <= 1e-12 * np.maximum(1.0, np.abs(logp)))
+
+
+@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3", "rare5"])
+def test_grid_tables_from_one_pass_match_per_n_tables(name):
+    model = _oracle_model(name)
+    grid = [64, 8, 64, 1]
+    tables = _sum_law_tables(model, grid)
+    assert [t.n for t in tables] == grid
+    for table, n in zip(tables, grid):
+        ref = distribution_of_Sn(model, n)
+        assert table.offsets.dtype == ref.offsets.dtype
+        assert np.array_equal(table.offsets, ref.offsets)
+        assert table.logp.tobytes() == ref.logp.tobytes()
+        assert (table.sigma_n, table.center) == (ref.sigma_n, ref.center)
 
 
 def test_table_second_moment_consistent_with_sigma(table_two_state_256):

@@ -17,7 +17,7 @@ from mdlab import (
     simulate_W,
     wilson_interval,
 )
-from mdlab import models
+from mdlab import exact, models, montecarlo
 from mdlab.errors import (
     BudgetExceeded,
     ExponentOutOfRange,
@@ -334,3 +334,68 @@ def test_mdp_exponent_guard(rademacher):
         mdp_diagnostic(rademacher, 1.0, 0.5, [100])
     with pytest.raises(ExponentOutOfRange):
         mdp_diagnostic(rademacher, 1.0, 0.0, [100])
+
+
+def _count_sum_law_passes(monkeypatch):
+    """Record the horizon and the steps taken of every sum-law pass, and fail
+    on any per-n table."""
+    passes = []
+
+    def counted(model, n, *args, **kwargs):
+        passes.append([n, 0])
+        for step in real(model, n, *args, **kwargs):
+            passes[-1][1] += 1
+            yield step
+
+    def per_n(*args, **kwargs):
+        raise AssertionError("mdp_diagnostic must not build a table per n")
+
+    real = exact._sum_law_steps
+    monkeypatch.setattr(exact, "_sum_law_steps", counted)
+    monkeypatch.setattr(montecarlo, "distribution_of_Sn", per_n)
+    return passes
+
+
+@pytest.mark.parametrize("name", ["two_state", "dyadic3", "file"])
+def test_mdp_grid_matches_per_n_tables(name):
+    # one pass to max(grid) must give the per-n DP's tails bit for bit,
+    # in grid order and with the repeated n kept
+    model = {"two_state": lambda: builtin("two_state", rho=0.4),
+             "dyadic3": lambda: builtin("dyadic_contracting", L=3),
+             "file": lambda: parse_model_text(FILE_MODEL, name="file.model")}[name]()
+    grid, c, a = [64, 8, 64, 1], 1.0, 0.25
+    want = []
+    for n in grid:
+        an = float(n) ** -a
+        table = distribution_of_Sn(model, n)
+        want.append(an * an * float(exact_tail(table, c / an / table.sigma_n)))
+    diag = mdp_diagnostic(model, c, a, grid)
+    assert diag.n_grid.tolist() == grid
+    assert diag.scaled.tobytes() == np.array(want).tobytes()
+    assert [line.split(",")[0] for line in diag.to_csv().splitlines()[1:]] == \
+        ["64", "8", "64", "1"]
+
+
+def test_mdp_grid_takes_one_pass_to_its_largest_n(two_state04, monkeypatch):
+    passes = _count_sum_law_passes(monkeypatch)
+    diag = mdp_diagnostic(two_state04, 1.0, 0.25, [64, 16, 256])
+    assert passes == [[256, 256]]
+    assert diag.n_grid.tolist() == [64, 16, 256]
+
+
+@pytest.mark.parametrize("model", ["two_state04", "rademacher"])
+def test_mdp_empty_grid_is_an_empty_diagnostic(model, monkeypatch, request):
+    passes = _count_sum_law_passes(monkeypatch)
+    diag = mdp_diagnostic(request.getfixturevalue(model), 1.0, 0.25, [])
+    assert passes == []
+    assert diag.n_grid.size == 0 and diag.scaled.size == 0
+    assert math.isfinite(diag.limit) and diag.limit < 0
+    assert diag.to_csv() == "n,scaled_log_tail,limit\n"
+
+
+def test_mdp_budget_is_checked_for_the_largest_n_before_any_step(monkeypatch):
+    # dyadic L=8 at n = 4096 needs about 7 GB; n = 8 alone would fit
+    passes = _count_sum_law_passes(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        mdp_diagnostic(builtin("dyadic_contracting", L=8), 1.0, 0.25, [8, 4096])
+    assert passes == [[4096, 0]]
