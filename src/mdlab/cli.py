@@ -6,6 +6,11 @@ machine-readable (JSON and CSV) and byte-identical for identical
 manifest with the tool version, a hash of the semantic configuration and the
 seed, and contains nothing schedule- or time-dependent.
 
+A `--config` JSON object is more flags: each key is a flag's name with `_`
+for `-`, appended after the command line (so the file wins) and parsed with
+that flag's type and choices.  Subcommands return their files and `main`
+writes them, so a run that rejects its input writes nothing.
+
 Exit codes: 0 success, 2 configuration error, 3 model error, 4 a hard
 verification assertion failed.
 """
@@ -81,20 +86,28 @@ def _parse_model_arg(spec: str):
     return builtin(name.strip(), **params)
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Flags merged with the config file (file wins), as a plain dict."""
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "config") and v is not None}
-    if getattr(args, "config", None):
-        if not os.path.isfile(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        cfg.update(overrides)
-    return cfg
+def _config_argv(path: str) -> list:
+    """The JSON object in `path` as `--flag=value` words; null values are skipped."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"config file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file must hold a JSON object, got a {type(doc).__name__}")
+    odd = sorted(key for key in doc if "-" in key or key == "config")
+    if odd:
+        raise ConfigError(f"unknown config keys {odd}: a key is a flag's name with _ for -")
+    return [f"--{key.replace('_', '-')}={val if isinstance(val, str) else json.dumps(val)}"
+            for key, val in doc.items() if val is not None]
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -105,62 +118,48 @@ def _config_hash(cfg: dict) -> str:
 
 def _manifest(cfg: dict) -> dict:
     return {"tool": f"mdlab {__version__}", "config_hash": _config_hash(cfg),
-            "seed": cfg.get("seed", 0), "model": cfg.get("model")}
+            "seed": cfg["seed"], "model": cfg["model"]}
 
 
-def _write_text(out_dir: str, name: str, header: dict, body: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    head = "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + body)
-    return path
+def _text_file(header: dict, body: str) -> str:
+    return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + body
 
 
-def _write_json(out_dir: str, name: str, header: dict, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    doc = {"manifest": header}
-    doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+def _json_file(header: dict, payload: dict) -> str:
+    return json.dumps({"manifest": header, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _pick_m(cfg: dict, model, n: int) -> int:
+def _pick_m(cfg: dict, n: int) -> int:
     if cfg.get("m") is not None:
-        m = int(cfg["m"])
+        m = cfg["m"]
         if not 1 <= m <= n:
             raise ConfigError(f"need 1 <= m <= n, got m={m}, n={n}")
         return m
     if cfg.get("beta") is not None:
-        purpose = cfg.get("purpose", "cramer")
-        return select_block_size(n, float(cfg["beta"]), purpose).m
+        return select_block_size(n, cfg["beta"], cfg.get("purpose", "cramer")).m
     raise ConfigError("one of --m or --beta is required")
 
 
 def _x_grid(cfg: dict) -> np.ndarray:
-    lo = float(cfg.get("x_min", 0.0))
-    hi = float(cfg.get("x_max", 3.0))
-    count = int(cfg.get("x_count", 50))
+    lo, hi = cfg.get("x_min", 0.0), cfg.get("x_max", 3.0)
+    count = cfg.get("x_count", 50)
     if not (count >= 1 and hi >= lo >= 0.0):
         raise ConfigError("x grid needs 0 <= x-min <= x-max and x-count >= 1")
     return np.linspace(lo, hi, count)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its files (name -> text) and a verification
+# failure message or None
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(cfg: dict) -> int:
+def cmd_coeffs(cfg: dict):
     model = _parse_model_arg(cfg["model"])
-    n = int(cfg["n"])
-    m = _pick_m(cfg, model, n)
-    gate_mode = cfg.get("gate_mode", "practical")
-    out = cfg.get("out", ".")
+    n = cfg["n"]
+    m = _pick_m(cfg, n)
     if model.tier == "exact":
-        coeffs = coefficient_set(model, n, m, tol=float(cfg.get("gamma_tol", 1e-10)))
-        gates = admissibility(coeffs, gate_mode)
+        coeffs = coefficient_set(model, n, m)
+        gates = admissibility(coeffs, cfg.get("gate_mode", "practical"))
         payload = {"mode": "exact", "model": model.describe(),
                    "coefficients": coeffs.to_json_dict(),
                    "gates": gates.to_json_dict()}
@@ -173,24 +172,23 @@ def cmd_coeffs(cfg: dict) -> int:
                                     "gamma_bound": rb.gamma_bound,
                                     "delta_sq_bound": rb.delta_sq_bound,
                                     "regime": rb.regime}}
-    _write_json(out, "coefficients.json", _manifest(cfg), payload)
-    return 0
+    return {"coefficients.json": _json_file(_manifest(cfg), payload)}, None
 
 
-def _verify_tasks(model, n: int, m: int, xs: np.ndarray, gate_mode: str, c: float):
+def _verify_tasks(model, coeffs, xs: np.ndarray, gate_mode: str, c: float):
     """The independent verification workloads; each returns its own block."""
+    n, m = coeffs.n, coeffs.m
 
     def ratio_task():
-        return ratio_curve(model, n, m, xs, mode="exact", envelope_c=c,
+        return ratio_curve(model, n, m, xs, mode="exact", coeffs=coeffs, envelope_c=c,
                            gate_mode=gate_mode)
 
     def bern_task():
-        coeffs = coefficient_set(model, n, m)
         table = distribution_of_Sn(model, n)
         pos = xs[xs > 0]
         exact_p = np.exp(np.asarray(exact_tail(table, pos)))
         bern = np.asarray(bernstein_bound(coeffs, pos))
-        return coeffs, table, pos, exact_p, bern
+        return table, pos, exact_p, bern
 
     def freedman_task():
         grid = np.linspace(0.25, FREEDMAN_XMAX, 16)
@@ -212,26 +210,25 @@ def _verify_tasks(model, n: int, m: int, xs: np.ndarray, gate_mode: str, c: floa
     return ratio_task, bern_task, freedman_task, sandwich_task, peligrad_task
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict):
     model = _parse_model_arg(cfg["model"])
     if model.tier != "exact":
         raise ConfigError("verify needs an exact-tier model")
-    n = int(cfg["n"])
-    m = _pick_m(cfg, model, n)
+    n = cfg["n"]
+    m = _pick_m(cfg, n)
     xs = _x_grid(cfg)
     gate_mode = cfg.get("gate_mode", "practical")
-    c = float(cfg.get("constant", 1.0))
+    c = cfg.get("constant", 1.0)
     if not 0 < c < math.inf:
         raise ConfigError(f"envelope constant must be finite and positive, got {c}")
-    threads = max(1, int(cfg.get("threads", 1)))
-    out = cfg.get("out", ".")
 
-    tasks = _verify_tasks(model, n, m, xs, gate_mode, c)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    coeffs = coefficient_set(model, n, m)
+    tasks = _verify_tasks(model, coeffs, xs, gate_mode, c)
+    with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
         futures = [pool.submit(t) for t in tasks]
         curve, bern_pack, fred_pack, sand_pack, prows = [f.result() for f in futures]
 
-    coeffs, table, pos, exact_p, bern = bern_pack
+    table, pos, exact_p, bern = bern_pack
     fgrid, fexact, fbound = fred_pack
     sgrid, slo, ssf, shi = sand_pack
 
@@ -257,161 +254,150 @@ def cmd_verify(cfg: dict) -> int:
                 break
 
     manifest = _manifest(cfg)
-    _write_text(out, "ratio.csv", manifest, curve.to_csv())
     env = envelope_curve(coeffs, pos, c, gate_mode)
     lines = ["x,exact_tail,bernstein,envelope,envelope_valid"]
     for i, x in enumerate(pos):
         lines.append(f"{x:.17g},{exact_p[i]:.17g},{bern[i]:.17g},"
                      f"{env.value[i]:.17g},{int(env.valid[i])}")
-    _write_text(out, "bounds.csv", manifest, "\n".join(lines) + "\n")
     qd = quadratic_characteristic_deviation(model, n, m)
-    _write_json(out, "ks.json", manifest, {
-        "model": model.describe(),
-        "n": n, "m": m,
-        "ks_exact": ks_distance_exact(table),
-        "berry_esseen_bound_shape": berry_esseen_bound(coeffs, c),
-        "coefficients": coeffs.to_json_dict(),
-        "gates": admissibility(coeffs, gate_mode).to_json_dict(),
-        "quad_char": {"exact": qd.exact_value, "bound": qd.bound_value},
-        "checks": {
-            "bernstein_points": int(pos.size),
-            "freedman_reference_points": int(fgrid.size),
-            "peligrad_reference": {"model": model.name, "n": PELIGRAD_N},
-            "sandwich_points": int(sgrid.size),
-            "violation": list(failure) if failure else None,
-        },
-    })
+    files = {
+        "ratio.csv": _text_file(manifest, curve.to_csv()),
+        "bounds.csv": _text_file(manifest, "\n".join(lines) + "\n"),
+        "ks.json": _json_file(manifest, {
+            "model": model.describe(),
+            "n": n, "m": m,
+            "ks_exact": ks_distance_exact(table),
+            "berry_esseen_bound_shape": berry_esseen_bound(coeffs, c),
+            "coefficients": coeffs.to_json_dict(),
+            "gates": admissibility(coeffs, gate_mode).to_json_dict(),
+            "quad_char": {"exact": qd.exact_value, "bound": qd.bound_value},
+            "checks": {
+                "bernstein_points": int(pos.size),
+                "freedman_reference_points": int(fgrid.size),
+                "peligrad_reference": {"model": model.name, "n": PELIGRAD_N},
+                "sandwich_points": int(sgrid.size),
+                "violation": list(failure) if failure else None,
+            },
+        }),
+    }
     if failure:
-        raise VerificationError(
-            f"{failure[0]} validity failed at x={failure[1]}: bound {failure[2]} "
-            f"< exact {failure[3]}")
-    return 0
+        return files, (f"{failure[0]} validity failed at x={failure[1]}: bound {failure[2]} "
+                       f"< exact {failure[3]}")
+    return files, None
 
 
-def cmd_coupling(cfg: dict) -> int:
+def cmd_coupling(cfg: dict):
     model = _parse_model_arg(cfg["model"])
-    n = int(cfg["n"])
-    m = _pick_m(cfg, model, n)
-    draws = int(cfg.get("chains", 10000))
-    seed = int(cfg.get("seed", 0))
-    out = cfg.get("out", ".")
-    rep = coupling_report(model, n, m, draws, seed,
-                          alpha=float(cfg.get("alpha", 1.0)),
-                          c_alpha=float(cfg.get("c_alpha", 1.0)))
-    manifest = _manifest(cfg)
-    _write_json(out, "coupling.json", manifest, {"report": rep.to_json_dict()})
+    n = cfg["n"]
+    m = _pick_m(cfg, n)
+    draws = cfg.get("chains", 10000)
+    rep = coupling_report(model, n, m, draws, cfg["seed"],
+                          alpha=cfg.get("alpha", 1.0), c_alpha=cfg.get("c_alpha", 1.0))
     table = distribution_of_Sn(model, n)
-    y, z = sample_coupled_pairs(build_quantile_transform(table), draws, seed)
+    y, z = sample_coupled_pairs(build_quantile_transform(table), draws, cfg["seed"])
     lines = ["z,y,gap"]
     lines += [f"{zv:.17g},{yv:.17g},{abs(yv - zv):.17g}" for yv, zv in zip(y, z)]
-    _write_text(out, "pairs.csv", manifest, "\n".join(lines) + "\n")
-    return 0
+    manifest = _manifest(cfg)
+    return {"coupling.json": _json_file(manifest, {"report": rep.to_json_dict()}),
+            "pairs.csv": _text_file(manifest, "\n".join(lines) + "\n")}, None
 
 
-def cmd_mdp(cfg: dict) -> int:
+def cmd_mdp(cfg: dict):
     model = _parse_model_arg(cfg["model"])
     if cfg.get("n_grid"):
         try:
-            grid = [int(v) for v in str(cfg["n_grid"]).split(",")]
+            grid = [int(v) for v in cfg["n_grid"].split(",")]
         except ValueError:
             raise ConfigError(f"--n-grid must list integers, got {cfg['n_grid']!r}") from None
     else:
-        base = int(cfg["n"])
-        grid = [base, base * 4, base * 16]
-    diag = mdp_diagnostic(model, float(cfg.get("c", 1.0)),
-                          float(cfg.get("a_exp", 0.25)), grid)
-    _write_text(cfg.get("out", "."), "mdp.csv", _manifest(cfg), diag.to_csv())
-    return 0
+        grid = [cfg["n"], cfg["n"] * 4, cfg["n"] * 16]
+    diag = mdp_diagnostic(model, cfg.get("c", 1.0), cfg.get("a_exp", 0.25), grid)
+    return {"mdp.csv": _text_file(_manifest(cfg), diag.to_csv())}, None
 
 
-def cmd_report(cfg: dict) -> int:
-    out = cfg.get("out", ".")
-    results = {}
+def cmd_report(cfg: dict):
+    files, results = {}, {}
     for name, fn in (("coeffs", cmd_coeffs), ("verify", cmd_verify),
                      ("coupling", cmd_coupling), ("mdp", cmd_mdp)):
-        try:
-            fn(dict(cfg))
-            results[name] = "ok"
-        except VerificationError as exc:
-            results[name] = f"assertion failed: {exc}"
-    _write_json(out, "summary.json", _manifest(cfg), {"results": results})
+        step_files, failure = fn(cfg)
+        files.update(step_files)
+        results[name] = f"assertion failed: {failure}" if failure else "ok"
+    files["summary.json"] = _json_file(_manifest(cfg), {"results": results})
     if any(v != "ok" for v in results.values()):
-        raise VerificationError(json.dumps(results, sort_keys=True))
-    return 0
+        return files, json.dumps(results, sort_keys=True)
+    return files, None
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_COMMON_FLAGS = (
+    ("--model", dict(required=True,
+                     help="builtin name[:k=v,...] or a model definition file")),
+    ("--n", dict(type=int, required=True, help="horizon n")),
+    ("--m", dict(type=int, help="block length")),
+    ("--beta", dict(type=float, help="decay exponent; selects m when --m is absent")),
+    ("--purpose", dict(choices=("cramer", "berry_esseen"),
+                       help="block-size rule used with --beta")),
+    ("--seed", dict(type=_seed, default=0)),
+    ("--gate-mode", dict(choices=("strict", "practical"))),
+    ("--out", dict(default=".")),
+    ("--config", dict(help="JSON object of flags (key: flag name with _ for -); "
+                           "its values win over the command line")),
+    ("--threads", dict(type=int, default=1)),
+)
+
+# subcommand -> (run, help, its own flags); `report` takes every subcommand's
+_COMMANDS = {
+    "coeffs": (cmd_coeffs, "deviation coefficients and gate verdicts", ()),
+    "verify": (cmd_verify, "ratio, Kolmogorov and bound validity bundle", (
+        ("--x-min", dict(type=float)),
+        ("--x-max", dict(type=float)),
+        ("--x-count", dict(type=int)),
+        ("--constant", dict(type=float, help="envelope shape constant")))),
+    "coupling": (cmd_coupling, "quantile-coupling report and pairs dump", (
+        ("--chains", dict(type=int, help="number of coupled draws")),
+        ("--alpha", dict(type=float)),
+        ("--c-alpha", dict(type=float)))),
+    "mdp": (cmd_mdp, "moderate-deviation scaling diagnostic", (
+        ("--c", dict(type=float, help="deviation level")),
+        ("--a-exp", dict(type=float, help="speed exponent")),
+        ("--n-grid", dict(help="comma-separated horizons")))),
+    "report": (cmd_report, "run every subcommand into one directory", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mdlab",
+        prog="mdlab", allow_abbrev=False,
         description="moderate-deviation laboratory for stationary bounded sequences")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--model", required=True,
-                       help="builtin name[:k=v,...] or a model definition file")
-        p.add_argument("--n", type=int, required=True, help="horizon n")
-        p.add_argument("--m", type=int, help="block length")
-        p.add_argument("--beta", type=float,
-                       help="decay exponent; selects m when --m is absent")
-        p.add_argument("--purpose", choices=("cramer", "berry_esseen"),
-                       help="block-size rule used with --beta")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--gate-mode", dest="gate_mode",
-                       choices=("strict", "practical"))
-        p.add_argument("--out", default=".")
-        p.add_argument("--config", help="JSON config file; overrides flags")
-        p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("coeffs", help="deviation coefficients and gate verdicts")
-    common(p)
-
-    p = sub.add_parser("verify", help="ratio, Kolmogorov and bound validity bundle")
-    common(p)
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--x-count", dest="x_count", type=int)
-    p.add_argument("--constant", type=float, help="envelope shape constant")
-
-    p = sub.add_parser("coupling", help="quantile-coupling report and pairs dump")
-    common(p)
-    p.add_argument("--chains", type=int, help="number of coupled draws")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c-alpha", dest="c_alpha", type=float)
-
-    p = sub.add_parser("mdp", help="moderate-deviation scaling diagnostic")
-    common(p)
-    p.add_argument("--c", type=float, help="deviation level")
-    p.add_argument("--a-exp", dest="a_exp", type=float, help="speed exponent")
-    p.add_argument("--n-grid", dest="n_grid", help="comma-separated horizons")
-
-    p = sub.add_parser("report", help="run every subcommand into one directory")
-    common(p)
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--x-count", dest="x_count", type=int)
-    p.add_argument("--constant", type=float)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--a-exp", dest="a_exp", type=float)
-    p.add_argument("--n-grid", dest="n_grid")
-
+    every = tuple(flag for _, _, own in _COMMANDS.values() for flag in own)
+    for name, (_, help_text, own) in _COMMANDS.items():
+        # abbreviations off: a misspelt flag or config key is an error, not a guess
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, kwargs in _COMMON_FLAGS + (every if name == "report" else own):
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-_COMMANDS = {"coeffs": cmd_coeffs, "verify": cmd_verify, "coupling": cmd_coupling,
-             "mdp": cmd_mdp, "report": cmd_report}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        if args.config:
+            argv = list(sys.argv[1:] if argv is None else argv)
+            args = parser.parse_args(argv + _config_argv(args.config))
+        cfg = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
+        files, failure = _COMMANDS[args.command][0](cfg)
+        os.makedirs(cfg["out"], exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(cfg["out"], name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        if failure:
+            raise VerificationError(failure)
+        return 0
     except MdlabError as exc:
         print(f"mdlab: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -379,7 +379,12 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
 
 def ks_distance_exact(table: TailTable) -> float:
     """sup_x |P(W_n <= x sigma_n) - Phi(x)|, evaluating both sides of every atom."""
-    cdf = table.cdf_points()
-    phi = normal_cdf(table.what_values)
+    return _ks_sweep(table.what_values, table.cdf_points())
+
+
+def _ks_sweep(atoms: np.ndarray, cdf: np.ndarray) -> float:
+    """sup_x |F(x) - Phi(x)| for the step cdf F that reaches cdf[i] at the
+    sorted atoms[i], checked on both sides of every jump."""
+    phi = normal_cdf(atoms)
     left = np.concatenate(([0.0], cdf[:-1]))
     return float(max(np.max(np.abs(cdf - phi)), np.max(np.abs(left - phi))))

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exact import (
     SNAP_ULPS,
+    _ks_sweep,
     _sum_law_tables,
     distribution_of_Sn,
     exact_lower_tail,
@@ -40,7 +41,7 @@ from .exact import (
     sigma_any,
 )
 from .models import CHAIN_BYTES, FiniteLatticeModel, _check_chain_budget, _simulate_states
-from .normal import normal_cdf, normal_log_sf, normal_sf
+from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -215,10 +216,7 @@ def empirical_ks(samples, sigma_n: float) -> float:
     n = w.size
     if n < 100:
         raise TooFewSamples(f"need at least 100 samples, got {n}")
-    phi = normal_cdf(w)
-    upper = np.max(np.arange(1, n + 1) / n - phi)
-    lower = np.max(phi - np.arange(0, n) / n)
-    return float(max(upper, lower))
+    return _ks_sweep(w, np.arange(1, n + 1) / n)
 
 
 @dataclass(frozen=True)

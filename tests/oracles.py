@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 
 
 def all_state_paths(n_states: int, length: int) -> np.ndarray:
@@ -301,3 +301,12 @@ def state_paths_by_block(model, n: int, chains: int, seed: int, block: int) -> n
             y = dense_next_state(model.transition, y, rng.random(hi - lo))
             out[lo:hi, t] = y
     return out
+
+
+def empirical_ks_by_one_sided_maxima(samples, sigma_n: float) -> float:
+    """max(D+, D-) with D+ = max_i (i/n - Phi(w_(i))) and D- = max_i (Phi(w_(i)) - (i-1)/n)
+    over the sorted standardised samples w_(1) <= ... <= w_(n)."""
+    w = np.sort(np.asarray(samples, dtype=float)) / sigma_n
+    n = w.size
+    phi = 0.5 * special.erfc(-w / np.sqrt(2.0))
+    return float(max(np.max(np.arange(1, n + 1) / n - phi), np.max(phi - np.arange(n) / n)))

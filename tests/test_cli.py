@@ -160,6 +160,96 @@ def test_config_file_overrides_flags(tmp_path):
     assert read_json(tmp_path / "coefficients.json")["coefficients"]["n"] == 64
 
 
+def run_cli(argv):
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("verify", {"constant": "abc"}, "--constant"),
+    ("verify", {"n": "12x"}, "--n"),
+    ("verify", ["a"], "JSON object"),
+    ("coeffs", {"model": 5}, "model"),
+    ("verify", {"n": True}, "--n"),
+    ("verify", {"x_count": 2.5}, "--x-count"),
+    ("verify", {"constnat": 5}, "--constnat"),
+    ("verify", {"const": 5}, "--const"),
+    ("coeffs", {"gamma_tol": 1e-9}, "--gamma-tol"),
+    ("coeffs", {"gate_mode": "loose"}, "--gate-mode"),
+    ("coeffs", {"x_min": 1.0}, "--x-min"),
+    ("coeffs", {"x-min": 1.0}, "x-min"),
+], ids=["float-text", "int-text", "not-an-object", "model-number", "bool-int", "float-int",
+        "misspelt", "abbreviated", "gamma-tol", "bad-choice", "other-command", "dash-key"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, doc, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli([command, "--model", "rademacher", "--n", "64", "--m", "4",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coupling", "report"])
+def test_seed_must_be_non_negative(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli([command, "--model", "rademacher", "--n", "64", "--m", "4",
+                    "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "rademacher", "--n", "64", "--m", "4", "--constant=nan"],
+    ["--model", "moving_average:c=1,L_trunc=12", "--n", "64", "--m", "4"],
+])
+def test_report_writes_nothing_when_a_step_rejects_its_input(tmp_path, capsys, argv):
+    out = tmp_path / "rep"
+    assert run_cli(["report", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mdlab: error:")
+    assert not out.exists()
+
+
+REPORT_SMALL = ["report", "--model", "rademacher", "--n", "64", "--m", "4",
+                "--chains", "1000", "--x-count", "5", "--n-grid", "64"]
+
+
+def test_report_takes_coupling_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2.0}))
+    assert run_cli([*REPORT_SMALL, "--alpha", "2", "--out", str(tmp_path / "a")]) == 0
+    assert run_cli([*REPORT_SMALL, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    coupling = [(tmp_path / d / "coupling.json").read_bytes() for d in "ab"]
+    assert coupling[0] == coupling[1]
+    assert read_json(tmp_path / "a" / "coupling.json")["report"]["alpha"] == 2.0
+
+
+def test_config_file_run_matches_flag_run(tmp_path):
+    # every flag of report, given once on the command line and once in a file
+    values = {"model": "two_state:rho=0.4", "n": 64, "m": 4, "beta": 2.0,
+              "purpose": "berry_esseen", "seed": 3, "gate_mode": "strict", "threads": 2,
+              "x_min": 0.5, "x_max": 2.0, "x_count": 7, "constant": 1.5,
+              "chains": 1000, "alpha": 1.5, "c_alpha": 0.5,
+              "c": 0.5, "a_exp": 0.2, "n_grid": "64,128"}
+    flags = [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(values, out=str(tmp_path / "b"), threads=None)))
+    assert run_cli(["report", *flags, "--out", str(tmp_path / "a")]) == 0
+    # the file wins over the command line; its null leaves the flag alone
+    assert run_cli(["report", "--model", "rademacher", "--n", "8", "--threads", "2",
+                    "--config", str(cfg)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_mdp_subcommand(tmp_path):
     assert main(["mdp", "--model", "rademacher", "--n", "100", "--c", "1",
                  "--a-exp", "0.25", "--n-grid", "1000000",

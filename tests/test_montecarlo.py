@@ -293,6 +293,18 @@ def test_empirical_ks_matches_exact_two_point(rademacher):
         empirical_ks(w[:50], 1.0)
 
 
+@pytest.mark.parametrize("name, params", [("two_state", {"rho": 0.4}), ("rademacher", {}),
+                                          ("dyadic_contracting", {"L": 3})])
+def test_empirical_ks_equals_the_one_sided_maxima(name, params):
+    # lattice sums tie often; each tied sample is its own jump in both formulas
+    model = builtin(name, **params)
+    for seed, (n, chains) in enumerate([(4, 100), (64, 1000), (9, 2000)]):
+        w = simulate_W(model, n, chains, seed)
+        sig = sigma_n(model, n)
+        assert np.unique(w).size < w.size
+        assert empirical_ks(w, sig) == oracles.empirical_ks_by_one_sided_maxima(w, sig)
+
+
 def test_mdp_rademacher_binomial_oracle(rademacher):
     diag = mdp_diagnostic(rademacher, 1.0, 0.25, [10 ** 6])
     assert abs(diag.scaled[0] + 0.5) <= 0.05
