@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
@@ -44,10 +45,10 @@ from .coefficients import (
     select_block_size,
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
-from .errors import ConfigError, MdlabError, VerificationError
+from .errors import BudgetExceeded, ConfigError, MdlabError, VerificationError
 from .exact import (_max_abs_tail, conditional_sum_norms, distribution_of_Sn,
                     exact_tail, ks_distance_exact, sigma_any)
-from .models import builtin, parse_model_text
+from .models import DEFAULT_BUDGET_BYTES, builtin, parse_model_text
 from .montecarlo import _binomial_log_tail, mdp_diagnostic, ratio_curve
 from .normal import normal_sf
 
@@ -55,6 +56,7 @@ SANDWICH_GRID = 1000
 FREEDMAN_XMAX = 4.0
 PELIGRAD_N = 12
 PELIGRAD_XS = (4.0, 8.0, 12.0)
+X_POINT_BYTES = 1024  # peak bytes per x point, arrays and CSV rows (verify: ~560)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,9 @@ def _x_grid(cfg: dict) -> np.ndarray:
     count = cfg.get("x_count", 50)
     if not (count >= 1 and hi >= lo >= 0.0):
         raise ConfigError("x grid needs 0 <= x-min <= x-max and x-count >= 1")
+    if (need := count * X_POINT_BYTES) > DEFAULT_BUDGET_BYTES:
+        raise BudgetExceeded(f"x-count {count} needs about {need} bytes of arrays and "
+                             f"output rows against a budget of {DEFAULT_BUDGET_BYTES}")
     return np.linspace(lo, hi, count)
 
 
@@ -232,26 +237,14 @@ def cmd_verify(cfg: dict):
     fgrid, fexact, fbound = fred_pack
     sgrid, slo, ssf, shi = sand_pack
 
-    failure = None
-    for x, e, b in zip(pos, exact_p, bern):
-        if e > b:
-            failure = ("bernstein", float(x), float(b), float(e))
-            break
-    if failure is None:
-        for x, e, b in zip(fgrid, fexact, fbound):
-            if e > b:
-                failure = ("freedman", float(x), float(b), float(e))
-                break
-    if failure is None:
-        for x, e, b in prows:
-            if e > b:
-                failure = ("peligrad", float(x), float(b), float(e))
-                break
-    if failure is None:
-        for x, lo, mid, hi in zip(sgrid, slo, ssf, shi):
-            if not lo <= mid <= hi:
-                failure = ("sandwich", float(x), float(lo), float(mid))
-                break
+    checked = chain(  # (check, x, bound, value, failed), in reporting order
+        (("bernstein", x, b, e, e > b) for x, e, b in zip(pos, exact_p, bern)),
+        (("freedman", x, b, e, e > b) for x, e, b in zip(fgrid, fexact, fbound)),
+        (("peligrad", x, b, e, e > b) for x, e, b in prows),
+        (("sandwich", x, lo, mid, not lo <= mid <= hi)
+         for x, lo, mid, hi in zip(sgrid, slo, ssf, shi)))
+    failure = next(((name, float(x), float(b), float(v)) for name, x, b, v, bad in checked
+                    if bad), None)
 
     manifest = _manifest(cfg)
     env = envelope_curve(coeffs, pos, c, gate_mode)

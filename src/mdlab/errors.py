@@ -80,7 +80,7 @@ class DegenerateVariance(ModelError):
 
 
 class BudgetExceeded(ConfigError):
-    """Dynamic-programming table would exceed the configured memory budget."""
+    """A DP table, a path array or an x grid would exceed the memory budget."""
 
 
 class OutOfRange(ConfigError):

@@ -4,11 +4,12 @@ Everything here is deterministic linear algebra on the chain: stationary
 autocovariances, the normalized-sum standard deviation, per-state conditional
 block moments by one recursion on the first step (two mat-vecs with P per
 step, which also gives the conditional-sum norms), and the law of S_n by one
-forward DP over (state, lattice value); one pass to the largest n of a horizon
-grid marginalises at every n of the grid on its way.  The DP keeps log-masses,
-so tails far below the double-precision linear range remain representable, and
-mixes each column in linear space after shifting it by its maximum, summing in
-log space where a term could underflow.
+forward DP over (state, lattice value) that steps only the sublattice
+t min f_num + g Z the sums occupy, g = gcd(f_num - min f_num); one pass to the
+largest n of a horizon grid marginalises at every n of the grid on its way.
+The DP keeps log-masses, so tails far below the double-precision linear range
+remain representable, and mixes each column in linear space after shifting it
+by its maximum, summing in log space where a term could underflow.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -241,21 +242,26 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 
 def _sum_law_steps(model: FiniteLatticeModel, n: int,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
-    """Yield (k0, logp) for t = 1..n from a stationary start, logp[j, i] =
-    log P(Y_t = j, S_t = (k0 + i) / denom) on the live window.  Scaled forward
-    algorithm (Rabiner 1989): each lattice column is shifted by its largest
-    log-mass, mixed by one product with P^T, logged and shifted back; row j
-    moves right by f_num[j].  Columns where a term could fall below 2^-960 are
-    summed in log space.  Entries set to -inf drop out; logp is reused."""
+    """Yield (k0, g, logp) for t = 1..n from a stationary start, logp[j, i] =
+    log P(Y_t = j, S_t = (k0 + g i) / denom) on the live window.  S_t lies on
+    the sublattice t min f_num + g Z, g = gcd(f_num - min f_num), so only its
+    points are stepped.  Scaled forward algorithm (Rabiner 1989): each column
+    is shifted by its largest log-mass, mixed by one product with P^T, logged
+    and shifted back; row j moves right by (f_num[j] - min f_num) / g.  Columns
+    where a term could fall below 2^-960 are summed in log space.  Entries set
+    to -inf drop out; logp is reused."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     p, xnum = model.transition, model.f_num.astype(np.int64)
-    xmin, spread = int(xnum.min()), int(xnum.max() - xnum.min())
+    xmin = int(xnum.min())
+    g = int(np.gcd.reduce(xnum - xmin))  # a built model's payoff is not constant
+    rise = (xnum - xmin) // g
+    spread = int(rise.max())
     s, width = model.n_states, n * spread + 1
     if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > budget_bytes:
-        raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} lattice points, "
-                             f"3 float and 2 flag buffers) against a budget of {budget_bytes}")
+        raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} sublattice points "
+                             f"of step {g}, 3 float and 2 flag buffers), budget {budget_bytes}")
     cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
     spare = np.empty((s, width))  # log-space scratch, touched only when a column needs it
     low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
@@ -286,9 +292,9 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
             if rare is not None:
                 prod[:, rare] = acc
         cur[:, :w + spread] = -np.inf  # lin is spent: the shifted rows land in cur
-        for j, d in enumerate(xnum - xmin):
+        for j, d in enumerate(rise):
             cur[j, d:d + w] = prod[j]
-        yield t * xmin, cur[:, :w + spread]
+        yield t * xmin, g, cur[:, :w + spread]
 
 
 def distribution_of_Sn(model: FiniteLatticeModel, n: int,
@@ -302,7 +308,7 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int],
     """The laws of S_n for every n in ns (order and repeats kept), read off one
     sum-law pass to max(ns) by marginalising over the state at each wanted t."""
     want, tables = set(ns), {}
-    for t, (k0, logp) in enumerate(_sum_law_steps(model, max(ns), budget_bytes), start=1):
+    for t, (k0, g, logp) in enumerate(_sum_law_steps(model, max(ns), budget_bytes), start=1):
         if t not in want:
             continue
         marg = np.logaddexp.reduce(logp, axis=0)
@@ -310,7 +316,7 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int],
         total = float(np.logaddexp.reduce(marg[keep]))
         if abs(total) > MASS_TOL:
             raise MdlabError(f"DP mass check failed: log total mass {total!r}")
-        tables[t] = TailTable(n=t, denom=model.denom, offsets=keep + k0, logp=marg[keep],
+        tables[t] = TailTable(n=t, denom=model.denom, offsets=k0 + g * keep, logp=marg[keep],
                               sigma_n=sigma_n(model, t), center=float(t * model.mean_fraction))
     return [tables[n] for n in ns]
 
@@ -318,8 +324,8 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int],
 def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
     """P(max_{1<=i<=n} |S_i| >= x): mass leaves the DP once its centred |S_i| >= x."""
     hit, mean = 0.0, float(model.mean_fraction)
-    for i, (k0, logp) in enumerate(_sum_law_steps(model, n), start=1):
-        crossed = np.abs((k0 + np.arange(logp.shape[1])) / model.denom - i * mean) >= x
+    for i, (k0, g, logp) in enumerate(_sum_law_steps(model, n), start=1):
+        crossed = np.abs((k0 + g * np.arange(logp.shape[1])) / model.denom - i * mean) >= x
         hit += float(np.exp(logp[:, crossed]).sum())
         logp[:, crossed] = -np.inf
     return hit

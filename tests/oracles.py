@@ -1,10 +1,11 @@
 """Independent brute-force oracles used only by the tests.
 
 Nothing here shares code with the package's computational paths: sum
-distributions come from exhaustive path enumeration or from a plain log-space
-DP that sums one destination state at a time, binomial tails from
-exact integer combinatorics or plain lgamma sums, and scalar formulas are
-re-evaluated inline where they are checked.
+distributions come from exhaustive path enumeration, from a plain log-space
+DP that sums one destination state at a time, or from the scaled forward DP
+stepped on every lattice point (the package steps only the sublattice the
+sums occupy), binomial tails from exact integer combinatorics or plain lgamma
+sums, and scalar formulas are re-evaluated inline where they are checked.
 """
 
 from __future__ import annotations
@@ -93,6 +94,52 @@ def log_dp_distribution(model, n: int) -> tuple[np.ndarray, np.ndarray]:
     marg = np.logaddexp.reduce(cur, axis=0)
     finite = marg > -np.inf
     return (np.arange(width, dtype=np.int64) + k_lo)[finite], marg[finite]
+
+
+def full_lattice_sum_law_steps(model, n: int):
+    """Yield (k0, logp) for t = 1..n, logp[j, i] = log P(Y_t = j, S_t =
+    (k0 + i) / denom), by the scaled forward DP on every lattice point of
+    [t min f_num, t max f_num], occupied or not: each column is shifted by
+    its largest log-mass, mixed by one product with P^T, logged and shifted
+    back, and summed in log space where a term could fall below 2^-960."""
+    p, xnum = model.transition, model.f_num.astype(np.int64)
+    xmin, spread = int(xnum.min()), int(xnum.max() - xnum.min())
+    s, width = model.n_states, n * spread + 1
+    cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
+    with np.errstate(divide="ignore"):
+        log_t, cur[:, 0] = np.log(p), np.log(model.pi)
+    log_floor = np.log(2.0 ** -960 / p[p > 0].min())
+    for t in range(1, n + 1):
+        w = (t - 1) * spread + 1
+        lin, prod = cur[:, :w], nxt[:, :w]
+        with np.errstate(divide="ignore"):
+            mx = np.maximum(np.max(lin, axis=0), np.finfo(float).min)
+            lin -= mx
+            rare = np.flatnonzero(((lin < log_floor) & (lin > -np.inf)).any(axis=0))
+            acc = np.full((s, rare.size), -np.inf)
+            for i in range(s):
+                acc = np.logaddexp(acc, log_t[i, :, None] + (lin[i, rare] + mx[rare]))
+            np.exp(lin, out=lin)
+            np.matmul(p.T, lin, out=prod)
+            np.log(prod, out=prod)
+            prod += mx
+            prod[:, rare] = acc
+        cur[:, :w + spread] = -np.inf
+        for j, d in enumerate(xnum - xmin):
+            cur[j, d:d + w] = prod[j]
+        yield t * xmin, cur[:, :w + spread]
+
+
+def full_lattice_tables(model, ns: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(offsets, logp) of S_n for every n in ns, marginalised over the state
+    from one `full_lattice_sum_law_steps` pass to max(ns)."""
+    out = {}
+    for t, (k0, logp) in enumerate(full_lattice_sum_law_steps(model, max(ns)), start=1):
+        if t in ns:
+            marg = np.logaddexp.reduce(logp, axis=0)
+            keep = np.flatnonzero(marg > -np.inf)
+            out[t] = (keep + k0, marg[keep])
+    return [out[n] for n in ns]
 
 
 def binom_tail_exact(n: int, k0: int) -> float:

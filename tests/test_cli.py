@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from mdlab import build_finite_lattice_model, builtin
-from mdlab.cli import _max_abs_tail, main
+from mdlab import build_finite_lattice_model, builtin, cli
+from mdlab.cli import X_POINT_BYTES, _max_abs_tail, main
 from mdlab.errors import ReducibleChain
+from mdlab.models import DEFAULT_BUDGET_BYTES
 
 import oracles
 
@@ -194,6 +197,24 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, doc, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("count", [10 ** 11, DEFAULT_BUDGET_BYTES // X_POINT_BYTES + 1])
+def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, command, count):
+    # the smallest refused grid alone would take 16 MiB; the run stays far below
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run_cli([command, "--model", "rademacher", "--n", "64", "--m", "4",
+                        "--x-count", str(count), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 4 << 20
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"x-count {count}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["coupling", "report"])
 def test_seed_must_be_non_negative(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -341,6 +362,20 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, body, code):
     assert main(["coeffs", "--model", str(model_file), "--n", "16", "--m", "2",
                  "--out", str(tmp_path)]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_reports_the_first_violation_in_check_order(tmp_path, monkeypatch):
+    # bounds forced to zero: the maximal inequality fails alone, and the
+    # Bernstein check, which comes first, is reported when both fail
+    argv = ["verify", "--model", "rademacher", "--n", "64", "--m", "4", "--x-count", "5"]
+    monkeypatch.setattr(cli, "peligrad_bound", lambda *args: 0.0)
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 4
+    violation = read_json(tmp_path / "a" / "ks.json")["checks"]["violation"]
+    assert violation[:3] == ["peligrad", 4.0, 0.0] and violation[3] > 0
+    monkeypatch.setattr(cli, "bernstein_bound", lambda coeffs, xs: np.zeros_like(xs))
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 4
+    violation = read_json(tmp_path / "b" / "ks.json")["checks"]["violation"]
+    assert violation[:3] == ["bernstein", 0.75, 0.0] and violation[3] > 0
 
 
 def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):

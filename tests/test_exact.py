@@ -10,6 +10,7 @@ from mdlab import (
     TailTable,
     autocovariance,
     build_finite_lattice_model,
+    build_quantile_transform,
     builtin,
     conditional_block_moments,
     distribution_of_Sn,
@@ -18,12 +19,13 @@ from mdlab import (
     ks_distance_exact,
     long_run_variance,
     quantile,
+    ratio_curve,
     sigma_n,
 )
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import (_prefix_logsum, _suffix_logsum, _sum_law_tables,
+from mdlab.exact import (_max_abs_tail, _prefix_logsum, _suffix_logsum, _sum_law_tables,
                          conditional_sum_norms, sigma_any)
-from mdlab.normal import normal_cdf
+from mdlab.normal import normal_cdf, normal_log_sf
 
 import oracles
 
@@ -56,17 +58,26 @@ def test_sigma_n_rademacher_is_one(rademacher):
 @functools.lru_cache(maxsize=None)
 def _oracle_model(name: str):
     if name == "asymmetric3":
-        # nonzero stationary payoff mean, so the centering is exercised
+        # the 3-state file model's chain: a nonzero stationary payoff mean, so
+        # the centering is exercised
         return build_finite_lattice_model(
             ["lo", "mid", "hi"],
             [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2)
-    if name == "rare5":
-        # transition entries of 1e-200: atoms sit at log-mass near -921
+    if name in ("rare5", "rare_step2"):
+        # transition entries of 1e-200: rare5's atoms sit at log-mass near -921;
+        # rare_step2's payoffs -2, 0, 4 step its sums by 2, atoms near -1630
         eps = 1e-200
         return build_finite_lattice_model(
             [str(i) for i in range(5)],
             [[0.5 - eps, 0.5, eps, 0, 0], [0.5, 0.5, 0, 0, 0], [0.5 - eps, 0.5, 0, eps, 0],
-             [0, 0, 0, 0, 1], [0.5, 0.5, 0, 0, 0]], [0, 1, 0, 0, 7], 1)
+             [0, 0, 0, 0, 1], [0.5, 0.5, 0, 0, 0]],
+            [0, 1, 0, 0, 7] if name == "rare5" else [-2, 0, -2, -2, 4], 1)
+    if name == "step4":
+        # payoffs -3, 1, 5 (sums step by 4) with stationary law (1/2, 1/4, 1/4):
+        # the payoff mean is exactly zero, so centred sums are lattice values
+        return build_finite_lattice_model(
+            ["lo", "mid", "hi"], [[0.5, 0.25, 0.25], [0.5, 0.5, 0], [0.5, 0, 0.5]],
+            [-3, 1, 5], 2)
     if name == "rademacher":
         return builtin("rademacher")
     kind, _, value = name.partition(":")
@@ -259,6 +270,63 @@ def test_grid_tables_from_one_pass_match_per_n_tables(name):
         assert (table.sigma_n, table.center) == (ref.sigma_n, ref.center)
 
 
+# -- the sublattice the sums occupy ---------------------------------------------
+
+@pytest.mark.parametrize("name, g", [
+    ("two_state:0.4", 2), ("two_state:0.99", 2), ("rademacher", 2), ("step4", 4),
+    ("rare_step2", 2), ("dyadic:3", 1), ("asymmetric3", 1),
+])
+def test_sublattice_tables_match_full_lattice_bit_for_bit(name, g):
+    # dropping the empty columns leaves every other column's arithmetic as it was
+    model = _oracle_model(name)
+    grid = [1, 2, 3, 17, 256, 1024]
+    for table, (offsets, logp) in zip(_sum_law_tables(model, grid),
+                                     oracles.full_lattice_tables(model, grid)):
+        assert table.offsets.dtype == offsets.dtype
+        assert table.offsets.tobytes() == offsets.tobytes()
+        assert table.logp.tobytes() == logp.tobytes()
+    assert np.gcd.reduce(np.diff(offsets)) == g
+
+
+def test_rare_step2_sums_columns_in_log_space():
+    # the bit-identity above covers the log-space fallback only if it fires:
+    # some live entry sits more than 2^-960 / min P below its column's largest
+    model = _oracle_model("rare_step2")
+    floor = np.log(2.0 ** -960 / model.transition[model.transition > 0].min())
+
+    def fires(logp):
+        with np.errstate(invalid="ignore"):
+            lin = logp - logp.max(axis=0)
+        return bool(np.any((lin < floor) & (lin > -np.inf)))
+
+    assert any(fires(logp) for _, logp in oracles.full_lattice_sum_law_steps(model, 64))
+
+
+def test_max_abs_tail_at_every_reachable_peak_on_a_step4_sublattice():
+    # thresholds at every value of max_i |S_i| that a path reaches, so the
+    # crossing test must map column i to k0 + 4 i to decide each tie
+    model, n = _oracle_model("step4"), 6
+    assert model.mean_fraction == 0
+    paths = oracles.all_state_paths(model.n_states, n + 1)
+    live = np.all(model.transition[paths[:, :-1], paths[:, 1:]] > 0, axis=1)
+    peaks = np.abs(np.cumsum(model.f_num[paths[live, 1:]], axis=1)).max(axis=1)
+    for k in np.unique(peaks):
+        x = k / model.denom
+        expected = oracles.enum_max_abs_tail(model, n, x)
+        assert _max_abs_tail(model, n, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_budget_counts_the_sublattice(two_state04):
+    # at n = 1000 two_state sums fill 1001 of the 2001 lattice points; a point
+    # costs 2 states x 26 bytes plus 2 x 8 bytes of column scratch
+    need, full = 1001 * 68, 2001 * 68
+    table = distribution_of_Sn(two_state04, 1000, budget_bytes=(need + full) // 2)
+    assert table.offsets.size == 1001
+    assert distribution_of_Sn(two_state04, 1000, budget_bytes=need).offsets.size == 1001
+    with pytest.raises(BudgetExceeded, match="1001 sublattice points of step 2"):
+        distribution_of_Sn(two_state04, 1000, budget_bytes=need - 1)
+
+
 def test_table_second_moment_consistent_with_sigma(table_two_state_256):
     t = table_two_state_256
     second = float(np.sum(np.exp(t.logp) * t.w_values ** 2))
@@ -301,6 +369,62 @@ def test_tails_inclusive_at_every_atom(name, n):
     at = table.what_values
     np.testing.assert_array_equal(exact_tail(table, at), _suffix_logsum(table.logp))
     np.testing.assert_array_equal(exact_lower_tail(table, -at), _prefix_logsum(table.logp))
+
+
+# atoms g / denom apart: every other lattice point is empty on two_state
+ATOM_TABLES = [("two_state:0.4", 64, 2), ("asymmetric3", 40, 1)]
+
+
+def _atom_table(name, n, g):
+    table = distribution_of_Sn(_oracle_model(name), n)
+    assert np.gcd.reduce(np.diff(table.offsets)) == g
+    return table
+
+
+@pytest.mark.parametrize("name, n, g", ATOM_TABLES)
+def test_ratio_curve_inclusive_at_every_atom(name, n, g):
+    # right ratios at atoms >= 0, left ratios at atoms <= 0, and right ratios
+    # midway between atoms (an empty lattice point when g = 2) take the next atom
+    table = _atom_table(name, n, g)
+    at = table.what_values
+    suffix, prefix = _suffix_logsum(table.logp), _prefix_logsum(table.logp)
+    up = np.flatnonzero(at >= 0)
+    mid = (at[up[:-1]] + at[up[1:]]) / 2
+    xs = np.concatenate((at[up], mid))
+    right = ratio_curve(_oracle_model(name), n, 4, xs, mode="exact").right
+    np.testing.assert_array_equal(
+        right, np.exp(np.concatenate((suffix[up], suffix[up[1:]])) - normal_log_sf(xs)))
+    down = np.flatnonzero(at <= 0)
+    left = ratio_curve(_oracle_model(name), n, 4, -at[down], mode="exact").left
+    np.testing.assert_array_equal(left, np.exp(prefix[down] - normal_log_sf(-at[down])))
+
+
+@pytest.mark.parametrize("name, n, g", ATOM_TABLES)
+def test_quantile_and_transform_hit_every_atom(name, n, g):
+    # s in (F(a_{i-1}), F(a_i)] maps to a_i, at both ends, for every atom whose
+    # cdf rises in double precision below 1
+    table = _atom_table(name, n, g)
+    cdf, at = table.cdf_points(), table.what_values
+    below = np.concatenate(([0.0], cdf[:-1]))
+    rises = (cdf > below) & (np.nextafter(below, 1.0) < 1.0)
+    lo = np.nextafter(below[rises], 1.0)
+    hi = np.minimum(cdf[rises], np.nextafter(1.0, 0.0))
+    assert rises.sum() > at.size // 2
+    for q in (lambda s: quantile(table, s), build_quantile_transform(table)):
+        np.testing.assert_array_equal(q(lo), at[rises])
+        np.testing.assert_array_equal(q(hi), at[rises])
+
+
+@pytest.mark.parametrize("name, n, g", ATOM_TABLES)
+def test_ks_distance_takes_both_sides_of_every_atom(name, n, g):
+    # the cdf includes each atom's mass at the atom and excludes it just below
+    table = _atom_table(name, n, g)
+    probs = np.exp(table.logp)
+    incl = np.array([math.fsum(probs[:i + 1]) for i in range(probs.size)])
+    excl = np.concatenate(([0.0], incl[:-1]))
+    phi = normal_cdf(table.what_values)
+    sides = np.maximum(np.abs(incl - phi), np.abs(excl - phi))
+    assert ks_distance_exact(table) == pytest.approx(float(sides.max()), rel=0.0, abs=1e-13)
 
 
 def test_tail_symmetry_two_state(table_two_state_256):
