@@ -78,13 +78,15 @@ def decompose(model, trajectory: Trajectory, m: int,
 
     Exact-tier predictable parts are exact conditional block moments at the
     observed block-start states.  Sampled-tier predictable parts are nested
-    resampling estimates (the conditional sampler redraws each block with the
-    past frozen); their standard errors are reported.
+    resampling estimates over `nested_draws` >= 2 redraws of each block's
+    innovations with the past frozen; their standard errors are reported.
     """
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     if m < 1:
         raise ParamOutOfRange("m must be >= 1")
+    if nested_draws < 2:
+        raise ParamOutOfRange(f"nested_draws must be >= 2, got {nested_draws}")
     n = trajectory.n
     if n < m:
         raise TrajectoryTooShort(f"trajectory has n={n} < m={m}")
@@ -141,11 +143,11 @@ def _exact_predictable(model: FiniteLatticeModel, trajectory: Trajectory,
 
 def _nested_predictable(model, trajectory: Trajectory, m: int, rem: int,
                         k: int, n_mart: int, draws: int, seed: int):
-    if model.conditional_sampler is None:
-        raise NestedEstimateUnavailable(
-            f"{model.name!r} exposes no conditional sampler")
+    """Block i's window eps[i m : burn_in + i m + length] keeps its first
+    burn_in innovations and redraws the rest, for all draws at once."""
     if trajectory.innovations is None:
         raise NestedEstimateUnavailable("trajectory carries no innovations")
+    burn = model.burn_in
     predictable = np.zeros(n_mart)
     cond_var = np.zeros(n_mart)
     se = np.zeros(n_mart)
@@ -153,9 +155,10 @@ def _nested_predictable(model, trajectory: Trajectory, m: int, rem: int,
         length = m if i < k else rem
         if length == 0:
             continue
-        rng = child_rng(seed, i)
-        reps = model.conditional_sampler(trajectory, i * m, length, draws, rng)
-        sums = reps.sum(axis=1)
+        window = np.empty((draws, burn + length))
+        window[:, :burn] = trajectory.innovations[i * m:i * m + burn]
+        window[:, burn:] = model.innovations(child_rng(seed, i), (draws, length))
+        sums = model.path(window).sum(axis=1)
         predictable[i] = sums.mean()
         cond_var[i] = sums.var(ddof=1)
         se[i] = math.sqrt(cond_var[i] / draws)

@@ -15,7 +15,6 @@ martingale case of a vanishing drift coefficient.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -59,9 +58,6 @@ class BoundCurve:
                 "x": [float(v) for v in self.x_grid],
                 "value": [float(v) for v in self.value],
                 "valid": [bool(v) for v in self.valid]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

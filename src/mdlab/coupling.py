@@ -13,7 +13,6 @@ configurable constants and fits the exponential slope for the record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,11 @@ from .coefficients import coefficient_set
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
 from .exact import TailTable, distribution_of_Sn
-from .models import child_rng
+from .models import _check_chain_budget, child_rng
 from .normal import normal_cdf, normal_quantile
 
 DRAW_CHUNK = 1 << 16
+PAIR_BYTES = 512  # peak per draw of `mdlab coupling`: pairs, report arrays, CSV row (~265)
 MIN_EMPIRICAL_SAMPLES = 1000
 
 
@@ -77,10 +77,12 @@ def sample_coupled_pairs(transform: QuantileTransform, draws: int,
 
     Y carries exactly the transform's law and is non-decreasing in Z.
     Generation is chunked with child seeds in fixed order, so it is
-    reproducible and schedule-independent.
+    reproducible and schedule-independent.  Raises BudgetExceeded, before
+    allocating, when draws x PAIR_BYTES passes DEFAULT_BUDGET_BYTES.
     """
     if draws < 1:
         raise ParamOutOfRange("draws must be >= 1")
+    _check_chain_budget(draws, PAIR_BYTES)
     z = np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):
         hi = min(lo + DRAW_CHUNK, draws)
@@ -120,9 +122,6 @@ class CouplingReport:
             "gap_median": self.gap_median,
             "lambda_hat": self.lambda_hat, "lambda_se": self.lambda_se,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def coupling_report(model, n: int, m: int, draws: int, seed: int,

@@ -62,7 +62,7 @@ class SampledTierUnsupported(ModelError):
 
 
 class NestedEstimateUnavailable(ModelError):
-    """Sampled model exposes no conditional sampler for nested resampling."""
+    """Sampled trajectory carries no innovations to resample from."""
 
 
 class NoDecayCertificate(ModelError):

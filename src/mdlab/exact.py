@@ -17,7 +17,6 @@ Monte Carlo estimate in the package is checked against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 
@@ -98,9 +97,6 @@ class TailTable:
                    offsets=np.asarray(obj["offsets"], dtype=np.int64),
                    logp=np.asarray(obj["logp"], dtype=float),
                    sigma_n=float(obj["sigma_n"]), center=float(obj.get("center", 0.0)))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         lines = ["sum,logp"]

@@ -3,8 +3,8 @@
 Two tiers are supported.  The exact tier is a finite-state Markov chain with a
 rational lattice payoff: everything downstream (sum distributions, conditional
 moments, mixing coefficients) can then be computed exactly.  The sampled tier
-is a seeded trajectory generator carrying an analytic decay certificate; it is
-only accessible through simulation.
+is a causal path of i.i.d. innovations (Wu 2005) carrying an analytic decay
+certificate; it is only accessible through simulation.
 
 Construction is deliberately pedantic: transition rows are renormalized in
 exact rational arithmetic, the stationary vector is solved exactly for small
@@ -103,8 +103,8 @@ class Trajectory:
     """One simulated path.
 
     ``values`` holds the centered payoffs X_1..X_n.  Exact-tier paths also
-    carry the visited states Y_0..Y_n; sampled-tier paths may carry the
-    innovations that generated them (needed for nested resampling).
+    carry the visited states Y_0..Y_n; sampled-tier paths carry the
+    burn_in + n innovations that generated them (needed for nested resampling).
     """
 
     values: np.ndarray
@@ -161,23 +161,22 @@ class FiniteLatticeModel:
 
 @dataclass(frozen=True, eq=False)
 class SampledModel:
-    """Seeded trajectory generator with an analytic decay certificate.
+    """Causal path of i.i.d. innovations with an analytic decay certificate.
 
-    ``sampler(seed, n)`` must return a Trajectory of n bounded centered
-    values, bit-identical for identical seeds.  ``autocov`` (optional) gives
-    the analytic autocovariance, zero beyond lag ``autocov_support`` if set;
-    ``conditional_sampler`` (optional) redraws a trajectory forward of a
-    time index while freezing the innovations before it.
+    ``innovations(rng, shape)`` draws i.i.d. innovations; ``path(eps)`` maps
+    eps[..., :burn_in + n] to X_1..X_n along the last axis, X_t reading
+    eps[..., t-1:burn_in + t] only.  ``autocov`` (optional) gives the analytic
+    autocovariance, zero beyond lag ``autocov_support`` if set.
     """
 
     name: str
-    sampler: Callable[[int, int], Trajectory]
+    innovations: Callable[[np.random.Generator, tuple], np.ndarray]
+    path: Callable[[np.ndarray], np.ndarray]
     bound: float
     decay: DecayCertificate
     burn_in: int
     autocov: Optional[Callable[[int], float]] = None
     autocov_support: Optional[int] = None
-    conditional_sampler: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
     tier = "sampled"
@@ -361,24 +360,16 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
     eta1 = c * (2.0 ** (1 - ks) - 2.0 ** (-L))
     eta2 = 2.0 * eta1 ** 2
 
-    def sampler(seed: int, n: int) -> Trajectory:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        eps = rng.integers(0, 2, size=burn_in + n) * 2.0 - 1.0
-        x = np.convolve(eps, weights, mode="full")[burn_in:burn_in + n]
-        return Trajectory(values=x, innovations=eps)
+    def innovations(rng: np.random.Generator, shape) -> np.ndarray:
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
-    def conditional_sampler(traj: Trajectory, start: int, n_out: int, draws: int,
-                            rng: np.random.Generator) -> np.ndarray:
-        """Redraw X_{start+1}..X_{start+n_out} with innovations through time
-        `start` frozen; returns a (draws, n_out) array."""
-        frozen = burn_in + start  # eps indices feeding X_1..X_start
-        eps = traj.innovations
-        out = np.empty((draws, n_out))
-        for d in range(draws):
-            e = eps.copy()
-            e[frozen:] = rng.integers(0, 2, size=e.size - frozen) * 2.0 - 1.0
-            out[d] = np.convolve(e, weights, mode="full")[burn_in:e.size][start:start + n_out]
-        return out
+    def path(eps: np.ndarray) -> np.ndarray:
+        """X_t = sum_k w_k eps[burn_in + t - 1 - k]: L + 1 shifted adds."""
+        n = eps.shape[-1] - burn_in
+        x = weights[0] * eps[..., burn_in:]
+        for k in range(1, L + 1):
+            x += weights[k] * eps[..., burn_in - k:burn_in - k + n]
+        return x
 
     def autocov(k: int) -> float:
         if k < 0:
@@ -390,11 +381,9 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
 
     cert = DecayCertificate(eta1=eta1, eta2=eta2, beta=None,
                             rate_constant=2.0 * c, geometric_rho=rho_geom)
-    return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", sampler=sampler,
-                        bound=bound, decay=cert, burn_in=burn_in, autocov=autocov,
-                        autocov_support=L,
-                        conditional_sampler=conditional_sampler,
-                        params={"c": c, "L_trunc": L})
+    return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", innovations=innovations,
+                        path=path, bound=bound, decay=cert, burn_in=burn_in,
+                        autocov=autocov, autocov_support=L, params={"c": c, "L_trunc": L})
 
 
 def builtin(name: str, **params):
@@ -539,8 +528,9 @@ def _require_exact(model) -> None:
 # ---------------------------------------------------------------------------
 
 CHAIN_CHUNK = 4096
-SLAB_BYTES = 1 << 20  # step uniforms drawn ahead, in total over the blocks of a call
+SLAB_BYTES = 1 << 20  # uniforms drawn ahead over all blocks; one sampled block at its peak
 CHAIN_BYTES = 64  # held per chain while stepping: states, sums, draws, temporaries
+PATH_STEP_BYTES = 32  # peak per innovation of a sampled block: draw, path, temporaries (~24)
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
@@ -561,9 +551,21 @@ def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     if model.tier == "sampled":
-        return model.sampler(seed, n)
+        eps = next(_innovation_blocks(model, n, 1, seed))[0]
+        return Trajectory(values=model.path(eps), innovations=eps)
     states = sample_state_paths(model, n, 1, seed)[0]
     return Trajectory(values=model.x_values[states[1:]], states=states)
+
+
+def _innovation_blocks(model: SampledModel, n: int, chains: int, seed: int):
+    """Innovations of `chains` sampled paths of length n, one array per block:
+    block b draws from child_rng(seed, b) as many chains as peak at SLAB_BYTES
+    (one at least).  BudgetExceeded, before drawing, if a block cannot fit."""
+    width = model.burn_in + n
+    size = min(chains, max(1, SLAB_BYTES // (PATH_STEP_BYTES * width)))
+    _check_chain_budget(size, PATH_STEP_BYTES * width)
+    for b, lo in enumerate(range(0, chains, size)):
+        yield model.innovations(child_rng(seed, b), (min(size, chains - lo), width))
 
 
 def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,

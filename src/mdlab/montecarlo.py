@@ -40,7 +40,8 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import CHAIN_BYTES, FiniteLatticeModel, _check_chain_budget, _simulate_states
+from .models import (CHAIN_BYTES, FiniteLatticeModel, _check_chain_budget,
+                     _innovation_blocks, _simulate_states)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -111,7 +112,8 @@ class RatioCurve:
 
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
-    in O(chains) memory; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES."""
+    in O(chains) memory plus one block; BudgetExceeded if that exceeds
+    DEFAULT_BUDGET_BYTES."""
     if chains < 1:
         raise ParamOutOfRange("chains must be >= 1")
     if n < 1:
@@ -125,11 +127,8 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
             k += model.f_num.take(y)  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
     else:
-        out = np.empty(chains)
-        for i in range(chains):
-            child = int(np.random.SeedSequence(
-                entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-            out[i] = model.sampler(child, n).values.sum()
+        out = np.concatenate([model.path(eps).sum(axis=-1)
+                              for eps in _innovation_blocks(model, n, chains, seed)])
     return out / math.sqrt(n)
 
 

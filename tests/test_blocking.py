@@ -11,7 +11,7 @@ from mdlab import (
     sample_trajectory,
 )
 from mdlab.errors import NestedEstimateUnavailable, ParamOutOfRange, TrajectoryTooShort
-from mdlab.models import SampledModel, Trajectory, DecayCertificate, sample_state_paths
+from mdlab.models import Trajectory, child_rng, sample_state_paths
 
 import oracles
 
@@ -159,17 +159,41 @@ def test_nested_resampling_tracks_analytic_conditional_mean():
 
 
 def test_nested_resampling_needs_capability():
-    cert = DecayCertificate(eta1=[0.5], eta2=[0.5], geometric_rho=0.5)
-
-    def sampler(seed, n):
-        rng = np.random.default_rng(seed)
-        return Trajectory(values=rng.uniform(-1, 1, n))
-
-    bare = SampledModel(name="bare", sampler=sampler, bound=1.0, decay=cert,
-                        burn_in=0, autocov=lambda k: 1.0 if k == 0 else 0.0)
-    traj = bare.sampler(0, 12)
+    # a sampled path without its innovations has no past to freeze
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    bare = Trajectory(values=sample_trajectory(ma, 12, seed=0).values)
     with pytest.raises(NestedEstimateUnavailable):
-        decompose(bare, traj, 3)
+        decompose(ma, bare, 3)
+
+
+def test_nested_resampling_matches_per_draw_convolution():
+    # reference: each draw substitutes its redrawn block into the whole
+    # innovation sequence and convolves it, as a one-path sampler would
+    ma = builtin("moving_average", c=1.0, L_trunc=6)
+    n, m, draws, seed = 30, 8, 16, 3
+    traj = sample_trajectory(ma, n, seed=9)
+    dec = decompose(ma, traj, m, variant="martingale_all", nested_draws=draws, seed=seed)
+    w = 0.5 ** np.arange(7)
+    burn = ma.burn_in
+    for i, start in enumerate(range(0, n, m)):
+        length = min(m, n - start)
+        redrawn = ma.innovations(child_rng(seed, i), (draws, length))
+        sums = []
+        for d in range(draws):
+            eps = traj.innovations.copy()
+            eps[burn + start:burn + start + length] = redrawn[d]
+            x = np.convolve(eps, w)[burn:burn + n]
+            sums.append(x[start:start + length].sum())
+        assert dec.predictable[i] == pytest.approx(np.mean(sums), abs=1e-12)
+        assert dec.predictable_se[i] ** 2 * draws == pytest.approx(np.var(sums, ddof=1), abs=1e-12)
+
+
+@pytest.mark.parametrize("draws", [0, 1])
+def test_nested_draws_below_two_are_rejected(draws):
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    traj = sample_trajectory(ma, 12, seed=0)
+    with pytest.raises(ParamOutOfRange):
+        decompose(ma, traj, 3, nested_draws=draws)
 
 
 def test_decompose_validation(two_state04):

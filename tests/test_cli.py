@@ -215,6 +215,22 @@ def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_coupling_draws_past_the_budget_exit_2_before_allocating(tmp_path, capsys):
+    # the pairs alone would take 1.6 TB; the run stays far below
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run_cli(["coupling", "--model", "rademacher", "--n", "16", "--m", "2",
+                        "--chains", "100000000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 4 << 20
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "100000000000 chains" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["coupling", "report"])
 def test_seed_must_be_non_negative(tmp_path, capsys, command):
     out = tmp_path / "out"

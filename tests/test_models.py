@@ -144,6 +144,25 @@ def test_moving_average_certificate_and_determinism():
     assert np.max(np.abs(t1.values)) <= ma.bound
 
 
+def test_moving_average_path_is_the_convolution_of_its_window():
+    ma = builtin("moving_average", c=1.5, L_trunc=7)
+    w = 1.5 * 0.5 ** np.arange(8)
+    burn, n = ma.burn_in, 50
+    eps = ma.innovations(np.random.default_rng(4), (3, burn + n))
+    assert set(np.unique(eps)) == {-1.0, 1.0}
+    x = ma.path(eps)
+    assert x.shape == (3, n)
+    for row, e in zip(x, eps):  # the former one-path sampler's arithmetic
+        assert np.allclose(row, np.convolve(e, w)[burn:burn + n], rtol=0, atol=1e-14)
+    # X_t reads eps[t-1 : burn_in + t] only: changing anything outside it
+    # leaves X_t bit for bit as it was
+    t = 20
+    outside = eps.copy()
+    outside[:, :t - 1] *= -1
+    outside[:, burn + t:] *= -1
+    assert np.array_equal(ma.path(outside)[:, t - 1], x[:, t - 1])
+
+
 def test_moving_average_autocov_matches_empirical():
     ma = builtin("moving_average", c=1.0, L_trunc=10)
     xs = sample_trajectory(ma, 200_000, seed=1).values

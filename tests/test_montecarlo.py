@@ -167,6 +167,8 @@ def test_simulation_refuses_sizes_beyond_the_budget():
     ma = builtin("moving_average", c=1.0, L_trunc=4)
     for call in (lambda: sample_state_paths(two, 10 ** 6, 10 ** 4, 0),
                  lambda: sample_trajectory(two, 10 ** 9, 0),
+                 lambda: sample_trajectory(ma, 10 ** 9, 0),
+                 lambda: simulate_W(ma, 10 ** 9, 1, 0),
                  lambda: simulate_W(two, 10, 10 ** 9, 0),
                  lambda: simulate_W(ma, 10, 10 ** 9, 0)):
         with pytest.raises(BudgetExceeded) as err:
@@ -180,6 +182,30 @@ def test_sampled_tier_simulation_deterministic():
     w2 = simulate_W(ma, 32, 200, seed=1)
     assert np.array_equal(w1, w2)
     assert np.max(np.abs(w1)) <= ma.bound * math.sqrt(32)
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 3000])
+def test_sampled_simulation_is_block_zero_of_trajectories(n):
+    ma = builtin("moving_average", c=1.0, L_trunc=8)
+    for seed in (0, 5, 91):
+        traj = sample_trajectory(ma, n, seed)
+        assert simulate_W(ma, n, 1, seed)[0] == traj.values.sum() / math.sqrt(n)
+        assert traj.innovations.size == ma.burn_in + n
+
+
+def test_sampled_simulation_over_many_blocks():
+    ma = builtin("moving_average", c=1.0, L_trunc=20)
+    n = 256
+    block = models.SLAB_BYTES // (models.PATH_STEP_BYTES * (ma.burn_in + n))
+    chains = 9 * block + 17  # ten blocks, the last one short
+    w = simulate_W(ma, n, chains, seed=12)
+    assert w.shape == (chains,) and np.unique(w).size > chains // 2
+    sigma = exact.sigma_any(ma, n)
+    mean = float(w.mean())
+    var = float(np.mean((w - mean) ** 2))
+    se_var = math.sqrt(float(np.mean((w - mean) ** 4)) - var ** 2) / math.sqrt(chains)
+    assert abs(mean) <= 5 * sigma / math.sqrt(chains)
+    assert abs(var - sigma ** 2) <= 5 * se_var
 
 
 def test_wilson_interval_properties():
