@@ -54,6 +54,7 @@ from .exact import (
     long_run_variance,
     quantile,
     sigma_n,
+    tilted_log_tail,
 )
 from .models import (
     DecayCertificate,

@@ -21,7 +21,7 @@ import numpy as np
 from .coefficients import coefficient_set
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
-from .exact import TailTable, distribution_of_Sn
+from .exact import TailTable, _left_inverse, distribution_of_Sn
 from .models import _check_chain_budget, child_rng
 from .normal import normal_cdf, normal_quantile
 
@@ -39,9 +39,7 @@ class QuantileTransform:
         self.cum = np.asarray(cum, dtype=float)
 
     def __call__(self, s):
-        ss = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.cum, ss, side="left")
-        out = self.atoms[np.minimum(idx, self.atoms.size - 1)]
+        out = _left_inverse(self.atoms, self.cum, np.asarray(s, dtype=float))
         return out if np.ndim(s) else float(out)
 
 

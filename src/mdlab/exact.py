@@ -9,15 +9,26 @@ t min f_num + g Z the sums occupy, g = gcd(f_num - min f_num); one pass to the
 largest n of a horizon grid marginalises at every n of the grid on its way.
 The DP keeps log-masses, so tails far below the double-precision linear range
 remain representable, and mixes each column in linear space after shifting it
-by its maximum, summing in log space where a term could underflow.
+by its maximum, summing in log space where a term could underflow.  It costs
+s^2 (n + spread n (n - 1) / 2) cell updates, refused past DP_WORK_CAP.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
+
+Single tails at large n come from `tilted_log_tail` instead: the generating
+function of the law of the sublattice sum, tilted so that its mean sits at the
+threshold, evaluated at M roots of unity by batched binary powering and
+inverted by one aliased irfft on a window of M points, O(M s^3 log n) with M
+about 20 tilted standard deviations.  Chernoff bounds certify its truncation
+error to 1e-13 of the tail; a tail the transform's round-off cannot resolve
+(a lumpy tilted law near the threshold) is read off the DP instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import islice
 
 import numpy as np
@@ -34,6 +45,10 @@ from .normal import normal_cdf
 
 MASS_TOL = 1e-10
 SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
+DP_WORK_CAP = 2 * 10 ** 11  # sum-law DP cell updates: about a minute on 64 states
+TILT_REACH = 300.0  # largest |theta| * spread: a product of two e^-300 stays normal
+TAIL_RTOL = 1e-13  # certified relative truncation error of a tilted tail
+ROUNDOFF_GAIN = 1e4  # largest gain of the transform's round-off in a tilted tail
 
 
 @dataclass(frozen=True)
@@ -236,6 +251,21 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 # distribution of S_n
 # ---------------------------------------------------------------------------
 
+def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:
+    """(xmin, g, rise, spread): S_t = t xmin + g K_t, where K_t sums rise[Y_i] =
+    (f_num - xmin) / g over i = 1..t and g = gcd(f_num - xmin)."""
+    xnum = model.f_num.astype(np.int64)
+    xmin = int(xnum.min())
+    g = int(np.gcd.reduce(xnum - xmin))  # a built model's payoff is not constant
+    rise = (xnum - xmin) // g
+    return xmin, g, rise, int(rise.max())
+
+
+def _sum_law_ops(model: FiniteLatticeModel, n: int) -> int:
+    """Cell updates of the sum-law DP to n: s^2 per sublattice point per step."""
+    return model.n_states ** 2 * (n + _sublattice(model)[3] * n * (n - 1) // 2)
+
+
 def _sum_law_steps(model: FiniteLatticeModel, n: int,
                    budget_bytes: int = DEFAULT_BUDGET_BYTES):
     """Yield (k0, g, logp) for t = 1..n from a stationary start, logp[j, i] =
@@ -245,19 +275,20 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
     is shifted by its largest log-mass, mixed by one product with P^T, logged
     and shifted back; row j moves right by (f_num[j] - min f_num) / g.  Columns
     where a term could fall below 2^-960 are summed in log space.  Entries set
-    to -inf drop out; logp is reused."""
+    to -inf drop out; logp is reused.  BudgetExceeded, before the first step,
+    past budget_bytes or past DP_WORK_CAP cell updates."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
-    p, xnum = model.transition, model.f_num.astype(np.int64)
-    xmin = int(xnum.min())
-    g = int(np.gcd.reduce(xnum - xmin))  # a built model's payoff is not constant
-    rise = (xnum - xmin) // g
-    spread = int(rise.max())
+    p = model.transition
+    xmin, g, rise, spread = _sublattice(model)
     s, width = model.n_states, n * spread + 1
     if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > budget_bytes:
         raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} sublattice points "
                              f"of step {g}, 3 float and 2 flag buffers), budget {budget_bytes}")
+    if (work := _sum_law_ops(model, n)) > DP_WORK_CAP:
+        raise BudgetExceeded(f"DP to n = {n} needs {work:.3g} cell updates ({s} states), "
+                             f"past the cap of {DP_WORK_CAP:.3g} (about a minute)")
     cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
     spare = np.empty((s, width))  # log-space scratch, touched only when a column needs it
     low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
@@ -328,6 +359,307 @@ def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# tails at large n: the tilted generating function, inverted by an aliased FFT
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _TiltPlan:
+    """P(K_n >= k) from q_j = P(K_n = j) e^{theta j - log_norm} on a window of
+    `size` lattice points, for P(S_n >= threshold) of the model.  `flip`: K_n
+    sums spread - rise, and the tail asked for is the complement of this one."""
+
+    model: FiniteLatticeModel
+    threshold: float
+    rise: np.ndarray
+    n: int
+    k: int
+    theta: float
+    log_norm: float
+    size: int
+    flip: bool
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.model.transition
+
+    @property
+    def pi(self) -> np.ndarray:
+        return self.model.pi
+
+    @property
+    def top(self) -> int:
+        return self.n * int(self.rise.max())
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """[lo, hi): `size` lattice points from k - size/2, inside [0, top] if they fit."""
+        lo = max(0, min(self.k - self.size // 2, self.top + 1 - self.size))
+        return lo, lo + self.size
+
+    @property
+    def ops(self) -> int:
+        """Work of the transform: two batched s x s products per bit of n."""
+        return (self.size // 2 + 1) * self.rise.size ** 3 * 2 * max(1, (self.n - 1).bit_length())
+
+    @property
+    def need_bytes(self) -> int:
+        """The two (size/2 + 1, s, s) complex stacks of the binary powering."""
+        return 2 * 16 * (self.size // 2 + 1) * self.rise.size ** 2
+
+
+def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float,
+                    budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[float, float]:
+    """log P(S_n >= threshold) for the centred sum S_n (inclusive at atoms, as
+    exact_tail), and a certified bound on the relative truncation error of P.
+
+    S_n = n xmin + g K_n on the sublattice of the DP.  The tilted law q_j =
+    P(K_n = j) e^{theta j} / E e^{theta K_n} has generating function
+    pi^T (P D(e^theta z))^n 1 / E e^{theta K_n}, D(z) = diag(z^rise) (Dembo &
+    Zeitouni, Large Deviations Techniques and Applications, 3.1).  theta puts
+    its mean at the threshold: Newton's method on the Perron root of
+    P diag(e^{theta rise}) sizes the window, and Newton's method on the exact
+    n-step moments (binary powering of P D and its derivatives) finishes it.
+    The function is evaluated at the M/2 + 1 rfft frequencies by batched binary
+    powering, and one irfft of length M gives q modulo M, read on a window of
+    M points from the threshold down and up.  Chernoff bounds on the tilted
+    mass outside the window (aliased in, or missed by the tail) certify the
+    truncation error, and M doubles until it is at most TAIL_RTOL of the tail.
+    The work is O(M s^3 log n) with M about 20 tilted standard deviations:
+    n = 10^6 on a few states takes well under a second.  A threshold past the
+    top atom is -inf at once, and BudgetExceeded is raised before allocating
+    (M/2 + 1, s, s) stacks past budget_bytes.
+    """
+    return _tilt_run(_tilt_plan(model, n, threshold, budget_bytes), budget_bytes)
+
+
+def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float,
+               budget_bytes: int = DEFAULT_BUDGET_BYTES) -> _TiltPlan | float:
+    """The plan of tilted_log_tail, or the log tail itself (0 or -inf) when the
+    threshold lies at or below the lowest sum or past the highest.  Its size is
+    the first power of two whose window the Chernoff bounds certify against a
+    guess of the tail, or the first past budget_bytes."""
+    _require_exact(model)
+    if n < 1:
+        raise ParamOutOfRange("n must be >= 1")
+    if math.isnan(threshold):
+        raise ParamOutOfRange("threshold must not be nan")
+    xmin, g, rise, spread = _sublattice(model)
+    center = float(n * model.mean_fraction)
+    thr = float(_snap((threshold + center) * model.denom, center * model.denom)) - n * xmin
+    top = n * spread
+    if thr > top * g:
+        return -math.inf
+    if thr <= 0:
+        return 0.0
+    k = -int(-thr // g) if thr == int(thr) else math.ceil(thr / g)
+    p, pi = model.transition, model.pi
+    flip = k < n * float(pi @ rise)  # below the mean: the complement is the small tail
+    if flip:
+        rise, k = spread - rise, top - k + 1
+    if k > _top_sum(p, rise, n):  # no path reaches k
+        return 0.0 if flip else -math.inf
+    theta, _, sd = _solve_tilt(_perron_moments(p, rise, n, k), 0.0, TILT_REACH / spread)
+    log_norm = _tilt_moments(p, pi, rise, n, theta, 0.0)[0]
+    # a guess of the tilted tail: half the mass, or the peak over 1 - e^-theta
+    log_guess = -math.log(2.0 * max(1.0, math.sqrt(2 * math.pi) * sd * -math.expm1(-theta)))
+    size = 1 << (max(16, math.ceil(16 * sd)) - 1).bit_length()  # about +-8 sd
+    while True:
+        plan = _TiltPlan(model, threshold, rise, n, k, theta, log_norm, size, flip)
+        if (size > top or plan.need_bytes > budget_bytes
+                or _log_outside(plan) <= math.log(TAIL_RTOL / 2) + log_guess):
+            return plan
+        size *= 2
+
+
+def _tilt_run(plan: _TiltPlan | float, budget_bytes: int = DEFAULT_BUDGET_BYTES
+              ) -> tuple[float, float]:
+    """Carry out a plan: (log tail, certified relative truncation bound)."""
+    if not isinstance(plan, _TiltPlan):
+        return plan, 0.0
+    p, pi, rise, n, k = plan.p, plan.pi, plan.rise, plan.n, plan.k
+    theta, log_norm, _ = _solve_tilt(lambda phi: _tilt_moments(p, pi, rise, n, phi, k / n),
+                                     plan.theta, TILT_REACH / int(rise.max()))
+    plan = replace(plan, theta=theta, log_norm=log_norm + theta * k)
+    while True:
+        if plan.need_bytes > budget_bytes:
+            raise BudgetExceeded(f"tilted transform needs {plan.need_bytes} bytes "
+                                 f"({plan.size // 2 + 1} frequencies x {rise.size}^2 "
+                                 f"states, 2 complex stacks), budget {budget_bytes}")
+        log_tail, log_gain = _window_log_tail(plan)
+        if log_gain > math.log(ROUNDOFF_GAIN):  # the transform cannot resolve it: DP
+            x = plan.threshold / math.sqrt(n) / sigma_n(plan.model, n)
+            return float(exact_tail(distribution_of_Sn(plan.model, n, budget_bytes), x)), 0.0
+        bound = math.exp(_log_outside(plan) - log_tail) if plan.size <= plan.top else 0.0
+        if bound <= TAIL_RTOL:
+            break
+        plan = replace(plan, size=2 * plan.size)
+    log_p = log_tail - theta * k + plan.log_norm
+    if not plan.flip:
+        return log_p, bound
+    # P(K >= k) = 1 - P(K' >= top - k + 1): the error of the complement is absolute
+    return math.log1p(-math.exp(log_p)), bound * -math.exp(log_p) / math.expm1(log_p)
+
+
+def _window_log_tail(plan: _TiltPlan) -> tuple[float, float]:
+    """log T, T = sum_{k <= j < hi} q_j e^{-theta (j - k)}, with q read off one
+    irfft of the tilted generating function at the M/2 + 1 frequencies
+    z_f = e^{-2 pi i f / M}, and the log of the gain of round-off in T,
+    max q sum_j e^{-theta (j - k)} / T.  Readings below four times the largest
+    negative one, which is pure round-off, are left out."""
+    size, rise, n = plan.size, plan.rise, plan.n
+    a, c = _tilted(plan.p, rise, plan.theta)
+    phase = np.exp(-2j * np.pi / size * (np.outer(np.arange(size // 2 + 1), rise) % size))
+    sums, log_scale = _power_sums(a[None] * (math.exp(c - plan.log_norm / n) * phase[:, None, :]),
+                                  plan.pi, n)
+    q = np.fft.irfft(sums, size)
+    ks = np.arange(plan.k, min(plan.window[1], plan.top + 1))
+    v, w = q[ks % size], -plan.theta * (ks - plan.k)
+    live = v > -4.0 * min(float(q.min()), 0.0)
+    with np.errstate(divide="ignore"):  # nothing live: T = 0, an infinite gain
+        log_t = float(np.logaddexp.reduce(np.log(v[live]) + w[live], initial=-np.inf))
+    return log_t + log_scale, math.log(q.max()) + float(np.logaddexp.reduce(w)) - log_t
+
+
+def _log_outside(plan: _TiltPlan) -> float:
+    """log of a Chernoff bound on 2 U + L, U the tilted mass at or past the
+    window's end hi (missed by the tail and aliased into it) and L the mass
+    below its start lo (aliased in): sum_{j >= a} q_j <= e^{-(phi - theta) a}
+    E e^{phi K_n} / E e^{theta K_n} for phi >= theta, mirrored below, with phi
+    the Perron tilt whose mean is at a."""
+    lo, hi = plan.window
+    p, rise, n = plan.p, plan.rise, plan.n
+    terms = []
+    for edge, weight, side in ((hi, 2.0, max), (lo - 1, 1.0, min)):
+        if 0 <= edge <= plan.top:
+            phi = side(_solve_tilt(_perron_moments(p, rise, n, edge), plan.theta,
+                                   TILT_REACH / int(rise.max()))[0], plan.theta)
+            terms.append(math.log(weight) + _tilt_moments(p, plan.pi, rise, n, phi, 0.0)[0]
+                         - plan.log_norm - (phi - plan.theta) * edge)
+    return float(np.logaddexp.reduce(terms)) if terms else -math.inf
+
+
+def _top_sum(p: np.ndarray, rise: np.ndarray, n: int) -> int:
+    """The largest K_n along a path of positive probability: max-plus binary
+    powering of w[i, j] = rise[j] where P[i, j] > 0."""
+    w = np.where(p > 0, rise.astype(float), -np.inf)
+    best = np.zeros(rise.size)  # every state has a stationary start
+    while True:
+        if n & 1:
+            best = np.max(best[:, None] + w, axis=0)
+        n >>= 1
+        if not n:
+            return int(best.max())
+        w = reduce(np.maximum, (w[:, j, None] + w[j] for j in range(rise.size)))
+
+
+def _tilted(p: np.ndarray, rise: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
+    """(P diag(e^{phi rise - c}), c) with c = max(phi rise): entries at most 1."""
+    c = max(phi, 0.0) * int(rise.max())
+    return p * np.exp(phi * rise - c), c
+
+
+def _perron_moments(p: np.ndarray, rise: np.ndarray, n: int, k: float):
+    """phi -> (n log lambda, n Lambda' - k, n Lambda''), Lambda = log lambda and
+    lambda the Perron root of A = P diag(e^{phi rise}).  With right and left
+    Perron vectors r, l (l.r = 1), Lambda' = sum l rise r and Lambda'' = sum
+    l rise^2 r + 2 sum l rise r1 - 2 Lambda' l.r1 - Lambda'^2, where
+    (lambda - A) r1 = (A diag(rise) - lambda Lambda') r is solved through the
+    nonsingular lambda - A + lambda r l^T."""
+    def moments(phi: float) -> tuple[float, float, float]:
+        a, c = _tilted(p, rise, phi)
+        w, vecs = np.linalg.eig(a)
+        i = np.argmax(w.real)
+        lam, r = w[i].real, np.abs(vecs[:, i].real)
+        w, vecs = np.linalg.eig(a.T)
+        left = np.abs(vecs[:, np.argmax(w.real)].real)
+        left /= left @ r
+        d1 = float(left @ (rise * r))
+        r1 = np.linalg.solve(lam * (np.eye(rise.size) + np.outer(r, left)) - a,
+                             a @ (rise * r) - lam * d1 * r)
+        d2 = float(left @ (rise * rise * r) + 2.0 * left @ (rise * r1) - 2.0 * d1 * (left @ r1))
+        return n * (math.log(lam) + c), n * d1 - k, n * (d2 - d1 * d1)
+    return moments
+
+
+def _tilt_moments(p: np.ndarray, pi: np.ndarray, rise: np.ndarray, n: int, phi: float,
+                  t: float) -> tuple[float, float, float]:
+    """(log E e^{phi (K_n - n t)}, E_phi K_n - n t, Var_phi K_n) under the tilt
+    of the law of K_n, exactly: binary powering of X = P diag(e^{phi (rise - t)})
+    together with its first two derivatives in phi, X' = X d and X'' = X d^2,
+    d = diag(rise - t), by the product rule."""
+    d = rise - t
+    c = float(np.max(phi * d))
+    x = p * np.exp(phi * d - c)
+    x1, x2 = x * d, x * d * d
+    u, u1, u2 = pi, np.zeros_like(pi), np.zeros_like(pi)
+    log_scale, log_x = n * c, 0.0
+    while True:
+        if n & 1:
+            u, u1, u2 = u @ x, u1 @ x + u @ x1, u2 @ x + 2.0 * (u1 @ x1) + u @ x2
+            top = float(u.max())
+            u, u1, u2 = u / top, u1 / top, u2 / top
+            log_scale += log_x + math.log(top)
+        n >>= 1
+        if not n:
+            break
+        x, x1, x2 = x @ x, x1 @ x + x @ x1, x2 @ x + 2.0 * (x1 @ x1) + x @ x2
+        top = float(x.max())
+        x, x1, x2 = x / top, x1 / top, x2 / top
+        log_x = 2.0 * log_x + math.log(top)
+    m0, mean = float(u.sum()), float(u1.sum() / u.sum())
+    return math.log(m0) + log_scale, mean, float(u2.sum() / m0) - mean * mean
+
+
+def _solve_tilt(moments, phi: float, reach: float) -> tuple[float, float, float]:
+    """(phi, log norm, sd) where moments(phi) = (log norm, f, f') and f, the
+    tilted mean less its target, is within a quarter of the tilted standard
+    deviation of 0: Newton's method from phi, safeguarded by bisection on
+    [-reach, reach].  A target no tilt in range reaches gives the nearer end."""
+    lo, hi = -reach, reach
+    ends = {lo, hi}  # not yet evaluated
+    for _ in range(100):
+        log_norm, f, var = moments(phi)
+        ends.discard(phi)
+        sd = math.sqrt(max(var, 0.0))
+        if f < 0:
+            lo = phi
+        else:
+            hi = phi
+        if abs(f) <= 0.25 * sd or hi <= lo:
+            break
+        step = phi - f / var if var > 0 else math.nan
+        if not lo < step < hi:
+            end = hi if f < 0 else lo
+            step = end if end in ends else 0.5 * (lo + hi)
+        phi = step
+    return phi, log_norm, sd
+
+
+def _power_sums(stack: np.ndarray, start: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """start^T stack[f]^n 1 for every f, over a common factor e^{log_scale}
+    returned with them, by binary powering in place (stack is consumed).
+    Entries are rescaled by the largest of stack[0], which is real and
+    nonnegative and bounds every other matrix of the stack entrywise."""
+    x, spare = stack, np.empty_like(stack)
+    u = np.repeat(start[None].astype(stack.dtype), stack.shape[0], axis=0)
+    log_scale = log_x = 0.0
+    while True:
+        if n & 1:
+            u = np.matmul(u[:, None, :], x)[:, 0, :]
+            top = float(np.abs(u[0]).max())
+            u /= top
+            log_scale += log_x + math.log(top)
+        n >>= 1
+        if not n:
+            return u.sum(axis=1), log_scale
+        np.matmul(x, x, out=spare)
+        x, spare = spare, x
+        top = float(np.abs(x[0]).max())
+        x /= top
+        log_x = 2.0 * log_x + math.log(top)
+
+
+# ---------------------------------------------------------------------------
 # tail, quantile, Kolmogorov distance
 # ---------------------------------------------------------------------------
 
@@ -351,11 +683,16 @@ def exact_lower_tail(table: TailTable, x) -> np.ndarray | float:
 
 
 def _lattice_threshold(table: TailTable, xs: np.ndarray) -> np.ndarray:
-    """W_n = xs sigma_n in lattice numerator units.  A value within rounding
-    of an integer is snapped to it, so an atom's own x hits the atom."""
+    """W_n = xs sigma_n in lattice numerator units, snapped."""
     thr = (xs * table.sigma_n * np.sqrt(table.n) + table.center) * table.denom
+    return _snap(thr, table.center * table.denom)
+
+
+def _snap(thr, ref: float):
+    """A lattice numerator within rounding of an integer is snapped to it, so
+    an atom's own x hits the atom; ref is the size of the centring added."""
     near = np.rint(thr)
-    slack = SNAP_ULPS * np.spacing(np.maximum(np.abs(thr), abs(table.center * table.denom)))
+    slack = SNAP_ULPS * np.spacing(np.maximum(np.abs(thr), abs(ref)))
     with np.errstate(invalid="ignore"):  # x = +-inf has no lattice neighbour
         return np.where(np.abs(thr - near) <= slack, near, thr)
 
@@ -373,10 +710,13 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any((ss <= 0.0) | (ss >= 1.0)):
         raise OutOfRange("quantile argument must lie strictly inside (0, 1)")
-    cdf = table.cdf_points()
-    idx = np.searchsorted(cdf, ss, side="left")
-    out = table.what_values[np.minimum(idx, cdf.size - 1)]
+    out = _left_inverse(table.what_values, table.cdf_points(), ss)
     return out if np.ndim(s) else float(out[0])
+
+
+def _left_inverse(atoms: np.ndarray, cum: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """inf{atoms[i] : cum[i] >= s} for each s, the last atom past cum[-1]."""
+    return atoms[np.minimum(np.searchsorted(cum, s, side="left"), atoms.size - 1)]
 
 
 def ks_distance_exact(table: TailTable) -> float:

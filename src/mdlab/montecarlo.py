@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -33,15 +34,20 @@ from .errors import (
 from .exact import (
     SNAP_ULPS,
     _ks_sweep,
+    _sum_law_ops,
     _sum_law_tables,
+    _tilt_plan,
+    _tilt_run,
+    _TiltPlan,
     distribution_of_Sn,
     exact_lower_tail,
     exact_tail,
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, FiniteLatticeModel, _check_chain_budget,
-                     _innovation_blocks, _simulate_states)
+from .models import (CHAIN_BYTES, DEFAULT_BUDGET_BYTES, PATH_STEP_BYTES, SLAB_BYTES,
+                     FiniteLatticeModel, _check_chain_budget, _innovation_blocks,
+                     _simulate_states)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -127,9 +133,19 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
             k += model.f_num.take(y)  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
     else:
-        out = np.concatenate([model.path(eps).sum(axis=-1)
+        out = np.concatenate([_path_sums(model, eps)
                               for eps in _innovation_blocks(model, n, chains, seed)])
     return out / math.sqrt(n)
+
+
+def _path_sums(model, eps: np.ndarray) -> np.ndarray:
+    """Row sums of model.path(eps), its time axis cut into pieces of about
+    SLAB_BYTES at its peak.  Each piece reads only its own window of eps, so
+    every X_t is bit for bit the same; a block that fits is one piece."""
+    burn, n = model.burn_in, eps.shape[-1] - model.burn_in
+    step = max(1, SLAB_BYTES // (PATH_STEP_BYTES * eps.shape[0]))
+    return reduce(np.add, (model.path(eps[:, t:burn + t + step]).sum(axis=-1)
+                           for t in range(0, n, step)))
 
 
 def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
@@ -221,13 +237,17 @@ def empirical_ks(samples, sigma_n: float) -> float:
 @dataclass(frozen=True)
 class MdpDiagnostic:
     """Scaled log tails a_n^2 ln P(a_n W_n >= c) along a horizon grid, next to
-    the claimed limit -c^2 / (2 sigma^2)."""
+    the claimed limit -c^2 / (2 sigma^2).  ``truncation_bound[i]`` certifies
+    the relative truncation error of the i-th tail probability: 0 where it
+    comes from the binomial closed form or the DP, at most TAIL_RTOL from the
+    tilted transform."""
 
     c: float
     a_exponent: float
     n_grid: np.ndarray
     scaled: np.ndarray
     limit: float
+    truncation_bound: np.ndarray
 
     def to_csv(self) -> str:
         lines = ["n,scaled_log_tail,limit"]
@@ -240,8 +260,12 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
     I.i.d. sign models use the closed-form binomial tail in log space, which
-    reaches n = 10^6 in milliseconds; other exact models read every n of the
-    grid off one DP pass to its largest n (subject to the memory budget).
+    reaches n = 10^6 in milliseconds.  Other exact models take the cheaper of
+    two routes by operation count: `tilted_log_tail` per n, O(M s^3 log n)
+    with M about 20 tilted standard deviations (n = 10^6 on two states in well
+    under a second), or one sum-law DP pass to the largest n, O(s^2 n^2 spread),
+    which wins on many states at small n.  A route past its memory budget is
+    not taken while the other fits.
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
@@ -251,14 +275,32 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if np.any(ns < 1):
         raise ParamOutOfRange(f"every n in n_grid must be >= 1, got {ns.tolist()}")
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold is c / a_n in W_n units
+    bound = np.zeros(ns.size)
     if iid := _is_iid_sign(model):
         logp = [_binomial_log_tail(int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
+    elif (plans := _kernel_plans(model, ns, ans, c)) is not None:
+        logp, bound = (np.array(v) for v in zip(*map(_tilt_run, plans)))
     else:
         tables = _sum_law_tables(model, ns.tolist()) if ns.size else []
         logp = [float(exact_tail(tb, c / an / tb.sigma_n)) for tb, an in zip(tables, ans)]
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * (1.0 if iid else long_run_variance(model)))
-    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit)
+    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
+                         truncation_bound=bound)
+
+
+def _kernel_plans(model, ns, ans, c: float):
+    """The tilted transform's plans for the grid, or None when the DP pass is
+    the cheaper route: fewer cell updates than the transform's operations, or
+    the transform past its budget at some n."""
+    if not ns.size:
+        return None
+    plans = [_tilt_plan(model, int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
+    tilted = [p for p in plans if isinstance(p, _TiltPlan)]
+    if (any(p.need_bytes > DEFAULT_BUDGET_BYTES for p in tilted)
+            or sum(p.ops for p in tilted) >= _sum_law_ops(model, int(ns.max()))):
+        return None
+    return plans
 
 
 def _is_iid_sign(model) -> bool:

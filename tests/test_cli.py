@@ -215,6 +215,17 @@ def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_verify_past_the_dp_work_cap_exits_2(tmp_path, capsys):
+    # dyadic L=6 at n = 4096: the DP table fits in memory, but its 2.2e12 cell
+    # updates would run for about ten minutes
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--model", "dyadic_contracting:L=6", "--n", "4096", "--m", "8",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "cell updates" in err
+    assert not out.exists()
+
+
 def test_coupling_draws_past_the_budget_exit_2_before_allocating(tmp_path, capsys):
     # the pairs alone would take 1.6 TB; the run stays far below
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdlab import (
     TailTable,
+    mdp_diagnostic,
     autocovariance,
     build_finite_lattice_model,
     build_quantile_transform,
@@ -22,9 +24,11 @@ from mdlab import (
     ratio_curve,
     sigma_n,
 )
+from mdlab import exact
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import (_max_abs_tail, _prefix_logsum, _suffix_logsum, _sum_law_tables,
-                         conditional_sum_norms, sigma_any)
+from mdlab.exact import (TAIL_RTOL, _max_abs_tail, _prefix_logsum, _sum_law_steps,
+                         _suffix_logsum, _sum_law_tables, conditional_sum_norms, sigma_any,
+                         tilted_log_tail)
 from mdlab.normal import normal_cdf, normal_log_sf
 
 import oracles
@@ -350,6 +354,116 @@ def test_budget_guard():
     big = builtin("dyadic_contracting", L=8)
     with pytest.raises(BudgetExceeded):
         distribution_of_Sn(big, 4096, budget_bytes=1 << 20)
+
+
+def test_work_guard_refuses_the_dense_dp_before_its_first_step():
+    # dyadic L=6 at n = 4096 fits in about 0.43 GB but needs 2.2e12 cell updates
+    model = builtin("dyadic_contracting", L=6)
+    assert exact._sum_law_ops(model, 4096) > exact.DP_WORK_CAP
+    with pytest.raises(BudgetExceeded, match="cell updates"):
+        next(_sum_law_steps(model, 4096))
+    # the largest DP the CLI runs by default on 64 states (mdp --n 48) is admitted
+    assert exact._sum_law_ops(model, 16 * 48) <= exact.DP_WORK_CAP
+
+
+# -- tails at large n: the tilted transform ----------------------------------
+
+def _no_dp_fallback(monkeypatch):
+    """Fail if tilted_log_tail hands its tail to the DP."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the transform fell back to the DP")
+    monkeypatch.setattr(exact, "distribution_of_Sn", fail)
+
+
+def _close(got: float, want: float) -> bool:
+    """Within 1e-12 relative of the log tail, or of the tail where it is near 1."""
+    return got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024])
+@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3"])
+def test_tilted_tail_matches_the_dp(name, n, monkeypatch):
+    model = _oracle_model(name)
+    table = distribution_of_Sn(model, n)
+    sd = table.sigma_n * math.sqrt(n)
+    _no_dp_fallback(monkeypatch)
+    # around the mean (both sides, so the complement is used), moderate and
+    # large deviations, and atoms next to both ends
+    for thr in (0.0, 0.5 * sd, -2.0 * sd, 3.0 * sd, n ** 0.75, 0.3 * n,
+                table.sum_values[1], table.sum_values[-2]):
+        got, bound = tilted_log_tail(model, n, float(thr))
+        assert _close(got, float(exact_tail(table, thr / sd))), (thr, got)
+        assert 0.0 <= bound <= TAIL_RTOL
+
+
+@pytest.mark.parametrize("n", [16, 81, 256, 625, 4096])
+def test_tilted_tail_is_inclusive_at_atoms(two_state04, n, monkeypatch):
+    # c = 1, a = 1/4: the threshold c n^{3/4} is an integer with the parity of n,
+    # an atom of two_state, and n ** 0.75 rounds next to it
+    thr = n ** 0.75
+    atom = round(thr)
+    table = distribution_of_Sn(two_state04, n)
+    assert atom in table.sum_values.tolist()
+    _no_dp_fallback(monkeypatch)
+    got, bound = tilted_log_tail(two_state04, n, thr)
+    assert _close(got, float(exact_tail(table, thr / (table.sigma_n * math.sqrt(n)))))
+    assert bound <= TAIL_RTOL
+    # the atom's own mass is in the tail: the next lattice point up is the next atom
+    assert tilted_log_tail(two_state04, n, atom + 1.0)[0] == tilted_log_tail(two_state04, n, atom + 2.0)[0] < got
+    an = float(n) ** -0.25
+    assert _close(mdp_diagnostic(two_state04, 1.0, 0.25, [n]).scaled[0], an * an * got)
+
+
+@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3"])
+def test_tilted_tail_at_the_top_atom_and_past_it(name, monkeypatch):
+    model, n = _oracle_model(name), 256
+    table = distribution_of_Sn(model, n)
+    top = float(table.sum_values[-1])
+    _no_dp_fallback(monkeypatch)
+    got, bound = tilted_log_tail(model, n, top)
+    assert _close(got, float(exact_tail(table, top / (table.sigma_n * math.sqrt(n)))))
+    # one lattice point past the top atom: -inf, before any linear algebra
+    step = float(table.offsets[-1] - table.offsets[-2]) / model.denom
+    monkeypatch.setattr(exact, "_top_sum", None)
+    assert tilted_log_tail(model, n, top + step) == (-math.inf, 0.0)
+
+
+def test_tilted_tail_past_the_highest_reachable_sum():
+    # "hi" never repeats, so sums stop near n/2 although the lattice runs to n
+    model = build_finite_lattice_model(["lo", "hi"], [[0.5, 0.5], [1.0, 0.0]], [0, 1], 1)
+    n = 40
+    table = distribution_of_Sn(model, n)
+    for k in range(18, 26):
+        got = tilted_log_tail(model, n, k - n * float(model.mean_fraction))[0]
+        assert _close(got, float(exact_tail(table, (k - table.center) / (table.sigma_n * math.sqrt(n)))))
+    assert tilted_log_tail(model, n, table.sum_values[-1] + 1.0)[0] == -math.inf
+
+
+def test_tilted_tail_hands_unresolvable_tails_to_the_dp(monkeypatch):
+    # transitions of 1e-200 make the tilted law lumpy: where its mass near the
+    # threshold is below the transform's round-off, the DP answers
+    model, n = _oracle_model("rare5"), 5
+    table = distribution_of_Sn(model, n)
+    calls = []
+    monkeypatch.setattr(exact, "distribution_of_Sn",
+                        lambda *a, **k: calls.append(a[1]) or distribution_of_Sn(*a, **k))
+    for thr in table.sum_values:
+        got, bound = tilted_log_tail(model, n, float(thr))
+        assert _close(got, float(exact_tail(table, thr / (table.sigma_n * math.sqrt(n)))))
+    assert calls and set(calls) == {n}
+
+
+def test_tilted_tail_budget_raises_before_allocating():
+    # the (M/2 + 1, 64, 64) complex stacks at n = 4096 would need about 17 GB
+    model = builtin("dyadic_contracting", L=6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="tilted transform"):
+            tilted_log_tail(model, 4096, 4096 ** 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # -- tails, quantiles, Kolmogorov distance ------------------------------------

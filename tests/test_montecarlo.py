@@ -208,6 +208,21 @@ def test_sampled_simulation_over_many_blocks():
     assert abs(var - sigma ** 2) <= 5 * se_var
 
 
+def test_sampled_path_sums_over_time_pieces_match_one_pass():
+    # two chains of 10^5 steps: the time axis is cut into pieces of
+    # SLAB_BYTES / (PATH_STEP_BYTES * 2) steps, each reading its own window
+    ma = builtin("moving_average", c=1.0, L_trunc=20)
+    n, burn = 10 ** 5, ma.burn_in
+    step = models.SLAB_BYTES // (models.PATH_STEP_BYTES * 2)
+    assert step < n
+    eps = ma.innovations(np.random.default_rng(3), (2, burn + n))
+    whole = ma.path(eps)
+    pieces = [ma.path(eps[:, t:burn + t + step]) for t in range(0, n, step)]
+    assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
+    # c = 1 makes every X_t a multiple of 2^-20, so any order of summing is exact
+    assert montecarlo._path_sums(ma, eps).tobytes() == whole.sum(axis=-1).tobytes()
+
+
 def test_wilson_interval_properties():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi > 0.0
@@ -407,18 +422,66 @@ def test_mdp_grid_matches_per_n_tables(name):
         an = float(n) ** -a
         table = distribution_of_Sn(model, n)
         want.append(an * an * float(exact_tail(table, c / an / table.sigma_n)))
-    diag = mdp_diagnostic(model, c, a, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _count_sum_law_passes(mp)
+        diag = mdp_diagnostic(model, c, a, grid)
+    assert passes == [[64, 64]]  # this small grid is cheaper on the DP than by the transform
     assert diag.n_grid.tolist() == grid
     assert diag.scaled.tobytes() == np.array(want).tobytes()
+    assert diag.truncation_bound.tolist() == [0.0] * 4
     assert [line.split(",")[0] for line in diag.to_csv().splitlines()[1:]] == \
         ["64", "8", "64", "1"]
 
 
 def test_mdp_grid_takes_one_pass_to_its_largest_n(two_state04, monkeypatch):
+    # mdp sends this grid to the tilted transform; the DP pass it would take
+    # otherwise still serves the whole grid in one pass
     passes = _count_sum_law_passes(monkeypatch)
-    diag = mdp_diagnostic(two_state04, 1.0, 0.25, [64, 16, 256])
+    tables = exact._sum_law_tables(two_state04, [64, 16, 256])
     assert passes == [[256, 256]]
+    assert [t.n for t in tables] == [64, 16, 256]
+    passes.clear()
+    diag = mdp_diagnostic(two_state04, 1.0, 0.25, [64, 16, 256])
+    assert passes == []
     assert diag.n_grid.tolist() == [64, 16, 256]
+    want = [n ** -0.5 * float(exact_tail(t, n ** 0.25 / t.sigma_n)) for n, t in zip([64, 16, 256], tables)]
+    assert np.allclose(diag.scaled, want, rtol=1e-12, atol=0)
+
+
+def test_mdp_dense_small_grid_takes_the_dp_bit_for_bit(monkeypatch):
+    # 64 states at small n: one DP pass is cheaper than s^3 per frequency
+    model = builtin("dyadic_contracting", L=6)
+    grid = [8, 32]
+    passes = _count_sum_law_passes(monkeypatch)
+    diag = mdp_diagnostic(model, 1.0, 0.25, grid)
+    assert passes == [[32, 32]]
+    want = []
+    for n, table in zip(grid, exact._sum_law_tables(model, grid)):
+        an = float(n) ** -0.25
+        want.append(an * an * float(exact_tail(table, 1.0 / an / table.sigma_n)))
+    assert diag.scaled.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name, grid", [("two_state", [512, 2048, 8192]),
+                                        ("dyadic3", [64, 256, 1024]),
+                                        ("file", [256, 1024, 4096])])
+def test_mdp_transform_matches_the_dp(name, grid, monkeypatch):
+    model = {"two_state": lambda: builtin("two_state", rho=0.4),
+             "dyadic3": lambda: builtin("dyadic_contracting", L=3),
+             "file": lambda: parse_model_text(FILE_MODEL, name="file.model")}[name]()
+    tables = exact._sum_law_tables(model, grid)
+    passes = _count_sum_law_passes(monkeypatch)
+    diag = mdp_diagnostic(model, 1.0, 0.25, grid)
+    assert passes == []
+    want = [n ** -0.5 * float(exact_tail(t, n ** 0.25 / t.sigma_n)) for n, t in zip(grid, tables)]
+    assert np.allclose(diag.scaled, want, rtol=1e-12, atol=0)
+    assert np.all(diag.truncation_bound <= exact.TAIL_RTOL)
+
+
+def test_mdp_reaches_a_million_steps_on_a_chain(two_state04):
+    diag = mdp_diagnostic(two_state04, 1.0, 0.25, [10 ** 6])
+    assert abs(diag.scaled[0] - (-3.0 / 14.0)) < 0.01
+    assert diag.truncation_bound[0] <= exact.TAIL_RTOL
 
 
 @pytest.mark.parametrize("model", ["two_state04", "rademacher"])
