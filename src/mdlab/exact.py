@@ -10,7 +10,8 @@ largest n of a horizon grid marginalises at every n of the grid on its way.
 The DP keeps log-masses, so tails far below the double-precision linear range
 remain representable, and mixes each column in linear space after shifting it
 by its maximum, summing in log space where a term could underflow.  It costs
-s^2 (n + spread n (n - 1) / 2) cell updates, refused past DP_WORK_CAP.
+s^2 (n + spread n (n - 1) / 2) cell updates; a run estimated past WORK_CAP_S
+(`_sum_law_seconds`) is refused before its first step.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -19,16 +20,17 @@ Single tails at large n come from `tilted_log_tail` instead: the generating
 function of the law of the sublattice sum, tilted so that its mean sits at the
 threshold, evaluated at M roots of unity by batched binary powering and
 inverted by one aliased irfft on a window of M points, O(M s^3 log n) with M
-about 20 tilted standard deviations.  Chernoff bounds certify its truncation
-error to 1e-13 of the tail; a tail the transform's round-off cannot resolve
-(a lumpy tilted law near the threshold) is read off the DP instead.
+about 20 tilted standard deviations.  Chernoff bounds hold its truncation
+error to TAIL_RTOL of the tail, and standard floating-point bounds its
+round-off; a tail whose round-off bound passes ROUNDOFF_RTOL (a lumpy tilted
+law near the threshold) is read off the DP instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 
 import numpy as np
@@ -40,15 +42,16 @@ from .errors import (
     OutOfRange,
     ParamOutOfRange,
 )
-from .models import DEFAULT_BUDGET_BYTES, FiniteLatticeModel, _require_exact
+from .models import DEFAULT_BUDGET_BYTES, SLAB_BYTES, FiniteLatticeModel, _require_exact
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
 SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
-DP_WORK_CAP = 2 * 10 ** 11  # sum-law DP cell updates: about a minute on 64 states
+WORK_CAP_S = 60.0  # either route to a law or tail refuses an estimated run past this
 TILT_REACH = 300.0  # largest |theta| * spread: a product of two e^-300 stays normal
-TAIL_RTOL = 1e-13  # certified relative truncation error of a tilted tail
-ROUNDOFF_GAIN = 1e4  # largest gain of the transform's round-off in a tilted tail
+TAIL_RTOL = 1e-13  # largest Chernoff bound on a tilted tail's relative truncation error
+ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; past it the DP answers
+TILT_S = 1e-3  # estimated seconds of a tilted tail's tilts and Chernoff bounds
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,13 @@ def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:
     return xmin, g, rise, int(rise.max())
 
 
-def _sum_law_ops(model: FiniteLatticeModel, n: int) -> int:
-    """Cell updates of the sum-law DP to n: s^2 per sublattice point per step."""
-    return model.n_states ** 2 * (n + _sublattice(model)[3] * n * (n - 1) // 2)
+def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
+    """Estimated run time of the sum-law DP to n, fitted to timings on a shared
+    2-core x86 host (two_state, dyadic L=3, 5, 6): per sublattice column and
+    step, 0.07 ns per s^2 term of its mixing and 14 ns per state for its
+    shifts, exp and log; 25 us per step besides."""
+    s, cols = model.n_states, n + _sublattice(model)[3] * n * (n - 1) // 2
+    return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n
 
 
 def _sum_law_steps(model: FiniteLatticeModel, n: int,
@@ -276,7 +283,7 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
     and shifted back; row j moves right by (f_num[j] - min f_num) / g.  Columns
     where a term could fall below 2^-960 are summed in log space.  Entries set
     to -inf drop out; logp is reused.  BudgetExceeded, before the first step,
-    past budget_bytes or past DP_WORK_CAP cell updates."""
+    past budget_bytes or past an estimated WORK_CAP_S seconds."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
@@ -286,9 +293,9 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
     if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > budget_bytes:
         raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} sublattice points "
                              f"of step {g}, 3 float and 2 flag buffers), budget {budget_bytes}")
-    if (work := _sum_law_ops(model, n)) > DP_WORK_CAP:
-        raise BudgetExceeded(f"DP to n = {n} needs {work:.3g} cell updates ({s} states), "
-                             f"past the cap of {DP_WORK_CAP:.3g} (about a minute)")
+    if (secs := _sum_law_seconds(model, n)) > WORK_CAP_S:
+        raise BudgetExceeded(f"DP to n = {n} on {s} states would run about {secs:.3g} s, "
+                             f"past the cap of {WORK_CAP_S:g} s")
     cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
     spare = np.empty((s, width))  # log-space scratch, touched only when a column needs it
     low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
@@ -364,9 +371,10 @@ def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class _TiltPlan:
-    """P(K_n >= k) from q_j = P(K_n = j) e^{theta j - log_norm} on a window of
-    `size` lattice points, for P(S_n >= threshold) of the model.  `flip`: K_n
-    sums spread - rise, and the tail asked for is the complement of this one."""
+    """P(K_n >= k) from q_j = P(K_n = j) e^{theta j} on a window of `size`
+    lattice points, for P(S_n >= threshold) of the model; log_norm = log E
+    e^{theta K_n}.  `flip`: K_n sums spread - rise, and the tail asked for is
+    the complement of this one."""
 
     model: FiniteLatticeModel
     threshold: float
@@ -397,37 +405,71 @@ class _TiltPlan:
         return lo, lo + self.size
 
     @property
-    def ops(self) -> int:
-        """Work of the transform: two batched s x s products per bit of n."""
-        return (self.size // 2 + 1) * self.rise.size ** 3 * 2 * max(1, (self.n - 1).bit_length())
+    def seconds(self) -> float:
+        """Estimated run time, timed like _sum_law_seconds: per frequency and
+        bit of n, 0.25 ns per s^3 of a complex s x s squaring and 0.8 us
+        besides; TILT_S per tail for its tilts and Chernoff bounds."""
+        bits = max(1, (self.n - 1).bit_length())
+        return (self.size // 2 + 1) * bits * (2.5e-10 * self.rise.size ** 3 + 8e-7) + TILT_S
+
+    @cached_property
+    def log_outside(self) -> float:
+        """log of a Chernoff bound on 2 U + L, U the tilted mass at or past the
+        window's end hi (missed by the tail and aliased into it) and L the mass
+        below its start lo (aliased in): sum_{j >= a} q_j <= e^{-(phi - theta) a}
+        E e^{phi K_n} / E e^{theta K_n} for any phi >= theta, mirrored below;
+        phi is the tilt whose mean is at a."""
+        lo, hi = self.window
+        terms = []
+        for edge, weight, side in ((hi, 2.0, max), (lo - 1, 1.0, min)):
+            if 0 <= edge <= self.top:
+                phi, log_mgf, _ = _solve_tilt(self.moments(edge), self.theta,
+                                              TILT_REACH / int(self.rise.max()))
+                if side(phi, self.theta) != phi:
+                    phi, log_mgf = self.theta, self.moments(edge)(self.theta)[0]
+                terms.append(math.log(weight) + log_mgf - self.log_norm + self.theta * edge)
+        return float(np.logaddexp.reduce(terms)) if terms else -math.inf
+
+    def moments(self, a: int):
+        """phi -> (log E e^{phi (K_n - a)}, E_phi K_n - a, Var_phi K_n)."""
+        return lambda phi: _tilt_moments(self.p, self.pi, self.rise, self.n, phi, a / self.n)
+
+    @property
+    def slab(self) -> int:
+        """Frequencies powered together: their two complex (slab, s, s) stacks
+        hold about SLAB_BYTES."""
+        return max(1, SLAB_BYTES // (2 * 16 * self.rise.size ** 2))
 
     @property
     def need_bytes(self) -> int:
-        """The two (size/2 + 1, s, s) complex stacks of the binary powering."""
-        return 2 * 16 * (self.size // 2 + 1) * self.rise.size ** 2
+        """A slab's two complex stacks, and the M/2 + 1 complex sums, the M
+        readings and the window's arrays, 48 bytes a point in all."""
+        return 2 * 16 * self.slab * self.rise.size ** 2 + 48 * self.size
 
 
 def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float,
                     budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[float, float]:
     """log P(S_n >= threshold) for the centred sum S_n (inclusive at atoms, as
-    exact_tail), and a certified bound on the relative truncation error of P.
+    exact_tail), and a bound on the relative error of P: its truncation, at
+    most TAIL_RTOL, plus its round-off, at most ROUNDOFF_RTOL.
 
     S_n = n xmin + g K_n on the sublattice of the DP.  The tilted law q_j =
     P(K_n = j) e^{theta j} / E e^{theta K_n} has generating function
     pi^T (P D(e^theta z))^n 1 / E e^{theta K_n}, D(z) = diag(z^rise) (Dembo &
     Zeitouni, Large Deviations Techniques and Applications, 3.1).  theta puts
-    its mean at the threshold: Newton's method on the Perron root of
-    P diag(e^{theta rise}) sizes the window, and Newton's method on the exact
-    n-step moments (binary powering of P D and its derivatives) finishes it.
-    The function is evaluated at the M/2 + 1 rfft frequencies by batched binary
-    powering, and one irfft of length M gives q modulo M, read on a window of
-    M points from the threshold down and up.  Chernoff bounds on the tilted
-    mass outside the window (aliased in, or missed by the tail) certify the
-    truncation error, and M doubles until it is at most TAIL_RTOL of the tail.
-    The work is O(M s^3 log n) with M about 20 tilted standard deviations:
-    n = 10^6 on a few states takes well under a second.  A threshold past the
-    top atom is -inf at once, and BudgetExceeded is raised before allocating
-    (M/2 + 1, s, s) stacks past budget_bytes.
+    its mean at the threshold, by Newton's method on the exact n-step moments
+    (binary powering of P D and its derivatives).  The function is evaluated
+    at the M/2 + 1 rfft frequencies by binary powering, in slabs of about
+    SLAB_BYTES, and one irfft of length M gives q modulo M, read on a window
+    of M points from the threshold down and up.  Chernoff bounds on the tilted
+    mass outside the window (aliased in, or missed by the tail) bound the
+    truncation, and M doubles until it is at most TAIL_RTOL of the tail.  The
+    round-off bound grows like n s eps times the tilted sd: about 1e-11 at
+    n = 64 and 4e-6 at n = 10^6 on two states, where the error against the
+    DP is nearer 1e-14.  The work is O(M s^3 log n) with M about 20 tilted
+    standard deviations: n = 10^6 on two states takes under a tenth of a
+    second.  A threshold past the top atom is -inf at once, and BudgetExceeded
+    is raised before allocating past budget_bytes or running past WORK_CAP_S.
     """
     return _tilt_run(_tilt_plan(model, n, threshold, budget_bytes), budget_bytes)
 
@@ -436,8 +478,8 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float,
                budget_bytes: int = DEFAULT_BUDGET_BYTES) -> _TiltPlan | float:
     """The plan of tilted_log_tail, or the log tail itself (0 or -inf) when the
     threshold lies at or below the lowest sum or past the highest.  Its size is
-    the first power of two whose window the Chernoff bounds certify against a
-    guess of the tail, or the first past budget_bytes."""
+    the first power of two whose window the Chernoff bounds clear against a
+    guess of the tail, or the first past budget_bytes or WORK_CAP_S."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
@@ -458,84 +500,84 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float,
         rise, k = spread - rise, top - k + 1
     if k > _top_sum(p, rise, n):  # no path reaches k
         return 0.0 if flip else -math.inf
-    theta, _, sd = _solve_tilt(_perron_moments(p, rise, n, k), 0.0, TILT_REACH / spread)
-    log_norm = _tilt_moments(p, pi, rise, n, theta, 0.0)[0]
+    theta, log_norm, sd = _solve_tilt(
+        lambda phi: _tilt_moments(p, pi, rise, n, phi, k / n), 0.0, TILT_REACH / spread)
+    log_norm += theta * k  # log E e^{theta K_n}
     # a guess of the tilted tail: half the mass, or the peak over 1 - e^-theta
     log_guess = -math.log(2.0 * max(1.0, math.sqrt(2 * math.pi) * sd * -math.expm1(-theta)))
     size = 1 << (max(16, math.ceil(16 * sd)) - 1).bit_length()  # about +-8 sd
     while True:
         plan = _TiltPlan(model, threshold, rise, n, k, theta, log_norm, size, flip)
-        if (size > top or plan.need_bytes > budget_bytes
-                or _log_outside(plan) <= math.log(TAIL_RTOL / 2) + log_guess):
+        if (size > top or plan.need_bytes > budget_bytes or plan.seconds > WORK_CAP_S
+                or plan.log_outside <= math.log(TAIL_RTOL / 2) + log_guess):
             return plan
         size *= 2
 
 
 def _tilt_run(plan: _TiltPlan | float, budget_bytes: int = DEFAULT_BUDGET_BYTES
               ) -> tuple[float, float]:
-    """Carry out a plan: (log tail, certified relative truncation bound)."""
+    """Carry out a plan: (log tail, bound on its relative error), the bound
+    being the Chernoff bound on the truncation, at most TAIL_RTOL, plus the
+    round-off bound of _window_tail; a tail whose round-off bound passes
+    ROUNDOFF_RTOL is read off the DP instead, bound 0."""
     if not isinstance(plan, _TiltPlan):
         return plan, 0.0
-    p, pi, rise, n, k = plan.p, plan.pi, plan.rise, plan.n, plan.k
-    theta, log_norm, _ = _solve_tilt(lambda phi: _tilt_moments(p, pi, rise, n, phi, k / n),
-                                     plan.theta, TILT_REACH / int(rise.max()))
-    plan = replace(plan, theta=theta, log_norm=log_norm + theta * k)
     while True:
-        if plan.need_bytes > budget_bytes:
-            raise BudgetExceeded(f"tilted transform needs {plan.need_bytes} bytes "
-                                 f"({plan.size // 2 + 1} frequencies x {rise.size}^2 "
-                                 f"states, 2 complex stacks), budget {budget_bytes}")
-        log_tail, log_gain = _window_log_tail(plan)
-        if log_gain > math.log(ROUNDOFF_GAIN):  # the transform cannot resolve it: DP
+        if plan.need_bytes > budget_bytes or plan.seconds > WORK_CAP_S:
+            raise BudgetExceeded(f"tilted transform of {plan.size} points on "
+                                 f"{plan.rise.size} states needs {plan.need_bytes} bytes "
+                                 f"(budget {budget_bytes}) and about {plan.seconds:.3g} s "
+                                 f"(cap {WORK_CAP_S:g} s)")
+        log_p, log_share, roundoff = _window_tail(plan)
+        if roundoff > ROUNDOFF_RTOL:  # the transform cannot resolve it
+            n = plan.n
             x = plan.threshold / math.sqrt(n) / sigma_n(plan.model, n)
             return float(exact_tail(distribution_of_Sn(plan.model, n, budget_bytes), x)), 0.0
-        bound = math.exp(_log_outside(plan) - log_tail) if plan.size <= plan.top else 0.0
-        if bound <= TAIL_RTOL:
+        cut = math.exp(plan.log_outside - log_share) if plan.size <= plan.top else 0.0
+        if cut <= TAIL_RTOL:
             break
         plan = replace(plan, size=2 * plan.size)
-    log_p = log_tail - theta * k + plan.log_norm
+    bound = cut + roundoff
     if not plan.flip:
         return log_p, bound
     # P(K >= k) = 1 - P(K' >= top - k + 1): the error of the complement is absolute
     return math.log1p(-math.exp(log_p)), bound * -math.exp(log_p) / math.expm1(log_p)
 
 
-def _window_log_tail(plan: _TiltPlan) -> tuple[float, float]:
-    """log T, T = sum_{k <= j < hi} q_j e^{-theta (j - k)}, with q read off one
-    irfft of the tilted generating function at the M/2 + 1 frequencies
-    z_f = e^{-2 pi i f / M}, and the log of the gain of round-off in T,
-    max q sum_j e^{-theta (j - k)} / T.  Readings below four times the largest
-    negative one, which is pure round-off, are left out."""
+def _window_tail(plan: _TiltPlan) -> tuple[float, float, float]:
+    """(log P(K_n >= k), log of the tail's share T / sum q of the tilted law,
+    bound on the relative round-off of P).  q_j = P(K_n = j) e^{theta j} up
+    to a tracked factor is read off one irfft of the generating function at
+    the M/2 + 1 frequencies z_f = e^{-2 pi i f / M}, and T = sum q_j
+    e^{-theta (j - k)} over k <= j < hi.  Round-off, by the standard bounds
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5 and 24.1):
+    the n factors of each power, their products and rescalings carry at most
+    g = sqrt(2) (s + 4) eps each, so |error of G(z_f)| <= ((1 + g)^m - 1) G(1)
+    with m = n + 2 log2 n + 2, and the irfft adds 5 log2(M) eps G(1) to every
+    reading; the weights and sums add (log2 M + 4 + theta (hi - k)) eps, and
+    assembling the log adds eps (2 log2 n + 4) times its terms' magnitudes."""
     size, rise, n = plan.size, plan.rise, plan.n
     a, c = _tilted(plan.p, rise, plan.theta)
-    phase = np.exp(-2j * np.pi / size * (np.outer(np.arange(size // 2 + 1), rise) % size))
-    sums, log_scale = _power_sums(a[None] * (math.exp(c - plan.log_norm / n) * phase[:, None, :]),
-                                  plan.pi, n)
-    q = np.fft.irfft(sums, size)
+    sums, tops = np.empty(size // 2 + 1, dtype=complex), []
+    for f in range(0, sums.size, plan.slab):
+        fs = np.arange(f, min(f + plan.slab, sums.size))
+        phase = np.exp(-2j * np.pi / size * (np.outer(fs, rise) % size))
+        sums[fs], log_scale = _power_sums(a[None] * phase[:, None, :], plan.pi, n, tops)
+    q, mass = np.fft.irfft(sums, size), float(sums[0].real)
     ks = np.arange(plan.k, min(plan.window[1], plan.top + 1))
-    v, w = q[ks % size], -plan.theta * (ks - plan.k)
-    live = v > -4.0 * min(float(q.min()), 0.0)
-    with np.errstate(divide="ignore"):  # nothing live: T = 0, an infinite gain
-        log_t = float(np.logaddexp.reduce(np.log(v[live]) + w[live], initial=-np.inf))
-    return log_t + log_scale, math.log(q.max()) + float(np.logaddexp.reduce(w)) - log_t
-
-
-def _log_outside(plan: _TiltPlan) -> float:
-    """log of a Chernoff bound on 2 U + L, U the tilted mass at or past the
-    window's end hi (missed by the tail and aliased into it) and L the mass
-    below its start lo (aliased in): sum_{j >= a} q_j <= e^{-(phi - theta) a}
-    E e^{phi K_n} / E e^{theta K_n} for phi >= theta, mirrored below, with phi
-    the Perron tilt whose mean is at a."""
-    lo, hi = plan.window
-    p, rise, n = plan.p, plan.rise, plan.n
-    terms = []
-    for edge, weight, side in ((hi, 2.0, max), (lo - 1, 1.0, min)):
-        if 0 <= edge <= plan.top:
-            phi = side(_solve_tilt(_perron_moments(p, rise, n, edge), plan.theta,
-                                   TILT_REACH / int(rise.max()))[0], plan.theta)
-            terms.append(math.log(weight) + _tilt_moments(p, plan.pi, rise, n, phi, 0.0)[0]
-                         - plan.log_norm - (phi - plan.theta) * edge)
-    return float(np.logaddexp.reduce(terms)) if terms else -math.inf
+    v, w = q[ks % size], np.exp(-plan.theta * (ks - plan.k))
+    t = float(v @ w)
+    if not t > 0:  # round-off swamps the tail
+        return -math.inf, -math.inf, math.inf
+    eps, bits = np.finfo(float).eps, n.bit_length()
+    steps = n + 2 * bits + 2
+    per_reading = (math.expm1(steps * math.log1p(math.sqrt(2) * (rise.size + 4) * eps))
+                   + 5 * math.log2(size) * eps) * mass
+    sums_err = (math.log2(size) + 4 + abs(plan.theta) * ks.size) * eps * float(np.abs(v) @ w)
+    parts = (math.log(t), log_scale, n * c, plan.theta * plan.k)
+    log_err = (2 * bits + 4) * eps * sum(map(abs, parts))
+    return (parts[0] + parts[1] + parts[2] - parts[3], math.log(t / mass),
+            (per_reading * float(w.sum()) + sums_err) / t + log_err)
 
 
 def _top_sum(p: np.ndarray, rise: np.ndarray, n: int) -> int:
@@ -556,29 +598,6 @@ def _tilted(p: np.ndarray, rise: np.ndarray, phi: float) -> tuple[np.ndarray, fl
     """(P diag(e^{phi rise - c}), c) with c = max(phi rise): entries at most 1."""
     c = max(phi, 0.0) * int(rise.max())
     return p * np.exp(phi * rise - c), c
-
-
-def _perron_moments(p: np.ndarray, rise: np.ndarray, n: int, k: float):
-    """phi -> (n log lambda, n Lambda' - k, n Lambda''), Lambda = log lambda and
-    lambda the Perron root of A = P diag(e^{phi rise}).  With right and left
-    Perron vectors r, l (l.r = 1), Lambda' = sum l rise r and Lambda'' = sum
-    l rise^2 r + 2 sum l rise r1 - 2 Lambda' l.r1 - Lambda'^2, where
-    (lambda - A) r1 = (A diag(rise) - lambda Lambda') r is solved through the
-    nonsingular lambda - A + lambda r l^T."""
-    def moments(phi: float) -> tuple[float, float, float]:
-        a, c = _tilted(p, rise, phi)
-        w, vecs = np.linalg.eig(a)
-        i = np.argmax(w.real)
-        lam, r = w[i].real, np.abs(vecs[:, i].real)
-        w, vecs = np.linalg.eig(a.T)
-        left = np.abs(vecs[:, np.argmax(w.real)].real)
-        left /= left @ r
-        d1 = float(left @ (rise * r))
-        r1 = np.linalg.solve(lam * (np.eye(rise.size) + np.outer(r, left)) - a,
-                             a @ (rise * r) - lam * d1 * r)
-        d2 = float(left @ (rise * rise * r) + 2.0 * left @ (rise * r1) - 2.0 * d1 * (left @ r1))
-        return n * (math.log(lam) + c), n * d1 - k, n * (d2 - d1 * d1)
-    return moments
 
 
 def _tilt_moments(p: np.ndarray, pi: np.ndarray, rise: np.ndarray, n: int, phi: float,
@@ -631,32 +650,42 @@ def _solve_tilt(moments, phi: float, reach: float) -> tuple[float, float, float]
         if not lo < step < hi:
             end = hi if f < 0 else lo
             step = end if end in ends else 0.5 * (lo + hi)
-        phi = step
+        last, phi = phi, step
+    else:
+        phi = last  # the tilt the returned moments belong to
     return phi, log_norm, sd
 
 
-def _power_sums(stack: np.ndarray, start: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+def _power_sums(stack: np.ndarray, start: np.ndarray, n: int, tops: list[float]
+                ) -> tuple[np.ndarray, float]:
     """start^T stack[f]^n 1 for every f, over a common factor e^{log_scale}
     returned with them, by binary powering in place (stack is consumed).
-    Entries are rescaled by the largest of stack[0], which is real and
-    nonnegative and bounds every other matrix of the stack entrywise."""
+    Entries are rescaled by the largest of the z = 1 matrix's powers, which
+    bound every other frequency's entrywise: an empty `tops` is the first slab,
+    whose stack[0] is that matrix, and is filled with the divisors it uses;
+    later slabs reuse them, so that slabs of one transform share one scale."""
     x, spare = stack, np.empty_like(stack)
     u = np.repeat(start[None].astype(stack.dtype), stack.shape[0], axis=0)
+    divisors = iter(tops) if tops else None
     log_scale = log_x = 0.0
+
+    def rescale(v: np.ndarray) -> float:
+        top = next(divisors) if divisors else float(np.abs(v[0]).max())
+        if not divisors:
+            tops.append(top)
+        v /= top
+        return math.log(top)
+
     while True:
         if n & 1:
             u = np.matmul(u[:, None, :], x)[:, 0, :]
-            top = float(np.abs(u[0]).max())
-            u /= top
-            log_scale += log_x + math.log(top)
+            log_scale += log_x + rescale(u)
         n >>= 1
         if not n:
             return u.sum(axis=1), log_scale
         np.matmul(x, x, out=spare)
         x, spare = spare, x
-        top = float(np.abs(x[0]).max())
-        x /= top
-        log_x = 2.0 * log_x + math.log(top)
+        log_x = 2.0 * log_x + rescale(x)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from .errors import (
 )
 from .exact import (
     SNAP_ULPS,
+    WORK_CAP_S,
     _ks_sweep,
-    _sum_law_ops,
+    _sum_law_seconds,
     _sum_law_tables,
     _tilt_plan,
     _tilt_run,
@@ -237,17 +238,17 @@ def empirical_ks(samples, sigma_n: float) -> float:
 @dataclass(frozen=True)
 class MdpDiagnostic:
     """Scaled log tails a_n^2 ln P(a_n W_n >= c) along a horizon grid, next to
-    the claimed limit -c^2 / (2 sigma^2).  ``truncation_bound[i]`` certifies
-    the relative truncation error of the i-th tail probability: 0 where it
-    comes from the binomial closed form or the DP, at most TAIL_RTOL from the
-    tilted transform."""
+    the claimed limit -c^2 / (2 sigma^2).  ``error_bound[i]`` bounds the
+    relative error of the i-th tail probability: 0 where it comes from the
+    binomial closed form or the DP; from the tilted transform, its truncation
+    (at most TAIL_RTOL) plus its round-off (at most ROUNDOFF_RTOL)."""
 
     c: float
     a_exponent: float
     n_grid: np.ndarray
     scaled: np.ndarray
     limit: float
-    truncation_bound: np.ndarray
+    error_bound: np.ndarray
 
     def to_csv(self) -> str:
         lines = ["n,scaled_log_tail,limit"]
@@ -260,12 +261,14 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
     I.i.d. sign models use the closed-form binomial tail in log space, which
-    reaches n = 10^6 in milliseconds.  Other exact models take the cheaper of
-    two routes by operation count: `tilted_log_tail` per n, O(M s^3 log n)
-    with M about 20 tilted standard deviations (n = 10^6 on two states in well
-    under a second), or one sum-law DP pass to the largest n, O(s^2 n^2 spread),
-    which wins on many states at small n.  A route past its memory budget is
-    not taken while the other fits.
+    reaches n = 10^6 in milliseconds.  Other exact models take the route
+    estimated to be quicker from the model and the grid alone (run times
+    fitted once, `_TiltPlan.seconds` and `_sum_law_seconds`): `tilted_log_tail`
+    per n, O(M s^3 log n) with M about 20 tilted standard deviations (n = 10^6
+    on two states in under a tenth of a second), or one sum-law DP pass to the
+    largest n, O(s^2 n^2 spread), which wins on many states at small n
+    (dyadic L=6 on the grid 8, 32, 128).  The transform is not taken past its
+    memory budget or WORK_CAP_S at any n of the grid.
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
@@ -286,19 +289,21 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * (1.0 if iid else long_run_variance(model)))
     return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
-                         truncation_bound=bound)
+                         error_bound=bound)
 
 
 def _kernel_plans(model, ns, ans, c: float):
-    """The tilted transform's plans for the grid, or None when the DP pass is
-    the cheaper route: fewer cell updates than the transform's operations, or
-    the transform past its budget at some n."""
+    """The tilted transform's plans for the grid, or None when one DP pass is
+    estimated to be quicker (`_TiltPlan.seconds` summed over the grid against
+    `_sum_law_seconds` to its largest n), or the transform would pass its
+    memory budget or WORK_CAP_S at some n: then the DP runs, or refuses the
+    grid before its first step."""
     if not ns.size:
         return None
     plans = [_tilt_plan(model, int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
     tilted = [p for p in plans if isinstance(p, _TiltPlan)]
-    if (any(p.need_bytes > DEFAULT_BUDGET_BYTES for p in tilted)
-            or sum(p.ops for p in tilted) >= _sum_law_ops(model, int(ns.max()))):
+    if (any(p.need_bytes > DEFAULT_BUDGET_BYTES or p.seconds > WORK_CAP_S for p in tilted)
+            or sum(p.seconds for p in tilted) >= _sum_law_seconds(model, int(ns.max()))):
         return None
     return plans
 

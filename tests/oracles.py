@@ -357,3 +357,26 @@ def empirical_ks_by_one_sided_maxima(samples, sigma_n: float) -> float:
     n = w.size
     phi = 0.5 * special.erfc(-w / np.sqrt(2.0))
     return float(max(np.max(np.arange(1, n + 1) / n - phi), np.max(phi - np.arange(n) / n)))
+
+
+def exact_tail_fraction(model, n: int, threshold: float) -> Fraction:
+    """P(S_n >= threshold) for the centred sum, exactly: a forward DP over
+    (state, raw payoff sum) in Python integers on the binary fractions the
+    transition and stationary arrays hold, every entry scaled to an integer
+    by the largest of their denominators."""
+    scale = max(Fraction(float(v)).denominator for v in [*model.transition.flat, *model.pi]
+                ).bit_length() - 1  # denominators of binary fractions are powers of two
+    trans = [[int(Fraction(float(v)) * 2 ** scale) for v in row] for row in model.transition]
+    xnum = [int(v) for v in model.f_num]
+    cur = [{xnum[j]: int(Fraction(float(v)) * 2 ** scale)} for j, v in enumerate(model.pi)]
+    for _ in range(n - 1):
+        nxt = [{} for _ in xnum]
+        for i, col in enumerate(cur):
+            for k, c in col.items():
+                for j, a in enumerate(trans[i]):
+                    if a:
+                        nxt[j][k + xnum[j]] = nxt[j].get(k + xnum[j], 0) + c * a
+        cur = nxt
+    # inclusive at atoms: a threshold a rounding away from an atom takes it
+    cut = (Fraction(threshold) + n * model.mean_fraction) * model.denom - Fraction(1, 2 ** 20)
+    return Fraction(sum(c for col in cur for k, c in col.items() if k >= cut), 2 ** (scale * n))

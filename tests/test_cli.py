@@ -215,14 +215,15 @@ def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, com
     assert not out.exists()
 
 
-def test_verify_past_the_dp_work_cap_exits_2(tmp_path, capsys):
-    # dyadic L=6 at n = 4096: the DP table fits in memory, but its 2.2e12 cell
-    # updates would run for about ten minutes
+@pytest.mark.parametrize("model, n", [("dyadic_contracting:L=6", 4096), ("two_state:rho=0.4", 200000)])
+def test_verify_past_the_dp_work_cap_exits_2(model, n, tmp_path, capsys):
+    # the DP tables fit in memory, but dyadic L=6 at n = 4096 (2.2e12 cell
+    # updates) would run for about ten minutes, and two_state at n = 200000
+    # (8e10, where each column's exp and log cost more than its mixing) nine
     out = tmp_path / "out"
-    assert run_cli(["verify", "--model", "dyadic_contracting:L=6", "--n", "4096", "--m", "8",
-                    "--out", str(out)]) == 2
+    assert run_cli(["verify", "--model", model, "--n", str(n), "--m", "8", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "cell updates" in err
+    assert "Traceback" not in err and "past the cap of 60 s" in err
     assert not out.exists()
 
 

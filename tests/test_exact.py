@@ -26,7 +26,8 @@ from mdlab import (
 )
 from mdlab import exact
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
-from mdlab.exact import (TAIL_RTOL, _max_abs_tail, _prefix_logsum, _sum_law_steps,
+from mdlab.models import DEFAULT_BUDGET_BYTES
+from mdlab.exact import (_max_abs_tail, _prefix_logsum, _sum_law_steps,
                          _suffix_logsum, _sum_law_tables, conditional_sum_norms, sigma_any,
                          tilted_log_tail)
 from mdlab.normal import normal_cdf, normal_log_sf
@@ -359,11 +360,11 @@ def test_budget_guard():
 def test_work_guard_refuses_the_dense_dp_before_its_first_step():
     # dyadic L=6 at n = 4096 fits in about 0.43 GB but needs 2.2e12 cell updates
     model = builtin("dyadic_contracting", L=6)
-    assert exact._sum_law_ops(model, 4096) > exact.DP_WORK_CAP
-    with pytest.raises(BudgetExceeded, match="cell updates"):
+    assert exact._sum_law_seconds(model, 4096) > exact.WORK_CAP_S
+    with pytest.raises(BudgetExceeded, match="past the cap"):
         next(_sum_law_steps(model, 4096))
-    # the largest DP the CLI runs by default on 64 states (mdp --n 48) is admitted
-    assert exact._sum_law_ops(model, 16 * 48) <= exact.DP_WORK_CAP
+    # the largest DP mdp --n 48 could take on 64 states is admitted
+    assert exact._sum_law_seconds(model, 16 * 48) <= exact.WORK_CAP_S
 
 
 # -- tails at large n: the tilted transform ----------------------------------
@@ -393,7 +394,23 @@ def test_tilted_tail_matches_the_dp(name, n, monkeypatch):
                 table.sum_values[1], table.sum_values[-2]):
         got, bound = tilted_log_tail(model, n, float(thr))
         assert _close(got, float(exact_tail(table, thr / sd))), (thr, got)
-        assert 0.0 <= bound <= TAIL_RTOL
+        # the round-off bound grows like n s times the tilted sd
+        assert 0.0 <= bound <= 1e-7
+
+
+@pytest.mark.parametrize("name, n", [("two_state:0.4", 64), ("two_state:0.4", 200),
+                                     ("dyadic:3", 64), ("asymmetric3", 64)])
+def test_tilted_tail_bound_covers_its_error(name, n, monkeypatch):
+    # against the exact law in integers: the bound (truncation plus round-off)
+    # holds, up to the rounding of the returned log itself
+    model = _oracle_model(name)
+    sd = sigma_n(model, n) * math.sqrt(n)
+    _no_dp_fallback(monkeypatch)
+    for thr in (0.0, 0.5 * sd, -2.0 * sd, 3.0 * sd, n ** 0.75, 0.3 * n):
+        got, bound = tilted_log_tail(model, n, float(thr))
+        want = oracles.exact_tail_fraction(model, n, float(thr))
+        assert want > 0 and 0.0 < bound <= 1e-9
+        assert abs(math.expm1(got - math.log(want))) <= bound + 4 * np.finfo(float).eps, thr
 
 
 @pytest.mark.parametrize("n", [16, 81, 256, 625, 4096])
@@ -407,7 +424,7 @@ def test_tilted_tail_is_inclusive_at_atoms(two_state04, n, monkeypatch):
     _no_dp_fallback(monkeypatch)
     got, bound = tilted_log_tail(two_state04, n, thr)
     assert _close(got, float(exact_tail(table, thr / (table.sigma_n * math.sqrt(n)))))
-    assert bound <= TAIL_RTOL
+    assert bound <= 1e-8
     # the atom's own mass is in the tail: the next lattice point up is the next atom
     assert tilted_log_tail(two_state04, n, atom + 1.0)[0] == tilted_log_tail(two_state04, n, atom + 2.0)[0] < got
     an = float(n) ** -0.25
@@ -453,13 +470,15 @@ def test_tilted_tail_hands_unresolvable_tails_to_the_dp(monkeypatch):
     assert calls and set(calls) == {n}
 
 
-def test_tilted_tail_budget_raises_before_allocating():
-    # the (M/2 + 1, 64, 64) complex stacks at n = 4096 would need about 17 GB
+@pytest.mark.parametrize("n, budget", [(1 << 18, DEFAULT_BUDGET_BYTES), (256, 1 << 20)])
+def test_tilted_tail_budget_raises_before_allocating(n, budget):
+    # 64 states: at n = 2^18 the powers of about 1.3e5 frequencies would run
+    # for about two and a half minutes; at n = 256 one slab of them passes 1 MiB
     model = builtin("dyadic_contracting", L=6)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="tilted transform"):
-            tilted_log_tail(model, 4096, 4096 ** 0.75)
+            tilted_log_tail(model, n, n ** 0.75, budget_bytes=budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -428,7 +428,7 @@ def test_mdp_grid_matches_per_n_tables(name):
     assert passes == [[64, 64]]  # this small grid is cheaper on the DP than by the transform
     assert diag.n_grid.tolist() == grid
     assert diag.scaled.tobytes() == np.array(want).tobytes()
-    assert diag.truncation_bound.tolist() == [0.0] * 4
+    assert diag.error_bound.tolist() == [0.0] * 4
     assert [line.split(",")[0] for line in diag.to_csv().splitlines()[1:]] == \
         ["64", "8", "64", "1"]
 
@@ -475,13 +475,13 @@ def test_mdp_transform_matches_the_dp(name, grid, monkeypatch):
     assert passes == []
     want = [n ** -0.5 * float(exact_tail(t, n ** 0.25 / t.sigma_n)) for n, t in zip(grid, tables)]
     assert np.allclose(diag.scaled, want, rtol=1e-12, atol=0)
-    assert np.all(diag.truncation_bound <= exact.TAIL_RTOL)
+    assert np.all((0.0 < diag.error_bound) & (diag.error_bound <= 1e-7))
 
 
 def test_mdp_reaches_a_million_steps_on_a_chain(two_state04):
     diag = mdp_diagnostic(two_state04, 1.0, 0.25, [10 ** 6])
     assert abs(diag.scaled[0] - (-3.0 / 14.0)) < 0.01
-    assert diag.truncation_bound[0] <= exact.TAIL_RTOL
+    assert 0.0 < diag.error_bound[0] <= exact.ROUNDOFF_RTOL
 
 
 @pytest.mark.parametrize("model", ["two_state04", "rademacher"])
