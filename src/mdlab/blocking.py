@@ -25,7 +25,7 @@ from .errors import (
     ParamOutOfRange,
     TrajectoryTooShort,
 )
-from .exact import conditional_block_moments, sigma_any
+from .exact import _csv, conditional_block_moments, sigma_any
 from .models import FiniteLatticeModel, Trajectory, _require_exact, child_rng
 
 VARIANTS = ("split_remainder", "martingale_all")
@@ -60,14 +60,11 @@ class BlockDecomposition:
         return float(self.quad_char[-1]) if self.quad_char.size else 0.0
 
     def to_csv(self) -> str:
-        lines = ["i,block_sum,predictable,martingale_diff"]
-        for i, s in enumerate(self.block_sums, start=1):
-            if i <= self.diffs.size:
-                lines.append(f"{i},{s:.17g},{self.predictable[i - 1]:.17g},"
-                             f"{self.diffs[i - 1]:.17g}")
-            else:
-                lines.append(f"{i},{s:.17g},,")
-        return "\n".join(lines) + "\n"
+        """Blocks past the martingalized ones get blank predictable and diff cells."""
+        d, i = self.diffs.size, np.arange(1, self.block_sums.size + 1)
+        head = "i,block_sum,predictable,martingale_diff"
+        full = _csv(head, [i[:d], self.block_sums[:d], self.predictable[:d], self.diffs])
+        return full + _csv(head, [i[d:], self.block_sums[d:], None, None]).partition("\n")[2]
 
 
 def decompose(model, trajectory: Trajectory, m: int,

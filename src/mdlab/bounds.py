@@ -22,6 +22,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, GateReport, admissibility
 from .errors import GammaTooLarge, MissingNorms, NegativeX, ParamOutOfRange
+from .exact import _csv
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
 
@@ -47,10 +48,7 @@ class BoundCurve:
     constants: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["x,value,valid"]
-        lines += [f"{x:.17g},{v:.17g},{int(ok)}"
-                  for x, v, ok in zip(self.x_grid, self.value, self.valid)]
-        return "\n".join(lines) + "\n"
+        return _csv("x,value,valid", [self.x_grid, self.value, self.valid])
 
     def to_json_dict(self) -> dict:
         return {"schema": "bound_curve/1", "kind": self.kind,

@@ -46,7 +46,7 @@ from .coefficients import (
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
 from .errors import BudgetExceeded, ConfigError, MdlabError, VerificationError
-from .exact import (_max_abs_tail, conditional_sum_norms, distribution_of_Sn,
+from .exact import (_csv, _max_abs_tail, conditional_sum_norms, distribution_of_Sn,
                     exact_tail, ks_distance_exact, sigma_any)
 from .models import DEFAULT_BUDGET_BYTES, builtin, parse_model_text
 from .montecarlo import _binomial_log_tail, mdp_diagnostic, ratio_curve
@@ -248,14 +248,11 @@ def cmd_verify(cfg: dict):
 
     manifest = _manifest(cfg)
     env = envelope_curve(coeffs, pos, c, gate_mode)
-    lines = ["x,exact_tail,bernstein,envelope,envelope_valid"]
-    for i, x in enumerate(pos):
-        lines.append(f"{x:.17g},{exact_p[i]:.17g},{bern[i]:.17g},"
-                     f"{env.value[i]:.17g},{int(env.valid[i])}")
     qd = quadratic_characteristic_deviation(model, n, m)
     files = {
         "ratio.csv": _text_file(manifest, curve.to_csv()),
-        "bounds.csv": _text_file(manifest, "\n".join(lines) + "\n"),
+        "bounds.csv": _text_file(manifest, _csv("x,exact_tail,bernstein,envelope,envelope_valid",
+                                                [pos, exact_p, bern, env.value, env.valid])),
         "ks.json": _json_file(manifest, {
             "model": model.describe(),
             "n": n, "m": m,
@@ -288,11 +285,9 @@ def cmd_coupling(cfg: dict):
                           alpha=cfg.get("alpha", 1.0), c_alpha=cfg.get("c_alpha", 1.0))
     table = distribution_of_Sn(model, n)
     y, z = sample_coupled_pairs(build_quantile_transform(table), draws, cfg["seed"])
-    lines = ["z,y,gap"]
-    lines += [f"{zv:.17g},{yv:.17g},{abs(yv - zv):.17g}" for yv, zv in zip(y, z)]
     manifest = _manifest(cfg)
     return {"coupling.json": _json_file(manifest, {"report": rep.to_json_dict()}),
-            "pairs.csv": _text_file(manifest, "\n".join(lines) + "\n")}, None
+            "pairs.csv": _text_file(manifest, _csv("z,y,gap", [z, y, np.abs(y - z)]))}, None
 
 
 def cmd_mdp(cfg: dict):

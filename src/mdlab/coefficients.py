@@ -30,12 +30,14 @@ from scipy.special import zeta
 
 from .errors import (
     BetaOutOfRange,
+    BudgetExceeded,
     InsufficientCertificateLength,
     NoDecayCertificate,
     ParamOutOfRange,
     WindowTooSmall,
 )
 from .exact import (
+    WORK_CAP_S,
     _block_moment_steps,
     conditional_block_moments,
     long_run_variance,
@@ -205,16 +207,17 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float,
     h = poisson_solution(model)
     h_norm = float(np.max(np.abs(h)))
 
-    j_cap = 1 << 22
-    j = 64
-    while True:
-        err = float(zeta(1.5, j + 1)) * env.residual(m * (j + 1)) / scale
-        if err <= tol or j >= j_cap:
-            break
+    j = 64  # doubled until the tail is certified below tol, or up to 2^22
+    while ((err := float(zeta(1.5, j + 1)) * env.residual(m * (j + 1)) / scale) > tol
+           and j < 1 << 22):
         j *= 2
     if err > tol:
         raise NoDecayCertificate(
             f"drift series tail cannot be certified below {tol} (J={j}, err={err})")
+    # J steps of 0.25 ns per s^2 term and 8 us besides (fitted on a shared 2-core x86 host)
+    if (secs := j * (2.5e-10 * model.n_states ** 2 + 8e-6)) > WORK_CAP_S:
+        raise BudgetExceeded(f"drift series to J = {j} on {model.n_states} states would run "
+                             f"about {secs:.3g} s, past the cap of {WORK_CAP_S:g} s")
 
     # E[S_t | Y_0] = h - P^t h, stepped through t = m, 2m, ..., Jm with P^m
     p_m = np.linalg.matrix_power(model.transition, m)

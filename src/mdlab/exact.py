@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -52,6 +52,22 @@ TILT_REACH = 300.0  # largest |theta| * spread: a product of two e^-300 stays no
 TAIL_RTOL = 1e-13  # largest Chernoff bound on a tilted tail's relative truncation error
 ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; past it the DP answers
 TILT_S = 1e-3  # estimated seconds of a tilted tail's tilts and Chernoff bounds
+CSV_CHUNK = 4096  # rows `_csv` formats per step
+
+
+def _csv(header: str, columns) -> str:
+    """The header, then one line per row: float columns as %.17g (the bytes of
+    f"{x:.17g}"), integer and bool columns as %d, None as blank cells.  Rows
+    are formatted CSV_CHUNK at a time, so no full-length list is ever built."""
+    cols = [None if c is None else np.asarray(c) for c in columns]
+    live = [c for c in cols if c is not None]
+    fmt = ",".join("" if c is None else "%.17g" if c.dtype.kind == "f" else "%d"
+                   for c in cols) + "\n"
+    parts = [header + "\n"]
+    for lo in range(0, len(live[0]), CSV_CHUNK):
+        chunk = [c[lo:lo + CSV_CHUNK].tolist() for c in live]
+        parts.append(fmt * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -117,9 +133,7 @@ class TailTable:
                    sigma_n=float(obj["sigma_n"]), center=float(obj.get("center", 0.0)))
 
     def to_csv(self) -> str:
-        lines = ["sum,logp"]
-        lines += [f"{int(k)},{v:.17g}" for k, v in zip(self.offsets, self.logp)]
-        return "\n".join(lines) + "\n"
+        return _csv("sum,logp", [self.offsets, self.logp])
 
 
 @dataclass(frozen=True)

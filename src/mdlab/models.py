@@ -210,31 +210,33 @@ def _bfs_levels(adj: np.ndarray) -> np.ndarray:
 
 
 def _exact_stationary(rows: list[dict]) -> list[Fraction]:
-    """Solve pi P = pi, sum(pi) = 1 by Gaussian elimination over Fractions.
-
-    ``rows[j]`` maps the nonzero columns of row j to their exact entries.
-    """
+    """Solve pi P = pi, sum(pi) = 1 by fraction-free (Bareiss 1968) elimination
+    over the integers; ``rows[j]`` maps row j's nonzero columns to exact entries.
+    Column j of (P^T - I), last equation sum(pi) = 1, is scaled by D_j = lcm of
+    row j's denominators; back-substitution gives X_j = det pi_j / D_j exactly."""
     n = len(rows)
-    # Build (P^T - I) with the last equation replaced by sum(pi) = 1.
-    a = [[rows[j].get(i, 0) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    b = [Fraction(0)] * n
-    a[-1] = [Fraction(1)] * n
-    b[-1] = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    scale = [math.lcm(*(v.denominator for v in row.values())) for row in rows]
+    a = [[0] * (n + 1) for _ in range(n)]  # [A | b]
+    for j, row in enumerate(rows):
+        a[j][j] = -scale[j]
+        for i, v in row.items():
+            a[i][j] += v.numerator * (scale[j] // v.denominator)
+    a[-1] = scale + [1]
+    det = 1  # the previous pivot, which divides each step; det(A) after the last
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise ReducibleChain("stationary system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return b
+        a[k], a[piv] = a[piv], a[k]
+        p, top = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * p - f * y) // det for x, y in zip(row[k + 1:], top)]
+        det = p
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (det * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
+    return [Fraction(d * v, det) for d, v in zip(scale, x)]
 
 
 def _float_stationary(p: np.ndarray) -> np.ndarray:

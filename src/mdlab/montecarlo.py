@@ -40,6 +40,7 @@ from .exact import (
     _tilt_plan,
     _tilt_run,
     _TiltPlan,
+    _csv,
     distribution_of_Sn,
     exact_lower_tail,
     exact_tail,
@@ -78,10 +79,8 @@ class TailEstimate:
 
 
 def tails_to_csv(estimates: list["TailEstimate"]) -> str:
-    lines = ["x,p,lo,hi"]
-    lines += [f"{t.x:.17g},{t.estimate:.17g},{t.lo:.17g},{t.hi:.17g}"
-              for t in estimates]
-    return "\n".join(lines) + "\n"
+    return _csv("x,p,lo,hi", [np.array([getattr(t, f) for t in estimates], dtype=float)
+                              for f in ("x", "estimate", "lo", "hi")])
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,9 @@ class RatioCurve:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left"]
-        for i, x in enumerate(self.x_grid):
-            def cell(arr):
-                return "" if arr is None else f"{arr[i]:.17g}"
-            lines.append(",".join([
-                f"{x:.17g}", f"{self.right[i]:.17g}", cell(self.right_lo),
-                cell(self.right_hi), cell(self.envelope), f"{self.left[i]:.17g}",
-                cell(self.left_lo), cell(self.left_hi)]))
-        return "\n".join(lines) + "\n"
+        return _csv("x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left",
+                    [self.x_grid, self.right, self.right_lo, self.right_hi, self.envelope,
+                     self.left, self.left_lo, self.left_hi])
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +244,8 @@ class MdpDiagnostic:
     error_bound: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["n,scaled_log_tail,limit"]
-        lines += [f"{int(n)},{v:.17g},{self.limit:.17g}"
-                  for n, v in zip(self.n_grid, self.scaled)]
-        return "\n".join(lines) + "\n"
+        return _csv("n,scaled_log_tail,limit",
+                    [self.n_grid, self.scaled, np.full(len(self.scaled), float(self.limit))])
 
 
 def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:

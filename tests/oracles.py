@@ -380,3 +380,85 @@ def exact_tail_fraction(model, n: int, threshold: float) -> Fraction:
     # inclusive at atoms: a threshold a rounding away from an atom takes it
     cut = (Fraction(threshold) + n * model.mean_fraction) * model.denom - Fraction(1, 2 ** 20)
     return Fraction(sum(c for col in cur for k, c in col.items() if k >= cut), 2 ** (scale * n))
+
+
+def fraction_stationary(transition) -> list[Fraction]:
+    """pi P = pi, sum(pi) = 1 by Gauss-Jordan elimination over Fractions, on
+    the rows renormalised in exact rational arithmetic."""
+    rows = [[Fraction(float(v)) for v in raw] for raw in np.asarray(transition, dtype=float)]
+    rows = [[v / sum(r) for v in r] for r in rows]
+    n = len(rows)
+    # (P^T - I) with the last equation replaced by sum(pi) = 1
+    a = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    b = [Fraction(0)] * n
+    a[-1] = [Fraction(1)] * n
+    b[-1] = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        b[col] *= inv
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+                b[r] -= f * b[col]
+    return b
+
+
+# Per-row f-string CSV writers: each file's body as it was first written,
+# one formatted string per row, for byte comparison with the chunked writer.
+
+def rows_csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def tail_table_csv(table) -> str:
+    return rows_csv("sum,logp", (f"{int(k)},{v:.17g}" for k, v in zip(table.offsets, table.logp)))
+
+
+def bound_curve_csv(curve) -> str:
+    return rows_csv("x,value,valid", (f"{x:.17g},{v:.17g},{int(ok)}" for x, v, ok
+                                      in zip(curve.x_grid, curve.value, curve.valid)))
+
+
+def tails_csv(estimates) -> str:
+    return rows_csv("x,p,lo,hi", (f"{t.x:.17g},{t.estimate:.17g},{t.lo:.17g},{t.hi:.17g}"
+                                  for t in estimates))
+
+
+def ratio_curve_csv(curve) -> str:
+    def cell(arr, i):
+        return "" if arr is None else f"{arr[i]:.17g}"
+    return rows_csv("x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left", (",".join([
+        f"{x:.17g}", f"{curve.right[i]:.17g}", cell(curve.right_lo, i),
+        cell(curve.right_hi, i), cell(curve.envelope, i), f"{curve.left[i]:.17g}",
+        cell(curve.left_lo, i), cell(curve.left_hi, i)]) for i, x in enumerate(curve.x_grid)))
+
+
+def mdp_csv(diag) -> str:
+    return rows_csv("n,scaled_log_tail,limit", (f"{int(n)},{v:.17g},{diag.limit:.17g}"
+                                                for n, v in zip(diag.n_grid, diag.scaled)))
+
+
+def verify_bounds_csv(pos, exact_p, bern, env_value, env_valid) -> str:
+    return rows_csv("x,exact_tail,bernstein,envelope,envelope_valid", (
+        f"{x:.17g},{exact_p[i]:.17g},{bern[i]:.17g},{env_value[i]:.17g},{int(env_valid[i])}"
+        for i, x in enumerate(pos)))
+
+
+def coupling_pairs_csv(y, z) -> str:
+    return rows_csv("z,y,gap", (f"{zv:.17g},{yv:.17g},{abs(yv - zv):.17g}"
+                                for yv, zv in zip(y, z)))
+
+
+def block_decomposition_csv(dec) -> str:
+    rows = []
+    for i, s in enumerate(dec.block_sums, start=1):
+        if i <= dec.diffs.size:
+            rows.append(f"{i},{s:.17g},{dec.predictable[i - 1]:.17g},{dec.diffs[i - 1]:.17g}")
+        else:
+            rows.append(f"{i},{s:.17g},,")
+    return rows_csv("i,block_sum,predictable,martingale_diff", rows)

@@ -292,3 +292,23 @@ def test_gates_reject_unknown_mode(rademacher):
     cs = coefficient_set(rademacher, 64, 2)
     with pytest.raises(ParamOutOfRange):
         admissibility(cs, "lenient")
+
+
+def test_runaway_drift_series_is_refused_before_its_first_mat_vec(monkeypatch, tmp_path, capsys):
+    # rho = 0.99999 needs J = 2^22 mat-vecs at m = 1: about 33 s on a 2-core host
+    from mdlab import cli, coefficients
+    from mdlab.errors import BudgetExceeded
+
+    def no_power(*args):
+        raise AssertionError("the drift series stepped past its cap")
+
+    model = builtin("two_state", rho=0.99999)
+    monkeypatch.setattr(coefficients, "WORK_CAP_S", 1.0)
+    monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+    with pytest.raises(BudgetExceeded, match="drift series to J = 4194304 on 2 states"):
+        coefficients._drift_series(model, 1, 1.0, 1e-10)
+    argv = ["coeffs", "--model", "two_state:rho=0.99999", "--n", "1000000", "--m", "1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "past the cap of 1 s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,131 @@
+"""The chunked CSV writer against the per-row f-string writers it replaced:
+every file body must be byte-identical."""
+
+import numpy as np
+import pytest
+
+from mdlab import builtin, cli, decompose, distribution_of_Sn, sample_trajectory
+from mdlab.blocking import BlockDecomposition
+from mdlab.bounds import BoundCurve
+from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
+from mdlab.exact import CSV_CHUNK, TailTable, _csv
+from mdlab.montecarlo import MdpDiagnostic, RatioCurve, TailEstimate, tails_to_csv
+
+import oracles
+
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e17 + 8,
+                  2.0 ** 53 + 2, 0.1, 1 / 3, -2.5e-308, 1.7976931348623157e308, 123456789.0])
+ROWS = [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]
+
+
+def _floats(rows, seed):
+    """rows floats: the edge values first, then draws spanning many decades."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    out[:min(rows, EDGES.size)] = EDGES[:rows]
+    return out
+
+
+def _ints(rows, seed):
+    out = np.random.default_rng(seed).integers(-2 ** 62, 2 ** 62, rows)
+    out[:min(rows, 4)] = [2 ** 53 + 1, -(2 ** 53 + 1), 0, 2 ** 63 - 1][:rows]
+    return out
+
+
+def _bools(rows, seed):
+    return np.random.default_rng(seed).random(rows) < 0.5
+
+
+def assert_same(got, want):
+    """Byte equality, failing with the first differing line: pytest's own diff
+    of two 4097-row strings runs for minutes."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((k for k, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} vs {len(w)} lines)")
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_tail_table_csv_is_byte_identical(rows):
+    table = TailTable(n=3, denom=1, offsets=_ints(rows, 1), logp=_floats(rows, 2), sigma_n=1.0)
+    assert_same(table.to_csv(), oracles.tail_table_csv(table))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_bound_curve_csv_is_byte_identical(rows):
+    curve = BoundCurve(kind="k", x_grid=_floats(rows, 3), value=_floats(rows, 4)[::-1],
+                       valid=_bools(rows, 5), gate_mode="practical")
+    assert_same(curve.to_csv(), oracles.bound_curve_csv(curve))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_tails_csv_is_byte_identical(rows):
+    x, p, lo, hi = (_floats(rows, s) for s in (6, 7, 8, 9))
+    estimates = [TailEstimate(x=float(a), estimate=float(b), lo=float(c), hi=float(d),
+                              chains=10, seed=0) for a, b, c, d in zip(x, p, lo, hi)]
+    assert_same(tails_to_csv(estimates), oracles.tails_csv(estimates))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("mc", [False, True])
+def test_ratio_curve_csv_is_byte_identical(rows, mc):
+    cols = [_floats(rows, s) for s in range(10, 17)]
+    bands = dict(right_lo=cols[3], right_hi=cols[4], left_lo=cols[5], left_hi=cols[6])
+    curve = RatioCurve(x_grid=cols[0], right=cols[1], left=cols[2], source="mc" if mc else "exact",
+                       envelope=None if mc else cols[3][::-1], **(bands if mc else {}))
+    assert_same(curve.to_csv(), oracles.ratio_curve_csv(curve))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("limit", [-0.0, -3 / 14, np.nan])
+def test_mdp_csv_is_byte_identical(rows, limit):
+    diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.abs(_ints(rows, 17)),
+                         scaled=_floats(rows, 18), limit=limit, error_bound=np.zeros(rows))
+    assert_same(diag.to_csv(), oracles.mdp_csv(diag))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("blank", [0, 1, 2])
+def test_block_decomposition_csv_is_byte_identical(rows, blank):
+    d = max(rows - blank, 0)
+    pred, diffs = _floats(d, 26), _floats(d, 27)[::-1]
+    dec = BlockDecomposition(n=rows, m=1, k=d, variant="split_remainder", sigma_n=1.0,
+                             block_sums=_floats(rows, 28), predictable=pred, diffs=diffs,
+                             xi=diffs, martingale_path=diffs, quad_char=diffs)
+    assert_same(dec.to_csv(), oracles.block_decomposition_csv(dec))
+
+
+@pytest.mark.parametrize("variant", ["split_remainder", "martingale_all"])
+def test_decomposition_of_a_path_writes_the_same_csv(two_state04, variant):
+    traj = sample_trajectory(two_state04, 50, seed=3)
+    dec = decompose(two_state04, traj, 7, variant=variant)
+    assert_same(dec.to_csv(), oracles.block_decomposition_csv(dec))
+
+
+def test_zero_rows_write_the_header_only():
+    diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.zeros(0, dtype=np.int64),
+                         scaled=np.zeros(0), limit=-0.5, error_bound=np.zeros(0))
+    assert diag.to_csv() == "n,scaled_log_tail,limit\n"
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_verify_and_coupling_columns_are_byte_identical(rows):
+    pos, exact_p, bern, env = (_floats(rows, s) for s in (19, 20, 21, 22))
+    valid = _bools(rows, 23)
+    assert_same(_csv("x,exact_tail,bernstein,envelope,envelope_valid",
+                     [pos, exact_p, bern, env, valid]),
+                oracles.verify_bounds_csv(pos, exact_p, bern, env, valid))
+    # finite draws: inf - inf would warn in both writers alike
+    y, z = (np.random.default_rng(s).standard_normal(rows) * 1e3 for s in (24, 25))
+    y[:min(rows, 3)] = [-0.0, 5e-324, 2.0 ** 53 + 1][:rows]
+    assert_same(_csv("z,y,gap", [z, y, np.abs(y - z)]), oracles.coupling_pairs_csv(y, z))
+
+
+@pytest.mark.parametrize("draws", [CSV_CHUNK - 1, CSV_CHUNK + 1])
+def test_coupling_pairs_file_is_byte_identical(tmp_path, draws):
+    assert cli.main(["coupling", "--model", "two_state:rho=0.4", "--n", "16", "--m", "2",
+                     "--chains", str(draws), "--seed", "7", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "pairs.csv").read_text(encoding="utf-8")
+    table = distribution_of_Sn(builtin("two_state", rho=0.4), 16)
+    y, z = sample_coupled_pairs(build_quantile_transform(table), draws, 7)
+    assert_same(text.split("\n", 1)[1], oracles.coupling_pairs_csv(y, z))

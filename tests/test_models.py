@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,3 +351,53 @@ def test_empty_and_non_finite_models_rejected():
                   [[0.5, 0.5], [np.inf, nan]]):
         with pytest.raises(NonStochasticRow):
             build_finite_lattice_model(["a", "b"], trans, [0, 1], 1)
+
+
+def _dense_chain(size, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random((size, size))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _stationary_case(name):
+    """(raw transition, f_num, denom) handed to the model builder."""
+    from test_montecarlo import GAPPED_ROWS
+    if name.startswith("dyadic"):
+        model = builtin("dyadic_contracting", L=int(name[6:]))
+        return model.transition, model.f_num, model.denom
+    if name == "file":
+        return [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2
+    if name == "gapped":
+        return GAPPED_ROWS, range(5), 1
+    if name == "renormalised":
+        # float rows a few ulps off stochastic: every row is rescaled exactly
+        trans = _dense_chain(6, 3)
+        trans[0, 1:3] = 0.0
+        trans /= trans.sum(axis=1, keepdims=True)
+        return trans * (1.0 + 1e-14 * np.arange(1, 7))[:, None], range(6), 1
+    size = int(name[5:])
+    return _dense_chain(size, size), range(size), 1
+
+
+@pytest.mark.parametrize("name", [*(f"dyadic{L}" for L in range(1, 7)), "file", "gapped",
+                                  "renormalised", "dense8", "dense16", "dense32"])
+def test_exact_stationary_matches_fraction_elimination(name):
+    from oracles import fraction_stationary
+    trans, f_num, denom = _stationary_case(name)
+    size = np.asarray(trans).shape[0]
+    if name == "renormalised":
+        assert all(sum(Fraction(float(v)) for v in row) != 1 for row in trans)
+    model = build_finite_lattice_model(range(size), trans, f_num, denom)
+    assert list(model.pi_exact) == fraction_stationary(trans)
+
+
+def test_exact_stationary_of_a_dense_64_state_chain_is_exact():
+    # the Fraction elimination takes ~10 s here: check pi P = pi, sum pi = 1 instead
+    trans = _dense_chain(64, 64)
+    model = build_finite_lattice_model(range(64), trans, np.arange(64), 1)
+    rows = [[Fraction(float(v)) for v in r] for r in trans]
+    rows = [[v / sum(r) for v in r] for r in rows]
+    pi = model.pi_exact
+    assert sum(pi) == 1
+    for j in range(64):
+        assert sum(pi[i] * rows[i][j] for i in range(64)) == pi[j]
