@@ -33,7 +33,6 @@ from .blocking import quadratic_characteristic_deviation
 from .bounds import (
     bernstein_bound,
     berry_esseen_bound,
-    envelope_curve,
     freedman_bound,
     gaussian_tail_sandwich,
     peligrad_bound,
@@ -247,12 +246,12 @@ def cmd_verify(cfg: dict):
                     if bad), None)
 
     manifest = _manifest(cfg)
-    env = envelope_curve(coeffs, pos, c, gate_mode)
     qd = quadratic_characteristic_deviation(model, n, m)
     files = {
         "ratio.csv": _text_file(manifest, curve.to_csv()),
         "bounds.csv": _text_file(manifest, _csv("x,exact_tail,bernstein,envelope,envelope_valid",
-                                                [pos, exact_p, bern, env.value, env.valid])),
+                                                [pos, exact_p, bern, curve.envelope[xs > 0],
+                                                 curve.envelope_valid[xs > 0]])),
         "ks.json": _json_file(manifest, {
             "model": model.describe(),
             "n": n, "m": m,

@@ -53,6 +53,7 @@ from .models import (
 )
 
 ZETA_32 = float(zeta(1.5, 1))
+GAMMA_TOL = 1e-10  # certified bound on the drift series' truncation error
 
 # Admissibility gates.  Strict mode uses the paper-style constants (with the
 # proof's upper end 1/2 standing in for the existential alpha_0); practical
@@ -174,46 +175,42 @@ class _MixingEnvelope:
 # coefficient_set
 # ---------------------------------------------------------------------------
 
-def coefficient_set(model: FiniteLatticeModel, n: int, m: int,
-                    tol: float = 1e-10) -> CoefficientSet:
+def coefficient_set(model: FiniteLatticeModel, n: int, m: int) -> CoefficientSet:
     """Exact deviation coefficients for an exact-tier model.
 
     The drift series is summed term by term up to an index J, the remaining
     tail is replaced by the Hurwitz zeta closed form around the Poisson-limit
-    norm, and the certified remainder (below `tol`) is reported.
+    norm, and the certified remainder (below GAMMA_TOL) is reported.
     """
     _require_exact(model)
     if not 1 <= m <= n:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
-    if tol <= 0:
-        raise ParamOutOfRange("tol must be positive")
     sig = exact_sigma_n(model, n)
     eps = m * model.bound / (math.sqrt(n) * sig)
 
     moments = conditional_block_moments(model, m)
     delta_sq = moments.sup_mean ** 2 / (m * sig ** 2) + moments.sup_second_dev(sig)
 
-    gamma, trunc = _drift_series(model, m, sig, tol)
+    gamma, trunc = _drift_series(model, m, sig)
     tau_sq = delta_sq + m / n + 4.0 * eps ** 2
     return CoefficientSet(n=n, m=m, eps_m=eps, gamma_m=gamma, delta_sq=delta_sq,
                           tau_sq=tau_sq, sigma_n=sig,
                           gamma_truncation_error=trunc)
 
 
-def _drift_series(model: FiniteLatticeModel, m: int, sig: float,
-                  tol: float) -> tuple[float, float]:
+def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float, float]:
     env = _MixingEnvelope(model)
     scale = math.sqrt(m) * sig
     h = poisson_solution(model)
     h_norm = float(np.max(np.abs(h)))
 
-    j = 64  # doubled until the tail is certified below tol, or up to 2^22
-    while ((err := float(zeta(1.5, j + 1)) * env.residual(m * (j + 1)) / scale) > tol
+    j = 64  # doubled until the tail is certified below GAMMA_TOL, or up to 2^22
+    while ((err := float(zeta(1.5, j + 1)) * env.residual(m * (j + 1)) / scale) > GAMMA_TOL
            and j < 1 << 22):
         j *= 2
-    if err > tol:
+    if err > GAMMA_TOL:
         raise NoDecayCertificate(
-            f"drift series tail cannot be certified below {tol} (J={j}, err={err})")
+            f"drift series tail cannot be certified below {GAMMA_TOL} (J={j}, err={err})")
     # J steps of 0.25 ns per s^2 term and 8 us besides (fitted on a shared 2-core x86 host)
     if (secs := j * (2.5e-10 * model.n_states ** 2 + 8e-6)) > WORK_CAP_S:
         raise BudgetExceeded(f"drift series to J = {j} on {model.n_states} states would run "

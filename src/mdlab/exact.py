@@ -24,6 +24,9 @@ about 20 tilted standard deviations.  Chernoff bounds hold its truncation
 error to TAIL_RTOL of the tail, and standard floating-point bounds its
 round-off; a tail whose round-off bound passes ROUNDOFF_RTOL (a lumpy tilted
 law near the threshold) is read off the DP instead.
+
+Both engines check the module constants DEFAULT_BUDGET_BYTES and WORK_CAP_S
+before allocating, and `_grid_log_tails` alone picks mdp's engine.
 """
 
 from __future__ import annotations
@@ -287,8 +290,7 @@ def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
     return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n
 
 
-def _sum_law_steps(model: FiniteLatticeModel, n: int,
-                   budget_bytes: int = DEFAULT_BUDGET_BYTES):
+def _sum_law_steps(model: FiniteLatticeModel, n: int):
     """Yield (k0, g, logp) for t = 1..n from a stationary start, logp[j, i] =
     log P(Y_t = j, S_t = (k0 + g i) / denom) on the live window.  S_t lies on
     the sublattice t min f_num + g Z, g = gcd(f_num - min f_num), so only its
@@ -297,16 +299,17 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
     and shifted back; row j moves right by (f_num[j] - min f_num) / g.  Columns
     where a term could fall below 2^-960 are summed in log space.  Entries set
     to -inf drop out; logp is reused.  BudgetExceeded, before the first step,
-    past budget_bytes or past an estimated WORK_CAP_S seconds."""
+    past DEFAULT_BUDGET_BYTES or past an estimated WORK_CAP_S seconds."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     p = model.transition
     xmin, g, rise, spread = _sublattice(model)
     s, width = model.n_states, n * spread + 1
-    if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > budget_bytes:
+    if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > DEFAULT_BUDGET_BYTES:
         raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} sublattice points "
-                             f"of step {g}, 3 float and 2 flag buffers), budget {budget_bytes}")
+                             f"of step {g}, 3 float and 2 flag buffers), "
+                             f"budget {DEFAULT_BUDGET_BYTES}")
     if (secs := _sum_law_seconds(model, n)) > WORK_CAP_S:
         raise BudgetExceeded(f"DP to n = {n} on {s} states would run about {secs:.3g} s, "
                              f"past the cap of {WORK_CAP_S:g} s")
@@ -345,18 +348,16 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int,
         yield t * xmin, g, cur[:, :w + spread]
 
 
-def distribution_of_Sn(model: FiniteLatticeModel, n: int,
-                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> TailTable:
+def distribution_of_Sn(model: FiniteLatticeModel, n: int) -> TailTable:
     """Exact law of S_n from a stationary start: the sum-law DP, marginalised."""
-    return _sum_law_tables(model, [n], budget_bytes)[0]
+    return _sum_law_tables(model, [n])[0]
 
 
-def _sum_law_tables(model: FiniteLatticeModel, ns: list[int],
-                    budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list[TailTable]:
+def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]:
     """The laws of S_n for every n in ns (order and repeats kept), read off one
     sum-law pass to max(ns) by marginalising over the state at each wanted t."""
     want, tables = set(ns), {}
-    for t, (k0, g, logp) in enumerate(_sum_law_steps(model, max(ns), budget_bytes), start=1):
+    for t, (k0, g, logp) in enumerate(_sum_law_steps(model, max(ns)), start=1):
         if t not in want:
             continue
         marg = np.logaddexp.reduce(logp, axis=0)
@@ -460,9 +461,13 @@ class _TiltPlan:
         readings and the window's arrays, 48 bytes a point in all."""
         return 2 * 16 * self.slab * self.rise.size ** 2 + 48 * self.size
 
+    @property
+    def affordable(self) -> bool:
+        """Within DEFAULT_BUDGET_BYTES and WORK_CAP_S."""
+        return self.need_bytes <= DEFAULT_BUDGET_BYTES and self.seconds <= WORK_CAP_S
 
-def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float,
-                    budget_bytes: int = DEFAULT_BUDGET_BYTES) -> tuple[float, float]:
+
+def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float) -> tuple[float, float]:
     """log P(S_n >= threshold) for the centred sum S_n (inclusive at atoms, as
     exact_tail), and a bound on the relative error of P: its truncation, at
     most TAIL_RTOL, plus its round-off, at most ROUNDOFF_RTOL.
@@ -483,17 +488,35 @@ def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float,
     DP is nearer 1e-14.  The work is O(M s^3 log n) with M about 20 tilted
     standard deviations: n = 10^6 on two states takes under a tenth of a
     second.  A threshold past the top atom is -inf at once, and BudgetExceeded
-    is raised before allocating past budget_bytes or running past WORK_CAP_S.
+    is raised before a plan that is not `affordable` allocates.
     """
-    return _tilt_run(_tilt_plan(model, n, threshold, budget_bytes), budget_bytes)
+    return _tilt_run(_tilt_plan(model, n, threshold))
 
 
-def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float,
-               budget_bytes: int = DEFAULT_BUDGET_BYTES) -> _TiltPlan | float:
+def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], levels: list[float]
+                    ) -> tuple[list[float], np.ndarray]:
+    """log P(W_n >= level) at each n of ns and its level in W_n units, and
+    bounds on their relative errors: by the tilted transform when every plan
+    is `affordable` and their seconds sum below `_sum_law_seconds` to max(ns),
+    else by that one sum-law pass (bounds 0), which may refuse the grid."""
+    if not ns:
+        return [], np.zeros(0)
+    plans = [_tilt_plan(model, n, level * math.sqrt(n)) for n, level in zip(ns, levels)]
+    tilted = [p for p in plans if isinstance(p, _TiltPlan)]
+    if (all(p.affordable for p in tilted)
+            and sum(p.seconds for p in tilted) < _sum_law_seconds(model, max(ns))):
+        logp, bound = zip(*map(_tilt_run, plans))
+        return list(logp), np.array(bound)
+    tables = _sum_law_tables(model, ns)
+    return ([float(exact_tail(tb, level / tb.sigma_n)) for tb, level in zip(tables, levels)],
+            np.zeros(len(ns)))
+
+
+def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan | float:
     """The plan of tilted_log_tail, or the log tail itself (0 or -inf) when the
     threshold lies at or below the lowest sum or past the highest.  Its size is
     the first power of two whose window the Chernoff bounds clear against a
-    guess of the tail, or the first past budget_bytes or WORK_CAP_S."""
+    guess of the tail, or the first that is not `affordable`."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
@@ -522,14 +545,13 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float,
     size = 1 << (max(16, math.ceil(16 * sd)) - 1).bit_length()  # about +-8 sd
     while True:
         plan = _TiltPlan(model, threshold, rise, n, k, theta, log_norm, size, flip)
-        if (size > top or plan.need_bytes > budget_bytes or plan.seconds > WORK_CAP_S
+        if (size > top or not plan.affordable
                 or plan.log_outside <= math.log(TAIL_RTOL / 2) + log_guess):
             return plan
         size *= 2
 
 
-def _tilt_run(plan: _TiltPlan | float, budget_bytes: int = DEFAULT_BUDGET_BYTES
-              ) -> tuple[float, float]:
+def _tilt_run(plan: _TiltPlan | float) -> tuple[float, float]:
     """Carry out a plan: (log tail, bound on its relative error), the bound
     being the Chernoff bound on the truncation, at most TAIL_RTOL, plus the
     round-off bound of _window_tail; a tail whose round-off bound passes
@@ -537,16 +559,16 @@ def _tilt_run(plan: _TiltPlan | float, budget_bytes: int = DEFAULT_BUDGET_BYTES
     if not isinstance(plan, _TiltPlan):
         return plan, 0.0
     while True:
-        if plan.need_bytes > budget_bytes or plan.seconds > WORK_CAP_S:
+        if not plan.affordable:
             raise BudgetExceeded(f"tilted transform of {plan.size} points on "
                                  f"{plan.rise.size} states needs {plan.need_bytes} bytes "
-                                 f"(budget {budget_bytes}) and about {plan.seconds:.3g} s "
+                                 f"(budget {DEFAULT_BUDGET_BYTES}) and about {plan.seconds:.3g} s "
                                  f"(cap {WORK_CAP_S:g} s)")
         log_p, log_share, roundoff = _window_tail(plan)
         if roundoff > ROUNDOFF_RTOL:  # the transform cannot resolve it
             n = plan.n
             x = plan.threshold / math.sqrt(n) / sigma_n(plan.model, n)
-            return float(exact_tail(distribution_of_Sn(plan.model, n, budget_bytes), x)), 0.0
+            return float(exact_tail(distribution_of_Sn(plan.model, n), x)), 0.0
         cut = math.exp(plan.log_outside - log_share) if plan.size <= plan.top else 0.0
         if cut <= TAIL_RTOL:
             break
@@ -727,6 +749,8 @@ def exact_lower_tail(table: TailTable, x) -> np.ndarray | float:
 
 def _lattice_threshold(table: TailTable, xs: np.ndarray) -> np.ndarray:
     """W_n = xs sigma_n in lattice numerator units, snapped."""
+    if np.any(np.isnan(xs)):
+        raise ParamOutOfRange("tail thresholds must not be nan")
     thr = (xs * table.sigma_n * np.sqrt(table.n) + table.center) * table.denom
     return _snap(thr, table.center * table.denom)
 
@@ -751,6 +775,8 @@ def _prefix_logsum(logp: np.ndarray) -> np.ndarray:
 def quantile(table: TailTable, s) -> np.ndarray | float:
     """Left-continuous generalized inverse of the CDF of W_n / sigma_n."""
     ss = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(np.isnan(ss)):
+        raise ParamOutOfRange("quantile arguments must not be nan")
     if np.any((ss <= 0.0) | (ss >= 1.0)):
         raise OutOfRange("quantile argument must lie strictly inside (0, 1)")
     out = _left_inverse(table.what_values, table.cdf_points(), ss)

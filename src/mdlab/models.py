@@ -36,6 +36,7 @@ ROW_SUM_TOL = 1e-12
 EXACT_SOLVE_MAX_STATES = 64
 BURN_IN_TOL = 1e-12
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
+MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
 
 
 @dataclass(frozen=True)
@@ -482,8 +483,7 @@ def phi_mixing_coefficients(model: FiniteLatticeModel, horizon: int) -> np.ndarr
     return out
 
 
-def geometric_mixing_certificate(model: FiniteLatticeModel,
-                                 max_power: int = 4096) -> tuple[float, float, int]:
+def geometric_mixing_certificate(model: FiniteLatticeModel) -> tuple[float, float, int]:
     """Certified geometric envelope phi_1(k) <= C * r^k.
 
     Uses the Dobrushin contraction coefficient of the smallest matrix power
@@ -494,7 +494,7 @@ def geometric_mixing_certificate(model: FiniteLatticeModel,
     p = model.transition
     n0 = 1
     pk = p.copy()
-    while n0 <= max_power:
+    while n0 <= MAX_CONTRACTION_POWER:
         d = _dobrushin(pk)
         if d == 0.0:
             # rows of P^n0 are identical: exact independence after n0 steps

@@ -33,21 +33,16 @@ from .errors import (
 )
 from .exact import (
     SNAP_ULPS,
-    WORK_CAP_S,
-    _ks_sweep,
-    _sum_law_seconds,
-    _sum_law_tables,
-    _tilt_plan,
-    _tilt_run,
-    _TiltPlan,
     _csv,
+    _grid_log_tails,
+    _ks_sweep,
     distribution_of_Sn,
     exact_lower_tail,
     exact_tail,
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, DEFAULT_BUDGET_BYTES, PATH_STEP_BYTES, SLAB_BYTES,
+from .models import (CHAIN_BYTES, PATH_STEP_BYTES, SLAB_BYTES,
                      FiniteLatticeModel, _check_chain_budget, _innovation_blocks,
                      _simulate_states)
 from .normal import normal_log_sf, normal_sf
@@ -167,8 +162,8 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
     """Tail ratios P(W_n >= x sigma_n) / (1 - Phi(x)) and the mirrored left
     ratio, either exact from the DP table or estimated from chains."""
     xs = np.asarray(x_grid, dtype=float)
-    if np.any(xs < 0):
-        raise ParamOutOfRange("ratio grid must be nonnegative")
+    if not np.all(xs >= 0):
+        raise ParamOutOfRange("ratio grid must be nonnegative numbers")
     sf = normal_sf(xs)
     if np.any(sf == 0.0):
         raise ZeroDenominator("1 - Phi(x) underflows on this grid; keep x <= 37")
@@ -252,51 +247,30 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
     I.i.d. sign models use the closed-form binomial tail in log space, which
-    reaches n = 10^6 in milliseconds.  Other exact models take the route
-    estimated to be quicker from the model and the grid alone (run times
-    fitted once, `_TiltPlan.seconds` and `_sum_law_seconds`): `tilted_log_tail`
-    per n, O(M s^3 log n) with M about 20 tilted standard deviations (n = 10^6
-    on two states in under a tenth of a second), or one sum-law DP pass to the
-    largest n, O(s^2 n^2 spread), which wins on many states at small n
-    (dyadic L=6 on the grid 8, 32, 128).  The transform is not taken past its
-    memory budget or WORK_CAP_S at any n of the grid.
+    reaches n = 10^6 in milliseconds.  Other exact models take the engine
+    `exact._grid_log_tails` estimates to be quicker from the model and the
+    grid alone: `tilted_log_tail` per n, O(M s^3 log n) with M about 20 tilted
+    standard deviations (n = 10^6 on two states in under a tenth of a second),
+    or one sum-law DP pass to the largest n, O(s^2 n^2 spread), which wins on
+    many states at small n (dyadic L=6 on the grid 8, 32, 128).
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
     if not 0.0 <= c < math.inf:
         raise ParamOutOfRange(f"c must be finite and >= 0, got {c}")
+    if not all(math.isfinite(n) and n == int(n) >= 1 for n in n_grid):
+        raise ParamOutOfRange(f"every n in n_grid must be an integer >= 1, got {list(n_grid)}")
     ns = np.asarray(n_grid, dtype=np.int64)
-    if np.any(ns < 1):
-        raise ParamOutOfRange(f"every n in n_grid must be >= 1, got {ns.tolist()}")
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold is c / a_n in W_n units
     bound = np.zeros(ns.size)
     if iid := _is_iid_sign(model):
         logp = [_binomial_log_tail(int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
-    elif (plans := _kernel_plans(model, ns, ans, c)) is not None:
-        logp, bound = (np.array(v) for v in zip(*map(_tilt_run, plans)))
     else:
-        tables = _sum_law_tables(model, ns.tolist()) if ns.size else []
-        logp = [float(exact_tail(tb, c / an / tb.sigma_n)) for tb, an in zip(tables, ans)]
+        logp, bound = _grid_log_tails(model, ns.tolist(), [c / an for an in ans])
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * (1.0 if iid else long_run_variance(model)))
     return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
                          error_bound=bound)
-
-
-def _kernel_plans(model, ns, ans, c: float):
-    """The tilted transform's plans for the grid, or None when one DP pass is
-    estimated to be quicker (`_TiltPlan.seconds` summed over the grid against
-    `_sum_law_seconds` to its largest n), or the transform would pass its
-    memory budget or WORK_CAP_S at some n: then the DP runs, or refuses the
-    grid before its first step."""
-    if not ns.size:
-        return None
-    plans = [_tilt_plan(model, int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
-    tilted = [p for p in plans if isinstance(p, _TiltPlan)]
-    if (any(p.need_bytes > DEFAULT_BUDGET_BYTES or p.seconds > WORK_CAP_S for p in tilted)
-            or sum(p.seconds for p in tilted) >= _sum_law_seconds(model, int(ns.max()))):
-        return None
-    return plans
 
 
 def _is_iid_sign(model) -> bool:

@@ -406,6 +406,23 @@ def test_verify_reports_the_first_violation_in_check_order(tmp_path, monkeypatch
     assert violation[:3] == ["bernstein", 0.75, 0.0] and violation[3] > 0
 
 
+def test_verify_evaluates_the_envelope_once(tmp_path, monkeypatch):
+    # bounds.csv takes its envelope columns off the ratio curve, at x > 0
+    from mdlab import bounds, coefficient_set, montecarlo
+    calls = []
+    for module in (montecarlo, cli):
+        monkeypatch.setattr(module, "envelope_curve",
+                            lambda *a: calls.append(a) or bounds.envelope_curve(*a), raising=False)
+    assert main(["verify", "--model", "two_state:rho=0.4", "--n", "512", "--m", "8",
+                 "--constant", "0.37", "--x-count", "11", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    coeffs = coefficient_set(builtin("two_state", rho=0.4), 512, 8)
+    want = bounds.envelope_curve(coeffs, np.linspace(0.0, 3.0, 11)[1:], 0.37, "practical")
+    _, rows = read_csv(tmp_path / "bounds.csv")
+    assert [r[3] for r in rows] == [f"{v:.17g}" for v in want.value]
+    assert [r[4] for r in rows] == [str(int(v)) for v in want.valid]
+
+
 def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):
     # a 64-state chain is checked on its own paths, not on a stand-in
     assert main(["verify", "--model", "dyadic_contracting:L=6", "--n", "16",

@@ -321,15 +321,18 @@ def test_max_abs_tail_at_every_reachable_peak_on_a_step4_sublattice():
         assert _max_abs_tail(model, n, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_budget_counts_the_sublattice(two_state04):
+def test_budget_counts_the_sublattice(two_state04, monkeypatch):
     # at n = 1000 two_state sums fill 1001 of the 2001 lattice points; a point
     # costs 2 states x 26 bytes plus 2 x 8 bytes of column scratch
     need, full = 1001 * 68, 2001 * 68
-    table = distribution_of_Sn(two_state04, 1000, budget_bytes=(need + full) // 2)
+    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", (need + full) // 2)
+    table = distribution_of_Sn(two_state04, 1000)
     assert table.offsets.size == 1001
-    assert distribution_of_Sn(two_state04, 1000, budget_bytes=need).offsets.size == 1001
+    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", need)
+    assert distribution_of_Sn(two_state04, 1000).offsets.size == 1001
+    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetExceeded, match="1001 sublattice points of step 2"):
-        distribution_of_Sn(two_state04, 1000, budget_bytes=need - 1)
+        distribution_of_Sn(two_state04, 1000)
 
 
 def test_table_second_moment_consistent_with_sigma(table_two_state_256):
@@ -351,10 +354,11 @@ def test_log_space_survives_deep_tails(rademacher):
     assert edge < -700.0  # far below linear-space underflow
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     big = builtin("dyadic_contracting", L=8)
+    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", 1 << 20)
     with pytest.raises(BudgetExceeded):
-        distribution_of_Sn(big, 4096, budget_bytes=1 << 20)
+        distribution_of_Sn(big, 4096)
 
 
 def test_work_guard_refuses_the_dense_dp_before_its_first_step():
@@ -471,14 +475,15 @@ def test_tilted_tail_hands_unresolvable_tails_to_the_dp(monkeypatch):
 
 
 @pytest.mark.parametrize("n, budget", [(1 << 18, DEFAULT_BUDGET_BYTES), (256, 1 << 20)])
-def test_tilted_tail_budget_raises_before_allocating(n, budget):
+def test_tilted_tail_budget_raises_before_allocating(n, budget, monkeypatch):
     # 64 states: at n = 2^18 the powers of about 1.3e5 frequencies would run
     # for about two and a half minutes; at n = 256 one slab of them passes 1 MiB
     model = builtin("dyadic_contracting", L=6)
+    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", budget)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="tilted transform"):
-            tilted_log_tail(model, n, n ** 0.75, budget_bytes=budget)
+            tilted_log_tail(model, n, n ** 0.75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -576,6 +581,21 @@ def test_quantile_two_point_law(rademacher):
         quantile(table, 0.0)
     with pytest.raises(OutOfRange):
         quantile(table, 1.0)
+
+
+@pytest.mark.parametrize("query", [exact_tail, exact_lower_tail, quantile])
+def test_nan_thresholds_raise(two_state04, query):
+    # nan fails every comparison, so no range check on the result would catch it
+    table = distribution_of_Sn(two_state04, 64)
+    for arg in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ParamOutOfRange, match="nan"):
+            query(table, arg)
+
+
+@pytest.mark.parametrize("mode, chains", [("exact", None), ("mc", 1000)])
+def test_ratio_curve_rejects_a_nan_level(two_state04, mode, chains):
+    with pytest.raises(ParamOutOfRange, match="nonnegative"):
+        ratio_curve(two_state04, 64, 4, [1.0, math.nan], mode=mode, chains=chains)
 
 
 @given(st.integers(min_value=1, max_value=12))

@@ -389,6 +389,16 @@ def test_mdp_exponent_guard(rademacher):
         mdp_diagnostic(rademacher, 1.0, 0.0, [100])
 
 
+@pytest.mark.parametrize("grid", [[16.7], [64, 16.5], [math.nan], [math.inf]])
+def test_mdp_rejects_non_integer_horizons(two_state04, grid):
+    # np.asarray(..., dtype=np.int64) alone would truncate 16.7 to 16
+    with pytest.raises(ParamOutOfRange, match="integer"):
+        mdp_diagnostic(two_state04, 1.0, 0.25, grid)
+    # an integral float is its integer
+    assert mdp_diagnostic(two_state04, 1.0, 0.25, [64.0]).scaled.tobytes() == \
+        mdp_diagnostic(two_state04, 1.0, 0.25, [64]).scaled.tobytes()
+
+
 def _count_sum_law_passes(monkeypatch):
     """Record the horizon and the steps taken of every sum-law pass, and fail
     on any per-n table."""
