@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import coefficient_set
+from .coefficients import CoefficientSet
 from .errors import (
     NestedEstimateUnavailable,
     ParamOutOfRange,
@@ -172,18 +172,18 @@ class QuadCharDeviation:
     variant: str
 
 
-def quadratic_characteristic_deviation(model: FiniteLatticeModel, n: int, m: int,
+def quadratic_characteristic_deviation(model: FiniteLatticeModel, coeffs: CoefficientSet,
                                        variant: str = "split_remainder") -> QuadCharDeviation:
-    """Exact sup over block-start state assignments of |<M> - 1| together with
-    the bound delta^2 + m/n (split_remainder) or tau^2 (martingale_all)."""
+    """Exact sup over block-start state assignments of |<M> - 1| at the
+    horizon and block length of `coeffs`, the model's coefficient set,
+    together with the bound delta^2 + m/n (split_remainder) or tau^2
+    (martingale_all)."""
     _require_exact(model)
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not 1 <= m <= n:
-        raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
+    n, m = coeffs.n, coeffs.m
     k = n // m
     rem = n - k * m
-    sig = sigma_any(model, n)
     cm = conditional_block_moments(model, m)
     v = cm.second_by_state - cm.mean_by_state ** 2
     hi = k * float(v.max())
@@ -193,12 +193,8 @@ def quadratic_characteristic_deviation(model: FiniteLatticeModel, n: int, m: int
         vr = cr.second_by_state - cr.mean_by_state ** 2
         hi += float(vr.max())
         lo += float(vr.min())
-    scale = n * sig ** 2
+    scale = n * coeffs.sigma_n ** 2
     exact_value = max(abs(hi / scale - 1.0), abs(lo / scale - 1.0))
-
-    coeffs = coefficient_set(model, n, m)
-    bound = coeffs.delta_sq + m / n
-    if variant == "martingale_all":
-        bound = coeffs.tau_sq
+    bound = coeffs.tau_sq if variant == "martingale_all" else coeffs.delta_sq + m / n
     return QuadCharDeviation(exact_value=exact_value, bound_value=bound,
                              variant=variant)

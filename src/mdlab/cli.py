@@ -18,6 +18,7 @@ verification assertion failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -153,21 +154,21 @@ def _x_grid(cfg: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its files (name -> text) and a verification
-# failure message or None
+# subcommands: each takes the config, the run's model and a call that returns
+# the run's one CoefficientSet (computed on first use), and returns its files
+# (name -> text) and a verification failure message or None
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(cfg: dict):
-    model = _parse_model_arg(cfg["model"])
-    n = cfg["n"]
-    m = _pick_m(cfg, n)
+def cmd_coeffs(cfg: dict, model, run_coeffs):
     if model.tier == "exact":
-        coeffs = coefficient_set(model, n, m)
+        coeffs = run_coeffs()
         gates = admissibility(coeffs, cfg.get("gate_mode", "practical"))
         payload = {"mode": "exact", "model": model.describe(),
                    "coefficients": coeffs.to_json_dict(),
                    "gates": gates.to_json_dict()}
     else:
+        n = cfg["n"]
+        m = _pick_m(cfg, n)
         sig = sigma_any(model, n)
         rb = certified_coefficient_bounds(model.decay, m, n, sig, model.bound)
         payload = {"mode": "certified_upper_bounds", "model": model.describe(),
@@ -214,19 +215,17 @@ def _verify_tasks(model, coeffs, xs: np.ndarray, gate_mode: str, c: float):
     return ratio_task, bern_task, freedman_task, sandwich_task, peligrad_task
 
 
-def cmd_verify(cfg: dict):
-    model = _parse_model_arg(cfg["model"])
+def cmd_verify(cfg: dict, model, run_coeffs):
     if model.tier != "exact":
         raise ConfigError("verify needs an exact-tier model")
-    n = cfg["n"]
-    m = _pick_m(cfg, n)
+    _pick_m(cfg, cfg["n"])  # a bad block length is reported before a bad grid
     xs = _x_grid(cfg)
     gate_mode = cfg.get("gate_mode", "practical")
     c = cfg.get("constant", 1.0)
     if not 0 < c < math.inf:
         raise ConfigError(f"envelope constant must be finite and positive, got {c}")
 
-    coeffs = coefficient_set(model, n, m)
+    coeffs = run_coeffs()
     tasks = _verify_tasks(model, coeffs, xs, gate_mode, c)
     with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
         futures = [pool.submit(t) for t in tasks]
@@ -246,7 +245,7 @@ def cmd_verify(cfg: dict):
                     if bad), None)
 
     manifest = _manifest(cfg)
-    qd = quadratic_characteristic_deviation(model, n, m)
+    qd = quadratic_characteristic_deviation(model, coeffs)
     files = {
         "ratio.csv": _text_file(manifest, curve.to_csv()),
         "bounds.csv": _text_file(manifest, _csv("x,exact_tail,bernstein,envelope,envelope_valid",
@@ -254,7 +253,7 @@ def cmd_verify(cfg: dict):
                                                  curve.envelope_valid[xs > 0]])),
         "ks.json": _json_file(manifest, {
             "model": model.describe(),
-            "n": n, "m": m,
+            "n": coeffs.n, "m": coeffs.m,
             "ks_exact": ks_distance_exact(table),
             "berry_esseen_bound_shape": berry_esseen_bound(coeffs, c),
             "coefficients": coeffs.to_json_dict(),
@@ -275,22 +274,18 @@ def cmd_verify(cfg: dict):
     return files, None
 
 
-def cmd_coupling(cfg: dict):
-    model = _parse_model_arg(cfg["model"])
-    n = cfg["n"]
-    m = _pick_m(cfg, n)
+def cmd_coupling(cfg: dict, model, run_coeffs):
     draws = cfg.get("chains", 10000)
-    rep = coupling_report(model, n, m, draws, cfg["seed"],
+    rep = coupling_report(model, run_coeffs(), draws, cfg["seed"],
                           alpha=cfg.get("alpha", 1.0), c_alpha=cfg.get("c_alpha", 1.0))
-    table = distribution_of_Sn(model, n)
+    table = distribution_of_Sn(model, cfg["n"])
     y, z = sample_coupled_pairs(build_quantile_transform(table), draws, cfg["seed"])
     manifest = _manifest(cfg)
     return {"coupling.json": _json_file(manifest, {"report": rep.to_json_dict()}),
             "pairs.csv": _text_file(manifest, _csv("z,y,gap", [z, y, np.abs(y - z)]))}, None
 
 
-def cmd_mdp(cfg: dict):
-    model = _parse_model_arg(cfg["model"])
+def cmd_mdp(cfg: dict, model, run_coeffs):
     if cfg.get("n_grid"):
         try:
             grid = [int(v) for v in cfg["n_grid"].split(",")]
@@ -302,11 +297,11 @@ def cmd_mdp(cfg: dict):
     return {"mdp.csv": _text_file(_manifest(cfg), diag.to_csv())}, None
 
 
-def cmd_report(cfg: dict):
+def cmd_report(cfg: dict, model, run_coeffs):
     files, results = {}, {}
     for name, fn in (("coeffs", cmd_coeffs), ("verify", cmd_verify),
                      ("coupling", cmd_coupling), ("mdp", cmd_mdp)):
-        step_files, failure = fn(cfg)
+        step_files, failure = fn(cfg, model, run_coeffs)
         files.update(step_files)
         results[name] = f"assertion failed: {failure}" if failure else "ok"
     files["summary.json"] = _json_file(_manifest(cfg), {"results": results})
@@ -377,7 +372,10 @@ def main(argv=None) -> int:
             argv = list(sys.argv[1:] if argv is None else argv)
             args = parser.parse_args(argv + _config_argv(args.config))
         cfg = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
-        files, failure = _COMMANDS[args.command][0](cfg)
+        model = _parse_model_arg(cfg["model"])
+        run_coeffs = functools.cache(
+            lambda: coefficient_set(model, cfg["n"], _pick_m(cfg, cfg["n"])))
+        files, failure = _COMMANDS[args.command][0](cfg, model, run_coeffs)
         os.makedirs(cfg["out"], exist_ok=True)
         for name, text in files.items():
             with open(os.path.join(cfg["out"], name), "w", encoding="utf-8", newline="\n") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import coefficient_set
+from .coefficients import CoefficientSet
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
 from .exact import TailTable, _left_inverse, distribution_of_Sn
@@ -122,9 +122,10 @@ class CouplingReport:
         }
 
 
-def coupling_report(model, n: int, m: int, draws: int, seed: int,
+def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
                     alpha: float = 1.0, c_alpha: float = 1.0) -> CouplingReport:
-    """Run the coupling construction for an exact-tier model and measure the
+    """Run the coupling construction for an exact-tier model at the horizon
+    and block length of `coeffs`, the model's coefficient set, and measure the
     gap statistics against the predicted shapes.
 
     The quadratic envelope |Y - Z| <= 2 c_alpha (Y^2 + 1) varsigma is checked
@@ -133,11 +134,10 @@ def coupling_report(model, n: int, m: int, draws: int, seed: int,
     """
     if not (0 < alpha < math.inf and 0 < c_alpha < math.inf):
         raise ParamOutOfRange(f"alpha, c_alpha must be finite and positive: {alpha}, {c_alpha}")
-    coeffs = coefficient_set(model, n, m)
     vs = varsigma(coeffs)
     if not (np.isfinite(vs) and vs > 1e-300):
         raise DegenerateGap(f"varsigma underflows: {vs!r}")
-    table = distribution_of_Sn(model, n)
+    table = distribution_of_Sn(model, coeffs.n)
     transform = build_quantile_transform(table)
     y, z = sample_coupled_pairs(transform, draws, seed)
 
@@ -150,7 +150,7 @@ def coupling_report(model, n: int, m: int, draws: int, seed: int,
 
     g = np.sort(gap / vs)
     lam, se, sx, slog = _fit_survival_slope(g)
-    return CouplingReport(n=n, m=m, draws=draws, seed=seed, varsigma_n=vs,
+    return CouplingReport(n=coeffs.n, m=coeffs.m, draws=draws, seed=seed, varsigma_n=vs,
                           alpha=alpha, c_alpha=c_alpha, admissible_count=n_adm,
                           violation_fraction=frac,
                           gap_median=float(np.median(g)),

@@ -37,6 +37,7 @@ EXACT_SOLVE_MAX_STATES = 64
 BURN_IN_TOL = 1e-12
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
 MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
+BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,9 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
     if L < 1:
         raise ParamOutOfRange(f"L must be >= 1, got {L}")
     size = 1 << L
+    if size * size * BUILD_ENTRY_BYTES > DEFAULT_BUDGET_BYTES:
+        raise BudgetExceeded(f"dyadic_contracting(L={L}) needs about {BUILD_ENTRY_BYTES} x 4^{L} "
+                             f"bytes to build, over the budget of {DEFAULT_BUDGET_BYTES}")
     trans = np.zeros((size, size))
     for j in range(size):
         trans[j, j // 2] += 0.5

@@ -141,14 +141,22 @@ def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
                    sigma: Optional[float] = None) -> list[TailEstimate]:
     """Monte Carlo estimates of P(W_n >= x sigma_n) with 95% score intervals."""
     sig = sigma if sigma is not None else sigma_any(model, n)
-    w = simulate_W(model, n, chains, seed)
+    xs = np.asarray(x_grid, dtype=float)
+    upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
     out = []
-    for x in np.asarray(x_grid, dtype=float):
-        k = int(np.sum(w >= x * sig))
+    for x, k in zip(xs, upper.tolist()):
         lo, hi = wilson_interval(k, chains)
         out.append(TailEstimate(x=float(x), estimate=k / chains, lo=lo, hi=hi,
                                 chains=chains, seed=seed))
     return out
+
+
+def _tail_counts(w: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """#{w >= t} and #{w <= -t} for each threshold t, inclusive at sample atoms,
+    counted on one sorted copy of w."""
+    s = np.sort(w)
+    return (s.size - np.searchsorted(s, thresholds, side="left"),
+            np.searchsorted(s, -thresholds, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +198,11 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
     if chains is None:
         raise ParamOutOfRange("mc mode needs a chains count")
     sig = coeffs.sigma_n if coeffs is not None else sigma_any(model, n)
-    w = simulate_W(model, n, chains, seed)
-    right = np.empty_like(xs)
-    left = np.empty_like(xs)
-    r_lo, r_hi, l_lo, l_hi = (np.empty_like(xs) for _ in range(4))
-    for i, x in enumerate(xs):
-        kr = int(np.sum(w >= x * sig))
-        kl = int(np.sum(w <= -x * sig))
-        right[i] = kr / chains / sf[i]
-        left[i] = kl / chains / sf[i]
-        lo, hi = wilson_interval(kr, chains)
-        r_lo[i], r_hi[i] = lo / sf[i], hi / sf[i]
-        lo, hi = wilson_interval(kl, chains)
-        l_lo[i], l_hi[i] = lo / sf[i], hi / sf[i]
-    return RatioCurve(x_grid=xs, right=right, left=left, source="mc",
+    kr, kl = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
+    (r_lo, r_hi), (l_lo, l_hi) = (
+        np.array([wilson_interval(k, chains) for k in counts.tolist()]).reshape(-1, 2).T / sf
+        for counts in (kr, kl))
+    return RatioCurve(x_grid=xs, right=kr / chains / sf, left=kl / chains / sf, source="mc",
                       right_lo=r_lo, right_hi=r_hi, left_lo=l_lo, left_hi=l_hi,
                       envelope=env, envelope_valid=env_valid,
                       meta={"n": n, "m": m, "chains": chains, "seed": seed})
@@ -263,12 +262,12 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     ns = np.asarray(n_grid, dtype=np.int64)
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold is c / a_n in W_n units
     bound = np.zeros(ns.size)
-    if iid := _is_iid_sign(model):
+    if _is_iid_sign(model):
         logp = [_binomial_log_tail(int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
     else:
         logp, bound = _grid_log_tails(model, ns.tolist(), [c / an for an in ans])
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
-    limit = -c * c / (2.0 * (1.0 if iid else long_run_variance(model)))
+    limit = -c * c / (2.0 * long_run_variance(model))
     return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
                          error_bound=bound)
 

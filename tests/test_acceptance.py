@@ -202,7 +202,7 @@ def test_criterion_10_coupling_tail_shape():
     with criterion(10, "normalized-gap log-survival slope is significantly negative"):
         model = builtin("two_state", rho=0.4)
         m = select_block_size(1024, 2.0, "cramer").m
-        rep = coupling_report(model, 1024, m, 100_000, seed=77)
+        rep = coupling_report(model, coefficient_set(model, 1024, m), 100_000, seed=77)
         assert rep.lambda_hat < 0, f"slope {rep.lambda_hat}"
         assert abs(rep.lambda_hat) >= 3.0 * rep.lambda_se, (
             f"slope {rep.lambda_hat} not significant against se {rep.lambda_se}")

@@ -101,16 +101,16 @@ def test_quad_char_stays_in_band(two_state04):
 
 
 def test_quadratic_characteristic_deviation_rademacher(rademacher):
-    qd = quadratic_characteristic_deviation(rademacher, 120, 6)
+    qd = quadratic_characteristic_deviation(rademacher, coefficient_set(rademacher, 120, 6))
     assert qd.exact_value <= 6 / 120 + 1e-12
     assert qd.exact_value == pytest.approx(0.0, abs=1e-12)  # m divides n
-    qd2 = quadratic_characteristic_deviation(rademacher, 100, 7)
+    qd2 = quadratic_characteristic_deviation(rademacher, coefficient_set(rademacher, 100, 7))
     assert qd2.exact_value == pytest.approx(1 - 14 * 7 / 100, abs=1e-12)
     assert qd2.exact_value <= qd2.bound_value + 1e-12
 
 
 def test_quadratic_characteristic_deviation_two_state(two_state04):
-    qd = quadratic_characteristic_deviation(two_state04, 120, 6)
+    qd = quadratic_characteristic_deviation(two_state04, coefficient_set(two_state04, 120, 6))
     # independent path: conditional block variance enumerated over 2^6 paths
     per_state = []
     for s0 in (0, 1):
@@ -134,7 +134,7 @@ def test_quadratic_characteristic_deviation_two_state(two_state04):
 
 def test_single_block_deviation_matches_full_conditional_moment(rademacher):
     n = 8
-    qd = quadratic_characteristic_deviation(rademacher, n, n)
+    qd = quadratic_characteristic_deviation(rademacher, coefficient_set(rademacher, n, n))
     # for a martingale the single-block value is E[S_n^2 | F_0]/(n sigma^2) - 1 = 0
     assert qd.exact_value == pytest.approx(0.0, abs=1e-12)
 

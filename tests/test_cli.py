@@ -1,6 +1,8 @@
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 import numpy as np
@@ -421,6 +423,69 @@ def test_verify_evaluates_the_envelope_once(tmp_path, monkeypatch):
     _, rows = read_csv(tmp_path / "bounds.csv")
     assert [r[3] for r in rows] == [f"{v:.17g}" for v in want.value]
     assert [r[4] for r in rows] == [str(int(v)) for v in want.valid]
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn, in every mdlab module that holds it, in a call recorder."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "mdlab" or name.startswith("mdlab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("coeffs", []), ("verify", []), ("coupling", ["--chains", "2000"]),
+    ("report", ["--chains", "2000", "--n-grid", "128,512"])])
+def test_a_run_builds_its_model_and_coefficient_set_once(tmp_path, monkeypatch, command, flags):
+    from mdlab import coefficients, models
+    sets = _count_calls(monkeypatch, coefficients.coefficient_set)
+    builds = _count_calls(monkeypatch, models.build_finite_lattice_model)
+    assert main([command, "--model", "two_state:rho=0.4", "--n", "128", "--m", "4", *flags,
+                 "--out", str(tmp_path)]) == 0
+    assert (len(sets), len(builds)) == (1, 1)
+
+
+def _without_manifest(path):
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        del doc["manifest"]
+        return doc
+    assert text.startswith("# {")
+    return text.partition("\n")[2]
+
+
+def test_report_writes_what_the_standalone_commands_write(tmp_path):
+    common = ["--model", "two_state:rho=0.4", "--n", "128", "--m", "4", "--seed", "3"]
+    own = {"coeffs": [], "verify": ["--x-count", "7"], "coupling": ["--chains", "2000"],
+           "mdp": ["--n-grid", "128,512"]}
+    report = tmp_path / "report"
+    assert main(["report", *common, *chain(*own.values()), "--out", str(report)]) == 0
+    written = {"summary.json"}
+    for command, flags in own.items():
+        out = tmp_path / command
+        assert main([command, *common, *flags, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            written.add(path.name)
+            assert _without_manifest(path) == _without_manifest(report / path.name), path.name
+    assert written == {path.name for path in report.iterdir()}
+
+
+@pytest.mark.parametrize("L", [40, 1000])
+def test_oversized_builtin_chain_exits_2_and_writes_nothing(tmp_path, capsys, L):
+    out = tmp_path / "out"
+    assert run_cli(["coeffs", "--model", f"dyadic_contracting:L={L}", "--n", "8", "--m", "2",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"dyadic_contracting(L={L}) needs" in err
+    assert not out.exists()
 
 
 def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):

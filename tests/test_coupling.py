@@ -6,6 +6,7 @@ import pytest
 from mdlab import (
     build_quantile_transform,
     builtin,
+    coefficient_set,
     coupling_report,
     distribution_of_Sn,
     induced_atom_probabilities,
@@ -96,12 +97,13 @@ def test_gap_median_tightens_with_n(two_state04):
     reports = {}
     for n in (256, 4096):
         m = int(n ** (2.0 / 7.0) + 1e-9)
-        reports[n] = coupling_report(two_state04, n, m, 20_000, seed=7)
+        reports[n] = coupling_report(two_state04, coefficient_set(two_state04, n, m), 20_000,
+                                     seed=7)
     assert reports[4096].gap_median <= reports[256].gap_median
 
 
 def test_coupling_report_shapes(two_state04):
-    rep = coupling_report(two_state04, 256, 5, 20_000, seed=11)
+    rep = coupling_report(two_state04, coefficient_set(two_state04, 256, 5), 20_000, seed=11)
     assert rep.varsigma_n > 0
     assert rep.lambda_hat < 0
     assert rep.lambda_se > 0
@@ -116,7 +118,8 @@ def test_coupling_report_shapes(two_state04):
 
 def test_coupling_report_validation(two_state04):
     with pytest.raises(ParamOutOfRange):
-        coupling_report(two_state04, 64, 4, 1000, seed=0, alpha=0.0)
+        coupling_report(two_state04, coefficient_set(two_state04, 64, 4), 1000, seed=0,
+                        alpha=0.0)
     with pytest.raises(ParamOutOfRange):
         sample_coupled_pairs(
             build_quantile_transform(distribution_of_Sn(two_state04, 8)), 0, seed=0)
@@ -126,13 +129,14 @@ def test_coupling_report_validation(two_state04):
                                             (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
 def test_coupling_report_needs_finite_positive_parameters(two_state04, alpha, c_alpha):
     with pytest.raises(ParamOutOfRange):
-        coupling_report(two_state04, 64, 4, 1000, seed=0, alpha=alpha, c_alpha=c_alpha)
+        coupling_report(two_state04, coefficient_set(two_state04, 64, 4), 1000, seed=0,
+                        alpha=alpha, c_alpha=c_alpha)
 
 
 def test_normalized_gap_concentrates_for_iid(rademacher):
     medians = []
     for n in (256, 1024, 4096):
         m = int(n ** (1.0 / 3.0) + 1e-9)
-        rep = coupling_report(rademacher, n, m, 20_000, seed=13)
+        rep = coupling_report(rademacher, coefficient_set(rademacher, n, m), 20_000, seed=13)
         medians.append(rep.gap_median)
     assert medians[2] <= medians[0]

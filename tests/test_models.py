@@ -401,3 +401,21 @@ def test_exact_stationary_of_a_dense_64_state_chain_is_exact():
     assert sum(pi) == 1
     for j in range(64):
         assert sum(pi[i] * rows[i][j] for i in range(64)) == pi[j]
+
+
+def test_oversized_dyadic_chain_is_refused_before_any_array(monkeypatch):
+    # 2^13 states would hold several dense 512 MiB arrays; the benchmark's
+    # 512-state chain still builds
+    from mdlab import models
+    from mdlab.errors import BudgetExceeded
+    assert builtin("dyadic_contracting", L=9).n_states == 512
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+    monkeypatch.setattr(models.np, "zeros", no_array)
+    for L in (13, 40, 1000):
+        with pytest.raises(BudgetExceeded):
+            builtin("dyadic_contracting", L=L)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", 64 * 64 * models.BUILD_ENTRY_BYTES - 1)
+    with pytest.raises(BudgetExceeded):
+        builtin("dyadic_contracting", L=6)

@@ -246,6 +246,24 @@ def test_estimate_tails_reproducible(two_state04):
     assert len(lines) == 3
 
 
+def test_tail_counts_are_inclusive_at_sample_atoms(two_state04):
+    # exact-tier samples sit on a lattice: a grid through every atom and x = 0
+    n, chains, seed = 16, 3000, 4
+    w = simulate_W(two_state04, n, chains, seed)
+    xs = np.concatenate(([0.0], np.unique(np.abs(w)), [w.max() + 1.0]))
+    upper, lower = montecarlo._tail_counts(w, xs)
+    assert upper.tolist() == [int(np.sum(w >= x)) for x in xs]
+    assert lower.tolist() == [int(np.sum(w <= -x)) for x in xs]
+    est = estimate_tails(two_state04, n, xs, chains, seed, sigma=1.0)
+    assert [t.estimate for t in est] == [int(np.sum(w >= x)) / chains for x in xs]
+    sig = sigma_n(two_state04, n)
+    grid = xs[:-1] / sig
+    curve = ratio_curve(two_state04, n, 4, grid, mode="mc", chains=chains, seed=seed)
+    for got, counts in ((curve.right, [np.sum(w >= x * sig) for x in grid]),
+                        (curve.left, [np.sum(w <= -x * sig) for x in grid])):
+        assert np.array_equal(got, np.array(counts) / chains / normal_sf(grid))
+
+
 def test_ratio_exact_rademacher_binomial_oracle(rademacher):
     # P(S_100 >= 10) = P(Bin(100, 1/2) >= 55) in exact rational arithmetic
     p = float(Fraction(sum(math.comb(100, h) for h in range(55, 101)), 2 ** 100))
