@@ -46,10 +46,10 @@ from .coefficients import (
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
 from .errors import BudgetExceeded, ConfigError, MdlabError, VerificationError
-from .exact import (_csv, _max_abs_tail, conditional_sum_norms, distribution_of_Sn,
-                    exact_tail, ks_distance_exact, sigma_any)
+from .exact import (_binomial_log_tail, _csv, _max_abs_tail, conditional_sum_norms,
+                    distribution_of_Sn, exact_tail, ks_distance_exact, sigma_any)
 from .models import DEFAULT_BUDGET_BYTES, builtin, parse_model_text
-from .montecarlo import _binomial_log_tail, mdp_diagnostic, ratio_curve
+from .montecarlo import mdp_diagnostic, ratio_curve
 from .normal import normal_sf
 
 SANDWICH_GRID = 1000

@@ -316,23 +316,21 @@ class CertifiedCoefficientBounds:
     gamma_bound: float
     delta_sq_bound: float
     regime: str
-    c1: float
-    c2: float
 
 
 def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n: float,
-                     bound_x0: float, c1: float = 1.0, c2: float = 1.0) -> CertifiedCoefficientBounds:
+                                 bound_x0: float) -> CertifiedCoefficientBounds:
     """Evaluate the eta-based envelopes
 
-      gamma_m  <= (c1 / (sqrt(m) sigma_n)) (sum_{i<=m} eta1_i
-                                            + sqrt(m) sum_{i>=m} eta1_i / sqrt(i))
-      delta_m^2 <= (c2 / (m sigma_n^2)) [ (sum_{i<=m} eta1_i)^2
+      gamma_m  <= (1 / (sqrt(m) sigma_n)) (sum_{i<=m} eta1_i
+                                           + sqrt(m) sum_{i>=m} eta1_i / sqrt(i))
+      delta_m^2 <= (1 / (m sigma_n^2)) [ (sum_{i<=m} eta1_i)^2
                     + sum_{i<=m/2} i eta2_i
                     + ||X_0|| sum_{i<=m/2} sum_{j>=2i} eta1_j
                     + m sum_{i>=m/2} eta2_i ]
 
-    with caller-supplied shape constants (the true absolute constants are not
-    pinned by the theory).
+    as shapes: the true absolute constants in front are not pinned by the
+    theory, and are taken as 1.
     """
     if m < 1 or n < m:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -341,18 +339,18 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
 
     eta1_head = np.array([cert.eta1_at(i) for i in range(1, m + 1)])
     s_head = float(eta1_head.sum())
-    gamma_bound = c1 / (math.sqrt(m) * sigma_n) * (
+    gamma_bound = 1.0 / (math.sqrt(m) * sigma_n) * (
         s_head + math.sqrt(m) * _series_eta_over_sqrt(cert, m))
 
     half = m // 2
     t_weighted = sum(i * cert.eta2_at(i) for i in range(1, half + 1))
     t_cross = bound_x0 * sum(_eta_tail_sum(cert, "eta1", 2 * i) for i in range(1, half + 1))
     t_far = m * _eta_tail_sum(cert, "eta2", max(1, half))
-    delta_sq_bound = c2 / (m * sigma_n ** 2) * (
+    delta_sq_bound = 1.0 / (m * sigma_n ** 2) * (
         s_head ** 2 + t_weighted + t_cross + t_far)
 
     return CertifiedCoefficientBounds(gamma_bound=gamma_bound, delta_sq_bound=delta_sq_bound,
-                        regime=_delta_regime(cert.beta_effective), c1=c1, c2=c2)
+                                      regime=_delta_regime(cert.beta_effective))
 
 
 def _delta_regime(beta: float) -> str:

@@ -26,7 +26,8 @@ round-off; a tail whose round-off bound passes ROUNDOFF_RTOL (a lumpy tilted
 law near the threshold) is read off the DP instead.
 
 Both engines check the module constants DEFAULT_BUDGET_BYTES and WORK_CAP_S
-before allocating, and `_grid_log_tails` alone picks mdp's engine.
+before allocating.  `_grid_log_tails` alone picks how a tail is computed, and
+reads every tail the DP answers for a grid off one pass.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import cached_property, reduce
 from itertools import chain, islice
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from .errors import (
     BudgetExceeded,
@@ -392,7 +394,6 @@ class _TiltPlan:
     the complement of this one."""
 
     model: FiniteLatticeModel
-    threshold: float
     rise: np.ndarray
     n: int
     k: int
@@ -488,28 +489,52 @@ def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float) -> tupl
     DP is nearer 1e-14.  The work is O(M s^3 log n) with M about 20 tilted
     standard deviations: n = 10^6 on two states takes under a tenth of a
     second.  A threshold past the top atom is -inf at once, and BudgetExceeded
-    is raised before a plan that is not `affordable` allocates.
+    is raised before a plan that is not `affordable` allocates.  A tail whose
+    round-off bound passes ROUNDOFF_RTOL is read off the DP by `_grid_log_tails`.
     """
-    return _tilt_run(_tilt_plan(model, n, threshold))
+    (log_p,), bound = _grid_log_tails(model, [n], [threshold], transform=True)
+    return log_p, float(bound[0])
 
 
-def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], levels: list[float]
-                    ) -> tuple[list[float], np.ndarray]:
-    """log P(W_n >= level) at each n of ns and its level in W_n units, and
-    bounds on their relative errors: by the tilted transform when every plan
-    is `affordable` and their seconds sum below `_sum_law_seconds` to max(ns),
-    else by that one sum-law pass (bounds 0), which may refuse the grid."""
+def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[float],
+                    transform: bool = False) -> tuple[list[float], np.ndarray]:
+    """log P(S_n >= threshold) for each n of ns and its threshold (centred S_n,
+    inclusive at atoms), and bounds on their relative errors: by the binomial
+    closed form for i.i.d. fair signs; else by the tilted transform if
+    `transform` is set or every plan is `affordable` and their seconds sum
+    below `_sum_law_seconds` to max(ns); else by one sum-law pass, which also
+    serves every tail the transform hands back (bounds 0), and may refuse."""
     if not ns:
         return [], np.zeros(0)
-    plans = [_tilt_plan(model, n, level * math.sqrt(n)) for n, level in zip(ns, levels)]
+    _require_exact(model)
+    rows, x = model.transition, model.x_values
+    if (not transform and sorted(x.tolist()) == [-1.0, 1.0] and np.all(rows == rows[0])
+            and np.allclose(model.pi, 0.5)):  # i.i.d. fair signs
+        return [_binomial_log_tail(n, t) for n, t in zip(ns, thresholds)], np.zeros(len(ns))
+    plans = [_tilt_plan(model, n, t) for n, t in zip(ns, thresholds)]
     tilted = [p for p in plans if isinstance(p, _TiltPlan)]
-    if (all(p.affordable for p in tilted)
-            and sum(p.seconds for p in tilted) < _sum_law_seconds(model, max(ns))):
-        logp, bound = zip(*map(_tilt_run, plans))
-        return list(logp), np.array(bound)
-    tables = _sum_law_tables(model, ns)
-    return ([float(exact_tail(tb, level / tb.sigma_n)) for tb, level in zip(tables, levels)],
-            np.zeros(len(ns)))
+    runs = [None] * len(ns)
+    if transform or (all(p.affordable for p in tilted)
+                     and sum(p.seconds for p in tilted) < _sum_law_seconds(model, max(ns))):
+        runs = [_tilt_run(p) for p in plans]
+    left = [i for i, run in enumerate(runs) if run is None]
+    if left:
+        for i, tb in zip(left, _sum_law_tables(model, [ns[i] for i in left])):
+            runs[i] = float(exact_tail(tb, thresholds[i] / math.sqrt(tb.n) / tb.sigma_n)), 0.0
+    logp, bound = zip(*runs)
+    return list(logp), np.array(bound)
+
+
+def _binomial_log_tail(n: int, t: float) -> float:
+    """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs, inclusive at
+    atoms: S_n = 2 K - n with K binomial, and (n + t) / 2 is snapped to K's
+    lattice."""
+    k0 = max(0, math.ceil(_snap((n + t) / 2.0, n / 2.0)))
+    if k0 > n:
+        return -math.inf
+    ks = np.arange(k0, n + 1)
+    logs = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1) - n * math.log(2.0)
+    return float(logsumexp(logs))
 
 
 def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan | float:
@@ -544,18 +569,18 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     log_guess = -math.log(2.0 * max(1.0, math.sqrt(2 * math.pi) * sd * -math.expm1(-theta)))
     size = 1 << (max(16, math.ceil(16 * sd)) - 1).bit_length()  # about +-8 sd
     while True:
-        plan = _TiltPlan(model, threshold, rise, n, k, theta, log_norm, size, flip)
+        plan = _TiltPlan(model, rise, n, k, theta, log_norm, size, flip)
         if (size > top or not plan.affordable
                 or plan.log_outside <= math.log(TAIL_RTOL / 2) + log_guess):
             return plan
         size *= 2
 
 
-def _tilt_run(plan: _TiltPlan | float) -> tuple[float, float]:
+def _tilt_run(plan: _TiltPlan | float) -> tuple[float, float] | None:
     """Carry out a plan: (log tail, bound on its relative error), the bound
     being the Chernoff bound on the truncation, at most TAIL_RTOL, plus the
-    round-off bound of _window_tail; a tail whose round-off bound passes
-    ROUNDOFF_RTOL is read off the DP instead, bound 0."""
+    round-off bound of _window_tail; None for a tail whose round-off bound
+    passes ROUNDOFF_RTOL, which the transform cannot resolve."""
     if not isinstance(plan, _TiltPlan):
         return plan, 0.0
     while True:
@@ -565,10 +590,8 @@ def _tilt_run(plan: _TiltPlan | float) -> tuple[float, float]:
                                  f"(budget {DEFAULT_BUDGET_BYTES}) and about {plan.seconds:.3g} s "
                                  f"(cap {WORK_CAP_S:g} s)")
         log_p, log_share, roundoff = _window_tail(plan)
-        if roundoff > ROUNDOFF_RTOL:  # the transform cannot resolve it
-            n = plan.n
-            x = plan.threshold / math.sqrt(n) / sigma_n(plan.model, n)
-            return float(exact_tail(distribution_of_Sn(plan.model, n), x)), 0.0
+        if roundoff > ROUNDOFF_RTOL:
+            return None
         cut = math.exp(plan.log_outside - log_share) if plan.size <= plan.top else 0.0
         if cut <= TAIL_RTOL:
             break

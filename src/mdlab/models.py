@@ -38,6 +38,7 @@ BURN_IN_TOL = 1e-12
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
 MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
 BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
+MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average weight is 0.0
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,8 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
 def _moving_average(c: float, L_trunc: int) -> SampledModel:
     if not (np.isfinite(c) and c > 0):
         raise ParamOutOfRange(f"c must be positive, got {c}")
-    if L_trunc < 1:
-        raise ParamOutOfRange(f"L_trunc must be >= 1, got {L_trunc}")
+    if not 1 <= L_trunc <= MA_MAX_LAG:
+        raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L_trunc}")
     L = int(L_trunc)
     weights = c * 0.5 ** np.arange(L + 1)
     bound = float(weights.sum())

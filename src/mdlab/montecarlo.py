@@ -20,7 +20,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .bounds import envelope_curve
 from .coefficients import CoefficientSet, coefficient_set
@@ -32,7 +31,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact import (
-    SNAP_ULPS,
     _csv,
     _grid_log_tails,
     _ks_sweep,
@@ -42,9 +40,8 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, PATH_STEP_BYTES, SLAB_BYTES,
-                     FiniteLatticeModel, _check_chain_budget, _innovation_blocks,
-                     _simulate_states)
+from .models import (CHAIN_BYTES, PATH_STEP_BYTES, SLAB_BYTES, _check_chain_budget,
+                     _innovation_blocks, _simulate_states)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -140,8 +137,10 @@ def _path_sums(model, eps: np.ndarray) -> np.ndarray:
 def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
                    sigma: Optional[float] = None) -> list[TailEstimate]:
     """Monte Carlo estimates of P(W_n >= x sigma_n) with 95% score intervals."""
-    sig = sigma if sigma is not None else sigma_any(model, n)
     xs = np.asarray(x_grid, dtype=float)
+    if np.any(np.isnan(xs)):
+        raise ParamOutOfRange("tail thresholds must not be nan")
+    sig = sigma if sigma is not None else sigma_any(model, n)
     upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
     out = []
     for x, k in zip(xs, upper.tolist()):
@@ -245,13 +244,11 @@ class MdpDiagnostic:
 def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """a_n = n^{-a}: compute a_n^2 ln P(W_n >= c / a_n) exactly along n_grid.
 
-    I.i.d. sign models use the closed-form binomial tail in log space, which
-    reaches n = 10^6 in milliseconds.  Other exact models take the engine
-    `exact._grid_log_tails` estimates to be quicker from the model and the
-    grid alone: `tilted_log_tail` per n, O(M s^3 log n) with M about 20 tilted
-    standard deviations (n = 10^6 on two states in under a tenth of a second),
-    or one sum-law DP pass to the largest n, O(s^2 n^2 spread), which wins on
-    many states at small n (dyadic L=6 on the grid 8, 32, 128).
+    One call of `exact._grid_log_tails` gives the tails and picks how: the
+    binomial closed form for i.i.d. fair signs, else whichever it estimates
+    quicker of `tilted_log_tail`'s transform per n (two states at n = 10^6 in
+    under a tenth of a second) and one sum-law DP pass to the largest n (on
+    many states at small n), which also reads what the transform cannot.
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
@@ -260,33 +257,10 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if not all(math.isfinite(n) and n == int(n) >= 1 for n in n_grid):
         raise ParamOutOfRange(f"every n in n_grid must be an integer >= 1, got {list(n_grid)}")
     ns = np.asarray(n_grid, dtype=np.int64)
-    ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold is c / a_n in W_n units
-    bound = np.zeros(ns.size)
-    if _is_iid_sign(model):
-        logp = [_binomial_log_tail(int(n), c / an * math.sqrt(n)) for n, an in zip(ns, ans)]
-    else:
-        logp, bound = _grid_log_tails(model, ns.tolist(), [c / an for an in ans])
+    ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold of S_n is c sqrt(n) / a_n
+    logp, bound = _grid_log_tails(model, ns.tolist(),
+                                  [c / an * math.sqrt(n) for n, an in zip(ns, ans)])
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * long_run_variance(model))
     return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
                          error_bound=bound)
-
-
-def _is_iid_sign(model) -> bool:
-    if not isinstance(model, FiniteLatticeModel):
-        return False
-    rows_equal = np.all(model.transition == model.transition[0])
-    return bool(rows_equal and sorted(model.x_values.tolist()) == [-1.0, 1.0]
-                and np.allclose(model.pi, 0.5))
-
-
-def _binomial_log_tail(n: int, t: float) -> float:
-    """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs."""
-    half = (n + t) / 2.0
-    near = round(half)  # taken when t is an atom's value up to rounding
-    k0 = max(0, near if abs(half - near) <= SNAP_ULPS * math.ulp(half) else math.ceil(half))
-    if k0 > n:
-        return -math.inf
-    ks = np.arange(k0, n + 1)
-    logs = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1) - n * math.log(2.0)
-    return float(logsumexp(logs))

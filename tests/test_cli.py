@@ -488,6 +488,16 @@ def test_oversized_builtin_chain_exits_2_and_writes_nothing(tmp_path, capsys, L)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("L", ["1075", "100000", "1e12"])
+def test_oversized_moving_average_exits_2_and_writes_nothing(tmp_path, capsys, L):
+    out = tmp_path / "out"
+    assert run_cli(["coeffs", "--model", f"moving_average:c=1,L_trunc={L}", "--n", "1000000",
+                    "--m", "52", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "L_trunc must lie in [1, 1074]" in err
+    assert not out.exists()
+
+
 def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):
     # a 64-state chain is checked on its own paths, not on a stand-in
     assert main(["verify", "--model", "dyadic_contracting:L=6", "--n", "16",

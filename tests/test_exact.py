@@ -374,10 +374,18 @@ def test_work_guard_refuses_the_dense_dp_before_its_first_step():
 # -- tails at large n: the tilted transform ----------------------------------
 
 def _no_dp_fallback(monkeypatch):
-    """Fail if tilted_log_tail hands its tail to the DP."""
+    """Fail if tilted_log_tail hands its tail to the DP: on any sum-law pass."""
     def fail(*args, **kwargs):
         raise AssertionError("the transform fell back to the DP")
-    monkeypatch.setattr(exact, "distribution_of_Sn", fail)
+    monkeypatch.setattr(exact, "_sum_law_steps", fail)
+
+
+def _count_sum_law_passes(monkeypatch) -> list[int]:
+    """The horizon of every sum-law pass, in order."""
+    real, passes = exact._sum_law_steps, []
+    monkeypatch.setattr(exact, "_sum_law_steps",
+                        lambda model, n: passes.append(n) or real(model, n))
+    return passes
 
 
 def _close(got: float, want: float) -> bool:
@@ -432,6 +440,7 @@ def test_tilted_tail_is_inclusive_at_atoms(two_state04, n, monkeypatch):
     # the atom's own mass is in the tail: the next lattice point up is the next atom
     assert tilted_log_tail(two_state04, n, atom + 1.0)[0] == tilted_log_tail(two_state04, n, atom + 2.0)[0] < got
     an = float(n) ** -0.25
+    monkeypatch.undo()  # mdp may take the DP at small n
     assert _close(mdp_diagnostic(two_state04, 1.0, 0.25, [n]).scaled[0], an * an * got)
 
 
@@ -465,13 +474,39 @@ def test_tilted_tail_hands_unresolvable_tails_to_the_dp(monkeypatch):
     # threshold is below the transform's round-off, the DP answers
     model, n = _oracle_model("rare5"), 5
     table = distribution_of_Sn(model, n)
-    calls = []
-    monkeypatch.setattr(exact, "distribution_of_Sn",
-                        lambda *a, **k: calls.append(a[1]) or distribution_of_Sn(*a, **k))
+    calls = _count_sum_law_passes(monkeypatch)
     for thr in table.sum_values:
         got, bound = tilted_log_tail(model, n, float(thr))
         assert _close(got, float(exact_tail(table, thr / (table.sigma_n * math.sqrt(n)))))
     assert calls and set(calls) == {n}
+
+
+def test_grid_reads_its_unresolvable_tails_off_one_pass(monkeypatch):
+    # the transform forced on rare5: at c = 0.8, a = 1/4 it cannot resolve the
+    # tails at n = 2..6 but resolves n = 7..11, and the five it hands back
+    # come off one sum-law pass to the largest of them, not one pass each
+    model, grid = _oracle_model("rare5"), [11, 2, 7, 3, 8, 4, 9, 5, 10, 6]
+    tables = dict(zip(grid, _sum_law_tables(model, grid)))
+    monkeypatch.setattr(exact._TiltPlan, "seconds", property(lambda plan: 0.0))
+    passes = _count_sum_law_passes(monkeypatch)
+    diag = mdp_diagnostic(model, 0.8, 0.25, grid)
+    assert passes == [6]
+    for n, got, bound in zip(grid, diag.scaled, diag.error_bound):
+        an, table = n ** -0.25, tables[n]
+        want = an * an * float(exact_tail(table, 0.8 / an / table.sigma_n))
+        assert (bound == 0.0) == (n <= 6)
+        assert abs(got - want) <= (1e-12 if n <= 6 else 1e-9) * abs(want), n
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_binomial_tail_is_inclusive_at_atoms_like_the_dp(rademacher, n):
+    # at each atom and one ulp either side of it, as exact_tail snaps them
+    table = distribution_of_Sn(rademacher, n)
+    for atom in table.sum_values:
+        for t in (atom, np.nextafter(atom, -np.inf), np.nextafter(atom, np.inf)):
+            want = float(exact_tail(table, t / math.sqrt(n) / table.sigma_n))
+            assert _close(exact._binomial_log_tail(n, float(t)), want), (atom, t)
+    assert exact._binomial_log_tail(n, n + 1.0) == -math.inf
 
 
 @pytest.mark.parametrize("n, budget", [(1 << 18, DEFAULT_BUDGET_BYTES), (256, 1 << 20)])

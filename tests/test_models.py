@@ -419,3 +419,18 @@ def test_oversized_dyadic_chain_is_refused_before_any_array(monkeypatch):
     monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", 64 * 64 * models.BUILD_ENTRY_BYTES - 1)
     with pytest.raises(BudgetExceeded):
         builtin("dyadic_contracting", L=6)
+
+
+def test_moving_average_past_the_last_nonzero_weight_is_refused_before_any_array(monkeypatch):
+    # c 2^-k is 0.0 past k = 1074: a longer window adds only zero weights, and
+    # L_trunc = 10^12 would ask for terabytes
+    from mdlab import models
+    ma = builtin("moving_average", c=1.0, L_trunc=1074)
+    assert ma.autocov_support == 1074 and ma.autocov(1074) > 0.0
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+    monkeypatch.setattr(models.np, "arange", no_array)
+    for L in (1075, 10 ** 5, 10 ** 12):
+        with pytest.raises(ParamOutOfRange, match="L_trunc"):
+            builtin("moving_average", c=1.0, L_trunc=L)

@@ -246,6 +246,14 @@ def test_estimate_tails_reproducible(two_state04):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan]])
+def test_estimate_tails_rejects_a_nan_level(two_state04, grid, monkeypatch):
+    # nan counts no sample, so it would read as a zero tail with an interval
+    monkeypatch.setattr(montecarlo, "simulate_W", None)
+    with pytest.raises(ParamOutOfRange, match="nan"):
+        estimate_tails(two_state04, 16, grid, 100, 0)
+
+
 def test_tail_counts_are_inclusive_at_sample_atoms(two_state04):
     # exact-tier samples sit on a lattice: a grid through every atom and x = 0
     n, chains, seed = 16, 3000, 4
