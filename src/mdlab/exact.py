@@ -503,7 +503,9 @@ def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[f
     closed form for i.i.d. fair signs; else by the tilted transform if
     `transform` is set or every plan is `affordable` and their seconds sum
     below `_sum_law_seconds` to max(ns); else by one sum-law pass, which also
-    serves every tail the transform hands back (bounds 0), and may refuse."""
+    serves every tail the transform hands back (bounds 0), and may refuse.
+    Plans are made from the largest n down, and none after the first that is
+    not affordable."""
     if not ns:
         return [], np.zeros(0)
     _require_exact(model)
@@ -511,10 +513,14 @@ def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[f
     if (not transform and sorted(x.tolist()) == [-1.0, 1.0] and np.all(rows == rows[0])
             and np.allclose(model.pi, 0.5)):  # i.i.d. fair signs
         return [_binomial_log_tail(n, t) for n, t in zip(ns, thresholds)], np.zeros(len(ns))
-    plans = [_tilt_plan(model, n, t) for n, t in zip(ns, thresholds)]
+    plans = [None] * len(ns)
+    for i in sorted(range(len(ns)), key=lambda i: -ns[i]):  # the dearest floor first
+        plans[i] = plan = _tilt_plan(model, ns[i], thresholds[i])
+        if not (transform or isinstance(plan, float) or plan.affordable):
+            break  # the DP answers every tail, or refuses
     tilted = [p for p in plans if isinstance(p, _TiltPlan)]
     runs = [None] * len(ns)
-    if transform or (all(p.affordable for p in tilted)
+    if transform or (None not in plans and all(p.affordable for p in tilted)
                      and sum(p.seconds for p in tilted) < _sum_law_seconds(model, max(ns))):
         runs = [_tilt_run(p) for p in plans]
     left = [i for i, run in enumerate(runs) if run is None]
@@ -541,7 +547,9 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     """The plan of tilted_log_tail, or the log tail itself (0 or -inf) when the
     threshold lies at or below the lowest sum or past the highest.  Its size is
     the first power of two whose window the Chernoff bounds clear against a
-    guess of the tail, or the first that is not `affordable`."""
+    guess of the tail, or the first that is not `affordable`; a plan's cost
+    grows with its size, so when the smallest, 16 points, is not affordable,
+    that plan is returned before any tilt is solved."""
     _require_exact(model)
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
@@ -562,6 +570,9 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
         rise, k = spread - rise, top - k + 1
     if k > _top_sum(p, rise, n):  # no path reaches k
         return 0.0 if flip else -math.inf
+    floor = _TiltPlan(model, rise, n, k, math.nan, math.nan, 16, flip)
+    if not floor.affordable:  # no larger plan is either: skip the tilt's Newton solve
+        return floor
     theta, log_norm, sd = _solve_tilt(
         lambda phi: _tilt_moments(p, pi, rise, n, phi, k / n), 0.0, TILT_REACH / spread)
     log_norm += theta * k  # log E e^{theta K_n}

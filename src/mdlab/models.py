@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -538,6 +539,7 @@ CHAIN_CHUNK = 4096
 SLAB_BYTES = 1 << 20  # uniforms drawn ahead over all blocks; one sampled block at its peak
 CHAIN_BYTES = 64  # held per chain while stepping: states, sums, draws, temporaries
 PATH_STEP_BYTES = 32  # peak per innovation of a sampled block: draw, path, temporaries (~24)
+KERNEL_ENTRIES = 1 << 16  # most entries s^2 (k spread + 1) of the k-step sum kernel a jump reads
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
@@ -578,7 +580,7 @@ def _innovation_blocks(model: SampledModel, n: int, chains: int, seed: int):
 def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
                        seed: int) -> np.ndarray:
     """State paths Y_0..Y_n for `chains` independent stationary trajectories,
-    one column per step of `_simulate_states`.
+    one column per one-step jump of `_simulate_states`.
 
     Each block of CHAIN_CHUNK chains draws from its own child generator of
     (seed, block index), so the paths do not depend on how blocks are
@@ -588,43 +590,122 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
     _require_exact(model)
     _check_chain_budget(chains, CHAIN_BYTES + 8 * (n + 1))
     out = np.empty((chains, n + 1), dtype=np.int64)
-    for t, y in enumerate(_simulate_states(model, n, chains, seed)):
+    for t, (y, _) in enumerate(_simulate_states(model, n, chains, seed)):
         out[:, t] = y
     return out
 
 
-def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int):
-    """Yield the states Y_t of `chains` stationary trajectories for t = 0..n,
-    one array over all chains per step.
+def _jump_length(model: FiniteLatticeModel, n: int) -> int:
+    """The largest power of two k <= n whose k-step sum kernel holds at most
+    KERNEL_ENTRIES entries s^2 (k spread + 1), spread = max f_num - min f_num;
+    1 when no k >= 2 qualifies."""
+    s, spread = model.n_states, int(model.f_num.max() - model.f_num.min())
+    k = 1
+    while 2 * k <= n and s * s * (2 * k * spread + 1) <= KERNEL_ENTRIES:
+        k *= 2
+    return k
+
+
+def _jump_kernels(model: FiniteLatticeModel, n: int, k: int) -> list[np.ndarray]:
+    """[K_k], then K_r if r = n mod k is not 0, for a power of two k: K_m[y, i,
+    y'] = P(Y_m = y', sum over t = 1..m of f_num(Y_t) - min f_num = g i |
+    Y_0 = y), g the gcd of f_num - min f_num.  K_2m is K_m composed with
+    itself, and K_r is composed from the binary powers below k, lowest first."""
+    rise = model.f_num - model.f_num.min()
+    rise //= np.gcd.reduce(rise)
+    s = model.n_states
+    kernel = np.zeros((s, int(rise.max()) + 1, s))
+    kernel[:, rise, np.arange(s)] = model.transition
+    powers = [kernel]
+    while len(powers) < k.bit_length():
+        powers.append(_compose(powers[-1], powers[-1]))
+    bits = [kn for b, kn in enumerate(powers) if n % k >> b & 1]
+    return powers[-1:] + ([reduce(_compose, bits)] if bits else [])
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel of a jump through `a` and then one through `b`: out[y, i + j,
+    y''] = sum over y' of a[y, i, y'] b[y', j, y''], one product over all
+    states per shift i that carries mass; non-negative terms only."""
+    s, width = a.shape[0], b.shape[1]
+    out = np.zeros((s, a.shape[1] + width - 1, s))
+    rows = b.reshape(s, -1)
+    for i in np.flatnonzero(a.any(axis=(0, 2))):
+        out[:, i:i + width] += (a[:, i] @ rows).reshape(s, width, s)
+    return out
+
+
+def _jump_table(rows: np.ndarray, to_state: np.ndarray, to_rise: np.ndarray):
+    """(cuts, states, rises, width) for drawing a jump from row y of a kernel
+    whose column e leads to state to_state[e] and adds to_rise[e]: row y's
+    nonzero columns in order, at their cumulative sums (full row, so zeros add
+    nothing) capped at 1.0, the last set to 1.0, and padded with 1.0 to a
+    power-of-two width.  Flattened, so row y starts at y * width."""
+    support = np.count_nonzero(rows, axis=1)
+    r = int(support.max())
+    width = 1 << (r - 1).bit_length()
+    cols = np.zeros((rows.shape[0], width), dtype=np.int64)  # padding is never picked
+    cols[:, :r] = np.argsort(rows == 0.0, axis=1, kind="stable")[:, :r]
+    cuts = np.ones(cols.shape)
+    cuts[:, :r] = np.minimum(np.take_along_axis(np.cumsum(rows, axis=1), cols[:, :r], axis=1),
+                             1.0)
+    cuts[np.arange(width) >= support[:, None] - 1] = 1.0  # u < 1 never passes these
+    return cuts.ravel(), to_state[cols].ravel(), to_rise[cols].ravel(), width
+
+
+def _jump(table, y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(next states, rises) of chains at y for uniforms u: the first entry of
+    row y whose cut is >= u, by a binary search of log2(width) vectorised
+    probes, each an exact float comparison."""
+    cuts, states, rises, width = table
+    pos = y * width
+    half = width >> 1
+    while half:
+        ahead = cuts[half - 1:].take(pos) < u
+        pos += ahead * half if half > 1 else ahead  # a bool adds 1
+        half >>= 1
+    return states.take(pos), rises.take(pos)
+
+
+def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int, k: int = 1):
+    """Yield (Y_0, 0), then (Y, D) after each jump of `chains` stationary
+    trajectories to horizon n, one array over all chains each: Y the state
+    and D the jump's sum of f_num(Y_t) - min f_num.  n = q k + r is q jumps
+    through the k-step kernel of `_jump_kernels` and, if r > 0, one through
+    the r-step kernel; at k = 1 every jump is one step of the path.
 
     Block b of CHAIN_CHUNK chains draws from child_rng(seed, b) its Y_0
-    uniforms, then its step uniforms as (T x size) slabs, the same stream as
-    T calls of rng.random(size); one slab over all blocks holds SLAB_BYTES.
-    A chain at y moves through the nonzero columns of row y only, to the
-    column of the first cut >= u, where the cuts are the full cumsum of P[y]
-    at those columns, the last set to 1.0: no u, 0.0 included, takes a
-    zero-probability move.
+    uniforms, then one uniform per jump as (T x size) slabs, the same stream
+    as T calls of rng.random(size); one slab over all blocks holds
+    SLAB_BYTES.  A uniform u moves a chain to the first nonzero (state, sum)
+    entry of its kernel row whose cumulative cut is >= u (`_jump_table`), so
+    no u, 0.0 included, takes a zero-probability entry.  The one
+    approximation: u is a multiple of 2^-53, so an entry below 2^-53 of its
+    row may never be drawn, and a jump's law is within (entries of the row)
+    2^-53 of the kernel's in total variation, up to the rounding of the cuts.
     """
-    p = model.transition
-    support = np.count_nonzero(p, axis=1)
-    r = int(support.max())
-    cols = np.argsort(p == 0.0, axis=1, kind="stable")[:, :r]  # nonzero columns first
-    cuts = np.take_along_axis(np.cumsum(p, axis=1), cols, axis=1)
-    cuts[np.arange(r) >= support[:, None] - 1] = 1.0  # u < 1 never passes these
-    cuts_by_rank = np.ascontiguousarray(cuts.T[:-1])  # the last rank is all 1.0
-    cols = cols.ravel()
+    s = model.n_states
+    rise = model.f_num - model.f_num.min()
+    if k == 1:  # the rows of P, never a dense (s, spread / g + 1, s) kernel
+        tables = [_jump_table(model.transition, np.arange(s), rise)]
+    else:
+        lattice = np.gcd.reduce(rise)
+        tables = [_jump_table(kn.transpose(0, 2, 1).reshape(s, -1),  # (state, sum) order
+                              np.repeat(np.arange(s), kn.shape[1]),
+                              np.tile(np.arange(kn.shape[1]) * lattice, s))
+                  for kn in _jump_kernels(model, n, k)]
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0
     blocks = [(child_rng(seed, b), min(CHAIN_CHUNK, chains - lo))
               for b, lo in enumerate(range(0, chains, CHAIN_CHUNK))]
     y = np.searchsorted(cum_pi, np.concatenate([g.random(m) for g, m in blocks]), side="left")
-    yield y
+    yield y, 0
+    q = n // k
+    jumps = -(-n // k)
     steps = max(1, SLAB_BYTES // (8 * chains))
-    for t0 in range(0, n, steps):
-        t = min(steps, n - t0)
-        for u in np.concatenate([g.random((t, m)) for g, m in blocks], axis=1):
-            k = y * r
-            for cut in cuts_by_rank:
-                k += cut.take(y) < u
-            y = cols.take(k)
-            yield y
+    for t0 in range(0, jumps, steps):
+        t = min(steps, jumps - t0)
+        for j, u in enumerate(np.concatenate([g.random((t, m)) for g, m in blocks], axis=1),
+                              start=t0):
+            y, d = _jump(tables[j >= q], y, u)
+            yield y, d

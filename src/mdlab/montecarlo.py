@@ -6,7 +6,10 @@ oracle instead; simulation exists for everything beyond its reach.  All
 output is a pure function of (model, parameters, seed): chains are generated
 in fixed-size blocks whose child seeds derive from (seed, block index), and
 reductions happen in block order, so any parallel schedule reproduces the
-sequential result bit for bit.
+sequential result bit for bit.  An exact-tier chain needs only S_n, so it
+jumps k steps per uniform through the exact k-step kernel of (state, sum),
+k the largest power of two <= n whose kernel holds at most
+models.KERNEL_ENTRIES entries (`models._simulate_states`).
 
 Confidence intervals use the Wilson score form, which stays honest when the
 tail count is a handful out of many.
@@ -41,7 +44,7 @@ from .exact import (
     sigma_any,
 )
 from .models import (CHAIN_BYTES, PATH_STEP_BYTES, SLAB_BYTES, _check_chain_budget,
-                     _innovation_blocks, _simulate_states)
+                     _innovation_blocks, _jump_length, _simulate_states)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -104,19 +107,17 @@ class RatioCurve:
 
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
-    in O(chains) memory plus one block; BudgetExceeded if that exceeds
-    DEFAULT_BUDGET_BYTES."""
+    in O(chains) memory plus one block and, on an exact model, one jump
+    kernel; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES."""
     if chains < 1:
         raise ParamOutOfRange("chains must be >= 1")
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     _check_chain_budget(chains, CHAIN_BYTES)
     if model.tier == "exact":
-        steps = _simulate_states(model, n, chains, seed)
-        next(steps)  # Y_0 carries no payoff
-        k = np.zeros(chains, dtype=np.int64)
-        for y in steps:
-            k += model.f_num.take(y)  # raw lattice sums: exact in any order
+        k = np.full(chains, n * int(model.f_num.min()), dtype=np.int64)
+        for _, d in _simulate_states(model, n, chains, seed, _jump_length(model, n)):
+            k += d  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
     else:
         out = np.concatenate([_path_sums(model, eps)

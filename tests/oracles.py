@@ -350,6 +350,74 @@ def state_paths_by_block(model, n: int, chains: int, seed: int, block: int) -> n
     return out
 
 
+def enum_sum_kernel(model, k: int) -> np.ndarray:
+    """K[y, j, y'] = P(Y_k = y', sum over t = 1..k of f_num(Y_t) - min f_num = j
+    | Y_0 = y) on every integer j, by listing each path of k steps and positive
+    probability, one row per path, and adding its product of transitions in at
+    its (start, sum, end)."""
+    s, p = model.n_states, model.transition
+    rise = model.f_num - model.f_num.min()
+    start = end = np.arange(s)
+    prob, sums = np.ones(s), np.zeros(s, dtype=np.int64)
+    for _ in range(k):
+        nxt = np.tile(np.arange(s), end.size)
+        prob = np.repeat(prob, s) * p[np.repeat(end, s), nxt]
+        keep = prob > 0.0
+        start, end, prob = np.repeat(start, s)[keep], nxt[keep], prob[keep]
+        sums = (np.repeat(sums, s) + rise[nxt])[keep]
+    out = np.zeros((s, k * int(rise.max()) + 1, s))
+    np.add.at(out, (start, sums, end), prob)
+    return out
+
+
+def kernel_rows(kernel: np.ndarray) -> np.ndarray:
+    """A (s, L, s) kernel K[y, i, y'] as rows over its columns (y', i), y' major."""
+    return kernel.transpose(0, 2, 1).reshape(kernel.shape[0], -1)
+
+
+def jump_sums_by_chain(model, n: int, chains: int, seed: int, block: int, k: int,
+                       kernels: list[np.ndarray]) -> np.ndarray:
+    """Raw lattice sums of f_num(Y_1..Y_n) over `chains` stationary chains, one
+    chain and one jump at a time.  Block b of `block` chains draws from
+    PCG64(SeedSequence(seed, spawn_key (b,))) its Y_0 uniforms, then one call
+    of random(size) per jump; a chain takes n // k jumps through kernels[0]
+    and, if k does not divide n, one through kernels[1].  A jump from y with
+    uniform u goes to the first nonzero column (y', i) of row y, in that
+    order, whose cumulative sum over the row is >= u, the last counted as 1.0;
+    it adds g i + k' min f_num for a jump of k' steps, g = gcd(f_num - min f_num).
+    The kernels are given: tests check the package's against `enum_sum_kernel`."""
+    rise = model.f_num - model.f_num.min()
+    g, low = int(np.gcd.reduce(rise)), int(model.f_num.min())
+    rows = []
+    for kernel in kernels:
+        table = []
+        for row in kernel_rows(kernel):
+            cols = np.flatnonzero(row)
+            cum = np.cumsum(row)[cols]
+            cum[-1] = 1.0
+            table.append((cols, cum))
+        rows.append((kernel.shape[1], table))
+    lengths = [k] * (n // k) + ([n % k] if n % k else [])
+    cum_pi = np.cumsum(model.pi)
+    cum_pi[-1] = 1.0
+    out = np.zeros(chains, dtype=np.int64)
+    for b, lo in enumerate(range(0, chains, block)):
+        hi = min(lo + block, chains)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(b,))))
+        y = np.searchsorted(cum_pi, rng.random(hi - lo), side="left")
+        draws = [rng.random(hi - lo) for _ in lengths]
+        for c in range(hi - lo):
+            state, total = int(y[c]), 0
+            for t, steps in enumerate(lengths):
+                width, table = rows[steps != k]
+                cols, cum = table[state]
+                col = int(cols[np.argmax(cum >= draws[t][c])])
+                state, total = col // width, total + g * (col % width) + low * steps
+            out[lo + c] = total
+    return out
+
+
 def empirical_ks_by_one_sided_maxima(samples, sigma_n: float) -> float:
     """max(D+, D-) with D+ = max_i (i/n - Phi(w_(i))) and D- = max_i (Phi(w_(i)) - (i-1)/n)
     over the sorted standardised samples w_(1) <= ... <= w_(n)."""

@@ -65,19 +65,18 @@ transition = 0.5 0.3 0.2  0.25 0.5 0.25  0.1 0.4 0.5
 
 @pytest.mark.parametrize("name", ["two_state", "dyadic6", "file"])
 def test_streamed_sums_match_path_reduction(name):
-    # simulate_W adds lattice numerators as it steps; it must agree with
-    # reducing the stacked paths, over two full blocks and a ragged third
+    # sample_state_paths stacks the sampler's one-step jumps, over two full
+    # blocks and a ragged third; dyadic L=6 has no kernel within
+    # KERNEL_ENTRIES, so simulate_W adds the payoffs of those same jumps
     model = {"two_state": builtin("two_state", rho=0.4),
              "dyadic6": builtin("dyadic_contracting", L=6),
              "file": parse_model_text(FILE_MODEL, name="file.model")}[name]
     n, chains, seed = 24, 2 * CHAIN_CHUNK + 123, 5
-    w = simulate_W(model, n, chains, seed)
     paths = sample_state_paths(model, n, chains, seed)
-    reduced = model.x_values[paths[:, 1:]].sum(axis=1) / math.sqrt(n)
-    if name == "file":  # its centred payoffs are inexact floats
-        assert np.all(np.abs(w - reduced) <= 1e-12 * np.maximum(1.0, np.abs(reduced)))
-    else:
-        assert w.tobytes() == reduced.tobytes()
+    if name == "dyadic6":
+        assert models._jump_length(model, n) == 1
+        reduced = model.x_values[paths[:, 1:]].sum(axis=1) / math.sqrt(n)
+        assert simulate_W(model, n, chains, seed).tobytes() == reduced.tobytes()
     # one trajectory is the first chain of block 0
     traj = sample_trajectory(model, n, seed)
     assert np.array_equal(traj.states, sample_state_paths(model, n, 1, seed)[0])
@@ -98,7 +97,7 @@ MODELS = {"two_state": lambda: builtin("two_state", rho=0.4),
 
 
 class FixedDraws:
-    """Stands in for a block's generator: Y_0 uniforms first, then step uniforms."""
+    """Stands in for a block's generator: Y_0 uniforms first, then one jump's uniforms."""
 
     def __init__(self, start, steps):
         self.draws = [np.asarray(start, dtype=float), np.asarray(steps, dtype=float)]
@@ -109,36 +108,46 @@ class FixedDraws:
 
 @pytest.mark.parametrize("name", ["dyadic3", "file", "gapped"])
 def test_no_move_along_a_zero_probability_entry(name, monkeypatch):
-    # every row meets u = 0.0, each cumulative sum of the row, its neighbours
-    # on both sides and the largest double below 1
+    # one jump of k steps: every kernel row meets u = 0.0, each cumulative sum
+    # of the row, its neighbours on both sides and the largest double below 1;
+    # k = 1 is one step through the rows of P
     model = MODELS[name]()
-    p = model.transition
-    rows, us = [], []
-    for y, cum in enumerate(np.cumsum(p, axis=1)):
-        cand = {0.0, 1.0 - 2.0 ** -53}
-        for c in cum:
-            cand |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
-        cand = sorted(u for u in cand if 0.0 <= u < 1.0)
-        rows += [y] * len(cand)
-        us += cand
-    rows, us = np.array(rows), np.array(us)
-    assert rows.size <= CHAIN_CHUNK  # one block
-    cum_pi = np.concatenate([[0.0], np.cumsum(model.pi)])
-    start = (cum_pi[rows] + cum_pi[rows + 1]) / 2  # a Y_0 uniform inside state y's slice
-    monkeypatch.setattr(models, "child_rng", lambda seed, b: FixedDraws(start, us))
-    y0, picked = models._simulate_states(model, 1, rows.size, seed=0)
-    assert np.array_equal(y0, rows)
-    assert np.all(p[rows, picked] > 0.0)
-    dense = oracles.dense_next_state(p, rows, us)
-    legal = p[rows, dense] > 0.0
-    assert np.array_equal(picked[legal], dense[legal])
-    # the dense rule's zero-probability moves, which the table cannot make
-    if name != "file":
-        at_zero = (us == 0.0) & (p[rows, 0] == 0.0)
-        assert at_zero.any() and np.all(dense[at_zero] == 0)
-    if name == "gapped":
-        gap = (rows == 0) & (us > np.cumsum(p[0])[3])
-        assert gap.any() and np.all(dense[gap] == 4) and np.all(picked[gap] == 3)
+    s, g = model.n_states, int(np.gcd.reduce(model.f_num - model.f_num.min()))
+    for k in (1, 2, 8):
+        if k == 1:
+            p, width = model.transition, 1
+        else:
+            kernel = models._jump_kernels(model, k, k)[0]
+            p, width = oracles.kernel_rows(kernel), kernel.shape[1]
+        exact = oracles.enum_sum_kernel(model, k)  # [y, raw sum, y']
+        rows, us = [], []
+        for y, cum in enumerate(np.cumsum(p, axis=1)):
+            cand = {0.0, 1.0 - 2.0 ** -53}
+            for c in cum:
+                cand |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
+            cand = sorted(u for u in cand if 0.0 <= u < 1.0)
+            rows += [y] * len(cand)
+            us += cand
+        rows, us = np.array(rows), np.array(us)
+        cum_pi = np.concatenate([[0.0], np.cumsum(model.pi)])
+        start = (cum_pi[rows] + cum_pi[rows + 1]) / 2  # a Y_0 uniform inside state y's slice
+        cut = [slice(b, b + CHAIN_CHUNK) for b in range(0, rows.size, CHAIN_CHUNK)]
+        monkeypatch.setattr(models, "child_rng",
+                            lambda seed, b: FixedDraws(start[cut[b]], us[cut[b]]))
+        (y0, _), (picked, rise) = models._simulate_states(model, k, rows.size, seed=0, k=k)
+        assert np.array_equal(y0, rows)
+        assert np.all(exact[rows, rise, picked] > 0.0)
+        col = picked * width + rise // g if k > 1 else picked
+        dense = oracles.dense_next_state(p, rows, us)
+        legal = p[rows, dense] > 0.0
+        assert np.array_equal(col[legal], dense[legal])
+        # the dense rule's zero-probability moves, which the table cannot make
+        if name != "file":
+            at_zero = (us == 0.0) & (p[rows, 0] == 0.0)
+            assert at_zero.any() and np.all(dense[at_zero] == 0)
+        if name == "gapped" and k == 1:
+            gap = (rows == 0) & (us > np.cumsum(p[0])[3])
+            assert gap.any() and np.all(dense[gap] == 4) and np.all(picked[gap] == 3)
 
 
 @pytest.mark.parametrize("slab_steps", [1, 3, None])
@@ -153,13 +162,64 @@ def test_lockstep_blocks_match_per_block_stepping(name, chains, slab_steps, monk
         monkeypatch.setattr(models, "SLAB_BYTES", slab_steps * 8 * chains)
     ref = oracles.state_paths_by_block(model, n, chains, seed, CHAIN_CHUNK)
     assert sample_state_paths(model, n, chains, seed).tobytes() == ref.tobytes()
-    k = model.f_num[ref[:, 1:]].sum(axis=1)
-    w = (k / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
-    assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
+    if name == "dyadic6":  # held at k = 1: simulate_W steps as the paths do
+        assert models._jump_length(model, n) == 1
+        k = model.f_num[ref[:, 1:]].sum(axis=1)
+        w = (k / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
+        assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
     if chains == 1:
         traj = sample_trajectory(model, n, seed)
         assert traj.states.tobytes() == ref[0].tobytes()
         assert traj.values.tobytes() == model.x_values[ref[0, 1:]].tobytes()
+
+
+@pytest.mark.parametrize("name", ["two_state", "dyadic3", "file", "gapped"])
+def test_sum_kernels_match_path_enumeration(name):
+    # K_1, K_2, K_4, K_8 by doubling; K_3 and K_5 as remainders composed from them
+    model = MODELS[name]()
+    g = int(np.gcd.reduce(model.f_num - model.f_num.min()))
+    kernels = {k: models._jump_kernels(model, k, k)[0] for k in (1, 2, 4, 8)}
+    kernels[3] = models._jump_kernels(model, 7, 4)[1]
+    kernels[5] = models._jump_kernels(model, 13, 8)[1]
+    for k, kernel in sorted(kernels.items()):
+        exact = oracles.enum_sum_kernel(model, k)
+        assert kernel.shape == exact[:, ::g].shape
+        assert np.max(np.abs(kernel - exact[:, ::g])) <= 1e-15
+        assert not np.any(np.delete(exact, np.s_[::g], axis=1))  # off the sublattice
+        assert np.all(np.abs(kernel.sum(axis=(1, 2)) - 1.0) <= 1e-14)
+
+
+def test_jump_length_is_the_largest_power_of_two_within_the_kernel_cap():
+    cases = {"two_state": 4096, "rademacher": 4096, "dyadic3": 128, "file": 1024, "dyadic6": 1}
+    for name, k in cases.items():
+        model = MODELS[name]()
+        assert models._jump_length(model, 10 ** 6) == k
+        assert models._jump_length(model, k + 1) == k
+        assert models._jump_length(model, 3) == min(k, 2)
+        assert models._jump_length(model, 1) == 1
+
+
+# (model, n, KERNEL_ENTRIES or None for the module's, jumps per slab or None):
+# every case has a remainder jump; the capped ones take several k-step jumps
+JUMP_CASES = [("two_state", 23, 64, None), ("two_state", 23, 64, 1),
+              ("rademacher", 1000, None, None), ("dyadic3", 421, None, None),
+              ("dyadic3", 421, None, 1), ("file", 77, 1 << 10, None), ("gapped", 50, None, None)]
+
+
+@pytest.mark.parametrize("name, n, entries, slab_jumps", JUMP_CASES)
+def test_jump_sums_match_a_per_chain_sampler(name, n, entries, slab_jumps, monkeypatch):
+    model = MODELS[name]()
+    chains, seed = 2 * CHAIN_CHUNK + 123, 11
+    if entries:
+        monkeypatch.setattr(models, "KERNEL_ENTRIES", entries)
+    if slab_jumps:
+        monkeypatch.setattr(models, "SLAB_BYTES", slab_jumps * 8 * chains)
+    k = models._jump_length(model, n)
+    assert 1 < k < n and n % k
+    kernels = models._jump_kernels(model, n, k)
+    sums = oracles.jump_sums_by_chain(model, n, chains, seed, CHAIN_CHUNK, k, kernels)
+    w = (sums / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
+    assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
 
 
 def test_simulation_refuses_sizes_beyond_the_budget():
@@ -339,6 +399,26 @@ def test_exact_mc_coverage_over_seeds(two_state04):
         for x, p in zip(xs, exact):
             k = int(np.sum(w >= x * sig))
             lo, hi = wilson_interval(k, chains)
+            covered += int(lo <= p <= hi)
+            total += 1
+    assert covered / total >= 0.9
+
+
+@pytest.mark.parametrize("name", ["dyadic3", "file"])
+def test_jump_mc_coverage_over_seeds(name):
+    # n = 200 is one jump of 128 steps and one of 72 on both models
+    model = MODELS[name]()
+    n, chains = 200, 100_000
+    assert models._jump_length(model, n) == 128
+    xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    table = distribution_of_Sn(model, n)
+    exact = np.exp(np.asarray(exact_tail(table, xs)))
+    sig = table.sigma_n
+    covered = total = 0
+    for seed in range(20):
+        w = simulate_W(model, n, chains, seed=seed)
+        for x, p in zip(xs, exact):
+            lo, hi = wilson_interval(int(np.sum(w >= x * sig)), chains)
             covered += int(lo <= p <= hi)
             total += 1
     assert covered / total >= 0.9
@@ -536,3 +616,21 @@ def test_mdp_budget_is_checked_for_the_largest_n_before_any_step(monkeypatch):
     with pytest.raises(BudgetExceeded):
         mdp_diagnostic(builtin("dyadic_contracting", L=8), 1.0, 0.25, [8, 4096])
     assert passes == [[4096, 0]]
+
+
+def test_mdp_refuses_before_solving_a_tilt_whose_smallest_plan_is_too_dear(monkeypatch):
+    # dyadic L=8 at n = 4096: a 16-point transform alone is estimated at about
+    # 0.45 s, past a cap of 0.25 s, so no tilt is solved before the DP refuses,
+    # not even n = 64's, whose own floor (about 0.23 s) is within the cap
+    monkeypatch.setattr(exact, "WORK_CAP_S", 0.25)
+    solves = []
+    solve = exact._solve_tilt
+    monkeypatch.setattr(exact, "_solve_tilt", lambda *a: solves.append(a) or solve(*a))
+    model = builtin("dyadic_contracting", L=8)
+    for grid in ([8, 4096], [64, 4096]):
+        with pytest.raises(BudgetExceeded, match="^DP needs"):
+            mdp_diagnostic(model, 1.0, 0.25, grid)
+    assert solves == []
+    with pytest.raises(BudgetExceeded, match="^tilted transform of 16 points"):
+        exact.tilted_log_tail(model, 4096, 1.0 * 4096 ** 0.75)
+    assert solves == []
