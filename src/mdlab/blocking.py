@@ -91,11 +91,8 @@ def decompose(model, trajectory: Trajectory, m: int,
     rem = n - k * m
     sig = sigma_any(model, n)
 
-    values = trajectory.values
-    block_sums = np.empty(k + 1)
-    for i in range(k):
-        block_sums[i] = values[i * m:(i + 1) * m].sum()
-    block_sums[k] = values[k * m:].sum() if rem else 0.0
+    values = trajectory.values  # block_sums: k blocks of m, then the remainder (0.0 if empty)
+    block_sums = np.append(values[:k * m].reshape(k, m).sum(axis=1), values[k * m:].sum())
 
     n_mart = k + 1 if variant == "martingale_all" else k
     if model.tier == "exact":
@@ -120,46 +117,35 @@ def _exact_predictable(model: FiniteLatticeModel, trajectory: Trajectory,
                        m: int, rem: int, k: int, n_mart: int):
     if trajectory.states is None:
         raise TrajectoryTooShort("exact-tier decomposition needs the state path")
-    cm = conditional_block_moments(model, m)
-    var_m = cm.second_by_state - cm.mean_by_state ** 2
-    starts = trajectory.states[[i * m for i in range(k)]]
-    predictable = cm.mean_by_state[starts]
-    cond_var = var_m[starts]
-    if n_mart == k + 1:
-        if rem:
-            cr = conditional_block_moments(model, rem)
-            s_last = trajectory.states[k * m]
-            predictable = np.append(predictable, cr.mean_by_state[s_last])
-            cond_var = np.append(cond_var,
-                                 cr.second_by_state[s_last] - cr.mean_by_state[s_last] ** 2)
-        else:
-            predictable = np.append(predictable, 0.0)
-            cond_var = np.append(cond_var, 0.0)
+    predictable, cond_var = np.zeros((2, n_mart))  # an empty remainder block stays 0
+    for length, lo, hi in ((m, 0, k), (rem, k, n_mart)):  # blocks lo..hi-1, from their states
+        if length and hi > lo:
+            cm = conditional_block_moments(model, length)
+            starts = trajectory.states[lo * m:hi * m:m]
+            predictable[lo:hi] = cm.mean_by_state[starts]
+            cond_var[lo:hi] = (cm.second_by_state - cm.mean_by_state ** 2)[starts]
     return predictable, cond_var
 
 
 def _nested_predictable(model, trajectory: Trajectory, m: int, rem: int,
                         k: int, n_mart: int, draws: int, seed: int):
-    """Block i's window eps[i m : burn_in + i m + length] keeps its first
-    burn_in innovations and redraws the rest, for all draws at once."""
+    """Block i keeps the innovations before it that its sum reads and redraws
+    its own, for all draws at once; each sum is one weighted reduction."""
     if trajectory.innovations is None:
         raise NestedEstimateUnavailable("trajectory carries no innovations")
-    burn = model.burn_in
-    predictable = np.zeros(n_mart)
-    cond_var = np.zeros(n_mart)
-    se = np.zeros(n_mart)
+    predictable, cond_var = np.zeros((2, n_mart))
     for i in range(n_mart):
         length = m if i < k else rem
         if length == 0:
             continue
-        window = np.empty((draws, burn + length))
-        window[:, :burn] = trajectory.innovations[i * m:i * m + burn]
-        window[:, burn:] = model.innovations(child_rng(seed, i), (draws, length))
-        sums = model.path(window).sum(axis=1)
+        a, lo = model.sum_weights(length), model.burn_in + i * m  # block i starts at lo
+        window = np.empty((draws, a.size))
+        window[:, :-length] = trajectory.innovations[lo + length - a.size:lo]
+        window[:, -length:] = model.innovations(child_rng(seed, i), (draws, length))
+        sums = (window * a).sum(axis=1)
         predictable[i] = sums.mean()
         cond_var[i] = sums.var(ddof=1)
-        se[i] = math.sqrt(cond_var[i] / draws)
-    return predictable, cond_var, se
+    return predictable, cond_var, np.sqrt(cond_var / draws)
 
 
 @dataclass(frozen=True)

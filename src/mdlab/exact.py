@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -64,15 +64,26 @@ def _csv(header: str, columns) -> str:
     """The header, then one line per row: float columns as %.17g (the bytes of
     f"{x:.17g}"), integer and bool columns as %d, None as blank cells.  Rows
     are formatted CSV_CHUNK at a time, so no full-length list is ever built."""
-    cols = [None if c is None else np.asarray(c) for c in columns]
-    live = [c for c in cols if c is not None]
-    fmt = ",".join("" if c is None else "%.17g" if c.dtype.kind == "f" else "%d"
-                   for c in cols) + "\n"
+    cols = [None if c is None else _cells(np.asarray(c)) for c in columns]
+    live = [c[0] for c in cols if c is not None]
+    fmt = ",".join("" if c is None else c[1] for c in cols) + "\n"
     parts = [header + "\n"]
     for lo in range(0, len(live[0]), CSV_CHUNK):
         chunk = [c[lo:lo + CSV_CHUNK].tolist() for c in live]
         parts.append(fmt * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
     return "".join(parts)
+
+
+def _cells(col: np.ndarray) -> tuple[np.ndarray, str]:
+    """(column, cell format) for _csv: a float column with at most half its values
+    distinct (by bits: -0.0 is not 0.0) becomes %.17g strings, one format each."""
+    if col.dtype.kind != "f":
+        return col, "%d"
+    bits, inv = np.unique(col.astype(float).view(np.int64), return_inverse=True)
+    if 2 * bits.size > col.size:
+        return col, "%.17g"
+    text = ("%.17g," * bits.size % tuple(bits.view(float).tolist())).split(",")[:-1]
+    return np.array(text, dtype=object)[inv], "%s"
 
 
 @dataclass(frozen=True)
@@ -287,9 +298,12 @@ def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
     """Estimated run time of the sum-law DP to n, fitted to timings on a shared
     2-core x86 host (two_state, dyadic L=3, 5, 6): per sublattice column and
     step, 0.07 ns per s^2 term of its mixing and 14 ns per state for its
-    shifts, exp and log; 25 us per step besides."""
+    shifts, exp and log; 25 us per step besides.  A chain with a transition
+    whose square is under 2^-960 may sum columns in log space: every column is
+    charged 15 ns per s^2 term for it (transitions of 1e-200 sent a quarter)."""
     s, cols = model.n_states, n + _sublattice(model)[3] * n * (n - 1) // 2
-    return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n
+    rare = model.transition[model.transition > 0].min() < 2.0 ** -480
+    return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n + (1.5e-8 * cols * s * s if rare else 0.0)
 
 
 def _sum_law_steps(model: FiniteLatticeModel, n: int):
@@ -403,14 +417,6 @@ class _TiltPlan:
     flip: bool
 
     @property
-    def p(self) -> np.ndarray:
-        return self.model.transition
-
-    @property
-    def pi(self) -> np.ndarray:
-        return self.model.pi
-
-    @property
     def top(self) -> int:
         return self.n * int(self.rise.max())
 
@@ -448,7 +454,8 @@ class _TiltPlan:
 
     def moments(self, a: int):
         """phi -> (log E e^{phi (K_n - a)}, E_phi K_n - a, Var_phi K_n)."""
-        return lambda phi: _tilt_moments(self.p, self.pi, self.rise, self.n, phi, a / self.n)
+        m = self.model
+        return lambda phi: _tilt_moments(m.transition, m.pi, self.rise, self.n, phi, a / self.n)
 
     @property
     def slab(self) -> int:
@@ -627,12 +634,12 @@ def _window_tail(plan: _TiltPlan) -> tuple[float, float, float]:
     reading; the weights and sums add (log2 M + 4 + theta (hi - k)) eps, and
     assembling the log adds eps (2 log2 n + 4) times its terms' magnitudes."""
     size, rise, n = plan.size, plan.rise, plan.n
-    a, c = _tilted(plan.p, rise, plan.theta)
+    a, c = _tilted(plan.model.transition, rise, plan.theta)
     sums, tops = np.empty(size // 2 + 1, dtype=complex), []
     for f in range(0, sums.size, plan.slab):
         fs = np.arange(f, min(f + plan.slab, sums.size))
         phase = np.exp(-2j * np.pi / size * (np.outer(fs, rise) % size))
-        sums[fs], log_scale = _power_sums(a[None] * phase[:, None, :], plan.pi, n, tops)
+        sums[fs], log_scale = _power_sums(a[None] * phase[:, None, :], plan.model.pi, n, tops)
     q, mass = np.fft.irfft(sums, size), float(sums[0].real)
     ks = np.arange(plan.k, min(plan.window[1], plan.top + 1))
     v, w = q[ks % size], np.exp(-plan.theta * (ks - plan.k))
@@ -655,13 +662,15 @@ def _top_sum(p: np.ndarray, rise: np.ndarray, n: int) -> int:
     powering of w[i, j] = rise[j] where P[i, j] > 0."""
     w = np.where(p > 0, rise.astype(float), -np.inf)
     best = np.zeros(rise.size)  # every state has a stationary start
+    rows = max(1, SLAB_BYTES // (8 * rise.size ** 2))  # a squaring block of about SLAB_BYTES
     while True:
         if n & 1:
             best = np.max(best[:, None] + w, axis=0)
         n >>= 1
         if not n:
             return int(best.max())
-        w = reduce(np.maximum, (w[:, j, None] + w[j] for j in range(rise.size)))
+        w = np.concatenate([np.max(w[i:i + rows, :, None] + w, axis=1)
+                            for i in range(0, rise.size, rows)])
 
 
 def _tilted(p: np.ndarray, rise: np.ndarray, phi: float) -> tuple[np.ndarray, float]:

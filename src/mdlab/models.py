@@ -3,8 +3,8 @@
 Two tiers are supported.  The exact tier is a finite-state Markov chain with a
 rational lattice payoff: everything downstream (sum distributions, conditional
 moments, mixing coefficients) can then be computed exactly.  The sampled tier
-is a causal path of i.i.d. innovations (Wu 2005) carrying an analytic decay
-certificate; it is only accessible through simulation.
+is a causal linear filter of i.i.d. innovations (Wu 2005) carrying an analytic
+decay certificate; it is only accessible through simulation.
 
 Construction is deliberately pedantic: transition rows are renormalized in
 exact rational arithmetic, the stationary vector is solved exactly for small
@@ -165,17 +165,18 @@ class FiniteLatticeModel:
 
 @dataclass(frozen=True, eq=False)
 class SampledModel:
-    """Causal path of i.i.d. innovations with an analytic decay certificate.
+    """Causal linear filter X_t = sum_k weights[k] eps_{t-k} of i.i.d.
+    innovations, with an analytic decay certificate.
 
-    ``innovations(rng, shape)`` draws i.i.d. innovations; ``path(eps)`` maps
-    eps[..., :burn_in + n] to X_1..X_n along the last axis, X_t reading
-    eps[..., t-1:burn_in + t] only.  ``autocov`` (optional) gives the analytic
+    ``innovations(rng, shape)`` draws i.i.d. innovations; a path of length n
+    reads eps[..., :burn_in + n] along the last axis, so burn_in must be at
+    least len(weights) - 1.  ``autocov`` (optional) gives the analytic
     autocovariance, zero beyond lag ``autocov_support`` if set.
     """
 
     name: str
     innovations: Callable[[np.random.Generator, tuple], np.ndarray]
-    path: Callable[[np.ndarray], np.ndarray]
+    weights: np.ndarray
     bound: float
     decay: DecayCertificate
     burn_in: int
@@ -190,6 +191,27 @@ class SampledModel:
             raise ParamOutOfRange("bound must be finite and positive")
         if self.burn_in < 0:
             raise ParamOutOfRange("burn_in must be >= 0")
+        object.__setattr__(self, "weights", w := np.asarray(self.weights, dtype=float))
+        if w.ndim != 1 or not 1 <= w.size <= self.burn_in + 1 or not np.all(np.isfinite(w)):
+            raise ParamOutOfRange("weights must be 1 to burn_in + 1 finite numbers")
+
+    def path(self, eps: np.ndarray) -> np.ndarray:
+        """X_1..X_n from eps[..., :burn_in + n]: len(weights) shifted adds."""
+        w, burn, n = self.weights, self.burn_in, eps.shape[-1] - self.burn_in
+        x = w[0] * eps[..., burn:]
+        for k in range(1, w.size):
+            x += w[k] * eps[..., burn - k:burn - k + n]
+        return x
+
+    def sum_weights(self, n: int) -> np.ndarray:
+        """a with S_n = (eps[..., -a.size:] * a).sum(-1) on eps[..., :burn_in + n]:
+        the weights convolved with n ones, reversed.  a_j, the sum of weights[k]
+        over L - j <= k < L - j + n, is a difference of tail sums of the weights
+        (L = len(weights) - 1), exact for dyadic weights."""
+        r = np.cumsum(self.weights[::-1])  # r[i] = weights[L - i] + ... + weights[L]
+        a = np.concatenate((r[:-1], np.full(n, r[-1])))
+        a[n:] -= r[:-1]
+        return a
 
     def describe(self) -> dict:
         return {"tier": self.tier, "name": self.name, "bound": self.bound,
@@ -372,26 +394,17 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
     def innovations(rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
-    def path(eps: np.ndarray) -> np.ndarray:
-        """X_t = sum_k w_k eps[burn_in + t - 1 - k]: L + 1 shifted adds."""
-        n = eps.shape[-1] - burn_in
-        x = weights[0] * eps[..., burn_in:]
-        for k in range(1, L + 1):
-            x += weights[k] * eps[..., burn_in - k:burn_in - k + n]
-        return x
-
     def autocov(k: int) -> float:
         if k < 0:
             raise ParamOutOfRange("lag must be >= 0")
         if k > L:
             return 0.0
-        i = np.arange(0, L + 1 - k)
-        return float(np.sum(weights[i] * weights[i + k]))
+        return float(np.sum(weights[:L + 1 - k] * weights[k:]))
 
     cert = DecayCertificate(eta1=eta1, eta2=eta2, beta=None,
                             rate_constant=2.0 * c, geometric_rho=rho_geom)
     return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", innovations=innovations,
-                        path=path, bound=bound, decay=cert, burn_in=burn_in,
+                        weights=weights, bound=bound, decay=cert, burn_in=burn_in,
                         autocov=autocov, autocov_support=L, params={"c": c, "L_trunc": L})
 
 
@@ -538,7 +551,7 @@ def _require_exact(model) -> None:
 CHAIN_CHUNK = 4096
 SLAB_BYTES = 1 << 20  # uniforms drawn ahead over all blocks; one sampled block at its peak
 CHAIN_BYTES = 64  # held per chain while stepping: states, sums, draws, temporaries
-PATH_STEP_BYTES = 32  # peak per innovation of a sampled block: draw, path, temporaries (~24)
+PATH_STEP_BYTES = 32  # sizes a sampled block, so its streams: peak ~24 B per innovation
 KERNEL_ENTRIES = 1 << 16  # most entries s^2 (k spread + 1) of the k-step sum kernel a jump reads
 
 
@@ -569,12 +582,12 @@ def sample_trajectory(model, n: int, seed: int) -> Trajectory:
 def _innovation_blocks(model: SampledModel, n: int, chains: int, seed: int):
     """Innovations of `chains` sampled paths of length n, one array per block:
     block b draws from child_rng(seed, b) as many chains as peak at SLAB_BYTES
-    (one at least).  BudgetExceeded, before drawing, if a block cannot fit."""
+    (one at least).  BudgetExceeded, at the call, if a block cannot fit."""
     width = model.burn_in + n
     size = min(chains, max(1, SLAB_BYTES // (PATH_STEP_BYTES * width)))
     _check_chain_budget(size, PATH_STEP_BYTES * width)
-    for b, lo in enumerate(range(0, chains, size)):
-        yield model.innovations(child_rng(seed, b), (min(size, chains - lo), width))
+    return (model.innovations(child_rng(seed, b), (min(size, chains - lo), width))
+            for b, lo in enumerate(range(0, chains, size)))
 
 
 def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,

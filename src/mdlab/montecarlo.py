@@ -9,7 +9,8 @@ reductions happen in block order, so any parallel schedule reproduces the
 sequential result bit for bit.  An exact-tier chain needs only S_n, so it
 jumps k steps per uniform through the exact k-step kernel of (state, sum),
 k the largest power of two <= n whose kernel holds at most
-models.KERNEL_ENTRIES entries (`models._simulate_states`).
+models.KERNEL_ENTRIES entries (`models._simulate_states`).  A sampled S_n is
+one weighted reduction of the innovations (`SampledModel.sum_weights`), no BLAS.
 
 Confidence intervals use the Wilson score form, which stays honest when the
 tail count is a handful out of many.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -43,8 +43,8 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, PATH_STEP_BYTES, SLAB_BYTES, _check_chain_budget,
-                     _innovation_blocks, _jump_length, _simulate_states)
+from .models import (CHAIN_BYTES, _check_chain_budget, _innovation_blocks, _jump_length,
+                     _simulate_states)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -108,7 +108,10 @@ class RatioCurve:
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
     in O(chains) memory plus one block and, on an exact model, one jump
-    kernel; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES."""
+    kernel; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES.  A sampled
+    S_n is the sum of `sample_trajectory`'s path where the arithmetic is exact
+    (the moving average at c = 1 with L_trunc + log2(2n) <= 52), else within
+    rounding of it."""
     if chains < 1:
         raise ParamOutOfRange("chains must be >= 1")
     if n < 1:
@@ -120,19 +123,10 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
             k += d  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
     else:
-        out = np.concatenate([_path_sums(model, eps)
-                              for eps in _innovation_blocks(model, n, chains, seed)])
+        blocks = _innovation_blocks(model, n, chains, seed)  # the budget check comes first
+        a = model.sum_weights(n)
+        out = np.concatenate([(eps[:, -a.size:] * a).sum(axis=-1) for eps in blocks])
     return out / math.sqrt(n)
-
-
-def _path_sums(model, eps: np.ndarray) -> np.ndarray:
-    """Row sums of model.path(eps), its time axis cut into pieces of about
-    SLAB_BYTES at its peak.  Each piece reads only its own window of eps, so
-    every X_t is bit for bit the same; a block that fits is one piece."""
-    burn, n = model.burn_in, eps.shape[-1] - model.burn_in
-    step = max(1, SLAB_BYTES // (PATH_STEP_BYTES * eps.shape[0]))
-    return reduce(np.add, (model.path(eps[:, t:burn + t + step]).sum(axis=-1)
-                           for t in range(0, n, step)))
 
 
 def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
@@ -143,12 +137,8 @@ def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
         raise ParamOutOfRange("tail thresholds must not be nan")
     sig = sigma if sigma is not None else sigma_any(model, n)
     upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
-    out = []
-    for x, k in zip(xs, upper.tolist()):
-        lo, hi = wilson_interval(k, chains)
-        out.append(TailEstimate(x=float(x), estimate=k / chains, lo=lo, hi=hi,
-                                chains=chains, seed=seed))
-    return out
+    return [TailEstimate(float(x), k / chains, *wilson_interval(k, chains), chains, seed)
+            for x, k in zip(xs, upper.tolist())]
 
 
 def _tail_counts(w: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,17 @@ def test_partition_identity(two_state04):
     assert dec.block_sums.sum() == pytest.approx(traj.values.sum(), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 7, 128, 333, 1000])
+def test_block_sums_are_the_slice_sums_bit_for_bit(m):
+    # values of c = 0.7 round, so a different order of adds would show
+    ma = builtin("moving_average", c=0.7, L_trunc=5)
+    traj = sample_trajectory(ma, 1000, seed=4)
+    k, values = 1000 // m, traj.values
+    want = [values[i * m:(i + 1) * m].sum() for i in range(k)]
+    want.append(values[k * m:].sum() if 1000 % m else 0.0)
+    assert decompose(ma, traj, m, nested_draws=2).block_sums.tobytes() == np.array(want).tobytes()
+
+
 def test_remainder_empty_when_m_divides(two_state04):
     traj = sample_trajectory(two_state04, 12, seed=1)
     dec = decompose(two_state04, traj, 3)
@@ -186,6 +197,26 @@ def test_nested_resampling_matches_per_draw_convolution():
             sums.append(x[start:start + length].sum())
         assert dec.predictable[i] == pytest.approx(np.mean(sums), abs=1e-12)
         assert dec.predictable_se[i] ** 2 * draws == pytest.approx(np.var(sums, ddof=1), abs=1e-12)
+
+
+@pytest.mark.parametrize("L, variant", [(6, "martingale_all"), (20, "split_remainder"),
+                                        (45, "martingale_all")])
+def test_nested_sums_are_the_shifted_add_path_sums_bit_for_bit(L, variant):
+    # c = 1: every weight is a power of two, so each redrawn window's weighted
+    # reduction is its path's sum exactly, whatever the order of the adds
+    ma = builtin("moving_average", c=1.0, L_trunc=L)
+    n, m, draws, seed = 100, 30, 16, 3
+    traj = sample_trajectory(ma, n, seed=9)
+    dec = decompose(ma, traj, m, variant=variant, nested_draws=draws, seed=seed)
+    burn = ma.burn_in
+    for i in range(dec.predictable.size):
+        length = min(m, n - i * m)
+        window = np.empty((draws, burn + length))
+        window[:, :burn] = traj.innovations[i * m:i * m + burn]
+        window[:, burn:] = ma.innovations(child_rng(seed, i), (draws, length))
+        sums = ma.path(window).sum(axis=1)
+        assert dec.predictable[i] == sums.mean()
+        assert dec.predictable_se[i] == math.sqrt(sums.var(ddof=1) / draws)
 
 
 @pytest.mark.parametrize("draws", [0, 1])

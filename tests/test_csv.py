@@ -4,7 +4,7 @@ every file body must be byte-identical."""
 import numpy as np
 import pytest
 
-from mdlab import builtin, cli, decompose, distribution_of_Sn, sample_trajectory
+from mdlab import builtin, cli, decompose, distribution_of_Sn, exact, sample_trajectory
 from mdlab.blocking import BlockDecomposition
 from mdlab.bounds import BoundCurve
 from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
@@ -119,6 +119,22 @@ def test_verify_and_coupling_columns_are_byte_identical(rows):
     y, z = (np.random.default_rng(s).standard_normal(rows) * 1e3 for s in (24, 25))
     y[:min(rows, 3)] = [-0.0, 5e-324, 2.0 ** 53 + 1][:rows]
     assert_same(_csv("z,y,gap", [z, y, np.abs(y - z)]), oracles.coupling_pairs_csv(y, z))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_repeated_and_distinct_float_columns_are_byte_identical(rows):
+    # a column of few values, each formatted once and reused, next to one
+    # whose values are all distinct; the few values include 0.0 and -0.0,
+    # which compare equal but print apart, and nan and the infinities
+    rng = np.random.default_rng(29)
+    atoms = np.concatenate((EDGES, rng.standard_normal(20)))
+    rep, distinct = atoms[rng.integers(0, atoms.size, rows)], _floats(rows, 30)
+    rep[:min(rows, EDGES.size)] = EDGES[:rows]
+    if rows:
+        assert exact._cells(rep)[1] == ("%s" if rows >= 2 * atoms.size else "%.17g")
+        assert exact._cells(distinct)[1] == "%.17g"
+    want = oracles.rows_csv("rep,distinct", (f"{a:.17g},{b:.17g}" for a, b in zip(rep, distinct)))
+    assert_same(_csv("rep,distinct", [rep, distinct]), want)
 
 
 @pytest.mark.parametrize("draws", [CSV_CHUNK - 1, CSV_CHUNK + 1])

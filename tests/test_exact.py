@@ -371,6 +371,51 @@ def test_work_guard_refuses_the_dense_dp_before_its_first_step():
     assert exact._sum_law_seconds(model, 16 * 48) <= exact.WORK_CAP_S
 
 
+@pytest.mark.parametrize("name", ["rare5", "rare_step2", "two_state:0.4", "two_state:0.999",
+                                  "asymmetric3", "dyadic:6", "step4", "rademacher"])
+def test_work_estimate_charges_log_space_columns_on_rare_transitions(name):
+    # a column with an entry under 2^-960 of its largest is summed in log
+    # space; a transition whose square is under 2^-960 (1e-200) can put
+    # columns there, and only such a chain is charged for it
+    model = _oracle_model(name)
+    s, spread = model.n_states, exact._sublattice(model)[3]
+    for n in (10, 1000, 2000):
+        cols = n + spread * n * (n - 1) // 2
+        plain = 7e-11 * cols * s * (s + 200) + 2.5e-5 * n
+        got = exact._sum_law_seconds(model, n)
+        if name.startswith("rare"):
+            assert got == plain + 1.5e-8 * cols * s * s
+            # rare5 took 1.9-2.6 times the plain estimate at n = 1000 and 2000
+            assert got > 3 * plain or n < 1000
+        else:
+            assert got == plain
+
+
+def _top_sum_by_steps(model, rise, n):
+    """max over positive-probability paths of rise[Y_1] + ... + rise[Y_n],
+    one max-plus step at a time."""
+    best = np.zeros(model.n_states)
+    for _ in range(n):
+        best = np.array([max(best[i] for i in range(model.n_states) if model.transition[i, j] > 0)
+                         for j in range(model.n_states)]) + rise
+    return int(best.max())
+
+
+@pytest.mark.parametrize("slab_rows", [None, 3])
+@pytest.mark.parametrize("name, enum_n", [("dyadic3", 5), ("file", 9), ("gapped", 7)])
+def test_top_sum_matches_path_enumeration(name, enum_n, slab_rows, monkeypatch):
+    from test_montecarlo import MODELS
+    model = MODELS[name]()
+    xmin, g, rise, _ = exact._sublattice(model)
+    if slab_rows:  # each squaring in blocks of 3 rows, the last one short
+        monkeypatch.setattr(exact, "SLAB_BYTES", 8 * slab_rows * model.n_states ** 2)
+    for n in range(1, enum_n + 1):
+        offsets, _ = oracles.enum_distribution(model, n)
+        assert exact._top_sum(model.transition, rise, n) == (int(offsets.max()) - n * xmin) // g
+    for n in (63, 64, 100, 1000):
+        assert exact._top_sum(model.transition, rise, n) == _top_sum_by_steps(model, rise, n)
+
+
 # -- tails at large n: the tilted transform ----------------------------------
 
 def _no_dp_fallback(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -279,8 +280,50 @@ def test_sampled_path_sums_over_time_pieces_match_one_pass():
     whole = ma.path(eps)
     pieces = [ma.path(eps[:, t:burn + t + step]) for t in range(0, n, step)]
     assert np.concatenate(pieces, axis=1).tobytes() == whole.tobytes()
-    # c = 1 makes every X_t a multiple of 2^-20, so any order of summing is exact
-    assert montecarlo._path_sums(ma, eps).tobytes() == whole.sum(axis=-1).tobytes()
+    # c = 1 makes every X_t and every sum weight a multiple of 2^-20, so the
+    # weighted reduction that simulate_W runs is the path's sum, bit for bit
+    a = ma.sum_weights(n)
+    assert (eps[:, -a.size:] * a).sum(axis=-1).tobytes() == whole.sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 40, 1000])
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_sum_weights_are_the_weights_convolved_with_n_ones(n, c):
+    # L = 6: n below, at and past the filter length
+    ma = builtin("moving_average", c=c, L_trunc=6)
+    a = ma.sum_weights(n)
+    want = np.convolve(ma.weights, np.ones(n))[::-1]
+    assert a.shape == (n + 6,)
+    if c == 1.0:  # dyadic weights: every tail sum and difference is exact
+        assert a.tobytes() == want.tobytes()
+    else:
+        assert np.allclose(a, want, rtol=4e-16, atol=0)
+    # a_j weighs the innovation j places before the last n + L: S_n of a path
+    eps = ma.innovations(np.random.default_rng(n), (3, ma.burn_in + n))
+    assert np.allclose((eps[:, -a.size:] * a).sum(axis=-1), ma.path(eps).sum(axis=-1),
+                       rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("c, L, n", [(0.7, 20, 10 ** 5), (0.7, 20, 256), (1.0, 60, 4096),
+                                     (0.3, 1074, 300)])
+def test_sampled_sums_of_inexact_weights_agree_with_the_paths(c, L, n):
+    # weights that are not dyadic (or, at L = 60, too many bits) round in a
+    # different order than the shifted adds: over seeds 0-4 the gap was at most
+    # 3.8e-16 of the largest |S_n|, bounded here by 1e-12
+    ma = builtin("moving_average", c=c, L_trunc=L)
+    chains = 8 if n > 10 ** 4 else 200
+    slow = np.concatenate([ma.path(eps).sum(axis=-1)
+                           for eps in models._innovation_blocks(ma, n, chains, 5)])
+    fast = simulate_W(ma, n, chains, 5) * math.sqrt(n)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_sampled_model_weights_must_fit_the_burn_in():
+    ma = builtin("moving_average", c=1.0, L_trunc=8)
+    for bad in (np.zeros(0), np.ones(ma.burn_in + 2), np.ones((2, 2)), np.array([1.0, np.nan])):
+        with pytest.raises(ParamOutOfRange, match="weights"):
+            dataclasses.replace(ma, weights=bad)
+    assert dataclasses.replace(ma, weights=[1, 2]).weights.dtype == np.float64
 
 
 def test_wilson_interval_properties():
