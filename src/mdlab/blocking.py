@@ -26,7 +26,7 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .exact import _csv, conditional_block_moments, sigma_any
-from .models import FiniteLatticeModel, Trajectory, _require_exact, child_rng
+from .models import FiniteLatticeModel, Trajectory, _require_count, _require_exact, child_rng
 
 VARIANTS = ("split_remainder", "martingale_all")
 NESTED_DRAWS_DEFAULT = 256
@@ -80,10 +80,7 @@ def decompose(model, trajectory: Trajectory, m: int,
     """
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if m < 1:
-        raise ParamOutOfRange("m must be >= 1")
-    if nested_draws < 2:
-        raise ParamOutOfRange(f"nested_draws must be >= 2, got {nested_draws}")
+    m, nested_draws = _require_count(m, "m"), _require_count(nested_draws, "nested_draws", 2)
     n = trajectory.n
     if n < m:
         raise TrajectoryTooShort(f"trajectory has n={n} < m={m}")

@@ -2,9 +2,10 @@
 
 Subcommands: coeffs, verify, coupling, mdp, report.  Outputs are
 machine-readable (JSON and CSV) and byte-identical for identical
-(configuration, seed), whatever the thread count: every file carries a
-manifest with the tool version, a hash of the semantic configuration and the
-seed, and contains nothing schedule- or time-dependent.
+(configuration, seed): every file carries a manifest with the tool version, a
+hash of the semantic configuration and the seed, and contains nothing
+schedule- or time-dependent.  Every subcommand runs in one thread; `--threads`
+is accepted and ignored, and is not part of the configuration hash.
 
 A `--config` JSON object is more flags: each key is a flag's name with `_`
 for `-`, appended after the command line (so the file wins) and parsed with
@@ -24,7 +25,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# not used here: kept only because perfbench/spans.py swaps this name when tracing
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from itertools import chain
 
 import numpy as np
@@ -180,41 +182,6 @@ def cmd_coeffs(cfg: dict, model, run_coeffs):
     return {"coefficients.json": _json_file(_manifest(cfg), payload)}, None
 
 
-def _verify_tasks(model, coeffs, xs: np.ndarray, gate_mode: str, c: float):
-    """The independent verification workloads; each returns its own block."""
-    n, m = coeffs.n, coeffs.m
-
-    def ratio_task():
-        return ratio_curve(model, n, m, xs, mode="exact", coeffs=coeffs, envelope_c=c,
-                           gate_mode=gate_mode)
-
-    def bern_task():
-        table = distribution_of_Sn(model, n)
-        pos = xs[xs > 0]
-        exact_p = np.exp(np.asarray(exact_tail(table, pos)))
-        bern = np.asarray(bernstein_bound(coeffs, pos))
-        return table, pos, exact_p, bern
-
-    def freedman_task():
-        grid = np.linspace(0.25, FREEDMAN_XMAX, 16)
-        exact_p = np.exp([_binomial_log_tail(n, x * math.sqrt(n)) for x in grid])
-        bound = np.asarray(freedman_bound(grid, 1.0, 1.0 / math.sqrt(n)))
-        return grid, exact_p, bound
-
-    def sandwich_task():
-        grid = np.linspace(0.0, 8.0, SANDWICH_GRID)
-        lo, hi = gaussian_tail_sandwich(grid)
-        return grid, lo, normal_sf(grid), hi
-
-    def peligrad_task():
-        # exact max-of-partial-sums tails of the model against the maximal inequality
-        norms = conditional_sum_norms(model, PELIGRAD_N)
-        return [(x, _max_abs_tail(model, PELIGRAD_N, x),
-                 float(peligrad_bound(x, PELIGRAD_N, model.bound, norms))) for x in PELIGRAD_XS]
-
-    return ratio_task, bern_task, freedman_task, sandwich_task, peligrad_task
-
-
 def cmd_verify(cfg: dict, model, run_coeffs):
     if model.tier != "exact":
         raise ConfigError("verify needs an exact-tier model")
@@ -226,14 +193,23 @@ def cmd_verify(cfg: dict, model, run_coeffs):
         raise ConfigError(f"envelope constant must be finite and positive, got {c}")
 
     coeffs = run_coeffs()
-    tasks = _verify_tasks(model, coeffs, xs, gate_mode, c)
-    with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        curve, bern_pack, fred_pack, sand_pack, prows = [f.result() for f in futures]
-
-    table, pos, exact_p, bern = bern_pack
-    fgrid, fexact, fbound = fred_pack
-    sgrid, slo, ssf, shi = sand_pack
+    n = coeffs.n
+    curve = ratio_curve(model, n, coeffs.m, xs, mode="exact", coeffs=coeffs, envelope_c=c,
+                        gate_mode=gate_mode)
+    table = distribution_of_Sn(model, n)
+    pos = xs[xs > 0]
+    exact_p = np.exp(np.asarray(exact_tail(table, pos)))
+    bern = np.asarray(bernstein_bound(coeffs, pos))
+    fgrid = np.linspace(0.25, FREEDMAN_XMAX, 16)
+    fexact = np.exp([_binomial_log_tail(n, x * math.sqrt(n)) for x in fgrid])
+    fbound = np.asarray(freedman_bound(fgrid, 1.0, 1.0 / math.sqrt(n)))
+    sgrid = np.linspace(0.0, 8.0, SANDWICH_GRID)
+    slo, shi = gaussian_tail_sandwich(sgrid)
+    ssf = normal_sf(sgrid)
+    # exact max-of-partial-sums tails of the model against the maximal inequality
+    norms = conditional_sum_norms(model, PELIGRAD_N)
+    prows = [(x, _max_abs_tail(model, PELIGRAD_N, x),
+              float(peligrad_bound(x, PELIGRAD_N, model.bound, norms))) for x in PELIGRAD_XS]
 
     checked = chain(  # (check, x, bound, value, failed), in reporting order
         (("bernstein", x, b, e, e > b) for x, e, b in zip(pos, exact_p, bern)),
@@ -327,7 +303,7 @@ _COMMON_FLAGS = (
     ("--out", dict(default=".")),
     ("--config", dict(help="JSON object of flags (key: flag name with _ for -); "
                            "its values win over the command line")),
-    ("--threads", dict(type=int, default=1)),
+    ("--threads", dict(type=int, default=1, help="accepted and ignored")),
 )
 
 # subcommand -> (run, help, its own flags); `report` takes every subcommand's

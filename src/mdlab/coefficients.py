@@ -48,6 +48,7 @@ from .models import (
     DecayCertificate,
     FiniteLatticeModel,
     SampledModel,
+    _require_count,
     _require_exact,
     geometric_mixing_certificate,
 )
@@ -183,7 +184,8 @@ def coefficient_set(model: FiniteLatticeModel, n: int, m: int) -> CoefficientSet
     norm, and the certified remainder (below GAMMA_TOL) is reported.
     """
     _require_exact(model)
-    if not 1 <= m <= n:
+    n, m = _require_count(n, "n"), _require_count(m, "m")
+    if m > n:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
     sig = exact_sigma_n(model, n)
     eps = m * model.bound / (math.sqrt(n) * sig)
@@ -243,8 +245,7 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     if isinstance(model, SampledModel):
         return model.decay
     _require_exact(model)
-    if n_max < 1:
-        raise ParamOutOfRange("n_max must be >= 1")
+    n_max = _require_count(n_max, "n_max")
     try:
         env = _MixingEnvelope(model)
     except NoDecayCertificate as exc:
@@ -332,7 +333,8 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
     as shapes: the true absolute constants in front are not pinned by the
     theory, and are taken as 1.
     """
-    if m < 1 or n < m:
+    n, m = _require_count(n, "n"), _require_count(m, "m")
+    if m > n:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
     if sigma_n <= 0 or bound_x0 <= 0:
         raise ParamOutOfRange("sigma_n and bound_x0 must be positive")
@@ -417,8 +419,7 @@ def select_block_size(n: int, beta: float, purpose: str) -> BlockSizeChoice:
     n^{-1/6} ln n; beta in (1, 2) gives m = floor(n^{1/(beta+1)}) with rate
     n^{-(beta-1)/(2 beta + 2)} ln n.
     """
-    if n < 2:
-        raise ParamOutOfRange(f"n must be >= 2, got {n}")
+    n = _require_count(n, "n", 2)
     if not beta > 1:
         raise BetaOutOfRange(f"beta must exceed 1, got {beta}")
     if purpose == "cramer":
@@ -487,8 +488,7 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     """Partial sums of sum_t t^{-3/2} ||E[S_t|F_0]||_inf with a certified tail,
     and the trajectory of || (1/t) E[S_t^2|F_0] - sigma^2 ||_inf."""
     _require_exact(model)
-    if n_max < 2:
-        raise ParamOutOfRange("n_max must be >= 2")
+    n_max = _require_count(n_max, "n_max", 2)
     env = _MixingEnvelope(model)
     sig_sq = long_run_variance(model)
     norms, dev = np.empty(n_max), np.empty(n_max)

@@ -22,7 +22,7 @@ from .coefficients import CoefficientSet
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
 from .exact import TailTable, _left_inverse, distribution_of_Sn
-from .models import _check_chain_budget, child_rng
+from .models import _check_chain_budget, _require_count, child_rng
 from .normal import normal_cdf, normal_quantile
 
 DRAW_CHUNK = 1 << 16
@@ -56,6 +56,8 @@ def build_quantile_transform(source) -> QuantileTransform:
         raise TooFewSamples(
             f"empirical transform needs >= {MIN_EMPIRICAL_SAMPLES} samples, "
             f"got {samples.size}")
+    if not np.all(np.isfinite(samples)):
+        raise ParamOutOfRange("samples must be finite numbers")
     cum = np.arange(1, samples.size + 1) / samples.size
     return QuantileTransform(samples, cum)
 
@@ -78,8 +80,7 @@ def sample_coupled_pairs(transform: QuantileTransform, draws: int,
     reproducible and schedule-independent.  Raises BudgetExceeded, before
     allocating, when draws x PAIR_BYTES passes DEFAULT_BUDGET_BYTES.
     """
-    if draws < 1:
-        raise ParamOutOfRange("draws must be >= 1")
+    draws = _require_count(draws, "draws")
     _check_chain_budget(draws, PAIR_BYTES)
     z = np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):

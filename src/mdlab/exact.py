@@ -47,7 +47,8 @@ from .errors import (
     OutOfRange,
     ParamOutOfRange,
 )
-from .models import DEFAULT_BUDGET_BYTES, SLAB_BYTES, FiniteLatticeModel, _require_exact
+from .models import (DEFAULT_BUDGET_BYTES, SLAB_BYTES, FiniteLatticeModel, _require_count,
+                     _require_exact, _sublattice)
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
@@ -177,8 +178,7 @@ class ConditionalMoments:
 def autocovariance(model: FiniteLatticeModel, k: int) -> float:
     """Cov(X_0, X_k) of the centered payoff under the stationary law."""
     _require_exact(model)
-    if k < 0:
-        raise ParamOutOfRange("lag must be >= 0")
+    k = _require_count(k, "lag", 0)
     x = model.x_values
     a = model.transition - model.pi  # A = P - 1 pi^T: P^k x = A^k x, and A^k -> 0
     return float(model.pi @ (x * (np.linalg.matrix_power(a, k) @ x)))
@@ -192,8 +192,7 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
     gives (S_L x + A^L S x, T_L x + A^L (T x + L S x)), and doubling is
     prepending it to itself, so only A^L is ever a matrix."""
     _require_exact(model)
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
+    n = _require_count(n, "n")
     x = model.x_values
     power = model.transition - model.pi  # A^L, from L = 1
     s_blk, t_blk = x, np.zeros_like(x)
@@ -253,8 +252,7 @@ def long_run_variance(model: FiniteLatticeModel) -> float:
 def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:
     """Uniform norms of the conditional sums: ||E[S_t | F_0]||_inf, t = 1..n_max."""
     _require_exact(model)
-    if n_max < 1:
-        raise ParamOutOfRange("n_max must be >= 1")
+    n_max = _require_count(n_max, "n_max")
     steps = islice(_block_moment_steps(model), n_max)
     return np.fromiter((np.max(np.abs(mean)) for mean, _ in steps), float, count=n_max)
 
@@ -274,8 +272,7 @@ def _block_moment_steps(model: FiniteLatticeModel):
 def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalMoments:
     """Exact E[S_m | Y_0 = s] and E[S_m^2 | Y_0 = s] for every state."""
     _require_exact(model)
-    if m < 1:
-        raise ParamOutOfRange("m must be >= 1")
+    m = _require_count(m, "m")
     mean, second = next(islice(_block_moment_steps(model), m - 1, None))
     return ConditionalMoments(m=m, mean_by_state=mean, second_by_state=second)
 
@@ -283,16 +280,6 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 # ---------------------------------------------------------------------------
 # distribution of S_n
 # ---------------------------------------------------------------------------
-
-def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:
-    """(xmin, g, rise, spread): S_t = t xmin + g K_t, where K_t sums rise[Y_i] =
-    (f_num - xmin) / g over i = 1..t and g = gcd(f_num - xmin)."""
-    xnum = model.f_num.astype(np.int64)
-    xmin = int(xnum.min())
-    g = int(np.gcd.reduce(xnum - xmin))  # a built model's payoff is not constant
-    rise = (xnum - xmin) // g
-    return xmin, g, rise, int(rise.max())
-
 
 def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
     """Estimated run time of the sum-law DP to n, fitted to timings on a shared
@@ -317,8 +304,7 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     to -inf drop out; logp is reused.  BudgetExceeded, before the first step,
     past DEFAULT_BUDGET_BYTES or past an estimated WORK_CAP_S seconds."""
     _require_exact(model)
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
+    n = _require_count(n, "n")
     p = model.transition
     xmin, g, rise, spread = _sublattice(model)
     s, width = model.n_states, n * spread + 1
@@ -516,6 +502,7 @@ def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[f
     if not ns:
         return [], np.zeros(0)
     _require_exact(model)
+    ns = [_require_count(n, "n") for n in ns]
     rows, x = model.transition, model.x_values
     if (not transform and sorted(x.tolist()) == [-1.0, 1.0] and np.all(rows == rows[0])
             and np.allclose(model.pi, 0.5)):  # i.i.d. fair signs
@@ -557,9 +544,6 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     guess of the tail, or the first that is not `affordable`; a plan's cost
     grows with its size, so when the smallest, 16 points, is not affordable,
     that plan is returned before any tilt is solved."""
-    _require_exact(model)
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
     if math.isnan(threshold):
         raise ParamOutOfRange("threshold must not be nan")
     xmin, g, rise, spread = _sublattice(model)

@@ -15,6 +15,7 @@ of the centered payoff is an exact zero, not a float residual.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -395,8 +396,7 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
         return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
     def autocov(k: int) -> float:
-        if k < 0:
-            raise ParamOutOfRange("lag must be >= 0")
+        k = _require_count(k, "lag", 0)
         if k > L:
             return 0.0
         return float(np.sum(weights[:L + 1 - k] * weights[k:]))
@@ -491,8 +491,7 @@ def phi_mixing_coefficients(model: FiniteLatticeModel, horizon: int) -> np.ndarr
     n-step transition matrix and the stationary law; it is non-increasing.
     """
     _require_exact(model)
-    if horizon < 1:
-        raise ParamOutOfRange("horizon must be >= 1")
+    horizon = _require_count(horizon, "horizon")
     out = np.empty(horizon)
     pk = model.transition.copy()
     for k in range(horizon):
@@ -544,6 +543,27 @@ def _require_exact(model) -> None:
             f"{getattr(model, 'name', model)!r} is not an exact-tier model")
 
 
+def _require_count(value, name: str, least: int = 1) -> int:
+    """`value` as an int if it is an integer >= least (`operator.index`: no
+    float, not even an integral one), else ParamOutOfRange."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:
+    """(xmin, g, rise, spread): S_t = t xmin + g K_t, where K_t sums rise[Y_i] =
+    (f_num - xmin) / g over i = 1..t, g = gcd(f_num - xmin) and spread = max rise."""
+    xmin = int(model.f_num.min())
+    g = int(np.gcd.reduce(model.f_num - xmin))  # a built model's payoff is not constant
+    rise = (model.f_num - xmin) // g
+    return xmin, g, rise, int(rise.max())
+
+
 # ---------------------------------------------------------------------------
 # trajectory simulation
 # ---------------------------------------------------------------------------
@@ -570,8 +590,7 @@ def _check_chain_budget(chains: int, per_chain: int) -> None:
 
 def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     """One stationary trajectory of length n, deterministic per seed."""
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
+    n = _require_count(n, "n")
     if model.tier == "sampled":
         eps = next(_innovation_blocks(model, n, 1, seed))[0]
         return Trajectory(values=model.path(eps), innovations=eps)
@@ -601,6 +620,7 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
     would not fit in DEFAULT_BUDGET_BYTES.
     """
     _require_exact(model)
+    n, chains = _require_count(n, "n"), _require_count(chains, "chains")
     _check_chain_budget(chains, CHAIN_BYTES + 8 * (n + 1))
     out = np.empty((chains, n + 1), dtype=np.int64)
     for t, (y, _) in enumerate(_simulate_states(model, n, chains, seed)):
@@ -622,12 +642,12 @@ def _jump_length(model: FiniteLatticeModel, n: int) -> int:
 def _jump_kernels(model: FiniteLatticeModel, n: int, k: int) -> list[np.ndarray]:
     """[K_k], then K_r if r = n mod k is not 0, for a power of two k: K_m[y, i,
     y'] = P(Y_m = y', sum over t = 1..m of f_num(Y_t) - min f_num = g i |
-    Y_0 = y), g the gcd of f_num - min f_num.  K_2m is K_m composed with
-    itself, and K_r is composed from the binary powers below k, lowest first."""
-    rise = model.f_num - model.f_num.min()
-    rise //= np.gcd.reduce(rise)
+    Y_0 = y), g the gcd of f_num - min f_num (`_sublattice`).  K_2m is K_m
+    composed with itself, and K_r is composed from the binary powers below k,
+    lowest first."""
+    _, _, rise, spread = _sublattice(model)
     s = model.n_states
-    kernel = np.zeros((s, int(rise.max()) + 1, s))
+    kernel = np.zeros((s, spread + 1, s))
     kernel[:, rise, np.arange(s)] = model.transition
     powers = [kernel]
     while len(powers) < k.bit_length():
@@ -698,14 +718,13 @@ def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int, 
     2^-53 of the kernel's in total variation, up to the rounding of the cuts.
     """
     s = model.n_states
-    rise = model.f_num - model.f_num.min()
-    if k == 1:  # the rows of P, never a dense (s, spread / g + 1, s) kernel
-        tables = [_jump_table(model.transition, np.arange(s), rise)]
+    _, g, rise, _ = _sublattice(model)
+    if k == 1:  # the rows of P, never a dense (s, spread + 1, s) kernel
+        tables = [_jump_table(model.transition, np.arange(s), g * rise)]
     else:
-        lattice = np.gcd.reduce(rise)
         tables = [_jump_table(kn.transpose(0, 2, 1).reshape(s, -1),  # (state, sum) order
                               np.repeat(np.arange(s), kn.shape[1]),
-                              np.tile(np.arange(kn.shape[1]) * lattice, s))
+                              np.tile(np.arange(kn.shape[1]) * g, s))
                   for kn in _jump_kernels(model, n, k)]
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0

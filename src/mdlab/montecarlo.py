@@ -44,7 +44,7 @@ from .exact import (
     sigma_any,
 )
 from .models import (CHAIN_BYTES, _check_chain_budget, _innovation_blocks, _jump_length,
-                     _simulate_states)
+                     _require_count, _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -52,8 +52,9 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ParamOutOfRange("trials must be >= 1")
+    trials = _require_count(trials, "trials")
+    if not 0 <= successes <= trials:
+        raise ParamOutOfRange(f"need 0 <= successes <= trials, got {successes}, {trials}")
     p = successes / trials
     z2 = z * z
     center = (p + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -61,6 +62,12 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
+
+
+def _require_scale(sigma: float) -> float:
+    if not 0.0 < sigma < math.inf:
+        raise ParamOutOfRange(f"sigma must be finite and positive, got {sigma!r}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -112,13 +119,10 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     S_n is the sum of `sample_trajectory`'s path where the arithmetic is exact
     (the moving average at c = 1 with L_trunc + log2(2n) <= 52), else within
     rounding of it."""
-    if chains < 1:
-        raise ParamOutOfRange("chains must be >= 1")
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
+    chains, n = _require_count(chains, "chains"), _require_count(n, "n")
     _check_chain_budget(chains, CHAIN_BYTES)
     if model.tier == "exact":
-        k = np.full(chains, n * int(model.f_num.min()), dtype=np.int64)
+        k = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
         for _, d in _simulate_states(model, n, chains, seed, _jump_length(model, n)):
             k += d  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
@@ -135,7 +139,7 @@ def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
     xs = np.asarray(x_grid, dtype=float)
     if np.any(np.isnan(xs)):
         raise ParamOutOfRange("tail thresholds must not be nan")
-    sig = sigma if sigma is not None else sigma_any(model, n)
+    sig = sigma_any(model, n) if sigma is None else _require_scale(sigma)
     upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
     return [TailEstimate(float(x), k / chains, *wilson_interval(k, chains), chains, seed)
             for x, k in zip(xs, upper.tolist())]
@@ -205,10 +209,12 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
 def empirical_ks(samples, sigma_n: float) -> float:
     """Kolmogorov distance between the empirical law of W_n / sigma_n and the
     standard normal, evaluated on both sides of every jump."""
-    w = np.sort(np.asarray(samples, dtype=float)) / sigma_n
+    w = np.sort(np.asarray(samples, dtype=float)) / _require_scale(sigma_n)
     n = w.size
     if n < 100:
         raise TooFewSamples(f"need at least 100 samples, got {n}")
+    if not np.all(np.isfinite(w)):
+        raise ParamOutOfRange("samples must be finite numbers")
     return _ks_sweep(w, np.arange(1, n + 1) / n)
 
 

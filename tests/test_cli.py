@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
@@ -155,6 +156,17 @@ def test_verify_byte_identical_across_threads(tmp_path):
                      "--out", str(out)]) == 0
     for name in ("ratio.csv", "bounds.csv", "ks.json"):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+
+def test_verify_starts_no_thread(tmp_path, monkeypatch):
+    # --threads is accepted and ignored: every check runs in the calling thread
+    def refuse(self):
+        raise AssertionError(f"verify started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["verify", "--model", "two_state:rho=0.4", "--n", "64", "--m", "4",
+                 "--threads", "4", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.csv", "ks.json", "ratio.csv"]
 
 
 def test_config_file_overrides_flags(tmp_path):

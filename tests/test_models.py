@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from mdlab import (
     DecayCertificate,
-    builtin,
     build_finite_lattice_model,
+    build_quantile_transform,
+    builtin,
+    coefficient_set,
+    conditional_block_moments,
+    decompose,
+    distribution_of_Sn,
+    eta_certificate,
     geometric_mixing_certificate,
     phi_mixing_coefficients,
+    sample_coupled_pairs,
     sample_trajectory,
+    sigma_n,
+    simulate_W,
+    tilted_log_tail,
 )
 from mdlab.errors import (
     DegeneratePayoff,
@@ -20,7 +31,10 @@ from mdlab.errors import (
     SampledTierUnsupported,
     UnknownBuiltin,
 )
-from mdlab.models import parse_model_text
+from mdlab.coefficients import check_dedecker_conditions, select_block_size
+from mdlab.exact import autocovariance, conditional_sum_norms
+from mdlab.models import parse_model_text, sample_state_paths
+from mdlab.montecarlo import wilson_interval
 
 
 def test_two_state_stationary_vector_solved_by_hand():
@@ -434,3 +448,61 @@ def test_moving_average_past_the_last_nonzero_weight_is_refused_before_any_array
     for L in (1075, 10 ** 5, 10 ** 12):
         with pytest.raises(ParamOutOfRange, match="L_trunc"):
             builtin("moving_average", c=1.0, L_trunc=L)
+
+
+
+# entry points that take a horizon, lag, block length, chain or draw count:
+# (least count, call of the test's models and the count)
+COUNT_CALLS = {
+    "distribution_of_Sn": (1, lambda c, v: distribution_of_Sn(c.ts, v)),
+    "sigma_n": (1, lambda c, v: sigma_n(c.ts, v)),
+    "coefficient_set n": (1, lambda c, v: coefficient_set(c.ts, v, 4)),
+    "coefficient_set m": (1, lambda c, v: coefficient_set(c.ts, 64, v)),
+    "conditional_block_moments": (1, lambda c, v: conditional_block_moments(c.ts, v)),
+    "conditional_sum_norms": (1, lambda c, v: conditional_sum_norms(c.ts, v)),
+    "eta_certificate": (1, lambda c, v: eta_certificate(c.ts, v)),
+    "tilted_log_tail": (1, lambda c, v: tilted_log_tail(c.ts, v, 3.0)),
+    "tilted_log_tail binomial": (1, lambda c, v: tilted_log_tail(c.rad, v, 3.0)),
+    "phi_mixing_coefficients": (1, lambda c, v: phi_mixing_coefficients(c.ts, v)),
+    "sample_trajectory": (1, lambda c, v: sample_trajectory(c.ts, v, 0)),
+    "sample_trajectory sampled": (1, lambda c, v: sample_trajectory(c.ma, v, 0)),
+    "sample_state_paths n": (1, lambda c, v: sample_state_paths(c.ts, v, 2, 0)),
+    "sample_state_paths chains": (1, lambda c, v: sample_state_paths(c.ts, 8, v, 0)),
+    "simulate_W n": (1, lambda c, v: simulate_W(c.ts, v, 3, 0)),
+    "simulate_W chains": (1, lambda c, v: simulate_W(c.ts, 16, v, 0)),
+    "simulate_W sampled": (1, lambda c, v: simulate_W(c.ma, v, 3, 0)),
+    "sample_coupled_pairs": (1, lambda c, v: sample_coupled_pairs(c.transform, v, 0)),
+    "decompose": (1, lambda c, v: decompose(c.ts, c.path, v)),
+    "wilson_interval": (1, lambda c, v: wilson_interval(0, v)),
+    "autocovariance": (0, lambda c, v: autocovariance(c.ts, v)),
+    "moving_average autocov": (0, lambda c, v: c.ma.autocov(v)),
+    "select_block_size": (2, lambda c, v: select_block_size(v, 2.0, "cramer")),
+    "check_dedecker_conditions": (2, lambda c, v: check_dedecker_conditions(c.ts, v)),
+    "decompose nested_draws": (2, lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=v)),
+}
+
+
+@pytest.fixture(scope="module")
+def count_models():
+    ts = builtin("two_state", rho=0.4)
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    return SimpleNamespace(ts=ts, rad=builtin("rademacher"), ma=ma,
+                           transform=build_quantile_transform(distribution_of_Sn(ts, 16)),
+                           path=sample_trajectory(ts, 16, 0),
+                           ma_path=sample_trajectory(ma, 16, 0))
+
+
+@pytest.mark.parametrize("value", [64.5, float("nan"), "least - 1", -1, 2.0])
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_counts_must_be_integers_of_at_least_their_least(count_models, name, value):
+    # a float, even an integral one, is refused as a typed error (exit 2)
+    least, call = COUNT_CALLS[name]
+    with pytest.raises(ParamOutOfRange, match=f"must be an integer >= {least}, got"):
+        call(count_models, least - 1 if value == "least - 1" else value)
+
+
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_numpy_integer_counts_are_counts(count_models, name):
+    call = COUNT_CALLS[name][1]
+    got, want = (call(count_models, v) for v in (np.int64(4), 4))
+    assert repr(got) == repr(want)

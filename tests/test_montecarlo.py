@@ -337,6 +337,35 @@ def test_wilson_interval_properties():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (math.nan, 10)])
+def test_wilson_interval_refuses_counts_off_zero_to_trials(successes, trials):
+    with pytest.raises(ParamOutOfRange, match="successes"):
+        wilson_interval(successes, trials)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 0.0, -1.0, math.inf])
+def test_estimate_tails_and_empirical_ks_refuse_a_bad_scale(two_state04, sigma, monkeypatch):
+    # nan thresholds count no sample (estimate 0.0); sigma = 0 or < 0 flips or
+    # collapses every threshold; checked before any chain is simulated
+    samples = np.random.default_rng(3).standard_normal(1000)
+    monkeypatch.setattr(montecarlo, "simulate_W", None)
+    with pytest.raises(ParamOutOfRange, match="sigma"):
+        estimate_tails(two_state04, 16, [0.5], 100, 0, sigma=sigma)
+    with pytest.raises(ParamOutOfRange, match="sigma"):
+        empirical_ks(samples, sigma)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_samples_must_be_finite(bad):
+    # a NaN sample made empirical_ks nan and mapped the top quantiles to nan
+    from mdlab import build_quantile_transform
+    samples = np.append(np.random.default_rng(4).standard_normal(1000), bad)
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        empirical_ks(samples, 1.0)
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        build_quantile_transform(samples)
+
+
 def test_estimate_tails_reproducible(two_state04):
     from mdlab import tails_to_csv
     a = estimate_tails(two_state04, 32, [0.5, 1.0], chains=4000, seed=2)
