@@ -23,6 +23,7 @@ import numpy as np
 from .coefficients import CoefficientSet, GateReport, admissibility
 from .errors import GammaTooLarge, MissingNorms, NegativeX, ParamOutOfRange
 from .exact import _csv
+from .models import _require_count
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
 
@@ -71,7 +72,7 @@ def cramer_envelope(coeffs: CoefficientSet, x, c: float = 1.0):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise NegativeX("envelope is defined for x >= 0")
-    if c <= 0:
+    if not c > 0:  # nan is not positive
         raise ParamOutOfRange("envelope constant must be positive")
     g = xlnx(coeffs.gamma_m)
     mn = coeffs.m / coeffs.n
@@ -101,7 +102,7 @@ def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
         raise ParamOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
     if not 0.0 <= iota <= 0.5:
         raise ParamOutOfRange(f"iota must lie in [0, 1/2], got {iota}")
-    if c <= 0:
+    if not c > 0:  # nan is not positive
         raise ParamOutOfRange("envelope constant must be positive")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
@@ -113,7 +114,7 @@ def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
     """Uniform normal-approximation bound
     c (gamma|ln gamma| + eps|ln eps| + delta + sqrt(m/n))."""
-    if c <= 0:
+    if not c > 0:
         raise ParamOutOfRange("constant must be positive")
     return c * (xlnx(coeffs.gamma_m) + xlnx(coeffs.eps_m) + coeffs.delta_m
                 + math.sqrt(coeffs.m / coeffs.n))
@@ -159,10 +160,10 @@ def freedman_bound(x, v2: float, a: float):
     """exp{-x^2 / (2 (v^2 + a x / 3))}: bounds the probability that a
     martingale with differences <= a reaches x while its quadratic
     characteristic stays below v^2."""
-    if v2 <= 0:
-        raise ParamOutOfRange("v2 must be positive")
-    if a < 0:
-        raise ParamOutOfRange("a must be >= 0")
+    if not v2 > 0:  # nan is not positive
+        raise ParamOutOfRange(f"v2 must be positive, got {v2!r}")
+    if not a >= 0:
+        raise ParamOutOfRange(f"a must be >= 0, got {a!r}")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise NegativeX("x must be >= 0")
@@ -179,13 +180,14 @@ def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
 
     where nu_j = ||E[S_j | F_0]||_inf for j = 1..n.
     """
+    n = _require_count(n, "n")
+    if not bound_x1 > 0:  # nan is not positive
+        raise ParamOutOfRange(f"need bound_x1 > 0, got {bound_x1!r}")
     norms = np.asarray(cond_norms, dtype=float)
     if norms.size < n:
         raise MissingNorms(f"need conditional-sum norms for j = 1..{n}, got {norms.size}")
     if np.any(norms[:n] < 0):
         raise MissingNorms("conditional-sum norms must be >= 0")
-    if bound_x1 <= 0 or n < 1:
-        raise ParamOutOfRange("need bound_x1 > 0 and n >= 1")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise NegativeX("x must be >= 0")

@@ -21,26 +21,12 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
-from .exact import TailTable, _left_inverse, distribution_of_Sn
+from .exact import DRAW_CHUNK, QuantileTransform, TailTable, distribution_of_Sn
 from .models import _check_chain_budget, _require_count, child_rng
 from .normal import normal_cdf, normal_quantile
 
-DRAW_CHUNK = 1 << 16
 PAIR_BYTES = 512  # peak per draw of `mdlab coupling`: pairs, report arrays, CSV row (~265)
 MIN_EMPIRICAL_SAMPLES = 1000
-
-
-class QuantileTransform:
-    """Left-continuous generalized inverse s -> inf{x : F(x) >= s} of a
-    discrete CDF, callable on arrays of s in (0, 1)."""
-
-    def __init__(self, atoms: np.ndarray, cum: np.ndarray):
-        self.atoms = np.asarray(atoms, dtype=float)
-        self.cum = np.asarray(cum, dtype=float)
-
-    def __call__(self, s):
-        out = _left_inverse(self.atoms, self.cum, np.asarray(s, dtype=float))
-        return out if np.ndim(s) else float(out)
 
 
 def build_quantile_transform(source) -> QuantileTransform:
@@ -76,17 +62,18 @@ def sample_coupled_pairs(transform: QuantileTransform, draws: int,
     """Coupled pairs (Y, Z): Z i.i.d. standard normal, Y = H(Phi(Z)).
 
     Y carries exactly the transform's law and is non-decreasing in Z.
-    Generation is chunked with child seeds in fixed order, so it is
-    reproducible and schedule-independent.  Raises BudgetExceeded, before
+    Both are filled DRAW_CHUNK draws at a time, one child seed per chunk in
+    fixed order, so the pairs are reproducible and no full-length
+    intermediate is built.  Raises BudgetExceeded, before
     allocating, when draws x PAIR_BYTES passes DEFAULT_BUDGET_BYTES.
     """
     draws = _require_count(draws, "draws")
     _check_chain_budget(draws, PAIR_BYTES)
-    z = np.empty(draws)
+    y, z = np.empty(draws), np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):
         hi = min(lo + DRAW_CHUNK, draws)
-        z[lo:hi] = child_rng(seed, block).standard_normal(hi - lo)
-    y = transform(normal_cdf(z))
+        child_rng(seed, block).standard_normal(out=z[lo:hi])
+        y[lo:hi] = transform(normal_cdf(z[lo:hi]))
     return y, z
 
 

@@ -59,6 +59,7 @@ TAIL_RTOL = 1e-13  # largest Chernoff bound on a tilted tail's relative truncati
 ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; past it the DP answers
 TILT_S = 1e-3  # estimated seconds of a tilted tail's tilts and Chernoff bounds
 CSV_CHUNK = 4096  # rows `_csv` formats per step
+DRAW_CHUNK = 1 << 16  # values a quantile transform inverts per step; coupled draws per seed
 
 
 def _csv(header: str, columns) -> str:
@@ -124,8 +125,9 @@ class TailTable:
         return np.exp(self.logp)
 
     def cdf_points(self) -> np.ndarray:
-        """Cumulative probabilities at the atoms (last snapped to 1)."""
-        cdf = np.cumsum(self.probabilities())
+        """Cumulative probabilities at the atoms, capped at 1 (the last snapped
+        to 1), so they never decrease."""
+        cdf = np.minimum(np.cumsum(self.probabilities()), 1.0)
         cdf[-1] = 1.0
         return cdf
 
@@ -322,30 +324,34 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     with np.errstate(divide="ignore"):
         log_t, cur[:, 0] = np.log(p), np.log(model.pi)
     log_floor = np.log(2.0 ** -960 / p[p > 0].min())  # min P * exp(log_floor) = 2^-960
+    p_t, empty = p.T, np.finfo(float).min
+    rows = list(enumerate(rise.tolist()))
     for t in range(1, n + 1):
         w = (t - 1) * spread + 1
         lin, prod, mx, flag = cur[:, :w], nxt[:, :w], top[:w], low[:, :w]
-        with np.errstate(divide="ignore"):
-            np.max(lin, axis=0, out=mx)
-            np.maximum(mx, np.finfo(float).min, out=mx)  # an empty column stays empty
-            lin -= mx
-            np.less(lin, log_floor, out=flag)
-            flag &= np.greater(lin, -np.inf, out=live[:, :w])
-            rare = np.flatnonzero(flag.any(axis=0)) if flag.any() else None
-            if rare is not None:  # sum over source states in log space
-                acc, tmp = spare[:, :rare.size], nxt[:, :rare.size]
-                acc.fill(-np.inf)
-                for i in range(s):
-                    np.add(log_t[i, :, None], lin[i, rare] + mx[rare], out=tmp)
-                    np.logaddexp(acc, tmp, out=acc)
-            np.exp(lin, out=lin)
-            np.matmul(p.T, lin, out=prod)
+        np.maximum.reduce(lin, axis=0, out=mx)
+        np.maximum(mx, empty, out=mx)  # an empty column stays empty
+        lin -= mx
+        np.less(lin, log_floor, out=flag)
+        flag &= np.greater(lin, -np.inf, out=live[:, :w])
+        rare = np.flatnonzero(flag.any(axis=0)) if flag.any() else None
+        if rare is not None:  # sum over source states in log space
+            acc, tmp = spare[:, :rare.size], nxt[:, :rare.size]
+            acc.fill(-np.inf)
+            for i in range(s):
+                np.add(log_t[i, :, None], lin[i, rare] + mx[rare], out=tmp)
+                np.logaddexp(acc, tmp, out=acc)
+        np.exp(lin, out=lin)
+        np.matmul(p_t, lin, out=prod)
+        with np.errstate(divide="ignore"):  # held across a yield, it would leak to the caller
             np.log(prod, out=prod)
-            prod += mx
-            if rare is not None:
-                prod[:, rare] = acc
-        cur[:, :w + spread] = -np.inf  # lin is spent: the shifted rows land in cur
-        for j, d in enumerate(rise):
+        prod += mx
+        if rare is not None:
+            prod[:, rare] = acc
+        # lin is spent: the shifted rows land in cur, whose columns past w are still -inf
+        for j, d in rows:
+            if d:
+                cur[j, :d] = -np.inf
             cur[j, d:d + w] = prod[j]
         yield t * xmin, g, cur[:, :w + spread]
 
@@ -806,13 +812,57 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
         raise ParamOutOfRange("quantile arguments must not be nan")
     if np.any((ss <= 0.0) | (ss >= 1.0)):
         raise OutOfRange("quantile argument must lie strictly inside (0, 1)")
-    out = _left_inverse(table.what_values, table.cdf_points(), ss)
+    out = QuantileTransform(table.what_values, table.cdf_points())(ss)
     return out if np.ndim(s) else float(out[0])
 
 
-def _left_inverse(atoms: np.ndarray, cum: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """inf{atoms[i] : cum[i] >= s} for each s, the last atom past cum[-1]."""
-    return atoms[np.minimum(np.searchsorted(cum, s, side="left"), atoms.size - 1)]
+class QuantileTransform:
+    """Left-continuous generalized inverse s -> inf{atoms[i] : cum[i] >= s} of
+    a discrete CDF with non-decreasing cum (the last atom past cum[-1]),
+    callable on arrays of s in [0, 1].
+
+    A table of B = 2^k buckets, 2 to 4 per atom within [2^10, 2^20], holds
+    edges[b] = #{cum < b / B}; the answer for s in bucket b = floor(s B) lies
+    in [edges[b], edges[b + 1]].  One probe of cum settles a bucket with at
+    most one breakpoint, and a vectorised binary search the few crowded ones,
+    DRAW_CHUNK values of s at a time."""
+
+    def __init__(self, atoms: np.ndarray, cum: np.ndarray):
+        self.atoms = np.asarray(atoms, dtype=float)
+        self.cum = np.asarray(cum, dtype=float)
+        self._buckets = 1 << min(max((4 * self.cum.size).bit_length() - 1, 10), 20)
+        # cum < b / B iff floor(cum B) < b, exactly since B is a power of two,
+        # so edges is a running count; s = 1 is bucket B, which ends the table
+        slot = np.clip(np.floor(self.cum * self._buckets), -1, self._buckets).astype(np.intp)
+        edges = np.cumsum(np.bincount(slot + 1, minlength=self._buckets + 1)[:self._buckets + 1])
+        self._edges = np.append(edges, edges[-1])
+        self._crowded = np.diff(self._edges) > 1
+        self._cum = np.append(self.cum, np.inf)  # index cum.size answers s past cum[-1]
+        self._atoms = np.append(self.atoms, self.atoms[-1])
+
+    def __call__(self, s):
+        ss = np.asarray(s, dtype=float)
+        if ss.size and not (ss.min() >= 0.0 and ss.max() <= 1.0):  # nan fails both
+            raise ParamOutOfRange(f"quantile arguments must lie in [0, 1], "
+                                  f"got values in [{ss.min()!r}, {ss.max()!r}]")
+        flat, out = ss.ravel(), np.empty(ss.size)
+        for lo in range(0, flat.size, DRAW_CHUNK):
+            out[lo:lo + DRAW_CHUNK] = self._inverse(flat[lo:lo + DRAW_CHUNK])
+        return out.reshape(ss.shape) if np.ndim(s) else float(out[0])
+
+    def _inverse(self, s: np.ndarray) -> np.ndarray:
+        bucket = (s * self._buckets).astype(np.intp)  # exact: B is a power of two
+        idx = self._edges[bucket]
+        crowd = np.flatnonzero(self._crowded[bucket])
+        idx += self._cum[idx] < s  # a probe past edges[b] still bounds the answer below
+        if crowd.size:  # binary search on [idx, edges[b + 1]]
+            lo, hi, sc = idx[crowd], self._edges[bucket[crowd] + 1], s[crowd]
+            while (lo < hi).any():
+                mid = (lo + hi) >> 1
+                right = self._cum[mid] < sc
+                lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+            idx[crowd] = lo
+        return self._atoms[idx]
 
 
 def ks_distance_exact(table: TailTable) -> float:

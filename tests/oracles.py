@@ -418,6 +418,12 @@ def jump_sums_by_chain(model, n: int, chains: int, seed: int, block: int, k: int
     return out
 
 
+def searchsorted_inverse(atoms: np.ndarray, cum: np.ndarray, s) -> np.ndarray:
+    """inf{atoms[i] : cum[i] >= s} by one plain binary search of the sorted cum
+    per value, the last atom past cum[-1]."""
+    return atoms[np.minimum(np.searchsorted(cum, s, side="left"), atoms.size - 1)]
+
+
 def empirical_ks_by_one_sided_maxima(samples, sigma_n: float) -> float:
     """max(D+, D-) with D+ = max_i (i/n - Phi(w_(i))) and D- = max_i (Phi(w_(i)) - (i-1)/n)
     over the sorted standardised samples w_(1) <= ... <= w_(n)."""

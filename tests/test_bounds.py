@@ -164,6 +164,23 @@ def test_error_paths():
         bernstein_bound(cs, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: freedman_bound([1.0], 1.0, math.nan),
+    lambda: freedman_bound([1.0], math.nan, 0.5),
+    lambda: peligrad_bound(4.0, 12, math.nan, [0.1] * 12),
+    lambda: peligrad_bound(4.0, 12.5, 1.0, [0.1] * 13),
+    lambda: peligrad_bound(4.0, 12.0, 1.0, [0.1] * 13),
+    lambda: peligrad_bound(4.0, 0, 1.0, [0.1]),
+    lambda: cramer_envelope(_coeffs(), 1.0, math.nan),
+    lambda: martingale_cramer_envelope(0.1, 0.1, 1.0, math.nan),
+    lambda: berry_esseen_bound(_coeffs(), math.nan),
+])
+def test_nan_scales_and_non_integral_counts_are_refused(call):
+    # a nan scale fails every "must be positive" guard; n goes through the count check
+    with pytest.raises(ParamOutOfRange):
+        call()
+
+
 def test_bound_evaluators_are_pure():
     cs = _coeffs(gamma=0.01, delta_sq=0.002)
     xs = np.linspace(0.1, 3, 17)

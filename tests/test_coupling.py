@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from mdlab import (
     build_quantile_transform,
     builtin,
@@ -12,7 +14,10 @@ from mdlab import (
     induced_atom_probabilities,
     sample_coupled_pairs,
 )
+from mdlab.coupling import DRAW_CHUNK
 from mdlab.errors import ParamOutOfRange, TooFewSamples
+from mdlab.models import build_finite_lattice_model, child_rng
+from mdlab.normal import normal_cdf
 
 
 def test_two_point_transform(rademacher):
@@ -140,3 +145,98 @@ def test_normalized_gap_concentrates_for_iid(rademacher):
         rep = coupling_report(rademacher, coefficient_set(rademacher, n, m), 20_000, seed=13)
         medians.append(rep.gap_median)
     assert medians[2] <= medians[0]
+
+
+# -- the bucketed inverse and the chunked draws --------------------------------
+
+# the benchmark's 3-state file model: its cumulative sums pass 1 in rounding
+FILE_MODEL = build_finite_lattice_model(
+    ["lo", "mid", "hi"], [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2)
+
+
+def _inverse_sources():
+    yield "two_state 4096", distribution_of_Sn(builtin("two_state", rho=0.4), 4096)
+    yield "dyadic L=6 48", distribution_of_Sn(builtin("dyadic_contracting", L=6), 48)
+    yield "file 1024", distribution_of_Sn(FILE_MODEL, 1024)
+    yield "rademacher 64", distribution_of_Sn(builtin("rademacher"), 64)
+    yield "empirical 1e5", np.random.default_rng(21).standard_normal(10 ** 5)
+
+
+@pytest.fixture(scope="module")
+def inverse_sources():
+    return {name: build_quantile_transform(src) for name, src in _inverse_sources()}
+
+
+def _bucket_probes(h) -> np.ndarray:
+    # both ends and a spread of points inside every bucket holding 2+ breakpoints
+    b = np.flatnonzero(h._crowded)
+    frac = np.linspace(0.0, 1.0, 9)[:-1]
+    return np.concatenate([((b[:, None] + frac) / h._buckets).ravel(),
+                           (b + 1) / h._buckets])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _inverse_sources()])
+def test_bucketed_inverse_is_searchsorted_bit_for_bit(inverse_sources, name):
+    h = inverse_sources[name]
+    cum = h.cum
+    assert np.all(np.diff(cum) >= 0.0) and cum[-1] == 1.0
+    keys = np.arange(h._buckets + 1) / h._buckets
+    assert np.array_equal(h._edges, np.append(np.searchsorted(cum, keys), h._edges[-2]))
+    # a table's tails crowd breakpoints into shared buckets; k / 10^5 never does
+    assert h._crowded.any() == (name != "empirical 1e5")
+    s = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, 1.0],
+                        _bucket_probes(h),
+                        normal_cdf(np.random.default_rng(5).standard_normal(10 ** 6))])
+    s = np.clip(s, 0.0, 1.0)
+    want = oracles.searchsorted_inverse(h.atoms, cum, s)
+    got = h(s)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert h(0.0) == h.atoms[0] and h(1.0) == oracles.searchsorted_inverse(h.atoms, cum, 1.0)
+
+
+@pytest.mark.parametrize("draws", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1,
+                                   3 * DRAW_CHUNK + 7])
+def test_chunked_draws_match_one_search_and_the_seed_blocks(inverse_sources, draws):
+    # z is child_rng(seed, b)'s normals for chunk b; y the plain inverse of Phi(z);
+    # a shorter request is a prefix of a longer one
+    h = inverse_sources["two_state 4096"]
+    y, z = sample_coupled_pairs(h, draws, seed=17)
+    blocks = [child_rng(17, b).standard_normal(min(DRAW_CHUNK, draws - lo))
+              for b, lo in enumerate(range(0, draws, DRAW_CHUNK))]
+    assert np.array_equal(z, np.concatenate(blocks))
+    assert np.array_equal(y, oracles.searchsorted_inverse(h.atoms, h.cum, normal_cdf(z)))
+    assert np.array_equal(h(normal_cdf(z)), y)
+    y_all, z_all = sample_coupled_pairs(h, 3 * DRAW_CHUNK + 7, seed=17)
+    assert np.array_equal(y, y_all[:draws]) and np.array_equal(z, z_all[:draws])
+
+
+def test_coupled_draws_peak_memory_per_draw(inverse_sources):
+    # y and z are 16 bytes a draw; the rest is one chunk's temporaries
+    h, draws = inverse_sources["two_state 4096"], 10 ** 6
+    tracemalloc.start()
+    try:
+        sample_coupled_pairs(h, draws, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * draws
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, -math.inf, math.inf])
+def test_transform_refuses_nan_and_values_outside_unit_interval(inverse_sources, bad):
+    h = inverse_sources["rademacher 64"]
+    with pytest.raises(ParamOutOfRange, match=r"must lie in \[0, 1\]"):
+        h(bad)
+    with pytest.raises(ParamOutOfRange):
+        h(np.array([0.25, bad, 0.75]))
+    assert h(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("model, n, overshoots", [(FILE_MODEL, 1024, 1579),
+                                                  (builtin("rademacher"), 64, 4)])
+def test_cdf_points_never_decrease_past_rounding(model, n, overshoots):
+    # the running sum of the atoms' masses passes 1 in rounding; it is capped there
+    table = distribution_of_Sn(model, n)
+    assert int(np.sum(np.cumsum(table.probabilities()) > 1.0)) == overshoots
+    cdf = table.cdf_points()
+    assert np.all(np.diff(cdf) >= 0.0) and cdf.max() == cdf[-1] == 1.0

@@ -34,6 +34,7 @@ from mdlab.errors import (
 from mdlab.coefficients import check_dedecker_conditions, select_block_size
 from mdlab.exact import autocovariance, conditional_sum_norms
 from mdlab.models import parse_model_text, sample_state_paths
+from mdlab.bounds import peligrad_bound
 from mdlab.montecarlo import wilson_interval
 
 
@@ -474,6 +475,7 @@ COUNT_CALLS = {
     "sample_coupled_pairs": (1, lambda c, v: sample_coupled_pairs(c.transform, v, 0)),
     "decompose": (1, lambda c, v: decompose(c.ts, c.path, v)),
     "wilson_interval": (1, lambda c, v: wilson_interval(0, v)),
+    "peligrad_bound": (1, lambda c, v: peligrad_bound(4.0, v, 1.0, [0.1] * 65)),
     "autocovariance": (0, lambda c, v: autocovariance(c.ts, v)),
     "moving_average autocov": (0, lambda c, v: c.ma.autocov(v)),
     "select_block_size": (2, lambda c, v: select_block_size(v, 2.0, "cramer")),
