@@ -32,11 +32,11 @@ MIN_EMPIRICAL_SAMPLES = 1000
 def build_quantile_transform(source) -> QuantileTransform:
     """Quantile transform of the normalized sum W_n / sigma_n.
 
-    Accepts an exact TailTable or a sample array (at least 1000 draws, which
-    become the empirical CDF).
+    Accepts an exact TailTable (its own transform, built once) or a sample
+    array (at least 1000 draws, which become the empirical CDF).
     """
     if isinstance(source, TailTable):
-        return QuantileTransform(source.what_values, source.cdf_points())
+        return source.transform
     samples = np.sort(np.asarray(source, dtype=float))
     if samples.size < MIN_EMPIRICAL_SAMPLES:
         raise TooFewSamples(
@@ -126,8 +126,7 @@ def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
     if not (np.isfinite(vs) and vs > 1e-300):
         raise DegenerateGap(f"varsigma underflows: {vs!r}")
     table = distribution_of_Sn(model, coeffs.n)
-    transform = build_quantile_transform(table)
-    y, z = sample_coupled_pairs(transform, draws, seed)
+    y, z = sample_coupled_pairs(table.transform, draws, seed)
 
     gap = np.abs(y - z)
     admissible = np.abs(y) <= alpha / vs

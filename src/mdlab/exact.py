@@ -7,11 +7,10 @@ step, which also gives the conditional-sum norms), and the law of S_n by one
 forward DP over (state, lattice value) that steps only the sublattice
 t min f_num + g Z the sums occupy, g = gcd(f_num - min f_num); one pass to the
 largest n of a horizon grid marginalises at every n of the grid on its way.
-The DP keeps log-masses, so tails far below the double-precision linear range
-remain representable, and mixes each column in linear space after shifting it
-by its maximum, summing in log space where a term could underflow.  It costs
-s^2 (n + spread n (n - 1) / 2) cell updates; a run estimated past WORK_CAP_S
-(`_sum_law_seconds`) is refused before its first step.
+The DP holds each column in linear space over its largest log-mass and logs the
+table once a block of at most BLOCK_STEPS steps; where a term could underflow,
+the block is one step and sums in log space.  It costs s^2 (n + spread n (n - 1)
+/ 2) cell updates, refused before the first past WORK_CAP_S (`_sum_law_seconds`).
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -60,6 +59,8 @@ ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; pas
 TILT_S = 1e-3  # estimated seconds of a tilted tail's tilts and Chernoff bounds
 CSV_CHUNK = 4096  # rows `_csv` formats per step
 DRAW_CHUNK = 1 << 16  # values a quantile transform inverts per step; coupled draws per seed
+BLOCK_STEPS = 64  # most sum-law DP steps between two logs of the table
+LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE of their reference
 
 
 def _csv(header: str, columns) -> str:
@@ -153,6 +154,11 @@ class TailTable:
 
     def to_csv(self) -> str:
         return _csv("sum,logp", [self.offsets, self.logp])
+
+    @cached_property
+    def transform(self) -> "QuantileTransform":
+        """The quantile transform of W_n / sigma_n, built once per table."""
+        return QuantileTransform(self.what_values, self.cdf_points())
 
 
 @dataclass(frozen=True)
@@ -284,27 +290,30 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 # ---------------------------------------------------------------------------
 
 def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
-    """Estimated run time of the sum-law DP to n, fitted to timings on a shared
-    2-core x86 host (two_state, dyadic L=3, 5, 6): per sublattice column and
-    step, 0.07 ns per s^2 term of its mixing and 14 ns per state for its
-    shifts, exp and log; 25 us per step besides.  A chain with a transition
-    whose square is under 2^-960 may sum columns in log space: every column is
-    charged 15 ns per s^2 term for it (transitions of 1e-200 sent a quarter)."""
+    """Estimated run time of the sum-law DP to n, fitted on a shared 2-core x86
+    host (two_state, dyadic L=3, 5, 6) to the DP that logged its table every step:
+    it now over-estimates, and is kept so that no route or refusal moves.  Per
+    column and step, 0.07 ns per s^2 term of its mixing, 14 ns per state for its
+    shifts, exp and log, 25 us per step besides, and where a transition's square
+    is under 2^-960, 15 ns per s^2 term for summing in log space (1e-200 sent a quarter)."""
     s, cols = model.n_states, n + _sublattice(model)[3] * n * (n - 1) // 2
     rare = model.transition[model.transition > 0].min() < 2.0 ** -480
     return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n + (1.5e-8 * cols * s * s if rare else 0.0)
 
 
 def _sum_law_steps(model: FiniteLatticeModel, n: int):
-    """Yield (k0, g, logp) for t = 1..n from a stationary start, logp[j, i] =
-    log P(Y_t = j, S_t = (k0 + g i) / denom) on the live window.  S_t lies on
-    the sublattice t min f_num + g Z, g = gcd(f_num - min f_num), so only its
-    points are stepped.  Scaled forward algorithm (Rabiner 1989): each column
-    is shifted by its largest log-mass, mixed by one product with P^T, logged
-    and shifted back; row j moves right by (f_num[j] - min f_num) / g.  Columns
-    where a term could fall below 2^-960 are summed in log space.  Entries set
-    to -inf drop out; logp is reused.  BudgetExceeded, before the first step,
-    past DEFAULT_BUDGET_BYTES or past an estimated WORK_CAP_S seconds."""
+    """Yield (k0, g, table, ref) for t = 1..n from a stationary start: logp[j, i] =
+    log P(Y_t = j, S_t = (k0 + g i) / denom) is `table` where ref is None, else
+    log(table) + ref; S_t lies on t min f_num + g Z, g = gcd(f_num - min f_num).
+    Scaled forward algorithm (Rabiner 1989) in blocks of at most BLOCK_STEPS: a
+    block holds exp(logp - ref), ref[c] the largest log-mass of column c at its
+    start (carried right past empty columns and the edge); a step is one product
+    with P^T and a copy of each row, shifted by its rise d and times phi_d[c] =
+    exp(ref[c - d] - ref[c]); the last one logs the product.  A block ends before
+    a live entry could leave e^+-LIN_RANGE; where a column has an entry under
+    2^-960 / min P of its largest, it is one step and sums such columns in log
+    space.  Entries set to 0 (-inf where ref is None) drop out.  BudgetExceeded,
+    before the first step, past DEFAULT_BUDGET_BYTES or an estimated WORK_CAP_S."""
     _require_exact(model)
     n = _require_count(n, "n")
     p = model.transition
@@ -318,42 +327,58 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
         raise BudgetExceeded(f"DP to n = {n} on {s} states would run about {secs:.3g} s, "
                              f"past the cap of {WORK_CAP_S:g} s")
     cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
-    spare = np.empty((s, width))  # log-space scratch, touched only when a column needs it
+    spare = np.empty((s, width))  # a block's factors, or a one-step block's log-space sums
     low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
-    top = np.empty(width)
+    ref = np.empty(width)
     with np.errstate(divide="ignore"):
         log_t, cur[:, 0] = np.log(p), np.log(model.pi)
-    log_floor = np.log(2.0 ** -960 / p[p > 0].min())  # min P * exp(log_floor) = 2^-960
-    p_t, empty = p.T, np.finfo(float).min
-    rows = list(enumerate(rise.tolist()))
-    for t in range(1, n + 1):
-        w = (t - 1) * spread + 1
-        lin, prod, mx, flag = cur[:, :w], nxt[:, :w], top[:w], low[:, :w]
-        np.maximum.reduce(lin, axis=0, out=mx)
-        np.maximum(mx, empty, out=mx)  # an empty column stays empty
-        lin -= mx
-        np.less(lin, log_floor, out=flag)
-        flag &= np.greater(lin, -np.inf, out=live[:, :w])
-        rare = np.flatnonzero(flag.any(axis=0)) if flag.any() else None
-        if rare is not None:  # sum over source states in log space
-            acc, tmp = spare[:, :rare.size], nxt[:, :rare.size]
+    min_p, p_t, empty = p[p > 0].min(), p.T, np.finfo(float).min
+    log_floor = np.log(2.0 ** -960 / min_p)  # min P * exp(log_floor) = 2^-960
+    grow, shrink = math.log(p.sum(axis=0).max()), -math.log(min_p)  # log bounds on a product
+    rows, t = list(enumerate(rise.tolist())), 0
+    while t < n:
+        w = t * spread + 1
+        table, top, flag = cur[:, :w], ref[:w], live[:, :w]
+        np.maximum.reduce(table, axis=0, out=top, initial=empty)
+        held = top > empty
+        top[:] = top[np.maximum.accumulate(np.where(held, np.arange(w), held.argmax()))]
+        table -= top
+        log_low = np.min(table, where=np.greater(table, -np.inf, out=flag), initial=0.0)
+        k, rare, acc = 1, slice(0), spare[:, :0]  # no column summed in log space
+        if log_low < log_floor:  # columns past the floor: summed over source states in log space
+            flag &= np.less(table, log_floor, out=low[:, :w])
+            rare = np.flatnonzero(flag.any(axis=0))
+            acc = spare[:, :rare.size]
             acc.fill(-np.inf)
             for i in range(s):
-                np.add(log_t[i, :, None], lin[i, rare] + mx[rare], out=tmp)
-                np.logaddexp(acc, tmp, out=acc)
-        np.exp(lin, out=lin)
-        np.matmul(p_t, lin, out=prod)
-        with np.errstate(divide="ignore"):  # held across a yield, it would leak to the caller
-            np.log(prod, out=prod)
-        prod += mx
-        if rare is not None:
-            prod[:, rare] = acc
-        # lin is spent: the shifted rows land in cur, whose columns past w are still -inf
-        for j, d in rows:
-            if d:
-                cur[j, :d] = -np.inf
-            cur[j, d:d + w] = prod[j]
-        yield t * xmin, g, cur[:, :w + spread]
+                np.logaddexp(acc, log_t[i, :, None] + (table[i, rare] + top[rare]), out=acc)
+        else:  # each row's factors, and the most steps that keep entries in range
+            end = min(w + BLOCK_STEPS * spread, width)
+            ref[w:end] = top[-1]
+            up = down = 0.0
+            for j, d in rows:
+                lag = np.subtract(ref[:end - d], ref[d:end], out=spare[j, d:end])
+                up, down = max(up, lag.max()), max(down, -lag.min())
+                np.exp(lag, out=lag)
+            room = min((LIN_RANGE - grow) / max(grow + up, 1e-9),
+                       (LIN_RANGE + log_low - shrink) / max(shrink + down, 1e-9))
+            k += min(BLOCK_STEPS - 1, int(room))
+        np.exp(table, out=table)
+        cur[:, w:min(w + k * spread, width)] = 0.0
+        for step in range(min(k, n - t)):
+            t += 1
+            w, last = (t - 1) * spread + 1, step == k - 1
+            prod, blank = nxt[:, :w], -np.inf if last else 0.0
+            np.matmul(p_t, cur[:, :w], out=prod)
+            if last:
+                with np.errstate(divide="ignore"):  # held across a yield, it would leak
+                    np.log(prod, out=prod)
+                prod += ref[:w]
+                prod[:, rare] = acc
+            for j, d in rows:
+                cur[j, :d] = cur[j, d + w:w + spread] = blank
+                np.multiply(prod[j], 1.0 if last else spare[j, d:d + w], out=cur[j, d:d + w])
+            yield t * xmin, g, cur[:, :w + spread], None if last else ref[:w + spread]
 
 
 def distribution_of_Sn(model: FiniteLatticeModel, n: int) -> TailTable:
@@ -365,10 +390,11 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]
     """The laws of S_n for every n in ns (order and repeats kept), read off one
     sum-law pass to max(ns) by marginalising over the state at each wanted t."""
     want, tables = set(ns), {}
-    for t, (k0, g, logp) in enumerate(_sum_law_steps(model, max(ns)), start=1):
+    for t, (k0, g, table, ref) in enumerate(_sum_law_steps(model, max(ns)), start=1):
         if t not in want:
             continue
-        marg = np.logaddexp.reduce(logp, axis=0)
+        with np.errstate(divide="ignore"):
+            marg = np.logaddexp.reduce(table if ref is None else np.log(table) + ref, axis=0)
         keep = np.flatnonzero(marg > -np.inf)
         total = float(np.logaddexp.reduce(marg[keep]))
         if abs(total) > MASS_TOL:
@@ -381,10 +407,11 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]
 def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
     """P(max_{1<=i<=n} |S_i| >= x): mass leaves the DP once its centred |S_i| >= x."""
     hit, mean = 0.0, float(model.mean_fraction)
-    for i, (k0, g, logp) in enumerate(_sum_law_steps(model, n), start=1):
-        crossed = np.abs((k0 + g * np.arange(logp.shape[1])) / model.denom - i * mean) >= x
-        hit += float(np.exp(logp[:, crossed]).sum())
-        logp[:, crossed] = -np.inf
+    for i, (k0, g, table, ref) in enumerate(_sum_law_steps(model, n), start=1):
+        crossed = np.abs((k0 + g * np.arange(table.shape[1])) / model.denom - i * mean) >= x
+        part = table[:, crossed]
+        hit += float((np.exp(part) if ref is None else part * np.exp(ref[crossed])).sum())
+        table[:, crossed] = -np.inf if ref is None else 0.0
     return hit
 
 
@@ -812,8 +839,7 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
         raise ParamOutOfRange("quantile arguments must not be nan")
     if np.any((ss <= 0.0) | (ss >= 1.0)):
         raise OutOfRange("quantile argument must lie strictly inside (0, 1)")
-    out = QuantileTransform(table.what_values, table.cdf_points())(ss)
-    return out if np.ndim(s) else float(out[0])
+    return table.transform(ss if np.ndim(s) else ss[0])
 
 
 class QuantileTransform:
@@ -867,7 +893,7 @@ class QuantileTransform:
 
 def ks_distance_exact(table: TailTable) -> float:
     """sup_x |P(W_n <= x sigma_n) - Phi(x)|, evaluating both sides of every atom."""
-    return _ks_sweep(table.what_values, table.cdf_points())
+    return _ks_sweep(table.transform.atoms, table.transform.cum)
 
 
 def _ks_sweep(atoms: np.ndarray, cdf: np.ndarray) -> float:

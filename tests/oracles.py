@@ -2,10 +2,11 @@
 
 Nothing here shares code with the package's computational paths: sum
 distributions come from exhaustive path enumeration, from a plain log-space
-DP that sums one destination state at a time, or from the scaled forward DP
-stepped on every lattice point (the package steps only the sublattice the
-sums occupy), binomial tails from exact integer combinatorics or plain lgamma
-sums, and scalar formulas are re-evaluated inline where they are checked.
+DP that sums one destination state at a time, from the scaled forward DP in
+blocks stepped on every lattice point (the package steps only the sublattice
+the sums occupy), or from path counts in Python integers, binomial tails from
+exact integer combinatorics or plain lgamma sums, and scalar formulas are
+re-evaluated inline where they are checked.
 """
 
 from __future__ import annotations
@@ -96,50 +97,126 @@ def log_dp_distribution(model, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.arange(width, dtype=np.int64) + k_lo)[finite], marg[finite]
 
 
-def full_lattice_sum_law_steps(model, n: int):
+def full_lattice_sum_law_steps(model, n: int, block_steps: int, lin_range: float):
     """Yield (k0, logp) for t = 1..n, logp[j, i] = log P(Y_t = j, S_t =
-    (k0 + i) / denom), by the scaled forward DP on every lattice point of
-    [t min f_num, t max f_num], occupied or not: each column is shifted by
-    its largest log-mass, mixed by one product with P^T, logged and shifted
-    back, and summed in log space where a term could fall below 2^-960."""
+    (k0 + i) / denom), by the scaled forward DP in blocks on every lattice
+    point of [t min f_num, t max f_num], occupied or not.  A block refers each
+    column to the largest log-mass of the nearest occupied column at or left
+    of it (the first occupied one left of all, the last past them), holds the
+    masses over e^ref and runs up to block_steps steps of one product with
+    P^T and a row copy times e^(ref[i - f_j + min f] - ref[i]); its last step
+    takes the log of the product, shifted back by the source column's ref.
+    How many steps: the products' and factors' worst growth and decay, read
+    off occupied columns, keep every live entry within e^+-lin_range.  A
+    block is one step where a live entry lies 2^-960 / min P below its
+    column's largest, and such columns are summed in log space."""
     p, xnum = model.transition, model.f_num.astype(np.int64)
     xmin, spread = int(xnum.min()), int(xnum.max() - xnum.min())
+    rises = (xnum - xmin).tolist()
     s, width = model.n_states, n * spread + 1
-    cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
+    cur, nxt = np.full((s, width), -np.inf), np.empty((s, width))
     with np.errstate(divide="ignore"):
         log_t, cur[:, 0] = np.log(p), np.log(model.pi)
-    log_floor = np.log(2.0 ** -960 / p[p > 0].min())
-    for t in range(1, n + 1):
-        w = (t - 1) * spread + 1
-        lin, prod = cur[:, :w], nxt[:, :w]
-        with np.errstate(divide="ignore"):
-            mx = np.maximum(np.max(lin, axis=0), np.finfo(float).min)
-            lin -= mx
-            rare = np.flatnonzero(((lin < log_floor) & (lin > -np.inf)).any(axis=0))
-            acc = np.full((s, rare.size), -np.inf)
+    min_p = p[p > 0].min()
+    floor = np.log(2.0 ** -960 / min_p)
+    grow, shrink = math.log(p.sum(axis=0).max()), -math.log(min_p)
+    t = 0
+    while t < n:
+        w = t * spread + 1
+        end = min(w + block_steps * spread, width)
+        top = np.max(cur[:, :w], axis=0)
+        occupied = np.flatnonzero(top > -np.inf)
+        ref = top[occupied[np.maximum(np.searchsorted(occupied, np.arange(end), "right") - 1, 0)]]
+        cur[:, :w] -= ref[:w]
+        live = cur[:, :w] > -np.inf
+        low = cur[:, :w][live].min()
+        rare = np.flatnonzero(((cur[:, :w] < floor) & live).any(axis=0))
+        if rare.size:
+            k, acc = 1, np.full((s, rare.size), -np.inf)
             for i in range(s):
-                acc = np.logaddexp(acc, log_t[i, :, None] + (lin[i, rare] + mx[rare]))
-            np.exp(lin, out=lin)
-            np.matmul(p.T, lin, out=prod)
-            np.log(prod, out=prod)
-            prod += mx
-            prod[:, rare] = acc
-        cur[:, :w + spread] = -np.inf
-        for j, d in enumerate(xnum - xmin):
-            cur[j, d:d + w] = prod[j]
-        yield t * xmin, cur[:, :w + spread]
+                acc = np.logaddexp(acc, log_t[i, :, None] + (cur[i, rare] + ref[rare]))
+        else:
+            lags = {d: ref[:end - d] - ref[d:end] for d in set(rises) - {0}}
+            up = max([0.0] + [float(v.max()) for v in lags.values()])
+            down = max([0.0] + [float(-v.min()) for v in lags.values()])
+            room = min((lin_range - grow) / max(grow + up, 1e-9),
+                       (lin_range + low - shrink) / max(shrink + down, 1e-9))
+            k = 1 + min(block_steps - 1, int(room))
+            phi = {d: np.exp(v) for d, v in lags.items()}
+        np.exp(cur[:, :w], out=cur[:, :w])
+        cur[:, w:] = 0.0
+        for step in range(k):
+            t += 1
+            w, last = (t - 1) * spread + 1, step == k - 1
+            prod = nxt[:, :w]
+            np.matmul(p.T, cur[:, :w], out=prod)
+            if last:
+                with np.errstate(divide="ignore"):
+                    np.log(prod, out=prod)
+                prod += ref[:w]
+            cur[:, :w + spread] = -np.inf if last else 0.0
+            for j, d in enumerate(rises):
+                cur[j, d:d + w] = prod[j] if last or not d else prod[j] * phi[d][:w]
+            if last:
+                for j, d in enumerate(rises if rare.size else []):
+                    cur[j, rare + d] = acc[j]
+                yield t * xmin, cur[:, :w + spread].copy()
+            else:
+                with np.errstate(divide="ignore"):
+                    logp = np.log(cur[:, :w + spread])
+                logp += ref[:w + spread]
+                yield t * xmin, logp
+            if t == n:
+                return
 
 
-def full_lattice_tables(model, ns: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+def full_lattice_tables(model, ns: list[int], block_steps: int,
+                        lin_range: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(offsets, logp) of S_n for every n in ns, marginalised over the state
     from one `full_lattice_sum_law_steps` pass to max(ns)."""
     out = {}
-    for t, (k0, logp) in enumerate(full_lattice_sum_law_steps(model, max(ns)), start=1):
+    steps = full_lattice_sum_law_steps(model, max(ns), block_steps, lin_range)
+    for t, (k0, logp) in enumerate(steps, start=1):
         if t in ns:
             marg = np.logaddexp.reduce(logp, axis=0)
             keep = np.flatnonzero(marg > -np.inf)
             out[t] = (keep + k0, marg[keep])
     return [out[n] for n in ns]
+
+
+def integer_law(model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Law of the raw lattice numerator of S_n as (offsets, logp), exactly:
+    pi and P enter as the binary fractions their floats hold, scaled to
+    integers by one power of two 2^scale, and a forward DP over (state, sum)
+    from Y_0 ~ pi counts paths in Python integers, so P(S_n = k) is a count
+    over 2^(scale (n + 1)).  Its log is math.log of the count's leading 53
+    bits, read as a fraction in [1/2, 1), plus the binary exponent times log 2."""
+    scale = max(Fraction(float(v)).denominator for v in [*model.transition.flat, *model.pi]
+                ).bit_length() - 1  # denominators of binary fractions are powers of two
+    trans = [[int(Fraction(float(v)) * 2 ** scale) for v in row] for row in model.transition]
+    xnum = [int(v) for v in model.f_num]
+    cur = [{0: int(Fraction(float(v)) * 2 ** scale)} for v in model.pi]
+    for _ in range(n):
+        nxt = [{} for _ in xnum]
+        for i, col in enumerate(cur):
+            for j, a in enumerate(trans[i]):
+                if a:
+                    dst, x = nxt[j], xnum[j]
+                    for k, c in col.items():
+                        dst[k + x] = dst.get(k + x, 0) + c * a
+        cur = nxt
+    counts = {}
+    for col in cur:
+        for k, c in col.items():
+            counts[k] = counts.get(k, 0) + c
+    offsets = np.array(sorted(k for k, c in counts.items() if c), dtype=np.int64)
+    bits = scale * (n + 1)
+
+    def log_count(c: int) -> float:
+        e = c.bit_length()
+        return math.log(math.ldexp(c >> max(e - 53, 0), -min(e, 53))) + (e - bits) * math.log(2.0)
+
+    return offsets, np.array([log_count(counts[int(k)]) for k in offsets])
 
 
 def binom_tail_exact(n: int, k0: int) -> float:

@@ -232,10 +232,11 @@ def test_transform_refuses_nan_and_values_outside_unit_interval(inverse_sources,
     assert h(np.empty(0)).shape == (0,)
 
 
-@pytest.mark.parametrize("model, n, overshoots", [(FILE_MODEL, 1024, 1579),
-                                                  (builtin("rademacher"), 64, 4)])
+@pytest.mark.parametrize("model, n, overshoots", [(FILE_MODEL, 1024, 1576),
+                                                  (builtin("rademacher"), 64, 0)])
 def test_cdf_points_never_decrease_past_rounding(model, n, overshoots):
-    # the running sum of the atoms' masses passes 1 in rounding; it is capped there
+    # the running sum of the atoms' masses may pass 1 in rounding; it is capped
+    # there.  The counts are figures of the DP's last digits
     table = distribution_of_Sn(model, n)
     assert int(np.sum(np.cumsum(table.probabilities()) > 1.0)) == overshoots
     cdf = table.cdf_points()

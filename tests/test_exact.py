@@ -68,15 +68,16 @@ def _oracle_model(name: str):
         return build_finite_lattice_model(
             ["lo", "mid", "hi"],
             [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]], [-2, 1, 3], 2)
-    if name in ("rare5", "rare_step2"):
+    if name in ("rare5", "rare_step2", "tiny5"):
         # transition entries of 1e-200: rare5's atoms sit at log-mass near -921;
-        # rare_step2's payoffs -2, 0, 4 step its sums by 2, atoms near -1630
-        eps = 1e-200
+        # rare_step2's payoffs -2, 0, 4 step its sums by 2, atoms near -1630.
+        # tiny5 is rare5 with 1e-30: the DP's range rule cuts its blocks to 2-8 steps
+        eps = 1e-30 if name == "tiny5" else 1e-200
         return build_finite_lattice_model(
             [str(i) for i in range(5)],
             [[0.5 - eps, 0.5, eps, 0, 0], [0.5, 0.5, 0, 0, 0], [0.5 - eps, 0.5, 0, eps, 0],
              [0, 0, 0, 0, 1], [0.5, 0.5, 0, 0, 0]],
-            [0, 1, 0, 0, 7] if name == "rare5" else [-2, 0, -2, -2, 4], 1)
+            [-2, 0, -2, -2, 4] if name == "rare_step2" else [0, 1, 0, 0, 7], 1)
     if name == "step4":
         # payoffs -3, 1, 5 (sums step by 4) with stationary law (1/2, 1/4, 1/4):
         # the payoff mean is exactly zero, so centred sums are lattice values
@@ -251,7 +252,7 @@ def test_dp_handles_one_sided_payoffs():
 
 @pytest.mark.parametrize("name, n", [
     ("dyadic:3", 40), ("two_state:0.99", 1024), ("asymmetric3", 200),
-    ("rare5", 3), ("rare5", 5), ("rare5", 40),
+    ("rare5", 3), ("rare5", 5), ("rare5", 40), ("rare_step2", 64),
 ])
 def test_dp_matches_log_space_reference(name, n):
     model = _oracle_model(name)
@@ -261,10 +262,30 @@ def test_dp_matches_log_space_reference(name, n):
     assert np.all(np.abs(table.logp - logp) <= 1e-12 * np.maximum(1.0, np.abs(logp)))
 
 
-@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3", "rare5"])
+@pytest.mark.parametrize("name, n", [
+    ("two_state:0.4", 64), ("two_state:0.4", 150), ("asymmetric3", 150), ("dyadic:3", 150),
+    ("step4", 150), ("tiny5", 40),
+])
+def test_dp_matches_integer_law(name, n):
+    # the exact law, counted in Python integers on the binary fractions pi and
+    # P hold: n = 64 ends a block of the DP, n = 150 reads one mid-block; on
+    # tiny5, blocks as long as the cap would lose atoms below the normal range
+    model = _oracle_model(name)
+    table = distribution_of_Sn(model, n)
+    offsets, logp = oracles.integer_law(model, n)
+    assert np.array_equal(table.offsets, offsets)
+    assert np.all(np.abs(table.logp - logp) <= 1e-13 * np.maximum(1.0, np.abs(logp)))
+
+
+@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3", "rare5",
+                                  "rare_step2", "tiny5"])
 def test_grid_tables_from_one_pass_match_per_n_tables(name):
     model = _oracle_model(name)
-    grid = [64, 8, 64, 1]
+    grid = [64, 8, 63, 1, 17, 33, 64]
+    if not name.startswith("rare"):  # horizons inside a block are read without ending it
+        ends = {t for t, (*_, ref) in enumerate(_sum_law_steps(model, 64), start=1)
+                if ref is None}
+        assert set(grid) - ends and set(grid) & ends
     tables = _sum_law_tables(model, grid)
     assert [t.n for t in tables] == grid
     for table, n in zip(tables, grid):
@@ -279,14 +300,14 @@ def test_grid_tables_from_one_pass_match_per_n_tables(name):
 
 @pytest.mark.parametrize("name, g", [
     ("two_state:0.4", 2), ("two_state:0.99", 2), ("rademacher", 2), ("step4", 4),
-    ("rare_step2", 2), ("dyadic:3", 1), ("asymmetric3", 1),
+    ("rare_step2", 2), ("dyadic:3", 1), ("asymmetric3", 1), ("tiny5", 1),
 ])
 def test_sublattice_tables_match_full_lattice_bit_for_bit(name, g):
     # dropping the empty columns leaves every other column's arithmetic as it was
     model = _oracle_model(name)
     grid = [1, 2, 3, 17, 256, 1024]
-    for table, (offsets, logp) in zip(_sum_law_tables(model, grid),
-                                     oracles.full_lattice_tables(model, grid)):
+    full = oracles.full_lattice_tables(model, grid, exact.BLOCK_STEPS, exact.LIN_RANGE)
+    for table, (offsets, logp) in zip(_sum_law_tables(model, grid), full):
         assert table.offsets.dtype == offsets.dtype
         assert table.offsets.tobytes() == offsets.tobytes()
         assert table.logp.tobytes() == logp.tobytes()
@@ -304,7 +325,48 @@ def test_rare_step2_sums_columns_in_log_space():
             lin = logp - logp.max(axis=0)
         return bool(np.any((lin < floor) & (lin > -np.inf)))
 
-    assert any(fires(logp) for _, logp in oracles.full_lattice_sum_law_steps(model, 64))
+    steps = oracles.full_lattice_sum_law_steps(model, 64, exact.BLOCK_STEPS, exact.LIN_RANGE)
+    assert any(fires(logp) for _, logp in steps)
+
+
+class _CountingLogaddexp:
+    """np.logaddexp, counting its direct calls: in the sum-law DP only the
+    log-space column sums make them (its marginals call .reduce)."""
+
+    def __init__(self):
+        self.calls = 0
+        self.reduce, self.accumulate = np.logaddexp.reduce, np.logaddexp.accumulate
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return np.logaddexp(*args, **kwargs)
+
+
+class _NumpyCountingLogaddexp:
+    def __init__(self):
+        self.logaddexp = _CountingLogaddexp()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name, n, rare", [
+    ("rare5", 40, True), ("rare_step2", 64, True), ("two_state:0.4", 256, False),
+    ("dyadic:3", 64, False),
+])
+def test_one_step_blocks_sum_rare_columns_in_log_space(name, n, rare, monkeypatch):
+    # on chains with 1e-200 transitions every step is a block of its own whose
+    # columns below 2^-960 / min P of their largest are summed in log space, one
+    # call per source state; the other chains never take that path
+    model = _oracle_model(name)
+    counting = _NumpyCountingLogaddexp()
+    monkeypatch.setattr(exact, "np", counting)
+    block_ends = sum(ref is None for *_, ref in _sum_law_steps(model, n))
+    calls = counting.logaddexp.calls
+    if rare:
+        assert calls == model.n_states * block_ends == model.n_states * n
+    else:
+        assert calls == 0 and block_ends < n
 
 
 def test_max_abs_tail_at_every_reachable_peak_on_a_step4_sublattice():
@@ -631,6 +693,30 @@ def test_quantile_and_transform_hit_every_atom(name, n, g):
     for q in (lambda s: quantile(table, s), build_quantile_transform(table)):
         np.testing.assert_array_equal(q(lo), at[rises])
         np.testing.assert_array_equal(q(hi), at[rises])
+
+
+def test_one_quantile_transform_per_table(monkeypatch):
+    # quantile, build_quantile_transform and ks_distance_exact read the table's
+    # one cached transform, whose answers stay those of a plain binary search
+    built = []
+
+    class Counting(exact.QuantileTransform):
+        def __init__(self, atoms, cum):
+            built.append(self)
+            super().__init__(atoms, cum)
+
+    monkeypatch.setattr(exact, "QuantileTransform", Counting)
+    table = distribution_of_Sn(builtin("two_state", rho=0.4), 256)
+    s = np.random.default_rng(5).random(1000)
+    want = oracles.searchsorted_inverse(table.what_values, table.cdf_points(), s)
+    for _ in range(3):
+        np.testing.assert_array_equal(quantile(table, s), want)
+        assert quantile(table, s[0]) == want[0]
+    h = build_quantile_transform(table)
+    np.testing.assert_array_equal(h(s), want)
+    assert ks_distance_exact(table) == exact._ks_sweep(table.what_values, table.cdf_points())
+    assert len(built) == 1
+    assert h is built[0] is table.transform is build_quantile_transform(table)
 
 
 @pytest.mark.parametrize("name, n, g", ATOM_TABLES)
