@@ -31,7 +31,6 @@ from scipy.special import zeta
 from .errors import (
     BetaOutOfRange,
     BudgetExceeded,
-    InsufficientCertificateLength,
     NoDecayCertificate,
     ParamOutOfRange,
     WindowTooSmall,
@@ -256,23 +255,22 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     bx = model.bound
     far = n_max + window
 
-    # eta1: suffix maxima of ||P^k x||_inf, tail-bounded geometrically
+    # eta1: suffix maxima of ||P^k x||_inf, tail-bounded geometrically; the
+    # same pass keeps the columns w_d = x * P^d x, d = 0..window, for eta2
     u = x.copy()
     u_norms = np.empty(far)
+    w = np.empty((x.size, window + 1))
+    w[:, 0] = x * x
     for k in range(1, far + 1):
         u = p @ u
         u_norms[k - 1] = float(np.max(np.abs(u)))
+        if k <= window:
+            w[:, k] = x * u
     tail1 = 2.0 * bx * env.phi_bar(far + 1)
     suffix = np.maximum.accumulate(u_norms[::-1])[::-1]
     eta1 = np.maximum(suffix[:n_max], tail1)
 
     # eta2: exact centered cross-moment deviations over a (lag i, gap d) grid
-    u = x.copy()
-    w_cols = [x * x]
-    for _ in range(window):
-        u = p @ u
-        w_cols.append(x * u)
-    w = np.stack(w_cols, axis=1)          # columns: w_d = x * P^d x, d = 0..window
     means = model.pi @ w
     dev = np.empty((far, window + 1))
     pw = w.copy()
@@ -282,27 +280,23 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     tail_i = 2.0 * bx * bx * env.phi_bar(far + 1)
     worst_by_i = dev.max(axis=1)
     suffix2 = np.maximum.accumulate(worst_by_i[::-1])[::-1]
-    eta2 = np.empty(n_max)
-    for k in range(1, n_max + 1):
-        tail_d = 4.0 * bx * bx * env.phi_bar(k) * env.phi_bar(window + 1)
-        eta2[k - 1] = max(suffix2[k - 1], tail_i, tail_d)
+    phi = np.array([env.phi_bar(k) for k in range(1, n_max + 1)])
+    eta2 = np.maximum(np.maximum(suffix2[:n_max], tail_i),
+                      4.0 * bx * bx * phi * env.phi_bar(window + 1))
     eta2 = np.maximum.accumulate(eta2[::-1])[::-1]  # enforce monotone after tails
 
-    beta, is_fit = _fit_beta(np.maximum(eta1, eta2))
-    return DecayCertificate(eta1=eta1, eta2=eta2, beta=beta,
+    return DecayCertificate(eta1=eta1, eta2=eta2, beta=_fit_beta(np.maximum(eta1, eta2)),
                             rate_constant=2.0 * bx * env.c,
-                            geometric_rho=(env.r if env.r > 0 else None),
-                            beta_is_fit=is_fit)
+                            geometric_rho=(env.r if env.r > 0 else None))
 
 
-def _fit_beta(seq: np.ndarray) -> tuple[Optional[float], bool]:
+def _fit_beta(seq: np.ndarray) -> Optional[float]:
     ks = np.arange(1, seq.size + 1, dtype=float)
     keep = seq > 0
     if keep.sum() < 3:
-        return None, False
-    slope = np.polyfit(np.log(ks[keep]), np.log(seq[keep]), 1)[0]
-    b = -float(slope)
-    return (b, True) if b > 1 else (None, False)
+        return None
+    b = -float(np.polyfit(np.log(ks[keep]), np.log(seq[keep]), 1)[0])
+    return b if b > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +333,14 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
     if sigma_n <= 0 or bound_x0 <= 0:
         raise ParamOutOfRange("sigma_n and bound_x0 must be positive")
 
-    eta1_head = np.array([cert.eta1_at(i) for i in range(1, m + 1)])
-    s_head = float(eta1_head.sum())
-    gamma_bound = 1.0 / (math.sqrt(m) * sigma_n) * (
-        s_head + math.sqrt(m) * _series_eta_over_sqrt(cert, m))
+    s_head = float(cert.upto(cert.eta1, m).sum())
+    series = float(cert.tail_sums(cert.eta1, np.array([m]), over_sqrt=True)[0])
+    gamma_bound = 1.0 / (math.sqrt(m) * sigma_n) * (s_head + math.sqrt(m) * series)
 
-    half = m // 2
-    t_weighted = sum(i * cert.eta2_at(i) for i in range(1, half + 1))
-    t_cross = bound_x0 * sum(_eta_tail_sum(cert, "eta1", 2 * i) for i in range(1, half + 1))
-    t_far = m * _eta_tail_sum(cert, "eta2", max(1, half))
+    ks = np.arange(1, m // 2 + 1)
+    t_weighted = float(np.sum(ks * cert.upto(cert.eta2, ks.size)))
+    t_cross = bound_x0 * float(np.sum(cert.tail_sums(cert.eta1, 2 * ks)))
+    t_far = m * float(cert.tail_sums(cert.eta2, np.array([max(1, ks.size)]))[0])
     delta_sq_bound = 1.0 / (m * sigma_n ** 2) * (
         s_head ** 2 + t_weighted + t_cross + t_far)
 
@@ -361,38 +354,6 @@ def _delta_regime(beta: float) -> str:
     if beta == 2:
         return "m^-1/2 sqrt(ln m)"
     return f"m^-{(beta - 1) / 2:g}"
-
-
-def _geo_tail(last: float, rho: Optional[float], weight: float = 1.0) -> float:
-    if rho is None:
-        raise InsufficientCertificateLength(
-            "certificate has no geometric tail; extend the stored window")
-    return last * rho / (1.0 - rho) * weight
-
-
-def _series_eta_over_sqrt(cert: DecayCertificate, start: int) -> float:
-    """sum_{i >= start} eta1_i / sqrt(i), window plus geometric closed form."""
-    n_stored = cert.eta1.size
-    if start > n_stored and cert.geometric_rho is None:
-        raise InsufficientCertificateLength(
-            f"eta1 stored up to {n_stored}, series starts at {start}")
-    idx = np.arange(start, max(n_stored, start) + 1)
-    vals = np.array([cert.eta1_at(int(i)) for i in idx])
-    head = float(np.sum(vals / np.sqrt(idx)))
-    last_i = int(idx[-1])
-    return head + _geo_tail(cert.eta1_at(last_i), cert.geometric_rho,
-                            1.0 / math.sqrt(last_i))
-
-
-def _eta_tail_sum(cert: DecayCertificate, which: str, start: int) -> float:
-    """sum_{i >= start} of eta1 or eta2, window plus geometric closed form."""
-    n_stored = getattr(cert, which).size
-    at = getattr(cert, f"{which}_at")
-    if start > n_stored and cert.geometric_rho is None:
-        raise InsufficientCertificateLength(
-            f"{which} stored up to {n_stored}, tail starts at {start}")
-    head = sum(at(i) for i in range(start, max(n_stored, start) + 1))
-    return head + _geo_tail(at(max(n_stored, start)), cert.geometric_rho)
 
 
 # ---------------------------------------------------------------------------

@@ -223,13 +223,10 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
 
 def sigma_any(model, n: int) -> float:
     """sigma_n for either tier: exact on the lattice, or the lag-weighted sum
-    over a sampled model's analytic autocovariances, up to their support."""
+    over a sampled model's autocovariances, which vanish past len(weights) - 1."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
-    if getattr(model, "autocov", None) is None:
-        raise DegenerateVariance(
-            f"{model.name!r} has no analytic autocovariance; sigma_n unavailable")
-    lags = n if model.autocov_support is None else min(n, model.autocov_support + 1)
+    lags = min(n, model.weights.size)
     g = np.array([model.autocov(k) for k in range(lags)])
     ks = np.arange(1, lags)
     var = g[0] + 2.0 * float(np.sum((1.0 - ks / n) * g[1:]))

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegeneratePayoff,
+    InsufficientCertificateLength,
     NonStochasticRow,
     ParamOutOfRange,
     PeriodicChain,
@@ -36,7 +37,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 EXACT_SOLVE_MAX_STATES = 64
-BURN_IN_TOL = 1e-12
 DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
 MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
 BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
@@ -59,7 +59,6 @@ class DecayCertificate:
     beta: Optional[float] = None
     rate_constant: float = 1.0
     geometric_rho: Optional[float] = None
-    beta_is_fit: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "eta1", np.asarray(self.eta1, dtype=float))
@@ -83,18 +82,38 @@ class DecayCertificate:
             return math.inf
         raise ParamOutOfRange("certificate declares neither beta nor a geometric rate")
 
+    def upto(self, seq: np.ndarray, k: int) -> np.ndarray:
+        """seq_1..seq_k, where seq is eta1 or eta2: the stored window, then
+        last * rho^j at the j-th index past it (rate_constant standing for last
+        on an empty window)."""
+        if k <= seq.size:
+            return seq[:k]
+        if self.geometric_rho is None:
+            raise InsufficientCertificateLength(
+                f"certificate stores {seq.size} entries and no geometric tail; "
+                f"index {k} unavailable")
+        last = seq[-1] if seq.size else self.rate_constant
+        return np.concatenate((seq, last * self.geometric_rho ** np.arange(1, k - seq.size + 1)))
+
+    def tail_sums(self, seq: np.ndarray, starts: np.ndarray,
+                  over_sqrt: bool = False) -> np.ndarray:
+        """sum_{i >= s} seq_i (over sqrt(i) if over_sqrt) for each start s >= 1.
+        Terms s through the end of the stored window are summed (term s alone
+        past it); beyond the last summed term a, the geometric closed form
+        a rho / (1 - rho) stands for the rest."""
+        if self.geometric_rho is None:
+            raise InsufficientCertificateLength(
+                "certificate has no geometric tail; extend the stored window")
+        size, rho = seq.size, self.geometric_rho
+        ks = np.arange(1, max(size, int(np.max(starts, initial=0))) + 1)
+        terms = self.upto(seq, ks.size) / (np.sqrt(ks) if over_sqrt else 1.0)
+        heads = np.concatenate((np.cumsum(terms[:size][::-1])[::-1], terms[size:]))
+        return heads[starts - 1] + terms[np.maximum(starts, size) - 1] * rho / (1.0 - rho)
+
     def _at(self, seq: np.ndarray, k: int) -> float:
         if k < 1:
             raise ParamOutOfRange("certificate index must be >= 1")
-        if k <= seq.size:
-            return float(seq[k - 1])
-        if self.geometric_rho is None:
-            raise ParamOutOfRange(
-                f"certificate stores {seq.size} entries and no geometric tail; "
-                f"index {k} unavailable"
-            )
-        last = float(seq[-1]) if seq.size else self.rate_constant
-        return last * self.geometric_rho ** (k - seq.size)
+        return float(self.upto(seq, k)[-1])
 
     def eta1_at(self, k: int) -> float:
         return self._at(self.eta1, k)
@@ -167,12 +186,14 @@ class FiniteLatticeModel:
 @dataclass(frozen=True, eq=False)
 class SampledModel:
     """Causal linear filter X_t = sum_k weights[k] eps_{t-k} of i.i.d.
-    innovations, with an analytic decay certificate.
+    innovations of mean 0 and variance 1, with an analytic decay certificate.
 
-    ``innovations(rng, shape)`` draws i.i.d. innovations; a path of length n
-    reads eps[..., :burn_in + n] along the last axis, so burn_in must be at
-    least len(weights) - 1.  ``autocov`` (optional) gives the analytic
-    autocovariance, zero beyond lag ``autocov_support`` if set.
+    Under that unit-variance contract the weights fix every second moment:
+    ``autocov(k)`` is sum_j weights[j] weights[j + k], zero past lag
+    L = len(weights) - 1.  X_t reads the L + 1 innovations eps_{t-L}..eps_t,
+    so ``innovations(rng, shape)`` draws i.i.d. innovations and a path of
+    length n reads eps[..., :burn_in + n] along the last axis, with
+    ``burn_in`` = L: every drawn innovation is read.
     """
 
     name: str
@@ -180,9 +201,6 @@ class SampledModel:
     weights: np.ndarray
     bound: float
     decay: DecayCertificate
-    burn_in: int
-    autocov: Optional[Callable[[int], float]] = None
-    autocov_support: Optional[int] = None
     params: dict = field(default_factory=dict)
 
     tier = "sampled"
@@ -190,11 +208,18 @@ class SampledModel:
     def __post_init__(self):
         if not (np.isfinite(self.bound) and self.bound > 0):
             raise ParamOutOfRange("bound must be finite and positive")
-        if self.burn_in < 0:
-            raise ParamOutOfRange("burn_in must be >= 0")
         object.__setattr__(self, "weights", w := np.asarray(self.weights, dtype=float))
-        if w.ndim != 1 or not 1 <= w.size <= self.burn_in + 1 or not np.all(np.isfinite(w)):
-            raise ParamOutOfRange("weights must be 1 to burn_in + 1 finite numbers")
+        if w.ndim != 1 or not w.size or not np.all(np.isfinite(w)):
+            raise ParamOutOfRange("weights must be one or more finite numbers")
+
+    @property
+    def burn_in(self) -> int:
+        return self.weights.size - 1
+
+    def autocov(self, k: int) -> float:
+        """Cov(X_0, X_k) = sum_j weights[j] weights[j + k]."""
+        k, w = _require_count(k, "lag", 0), self.weights
+        return float(np.sum(w[:w.size - k] * w[k:])) if k < w.size else 0.0
 
     def path(self, eps: np.ndarray) -> np.ndarray:
         """X_1..X_n from eps[..., :burn_in + n]: len(weights) shifted adds."""
@@ -384,8 +409,6 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
     L = int(L_trunc)
     weights = c * 0.5 ** np.arange(L + 1)
     bound = float(weights.sum())
-    rho_geom = 0.5
-    burn_in = max(L, math.ceil(math.log(BURN_IN_TOL) / math.log(rho_geom)))
 
     # conditional-mean tail: sum_{i>=k} c 2^{-i}; cross terms square it
     ks = np.arange(1, L + 1)
@@ -395,17 +418,10 @@ def _moving_average(c: float, L_trunc: int) -> SampledModel:
     def innovations(rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
-    def autocov(k: int) -> float:
-        k = _require_count(k, "lag", 0)
-        if k > L:
-            return 0.0
-        return float(np.sum(weights[:L + 1 - k] * weights[k:]))
-
     cert = DecayCertificate(eta1=eta1, eta2=eta2, beta=None,
-                            rate_constant=2.0 * c, geometric_rho=rho_geom)
+                            rate_constant=2.0 * c, geometric_rho=0.5)
     return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", innovations=innovations,
-                        weights=weights, bound=bound, decay=cert, burn_in=burn_in,
-                        autocov=autocov, autocov_support=L, params={"c": c, "L_trunc": L})
+                        weights=weights, bound=bound, decay=cert, params={"c": c, "L_trunc": L})
 
 
 def builtin(name: str, **params):

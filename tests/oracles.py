@@ -338,6 +338,40 @@ def sigma_n_by_lags(model, n: int) -> float:
     return math.sqrt(g[0] + 2.0 * np.sum((1.0 - ks / n) * g[1:]))
 
 
+def certificate_entry(cert, seq, k: int) -> float:
+    """seq_k of a decay certificate by the scalar rule: the stored entry, or
+    past the window last * rho^(k - window), with rate_constant for last on
+    an empty window."""
+    if k <= seq.size:
+        return float(seq[k - 1])
+    last = float(seq[-1]) if seq.size else cert.rate_constant
+    return last * cert.geometric_rho ** (k - seq.size)
+
+
+def certificate_tail_sum(cert, seq, start: int, over_sqrt: bool = False) -> float:
+    """sum_{i >= start} seq_i (/ sqrt(i)), one index at a time through
+    max(start, window), then that last term times rho / (1 - rho)."""
+    weight = (lambda i: 1.0 / math.sqrt(i)) if over_sqrt else (lambda i: 1.0)
+    end = max(seq.size, start)
+    head = sum(certificate_entry(cert, seq, i) * weight(i) for i in range(start, end + 1))
+    rho = cert.geometric_rho
+    return head + certificate_entry(cert, seq, end) * rho / (1.0 - rho) * weight(end)
+
+
+def certified_bounds_by_index(cert, m: int, sigma_n: float, bound_x0: float):
+    """(gamma, delta^2) envelopes of a decay certificate, every sum a Python
+    loop over indices."""
+    s_head = sum(certificate_entry(cert, cert.eta1, i) for i in range(1, m + 1))
+    gamma = (s_head + math.sqrt(m) * certificate_tail_sum(cert, cert.eta1, m, True)) / (
+        math.sqrt(m) * sigma_n)
+    half = m // 2
+    t_weighted = sum(i * certificate_entry(cert, cert.eta2, i) for i in range(1, half + 1))
+    t_cross = bound_x0 * sum(certificate_tail_sum(cert, cert.eta1, 2 * i)
+                             for i in range(1, half + 1))
+    t_far = m * certificate_tail_sum(cert, cert.eta2, max(1, half))
+    return gamma, (s_head ** 2 + t_weighted + t_cross + t_far) / (m * sigma_n ** 2)
+
+
 def dense_renormalise(transition) -> np.ndarray:
     """Rows renormalised in exact rational arithmetic over every dense entry,
     zeros included, then rounded back to floats."""

@@ -144,6 +144,35 @@ def test_bounds_need_tail_information():
         certified_coefficient_bounds(cert, 2, 8, 1.0, 1.0)
 
 
+def test_bounds_past_a_window_without_a_geometric_tail_are_refused():
+    # m = 8 reads eta1 past its two stored entries, which nothing extends
+    cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], beta=1.5)
+    with pytest.raises(InsufficientCertificateLength):
+        certified_coefficient_bounds(cert, 8, 64, 1.0, 1.0)
+
+
+CERTIFIED_CASES = [f"moving_average:{c}:{L}" for c in (1.0, 0.7) for L in (1, 20, 1074)]
+
+
+@pytest.mark.parametrize("name", CERTIFIED_CASES + ["two_state:192"])
+def test_certified_bounds_match_the_per_index_sums(name, two_state04):
+    # suffix sums and one geometric closed form against the sums taken one
+    # index at a time, at m below, at and past the stored window
+    if name.startswith("moving_average"):
+        _, c, L = name.split(":")
+        model = builtin("moving_average", c=float(c), L_trunc=int(L))
+        cert = model.decay
+    else:
+        model = two_state04
+        cert = eta_certificate(model, 192)
+    window = cert.eta1.size
+    for m in sorted({1, 2, 8, window, window + 1, 52, 5000}):
+        got = certified_coefficient_bounds(cert, m, 5000, 0.9, model.bound)
+        gamma, delta_sq = oracles.certified_bounds_by_index(cert, m, 0.9, model.bound)
+        assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
+        assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
+
+
 def test_gamma_bound_calibrated_at_largest_anchor_dominates(two_state04):
     # the exact-to-shape ratio grows with m toward the zeta constant, so the
     # anchor must sit at the top of the grid; with that constant the bound

@@ -131,14 +131,32 @@ def test_sampled_tier_rejected(rademacher):
 
 @pytest.mark.parametrize("L", [4, 20])
 def test_sampled_sigma_sums_lags_up_to_the_stated_support(L):
+    # the autocovariances vanish past lag L = len(weights) - 1, so sigma_n sums
+    # lags 0..L only; the reference correlates the weights and weighs every
+    # lag below n, the zero ones included
     ma = builtin("moving_average", c=1.0, L_trunc=L)
-    assert ma.autocov_support == L
     assert all(ma.autocov(k) == 0.0 for k in range(L + 1, 4 * L))
-    every_lag = dataclasses.replace(ma, autocov_support=None)
+    g = np.correlate(ma.weights, ma.weights, "full")[L:]
+    assert np.allclose([ma.autocov(k) for k in range(L + 1)], g, rtol=1e-15, atol=0)
     for n in (2, L, 256, 4096, 10 ** 6):
+        every_lag = np.zeros(n)
+        every_lag[:min(n, L + 1)] = g[:n]
+        ks = np.arange(1, n)
         # the same positive terms, grouped differently by the summation
-        want = sigma_any(every_lag, n)
+        want = math.sqrt(every_lag[0] + 2.0 * np.sum((1.0 - ks / n) * every_lag[1:]))
         assert sigma_any(ma, n) == pytest.approx(want, rel=(L + 1) * 2.0 ** -52)
+
+
+@pytest.mark.parametrize("L", [1, 3, 6])
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_moving_average_sigma_is_4c_times_its_dyadic_twins(L, c):
+    # with eps = 2b - 1 for fair bits b, c sum_{k<=L} 2^-k eps_{t-k} is 4c times
+    # the centred payoff of dyadic_contracting(L + 1), whose state holds the
+    # last L + 1 bits: the weights' sigma_n against the exact tier's
+    ma = builtin("moving_average", c=c, L_trunc=L)
+    twin = _oracle_model(f"dyadic:{L + 1}")
+    for n in (1, 5, 64, 1000, 10 ** 6):
+        assert sigma_any(ma, n) == pytest.approx(4 * c * sigma_n(twin, n), rel=1e-14)
 
 
 # -- conditional block moments -------------------------------------------------

@@ -441,7 +441,7 @@ def test_moving_average_past_the_last_nonzero_weight_is_refused_before_any_array
     # L_trunc = 10^12 would ask for terabytes
     from mdlab import models
     ma = builtin("moving_average", c=1.0, L_trunc=1074)
-    assert ma.autocov_support == 1074 and ma.autocov(1074) > 0.0
+    assert ma.burn_in == 1074 and ma.autocov(1074) > 0.0 and ma.autocov(1075) == 0.0
 
     def no_array(*args, **kwargs):
         raise AssertionError("an array was allocated")

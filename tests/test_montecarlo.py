@@ -320,10 +320,24 @@ def test_sampled_sums_of_inexact_weights_agree_with_the_paths(c, L, n):
 
 def test_sampled_model_weights_must_fit_the_burn_in():
     ma = builtin("moving_average", c=1.0, L_trunc=8)
-    for bad in (np.zeros(0), np.ones(ma.burn_in + 2), np.ones((2, 2)), np.array([1.0, np.nan])):
+    for bad in (np.zeros(0), np.ones((2, 2)), np.array([1.0, np.nan])):
         with pytest.raises(ParamOutOfRange, match="weights"):
             dataclasses.replace(ma, weights=bad)
     assert dataclasses.replace(ma, weights=[1, 2]).weights.dtype == np.float64
+
+
+@pytest.mark.parametrize("L", [1, 6, 20, 45])
+def test_the_burn_in_reads_every_drawn_innovation(L):
+    # burn_in = len(weights) - 1: X_1 weighs the first innovation drawn by
+    # weights[L] and the sum weights cover every one
+    ma = builtin("moving_average", c=0.7, L_trunc=L)
+    assert ma.burn_in == L
+    for n in (1, 7, 100):
+        assert ma.sum_weights(n).size == ma.burn_in + n
+        eps = ma.innovations(np.random.default_rng(n), (4, ma.burn_in + n))
+        flipped = eps.copy()
+        flipped[..., 0] *= -1
+        assert np.all(ma.path(flipped)[:, 0] != ma.path(eps)[:, 0])
 
 
 def test_wilson_interval_properties():
