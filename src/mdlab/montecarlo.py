@@ -7,10 +7,11 @@ output is a pure function of (model, parameters, seed): chains are generated
 in fixed-size blocks whose child seeds derive from (seed, block index), and
 reductions happen in block order, so any parallel schedule reproduces the
 sequential result bit for bit.  An exact-tier chain needs only S_n, so it
-jumps k steps per uniform through the exact k-step kernel of (state, sum),
-k the largest power of two <= n whose kernel holds at most
-models.KERNEL_ENTRIES entries (`models._simulate_states`).  A sampled S_n is
-one weighted reduction of the innovations (`SampledModel.sum_weights`), no BLAS.
+jumps k steps per uniform through the exact k-step kernel of (state, sum)
+(`models._simulate_states`), k the power of two <= n that `models._jump_length`
+estimates quickest for (model, n, chains), kernel build and jumps together.  A
+sampled S_n is one weighted reduction of the innovations
+(`SampledModel.sum_weights`), not BLAS, whose summation order varies by build.
 
 Confidence intervals use the Wilson score form, which stays honest when the
 tail count is a handful out of many.
@@ -114,16 +115,16 @@ class RatioCurve:
 
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
-    in O(chains) memory plus one block and, on an exact model, one jump
-    kernel; BudgetExceeded if that exceeds DEFAULT_BUDGET_BYTES.  A sampled
-    S_n is the sum of `sample_trajectory`'s path where the arithmetic is exact
-    (the moving average at c = 1 with L_trunc + log2(2n) <= 52), else within
-    rounding of it."""
+    in O(chains) memory plus one block and, on an exact model, one jump kernel
+    of a length set by (model, n, chains) alone (`_jump_length`); BudgetExceeded
+    if that exceeds DEFAULT_BUDGET_BYTES.  A sampled S_n is the sum of
+    `sample_trajectory`'s path where the arithmetic is exact (the moving average
+    at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it."""
     chains, n = _require_count(chains, "chains"), _require_count(n, "n")
     _check_chain_budget(chains, CHAIN_BYTES)
     if model.tier == "exact":
         k = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
-        for _, d in _simulate_states(model, n, chains, seed, _jump_length(model, n)):
+        for _, d in _simulate_states(model, n, chains, seed, _jump_length(model, n, chains)):
             k += d  # raw lattice sums: exact in any order
         out = k / model.denom - n * float(model.mean_fraction)
     else:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from mdlab.errors import (
 )
 from mdlab.coefficients import check_dedecker_conditions, select_block_size
 from mdlab.exact import autocovariance, conditional_sum_norms
-from mdlab.models import parse_model_text, sample_state_paths
+from mdlab.models import child_rng, parse_model_text, sample_state_paths
 from mdlab.bounds import peligrad_bound
 from mdlab.montecarlo import wilson_interval
 
@@ -180,6 +181,37 @@ def test_moving_average_path_is_the_convolution_of_its_window():
     assert np.array_equal(ma.path(outside)[:, t - 1], x[:, t - 1])
 
 
+def test_moving_average_signs_are_fair_and_pairwise_independent():
+    # eight signs a byte: lag 1 and 7 pair bits within a byte and across its
+    # edge, lag 8 the same bit of neighbouring bytes
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    eps = ma.innovations(child_rng(23, 0), (4, 2 ** 18 + 3)).ravel()
+    assert eps.size >= 10 ** 6 and eps.size % 8
+    assert eps.dtype == np.float64 and np.all((eps == 1.0) | (eps == -1.0))
+    plus = eps > 0
+    assert abs(np.sum(plus) - eps.size / 2) <= 5 * math.sqrt(eps.size / 4)
+    for lag in (1, 7, 8):
+        a, b = plus[:-lag], plus[lag:]
+        # overlapping pairs: a pattern's count varies by at most 5/16 a pair
+        se = math.sqrt(5 / 16 * a.size)
+        for count in (a & b, a & ~b, ~a & b, ~a & ~b):
+            assert abs(np.sum(count) - a.size / 4) <= 5 * se, lag
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (9,), (3, 5), (2, 3, 13), (0, 4)])
+def test_moving_average_signs_fill_any_shape_and_repeat_per_generator_state(shape):
+    ma = builtin("moving_average", c=1.0, L_trunc=4)
+    rng = child_rng(5, 2)
+    rng.random(3)
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    eps = ma.innovations(rng, shape)
+    assert eps.shape == shape and eps.dtype == np.float64
+    assert np.all(np.abs(eps) == 1.0)
+    assert eps.tobytes() == ma.innovations(twin, shape).tobytes()
+    assert rng.random() == twin.random()
+
+
 def test_moving_average_autocov_matches_empirical():
     ma = builtin("moving_average", c=1.0, L_trunc=10)
     xs = sample_trajectory(ma, 200_000, seed=1).values
@@ -197,6 +229,25 @@ def test_decay_certificate_validation():
     assert cert.eta1_at(2) == 0.25
     assert cert.eta1_at(4) == pytest.approx(0.0625)
     assert cert.beta_effective == np.inf
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.3, 1e-3, 0.99, 2.0 ** -0.5])
+def test_geometric_tail_is_every_power_bit_for_bit(rho):
+    # rho^j first rounds to 0.0 near j = 1075 / log2(1 / rho); the tail stops
+    # taking powers past it and pads zeros, bit for bit as if it had not
+    edge = int(1075 / -math.log2(rho))
+    ks = (1, 2, edge - 60, edge - 2, edge - 1, edge, edge + 1, edge + 2, edge + 60, 2 * edge,
+          20000)
+    for window in ([], [0.5, 0.25], [0.3] * 40):
+        cert = DecayCertificate(eta1=window, eta2=window, geometric_rho=rho, rate_constant=1.7)
+        last = cert.eta1[-1] if window else 1.7
+        for k in ks:
+            if k > len(window):
+                old = np.concatenate((cert.eta1, last * rho ** np.arange(1, k - len(window) + 1)))
+                assert cert.upto(cert.eta1, k).tobytes() == old.tobytes(), (window, k)
+        tail = cert.upto(cert.eta1, 2 * edge + 60)
+        subnormal = tail[len(window) + int(1050 / -math.log2(rho)) - 1]
+        assert 0.0 < subnormal < 2.0 ** -1022 and tail[-1] == 0.0
 
 
 def test_exact_trajectories_are_seeded_and_stationary():

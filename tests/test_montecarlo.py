@@ -75,7 +75,7 @@ def test_streamed_sums_match_path_reduction(name):
     n, chains, seed = 24, 2 * CHAIN_CHUNK + 123, 5
     paths = sample_state_paths(model, n, chains, seed)
     if name == "dyadic6":
-        assert models._jump_length(model, n) == 1
+        assert models._jump_length(model, n, chains) == 1
         reduced = model.x_values[paths[:, 1:]].sum(axis=1) / math.sqrt(n)
         assert simulate_W(model, n, chains, seed).tobytes() == reduced.tobytes()
     # one trajectory is the first chain of block 0
@@ -164,7 +164,7 @@ def test_lockstep_blocks_match_per_block_stepping(name, chains, slab_steps, monk
     ref = oracles.state_paths_by_block(model, n, chains, seed, CHAIN_CHUNK)
     assert sample_state_paths(model, n, chains, seed).tobytes() == ref.tobytes()
     if name == "dyadic6":  # held at k = 1: simulate_W steps as the paths do
-        assert models._jump_length(model, n) == 1
+        assert models._jump_length(model, n, chains) == 1
         k = model.f_num[ref[:, 1:]].sum(axis=1)
         w = (k / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
         assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
@@ -190,21 +190,39 @@ def test_sum_kernels_match_path_enumeration(name):
         assert np.all(np.abs(kernel.sum(axis=(1, 2)) - 1.0) <= 1e-14)
 
 
-def test_jump_length_is_the_largest_power_of_two_within_the_kernel_cap():
-    cases = {"two_state": 4096, "rademacher": 4096, "dyadic3": 128, "file": 1024, "dyadic6": 1}
-    for name, k in cases.items():
-        model = MODELS[name]()
-        assert models._jump_length(model, 10 ** 6) == k
-        assert models._jump_length(model, k + 1) == k
-        assert models._jump_length(model, 3) == min(k, 2)
-        assert models._jump_length(model, 1) == 1
+# (model, n, chains): the k of least estimated kernel build plus jumps
+JUMP_LENGTHS = {("two_state", 4096, 10 ** 4): 512, ("two_state", 1024, 5 * 10 ** 4): 512,
+                ("two_state", 4096, 10 ** 5): 2048, ("two_state", 256, 10 ** 5): 256,
+                ("two_state", 10 ** 6, 1): 2048, ("rademacher", 4096, 10 ** 4): 512,
+                ("dyadic3", 200, 10 ** 5): 64, ("dyadic3", 10 ** 6, 10): 128,
+                ("file", 300, 10 ** 5): 128, ("file", 1000, 20000): 128,
+                ("dyadic6", 10 ** 6, 1): 1, ("dyadic6", 10 ** 6, 10 ** 6): 1}
+
+
+def test_jump_length_picks_the_cheapest_power_of_two():
+    for (name, n, chains), k in JUMP_LENGTHS.items():
+        assert models._jump_length(MODELS[name](), n, chains) == k, (name, n, chains)
+
+
+@pytest.mark.parametrize("name", ["two_state", "rademacher", "dyadic3", "dyadic6", "file",
+                                  "gapped"])
+def test_jump_length_is_a_power_of_two_within_n_and_the_cap_and_grows_with_chains(name):
+    model = MODELS[name]()
+    s, spread = model.n_states, models._sublattice(model)[3]
+    for n in (1, 2, 3, 7, 64, 200, 1000, 4097, 10 ** 6):
+        ks = [models._jump_length(model, n, chains)
+              for chains in (1, 2, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8)]
+        for k in ks:
+            assert k & (k - 1) == 0 and 1 <= k <= n
+            assert k == 1 or s * s * (k * spread + 1) <= models.KERNEL_ENTRIES
+        assert ks == sorted(ks), (n, ks)
 
 
 # (model, n, KERNEL_ENTRIES or None for the module's, jumps per slab or None):
-# every case has a remainder jump; the capped ones take several k-step jumps
+# every case takes several k-step jumps and a remainder jump
 JUMP_CASES = [("two_state", 23, 64, None), ("two_state", 23, 64, 1),
               ("rademacher", 1000, None, None), ("dyadic3", 421, None, None),
-              ("dyadic3", 421, None, 1), ("file", 77, 1 << 10, None), ("gapped", 50, None, None)]
+              ("dyadic3", 421, None, 1), ("file", 77, 1 << 10, None), ("gapped", 77, None, None)]
 
 
 @pytest.mark.parametrize("name, n, entries, slab_jumps", JUMP_CASES)
@@ -215,8 +233,8 @@ def test_jump_sums_match_a_per_chain_sampler(name, n, entries, slab_jumps, monke
         monkeypatch.setattr(models, "KERNEL_ENTRIES", entries)
     if slab_jumps:
         monkeypatch.setattr(models, "SLAB_BYTES", slab_jumps * 8 * chains)
-    k = models._jump_length(model, n)
-    assert 1 < k < n and n % k
+    k = models._jump_length(model, n, chains)
+    assert 1 < 2 * k < n and n % k
     kernels = models._jump_kernels(model, n, k)
     sums = oracles.jump_sums_by_chain(model, n, chains, seed, CHAIN_CHUNK, k, kernels)
     w = (sums / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
@@ -492,10 +510,11 @@ def test_exact_mc_coverage_over_seeds(two_state04):
 
 @pytest.mark.parametrize("name", ["dyadic3", "file"])
 def test_jump_mc_coverage_over_seeds(name):
-    # n = 200 is one jump of 128 steps and one of 72 on both models
+    # three jumps of 64 steps and one of 8 on dyadic L=3 at n = 200; two of
+    # 128 and one of 44 on the file model at n = 300
     model = MODELS[name]()
-    n, chains = 200, 100_000
-    assert models._jump_length(model, n) == 128
+    (n, k), chains = {"dyadic3": (200, 64), "file": (300, 128)}[name], 100_000
+    assert models._jump_length(model, n, chains) == k
     xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     table = distribution_of_Sn(model, n)
     exact = np.exp(np.asarray(exact_tail(table, xs)))
