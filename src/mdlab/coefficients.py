@@ -52,7 +52,6 @@ from .models import (
     geometric_mixing_certificate,
 )
 
-ZETA_32 = float(zeta(1.5, 1))
 GAMMA_TOL = 1e-10  # certified bound on the drift series' truncation error
 
 # Admissibility gates.  Strict mode uses the paper-style constants (with the

@@ -18,7 +18,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -389,12 +388,11 @@ def _two_state(rho: float, name: str) -> FiniteLatticeModel:
 
 
 def _dyadic_contracting(L: int) -> FiniteLatticeModel:
-    if L < 1:
-        raise ParamOutOfRange(f"L must be >= 1, got {L}")
-    size = 1 << L
-    if size * size * BUILD_ENTRY_BYTES > DEFAULT_BUDGET_BYTES:
+    # refused from L itself: 2^L is formed only once 4^L entries fit the budget
+    if L > DEFAULT_BUDGET_BYTES.bit_length() or BUILD_ENTRY_BYTES << 2 * L > DEFAULT_BUDGET_BYTES:
         raise BudgetExceeded(f"dyadic_contracting(L={L}) needs about {BUILD_ENTRY_BYTES} x 4^{L} "
                              f"bytes to build, over the budget of {DEFAULT_BUDGET_BYTES}")
+    size = 1 << L
     trans = np.zeros((size, size))
     for j in range(size):
         trans[j, j // 2] += 0.5
@@ -404,12 +402,11 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
         np.arange(size, dtype=np.int64), size, name=f"dyadic_contracting(L={L})")
 
 
-def _moving_average(c: float, L_trunc: int) -> SampledModel:
+def _moving_average(c: float, L: int) -> SampledModel:
     if not (np.isfinite(c) and c > 0):
         raise ParamOutOfRange(f"c must be positive, got {c}")
-    if not 1 <= L_trunc <= MA_MAX_LAG:
-        raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L_trunc}")
-    L = int(L_trunc)
+    if L > MA_MAX_LAG:
+        raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L}")
     weights = c * 0.5 ** np.arange(L + 1)
     bound = float(weights.sum())
 
@@ -447,9 +444,10 @@ def builtin(name: str, **params):
             rho = float(params.pop("rho"))
             model = _two_state(rho, name=f"two_state(rho={rho})")
         elif name == "dyadic_contracting":
-            model = _dyadic_contracting(int(params.pop("L")))
+            model = _dyadic_contracting(_require_count(params.pop("L"), "L"))
         else:
-            model = _moving_average(float(params.pop("c")), int(params.pop("L_trunc")))
+            model = _moving_average(float(params.pop("c")),
+                                    _require_count(params.pop("L_trunc"), "L_trunc"))
     except KeyError as exc:
         raise ParamOutOfRange(f"missing parameter {exc} for builtin {name!r}") from None
     if params:
@@ -597,9 +595,10 @@ KERNEL_ENTRIES = 1 << 16  # most entries s^2 (k spread + 1) of the k-step sum ke
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic child generator for work unit `index` of a master seed."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+    """Deterministic child generator for work unit `index` of a master seed, an
+    integer >= 0 (else ParamOutOfRange, for every seeded entry point)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=_require_count(seed, "seed", 0), spawn_key=(index,))))
 
 
 def _check_chain_budget(chains: int, per_chain: int) -> None:
@@ -651,49 +650,46 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
 
 def _jump_length(model: FiniteLatticeModel, n: int, chains: int) -> int:
     """The power of two k <= n, K_k within KERNEL_ENTRIES entries s^2 (k spread
-    + 1) (`_sublattice`), of least estimated time: doubling to K_k at 6 us per
-    composed shift plus 0.2 ns per s^3 width, then ceil(n / k) jumps at 20 us
-    plus 4 ns per chain and log2 of the row width s (k spread + 1).  Fitted on
-    a shared 2-core x86 host (two_state, dyadic L=3, the example file model);
-    nothing is timed, so draws repeat per seed on any machine."""
+    + 1) (`_sublattice`), of least estimated time: the k - 1 steps of the
+    forward pass to K_k (`_jump_kernels`) at 9 us each plus 0.14 ns per s^3
+    width, then ceil(n / k) jumps at 2 us each plus log2 of the row width s (k
+    spread + 1) probes at 4 us plus 4.5 ns per chain.  Fitted on a shared
+    2-core x86 host (two_state, dyadic L=2..5, the example file model, a gapped
+    5-state chain); nothing is timed, so draws repeat per seed on any machine."""
     s, spread = model.n_states, _sublattice(model)[3]
-    best, build, k = (math.inf, 1), 0.0, 1
+    best, k = (math.inf, 1), 1
     while True:
         width = k * spread + 1
-        best = min(best, (build + -(-n // k) * (2e-5 + 4e-9 * chains * math.log2(s * width)), k))
+        build = (k - 1) * (9e-6 + 1.4e-10 * s ** 3 * (width + 1) / 2)  # mean step width
+        jump = 2e-6 + math.log2(s * width) * (4e-6 + 4.5e-9 * chains)
+        best = min(best, (build + -(-n // k) * jump, k))
         if 2 * k > n or s * s * (2 * width - 1) > KERNEL_ENTRIES:
             return best[1]
-        build += width * (6e-6 + 2e-10 * s ** 3 * width)
         k *= 2
 
 
 def _jump_kernels(model: FiniteLatticeModel, n: int, k: int) -> list[np.ndarray]:
-    """[K_k], then K_r if r = n mod k is not 0, for a power of two k: K_m[y, i,
-    y'] = P(Y_m = y', sum over t = 1..m of f_num(Y_t) - min f_num = g i |
-    Y_0 = y), g the gcd of f_num - min f_num (`_sublattice`).  K_2m is K_m
-    composed with itself, and K_r is composed from the binary powers below k,
-    lowest first."""
+    """[K_k], then K_r if r = n mod k is not 0, for a power of two k: K_m[y, y',
+    i] = P(Y_m = y', sum over t = 1..m of f_num(Y_t) - min f_num = g i | Y_0 =
+    y), g the gcd of f_num - min f_num (`_sublattice`).  One forward pass from
+    K_1, P at sum rise[y'] in row y': K_{t+1}[:, y'] is (P^T K_t)[:, y'] shifted
+    by rise[y'], and K_r is copied on the way.  Row y' of K_t fills only sums
+    rise[y'] to rise[y'] + (t - 1) spread, inside its next write, so the two
+    swapped buffers are never cleared."""
     _, _, rise, spread = _sublattice(model)
-    s = model.n_states
-    kernel = np.zeros((s, spread + 1, s))
-    kernel[:, rise, np.arange(s)] = model.transition
-    powers = [kernel]
-    while len(powers) < k.bit_length():
-        powers.append(_compose(powers[-1], powers[-1]))
-    bits = [kn for b, kn in enumerate(powers) if n % k >> b & 1]
-    return powers[-1:] + ([reduce(_compose, bits)] if bits else [])
-
-
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The kernel of a jump through `a` and then one through `b`: out[y, i + j,
-    y''] = sum over y' of a[y, i, y'] b[y', j, y''], one product over all
-    states per shift i that carries mass; non-negative terms only."""
-    s, width = a.shape[0], b.shape[1]
-    out = np.zeros((s, a.shape[1] + width - 1, s))
-    rows = b.reshape(s, -1)
-    for i in np.flatnonzero(a.any(axis=(0, 2))):
-        out[:, i:i + width] += (a[:, i] @ rows).reshape(s, width, s)
-    return out
+    s, r = model.n_states, n % k
+    cur, nxt, step = np.zeros((3, s, s, k * spread + 1))
+    cur[:, np.arange(s), rise] = model.transition
+    pt, rows, rest = model.transition.T, list(enumerate(rise.tolist())), []
+    for t in range(1, k):
+        width = t * spread + 1
+        if t == r:
+            rest.append(cur[:, :, :width].copy())
+        prod = np.matmul(pt, cur[:, :, :width], out=step[:, :, :width])
+        for y, lo in rows:
+            nxt[:, y, lo:lo + width] = prod[:, y]
+        cur, nxt = nxt, cur
+    return [cur] + rest
 
 
 def _jump_table(rows: np.ndarray, to_state: np.ndarray, to_rise: np.ndarray):
@@ -733,7 +729,8 @@ def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int, 
     trajectories to horizon n, one array over all chains each: Y the state
     and D the jump's sum of f_num(Y_t) - min f_num.  n = q k + r is q jumps
     through the k-step kernel of `_jump_kernels` and, if r > 0, one through
-    the r-step kernel; at k = 1 every jump is one step of the path.
+    the r-step kernel, rows [start, end, sum] read as they lie; at k = 1 every
+    jump is one step of the path.
 
     Block b of CHAIN_CHUNK chains draws from child_rng(seed, b) its Y_0
     uniforms, then one uniform per jump as (T x size) slabs, the same stream
@@ -747,12 +744,11 @@ def _simulate_states(model: FiniteLatticeModel, n: int, chains: int, seed: int, 
     """
     s = model.n_states
     _, g, rise, _ = _sublattice(model)
-    if k == 1:  # the rows of P, never a dense (s, spread + 1, s) kernel
+    if k == 1:  # the rows of P, never a dense (s, s, spread + 1) kernel
         tables = [_jump_table(model.transition, np.arange(s), g * rise)]
     else:
-        tables = [_jump_table(kn.transpose(0, 2, 1).reshape(s, -1),  # (state, sum) order
-                              np.repeat(np.arange(s), kn.shape[1]),
-                              np.tile(np.arange(kn.shape[1]) * g, s))
+        tables = [_jump_table(kn.reshape(s, -1), np.repeat(np.arange(s), kn.shape[2]),
+                              np.tile(np.arange(kn.shape[2]) * g, s))
                   for kn in _jump_kernels(model, n, k)]
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0

@@ -9,7 +9,8 @@ reductions happen in block order, so any parallel schedule reproduces the
 sequential result bit for bit.  An exact-tier chain needs only S_n, so it
 jumps k steps per uniform through the exact k-step kernel of (state, sum)
 (`models._simulate_states`), k the power of two <= n that `models._jump_length`
-estimates quickest for (model, n, chains), kernel build and jumps together.  A
+estimates quickest for (model, n, chains), kernel build and jumps together,
+one forward pass building it and the remainder's (`models._jump_kernels`).  A
 sampled S_n is one weighted reduction of the innovations
 (`SampledModel.sum_weights`), not BLAS, whose summation order varies by build.
 

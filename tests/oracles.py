@@ -482,8 +482,8 @@ def enum_sum_kernel(model, k: int) -> np.ndarray:
 
 
 def kernel_rows(kernel: np.ndarray) -> np.ndarray:
-    """A (s, L, s) kernel K[y, i, y'] as rows over its columns (y', i), y' major."""
-    return kernel.transpose(0, 2, 1).reshape(kernel.shape[0], -1)
+    """A (s, s, L) kernel K[y, y', i] as rows over its columns (y', i), y' major."""
+    return kernel.reshape(kernel.shape[0], -1)
 
 
 def jump_sums_by_chain(model, n: int, chains: int, seed: int, block: int, k: int,
@@ -507,7 +507,7 @@ def jump_sums_by_chain(model, n: int, chains: int, seed: int, block: int, k: int
             cum = np.cumsum(row)[cols]
             cum[-1] = 1.0
             table.append((cols, cum))
-        rows.append((kernel.shape[1], table))
+        rows.append((kernel.shape[2], table))
     lengths = [k] * (n // k) + ([n % k] if n % k else [])
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0

@@ -490,7 +490,7 @@ def test_report_writes_what_the_standalone_commands_write(tmp_path):
     assert written == {path.name for path in report.iterdir()}
 
 
-@pytest.mark.parametrize("L", [40, 1000])
+@pytest.mark.parametrize("L", [40, 1000, 10 ** 20])  # 2^(10^20) once overflowed (exit 1)
 def test_oversized_builtin_chain_exits_2_and_writes_nothing(tmp_path, capsys, L):
     out = tmp_path / "out"
     assert run_cli(["coeffs", "--model", f"dyadic_contracting:L={L}", "--n", "8", "--m", "2",

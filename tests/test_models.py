@@ -36,7 +36,8 @@ from mdlab.coefficients import check_dedecker_conditions, select_block_size
 from mdlab.exact import autocovariance, conditional_sum_norms
 from mdlab.models import child_rng, parse_model_text, sample_state_paths
 from mdlab.bounds import peligrad_bound
-from mdlab.montecarlo import wilson_interval
+from mdlab.coupling import coupling_report
+from mdlab.montecarlo import estimate_tails, ratio_curve, wilson_interval
 
 
 def test_two_state_stationary_vector_solved_by_hand():
@@ -479,12 +480,23 @@ def test_oversized_dyadic_chain_is_refused_before_any_array(monkeypatch):
     def no_array(*args, **kwargs):
         raise AssertionError("an array was allocated")
     monkeypatch.setattr(models.np, "zeros", no_array)
-    for L in (13, 40, 1000):
+    for L in (13, 40, 1000, 10 ** 20):  # 2^(10^20) is never formed
         with pytest.raises(BudgetExceeded):
             builtin("dyadic_contracting", L=L)
     monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", 64 * 64 * models.BUILD_ENTRY_BYTES - 1)
     with pytest.raises(BudgetExceeded):
         builtin("dyadic_contracting", L=6)
+
+
+@pytest.mark.parametrize("name, params", [("dyadic_contracting", {"L": 2.5}),
+                                          ("dyadic_contracting", {"L": float("nan")}),
+                                          ("dyadic_contracting", {"L": 3.0}),
+                                          ("moving_average", {"c": 1.0, "L_trunc": 3.9})])
+def test_integer_builtin_parameters_are_not_truncated(name, params):
+    # L = 2.5 once built L = 2 and L_trunc = 3.9 built 3; nan raised a bare ValueError
+    key = "L" if "L" in params else "L_trunc"
+    with pytest.raises(ParamOutOfRange, match=f"{key} must be an integer >= 1, got"):
+        builtin(name, **params)
 
 
 def test_moving_average_past_the_last_nonzero_weight_is_refused_before_any_array(monkeypatch):
@@ -559,3 +571,34 @@ def test_numpy_integer_counts_are_counts(count_models, name):
     call = COUNT_CALLS[name][1]
     got, want = (call(count_models, v) for v in (np.int64(4), 4))
     assert repr(got) == repr(want)
+
+
+# every entry point that draws from a seed: a call of the test's models and the seed
+SEED_CALLS = {
+    "sample_trajectory": lambda c, v: sample_trajectory(c.ts, 5, v),
+    "sample_trajectory sampled": lambda c, v: sample_trajectory(c.ma, 5, v),
+    "sample_state_paths": lambda c, v: sample_state_paths(c.ts, 5, 3, v),
+    "simulate_W": lambda c, v: simulate_W(c.ts, 10, 10, v),
+    "simulate_W sampled": lambda c, v: simulate_W(c.ma, 10, 10, v),
+    "estimate_tails": lambda c, v: estimate_tails(c.ts, 10, [0.5], 10, v),
+    "ratio_curve": lambda c, v: ratio_curve(c.ts, 16, 4, [0.5], mode="mc", chains=10, seed=v),
+    "sample_coupled_pairs": lambda c, v: sample_coupled_pairs(c.transform, 10, v),
+    "coupling_report": lambda c, v: coupling_report(c.ts, coefficient_set(c.ts, 16, 4), 10, v),
+    "decompose nested_draws": lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("name", SEED_CALLS)
+def test_seeds_must_be_integers_of_at_least_zero(count_models, name, seed):
+    # numpy's SeedSequence raised a bare ValueError or TypeError for these
+    with pytest.raises(ParamOutOfRange, match="seed must be an integer >= 0, got"):
+        SEED_CALLS[name](count_models, seed)
+
+
+def test_checked_seeds_draw_the_same_streams():
+    for seed in (0, 7, np.int64(7), 2 ** 70):
+        for index in (0, 3):
+            want = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))))
+            assert child_rng(seed, index).random(4).tobytes() == want.random(4).tobytes()

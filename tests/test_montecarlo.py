@@ -119,7 +119,7 @@ def test_no_move_along_a_zero_probability_entry(name, monkeypatch):
             p, width = model.transition, 1
         else:
             kernel = models._jump_kernels(model, k, k)[0]
-            p, width = oracles.kernel_rows(kernel), kernel.shape[1]
+            p, width = oracles.kernel_rows(kernel), kernel.shape[2]
         exact = oracles.enum_sum_kernel(model, k)  # [y, raw sum, y']
         rows, us = [], []
         for y, cum in enumerate(np.cumsum(p, axis=1)):
@@ -176,26 +176,34 @@ def test_lockstep_blocks_match_per_block_stepping(name, chains, slab_steps, monk
 
 @pytest.mark.parametrize("name", ["two_state", "dyadic3", "file", "gapped"])
 def test_sum_kernels_match_path_enumeration(name):
-    # K_1, K_2, K_4, K_8 by doubling; K_3 and K_5 as remainders composed from them
+    # K_k for k = 1, 2, 4, 8 and, at n = k + r, every remainder K_r with r < k,
+    # copied on the way through the same forward pass; K_k has the same bytes
+    # whatever n mod k is
     model = MODELS[name]()
     g = int(np.gcd.reduce(model.f_num - model.f_num.min()))
-    kernels = {k: models._jump_kernels(model, k, k)[0] for k in (1, 2, 4, 8)}
-    kernels[3] = models._jump_kernels(model, 7, 4)[1]
-    kernels[5] = models._jump_kernels(model, 13, 8)[1]
-    for k, kernel in sorted(kernels.items()):
-        exact = oracles.enum_sum_kernel(model, k)
-        assert kernel.shape == exact[:, ::g].shape
-        assert np.max(np.abs(kernel - exact[:, ::g])) <= 1e-15
-        assert not np.any(np.delete(exact, np.s_[::g], axis=1))  # off the sublattice
-        assert np.all(np.abs(kernel.sum(axis=(1, 2)) - 1.0) <= 1e-14)
+    exact = {m: oracles.enum_sum_kernel(model, m) for m in range(1, 9)}  # [y, raw sum, y']
+    for e in exact.values():
+        assert not np.any(np.delete(e, np.s_[::g], axis=1))  # off the sublattice
+    for k in (1, 2, 4, 8):
+        whole = models._jump_kernels(model, k, k)
+        assert len(whole) == 1
+        for n in range(k, 2 * k):
+            kernels = models._jump_kernels(model, n, k)
+            assert kernels[0].tobytes() == whole[0].tobytes()
+            assert len(kernels) == 1 + (n % k > 0)
+            for m, kernel in zip((k, n % k), kernels):
+                want = exact[m][:, ::g].transpose(0, 2, 1)  # [y, y', sum]
+                assert kernel.shape == want.shape
+                assert np.max(np.abs(kernel - want)) <= 1e-15
+                assert np.all(np.abs(kernel.sum(axis=(1, 2)) - 1.0) <= 1e-14)
 
 
 # (model, n, chains): the k of least estimated kernel build plus jumps
 JUMP_LENGTHS = {("two_state", 4096, 10 ** 4): 512, ("two_state", 1024, 5 * 10 ** 4): 512,
-                ("two_state", 4096, 10 ** 5): 2048, ("two_state", 256, 10 ** 5): 256,
+                ("two_state", 4096, 10 ** 5): 1024, ("two_state", 256, 10 ** 5): 256,
                 ("two_state", 10 ** 6, 1): 2048, ("rademacher", 4096, 10 ** 4): 512,
-                ("dyadic3", 200, 10 ** 5): 64, ("dyadic3", 10 ** 6, 10): 128,
-                ("file", 300, 10 ** 5): 128, ("file", 1000, 20000): 128,
+                ("dyadic3", 200, 10 ** 5): 128, ("dyadic3", 10 ** 6, 10): 128,
+                ("file", 300, 10 ** 5): 256, ("file", 1000, 20000): 256,
                 ("dyadic6", 10 ** 6, 1): 1, ("dyadic6", 10 ** 6, 10 ** 6): 1}
 
 
@@ -510,10 +518,10 @@ def test_exact_mc_coverage_over_seeds(two_state04):
 
 @pytest.mark.parametrize("name", ["dyadic3", "file"])
 def test_jump_mc_coverage_over_seeds(name):
-    # three jumps of 64 steps and one of 8 on dyadic L=3 at n = 200; two of
-    # 128 and one of 44 on the file model at n = 300
+    # one jump of 128 steps and one of 72 on dyadic L=3 at n = 200; one of
+    # 256 and one of 44 on the file model at n = 300
     model = MODELS[name]()
-    (n, k), chains = {"dyadic3": (200, 64), "file": (300, 128)}[name], 100_000
+    (n, k), chains = {"dyadic3": (200, 128), "file": (300, 256)}[name], 100_000
     assert models._jump_length(model, n, chains) == k
     xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     table = distribution_of_Sn(model, n)
