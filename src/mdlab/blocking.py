@@ -81,6 +81,7 @@ def decompose(model, trajectory: Trajectory, m: int,
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     m, nested_draws = _require_count(m, "m"), _require_count(nested_draws, "nested_draws", 2)
+    seed = _require_count(seed, "seed", 0)
     n = trajectory.n
     if n < m:
         raise TrajectoryTooShort(f"trajectory has n={n} < m={m}")

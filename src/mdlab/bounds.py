@@ -23,9 +23,24 @@ import numpy as np
 from .coefficients import CoefficientSet, GateReport, admissibility
 from .errors import GammaTooLarge, MissingNorms, NegativeX, ParamOutOfRange
 from .exact import _csv
-from .models import _require_count
+from .models import _require_count, _require_scale
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
+
+
+def _read_x(x, what: str, strict: bool = False) -> np.ndarray:
+    """x as a float array, NegativeX unless every point is >= 0 (> 0 if
+    `strict`): NaN fails, +inf passes."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0 if strict else xs >= 0):
+        raise NegativeX(f"{what} is stated for x {'>' if strict else '>='} 0, "
+                        f"not for NaN or below")
+    return xs
+
+
+def _like(out: np.ndarray, x) -> np.ndarray | float:
+    """`out` as x was given: an array for an array or list, a float for a scalar."""
+    return out if np.ndim(x) else float(out)
 
 
 def xlnx(t) -> np.ndarray | float:
@@ -33,7 +48,7 @@ def xlnx(t) -> np.ndarray | float:
     ts = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ts > 0.0, ts * np.abs(np.log(np.where(ts > 0, ts, 1.0))), 0.0)
-    return out if np.ndim(t) else float(out)
+    return _like(out, t)
 
 
 @dataclass(frozen=True)
@@ -69,26 +84,22 @@ def cramer_envelope(coeffs: CoefficientSet, x, c: float = 1.0):
         c ( x^3 eps + x^2 (delta^2 + m/n + g) + (1+x)(eps|ln eps| + g + delta
             + sqrt(m/n)) ),   g = gamma |ln gamma|.
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise NegativeX("envelope is defined for x >= 0")
-    if not c > 0:  # nan is not positive
-        raise ParamOutOfRange("envelope constant must be positive")
+    xs = _read_x(x, "the envelope")
+    c = _require_scale(c, "the envelope constant c")
     g = xlnx(coeffs.gamma_m)
     mn = coeffs.m / coeffs.n
     quad = coeffs.delta_sq + mn + g
     lin = xlnx(coeffs.eps_m) + g + coeffs.delta_m + math.sqrt(mn)
-    out = c * (xs ** 3 * coeffs.eps_m + xs ** 2 * quad + (1.0 + xs) * lin)
-    return out if np.ndim(x) else float(out)
+    return _like(c * (xs ** 3 * coeffs.eps_m + xs ** 2 * quad + (1.0 + xs) * lin), x)
 
 
 def envelope_curve(coeffs: CoefficientSet, x_grid, c: float = 1.0,
                    gate_mode: str = "practical") -> BoundCurve:
     """Cramér envelope on a grid, flagged valid where the admissibility gates
     hold and x stays inside the admissible range."""
-    xs = np.asarray(x_grid, dtype=float)
     gates: GateReport = admissibility(coeffs, gate_mode)
-    valid = (xs >= 0) & (xs <= gates.x_max) & gates.all_ok
+    xs = _read_x(x_grid, "the envelope")
+    valid = (xs <= gates.x_max) & gates.all_ok
     return BoundCurve(kind="cramer_envelope", x_grid=xs,
                       value=np.asarray(cramer_envelope(coeffs, xs, c)),
                       valid=valid, gate_mode=gate_mode,
@@ -102,20 +113,15 @@ def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
         raise ParamOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
     if not 0.0 <= iota <= 0.5:
         raise ParamOutOfRange(f"iota must lie in [0, 1/2], got {iota}")
-    if not c > 0:  # nan is not positive
-        raise ParamOutOfRange("envelope constant must be positive")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise NegativeX("envelope is defined for x >= 0")
-    out = c * (xs ** 3 * eps + xs ** 2 * iota ** 2 + (1.0 + xs) * (xlnx(eps) + iota))
-    return out if np.ndim(x) else float(out)
+    c = _require_scale(c, "the envelope constant c")
+    xs = _read_x(x, "the envelope")
+    return _like(c * (xs ** 3 * eps + xs ** 2 * iota ** 2 + (1.0 + xs) * (xlnx(eps) + iota)), x)
 
 
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
     """Uniform normal-approximation bound
     c (gamma|ln gamma| + eps|ln eps| + delta + sqrt(m/n))."""
-    if not c > 0:
-        raise ParamOutOfRange("constant must be positive")
+    c = _require_scale(c, "the constant c")
     return c * (xlnx(coeffs.gamma_m) + xlnx(coeffs.eps_m) + coeffs.delta_m
                 + math.sqrt(coeffs.m / coeffs.n))
 
@@ -138,9 +144,7 @@ def bernstein_bound(coeffs: CoefficientSet, x):
 
     The second term vanishes in the martingale limit gamma = 0.
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0):
-        raise NegativeX("the Bernstein bound is stated for x > 0")
+    xs = _read_x(x, "the Bernstein bound", strict=True)
     g = xlnx(coeffs.gamma_m)
     if g >= 1.0:
         raise GammaTooLarge(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
@@ -152,23 +156,16 @@ def bernstein_bound(coeffs: CoefficientSet, x):
     else:
         second = SQRT_E4 * np.exp(-(math.log(coeffs.gamma_m)) ** 2 * xs ** 2
                                   / (2.0 * 81.0 ** 2))
-    out = first + second
-    return out if np.ndim(x) else float(out)
+    return _like(first + second, x)
 
 
 def freedman_bound(x, v2: float, a: float):
     """exp{-x^2 / (2 (v^2 + a x / 3))}: bounds the probability that a
     martingale with differences <= a reaches x while its quadratic
     characteristic stays below v^2."""
-    if not v2 > 0:  # nan is not positive
-        raise ParamOutOfRange(f"v2 must be positive, got {v2!r}")
-    if not a >= 0:
-        raise ParamOutOfRange(f"a must be >= 0, got {a!r}")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise NegativeX("x must be >= 0")
-    out = np.exp(-xs ** 2 / (2.0 * (v2 + a * xs / 3.0)))
-    return out if np.ndim(x) else float(out)
+    v2, a = _require_scale(v2, "v2"), _require_scale(a, "a", zero=True)
+    xs = _read_x(x, "Freedman's bound")
+    return _like(np.exp(-xs ** 2 / (2.0 * (v2 + a * xs / 3.0))), x)
 
 
 def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
@@ -180,21 +177,16 @@ def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
 
     where nu_j = ||E[S_j | F_0]||_inf for j = 1..n.
     """
-    n = _require_count(n, "n")
-    if not bound_x1 > 0:  # nan is not positive
-        raise ParamOutOfRange(f"need bound_x1 > 0, got {bound_x1!r}")
+    n, bound_x1 = _require_count(n, "n"), _require_scale(bound_x1, "bound_x1")
     norms = np.asarray(cond_norms, dtype=float)
     if norms.size < n:
         raise MissingNorms(f"need conditional-sum norms for j = 1..{n}, got {norms.size}")
     if np.any(norms[:n] < 0):
         raise MissingNorms("conditional-sum norms must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise NegativeX("x must be >= 0")
+    xs = _read_x(x, "the maximal inequality")
     js = np.arange(1, n + 1, dtype=float)
     denom = bound_x1 + 80.0 * float(np.sum(js ** -1.5 * norms[:n]))
-    out = SQRT_E4 * np.exp(-xs ** 2 / (2.0 * n * denom ** 2))
-    return out if np.ndim(x) else float(out)
+    return _like(SQRT_E4 * np.exp(-xs ** 2 / (2.0 * n * denom ** 2)), x)
 
 
 def gaussian_tail_sandwich(x):
@@ -202,15 +194,9 @@ def gaussian_tail_sandwich(x):
 
         e^{-x^2/2} / (sqrt(2 pi) (1+x)) <= 1 - Phi(x) <= e^{-x^2/2} / (sqrt(pi) (1+x)).
     """
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise NegativeX("the sandwich is stated for x >= 0")
+    xs = _read_x(x, "the sandwich")
     core = np.exp(-xs ** 2 / 2.0) / (1.0 + xs)
-    lower = core / math.sqrt(2.0 * math.pi)
-    upper = core / math.sqrt(math.pi)
-    if np.ndim(x):
-        return lower, upper
-    return float(lower), float(upper)
+    return _like(core / math.sqrt(2.0 * math.pi), x), _like(core / math.sqrt(math.pi), x)
 
 
 def uniform_x_range(coeffs: CoefficientSet) -> float:

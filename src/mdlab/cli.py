@@ -50,7 +50,7 @@ from .coupling import coupling_report, sample_coupled_pairs, build_quantile_tran
 from .errors import BudgetExceeded, ConfigError, MdlabError, VerificationError
 from .exact import (_binomial_log_tail, _csv, _max_abs_tail, conditional_sum_norms,
                     distribution_of_Sn, exact_tail, ks_distance_exact, sigma_any)
-from .models import DEFAULT_BUDGET_BYTES, builtin, parse_model_text
+from .models import DEFAULT_BUDGET_BYTES, _require_scale, builtin, parse_model_text
 from .montecarlo import mdp_diagnostic, ratio_curve
 from .normal import normal_sf
 
@@ -172,6 +172,9 @@ def cmd_coeffs(cfg: dict, model, run_coeffs):
         n = cfg["n"]
         m = _pick_m(cfg, n)
         sig = sigma_any(model, n)
+        # shapes with their constants set to 1, not bounds: on the moving
+        # average they sit below its dyadic twin's exact gamma and delta^2
+        # (`certified_coefficient_bounds`)
         rb = certified_coefficient_bounds(model.decay, m, n, sig, model.bound)
         payload = {"mode": "certified_upper_bounds", "model": model.describe(),
                    "coefficients": {"n": n, "m": m, "sigma_n": sig,
@@ -188,9 +191,7 @@ def cmd_verify(cfg: dict, model, run_coeffs):
     _pick_m(cfg, cfg["n"])  # a bad block length is reported before a bad grid
     xs = _x_grid(cfg)
     gate_mode = cfg.get("gate_mode", "practical")
-    c = cfg.get("constant", 1.0)
-    if not 0 < c < math.inf:
-        raise ConfigError(f"envelope constant must be finite and positive, got {c}")
+    c = _require_scale(cfg.get("constant", 1.0), "--constant")
 
     coeffs = run_coeffs()
     n = coeffs.n

@@ -22,7 +22,7 @@ from .coefficients import CoefficientSet
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
 from .exact import DRAW_CHUNK, QuantileTransform, TailTable, distribution_of_Sn
-from .models import _check_chain_budget, _require_count, child_rng
+from .models import _check_chain_budget, _require_count, _require_scale, child_rng
 from .normal import normal_cdf, normal_quantile
 
 PAIR_BYTES = 512  # peak per draw of `mdlab coupling`: pairs, report arrays, CSV row (~265)
@@ -67,7 +67,7 @@ def sample_coupled_pairs(transform: QuantileTransform, draws: int,
     intermediate is built.  Raises BudgetExceeded, before
     allocating, when draws x PAIR_BYTES passes DEFAULT_BUDGET_BYTES.
     """
-    draws = _require_count(draws, "draws")
+    draws, seed = _require_count(draws, "draws"), _require_count(seed, "seed", 0)
     _check_chain_budget(draws, PAIR_BYTES)
     y, z = np.empty(draws), np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):
@@ -120,8 +120,8 @@ def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
     on draws inside |Y| <= alpha / varsigma; the exponential slope of the
     normalized gap's log-survival is fitted on its upper decile.
     """
-    if not (0 < alpha < math.inf and 0 < c_alpha < math.inf):
-        raise ParamOutOfRange(f"alpha, c_alpha must be finite and positive: {alpha}, {c_alpha}")
+    alpha, c_alpha = _require_scale(alpha, "alpha"), _require_scale(c_alpha, "c_alpha")
+    draws, seed = _require_count(draws, "draws"), _require_count(seed, "seed", 0)
     vs = varsigma(coeffs)
     if not (np.isfinite(vs) and vs > 1e-300):
         raise DegenerateGap(f"varsigma underflows: {vs!r}")

@@ -15,6 +15,7 @@ of the centered payoff is an exact zero, not a float residual.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -208,8 +209,7 @@ class SampledModel:
     tier = "sampled"
 
     def __post_init__(self):
-        if not (np.isfinite(self.bound) and self.bound > 0):
-            raise ParamOutOfRange("bound must be finite and positive")
+        object.__setattr__(self, "bound", _require_scale(self.bound, "bound"))
         object.__setattr__(self, "weights", w := np.asarray(self.weights, dtype=float))
         if w.ndim != 1 or not w.size or not np.all(np.isfinite(w)):
             raise ParamOutOfRange("weights must be one or more finite numbers")
@@ -403,8 +403,7 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
 
 
 def _moving_average(c: float, L: int) -> SampledModel:
-    if not (np.isfinite(c) and c > 0):
-        raise ParamOutOfRange(f"c must be positive, got {c}")
+    c = _require_scale(c, "c")
     if L > MA_MAX_LAG:
         raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L}")
     weights = c * 0.5 ** np.arange(L + 1)
@@ -564,14 +563,24 @@ def _require_exact(model) -> None:
 
 def _require_count(value, name: str, least: int = 1) -> int:
     """`value` as an int if it is an integer >= least (`operator.index`: no
-    float, not even an integral one), else ParamOutOfRange."""
+    float, not even an integral one, and no bool), else ParamOutOfRange."""
     try:
-        count = operator.index(value)
+        count = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = least - 1
     if count < least:
         raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def _require_scale(value, name: str, zero: bool = False) -> float:
+    """`value` as a float if it is a finite real > 0 (>= 0 if `zero`), else
+    ParamOutOfRange: NaN and +-inf fail."""
+    scale = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not (math.isfinite(scale) and (scale > 0 or zero and scale == 0)):
+        raise ParamOutOfRange(f"{name} must be finite and {'>=' if zero else '>'} 0, "
+                              f"got {value!r}")
+    return scale
 
 
 def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:
@@ -595,10 +604,10 @@ KERNEL_ENTRIES = 1 << 16  # most entries s^2 (k spread + 1) of the k-step sum ke
 
 
 def child_rng(seed: int, index: int) -> np.random.Generator:
-    """Deterministic child generator for work unit `index` of a master seed, an
-    integer >= 0 (else ParamOutOfRange, for every seeded entry point)."""
+    """Deterministic child generator for work unit `index` of a master seed,
+    which every seeded entry point checks on entry (`_require_count`)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=_require_count(seed, "seed", 0), spawn_key=(index,))))
+        entropy=seed, spawn_key=(index,))))
 
 
 def _check_chain_budget(chains: int, per_chain: int) -> None:
@@ -610,7 +619,7 @@ def _check_chain_budget(chains: int, per_chain: int) -> None:
 
 def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     """One stationary trajectory of length n, deterministic per seed."""
-    n = _require_count(n, "n")
+    n, seed = _require_count(n, "n"), _require_count(seed, "seed", 0)
     if model.tier == "sampled":
         eps = next(_innovation_blocks(model, n, 1, seed))[0]
         return Trajectory(values=model.path(eps), innovations=eps)
@@ -641,6 +650,7 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
     """
     _require_exact(model)
     n, chains = _require_count(n, "n"), _require_count(chains, "chains")
+    seed = _require_count(seed, "seed", 0)
     _check_chain_budget(chains, CHAIN_BYTES + 8 * (n + 1))
     out = np.empty((chains, n + 1), dtype=np.int64)
     for t, (y, _) in enumerate(_simulate_states(model, n, chains, seed)):

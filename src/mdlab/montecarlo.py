@@ -46,7 +46,7 @@ from .exact import (
     sigma_any,
 )
 from .models import (CHAIN_BYTES, _check_chain_budget, _innovation_blocks, _jump_length,
-                     _require_count, _simulate_states, _sublattice)
+                     _require_count, _require_scale, _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -64,12 +64,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
-
-
-def _require_scale(sigma: float) -> float:
-    if not 0.0 < sigma < math.inf:
-        raise ParamOutOfRange(f"sigma must be finite and positive, got {sigma!r}")
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -122,6 +116,7 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     `sample_trajectory`'s path where the arithmetic is exact (the moving average
     at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it."""
     chains, n = _require_count(chains, "chains"), _require_count(n, "n")
+    seed = _require_count(seed, "seed", 0)
     _check_chain_budget(chains, CHAIN_BYTES)
     if model.tier == "exact":
         k = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
@@ -138,10 +133,11 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
 def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
                    sigma: Optional[float] = None) -> list[TailEstimate]:
     """Monte Carlo estimates of P(W_n >= x sigma_n) with 95% score intervals."""
+    seed = _require_count(seed, "seed", 0)
     xs = np.asarray(x_grid, dtype=float)
     if np.any(np.isnan(xs)):
         raise ParamOutOfRange("tail thresholds must not be nan")
-    sig = sigma_any(model, n) if sigma is None else _require_scale(sigma)
+    sig = sigma_any(model, n) if sigma is None else _require_scale(sigma, "sigma")
     upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
     return [TailEstimate(float(x), k / chains, *wilson_interval(k, chains), chains, seed)
             for x, k in zip(xs, upper.tolist())]
@@ -165,6 +161,7 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
                 gate_mode: str = "practical") -> RatioCurve:
     """Tail ratios P(W_n >= x sigma_n) / (1 - Phi(x)) and the mirrored left
     ratio, either exact from the DP table or estimated from chains."""
+    seed = _require_count(seed, "seed", 0)
     xs = np.asarray(x_grid, dtype=float)
     if not np.all(xs >= 0):
         raise ParamOutOfRange("ratio grid must be nonnegative numbers")
@@ -211,7 +208,7 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
 def empirical_ks(samples, sigma_n: float) -> float:
     """Kolmogorov distance between the empirical law of W_n / sigma_n and the
     standard normal, evaluated on both sides of every jump."""
-    w = np.sort(np.asarray(samples, dtype=float)) / _require_scale(sigma_n)
+    w = np.sort(np.asarray(samples, dtype=float)) / _require_scale(sigma_n, "sigma_n")
     n = w.size
     if n < 100:
         raise TooFewSamples(f"need at least 100 samples, got {n}")
@@ -251,8 +248,7 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     """
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
-    if not 0.0 <= c < math.inf:
-        raise ParamOutOfRange(f"c must be finite and >= 0, got {c}")
+    c = _require_scale(c, "c", zero=True)
     if not all(math.isfinite(n) and n == int(n) >= 1 for n in n_grid):
         raise ParamOutOfRange(f"every n in n_grid must be an integer >= 1, got {list(n_grid)}")
     ns = np.asarray(n_grid, dtype=np.int64)

@@ -181,6 +181,38 @@ def test_nan_scales_and_non_integral_counts_are_refused(call):
         call()
 
 
+# the six evaluators of an x grid, each with its smallest allowed x
+X_CALLS = {
+    "cramer_envelope": (0.0, lambda x: cramer_envelope(_coeffs(), x)),
+    "martingale_cramer_envelope": (0.0, lambda x: martingale_cramer_envelope(0.1, 0.1, x)),
+    "bernstein_bound": (0.5, lambda x: bernstein_bound(_coeffs(gamma=0.01), x)),
+    "freedman_bound": (0.0, lambda x: freedman_bound(x, 1.0, 0.5)),
+    "peligrad_bound": (0.0, lambda x: peligrad_bound(x, 12, 1.0, [0.1] * 12)),
+    "gaussian_tail_sandwich": (0.0, gaussian_tail_sandwich),
+}
+
+
+@pytest.mark.parametrize("shape", ["scalar", "grid"])
+@pytest.mark.parametrize("name", X_CALLS)
+def test_nan_x_is_refused_like_a_negative_x(name, shape):
+    # np.any(xs < 0) is False for NaN: the reader asks np.all(xs >= 0)
+    least, call = X_CALLS[name]
+    for bad in (math.nan, -1.0):
+        with pytest.raises(NegativeX, match="is stated for x"):
+            call(bad if shape == "scalar" else [least, bad, 1.0])
+
+
+@pytest.mark.parametrize("name", X_CALLS)
+def test_infinite_x_stays_allowed_and_shapes_follow_x(name):
+    # Bernstein's and Freedman's exponents read inf / inf = NaN at x = inf
+    least, call = X_CALLS[name]
+    with np.errstate(invalid="ignore"):
+        scalar, grid = call(math.inf), call([least, math.inf])
+    for s, g in zip(scalar, grid) if name == "gaussian_tail_sandwich" else [(scalar, grid)]:
+        assert isinstance(s, float) and isinstance(g, np.ndarray) and g.shape == (2,)
+        assert repr(s) == repr(float(g[1]))
+
+
 def test_bound_evaluators_are_pure():
     cs = _coeffs(gamma=0.01, delta_sq=0.002)
     xs = np.linspace(0.1, 3, 17)

@@ -148,6 +148,19 @@ def test_verify_rejects_non_finite_constant(tmp_path, capsys, c):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("c", ["0", "-1", "nan", "inf", "-inf"])
+def test_verify_refuses_the_constant_before_any_work(tmp_path, capsys, monkeypatch, c):
+    # the library's scale check, run before the coefficient set is computed
+    def reached(*args, **kwargs):
+        raise AssertionError("coefficient_set ran before --constant was checked")
+
+    monkeypatch.setattr(cli, "coefficient_set", reached)
+    assert main(["verify", "--model", "two_state:rho=0.4", "--n", "64", "--m", "4",
+                 f"--constant={c}", "--out", str(tmp_path / "out")]) == 2
+    assert "--constant must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_byte_identical_across_threads(tmp_path):
     out1, out4 = tmp_path / "a", tmp_path / "b"
     for out, threads in ((out1, "1"), (out4, "4")):

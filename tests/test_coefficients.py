@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -151,6 +152,32 @@ def test_bounds_past_a_window_without_a_geometric_tail_are_refused():
         certified_coefficient_bounds(cert, 8, 64, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n_max", [12, 64, 192])
+@pytest.mark.parametrize("rho", [0.4, 0.9, 0.99])
+def test_geometric_chains_read_the_geometric_regime(rho, n_max):
+    # the certificate's own geometric rate sets the regime; a log-log slope
+    # fitted to eta would read m^-0.47993 at rho = 0.9, n_max = 64
+    model = builtin("two_state", rho=rho)
+    cert = eta_certificate(model, n_max)
+    assert cert.beta is None and 0 < cert.geometric_rho < 1
+    assert cert.beta_effective == math.inf
+    rb = certified_coefficient_bounds(cert, 4, 64, sigma_n(model, 64), model.bound)
+    assert rb.regime == "m^-1/2"
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_chains_that_decouple_declare_no_decay_exponent(L):
+    # eta vanish after L steps (a fitted slope read beta = 2.02 at L = 6):
+    # there is no tail past the window and no rate, so no bounds and no regime
+    model = builtin("dyadic_contracting", L=L)
+    cert = eta_certificate(model, 64)
+    assert cert.beta is None and cert.geometric_rho is None
+    with pytest.raises(ParamOutOfRange, match="neither beta nor a geometric rate"):
+        cert.beta_effective
+    with pytest.raises(InsufficientCertificateLength):
+        certified_coefficient_bounds(cert, 4, 64, sigma_n(model, 64), model.bound)
+
+
 CERTIFIED_CASES = [f"moving_average:{c}:{L}" for c in (1.0, 0.7) for L in (1, 20, 1074)]
 
 
@@ -267,6 +294,19 @@ def test_dedecker_slow_chain_converges_with_large_constant():
     assert rep_slow.series_converges
     assert rep_slow.series_value > 20 * rep_fast.series_value
     assert rep_slow.second_moment_dev[-1] > rep_fast.second_moment_dev[-1]
+
+
+def test_dedecker_report_json(two_state04):
+    rep = check_dedecker_conditions(two_state04, 200)
+    doc = json.loads(json.dumps(rep.to_json_dict()))
+    assert sorted(doc) == ["closed_form_tail", "n_max", "partial_sum_final", "schema",
+                           "second_moment_dev_final", "series_converges", "series_uncertainty",
+                           "series_value", "sigma_sq", "variance_stabilizes"]
+    assert doc["schema"] == "dedecker/1" and doc["n_max"] == 200
+    assert doc["partial_sum_final"] == float(rep.partial_sums[-1])
+    assert doc["second_moment_dev_final"] == float(rep.second_moment_dev[-1])
+    assert doc["series_value"] == rep.series_value and doc["sigma_sq"] == rep.sigma_sq
+    assert doc["series_converges"] is True and doc["variance_stabilizes"] is True
 
 
 @pytest.mark.parametrize("name", ["two_state", "dyadic6", "asymmetric3"])

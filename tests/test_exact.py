@@ -569,6 +569,26 @@ def test_tilted_tail_is_inclusive_at_atoms(two_state04, n, monkeypatch):
     assert _close(mdp_diagnostic(two_state04, 1.0, 0.25, [n]).scaled[0], an * an * got)
 
 
+def test_tilted_tail_doubles_a_window_too_small(two_state04, monkeypatch):
+    # a plan shrunk eightfold misses the Chernoff cut: the run doubles its
+    # window until the cut clears and lands on the unshrunk plan's answer
+    n, thr = 4096, 4096 ** 0.75
+    want = tilted_log_tail(two_state04, n, thr)
+    plan, sizes = exact._tilt_plan, []
+    monkeypatch.setattr(exact, "_tilt_plan", lambda *args: dataclasses.replace(
+        p := plan(*args), size=p.size // 8))
+    window = exact._window_tail
+    monkeypatch.setattr(exact, "_window_tail", lambda p: sizes.append(p.size) or window(p))
+    _no_dp_fallback(monkeypatch)
+    got, bound = tilted_log_tail(two_state04, n, thr)
+    assert len(sizes) > 1 and sizes == [sizes[0] << i for i in range(len(sizes))]
+    assert (got, bound) == want and bound <= 1e-9
+    monkeypatch.undo()
+    table = distribution_of_Sn(two_state04, n)
+    dp = float(exact_tail(table, thr / (table.sigma_n * math.sqrt(n))))
+    assert abs(math.expm1(got - dp)) <= bound
+
+
 @pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3"])
 def test_tilted_tail_at_the_top_atom_and_past_it(name, monkeypatch):
     model, n = _oracle_model(name), 256

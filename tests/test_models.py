@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -32,12 +33,29 @@ from mdlab.errors import (
     SampledTierUnsupported,
     UnknownBuiltin,
 )
-from mdlab.coefficients import check_dedecker_conditions, select_block_size
+from mdlab import blocking, coupling, models, montecarlo
+from mdlab.coefficients import (
+    certified_coefficient_bounds,
+    check_dedecker_conditions,
+    select_block_size,
+)
 from mdlab.exact import autocovariance, conditional_sum_norms
-from mdlab.models import child_rng, parse_model_text, sample_state_paths
-from mdlab.bounds import peligrad_bound
+from mdlab.models import SampledModel, child_rng, parse_model_text, sample_state_paths
+from mdlab.bounds import (
+    berry_esseen_bound,
+    cramer_envelope,
+    freedman_bound,
+    martingale_cramer_envelope,
+    peligrad_bound,
+)
 from mdlab.coupling import coupling_report
-from mdlab.montecarlo import estimate_tails, ratio_curve, wilson_interval
+from mdlab.montecarlo import (
+    empirical_ks,
+    estimate_tails,
+    mdp_diagnostic,
+    ratio_curve,
+    wilson_interval,
+)
 
 
 def test_two_state_stationary_vector_solved_by_hand():
@@ -552,15 +570,18 @@ def count_models():
     ts = builtin("two_state", rho=0.4)
     ma = builtin("moving_average", c=1.0, L_trunc=4)
     return SimpleNamespace(ts=ts, rad=builtin("rademacher"), ma=ma,
+                           coeffs=coefficient_set(ts, 16, 4),
+                           samples=np.random.default_rng(3).standard_normal(1000),
                            transform=build_quantile_transform(distribution_of_Sn(ts, 16)),
                            path=sample_trajectory(ts, 16, 0),
                            ma_path=sample_trajectory(ma, 16, 0))
 
 
-@pytest.mark.parametrize("value", [64.5, float("nan"), "least - 1", -1, 2.0])
+@pytest.mark.parametrize("value", [64.5, float("nan"), "least - 1", -1, 2.0, True])
 @pytest.mark.parametrize("name", COUNT_CALLS)
 def test_counts_must_be_integers_of_at_least_their_least(count_models, name, value):
-    # a float, even an integral one, is refused as a typed error (exit 2)
+    # a float, even an integral one, is refused as a typed error (exit 2); so
+    # is a bool, which operator.index would read as 0 or 1
     least, call = COUNT_CALLS[name]
     with pytest.raises(ParamOutOfRange, match=f"must be an integer >= {least}, got"):
         call(count_models, least - 1 if value == "least - 1" else value)
@@ -583,12 +604,12 @@ SEED_CALLS = {
     "estimate_tails": lambda c, v: estimate_tails(c.ts, 10, [0.5], 10, v),
     "ratio_curve": lambda c, v: ratio_curve(c.ts, 16, 4, [0.5], mode="mc", chains=10, seed=v),
     "sample_coupled_pairs": lambda c, v: sample_coupled_pairs(c.transform, 10, v),
-    "coupling_report": lambda c, v: coupling_report(c.ts, coefficient_set(c.ts, 16, 4), 10, v),
+    "coupling_report": lambda c, v: coupling_report(c.ts, c.coeffs, 10, v),
     "decompose nested_draws": lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v),
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("seed", [-1, 1.0, 1.5, float("nan"), True])
 @pytest.mark.parametrize("name", SEED_CALLS)
 def test_seeds_must_be_integers_of_at_least_zero(count_models, name, seed):
     # numpy's SeedSequence raised a bare ValueError or TypeError for these
@@ -602,3 +623,87 @@ def test_checked_seeds_draw_the_same_streams():
             want = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))))
             assert child_rng(seed, index).random(4).tobytes() == want.random(4).tobytes()
+
+
+# each seeded entry point, the step it must not reach with a bad seed (module,
+# name) and a call: a kernel, table, coefficient set, sigma or allocation
+EARLY_SEED_CALLS = {
+    "simulate_W": (montecarlo, "_jump_length", lambda c, v: simulate_W(c.ts, 64, 10, v)),
+    "simulate_W sampled": (SampledModel, "sum_weights", lambda c, v: simulate_W(c.ma, 64, 10, v)),
+    "estimate_tails": (montecarlo, "sigma_any",
+                       lambda c, v: estimate_tails(c.ts, 64, [0.5], 10, v)),
+    "ratio_curve": (montecarlo, "coefficient_set",
+                    lambda c, v: ratio_curve(c.ts, 16, 4, [0.5], mode="mc", chains=10, seed=v)),
+    "coupling_report": (coupling, "distribution_of_Sn",
+                        lambda c, v: coupling_report(c.ts, c.coeffs, 10, v)),
+    "sample_coupled_pairs": (coupling, "_check_chain_budget",
+                             lambda c, v: sample_coupled_pairs(c.transform, 10, v)),
+    "sample_trajectory": (models, "_check_chain_budget",
+                          lambda c, v: sample_trajectory(c.ts, 5, v)),
+    "sample_trajectory sampled": (models, "_check_chain_budget",
+                                  lambda c, v: sample_trajectory(c.ma, 5, v)),
+    "sample_state_paths": (models, "_check_chain_budget",
+                           lambda c, v: sample_state_paths(c.ts, 5, 3, v)),
+    "decompose": (blocking, "sigma_any",
+                  lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+@pytest.mark.parametrize("name", EARLY_SEED_CALLS)
+def test_bad_seeds_are_refused_before_any_work(count_models, monkeypatch, name, seed):
+    owner, step, call = EARLY_SEED_CALLS[name]
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{step} ran before the seed was checked")
+
+    monkeypatch.setattr(owner, step, reached)
+    with pytest.raises(ParamOutOfRange, match="seed must be an integer >= 0, got"):
+        call(count_models, seed)
+
+
+# every scale: a call of the test's models and the value, and whether 0 is one
+SCALE_CALLS = {
+    "cramer_envelope c": (False, lambda c, v: cramer_envelope(c.coeffs, 1.0, v)),
+    "martingale_cramer_envelope c": (False, lambda c, v: martingale_cramer_envelope(
+        0.1, 0.1, 1.0, v)),
+    "berry_esseen_bound c": (False, lambda c, v: berry_esseen_bound(c.coeffs, v)),
+    "freedman_bound v2": (False, lambda c, v: freedman_bound(1.0, v, 0.5)),
+    "freedman_bound a": (True, lambda c, v: freedman_bound(1.0, 1.0, v)),
+    "peligrad_bound bound_x1": (False, lambda c, v: peligrad_bound(4.0, 12, v, [0.1] * 12)),
+    "certified sigma_n": (False, lambda c, v: certified_coefficient_bounds(
+        c.ma.decay, 4, 64, v, 1.0)),
+    "certified bound_x0": (False, lambda c, v: certified_coefficient_bounds(
+        c.ma.decay, 4, 64, 1.0, v)),
+    "coupling_report alpha": (False, lambda c, v: coupling_report(c.ts, c.coeffs, 100, 0,
+                                                                  alpha=v)),
+    "coupling_report c_alpha": (False, lambda c, v: coupling_report(c.ts, c.coeffs, 100, 0,
+                                                                    c_alpha=v)),
+    "SampledModel bound": (False, lambda c, v: dataclasses.replace(c.ma, bound=v).describe()),
+    "moving_average c": (False, lambda c, v: builtin("moving_average", c=v,
+                                                     L_trunc=4).describe()),
+    "estimate_tails sigma": (False, lambda c, v: estimate_tails(c.ts, 16, [0.5], 10, 0,
+                                                                sigma=v)),
+    "empirical_ks sigma_n": (False, lambda c, v: empirical_ks(c.samples, v)),
+    "mdp_diagnostic c": (True, lambda c, v: mdp_diagnostic(c.rad, v, 0.25, [16])),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", SCALE_CALLS)
+def test_scales_must_be_finite_and_positive(count_models, name, value):
+    # one helper, models._require_scale, checks them all: NaN and +-inf too
+    zero, call = SCALE_CALLS[name]
+    if zero and value == 0.0:
+        call(count_models, value)
+        return
+    with pytest.raises(ParamOutOfRange, match=f"must be finite and {'>=' if zero else '>'} 0"):
+        call(count_models, value)
+
+
+@pytest.mark.parametrize("name", SCALE_CALLS)
+def test_checked_scales_compute_the_same_bits(count_models, name):
+    # the helper hands back float(value): an int or numpy scale reads the same
+    call = SCALE_CALLS[name][1]
+    got, want = (call(count_models, v) for v in (np.float64(2.0), 2.0))
+    assert repr(got) == repr(want)
