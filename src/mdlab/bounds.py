@@ -142,30 +142,29 @@ def bernstein_bound(coeffs: CoefficientSet, x):
         exp{ -(1-g)^2 x^2 / (2 (1 + tau^2 + (2/3) eps (1-g) x)) }
         + 4 sqrt(e) exp{ -(ln gamma)^2 x^2 / (2 * 81^2) },   g = gamma|ln gamma|.
 
-    The second term vanishes in the martingale limit gamma = 0.
+    The second term vanishes in the martingale limit gamma = 0; x = +inf gives the limit.
     """
     xs = _read_x(x, "the Bernstein bound", strict=True)
+    fin = np.where(xs < math.inf, xs, 0.0)  # the formula is NaN at +inf: its limit goes back
     g = xlnx(coeffs.gamma_m)
     if g >= 1.0:
         raise GammaTooLarge(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
-    first = np.exp(-(1.0 - g) ** 2 * xs ** 2
+    first = np.exp(-(1.0 - g) ** 2 * fin ** 2
                    / (2.0 * (1.0 + coeffs.tau_sq
-                             + (2.0 / 3.0) * coeffs.eps_m * (1.0 - g) * xs)))
-    if coeffs.gamma_m == 0.0:
-        second = np.zeros_like(xs)
-    else:
-        second = SQRT_E4 * np.exp(-(math.log(coeffs.gamma_m)) ** 2 * xs ** 2
-                                  / (2.0 * 81.0 ** 2))
-    return _like(first + second, x)
+                             + (2.0 / 3.0) * coeffs.eps_m * (1.0 - g) * fin)))
+    second = (SQRT_E4 * np.exp(-(math.log(coeffs.gamma_m)) ** 2 * fin ** 2 / (2.0 * 81.0 ** 2))
+              if coeffs.gamma_m else 0.0)
+    return _like(np.where(fin == xs, first + second, SQRT_E4 * (coeffs.gamma_m == 1.0)), x)
 
 
 def freedman_bound(x, v2: float, a: float):
     """exp{-x^2 / (2 (v^2 + a x / 3))}: bounds the probability that a
     martingale with differences <= a reaches x while its quadratic
-    characteristic stays below v^2."""
+    characteristic stays below v^2; 0, its limit, at x = +inf."""
     v2, a = _require_scale(v2, "v2"), _require_scale(a, "a", zero=True)
     xs = _read_x(x, "Freedman's bound")
-    return _like(np.exp(-xs ** 2 / (2.0 * (v2 + a * xs / 3.0))), x)
+    fin = np.where(xs < math.inf, xs, 0.0)  # the formula is NaN at +inf: its limit goes back
+    return _like(np.where(fin == xs, np.exp(-fin ** 2 / (2.0 * (v2 + a * fin / 3.0))), 0.0), x)
 
 
 def peligrad_bound(x, n: int, bound_x1: float, cond_norms):

@@ -47,10 +47,10 @@ from .coefficients import (
     select_block_size,
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
-from .errors import BudgetExceeded, ConfigError, MdlabError, VerificationError
+from .errors import ConfigError, MdlabError, VerificationError
 from .exact import (_binomial_log_tail, _csv, _max_abs_tail, conditional_sum_norms,
                     distribution_of_Sn, exact_tail, ks_distance_exact, sigma_any)
-from .models import DEFAULT_BUDGET_BYTES, _require_scale, builtin, parse_model_text
+from .models import _check_cost, _require_scale, builtin, parse_model_text
 from .montecarlo import mdp_diagnostic, ratio_curve
 from .normal import normal_sf
 
@@ -149,9 +149,7 @@ def _x_grid(cfg: dict) -> np.ndarray:
     count = cfg.get("x_count", 50)
     if not (count >= 1 and hi >= lo >= 0.0):
         raise ConfigError("x grid needs 0 <= x-min <= x-max and x-count >= 1")
-    if (need := count * X_POINT_BYTES) > DEFAULT_BUDGET_BYTES:
-        raise BudgetExceeded(f"x-count {count} needs about {need} bytes of arrays and "
-                             f"output rows against a budget of {DEFAULT_BUDGET_BYTES}")
+    _check_cost(f"x-count {count}", count * X_POINT_BYTES, of="arrays and output rows")
     return np.linspace(lo, hi, count)
 
 

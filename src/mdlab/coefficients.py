@@ -22,21 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.special import zeta
 
 from .errors import (
     BetaOutOfRange,
-    BudgetExceeded,
     NoDecayCertificate,
     ParamOutOfRange,
     WindowTooSmall,
 )
 from .exact import (
-    WORK_CAP_S,
-    _block_moment_steps,
+    _block_moments,
+    _mat_vec_seconds,
     conditional_block_moments,
     long_run_variance,
     poisson_solution,
@@ -46,6 +44,7 @@ from .models import (
     DecayCertificate,
     FiniteLatticeModel,
     SampledModel,
+    _check_cost,
     _require_count,
     _require_exact,
     _require_scale,
@@ -211,10 +210,8 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float,
     if err > GAMMA_TOL:
         raise NoDecayCertificate(
             f"drift series tail cannot be certified below {GAMMA_TOL} (J={j}, err={err})")
-    # J steps of 0.25 ns per s^2 term and 8 us besides (fitted on a shared 2-core x86 host)
-    if (secs := j * (2.5e-10 * model.n_states ** 2 + 8e-6)) > WORK_CAP_S:
-        raise BudgetExceeded(f"drift series to J = {j} on {model.n_states} states would run "
-                             f"about {secs:.3g} s, past the cap of {WORK_CAP_S:g} s")
+    _check_cost(f"drift series to J = {j} on {model.n_states} states",
+                secs=j * _mat_vec_seconds(model))  # J steps at the one mat-vec price
 
     # E[S_t | Y_0] = h - P^t h, stepped through t = m, 2m, ..., Jm with P^m
     p_m = np.linalg.matrix_power(model.transition, m)
@@ -284,8 +281,9 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
                       4.0 * bx * bx * phi * env.phi_bar(window + 1))
     eta2 = np.maximum.accumulate(eta2[::-1])[::-1]  # enforce monotone after tails
 
+    # r = 0: P^n0 has equal rows, so eta are 0 from n0 on: rho = 0 past a window to n0 - 1
     return DecayCertificate(eta1=eta1, eta2=eta2, rate_constant=2.0 * bx * env.c,
-                            geometric_rho=(env.r if env.r > 0 else None))
+                            geometric_rho=env.r if env.r > 0 or n_max + 1 >= env.n0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +323,7 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
     if m > n:
         raise ParamOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
     sigma_n, bound_x0 = _require_scale(sigma_n, "sigma_n"), _require_scale(bound_x0, "bound_x0")
+    _check_cost(f"certified_coefficient_bounds at m = {m}", 6 * 8 * m, of="six float arrays of m")
 
     s_head = float(cert.upto(cert.eta1, m).sum())
     series = float(cert.tail_sums(cert.eta1, np.array([m]), over_sqrt=True)[0])
@@ -446,7 +445,7 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     env = _MixingEnvelope(model)
     sig_sq = long_run_variance(model)
     norms, dev = np.empty(n_max), np.empty(n_max)
-    for t, (mean, second) in enumerate(islice(_block_moment_steps(model), n_max), start=1):
+    for t, (mean, second) in enumerate(_block_moments(model, n_max), start=1):
         norms[t - 1] = np.max(np.abs(mean))
         dev[t - 1] = np.max(np.abs(second / t - sig_sq))
     ts = np.arange(1, n_max + 1, dtype=float)

@@ -22,7 +22,7 @@ from .coefficients import CoefficientSet
 from .bounds import varsigma
 from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
 from .exact import DRAW_CHUNK, QuantileTransform, TailTable, distribution_of_Sn
-from .models import _check_chain_budget, _require_count, _require_scale, child_rng
+from .models import _check_cost, _require_count, _require_scale, child_rng
 from .normal import normal_cdf, normal_quantile
 
 PAIR_BYTES = 512  # peak per draw of `mdlab coupling`: pairs, report arrays, CSV row (~265)
@@ -64,11 +64,10 @@ def sample_coupled_pairs(transform: QuantileTransform, draws: int,
     Y carries exactly the transform's law and is non-decreasing in Z.
     Both are filled DRAW_CHUNK draws at a time, one child seed per chunk in
     fixed order, so the pairs are reproducible and no full-length
-    intermediate is built.  Raises BudgetExceeded, before
-    allocating, when draws x PAIR_BYTES passes DEFAULT_BUDGET_BYTES.
+    intermediate is built.  Priced at PAIR_BYTES a draw (`_check_cost`).
     """
     draws, seed = _require_count(draws, "draws"), _require_count(seed, "seed", 0)
-    _check_chain_budget(draws, PAIR_BYTES)
+    _check_cost(f"coupling {draws} chains", draws * PAIR_BYTES)
     y, z = np.empty(draws), np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):
         hi = min(lo + DRAW_CHUNK, draws)

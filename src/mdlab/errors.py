@@ -80,7 +80,7 @@ class DegenerateVariance(ModelError):
 
 
 class BudgetExceeded(ConfigError):
-    """A DP table, a path array or an x grid would exceed the memory budget."""
+    """A run would pass the memory budget or, by estimate, the time cap (`models._check_cost`)."""
 
 
 class OutOfRange(ConfigError):

@@ -10,7 +10,7 @@ largest n of a horizon grid marginalises at every n of the grid on its way.
 The DP holds each column in linear space over its largest log-mass and logs the
 table once a block of at most BLOCK_STEPS steps; where a term could underflow,
 the block is one step and sums in log space.  It costs s^2 (n + spread n (n - 1)
-/ 2) cell updates, refused before the first past WORK_CAP_S (`_sum_law_seconds`).
+/ 2) cell updates, refused before the first past the cap (`_sum_law_seconds`).
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -24,9 +24,9 @@ error to TAIL_RTOL of the tail, and standard floating-point bounds its
 round-off; a tail whose round-off bound passes ROUNDOFF_RTOL (a lumpy tilted
 law near the threshold) is read off the DP instead.
 
-Both engines check the module constants DEFAULT_BUDGET_BYTES and WORK_CAP_S
-before allocating.  `_grid_log_tails` alone picks how a tail is computed, and
-reads every tail the DP answers for a grid off one pass.
+Both engines and the moment recursion are priced by `models._check_cost`
+before they allocate or step.  `_grid_log_tails` alone picks how a tail is
+computed, and reads every tail the DP answers for a grid off one pass.
 """
 
 from __future__ import annotations
@@ -40,19 +40,17 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import (
-    BudgetExceeded,
     DegenerateVariance,
     MdlabError,
     OutOfRange,
     ParamOutOfRange,
 )
-from .models import (DEFAULT_BUDGET_BYTES, SLAB_BYTES, FiniteLatticeModel, _require_count,
+from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost, _require_count,
                      _require_exact, _sublattice)
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
 SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
-WORK_CAP_S = 60.0  # either route to a law or tail refuses an estimated run past this
 TILT_REACH = 300.0  # largest |theta| * spread: a product of two e^-300 stays normal
 TAIL_RTOL = 1e-13  # largest Chernoff bound on a tilted tail's relative truncation error
 ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; past it the DP answers
@@ -258,8 +256,18 @@ def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:
     """Uniform norms of the conditional sums: ||E[S_t | F_0]||_inf, t = 1..n_max."""
     _require_exact(model)
     n_max = _require_count(n_max, "n_max")
-    steps = islice(_block_moment_steps(model), n_max)
-    return np.fromiter((np.max(np.abs(mean)) for mean, _ in steps), float, count=n_max)
+    return np.fromiter((np.abs(a).max() for a, _ in _block_moments(model, n_max)), float, n_max)
+
+
+def _mat_vec_seconds(model: FiniteLatticeModel) -> float:
+    """Estimated time of a mat-vec step with P: 0.25 ns per s^2 term, 8 us besides."""
+    return 2.5e-10 * model.n_states ** 2 + 8e-6
+
+
+def _block_moments(model: FiniteLatticeModel, steps: int):
+    """`_block_moment_steps` to t = steps, priced at two mat-vecs a step."""
+    _check_cost(f"block moments to t = {steps}", secs=2 * steps * _mat_vec_seconds(model))
+    return islice(_block_moment_steps(model), steps)
 
 
 def _block_moment_steps(model: FiniteLatticeModel):
@@ -278,7 +286,7 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
     """Exact E[S_m | Y_0 = s] and E[S_m^2 | Y_0 = s] for every state."""
     _require_exact(model)
     m = _require_count(m, "m")
-    mean, second = next(islice(_block_moment_steps(model), m - 1, None))
+    mean, second = next(islice(_block_moments(model, m), m - 1, None))
     return ConditionalMoments(m=m, mean_by_state=mean, second_by_state=second)
 
 
@@ -309,20 +317,15 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     exp(ref[c - d] - ref[c]); the last one logs the product.  A block ends before
     a live entry could leave e^+-LIN_RANGE; where a column has an entry under
     2^-960 / min P of its largest, it is one step and sums such columns in log
-    space.  Entries set to 0 (-inf where ref is None) drop out.  BudgetExceeded,
-    before the first step, past DEFAULT_BUDGET_BYTES or an estimated WORK_CAP_S."""
+    space.  Entries set to 0 (-inf where ref is None) drop out.  Priced before
+    the first step (`_check_cost`), its time by `_sum_law_seconds`."""
     _require_exact(model)
     n = _require_count(n, "n")
     p = model.transition
     xmin, g, rise, spread = _sublattice(model)
     s, width = model.n_states, n * spread + 1
-    if (need := s * width * (3 * 8 + 2) + 2 * width * 8) > DEFAULT_BUDGET_BYTES:
-        raise BudgetExceeded(f"DP needs {need} bytes ({s} states x {width} sublattice points "
-                             f"of step {g}, 3 float and 2 flag buffers), "
-                             f"budget {DEFAULT_BUDGET_BYTES}")
-    if (secs := _sum_law_seconds(model, n)) > WORK_CAP_S:
-        raise BudgetExceeded(f"DP to n = {n} on {s} states would run about {secs:.3g} s, "
-                             f"past the cap of {WORK_CAP_S:g} s")
+    _check_cost("DP", s * width * (3 * 8 + 2) + 2 * width * 8, _sum_law_seconds(model, n),
+                f"{s} states x {width} sublattice points of step {g}, 3 float and 2 flag buffers")
     cur, nxt = (np.full((s, width), -np.inf) for _ in range(2))
     spare = np.empty((s, width))  # a block's factors, or a one-step block's log-space sums
     low, live = (np.empty((s, width), dtype=bool) for _ in range(2))
@@ -487,8 +490,7 @@ class _TiltPlan:
 
     @property
     def affordable(self) -> bool:
-        """Within DEFAULT_BUDGET_BYTES and WORK_CAP_S."""
-        return self.need_bytes <= DEFAULT_BUDGET_BYTES and self.seconds <= WORK_CAP_S
+        return _affordable(self.need_bytes, self.seconds)
 
 
 def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float) -> tuple[float, float]:
@@ -616,11 +618,8 @@ def _tilt_run(plan: _TiltPlan | float) -> tuple[float, float] | None:
     if not isinstance(plan, _TiltPlan):
         return plan, 0.0
     while True:
-        if not plan.affordable:
-            raise BudgetExceeded(f"tilted transform of {plan.size} points on "
-                                 f"{plan.rise.size} states needs {plan.need_bytes} bytes "
-                                 f"(budget {DEFAULT_BUDGET_BYTES}) and about {plan.seconds:.3g} s "
-                                 f"(cap {WORK_CAP_S:g} s)")
+        _check_cost(f"tilted transform of {plan.size} points on {plan.rise.size} states",
+                    plan.need_bytes, plan.seconds)
         log_p, log_share, roundoff = _window_tail(plan)
         if roundoff > ROUNDOFF_RTOL:
             return None
@@ -847,8 +846,8 @@ class QuantileTransform:
     A table of B = 2^k buckets, 2 to 4 per atom within [2^10, 2^20], holds
     edges[b] = #{cum < b / B}; the answer for s in bucket b = floor(s B) lies
     in [edges[b], edges[b + 1]].  One probe of cum settles a bucket with at
-    most one breakpoint, and a vectorised binary search the few crowded ones,
-    DRAW_CHUNK values of s at a time."""
+    most one breakpoint, and np.searchsorted the few crowded ones, DRAW_CHUNK
+    values of s at a time."""
 
     def __init__(self, atoms: np.ndarray, cum: np.ndarray):
         self.atoms = np.asarray(atoms, dtype=float)
@@ -878,13 +877,7 @@ class QuantileTransform:
         idx = self._edges[bucket]
         crowd = np.flatnonzero(self._crowded[bucket])
         idx += self._cum[idx] < s  # a probe past edges[b] still bounds the answer below
-        if crowd.size:  # binary search on [idx, edges[b + 1]]
-            lo, hi, sc = idx[crowd], self._edges[bucket[crowd] + 1], s[crowd]
-            while (lo < hi).any():
-                mid = (lo + hi) >> 1
-                right = self._cum[mid] < sc
-                lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
-            idx[crowd] = lo
+        idx[crowd] = np.searchsorted(self.cum, s[crowd], side="left")
         return self._atoms[idx]
 
 

@@ -37,7 +37,8 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 EXACT_SOLVE_MAX_STATES = 64
-DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB, for DP tables and simulated chains
+DEFAULT_BUDGET_BYTES = 2 << 30  # 2 GiB: the most bytes any run may hold (`_check_cost`)
+WORK_CAP_S = 60.0  # the longest any run may take by its estimate (`_check_cost`)
 MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
 BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
 MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average weight is 0.0
@@ -47,7 +48,7 @@ MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average w
 class DecayCertificate:
     """Analytic upper bounds on the conditional-mean and conditional-cross
     dependence sequences, with an optional geometric envelope for indices
-    beyond the stored window.
+    beyond the stored window; geometric_rho = 0 declares both zero past it.
 
     ``eta1[k-1]`` bounds the uniform norm of the conditional mean of the
     payoff k steps ahead; ``eta2[k-1]`` bounds the centered conditional cross
@@ -70,8 +71,8 @@ class DecayCertificate:
                 raise ParamOutOfRange(f"{name} must be non-increasing")
         if self.beta is not None and not self.beta > 1:
             raise ParamOutOfRange("decay exponent beta must exceed 1")
-        if self.geometric_rho is not None and not 0 < self.geometric_rho < 1:
-            raise ParamOutOfRange("geometric_rho must lie in (0, 1)")
+        if self.geometric_rho is not None and not 0 <= self.geometric_rho < 1:
+            raise ParamOutOfRange("geometric_rho must lie in [0, 1)")
 
     @property
     def beta_effective(self) -> float:
@@ -94,8 +95,9 @@ class DecayCertificate:
                 f"index {k} unavailable")
         last = seq[-1] if seq.size else self.rate_constant
         # rho^j <= 2^-1076 past j = 1076 / log2(1 / rho): 0.0, which pow finds slowly
-        stop = min(k - seq.size, math.ceil(-1076 / math.log2(self.geometric_rho)))
-        tail = np.pad(self.geometric_rho ** np.arange(1, stop + 1), (0, k - seq.size - stop))
+        rho = self.geometric_rho
+        stop = min(k - seq.size, math.ceil(-1076 / math.log2(rho))) if rho else 0
+        tail = np.pad(rho ** np.arange(1, stop + 1), (0, k - seq.size - stop))
         return np.concatenate((seq, last * tail))
 
     def tail_sums(self, seq: np.ndarray, starts: np.ndarray,
@@ -389,9 +391,8 @@ def _two_state(rho: float, name: str) -> FiniteLatticeModel:
 
 def _dyadic_contracting(L: int) -> FiniteLatticeModel:
     # refused from L itself: 2^L is formed only once 4^L entries fit the budget
-    if L > DEFAULT_BUDGET_BYTES.bit_length() or BUILD_ENTRY_BYTES << 2 * L > DEFAULT_BUDGET_BYTES:
-        raise BudgetExceeded(f"dyadic_contracting(L={L}) needs about {BUILD_ENTRY_BYTES} x 4^{L} "
-                             f"bytes to build, over the budget of {DEFAULT_BUDGET_BYTES}")
+    need = BUILD_ENTRY_BYTES << 2 * L if L <= DEFAULT_BUDGET_BYTES.bit_length() else math.inf
+    _check_cost(f"dyadic_contracting(L={L})", need, of=f"{BUILD_ENTRY_BYTES} x 4^{L} to build")
     size = 1 << L
     trans = np.zeros((size, size))
     for j in range(size):
@@ -561,6 +562,21 @@ def _require_exact(model) -> None:
             f"{getattr(model, 'name', model)!r} is not an exact-tier model")
 
 
+def _affordable(need: float, secs: float) -> bool:
+    """Whether `need` bytes and `secs` estimated seconds fit the budget and the cap."""
+    return need <= DEFAULT_BUDGET_BYTES and secs <= WORK_CAP_S
+
+
+def _check_cost(what: str, need: float = 0, secs: float = 0.0, of: str = "") -> None:
+    """BudgetExceeded, before the work, unless it is `_affordable`; `of` says what `need` holds."""
+    if not _affordable(need, secs):
+        of = f" ({of})" if of else ""
+        raise BudgetExceeded(f"{what} needs {need} bytes{of}, over the budget of "
+                             f"{DEFAULT_BUDGET_BYTES}" if need > DEFAULT_BUDGET_BYTES else
+                             f"{what} would run about {secs:.3g} s{of}, past the cap of "
+                             f"{WORK_CAP_S:g} s")
+
+
 def _require_count(value, name: str, least: int = 1) -> int:
     """`value` as an int if it is an integer >= least (`operator.index`: no
     float, not even an integral one, and no bool), else ParamOutOfRange."""
@@ -610,13 +626,6 @@ def child_rng(seed: int, index: int) -> np.random.Generator:
         entropy=seed, spawn_key=(index,))))
 
 
-def _check_chain_budget(chains: int, per_chain: int) -> None:
-    """Refuse, before allocating, a simulation holding per_chain bytes per chain."""
-    if (need := chains * per_chain) > DEFAULT_BUDGET_BYTES:
-        raise BudgetExceeded(f"{chains} chains need {need} bytes against a budget "
-                             f"of {DEFAULT_BUDGET_BYTES}")
-
-
 def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     """One stationary trajectory of length n, deterministic per seed."""
     n, seed = _require_count(n, "n"), _require_count(seed, "seed", 0)
@@ -633,7 +642,7 @@ def _innovation_blocks(model: SampledModel, n: int, chains: int, seed: int):
     (one at least).  BudgetExceeded, at the call, if a block cannot fit."""
     width = model.burn_in + n
     size = min(chains, max(1, SLAB_BYTES // (PATH_STEP_BYTES * width)))
-    _check_chain_budget(size, PATH_STEP_BYTES * width)
+    _check_cost(f"a block of {size} paths of {width} innovations", size * PATH_STEP_BYTES * width)
     return (model.innovations(child_rng(seed, b), (min(size, chains - lo), width))
             for b, lo in enumerate(range(0, chains, size)))
 
@@ -641,39 +650,42 @@ def _innovation_blocks(model: SampledModel, n: int, chains: int, seed: int):
 def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
                        seed: int) -> np.ndarray:
     """State paths Y_0..Y_n for `chains` independent stationary trajectories,
-    one column per one-step jump of `_simulate_states`.
+    one column per one-step jump of `_simulate_states`, priced before
+    allocating (their steps by `_jump_seconds` at k = 1).
 
     Each block of CHAIN_CHUNK chains draws from its own child generator of
-    (seed, block index), so the paths do not depend on how blocks are
-    scheduled.  Raises BudgetExceeded, before allocating, when the paths
-    would not fit in DEFAULT_BUDGET_BYTES.
+    (seed, block index), so the paths do not depend on how blocks are scheduled.
     """
     _require_exact(model)
     n, chains = _require_count(n, "n"), _require_count(chains, "chains")
     seed = _require_count(seed, "seed", 0)
-    _check_chain_budget(chains, CHAIN_BYTES + 8 * (n + 1))
+    _check_cost(f"sampling {chains} state paths to n = {n}", chains * (CHAIN_BYTES + 8 * (n + 1)),
+                _jump_seconds(model, n, chains, 1, _sublattice(model)[3]))
     out = np.empty((chains, n + 1), dtype=np.int64)
     for t, (y, _) in enumerate(_simulate_states(model, n, chains, seed)):
         out[:, t] = y
     return out
 
 
+def _jump_seconds(model: FiniteLatticeModel, n: int, chains: int, k: int, spread: int) -> float:
+    """Estimated seconds of `chains` chains to n in k-step jumps, spread from `_sublattice`:
+    k - 1 steps to K_k (`_jump_kernels`) at 9 us plus 0.14 ns per s^3 width, then ceil(n / k)
+    jumps at 2 us plus log2(s (k spread + 1)) probes at 4 us plus 4.5 ns per chain (fitted
+    on a shared 2-core x86 host: two_state, dyadic L=2..5, a 3-state and a 5-state chain)."""
+    s, width = model.n_states, k * spread + 1
+    build = (k - 1) * (9e-6 + 1.4e-10 * s ** 3 * (width + 1) / 2)  # mean step width
+    jump = 2e-6 + math.log2(s * width) * (4e-6 + 4.5e-9 * chains)
+    return build + -(-n // k) * jump
+
+
 def _jump_length(model: FiniteLatticeModel, n: int, chains: int) -> int:
     """The power of two k <= n, K_k within KERNEL_ENTRIES entries s^2 (k spread
-    + 1) (`_sublattice`), of least estimated time: the k - 1 steps of the
-    forward pass to K_k (`_jump_kernels`) at 9 us each plus 0.14 ns per s^3
-    width, then ceil(n / k) jumps at 2 us each plus log2 of the row width s (k
-    spread + 1) probes at 4 us plus 4.5 ns per chain.  Fitted on a shared
-    2-core x86 host (two_state, dyadic L=2..5, the example file model, a gapped
-    5-state chain); nothing is timed, so draws repeat per seed on any machine."""
+    + 1), of least `_jump_seconds`: nothing is timed, so draws repeat anywhere."""
     s, spread = model.n_states, _sublattice(model)[3]
     best, k = (math.inf, 1), 1
     while True:
-        width = k * spread + 1
-        build = (k - 1) * (9e-6 + 1.4e-10 * s ** 3 * (width + 1) / 2)  # mean step width
-        jump = 2e-6 + math.log2(s * width) * (4e-6 + 4.5e-9 * chains)
-        best = min(best, (build + -(-n // k) * jump, k))
-        if 2 * k > n or s * s * (2 * width - 1) > KERNEL_ENTRIES:
+        best = min(best, (_jump_seconds(model, n, chains, k, spread), k))
+        if 2 * k > n or s * s * (2 * k * spread + 1) > KERNEL_ENTRIES:
             return best[1]
         k *= 2
 

@@ -45,7 +45,7 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, _check_chain_budget, _innovation_blocks, _jump_length,
+from .models import (CHAIN_BYTES, _check_cost, _innovation_blocks, _jump_length, _jump_seconds,
                      _require_count, _require_scale, _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
@@ -111,18 +111,20 @@ class RatioCurve:
 def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
     in O(chains) memory plus one block and, on an exact model, one jump kernel
-    of a length set by (model, n, chains) alone (`_jump_length`); BudgetExceeded
-    if that exceeds DEFAULT_BUDGET_BYTES.  A sampled S_n is the sum of
+    of a length set by (model, n, chains) alone (`_jump_length`), priced with
+    its jumps (`_jump_seconds`).  A sampled S_n is the sum of
     `sample_trajectory`'s path where the arithmetic is exact (the moving average
     at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it."""
     chains, n = _require_count(chains, "chains"), _require_count(n, "n")
     seed = _require_count(seed, "seed", 0)
-    _check_chain_budget(chains, CHAIN_BYTES)
-    if model.tier == "exact":
-        k = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
-        for _, d in _simulate_states(model, n, chains, seed, _jump_length(model, n, chains)):
-            k += d  # raw lattice sums: exact in any order
-        out = k / model.denom - n * float(model.mean_fraction)
+    k = _jump_length(model, n, chains) if model.tier == "exact" else 0  # 0: sampled
+    _check_cost(f"simulating {chains} chains to n = {n}", chains * CHAIN_BYTES,
+                k and _jump_seconds(model, n, chains, k, _sublattice(model)[3]))
+    if k:
+        sums = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
+        for _, d in _simulate_states(model, n, chains, seed, k):
+            sums += d  # raw lattice sums: exact in any order
+        out = sums / model.denom - n * float(model.mean_fraction)
     else:
         blocks = _innovation_blocks(model, n, chains, seed)  # the budget check comes first
         a = model.sum_weights(n)
@@ -249,9 +251,7 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
     c = _require_scale(c, "c", zero=True)
-    if not all(math.isfinite(n) and n == int(n) >= 1 for n in n_grid):
-        raise ParamOutOfRange(f"every n in n_grid must be an integer >= 1, got {list(n_grid)}")
-    ns = np.asarray(n_grid, dtype=np.int64)
+    ns = np.array([_require_count(n, "n") for n in n_grid], dtype=np.int64)
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold of S_n is c sqrt(n) / a_n
     logp, bound = _grid_log_tails(model, ns.tolist(),
                                   [c / an * math.sqrt(n) for n, an in zip(ns, ans)])

@@ -204,13 +204,33 @@ def test_nan_x_is_refused_like_a_negative_x(name, shape):
 
 @pytest.mark.parametrize("name", X_CALLS)
 def test_infinite_x_stays_allowed_and_shapes_follow_x(name):
-    # Bernstein's and Freedman's exponents read inf / inf = NaN at x = inf
+    # no RuntimeWarning either (pyproject turns one into an error)
     least, call = X_CALLS[name]
-    with np.errstate(invalid="ignore"):
-        scalar, grid = call(math.inf), call([least, math.inf])
+    scalar, grid = call(math.inf), call([least, math.inf])
     for s, g in zip(scalar, grid) if name == "gaussian_tail_sandwich" else [(scalar, grid)]:
         assert isinstance(s, float) and isinstance(g, np.ndarray) and g.shape == (2,)
         assert repr(s) == repr(float(g[1]))
+
+
+def test_bernstein_and_freedman_take_their_limit_at_infinite_x():
+    # their exponents read inf / inf (and Freedman's 0 inf at a = 0) at x = +inf,
+    # which gave NaN; every finite x keeps the formula's bits
+    xs = np.array([0.25, 1.0, 7.5, 40.0, 1e100])
+    for gamma, limit in ((0.0, 0.0), (0.01, 0.0), (1.0, 4.0 * math.sqrt(math.e))):
+        cs = _coeffs(gamma=gamma)
+        assert bernstein_bound(cs, math.inf) == limit
+        assert bernstein_bound(cs, [1.0, math.inf])[1] == limit
+        g = float(xlnx(gamma))
+        first = np.exp(-(1.0 - g) ** 2 * xs ** 2 / (
+            2.0 * (1.0 + cs.tau_sq + (2.0 / 3.0) * cs.eps_m * (1.0 - g) * xs)))
+        second = 4.0 * math.sqrt(math.e) * np.exp(
+            -math.log(gamma) ** 2 * xs ** 2 / (2.0 * 81.0 ** 2)) if gamma else 0.0
+        assert bernstein_bound(cs, xs).tobytes() == (first + second).tobytes()
+    for a in (0.0, 0.5, 3.0):
+        assert freedman_bound(math.inf, 1.0, a) == 0.0
+        assert freedman_bound([0.5, math.inf], 2.0, a)[1] == 0.0
+        want = np.exp(-xs ** 2 / (2.0 * (2.0 + a * xs / 3.0)))
+        assert freedman_bound(xs, 2.0, a).tobytes() == want.tobytes()
 
 
 def test_bound_evaluators_are_pure():

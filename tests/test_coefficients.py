@@ -14,6 +14,7 @@ from mdlab import (
     coefficient_set,
     eta_certificate,
     certified_coefficient_bounds,
+    geometric_mixing_certificate,
     select_block_size,
     sigma_n,
 )
@@ -167,15 +168,33 @@ def test_geometric_chains_read_the_geometric_regime(rho, n_max):
 
 @pytest.mark.parametrize("L", [3, 6])
 def test_chains_that_decouple_declare_no_decay_exponent(L):
-    # eta vanish after L steps (a fitted slope read beta = 2.02 at L = 6):
-    # there is no tail past the window and no rate, so no bounds and no regime
+    # eta vanish from index L on (a fitted slope read beta = 2.02 at L = 6), and
+    # P^n0 has equal rows: a window that reaches n0 declares rho = 0, zero past
+    # it, and gets bounds; one that stops short declares no rate and gets none
     model = builtin("dyadic_contracting", L=L)
+    n0 = {3: 4, 6: 8}[L]
+    assert geometric_mixing_certificate(model) == (1.0, 0.0, n0)
+    sig = sigma_n(model, 64)
     cert = eta_certificate(model, 64)
-    assert cert.beta is None and cert.geometric_rho is None
-    with pytest.raises(ParamOutOfRange, match="neither beta nor a geometric rate"):
-        cert.beta_effective
-    with pytest.raises(InsufficientCertificateLength):
-        certified_coefficient_bounds(cert, 4, 64, sigma_n(model, 64), model.bound)
+    assert cert.beta is None and cert.geometric_rho == 0.0 and cert.beta_effective == math.inf
+    assert not cert.eta1[L - 1:].any() and not cert.eta2[L - 1:].any()
+    assert not cert.upto(cert.eta1, 5000)[64:].any() and cert.upto(cert.eta2, 5000).size == 5000
+    for m in (1, 4, 63, 64, 65, 130, 5000):
+        got = certified_coefficient_bounds(cert, m, 5000, sig, model.bound)
+        gamma, delta_sq = oracles.certified_bounds_by_index(cert, m, sig, model.bound)
+        assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
+        assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
+        assert got.regime == "m^-1/2"
+    rb = certified_coefficient_bounds(cert, 4, 64, sig, model.bound)
+    assert (round(rb.gamma_bound, 3), round(rb.delta_sq_bound, 3)) == {
+        3: (0.287, 0.139), 6: (0.480, 0.424)}[L]
+    assert eta_certificate(model, n0 - 1).geometric_rho == 0.0
+    for short in (eta_certificate(model, n0 - 2), eta_certificate(model, 2)):
+        assert short.geometric_rho is None
+        with pytest.raises(ParamOutOfRange, match="neither beta nor a geometric rate"):
+            short.beta_effective
+        with pytest.raises(InsufficientCertificateLength):
+            certified_coefficient_bounds(short, 4, 64, sig, model.bound)
 
 
 CERTIFIED_CASES = [f"moving_average:{c}:{L}" for c in (1.0, 0.7) for L in (1, 20, 1074)]
@@ -363,14 +382,14 @@ def test_gates_reject_unknown_mode(rademacher):
 
 def test_runaway_drift_series_is_refused_before_its_first_mat_vec(monkeypatch, tmp_path, capsys):
     # rho = 0.99999 needs J = 2^22 mat-vecs at m = 1: about 33 s on a 2-core host
-    from mdlab import cli, coefficients
+    from mdlab import cli, coefficients, models
     from mdlab.errors import BudgetExceeded
 
     def no_power(*args):
         raise AssertionError("the drift series stepped past its cap")
 
     model = builtin("two_state", rho=0.99999)
-    monkeypatch.setattr(coefficients, "WORK_CAP_S", 1.0)
+    monkeypatch.setattr(models, "WORK_CAP_S", 1.0)
     monkeypatch.setattr(np.linalg, "matrix_power", no_power)
     with pytest.raises(BudgetExceeded, match="drift series to J = 4194304 on 2 states"):
         coefficients._drift_series(model, 1, 1.0)

@@ -24,7 +24,7 @@ from mdlab import (
     ratio_curve,
     sigma_n,
 )
-from mdlab import exact
+from mdlab import exact, models
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
 from mdlab.models import DEFAULT_BUDGET_BYTES
 from mdlab.exact import (_max_abs_tail, _prefix_logsum, _sum_law_steps,
@@ -405,12 +405,12 @@ def test_budget_counts_the_sublattice(two_state04, monkeypatch):
     # at n = 1000 two_state sums fill 1001 of the 2001 lattice points; a point
     # costs 2 states x 26 bytes plus 2 x 8 bytes of column scratch
     need, full = 1001 * 68, 2001 * 68
-    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", (need + full) // 2)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", (need + full) // 2)
     table = distribution_of_Sn(two_state04, 1000)
     assert table.offsets.size == 1001
-    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", need)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", need)
     assert distribution_of_Sn(two_state04, 1000).offsets.size == 1001
-    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetExceeded, match="1001 sublattice points of step 2"):
         distribution_of_Sn(two_state04, 1000)
 
@@ -436,7 +436,7 @@ def test_log_space_survives_deep_tails(rademacher):
 
 def test_budget_guard(monkeypatch):
     big = builtin("dyadic_contracting", L=8)
-    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", 1 << 20)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", 1 << 20)
     with pytest.raises(BudgetExceeded):
         distribution_of_Sn(big, 4096)
 
@@ -444,11 +444,11 @@ def test_budget_guard(monkeypatch):
 def test_work_guard_refuses_the_dense_dp_before_its_first_step():
     # dyadic L=6 at n = 4096 fits in about 0.43 GB but needs 2.2e12 cell updates
     model = builtin("dyadic_contracting", L=6)
-    assert exact._sum_law_seconds(model, 4096) > exact.WORK_CAP_S
+    assert exact._sum_law_seconds(model, 4096) > models.WORK_CAP_S
     with pytest.raises(BudgetExceeded, match="past the cap"):
         next(_sum_law_steps(model, 4096))
     # the largest DP mdp --n 48 could take on 64 states is admitted
-    assert exact._sum_law_seconds(model, 16 * 48) <= exact.WORK_CAP_S
+    assert exact._sum_law_seconds(model, 16 * 48) <= models.WORK_CAP_S
 
 
 @pytest.mark.parametrize("name", ["rare5", "rare_step2", "two_state:0.4", "two_state:0.999",
@@ -659,7 +659,7 @@ def test_tilted_tail_budget_raises_before_allocating(n, budget, monkeypatch):
     # 64 states: at n = 2^18 the powers of about 1.3e5 frequencies would run
     # for about two and a half minutes; at n = 256 one slab of them passes 1 MiB
     model = builtin("dyadic_contracting", L=6)
-    monkeypatch.setattr(exact, "DEFAULT_BUDGET_BYTES", budget)
+    monkeypatch.setattr(models, "DEFAULT_BUDGET_BYTES", budget)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="tilted transform"):

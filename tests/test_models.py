@@ -562,6 +562,8 @@ COUNT_CALLS = {
     "select_block_size": (2, lambda c, v: select_block_size(v, 2.0, "cramer")),
     "check_dedecker_conditions": (2, lambda c, v: check_dedecker_conditions(c.ts, v)),
     "decompose nested_draws": (2, lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=v)),
+    "mdp_diagnostic": (1, lambda c, v: mdp_diagnostic(c.ts, 1.0, 0.25, [v])),
+    "mdp_diagnostic grid": (1, lambda c, v: mdp_diagnostic(c.ts, 1.0, 0.25, [16, v])),
 }
 
 
@@ -636,13 +638,13 @@ EARLY_SEED_CALLS = {
                     lambda c, v: ratio_curve(c.ts, 16, 4, [0.5], mode="mc", chains=10, seed=v)),
     "coupling_report": (coupling, "distribution_of_Sn",
                         lambda c, v: coupling_report(c.ts, c.coeffs, 10, v)),
-    "sample_coupled_pairs": (coupling, "_check_chain_budget",
+    "sample_coupled_pairs": (coupling, "_check_cost",
                              lambda c, v: sample_coupled_pairs(c.transform, 10, v)),
-    "sample_trajectory": (models, "_check_chain_budget",
+    "sample_trajectory": (models, "_check_cost",
                           lambda c, v: sample_trajectory(c.ts, 5, v)),
-    "sample_trajectory sampled": (models, "_check_chain_budget",
+    "sample_trajectory sampled": (models, "_check_cost",
                                   lambda c, v: sample_trajectory(c.ma, 5, v)),
-    "sample_state_paths": (models, "_check_chain_budget",
+    "sample_state_paths": (models, "_check_cost",
                            lambda c, v: sample_state_paths(c.ts, 5, 3, v)),
     "decompose": (blocking, "sigma_any",
                   lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v)),

@@ -608,14 +608,13 @@ def test_mdp_exponent_guard(rademacher):
         mdp_diagnostic(rademacher, 1.0, 0.0, [100])
 
 
-@pytest.mark.parametrize("grid", [[16.7], [64, 16.5], [math.nan], [math.inf]])
+@pytest.mark.parametrize("grid", [[16.7], [64, 16.5], [math.nan], [math.inf], [64.0], [True],
+                                  [64, True]])
 def test_mdp_rejects_non_integer_horizons(two_state04, grid):
-    # np.asarray(..., dtype=np.int64) alone would truncate 16.7 to 16
-    with pytest.raises(ParamOutOfRange, match="integer"):
+    # np.asarray(..., dtype=np.int64) alone would truncate 16.7 to 16 and read
+    # True as 1; as at every other horizon, even 64.0 is refused
+    with pytest.raises(ParamOutOfRange, match="n must be an integer >= 1, got"):
         mdp_diagnostic(two_state04, 1.0, 0.25, grid)
-    # an integral float is its integer
-    assert mdp_diagnostic(two_state04, 1.0, 0.25, [64.0]).scaled.tobytes() == \
-        mdp_diagnostic(two_state04, 1.0, 0.25, [64]).scaled.tobytes()
 
 
 def _count_sum_law_passes(monkeypatch):
@@ -735,7 +734,7 @@ def test_mdp_refuses_before_solving_a_tilt_whose_smallest_plan_is_too_dear(monke
     # dyadic L=8 at n = 4096: a 16-point transform alone is estimated at about
     # 0.45 s, past a cap of 0.25 s, so no tilt is solved before the DP refuses,
     # not even n = 64's, whose own floor (about 0.23 s) is within the cap
-    monkeypatch.setattr(exact, "WORK_CAP_S", 0.25)
+    monkeypatch.setattr(models, "WORK_CAP_S", 0.25)
     solves = []
     solve = exact._solve_tilt
     monkeypatch.setattr(exact, "_solve_tilt", lambda *a: solves.append(a) or solve(*a))
