@@ -26,6 +26,7 @@ from .exact import _csv
 from .models import _require_count, _require_scale
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
+X_CAP = 1e150  # a larger finite x reads as this: x^2 terms stay finite; the bounds fall in x
 
 
 def _read_x(x, what: str, strict: bool = False) -> np.ndarray:
@@ -142,10 +143,12 @@ def bernstein_bound(coeffs: CoefficientSet, x):
         exp{ -(1-g)^2 x^2 / (2 (1 + tau^2 + (2/3) eps (1-g) x)) }
         + 4 sqrt(e) exp{ -(ln gamma)^2 x^2 / (2 * 81^2) },   g = gamma|ln gamma|.
 
-    The second term vanishes in the martingale limit gamma = 0; x = +inf gives the limit.
+    The second term vanishes in the martingale limit gamma = 0; x = +inf gives
+    the limit, and a finite x past X_CAP the value at X_CAP (the limit unless
+    tau^2 or eps is huge).
     """
     xs = _read_x(x, "the Bernstein bound", strict=True)
-    fin = np.where(xs < math.inf, xs, 0.0)  # the formula is NaN at +inf: its limit goes back
+    fin = np.minimum(xs, X_CAP)  # the formula is NaN at +inf: its limit goes back
     g = xlnx(coeffs.gamma_m)
     if g >= 1.0:
         raise GammaTooLarge(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
@@ -154,17 +157,19 @@ def bernstein_bound(coeffs: CoefficientSet, x):
                              + (2.0 / 3.0) * coeffs.eps_m * (1.0 - g) * fin)))
     second = (SQRT_E4 * np.exp(-(math.log(coeffs.gamma_m)) ** 2 * fin ** 2 / (2.0 * 81.0 ** 2))
               if coeffs.gamma_m else 0.0)
-    return _like(np.where(fin == xs, first + second, SQRT_E4 * (coeffs.gamma_m == 1.0)), x)
+    return _like(np.where(xs < math.inf, first + second, SQRT_E4 * (coeffs.gamma_m == 1.0)), x)
 
 
 def freedman_bound(x, v2: float, a: float):
     """exp{-x^2 / (2 (v^2 + a x / 3))}: bounds the probability that a
     martingale with differences <= a reaches x while its quadratic
-    characteristic stays below v^2; 0, its limit, at x = +inf."""
+    characteristic stays below v^2; 0, its limit, at x = +inf, and at a finite
+    x past X_CAP the value at X_CAP (0 unless v^2 or a is huge)."""
     v2, a = _require_scale(v2, "v2"), _require_scale(a, "a", zero=True)
     xs = _read_x(x, "Freedman's bound")
-    fin = np.where(xs < math.inf, xs, 0.0)  # the formula is NaN at +inf: its limit goes back
-    return _like(np.where(fin == xs, np.exp(-fin ** 2 / (2.0 * (v2 + a * fin / 3.0))), 0.0), x)
+    fin = np.minimum(xs, X_CAP)  # the formula is NaN at +inf: its limit goes back
+    return _like(np.where(xs < math.inf, np.exp(-fin ** 2 / (2.0 * (v2 + a * fin / 3.0))), 0.0),
+                 x)
 
 
 def peligrad_bound(x, n: int, bound_x1: float, cond_norms):

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .exact import (
     _block_moments,
-    _mat_vec_seconds,
     conditional_block_moments,
     long_run_variance,
     poisson_solution,
@@ -45,6 +44,7 @@ from .models import (
     FiniteLatticeModel,
     SampledModel,
     _check_cost,
+    _dense_step_seconds,
     _require_count,
     _require_exact,
     _require_scale,
@@ -211,7 +211,7 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float,
         raise NoDecayCertificate(
             f"drift series tail cannot be certified below {GAMMA_TOL} (J={j}, err={err})")
     _check_cost(f"drift series to J = {j} on {model.n_states} states",
-                secs=j * _mat_vec_seconds(model))  # J steps at the one mat-vec price
+                secs=j * _dense_step_seconds(model.n_states))  # J mat-vec steps
 
     # E[S_t | Y_0] = h - P^t h, stepped through t = m, 2m, ..., Jm with P^m
     p_m = np.linalg.matrix_power(model.transition, m)
@@ -234,22 +234,29 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     dependence sequences.
 
     Exact tier: per-index suprema are exact up to n_max + window, with a
-    certified geometric bound standing in for everything beyond.  Sampled
-    builtins return their analytic certificate.
+    certified geometric bound of the mixing rate r standing in for everything
+    beyond; a chain that decouples at n0 (r = 0) keeps at least n0 - 1
+    entries, and every eta is zero past them.  Sampled builtins return their
+    analytic certificate.
     """
     if isinstance(model, SampledModel):
         return model.decay
     _require_exact(model)
-    n_max = _require_count(n_max, "n_max")
+    n_max, window = _require_count(n_max, "n_max"), _require_count(window, "window", 0)
     try:
         env = _MixingEnvelope(model)
     except NoDecayCertificate as exc:
         raise WindowTooSmall(str(exc)) from exc
+    # r = 0: P^n0 has equal rows, so every eta is 0 from n0 on: rho = 0 past a window to n0 - 1
+    n_max = max(n_max, env.n0 - 1) if env.r == 0 else n_max
 
     p = model.transition
     x = model.x_values
     bx = model.bound
-    far = n_max + window
+    far, s = n_max + window, model.n_states
+    _check_cost(f"eta_certificate to lag {far} on {s} states",  # dev, then four s-row blocks
+                8 * ((far + 4 * s) * (window + 1) + 6 * far),
+                far * (_dense_step_seconds(s) + _dense_step_seconds(s, window + 1)))
 
     # eta1: suffix maxima of ||P^k x||_inf, tail-bounded geometrically; the
     # same pass keeps the columns w_d = x * P^d x, d = 0..window, for eta2
@@ -281,9 +288,7 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
                       4.0 * bx * bx * phi * env.phi_bar(window + 1))
     eta2 = np.maximum.accumulate(eta2[::-1])[::-1]  # enforce monotone after tails
 
-    # r = 0: P^n0 has equal rows, so eta are 0 from n0 on: rho = 0 past a window to n0 - 1
-    return DecayCertificate(eta1=eta1, eta2=eta2, rate_constant=2.0 * bx * env.c,
-                            geometric_rho=env.r if env.r > 0 or n_max + 1 >= env.n0 else None)
+    return DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=env.r)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,8 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
 @dataclass(frozen=True)
 class CertifiedCoefficientBounds:
     """Certificate-driven upper bounds on the drift and variance coefficients,
-    and the predicted decay regime of delta_m."""
+    and the decay regime of delta_m: m^-1/2, as every certificate decays
+    geometrically."""
 
     gamma_bound: float
     delta_sq_bound: float
@@ -337,15 +343,7 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
         s_head ** 2 + t_weighted + t_cross + t_far)
 
     return CertifiedCoefficientBounds(gamma_bound=gamma_bound, delta_sq_bound=delta_sq_bound,
-                                      regime=_delta_regime(cert.beta_effective))
-
-
-def _delta_regime(beta: float) -> str:
-    if beta > 2:
-        return "m^-1/2"
-    if beta == 2:
-        return "m^-1/2 sqrt(ln m)"
-    return f"m^-{(beta - 1) / 2:g}"
+                                      regime="m^-1/2")
 
 
 # ---------------------------------------------------------------------------

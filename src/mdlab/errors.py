@@ -91,10 +91,6 @@ class TrajectoryTooShort(ConfigError):
     pass
 
 
-class InsufficientCertificateLength(ConfigError):
-    pass
-
-
 class BetaOutOfRange(ConfigError):
     pass
 

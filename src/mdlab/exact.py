@@ -45,8 +45,8 @@ from .errors import (
     OutOfRange,
     ParamOutOfRange,
 )
-from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost, _require_count,
-                     _require_exact, _sublattice)
+from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
+                     _dense_step_seconds, _require_count, _require_exact, _sublattice)
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
@@ -259,14 +259,10 @@ def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:
     return np.fromiter((np.abs(a).max() for a, _ in _block_moments(model, n_max)), float, n_max)
 
 
-def _mat_vec_seconds(model: FiniteLatticeModel) -> float:
-    """Estimated time of a mat-vec step with P: 0.25 ns per s^2 term, 8 us besides."""
-    return 2.5e-10 * model.n_states ** 2 + 8e-6
-
-
 def _block_moments(model: FiniteLatticeModel, steps: int):
     """`_block_moment_steps` to t = steps, priced at two mat-vecs a step."""
-    _check_cost(f"block moments to t = {steps}", secs=2 * steps * _mat_vec_seconds(model))
+    _check_cost(f"block moments to t = {steps}",
+                secs=2 * steps * _dense_step_seconds(model.n_states))
     return islice(_block_moment_steps(model), steps)
 
 

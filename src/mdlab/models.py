@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegeneratePayoff,
-    InsufficientCertificateLength,
     NonStochasticRow,
     ParamOutOfRange,
     PeriodicChain,
@@ -47,58 +46,40 @@ MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average w
 @dataclass(frozen=True)
 class DecayCertificate:
     """Analytic upper bounds on the conditional-mean and conditional-cross
-    dependence sequences, with an optional geometric envelope for indices
-    beyond the stored window; geometric_rho = 0 declares both zero past it.
+    dependence sequences: a stored window of each, and past it the geometric
+    envelope of rate geometric_rho in [0, 1); rho = 0 declares both zero there.
 
     ``eta1[k-1]`` bounds the uniform norm of the conditional mean of the
     payoff k steps ahead; ``eta2[k-1]`` bounds the centered conditional cross
-    moments from lag k on.  Both sequences must be non-increasing.
+    moments from lag k on.  Both sequences must be non-empty and non-increasing.
     """
 
     eta1: np.ndarray
     eta2: np.ndarray
-    beta: Optional[float] = None
-    rate_constant: float = 1.0
-    geometric_rho: Optional[float] = None
+    geometric_rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eta1", np.asarray(self.eta1, dtype=float))
-        object.__setattr__(self, "eta2", np.asarray(self.eta2, dtype=float))
-        for name, seq in (("eta1", self.eta1), ("eta2", self.eta2)):
-            if seq.size and (not np.all(np.isfinite(seq)) or np.any(seq < 0)):
-                raise ParamOutOfRange(f"{name} entries must be finite and >= 0")
-            if seq.size and np.any(np.diff(seq) > 1e-15):
+        for name in ("eta1", "eta2"):
+            object.__setattr__(self, name, seq := np.asarray(getattr(self, name), dtype=float))
+            if seq.ndim != 1 or not seq.size or not np.all(np.isfinite(seq)) or np.any(seq < 0):
+                raise ParamOutOfRange(f"{name} must be one or more finite entries >= 0")
+            if np.any(np.diff(seq) > 1e-15):
                 raise ParamOutOfRange(f"{name} must be non-increasing")
-        if self.beta is not None and not self.beta > 1:
-            raise ParamOutOfRange("decay exponent beta must exceed 1")
-        if self.geometric_rho is not None and not 0 <= self.geometric_rho < 1:
-            raise ParamOutOfRange("geometric_rho must lie in [0, 1)")
-
-    @property
-    def beta_effective(self) -> float:
-        """Polynomial decay exponent; geometric decay counts as +inf."""
-        if self.beta is not None:
-            return self.beta
-        if self.geometric_rho is not None:
-            return math.inf
-        raise ParamOutOfRange("certificate declares neither beta nor a geometric rate")
+        rho = self.geometric_rho
+        if not (isinstance(rho, numbers.Real) and 0 <= rho < 1):
+            raise ParamOutOfRange(f"geometric_rho must lie in [0, 1), got {rho!r}")
+        object.__setattr__(self, "geometric_rho", float(rho))
 
     def upto(self, seq: np.ndarray, k: int) -> np.ndarray:
         """seq_1..seq_k, where seq is eta1 or eta2: the stored window, then
-        last * rho^j at the j-th index past it (rate_constant standing for last
-        on an empty window)."""
+        last * rho^j at the j-th index past it."""
         if k <= seq.size:
             return seq[:k]
-        if self.geometric_rho is None:
-            raise InsufficientCertificateLength(
-                f"certificate stores {seq.size} entries and no geometric tail; "
-                f"index {k} unavailable")
-        last = seq[-1] if seq.size else self.rate_constant
         # rho^j <= 2^-1076 past j = 1076 / log2(1 / rho): 0.0, which pow finds slowly
         rho = self.geometric_rho
         stop = min(k - seq.size, math.ceil(-1076 / math.log2(rho))) if rho else 0
         tail = np.pad(rho ** np.arange(1, stop + 1), (0, k - seq.size - stop))
-        return np.concatenate((seq, last * tail))
+        return np.concatenate((seq, seq[-1] * tail))
 
     def tail_sums(self, seq: np.ndarray, starts: np.ndarray,
                   over_sqrt: bool = False) -> np.ndarray:
@@ -106,25 +87,11 @@ class DecayCertificate:
         Terms s through the end of the stored window are summed (term s alone
         past it); beyond the last summed term a, the geometric closed form
         a rho / (1 - rho) stands for the rest."""
-        if self.geometric_rho is None:
-            raise InsufficientCertificateLength(
-                "certificate has no geometric tail; extend the stored window")
         size, rho = seq.size, self.geometric_rho
         ks = np.arange(1, max(size, int(np.max(starts, initial=0))) + 1)
         terms = self.upto(seq, ks.size) / (np.sqrt(ks) if over_sqrt else 1.0)
         heads = np.concatenate((np.cumsum(terms[:size][::-1])[::-1], terms[size:]))
         return heads[starts - 1] + terms[np.maximum(starts, size) - 1] * rho / (1.0 - rho)
-
-    def _at(self, seq: np.ndarray, k: int) -> float:
-        if k < 1:
-            raise ParamOutOfRange("certificate index must be >= 1")
-        return float(self.upto(seq, k)[-1])
-
-    def eta1_at(self, k: int) -> float:
-        return self._at(self.eta1, k)
-
-    def eta2_at(self, k: int) -> float:
-        return self._at(self.eta2, k)
 
 
 @dataclass(frozen=True)
@@ -420,10 +387,9 @@ def _moving_average(c: float, L: int) -> SampledModel:
         bits = np.unpackbits(np.frombuffer(rng.bytes(-(-count // 8)), np.uint8), count=count)
         return (bits * 2.0 - 1.0).reshape(shape)
 
-    cert = DecayCertificate(eta1=eta1, eta2=eta2, beta=None,
-                            rate_constant=2.0 * c, geometric_rho=0.5)
     return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", innovations=innovations,
-                        weights=weights, bound=bound, decay=cert, params={"c": c, "L_trunc": L})
+                        weights=weights, bound=bound, params={"c": c, "L_trunc": L},
+                        decay=DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=0.5))
 
 
 def builtin(name: str, **params):
@@ -510,7 +476,9 @@ def phi_mixing_coefficients(model: FiniteLatticeModel, horizon: int) -> np.ndarr
     n-step transition matrix and the stationary law; it is non-increasing.
     """
     _require_exact(model)
-    horizon = _require_count(horizon, "horizon")
+    horizon, s = _require_count(horizon, "horizon"), model.n_states
+    _check_cost(f"phi_mixing_coefficients to horizon {horizon} on {s} states",
+                secs=horizon * _dense_step_seconds(s, s))
     out = np.empty(horizon)
     pk = model.transition.copy()
     for k in range(horizon):
@@ -567,6 +535,13 @@ def _affordable(need: float, secs: float) -> bool:
     return need <= DEFAULT_BUDGET_BYTES and secs <= WORK_CAP_S
 
 
+def _dense_step_seconds(s: int, columns: int = 1) -> float:
+    """Estimated seconds of one loop step P @ B, B an s x columns block, with its
+    elementwise work: 8 us, 0.2 ns per entry of P read and 0.05 ns per multiply-add
+    (fitted on a shared 2-core x86 host with OpenBLAS, s = 2..1024, columns = 1..s)."""
+    return 8e-6 + s * s * (2e-10 + 5e-11 * columns)
+
+
 def _check_cost(what: str, need: float = 0, secs: float = 0.0, of: str = "") -> None:
     """BudgetExceeded, before the work, unless it is `_affordable`; `of` says what `need` holds."""
     if not _affordable(need, secs):
@@ -616,6 +591,7 @@ CHAIN_CHUNK = 4096
 SLAB_BYTES = 1 << 20  # uniforms drawn ahead over all blocks; one sampled block at its peak
 CHAIN_BYTES = 64  # held per chain while stepping: states, sums, draws, temporaries
 PATH_STEP_BYTES = 32  # sizes a sampled block, so its streams: peak ~24 B per innovation
+INNOVATION_SECONDS = 5e-9  # a sampled simulation's time per innovation drawn (3-7 ns measured)
 KERNEL_ENTRIES = 1 << 16  # most entries s^2 (k spread + 1) of the k-step sum kernel a jump reads
 
 

@@ -45,8 +45,9 @@ from .exact import (
     long_run_variance,
     sigma_any,
 )
-from .models import (CHAIN_BYTES, _check_cost, _innovation_blocks, _jump_length, _jump_seconds,
-                     _require_count, _require_scale, _simulate_states, _sublattice)
+from .models import (CHAIN_BYTES, INNOVATION_SECONDS, _check_cost, _innovation_blocks,
+                     _jump_length, _jump_seconds, _require_count, _require_scale,
+                     _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -112,14 +113,16 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     """Samples of W_n = S_n / sqrt(n) over independent stationary trajectories,
     in O(chains) memory plus one block and, on an exact model, one jump kernel
     of a length set by (model, n, chains) alone (`_jump_length`), priced with
-    its jumps (`_jump_seconds`).  A sampled S_n is the sum of
+    its jumps (`_jump_seconds`); a sampled run is priced per innovation
+    (INNOVATION_SECONDS).  A sampled S_n is the sum of
     `sample_trajectory`'s path where the arithmetic is exact (the moving average
     at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it."""
     chains, n = _require_count(chains, "chains"), _require_count(n, "n")
     seed = _require_count(seed, "seed", 0)
     k = _jump_length(model, n, chains) if model.tier == "exact" else 0  # 0: sampled
     _check_cost(f"simulating {chains} chains to n = {n}", chains * CHAIN_BYTES,
-                k and _jump_seconds(model, n, chains, k, _sublattice(model)[3]))
+                _jump_seconds(model, n, chains, k, _sublattice(model)[3]) if k
+                else chains * (model.burn_in + n) * INNOVATION_SECONDS)
     if k:
         sums = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
         for _, d in _simulate_states(model, n, chains, seed, k):

@@ -340,12 +340,10 @@ def sigma_n_by_lags(model, n: int) -> float:
 
 def certificate_entry(cert, seq, k: int) -> float:
     """seq_k of a decay certificate by the scalar rule: the stored entry, or
-    past the window last * rho^(k - window), with rate_constant for last on
-    an empty window."""
+    past the window last * rho^(k - window)."""
     if k <= seq.size:
         return float(seq[k - 1])
-    last = float(seq[-1]) if seq.size else cert.rate_constant
-    return last * cert.geometric_rho ** (k - seq.size)
+    return float(seq[-1]) * cert.geometric_rho ** (k - seq.size)
 
 
 def certificate_tail_sum(cert, seq, start: int, over_sqrt: bool = False) -> float:

@@ -233,6 +233,21 @@ def test_bernstein_and_freedman_take_their_limit_at_infinite_x():
         assert freedman_bound(xs, 2.0, a).tobytes() == want.tobytes()
 
 
+def test_bernstein_and_freedman_take_their_limit_at_large_finite_x():
+    # x^2 overflowed past about 1.3e154 (1e151 for Bernstein's second term at a
+    # tiny gamma) with a RuntimeWarning, which the suite raises; the bounds fall
+    # in x, so past X_CAP they read the value at X_CAP: here their limit
+    big = np.array([1e151, 1e155, 1e200, 1e300, 1.7e308])
+    for gamma, limit in ((0.0, 0.0), (0.01, 0.0), (1e-300, 0.0), (1.0, 4.0 * math.sqrt(math.e))):
+        cs = _coeffs(gamma=gamma)
+        assert bernstein_bound(cs, 1e200) == limit
+        assert np.all(bernstein_bound(cs, big) == limit)
+        assert bernstein_bound(cs, big).tobytes() == bernstein_bound(cs, [1e150] * 5).tobytes()
+    for a in (0.0, 0.5, 3.0):
+        assert freedman_bound(1e200, 1.0, a) == 0.0
+        assert np.all(freedman_bound(big, 2.0, a) == 0.0)
+
+
 def test_bound_evaluators_are_pure():
     cs = _coeffs(gamma=0.01, delta_sq=0.002)
     xs = np.linspace(0.1, 3, 17)

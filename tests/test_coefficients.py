@@ -18,7 +18,7 @@ from mdlab import (
     select_block_size,
     sigma_n,
 )
-from mdlab.errors import BetaOutOfRange, InsufficientCertificateLength, ParamOutOfRange
+from mdlab.errors import BetaOutOfRange, ParamOutOfRange
 
 import oracles
 
@@ -129,28 +129,25 @@ def test_zero_certificate_gives_zero_bounds():
     assert rb.delta_sq_bound == 0.0
 
 
-@pytest.mark.parametrize("beta,label", [
-    (2.5, "m^-1/2"),
-    (2.0, "m^-1/2 sqrt(ln m)"),
-    (1.5, "m^-0.25"),
-])
-def test_delta_rate_regimes(beta, label):
-    cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], beta=beta,
-                            geometric_rho=0.5)
-    assert certified_coefficient_bounds(cert, 2, 8, 1.0, 1.0).regime == label
-
-
 def test_bounds_need_tail_information():
-    cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], beta=1.5)
-    with pytest.raises(InsufficientCertificateLength):
-        certified_coefficient_bounds(cert, 2, 8, 1.0, 1.0)
+    # a certificate without a geometric rate is refused where it is built
+    with pytest.raises(TypeError, match="geometric_rho"):
+        DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25])
 
 
 def test_bounds_past_a_window_without_a_geometric_tail_are_refused():
-    # m = 8 reads eta1 past its two stored entries, which nothing extends
-    cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], beta=1.5)
-    with pytest.raises(InsufficientCertificateLength):
-        certified_coefficient_bounds(cert, 8, 64, 1.0, 1.0)
+    # m = 8 reads eta1 past its two stored entries, which only a rate extends:
+    # no rate, no certificate; an empty window is refused too
+    for rho in (None, math.nan, 1.0, -0.1, "0.5"):
+        with pytest.raises(ParamOutOfRange, match=r"geometric_rho must lie in \[0, 1\), got"):
+            DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], geometric_rho=rho)
+    for eta1, eta2 in (([], [0.5]), ([0.5], []), ([[0.5]], [0.5])):
+        with pytest.raises(ParamOutOfRange, match="must be one or more finite entries"):
+            DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=0.5)
+    cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.5, 0.25], geometric_rho=0.5)
+    rb = certified_coefficient_bounds(cert, 8, 64, 1.0, 1.0)
+    gamma, delta_sq = oracles.certified_bounds_by_index(cert, 8, 1.0, 1.0)
+    assert (rb.gamma_bound, rb.delta_sq_bound) == pytest.approx((gamma, delta_sq), rel=1e-13)
 
 
 @pytest.mark.parametrize("n_max", [12, 64, 192])
@@ -160,8 +157,7 @@ def test_geometric_chains_read_the_geometric_regime(rho, n_max):
     # fitted to eta would read m^-0.47993 at rho = 0.9, n_max = 64
     model = builtin("two_state", rho=rho)
     cert = eta_certificate(model, n_max)
-    assert cert.beta is None and 0 < cert.geometric_rho < 1
-    assert cert.beta_effective == math.inf
+    assert 0 < cert.geometric_rho < 1 and cert.eta1.size == n_max
     rb = certified_coefficient_bounds(cert, 4, 64, sigma_n(model, 64), model.bound)
     assert rb.regime == "m^-1/2"
 
@@ -169,14 +165,14 @@ def test_geometric_chains_read_the_geometric_regime(rho, n_max):
 @pytest.mark.parametrize("L", [3, 6])
 def test_chains_that_decouple_declare_no_decay_exponent(L):
     # eta vanish from index L on (a fitted slope read beta = 2.02 at L = 6), and
-    # P^n0 has equal rows: a window that reaches n0 declares rho = 0, zero past
-    # it, and gets bounds; one that stops short declares no rate and gets none
+    # P^n0 has equal rows: rho = 0, zero past a window that reaches n0 - 1,
+    # which a shorter n_max is stretched to, so every window gets bounds
     model = builtin("dyadic_contracting", L=L)
     n0 = {3: 4, 6: 8}[L]
     assert geometric_mixing_certificate(model) == (1.0, 0.0, n0)
     sig = sigma_n(model, 64)
     cert = eta_certificate(model, 64)
-    assert cert.beta is None and cert.geometric_rho == 0.0 and cert.beta_effective == math.inf
+    assert cert.geometric_rho == 0.0
     assert not cert.eta1[L - 1:].any() and not cert.eta2[L - 1:].any()
     assert not cert.upto(cert.eta1, 5000)[64:].any() and cert.upto(cert.eta2, 5000).size == 5000
     for m in (1, 4, 63, 64, 65, 130, 5000):
@@ -190,11 +186,14 @@ def test_chains_that_decouple_declare_no_decay_exponent(L):
         3: (0.287, 0.139), 6: (0.480, 0.424)}[L]
     assert eta_certificate(model, n0 - 1).geometric_rho == 0.0
     for short in (eta_certificate(model, n0 - 2), eta_certificate(model, 2)):
-        assert short.geometric_rho is None
-        with pytest.raises(ParamOutOfRange, match="neither beta nor a geometric rate"):
-            short.beta_effective
-        with pytest.raises(InsufficientCertificateLength):
-            certified_coefficient_bounds(short, 4, 64, sig, model.bound)
+        assert short.geometric_rho == 0.0
+        assert short.eta1.size == short.eta2.size == n0 - 1
+        for m in (1, 4, 64, 5000):
+            got = certified_coefficient_bounds(short, m, 5000, sig, model.bound)
+            gamma, delta_sq = oracles.certified_bounds_by_index(short, m, sig, model.bound)
+            assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
+            assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
+            assert got.regime == "m^-1/2"
 
 
 CERTIFIED_CASES = [f"moving_average:{c}:{L}" for c in (1.0, 0.7) for L in (1, 20, 1074)]

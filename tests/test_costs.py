@@ -5,6 +5,7 @@ through `models._check_cost`, against `models.DEFAULT_BUDGET_BYTES` and
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mdlab import (
@@ -16,6 +17,8 @@ from mdlab import (
     coefficient_set,
     conditional_block_moments,
     distribution_of_Sn,
+    eta_certificate,
+    phi_mixing_coefficients,
     sample_coupled_pairs,
     sample_state_paths,
     sample_trajectory,
@@ -45,6 +48,11 @@ TIMED_CALLS = {
     "check_dedecker_conditions": (lambda m: check_dedecker_conditions(m, 8),
                                   "block moments to t = 8"),
     "simulate_W": (lambda m: simulate_W(m, 64, 10, 0), "simulating 10 chains to n = 64"),
+    "simulate_W sampled": (lambda m: simulate_W(builtin("moving_average", c=1.0, L_trunc=4),
+                                                64, 10, 0), "simulating 10 chains to n = 64"),
+    "eta_certificate": (lambda m: eta_certificate(m, 8), "eta_certificate to lag 72 on 2 states"),
+    "phi_mixing_coefficients": (lambda m: phi_mixing_coefficients(m, 8),
+                                "phi_mixing_coefficients to horizon 8 on 2 states"),
     "sample_state_paths": (lambda m: sample_state_paths(m, 8, 3, 0),
                            "sampling 3 state paths to n = 8"),
     "sample_trajectory": (lambda m: sample_trajectory(m, 8, 0), "sampling 1 state paths to n = 8"),
@@ -74,6 +82,7 @@ SIZED_CALLS = {
     "x grid": (lambda c: cli._x_grid({"x_count": 2}), "x-count 2"),
     "certified bounds": (lambda c: certified_coefficient_bounds(c.ma.decay, 64, 128, 1.0, 1.0),
                          "certified_coefficient_bounds at m = 64"),
+    "eta_certificate": (lambda c: eta_certificate(c.ts, 8), "eta_certificate to lag 72"),
 }
 
 
@@ -117,6 +126,10 @@ HOLES = {
     "sample_trajectory at n = 10^8": (
         lambda: sample_trajectory(builtin("two_state", rho=0.4), 10 ** 8, 0),
         (models, "_simulate_states"), "sampling 1 state paths to n = 100000000"),
+    # 10^11 innovations at about 4 ns each: five to six minutes
+    "sampled simulate_W at 10^5 chains of 10^6": (
+        lambda: simulate_W(builtin("moving_average", c=1.0, L_trunc=20), 10 ** 6, 10 ** 5, 0),
+        (montecarlo, "_innovation_blocks"), "simulating 100000 chains to n = 1000000"),
 }
 
 
@@ -132,6 +145,30 @@ def test_unpriced_runs_are_refused_before_their_first_step(monkeypatch, name):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20  # nothing of the run's size was allocated
+
+
+# loops stepping P against a block on 512 states: a call and the start of its refusal
+DENSE_HOLES = {
+    # about 0.8 ms a lag: over a minute
+    "eta_certificate at n_max = 10^5": (lambda m: eta_certificate(m, 10 ** 5),
+                                        "eta_certificate to lag 100064 on 512 states would run"),
+    # a lag-by-gap grid of 10^5 x 10^5 deviations, 80 GB (n_max stretches to n0 - 1 = 15)
+    "eta_certificate at window = 10^5": (lambda m: eta_certificate(m, 1, window=10 ** 5),
+                                         "eta_certificate to lag 100015 on 512 states needs"),
+    # one 512 x 512 product a step, about 5 ms: nine minutes
+    "phi_mixing_coefficients at horizon 10^5": (
+        lambda m: phi_mixing_coefficients(m, 10 ** 5),
+        "phi_mixing_coefficients to horizon 100000 on 512 states would run"),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_HOLES)
+def test_dense_loops_are_refused_before_their_first_array(monkeypatch, name):
+    call, what = DENSE_HOLES[name]
+    model = builtin("dyadic_contracting", L=9)
+    _unreached(monkeypatch, np, "empty")  # each loop's first array
+    with pytest.raises(BudgetExceeded, match=f"^{what}"):
+        call(model)
 
 
 HUGE_M = ["--model", "two_state:rho=0.4", "--n", "1000000000", "--m", "100000000"]

@@ -172,7 +172,7 @@ def test_moving_average_certificate_and_determinism():
     ma = builtin("moving_average", c=1.0, L_trunc=20)
     # geometric tail sum of the write coefficients
     for k in (1, 3, 8):
-        assert ma.decay.eta1_at(k) <= 2.0 ** (2 - k)
+        assert ma.decay.upto(ma.decay.eta1, k)[-1] <= 2.0 ** (2 - k)
     t1 = sample_trajectory(ma, 200, seed=42)
     t2 = sample_trajectory(ma, 200, seed=42)
     assert np.array_equal(t1.values, t2.values)
@@ -242,12 +242,12 @@ def test_moving_average_autocov_matches_empirical():
 def test_decay_certificate_validation():
     with pytest.raises(ParamOutOfRange):
         DecayCertificate(eta1=[0.1, 0.5], eta2=[0.0], geometric_rho=0.5)
-    with pytest.raises(ParamOutOfRange):
-        DecayCertificate(eta1=[0.5, 0.1], eta2=[0.0], beta=0.5)
+    with pytest.raises(TypeError):  # a decay exponent is no longer a field
+        DecayCertificate(eta1=[0.5, 0.1], eta2=[0.0], beta=0.5, geometric_rho=0.5)
     cert = DecayCertificate(eta1=[0.5, 0.25], eta2=[0.1], geometric_rho=0.5)
-    assert cert.eta1_at(2) == 0.25
-    assert cert.eta1_at(4) == pytest.approx(0.0625)
-    assert cert.beta_effective == np.inf
+    assert cert.upto(cert.eta1, 2)[-1] == 0.25
+    assert cert.upto(cert.eta1, 4)[-1] == pytest.approx(0.0625)
+    assert [f.name for f in dataclasses.fields(cert)] == ["eta1", "eta2", "geometric_rho"]
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9, 0.3, 1e-3, 0.99, 2.0 ** -0.5])
@@ -257,9 +257,9 @@ def test_geometric_tail_is_every_power_bit_for_bit(rho):
     edge = int(1075 / -math.log2(rho))
     ks = (1, 2, edge - 60, edge - 2, edge - 1, edge, edge + 1, edge + 2, edge + 60, 2 * edge,
           20000)
-    for window in ([], [0.5, 0.25], [0.3] * 40):
-        cert = DecayCertificate(eta1=window, eta2=window, geometric_rho=rho, rate_constant=1.7)
-        last = cert.eta1[-1] if window else 1.7
+    for window in ([0.5, 0.25], [0.3] * 40):
+        cert = DecayCertificate(eta1=window, eta2=window, geometric_rho=rho)
+        last = cert.eta1[-1]
         for k in ks:
             if k > len(window):
                 old = np.concatenate((cert.eta1, last * rho ** np.arange(1, k - len(window) + 1)))
@@ -543,6 +543,7 @@ COUNT_CALLS = {
     "conditional_block_moments": (1, lambda c, v: conditional_block_moments(c.ts, v)),
     "conditional_sum_norms": (1, lambda c, v: conditional_sum_norms(c.ts, v)),
     "eta_certificate": (1, lambda c, v: eta_certificate(c.ts, v)),
+    "eta_certificate window": (0, lambda c, v: eta_certificate(c.ts, 8, v)),
     "tilted_log_tail": (1, lambda c, v: tilted_log_tail(c.ts, v, 3.0)),
     "tilted_log_tail binomial": (1, lambda c, v: tilted_log_tail(c.rad, v, 3.0)),
     "phi_mixing_coefficients": (1, lambda c, v: phi_mixing_coefficients(c.ts, v)),
