@@ -26,7 +26,8 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .exact import _csv, conditional_block_moments, sigma_any
-from .models import FiniteLatticeModel, Trajectory, _require_count, _require_exact, child_rng
+from .models import (INNOVATION_SECONDS, FiniteLatticeModel, Trajectory, _check_cost,
+                     _require_count, _require_exact, child_rng)
 
 VARIANTS = ("split_remainder", "martingale_all")
 NESTED_DRAWS_DEFAULT = 256
@@ -127,10 +128,14 @@ def _exact_predictable(model: FiniteLatticeModel, trajectory: Trajectory,
 
 def _nested_predictable(model, trajectory: Trajectory, m: int, rem: int,
                         k: int, n_mart: int, draws: int, seed: int):
-    """Block i keeps the innovations before it that its sum reads and redraws
-    its own, for all draws at once; each sum is one weighted reduction."""
+    """Block i keeps the innovations before it that its sum reads and redraws its
+    own, all draws at once; a sum is one weighted reduction.  Priced before any draw."""
     if trajectory.innovations is None:
         raise NestedEstimateUnavailable("trajectory carries no innovations")
+    width = model.burn_in + m  # a full block's window
+    reads = draws * (k * width + (model.burn_in + rem if n_mart > k and rem else 0))
+    _check_cost(f"nested resampling of {n_mart} blocks x {draws} draws", 16 * draws * width,
+                reads * INNOVATION_SECONDS, of="the widest block's window and product")
     predictable, cond_var = np.zeros((2, n_mart))
     for i in range(n_mart):
         length = m if i < k else rem

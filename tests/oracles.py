@@ -253,6 +253,15 @@ def binom_log_tail_from(n: int, k0: int) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in logs))
 
 
+def binom_log_tail_every_term(n: int, k0: int) -> float:
+    """log P(Binomial(n, 1/2) >= k0) as one logsumexp over every k from k0 to
+    n of scipy's log-gamma terms: the same terms the windowed sum adds, and the
+    ones it leaves out, each e^-750 or less of the largest."""
+    ks = np.arange(max(k0, 0), n + 1)
+    return float(special.logsumexp(special.gammaln(n + 1) - special.gammaln(ks + 1)
+                                   - special.gammaln(n - ks + 1) - n * math.log(2.0)))
+
+
 def enum_block_moments(model, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, n_states) arrays of E[S_t | Y_0 = s] and E[S_t^2 | Y_0 = s],
     t = 1..m, by enumerating every path of length m from each start state:

@@ -16,6 +16,7 @@ from mdlab import (
     check_dedecker_conditions,
     coefficient_set,
     conditional_block_moments,
+    decompose,
     distribution_of_Sn,
     eta_certificate,
     phi_mixing_coefficients,
@@ -25,7 +26,7 @@ from mdlab import (
     simulate_W,
     tilted_log_tail,
 )
-from mdlab import cli, coefficients, exact, models, montecarlo
+from mdlab import blocking, cli, coefficients, exact, models, montecarlo
 from mdlab.errors import BudgetExceeded
 from mdlab.exact import conditional_sum_norms
 
@@ -56,6 +57,10 @@ TIMED_CALLS = {
     "sample_state_paths": (lambda m: sample_state_paths(m, 8, 3, 0),
                            "sampling 3 state paths to n = 8"),
     "sample_trajectory": (lambda m: sample_trajectory(m, 8, 0), "sampling 1 state paths to n = 8"),
+    "binomial tail": (lambda m: exact._binomial_log_tail(64, 0.0), "binomial tail at n = 64"),
+    "decompose sampled": (lambda m: decompose(ma := builtin("moving_average", c=1.0, L_trunc=4),
+                                              sample_trajectory(ma, 64, 0), 8, nested_draws=4),
+                          "nested resampling of 8 blocks x 4 draws"),
 }
 
 
@@ -83,6 +88,8 @@ SIZED_CALLS = {
     "certified bounds": (lambda c: certified_coefficient_bounds(c.ma.decay, 64, 128, 1.0, 1.0),
                          "certified_coefficient_bounds at m = 64"),
     "eta_certificate": (lambda c: eta_certificate(c.ts, 8), "eta_certificate to lag 72"),
+    "binomial tail": (lambda c: exact._binomial_log_tail(64, 0.0),
+                      "binomial tail at n = 64 needs 3250 bytes"),
 }
 
 
@@ -130,6 +137,16 @@ HOLES = {
     "sampled simulate_W at 10^5 chains of 10^6": (
         lambda: simulate_W(builtin("moving_average", c=1.0, L_trunc=20), 10 ** 6, 10 ** 5, 0),
         (montecarlo, "_innovation_blocks"), "simulating 100000 chains to n = 1000000"),
+    # the widest window at 10^15 is 1.2 x 10^9 terms, 61 GB; the full sum's
+    # arange of 5 x 10^14 terms failed to allocate
+    "binomial tail at n = 10^15": (
+        lambda: exact._binomial_log_tail(10 ** 15, 0.0),
+        (np, "arange"), "binomial tail at n = 1000000000000000 needs"),
+    # 1.4 x 10^11 innovations read at about 4 ns each: about ten minutes
+    "decompose with 10^6 nested draws": (
+        lambda: decompose(ma := builtin("moving_average", c=1.0, L_trunc=20),
+                          sample_trajectory(ma, 10 ** 5, 0), 52, nested_draws=10 ** 6),
+        (blocking, "child_rng"), "nested resampling of 1923 blocks x 1000000 draws would run"),
 }
 
 
@@ -179,6 +196,9 @@ CLI_HOLES = {
     "sampled coeffs at m = 3 x 10^11": (["coeffs", "--model", "moving_average:c=1,L_trunc=20",
                                          "--n", "1000000000000", "--m", "300000000000"],
                                         CERTIFICATE_READ),
+    # past about 1.2 x 10^12 the widest binomial window passes the budget
+    "mdp on fair signs at n = 10^16": (["mdp", "--model", "rademacher", "--n", "1000",
+                                        "--n-grid", "10000000000000000"], (exact, "gammaln")),
 }
 
 

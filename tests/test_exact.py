@@ -84,6 +84,12 @@ def _oracle_model(name: str):
         return build_finite_lattice_model(
             ["lo", "mid", "hi"], [[0.5, 0.25, 0.25], [0.5, 0.5, 0], [0.5, 0, 0.5]],
             [-3, 1, 5], 2)
+    if name == "unsorted5":
+        # rises 9 6 3 0 7: one run of states stepping down by 3, then one more
+        return build_finite_lattice_model(
+            [str(i) for i in range(5)],
+            [[0.4, 0.3, 0.1, 0.1, 0.1], [0.1, 0.4, 0.3, 0.1, 0.1], [0.1, 0.1, 0.4, 0.3, 0.1],
+             [0.1, 0.1, 0.1, 0.4, 0.3], [0.3, 0.1, 0.1, 0.1, 0.4]], [9, 6, 3, 0, 7], 1)
     if name == "rademacher":
         return builtin("rademacher")
     kind, _, value = name.partition(":")
@@ -318,7 +324,7 @@ def test_grid_tables_from_one_pass_match_per_n_tables(name):
 
 @pytest.mark.parametrize("name, g", [
     ("two_state:0.4", 2), ("two_state:0.99", 2), ("rademacher", 2), ("step4", 4),
-    ("rare_step2", 2), ("dyadic:3", 1), ("asymmetric3", 1), ("tiny5", 1),
+    ("rare_step2", 2), ("dyadic:3", 1), ("asymmetric3", 1), ("tiny5", 1), ("unsorted5", 1),
 ])
 def test_sublattice_tables_match_full_lattice_bit_for_bit(name, g):
     # dropping the empty columns leaves every other column's arithmetic as it was
@@ -652,6 +658,33 @@ def test_binomial_tail_is_inclusive_at_atoms_like_the_dp(rademacher, n):
             want = float(exact_tail(table, t / math.sqrt(n) / table.sigma_n))
             assert _close(exact._binomial_log_tail(n, float(t)), want), (atom, t)
     assert exact._binomial_log_tail(n, n + 1.0) == -math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 47, 48, 4096, 10 ** 5])
+def test_binomial_tail_window_adds_the_terms_of_the_full_sum(n):
+    # the window of terms within e^-750 of the largest: against every term of
+    # the same closed form to 1e-13, and against plain lgamma sums within
+    # their log-gamma rounding, 4 eps (lgamma(n + 1) + n log 2) absolute
+    h, lgamma_ulps = n // 2, 4 * np.finfo(float).eps * (math.lgamma(n + 1) + n * math.log(2.0))
+    for k0 in {0, 1, h - 1, h, (n + 1) // 2, h + math.isqrt(n), n - 1, n}:
+        got = exact._binomial_log_tail(n, float(2 * k0 - n))
+        every, plain = oracles.binom_log_tail_every_term(n, k0), oracles.binom_log_tail_from(n, k0)
+        assert abs(got - every) <= 1e-13 * max(1.0, abs(every)), k0
+        assert abs(got - plain) <= 1e-13 * max(1.0, abs(plain)) + lgamma_ulps, k0
+    assert exact._binomial_log_tail(n, n + 2.0) == -math.inf
+
+
+def test_binomial_tail_holds_its_window_only():
+    # 9185 of the 484189 terms from k0 on lie within e^-750 of the largest:
+    # the full sum peaked near 28 MB, the window holds well under a megabyte
+    tracemalloc.start()
+    try:
+        got = exact._binomial_log_tail(10 ** 6, (10 ** 6) ** 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == pytest.approx(oracles.binom_log_tail_every_term(10 ** 6, 515812), rel=1e-13)
 
 
 @pytest.mark.parametrize("n, budget", [(1 << 18, DEFAULT_BUDGET_BYTES), (256, 1 << 20)])
