@@ -9,8 +9,8 @@ is accepted and ignored, and is not part of the configuration hash.
 
 A `--config` JSON object is more flags: each key is a flag's name with `_`
 for `-`, appended after the command line (so the file wins) and parsed with
-that flag's type and choices.  Subcommands return their files and `main`
-writes them, so a run that rejects its input writes nothing.
+that flag's type and choices.  Subcommands return their files (text chunks)
+and `main` writes them, so a run that rejects its input writes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 model error, 4 a hard
 verification assertion failed.
@@ -48,7 +48,7 @@ from .coefficients import (
 )
 from .coupling import coupling_report, sample_coupled_pairs, build_quantile_transform
 from .errors import ConfigError, MdlabError, VerificationError
-from .exact import (_binomial_log_tail, _csv, _max_abs_tail, conditional_sum_norms,
+from .exact import (_binomial_log_tail, _csv_chunks, _max_abs_tail, conditional_sum_norms,
                     distribution_of_Sn, exact_tail, ks_distance_exact, sigma_any)
 from .models import _check_cost, _require_scale, builtin, parse_model_text
 from .montecarlo import mdp_diagnostic, ratio_curve
@@ -125,12 +125,13 @@ def _manifest(cfg: dict) -> dict:
             "seed": cfg["seed"], "model": cfg["model"]}
 
 
-def _text_file(header: dict, body: str) -> str:
-    return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + body
+def _text_file(header: dict, chunks):
+    line = "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    return chain((line,), chunks)
 
 
-def _json_file(header: dict, payload: dict) -> str:
-    return json.dumps({"manifest": header, **payload}, sort_keys=True, indent=2) + "\n"
+def _json_file(header: dict, payload: dict) -> tuple:
+    return (json.dumps({"manifest": header, **payload}, sort_keys=True, indent=2) + "\n",)
 
 
 def _pick_m(cfg: dict, n: int) -> int:
@@ -156,7 +157,7 @@ def _x_grid(cfg: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands: each takes the config, the run's model and a call that returns
 # the run's one CoefficientSet (computed on first use), and returns its files
-# (name -> text) and a verification failure message or None
+# (name -> text chunks) and a verification failure message or None
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(cfg: dict, model, run_coeffs):
@@ -222,10 +223,10 @@ def cmd_verify(cfg: dict, model, run_coeffs):
     manifest = _manifest(cfg)
     qd = quadratic_characteristic_deviation(model, coeffs)
     files = {
-        "ratio.csv": _text_file(manifest, curve.to_csv()),
-        "bounds.csv": _text_file(manifest, _csv("x,exact_tail,bernstein,envelope,envelope_valid",
-                                                [pos, exact_p, bern, curve.envelope[xs > 0],
-                                                 curve.envelope_valid[xs > 0]])),
+        "ratio.csv": _text_file(manifest, (curve.to_csv(),)),
+        "bounds.csv": _text_file(manifest, _csv_chunks(
+            "x,exact_tail,bernstein,envelope,envelope_valid",
+            [pos, exact_p, bern, curve.envelope[xs > 0], curve.envelope_valid[xs > 0]])),
         "ks.json": _json_file(manifest, {
             "model": model.describe(),
             "n": coeffs.n, "m": coeffs.m,
@@ -257,7 +258,7 @@ def cmd_coupling(cfg: dict, model, run_coeffs):
     y, z = sample_coupled_pairs(build_quantile_transform(table), draws, cfg["seed"])
     manifest = _manifest(cfg)
     return {"coupling.json": _json_file(manifest, {"report": rep.to_json_dict()}),
-            "pairs.csv": _text_file(manifest, _csv("z,y,gap", [z, y, np.abs(y - z)]))}, None
+            "pairs.csv": _text_file(manifest, _csv_chunks("z,y,gap", [z, y, np.abs(y - z)]))}, None
 
 
 def cmd_mdp(cfg: dict, model, run_coeffs):
@@ -269,7 +270,7 @@ def cmd_mdp(cfg: dict, model, run_coeffs):
     else:
         grid = [cfg["n"], cfg["n"] * 4, cfg["n"] * 16]
     diag = mdp_diagnostic(model, cfg.get("c", 1.0), cfg.get("a_exp", 0.25), grid)
-    return {"mdp.csv": _text_file(_manifest(cfg), diag.to_csv())}, None
+    return {"mdp.csv": _text_file(_manifest(cfg), (diag.to_csv(),))}, None
 
 
 def cmd_report(cfg: dict, model, run_coeffs):
@@ -352,9 +353,9 @@ def main(argv=None) -> int:
             lambda: coefficient_set(model, cfg["n"], _pick_m(cfg, cfg["n"])))
         files, failure = _COMMANDS[args.command][0](cfg, model, run_coeffs)
         os.makedirs(cfg["out"], exist_ok=True)
-        for name, text in files.items():
+        for name, chunks in files.items():
             with open(os.path.join(cfg["out"], name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         if failure:
             raise VerificationError(failure)
         return 0

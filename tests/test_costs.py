@@ -89,7 +89,7 @@ SIZED_CALLS = {
                          "certified_coefficient_bounds at m = 64"),
     "eta_certificate": (lambda c: eta_certificate(c.ts, 8), "eta_certificate to lag 72"),
     "binomial tail": (lambda c: exact._binomial_log_tail(64, 0.0),
-                      "binomial tail at n = 64 needs 3250 bytes"),
+                      "binomial tail at n = 64 needs 1300 bytes"),
 }
 
 
@@ -137,7 +137,7 @@ HOLES = {
     "sampled simulate_W at 10^5 chains of 10^6": (
         lambda: simulate_W(builtin("moving_average", c=1.0, L_trunc=20), 10 ** 6, 10 ** 5, 0),
         (montecarlo, "_innovation_blocks"), "simulating 100000 chains to n = 1000000"),
-    # the widest window at 10^15 is 1.2 x 10^9 terms, 61 GB; the full sum's
+    # the widest window at 10^15 is 1.2 x 10^9 terms, 24 GB; the full sum's
     # arange of 5 x 10^14 terms failed to allocate
     "binomial tail at n = 10^15": (
         lambda: exact._binomial_log_tail(10 ** 15, 0.0),
@@ -196,7 +196,7 @@ CLI_HOLES = {
     "sampled coeffs at m = 3 x 10^11": (["coeffs", "--model", "moving_average:c=1,L_trunc=20",
                                          "--n", "1000000000000", "--m", "300000000000"],
                                         CERTIFICATE_READ),
-    # past about 1.2 x 10^12 the widest binomial window passes the budget
+    # past about 7.7 x 10^12 the widest binomial window passes the budget
     "mdp on fair signs at n = 10^16": (["mdp", "--model", "rademacher", "--n", "1000",
                                         "--n-grid", "10000000000000000"], (exact, "gammaln")),
 }

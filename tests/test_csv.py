@@ -1,6 +1,8 @@
 """The chunked CSV writer against the per-row f-string writers it replaced:
 every file body must be byte-identical."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,8 @@ def test_repeated_and_distinct_float_columns_are_byte_identical(rows):
     rep, distinct = atoms[rng.integers(0, atoms.size, rows)], _floats(rows, 30)
     rep[:min(rows, EDGES.size)] = EDGES[:rows]
     if rows:
-        assert exact._cells(rep)[1] == ("%s" if rows >= 2 * atoms.size else "%.17g")
-        assert exact._cells(distinct)[1] == "%.17g"
+        assert exact._cells(rep, {})[1] == ("%s" if rows >= 2 * atoms.size else "%.17g")
+        assert exact._cells(distinct, {})[1] == "%.17g"
     want = oracles.rows_csv("rep,distinct", (f"{a:.17g},{b:.17g}" for a, b in zip(rep, distinct)))
     assert_same(_csv("rep,distinct", [rep, distinct]), want)
 
@@ -145,3 +147,63 @@ def test_coupling_pairs_file_is_byte_identical(tmp_path, draws):
     table = distribution_of_Sn(builtin("two_state", rho=0.4), 16)
     y, z = sample_coupled_pairs(build_quantile_transform(table), draws, 7)
     assert_same(text.split("\n", 1)[1], oracles.coupling_pairs_csv(y, z))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_chunks_join_to_the_written_file(rows):
+    # the header line, then one chunk per block of CSV_CHUNK rows; a None
+    # column writes blank cells in every block
+    x, k, y, flag = _floats(rows, 31), _ints(rows, 32), _floats(rows, 33)[::-1], _bools(rows, 34)
+    head, cols = "x,blank,k,y,flag", [x, None, k, y, flag]
+    chunks = list(exact._csv_chunks(head, cols))
+    assert chunks[0] == head + "\n" and len(chunks) == 1 + -(-rows // CSV_CHUNK)
+    assert [c.count("\n") for c in chunks[1:]] == [len(x[lo:lo + CSV_CHUNK])
+                                                  for lo in range(0, rows, CSV_CHUNK)]
+    want = oracles.rows_csv(head, (f"{a:.17g},,{int(b)},{c:.17g},{int(d)}"
+                                   for a, b, c, d in zip(x, k, y, flag)))
+    assert_same("".join(chunks), _csv(head, cols))
+    assert_same("".join(chunks), want)
+
+
+def test_each_block_decides_its_own_dedup():
+    # one column: a block of few repeated values, a block of distinct values,
+    # then a short block of repeats again; the format flips block by block
+    rng = np.random.default_rng(35)
+    few = np.concatenate((EDGES, rng.standard_normal(8)))
+    col = np.concatenate((few[rng.integers(0, few.size, CSV_CHUNK)], _floats(CSV_CHUNK, 36),
+                          few[rng.integers(0, few.size, CSV_CHUNK // 2)]))
+    blocks = [col[lo:lo + CSV_CHUNK] for lo in range(0, col.size, CSV_CHUNK)]
+    assert [exact._cells(b, {})[1] for b in blocks] == ["%s", "%.17g", "%s"]
+    other = _floats(col.size, 37)
+    want = oracles.rows_csv("rep,other", (f"{a:.17g},{b:.17g}" for a, b in zip(col, other)))
+    assert_same("".join(exact._csv_chunks("rep,other", [col, other])), want)
+    assert_same(_csv("rep,other", [col, other]), want)
+
+
+
+def test_formatted_values_are_kept_for_a_bounded_number_of_values():
+    # four blocks of CSV_CHUNK / 2 fresh values, each twice: every block takes
+    # the memo path, and the memo is cleared once it holds over CSV_CHUNK strings
+    half = CSV_CHUNK // 2
+    col, memo, sizes = np.repeat(_floats(4 * half, 38), 2), {}, []
+    for lo in range(0, col.size, CSV_CHUNK):
+        assert exact._cells(col[lo:lo + CSV_CHUNK], memo)[1] == "%s"
+        sizes.append(len(memo))
+    assert sizes == [half, 2 * half, 3 * half, half]
+    assert_same(_csv("v", [col]), oracles.rows_csv("v", (f"{v:.17g}" for v in col)))
+
+def test_coupling_holds_no_whole_file(tmp_path):
+    # pairs.csv is written a block at a time: the command's traced peak stays
+    # near its arrays (about 50 bytes a draw), where the whole text and its
+    # copies under the manifest took about 166
+    draws = 400000
+    tracemalloc.start()
+    try:
+        assert cli.main(["coupling", "--model", "two_state:rho=0.4", "--n", "16", "--m", "2",
+                         "--chains", str(draws), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * draws
+    rows = (tmp_path / "pairs.csv").read_text(encoding="utf-8").count("\n")
+    assert rows == draws + 2  # the manifest, the header and one line a draw

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from mdlab import (
     TailTable,
@@ -685,6 +686,47 @@ def test_binomial_tail_holds_its_window_only():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert got == pytest.approx(oracles.binom_log_tail_every_term(10 ** 6, 515812), rel=1e-13)
+
+
+def _binomial_window(monkeypatch, n, t, keep=True):
+    """_binomial_log_tail(n, t) and the k + 1 of its window (or only their count),
+    read off its first array call of gammaln."""
+    seen, plain = [], exact.gammaln
+
+    def spy(x, *args, **kwargs):
+        if np.ndim(x) and not seen:
+            seen.append(np.array(x) if keep else np.size(x))
+        return plain(x, *args, **kwargs)
+    monkeypatch.setattr(exact, "gammaln", spy)
+    return exact._binomial_log_tail(n, t), seen[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 48, 10 ** 6, 10 ** 11])
+def test_binomial_tail_sums_like_scipy_logsumexp(monkeypatch, n):
+    # bit for bit the scipy 1.17 logsumexp of the same log-terms, each as
+    # ((lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)) - n log 2
+    h = n // 2
+    k0s = ({0, 1, h - 1, h, (n + 1) // 2, h + math.isqrt(n), n - 1, n} if n <= 10 ** 6
+           else {h + 300 * math.isqrt(n), n - 1, n})  # windows of 2 x 10^5 terms or fewer
+    for k0 in sorted(k for k in k0s if k >= 0):
+        got, k1 = _binomial_window(monkeypatch, n, float(2 * k0 - n))
+        k = k1.astype(np.int64) - 1
+        assert k[0] >= k0 and np.all(np.diff(k) == 1)
+        terms = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+        assert got == float(special.logsumexp(terms - n * math.log(2.0))), k0
+
+
+def test_binomial_tail_holds_two_floats_a_term(monkeypatch):
+    # the widest window at n = 10^10, 3.9 x 10^6 terms: the log-terms and one
+    # buffer of n - k + 1, within the price of a term (scipy's logsumexp held 49 bytes)
+    n = 10 ** 10
+    tracemalloc.start()
+    try:
+        _, terms = _binomial_window(monkeypatch, n, -float(n), keep=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms > 3 * 10 ** 6 and peak <= 17 * terms <= exact.BINOM_TERM_BYTES * terms
 
 
 @pytest.mark.parametrize("n, budget", [(1 << 18, DEFAULT_BUDGET_BYTES), (256, 1 << 20)])
