@@ -9,8 +9,8 @@ t min f_num + g Z the sums occupy, g = gcd(f_num - min f_num); one pass to the
 largest n of a horizon grid marginalises at every n of the grid on its way.
 The DP holds each column in linear space over its largest log-mass and logs the
 table once a block of at most BLOCK_STEPS steps; where a term could underflow,
-the block is one step and sums in log space.  It costs s^2 (n + spread n (n - 1)
-/ 2) cell updates, refused before the first past the cap (`_sum_law_seconds`).
+the block is one step and sums in log space.  It steps s (n + spread n (n - 1)
+/ 2) cells; a pass `_sum_law_seconds` prices past the cap is refused at once.
 
 The resulting TailTable is the brute-force oracle that every bound and every
 Monte Carlo estimate in the package is checked against.
@@ -299,15 +299,14 @@ def conditional_block_moments(model: FiniteLatticeModel, m: int) -> ConditionalM
 # ---------------------------------------------------------------------------
 
 def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
-    """Estimated run time of the sum-law DP to n, fitted on a shared 2-core x86
-    host (two_state, dyadic L=3, 5, 6) to the DP that logged its table every step:
-    it now over-estimates, and is kept so that no route or refusal moves.  Per
-    column and step, 0.07 ns per s^2 term of its mixing, 14 ns per state for its
-    shifts, exp and log, 25 us per step besides, and where a transition's square
-    is under 2^-960, 15 ns per s^2 term for summing in log space (1e-200 sent a quarter)."""
+    """Estimated run time of the sum-law DP to n over its cols = n + spread n (n - 1)
+    / 2 column-steps: its products at `_dense_step_seconds` a step of mean width
+    cols / n, 1.6 ns a state per column-step for row copies, factors and exp/log, and
+    where a transition's square is under 2^-960, 8 ns per s^2 column-step as if all
+    summed in log space (1e-200 sent a quarter); fitted on a shared 2-core x86 host."""
     s, cols = model.n_states, n + _sublattice(model)[3] * n * (n - 1) // 2
     rare = model.transition[model.transition > 0].min() < 2.0 ** -480
-    return 7e-11 * cols * s * (s + 200) + 2.5e-5 * n + (1.5e-8 * cols * s * s if rare else 0.0)
+    return n * _dense_step_seconds(s, cols / n) + s * cols * (1.6e-9 + (8e-9 * s if rare else 0.0))
 
 
 def _sum_law_steps(model: FiniteLatticeModel, n: int):
@@ -463,8 +462,8 @@ class _TiltPlan:
 
     @property
     def seconds(self) -> float:
-        """Estimated run time, timed like _sum_law_seconds: per frequency and
-        bit of n, 0.25 ns per s^3 of a complex s x s squaring and 0.8 us
+        """Estimated run time, its own fit (a batched complex s x s squaring, not
+        a real P @ B): per frequency and bit of n, 0.25 ns per s^3 and 0.8 us
         besides; TILT_S per tail for its tilts and Chernoff bounds."""
         bits = max(1, (self.n - 1).bit_length())
         return (self.size // 2 + 1) * bits * (2.5e-10 * self.rise.size ** 3 + 8e-7) + TILT_S

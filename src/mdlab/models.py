@@ -538,7 +538,8 @@ def _affordable(need: float, secs: float) -> bool:
 def _dense_step_seconds(s: int, columns: int = 1) -> float:
     """Estimated seconds of one loop step P @ B, B an s x columns block, with its
     elementwise work: 8 us, 0.2 ns per entry of P read and 0.05 ns per multiply-add
-    (fitted on a shared 2-core x86 host with OpenBLAS, s = 2..1024, columns = 1..s)."""
+    (fitted on a shared 2-core x86 host with OpenBLAS, s = 2..1024, columns = 1..s);
+    the one price of the moment loops, drift series, eta, phi and sum-law DP steps."""
     return 8e-6 + s * s * (2e-10 + 5e-11 * columns)
 
 

@@ -227,7 +227,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, doc, na
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("count", [10 ** 11, DEFAULT_BUDGET_BYTES // X_POINT_BYTES + 1])
 def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, command, count):
-    # the smallest refused grid alone would take 16 MiB; the run stays far below
+    # the smallest refused grid alone would take 32 MiB; the run stays far below
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -242,11 +242,25 @@ def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_x_point_price_covers_a_traced_verify_run(tmp_path):
+    # verify at 10^5 x points traces about 220 bytes a point, its arrays and
+    # ratio.csv (built whole) included; X_POINT_BYTES must cover it
+    count = 10 ** 5
+    tracemalloc.start()
+    try:
+        code = run_cli(["verify", "--model", "rademacher", "--n", "64", "--m", "4",
+                        "--x-count", str(count), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak <= count * X_POINT_BYTES
+
+
 @pytest.mark.parametrize("model, n", [("dyadic_contracting:L=6", 4096), ("two_state:rho=0.4", 200000)])
 def test_verify_past_the_dp_work_cap_exits_2(model, n, tmp_path, capsys):
     # the DP tables fit in memory, but dyadic L=6 at n = 4096 (2.2e12 cell
-    # updates) would run for about ten minutes, and two_state at n = 200000
-    # (8e10, where each column's exp and log cost more than its mixing) nine
+    # updates) is estimated at about 160 s, and two_state at n = 200000 (8e10,
+    # where each column's elementwise work costs more than its product) at 70 s
     out = tmp_path / "out"
     assert run_cli(["verify", "--model", model, "--n", str(n), "--m", "8", "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -458,24 +458,35 @@ def test_work_guard_refuses_the_dense_dp_before_its_first_step():
     assert exact._sum_law_seconds(model, 16 * 48) <= models.WORK_CAP_S
 
 
+def test_work_guard_admits_two_state_to_70000_and_refuses_300000(two_state04):
+    # one pass to 70000 took about 8 s (estimated 8.9 s); 300000 is estimated at 155 s
+    assert exact._sum_law_seconds(two_state04, 70000) <= models.WORK_CAP_S
+    next(_sum_law_steps(two_state04, 70000))
+    assert exact._sum_law_seconds(two_state04, 300000) > models.WORK_CAP_S
+    with pytest.raises(BudgetExceeded, match="past the cap"):
+        next(_sum_law_steps(two_state04, 300000))
+
+
 @pytest.mark.parametrize("name", ["rare5", "rare_step2", "two_state:0.4", "two_state:0.999",
                                   "asymmetric3", "dyadic:6", "step4", "rademacher"])
 def test_work_estimate_charges_log_space_columns_on_rare_transitions(name):
-    # a column with an entry under 2^-960 of its largest is summed in log
-    # space; a transition whose square is under 2^-960 (1e-200) can put
-    # columns there, and only such a chain is charged for it
+    # the DP's products at the shared dense-step price and 1.6 ns per state
+    # and column-step besides; a column with an entry under 2^-960 of its
+    # largest is summed in log space, a transition whose square is under
+    # 2^-960 (1e-200) can put columns there, and only such a chain is charged
+    # 8 ns per s^2 column-step for it
     model = _oracle_model(name)
     s, spread = model.n_states, exact._sublattice(model)[3]
     for n in (10, 1000, 2000):
         cols = n + spread * n * (n - 1) // 2
-        plain = 7e-11 * cols * s * (s + 200) + 2.5e-5 * n
+        plain = n * models._dense_step_seconds(s, cols / n) + 1.6e-9 * s * cols
         got = exact._sum_law_seconds(model, n)
         if name.startswith("rare"):
-            assert got == plain + 1.5e-8 * cols * s * s
-            # rare5 took 1.9-2.6 times the plain estimate at n = 1000 and 2000
-            assert got > 3 * plain or n < 1000
+            assert got == pytest.approx(plain + 8e-9 * cols * s * s, rel=1e-12)
+            # rare5 took 18-20 times the plain estimate at n = 1000 and 2000
+            assert got > 10 * plain or n < 1000
         else:
-            assert got == plain
+            assert got == pytest.approx(plain, rel=1e-12)
 
 
 def _top_sum_by_steps(model, rise, n):

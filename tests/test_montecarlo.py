@@ -662,18 +662,50 @@ def test_mdp_grid_matches_per_n_tables(name):
 
 
 def test_mdp_grid_takes_one_pass_to_its_largest_n(two_state04, monkeypatch):
-    # mdp sends this grid to the tilted transform; the DP pass it would take
-    # otherwise still serves the whole grid in one pass
+    # mdp sends this grid to the DP (estimated 0.0022 s against 0.0042 s for
+    # the transform), and one pass to 256 serves the whole grid
+    grid = [64, 16, 256]
     passes = _count_sum_law_passes(monkeypatch)
-    tables = exact._sum_law_tables(two_state04, [64, 16, 256])
+    tables = exact._sum_law_tables(two_state04, grid)
     assert passes == [[256, 256]]
-    assert [t.n for t in tables] == [64, 16, 256]
+    assert [t.n for t in tables] == grid
     passes.clear()
-    diag = mdp_diagnostic(two_state04, 1.0, 0.25, [64, 16, 256])
-    assert passes == []
-    assert diag.n_grid.tolist() == [64, 16, 256]
-    want = [n ** -0.5 * float(exact_tail(t, n ** 0.25 / t.sigma_n)) for n, t in zip([64, 16, 256], tables)]
-    assert np.allclose(diag.scaled, want, rtol=1e-12, atol=0)
+    diag = mdp_diagnostic(two_state04, 1.0, 0.25, grid)
+    assert passes == [[256, 256]]
+    assert diag.n_grid.tolist() == grid
+    want = []
+    for n, t in zip(grid, tables):
+        an = float(n) ** -0.25
+        want.append(an * an * float(exact_tail(t, 1.0 / an / t.sigma_n)))
+    assert diag.scaled.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name, grid, engine", [("dyadic6", [48, 192, 768], "DP"),
+                                                ("two_state", [512, 2048, 8192], "transform")])
+def test_mdp_routes_a_grid_to_the_engine_estimated_quicker(name, grid, engine, monkeypatch):
+    # dyadic L=6: one pass to 768 is estimated at 5.7 s (3.7-4.7 s measured)
+    # against 8.4 s for the transform (6.5-7.9 s measured); two_state: 0.020 s
+    # by the transform (0.012-0.013 s measured) against 0.18 s for the DP
+    # (0.12-0.19 s measured).  Neither engine runs: the DP's stub stops the
+    # call, and the transform's returns a log tail of 0.
+    class Stop(Exception):
+        pass
+
+    ran = []
+
+    def dp(model, n):
+        ran.append(("DP", n))
+        raise Stop
+
+    monkeypatch.setattr(exact, "_sum_law_steps", dp)
+    monkeypatch.setattr(exact, "_tilt_run", lambda plan: ran.append(("transform", plan.n)) or (0.0, 0.0))
+    model = {"dyadic6": lambda: builtin("dyadic_contracting", L=6),
+             "two_state": lambda: builtin("two_state", rho=0.4)}[name]()
+    try:
+        mdp_diagnostic(model, 1.0, 0.25, grid)
+    except Stop:
+        pass
+    assert ran == ([("DP", max(grid))] if engine == "DP" else [("transform", n) for n in grid])
 
 
 def test_mdp_dense_small_grid_takes_the_dp_bit_for_bit(monkeypatch):
@@ -692,8 +724,11 @@ def test_mdp_dense_small_grid_takes_the_dp_bit_for_bit(monkeypatch):
 
 @pytest.mark.parametrize("name, grid", [("two_state", [512, 2048, 8192]),
                                         ("dyadic3", [64, 256, 1024]),
-                                        ("file", [256, 1024, 4096])])
+                                        ("file", [256, 1024, 4096]),
+                                        ("two_state", [512, 128, 2048])])
 def test_mdp_transform_matches_the_dp(name, grid, monkeypatch):
+    # the last grid, out of order, is estimated at 0.010 s by the transform
+    # against 0.024 s for one pass to 2048
     model = {"two_state": lambda: builtin("two_state", rho=0.4),
              "dyadic3": lambda: builtin("dyadic_contracting", L=3),
              "file": lambda: parse_model_text(FILE_MODEL, name="file.model")}[name]()
