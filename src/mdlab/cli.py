@@ -223,7 +223,7 @@ def cmd_verify(cfg: dict, model, run_coeffs):
     manifest = _manifest(cfg)
     qd = quadratic_characteristic_deviation(model, coeffs)
     files = {
-        "ratio.csv": _text_file(manifest, (curve.to_csv(),)),
+        "ratio.csv": _text_file(manifest, curve.csv_chunks()),
         "bounds.csv": _text_file(manifest, _csv_chunks(
             "x,exact_tail,bernstein,envelope,envelope_valid",
             [pos, exact_p, bern, curve.envelope[xs > 0], curve.envelope_valid[xs > 0]])),
@@ -270,7 +270,7 @@ def cmd_mdp(cfg: dict, model, run_coeffs):
     else:
         grid = [cfg["n"], cfg["n"] * 4, cfg["n"] * 16]
     diag = mdp_diagnostic(model, cfg.get("c", 1.0), cfg.get("a_exp", 0.25), grid)
-    return {"mdp.csv": _text_file(_manifest(cfg), (diag.to_csv(),))}, None
+    return {"mdp.csv": _text_file(_manifest(cfg), diag.csv_chunks())}, None
 
 
 def cmd_report(cfg: dict, model, run_coeffs):

@@ -204,7 +204,9 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
     and T = sum_{k<n} k A^k, by binary powering in O(s^3 log n).  A block of
     lags of length L carries (A^L, S_L x, T_L x); prepending it to (S x, T x)
     gives (S_L x + A^L S x, T_L x + A^L (T x + L S x)), and doubling is
-    prepending it to itself, so only A^L is ever a matrix."""
+    prepending it to itself, so only A^L is ever a matrix.  Once ||A^L||_inf <
+    2^-60 with 2L <= n, (S_L x, T_L x) stands for (S x, T x): what it drops is
+    A^L S_{n-L} x and A^L (T_{n-L} x + L S_{n-L} x) / n, below 2^-59 of v."""
     _require_exact(model)
     n = _require_count(n, "n")
     x = model.x_values
@@ -216,6 +218,9 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
         if n & length:
             s_x, t_x = s_blk + power @ s_x, t_blk + power @ (t_x + length * s_x)
         if 2 * length > n:
+            break
+        if np.abs(power).sum(axis=1).max() < 2.0 ** -60:
+            s_x, t_x = s_blk, t_blk
             break
         s_blk, t_blk = s_blk + power @ s_blk, t_blk + power @ (t_blk + length * s_blk)
         power = power @ power
@@ -407,9 +412,9 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]
     for t, (k0, g, table, ref) in enumerate(_sum_law_steps(model, max(ns)), start=1):
         if t not in want:
             continue
-        with np.errstate(divide="ignore"):  # one temporary: a linear table's logs, shifted
-            logs = table if ref is None else np.add(lt := np.log(table), ref, out=lt)
-            marg = np.logaddexp.reduce(logs, axis=0)
+        with np.errstate(divide="ignore"):  # an empty column's log is -inf
+            marg = (np.logaddexp.reduce(table, axis=0) if ref is None
+                    else np.log(table.sum(axis=0)) + ref)
         keep = np.flatnonzero(marg > -np.inf)
         total = float(np.logaddexp.reduce(marg[keep]))
         if abs(total) > MASS_TOL:

@@ -236,7 +236,11 @@ def _exact_stationary(rows: list[dict]) -> list[Fraction]:
     """Solve pi P = pi, sum(pi) = 1 by fraction-free (Bareiss 1968) elimination
     over the integers; ``rows[j]`` maps row j's nonzero columns to exact entries.
     Column j of (P^T - I), last equation sum(pi) = 1, is scaled by D_j = lcm of
-    row j's denominators; back-substitution gives X_j = det pi_j / D_j exactly."""
+    row j's denominators; back-substitution gives X_j = det pi_j / D_j exactly.
+    Lazily: a row whose pivot-column entry is 0 at step k would only be scaled by
+    p_k / p_{k-1}, so it keeps the entries of its step l until it is next used, as
+    pivot or with a nonzero entry, at step k; it is then scaled from column k on by
+    p_{k-1} / p_{l-1} (p_{-1} = 1), an exact division since Bareiss minors are integers."""
     n = len(rows)
     scale = [math.lcm(*(v.denominator for v in row.values())) for row in rows]
     a = [[0] * (n + 1) for _ in range(n)]  # [A | b]
@@ -245,17 +249,19 @@ def _exact_stationary(rows: list[dict]) -> list[Fraction]:
         for i, v in row.items():
             a[i][j] += v.numerator * (scale[j] // v.denominator)
     a[-1] = scale + [1]
-    det = 1  # the previous pivot, which divides each step; det(A) after the last
+    det, pivots, since = 1, [1], [0] * n  # pivots[l] = p_{l-1}; a[r] holds step since[r]'s
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise ReducibleChain("stationary system is singular")
-        a[k], a[piv] = a[piv], a[k]
+        a[k], a[piv], since[k], since[piv] = a[piv], a[k], since[piv], since[k]
+        for r in (r for r in range(k, n) if a[r][k] and since[r] < k):
+            a[r][k:] = [v * det // pivots[since[r]] for v in a[r][k:]]
         p, top = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(x * p - f * y) // det for x, y in zip(row[k + 1:], top)]
-        det = p
+        for r in (r for r in range(k + 1, n) if a[r][k]):
+            f, since[r] = a[r][k], k + 1
+            a[r][k + 1:] = [(x * p - f * y) // det for x, y in zip(a[r][k + 1:], top)]
+        pivots.append(det := p)  # det(A) after the last step
     x = [0] * n
     for i in reversed(range(n)):
         x[i] = (det * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .exact import (
     _csv,
+    _csv_chunks,
     _grid_log_tails,
     _ks_sweep,
     distribution_of_Sn,
@@ -99,10 +100,13 @@ class RatioCurve:
     envelope_valid: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
+    def csv_chunks(self):
+        return _csv_chunks("x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left",
+                           [self.x_grid, self.right, self.right_lo, self.right_hi,
+                            self.envelope, self.left, self.left_lo, self.left_hi])
+
     def to_csv(self) -> str:
-        return _csv("x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left",
-                    [self.x_grid, self.right, self.right_lo, self.right_hi, self.envelope,
-                     self.left, self.left_lo, self.left_hi])
+        return "".join(self.csv_chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +241,12 @@ class MdpDiagnostic:
     limit: float
     error_bound: np.ndarray
 
+    def csv_chunks(self):
+        return _csv_chunks("n,scaled_log_tail,limit",
+                           [self.n_grid, self.scaled, np.full(len(self.scaled), float(self.limit))])
+
     def to_csv(self) -> str:
-        return _csv("n,scaled_log_tail,limit",
-                    [self.n_grid, self.scaled, np.full(len(self.scaled), float(self.limit))])
+        return "".join(self.csv_chunks())
 
 
 def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:

@@ -98,9 +98,10 @@ def log_dp_distribution(model, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def full_lattice_sum_law_steps(model, n: int, block_steps: int, lin_range: float):
-    """Yield (k0, logp) for t = 1..n, logp[j, i] = log P(Y_t = j, S_t =
-    (k0 + i) / denom), by the scaled forward DP in blocks on every lattice
-    point of [t min f_num, t max f_num], occupied or not.  A block refers each
+    """Yield (k0, table, ref) for t = 1..n: log P(Y_t = j, S_t = (k0 + i) /
+    denom) is table[j, i] where ref is None, else log(table[j, i]) + ref[i],
+    by the scaled forward DP in blocks on every lattice point of
+    [t min f_num, t max f_num], occupied or not.  A block refers each
     column to the largest log-mass of the nearest occupied column at or left
     of it (the first occupied one left of all, the last past them), holds the
     masses over e^ref and runs up to block_steps steps of one product with
@@ -160,12 +161,9 @@ def full_lattice_sum_law_steps(model, n: int, block_steps: int, lin_range: float
             if last:
                 for j, d in enumerate(rises if rare.size else []):
                     cur[j, rare + d] = acc[j]
-                yield t * xmin, cur[:, :w + spread].copy()
+                yield t * xmin, cur[:, :w + spread].copy(), None
             else:
-                with np.errstate(divide="ignore"):
-                    logp = np.log(cur[:, :w + spread])
-                logp += ref[:w + spread]
-                yield t * xmin, logp
+                yield t * xmin, cur[:, :w + spread].copy(), ref[:w + spread]
             if t == n:
                 return
 
@@ -173,12 +171,15 @@ def full_lattice_sum_law_steps(model, n: int, block_steps: int, lin_range: float
 def full_lattice_tables(model, ns: list[int], block_steps: int,
                         lin_range: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(offsets, logp) of S_n for every n in ns, marginalised over the state
-    from one `full_lattice_sum_law_steps` pass to max(ns)."""
+    from one `full_lattice_sum_law_steps` pass to max(ns): a log table by
+    logaddexp over the states, a linear one by its column sums, then logged."""
     out = {}
     steps = full_lattice_sum_law_steps(model, max(ns), block_steps, lin_range)
-    for t, (k0, logp) in enumerate(steps, start=1):
+    for t, (k0, table, ref) in enumerate(steps, start=1):
         if t in ns:
-            marg = np.logaddexp.reduce(logp, axis=0)
+            with np.errstate(divide="ignore"):
+                marg = (np.logaddexp.reduce(table, axis=0) if ref is None
+                        else np.log(table.sum(axis=0)) + ref)
             keep = np.flatnonzero(marg > -np.inf)
             out[t] = (keep + k0, marg[keep])
     return [out[n] for n in ns]
@@ -345,6 +346,43 @@ def sigma_n_by_lags(model, n: int) -> float:
     g = autocov_by_lags(model, n - 1)
     ks = np.arange(1, n)
     return math.sqrt(g[0] + 2.0 * np.sum((1.0 - ks / n) * g[1:]))
+
+
+def sigma_n_by_doubling(model, n: int) -> float:
+    """sigma_n by binary powering through every bit of n: the block of lags of
+    length L carries (A^L, S_L x, T_L x), A = P - 1 pi^T, and is doubled and
+    prepended until 2 L > n, however small A^L has become."""
+    x = model.x_values
+    power = model.transition - model.pi
+    s_blk, t_blk = x, np.zeros_like(x)
+    s_x = t_x = np.zeros_like(x)
+    length = 1
+    while True:
+        if n & length:
+            s_x, t_x = s_blk + power @ s_x, t_blk + power @ (t_x + length * s_x)
+        if 2 * length > n:
+            break
+        s_blk, t_blk = s_blk + power @ s_blk, t_blk + power @ (t_blk + length * s_blk)
+        power = power @ power
+        length *= 2
+    v = s_x - x - t_x / n
+    return float(np.sqrt(float(model.pi @ (x * x)) + 2.0 * float(model.pi @ (x * v))))
+
+
+def drift_series_every_step(model, m: int, sig: float, j: int) -> float:
+    """gamma_m with J = j: all j mat-vecs u <- P^m u from the Poisson solution h
+    (one linear solve), each norm ||h - u||_inf weighted by i^-1.5, plus the
+    Hurwitz zeta tail ||h||_inf zeta(1.5, j + 1), over sqrt(m) sigma_n."""
+    p, n = model.transition, model.n_states
+    h = np.linalg.solve(np.eye(n) - p + np.outer(np.ones(n), model.pi), p @ model.x_values)
+    p_m = np.linalg.matrix_power(p, m)
+    u, norms = h, np.empty(j)
+    for i in range(j):
+        u = p_m @ u
+        norms[i] = float(np.max(np.abs(h - u)))
+    partial = float(np.sum(np.arange(1, j + 1, dtype=float) ** -1.5 * norms))
+    tail = float(np.max(np.abs(h))) * float(special.zeta(1.5, j + 1))
+    return (partial + tail) / (math.sqrt(m) * sig)
 
 
 def certificate_entry(cert, seq, k: int) -> float:

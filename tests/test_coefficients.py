@@ -397,3 +397,34 @@ def test_runaway_drift_series_is_refused_before_its_first_mat_vec(monkeypatch, t
     assert cli.main(argv) == 2
     assert "past the cap of 1 s" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- the drift series' fixed point --------------------------------------------
+
+@pytest.mark.parametrize("name, kw, n, m", [
+    ("dyadic_contracting", {"L": 9}, 4096, 8), ("dyadic_contracting", {"L": 9}, 10 ** 6, 52),
+    ("dyadic_contracting", {"L": 3}, 100, 2), ("two_state", {"rho": 0.4}, 10 ** 6, 52),
+    ("two_state", {"rho": 0.999}, 4096, 4)])
+def test_drift_series_stops_at_its_fixed_point_without_moving_a_bit(monkeypatch, name, kw, n, m):
+    # a dyadic chain forgets its start in L steps, so P^m u repeats u bit for bit
+    # after a step or two and the rest of the J norms are the last; the two-state
+    # chain never repeats and runs all J steps.  Either way gamma_m is bit for bit
+    # the loop that makes every one of the J mat-vecs
+    from mdlab import coefficients
+    from test_exact import NumpyCountingAbs
+    check, costs = coefficients._check_cost, []
+
+    def recorded(what, *args, **kwargs):
+        costs.append(what)
+        return check(what, *args, **kwargs)
+
+    model = builtin(name, **kw)
+    monkeypatch.setattr(coefficients, "_check_cost", recorded)
+    cs = coefficient_set(model, n, m)
+    j = int(next(c for c in costs if c.startswith("drift series")).split("J = ")[1].split()[0])
+    assert cs.gamma_m == oracles.drift_series_every_step(model, m, cs.sigma_n, j)
+    counting = NumpyCountingAbs()
+    monkeypatch.setattr(coefficients, "np", counting)
+    assert coefficients._drift_series(model, m, cs.sigma_n)[0] == cs.gamma_m
+    steps = counting.abs_calls - 1  # one norm a step, after ||h||_inf
+    assert steps <= 3 if name == "dyadic_contracting" else steps == j

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdlab import builtin, cli, decompose, distribution_of_Sn, exact, sample_trajectory
+from mdlab import (builtin, cli, coefficient_set, decompose, distribution_of_Sn, exact,
+                   mdp_diagnostic, ratio_curve, sample_trajectory)
 from mdlab.blocking import BlockDecomposition
 from mdlab.bounds import BoundCurve
 from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
@@ -207,3 +208,29 @@ def test_coupling_holds_no_whole_file(tmp_path):
     assert peak < 80 * draws
     rows = (tmp_path / "pairs.csv").read_text(encoding="utf-8").count("\n")
     assert rows == draws + 2  # the manifest, the header and one line a draw
+
+
+@pytest.mark.parametrize("count", [3, CSV_CHUNK + 1])
+def test_ratio_file_is_the_curves_csv(tmp_path, count):
+    # ratio.csv is written a block at a time: the bytes of RatioCurve.to_csv()
+    assert cli.main(["verify", "--model", "two_state:rho=0.4", "--n", "16", "--m", "2",
+                     "--x-count", str(count), "--out", str(tmp_path)]) == 0
+    model = builtin("two_state", rho=0.4)
+    curve = ratio_curve(model, 16, 2, np.linspace(0.0, 3.0, count),
+                        coeffs=coefficient_set(model, 16, 2))
+    text = (tmp_path / "ratio.csv").read_text(encoding="utf-8")
+    assert_same(text.split("\n", 1)[1], curve.to_csv())
+    assert "".join(curve.csv_chunks()) == curve.to_csv()
+
+
+@pytest.mark.parametrize("model, grid", [("rademacher", list(range(1, CSV_CHUNK + 2))),
+                                         ("two_state:rho=0.4", [64, 256, 1024])])
+def test_mdp_file_is_the_diagnostics_csv(tmp_path, model, grid):
+    # mdp.csv is written a block at a time: the bytes of MdpDiagnostic.to_csv()
+    assert cli.main(["mdp", "--model", model, "--n", "64", "--n-grid", ",".join(map(str, grid)),
+                     "--out", str(tmp_path)]) == 0
+    name, _, rho = model.partition(":rho=")
+    diag = mdp_diagnostic(builtin(name, **({"rho": float(rho)} if rho else {})), 1.0, 0.25, grid)
+    text = (tmp_path / "mdp.csv").read_text(encoding="utf-8")
+    assert_same(text.split("\n", 1)[1], diag.to_csv())
+    assert text.count("\n") == len(grid) + 2  # the manifest, the header and a row an n

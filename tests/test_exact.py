@@ -120,6 +120,71 @@ def test_sigma_n_two_state_closed_form_at_a_million(rho):
     assert sigma_n(model, n) ** 2 == pytest.approx(expected, rel=1e-13)
 
 
+def _doubling_horizons(k: int) -> list[int]:
+    """Horizons around the doubling's bit boundaries, and two long ones."""
+    return [1, 2, 3, 2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** 6, 10 ** 9]
+
+
+@st.composite
+def _mixing_chains(draw):
+    """Irreducible aperiodic chains of 2-12 states: a cycle through every state
+    and a loop at state 0 under random weights on a sparse or dense support,
+    some made lazy so that ||A^L|| falls past 2^-60 only after many doublings."""
+    size = draw(st.integers(min_value=2, max_value=12))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    lazy = draw(st.sampled_from([0.0, 0.9, 0.999]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    w = rng.integers(1, 10, (size, size)) * (rng.random((size, size)) < density)
+    w = w + np.roll(np.eye(size), 1, axis=1) + np.diag(np.arange(size) == 0)
+    p = lazy * np.eye(size) + (1.0 - lazy) * w / w.sum(axis=1, keepdims=True)
+    f_num = rng.integers(-3, 4, size)
+    f_num[0] += int(np.all(f_num == f_num[0]))  # a payoff that is not constant
+    return build_finite_lattice_model(range(size), p, f_num, 2)
+
+
+@given(_mixing_chains(), st.integers(min_value=2, max_value=29))
+@settings(max_examples=150, deadline=None)
+def test_sigma_n_stops_doubling_without_moving_a_bit(model, k):
+    # once ||A^L||_inf < 2^-60 the remaining doublings cannot move sigma_n:
+    # bit for bit the value of the loop that runs through every bit of n
+    for n in _doubling_horizons(k):
+        assert sigma_n(model, n) == oracles.sigma_n_by_doubling(model, n), n
+
+
+@pytest.mark.parametrize("k", [5, 12, 20])
+@pytest.mark.parametrize("name", [*ORACLE_MODELS, "two_state:-0.7", "rademacher", "dyadic:3",
+                                  "step4", "unsorted5", "rare5"])
+def test_sigma_n_of_builtins_stops_without_moving_a_bit(name, k):
+    model = _oracle_model(name)
+    for n in _doubling_horizons(k):
+        assert sigma_n(model, n) == oracles.sigma_n_by_doubling(model, n), n
+
+
+class NumpyCountingAbs:
+    """numpy, counting its calls of np.abs."""
+
+    def __init__(self):
+        self.abs_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, a):
+        self.abs_calls += 1
+        return np.abs(a)
+
+
+def test_sigma_n_stops_once_the_power_is_negligible(monkeypatch):
+    # dyadic L=9 forgets its start in 9 steps: ||A^16||_inf is 1.1e-17 in floats and
+    # ||A^32||_inf 6.5e-36, below 2^-60, so n = 10^9 tests the power (one np.abs
+    # each) at L = 1, 2, ..., 32 and stops after 5 squarings of the 512 x 512
+    # power, where every bit of n would take 29
+    model, counting = _oracle_model("dyadic:9"), NumpyCountingAbs()
+    monkeypatch.setattr(exact, "np", counting)
+    assert sigma_n(model, 10 ** 9) == oracles.sigma_n_by_doubling(model, 10 ** 9)
+    assert counting.abs_calls == 6
+
+
 @pytest.mark.parametrize("name", ["two_state:0.999", "asymmetric3", "dyadic:6"])
 def test_autocovariance_matches_lag_recursion(name):
     model = _oracle_model(name)
@@ -351,7 +416,8 @@ def test_rare_step2_sums_columns_in_log_space():
         return bool(np.any((lin < floor) & (lin > -np.inf)))
 
     steps = oracles.full_lattice_sum_law_steps(model, 64, exact.BLOCK_STEPS, exact.LIN_RANGE)
-    assert any(fires(logp) for _, logp in steps)
+    with np.errstate(divide="ignore"):
+        assert any(fires(table if ref is None else np.log(table) + ref) for _, table, ref in steps)
 
 
 class _CountingLogaddexp:

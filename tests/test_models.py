@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdlab import (
     DecayCertificate,
@@ -474,6 +474,70 @@ def test_exact_stationary_matches_fraction_elimination(name):
         assert all(sum(Fraction(float(v)) for v in row) != 1 for row in trans)
     model = build_finite_lattice_model(range(size), trans, f_num, denom)
     assert list(model.pi_exact) == fraction_stationary(trans)
+
+
+@st.composite
+def _sparse_stationary_systems(draw):
+    """Rows of 2-20 states, each summing to 1, at least half their entries 0.
+    Chains with one closed class: a cycle, each transient state stepping to the
+    class or to an earlier transient state and a few more edges, the states then
+    shuffled.  Where the first k + 1 states hold the class, Bareiss's pivot of
+    step k is 0 and the dense last equation, never skipped, is swapped in: on
+    chains no skipped row is.  So also signed rows (the elimination never looks
+    at signs), multiples of 1/64 but for a last column that makes each sum 1 (so
+    columns are scaled and pivots are not 1), where row k of P^T - I is a
+    multiple of row k - 1 on columns 0..k (a 0 pivot at step k) and row k + 1
+    is 0 left of column k and not at k: every earlier step skips it, and step k
+    swaps it in."""
+    size = draw(st.integers(min_value=2, max_value=20))
+    index = st.integers(min_value=0, max_value=size - 1)
+    weights = np.zeros((size, size))
+    if size < 3 or draw(st.booleans()):
+        closed = draw(st.integers(min_value=1, max_value=size))
+        edges = {(i, (i + 1) % closed) for i in range(closed)}
+        edges |= {(i, draw(st.integers(min_value=0, max_value=i - 1)))
+                  for i in range(closed, size)}
+        for _ in range(draw(st.integers(min_value=0, max_value=size * size // 2 - len(edges)))):
+            i = draw(index)
+            top = (closed if i < closed else size) - 1  # a state of the class stays in it
+            edges.add((i, draw(st.integers(min_value=0, max_value=top))))
+        order = draw(st.permutations(range(size)))
+        for i, j in edges:
+            weights[order[i], order[j]] = draw(st.integers(min_value=1, max_value=999))
+        return weights / weights.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(min_value=1, max_value=size))):
+        weights[draw(index), draw(index)] = draw(st.integers(min_value=-999, max_value=999)) / 64
+    k = draw(st.integers(min_value=1, max_value=size - 2))
+    nonzero = st.sampled_from([-2, -1, 1, 2])
+    a = weights[:k + 1, k - 1] - (np.arange(k + 1) == k - 1)  # row k - 1 of P^T - I
+    weights[:k + 1, k] = draw(nonzero) * a + (np.arange(k + 1) == k)
+    weights[:k + 1, k + 1] = np.arange(k + 1) == k
+    # row k is no multiple of row k - 1 past column k, or few systems would be solvable
+    weights[draw(st.integers(min_value=k + 1, max_value=size - 1)), k] = draw(nonzero)
+    weights[:, -1] = 1.0 - weights[:, :-1].sum(axis=1)
+    assume(2 * np.count_nonzero(weights) <= weights.size)
+    return weights
+
+
+@given(_sparse_stationary_systems())
+@settings(max_examples=200, deadline=None)
+def test_lazy_bareiss_matches_fraction_elimination(trans):
+    # rows renormalised exactly, as the model builder hands them over; a
+    # singular system is refused by both eliminations
+    from oracles import fraction_stationary
+    assert 2 * np.count_nonzero(trans) <= trans.size
+    rows = []
+    for raw in trans:
+        cols = np.flatnonzero(raw)
+        total = sum(Fraction(float(v)) for v in raw[cols])
+        rows.append({int(c): Fraction(float(raw[c])) / total for c in cols})
+    try:
+        want = fraction_stationary(trans)
+    except StopIteration:
+        with pytest.raises(ReducibleChain, match="singular"):
+            models._exact_stationary(rows)
+        return
+    assert models._exact_stationary(rows) == want
 
 
 def test_exact_stationary_of_a_dense_64_state_chain_is_exact():
