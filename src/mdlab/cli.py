@@ -58,7 +58,7 @@ SANDWICH_GRID = 1000
 FREEDMAN_XMAX = 4.0
 PELIGRAD_N = 12
 PELIGRAD_XS = (4.0, 8.0, 12.0)
-X_POINT_BYTES = 512  # peak bytes per x point, arrays and CSV rows (verify traces ~220)
+X_POINT_BYTES = 192  # peak bytes per x point, arrays and CSV rows (verify traces ~90)
 
 
 # ---------------------------------------------------------------------------

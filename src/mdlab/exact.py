@@ -425,10 +425,13 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]
 
 
 def _max_abs_tail(model: FiniteLatticeModel, n: int, x: float) -> float:
-    """P(max_{1<=i<=n} |S_i| >= x): mass leaves the DP once its centred |S_i| >= x."""
-    hit, mean = 0.0, float(model.mean_fraction)
+    """P(max_{1<=i<=n} |S_i| >= x): mass leaves the DP once its centred S_i is at or
+    past -x or x, its integer numerator against the two bounds snapped at step i."""
+    hit = 0.0
     for i, (k0, g, table, ref) in enumerate(_sum_law_steps(model, n), start=1):
-        crossed = np.abs((k0 + g * np.arange(table.shape[1])) / model.denom - i * mean) >= x
+        lo, hi = _lattice_numerator(np.array([-x, x]), float(i * model.mean_fraction), model.denom)
+        num = k0 + g * np.arange(table.shape[1])
+        crossed = (num <= lo) | (num >= hi)
         part = table[:, crossed]
         hit += float((np.exp(part) if ref is None else part * np.exp(ref[crossed])).sum())
         table[:, crossed] = -np.inf if ref is None else 0.0
@@ -572,18 +575,18 @@ def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[f
     left = [i for i, run in enumerate(runs) if run is None]
     if left:
         for i, tb in zip(left, _sum_law_tables(model, [ns[i] for i in left])):
-            runs[i] = float(exact_tail(tb, thresholds[i] / math.sqrt(tb.n) / tb.sigma_n)), 0.0
+            runs[i] = float(_sum_log_tail(tb, thresholds[i])), 0.0
     logp, bound = zip(*runs)
     return list(logp), np.array(bound)
 
 
 def _binomial_log_tail(n: int, t: float) -> float:
     """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs, inclusive at atoms:
-    S_n = 2 K - n, K binomial, (n + t) / 2 snapped to K's lattice.  Only terms within
-    TAIL_NATS of their peak, at max(k0, n // 2), are summed (the rest add exactly 0.0),
-    once horizon n's widest window, 2 j + 1 terms with j = 375 + sqrt(375 (n + 375))
+    S_n = 2 K - n, K binomial, whose threshold is t / 2 centred by n / 2 on denom 1.  Only
+    terms within TAIL_NATS of their peak, at max(k0, n // 2), are summed (the rest add exactly
+    0.0), once horizon n's widest window, 2 j + 1 terms with j = 375 + sqrt(375 (n + 375))
     as log C(n, n/2 + j) / C(n, n/2) <= -j^2 / (n/2 + j), is priced."""
-    k0 = max(0, math.ceil(_snap((n + t) / 2.0, n / 2.0)))
+    k0 = max(0, math.ceil(_lattice_numerator(t / 2.0, n / 2.0, 1)))
     if k0 > n:
         return -math.inf
     terms = min(n + 1, 2 * (376 + math.isqrt(375 * (n + 375))) + 1)
@@ -619,11 +622,8 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     guess of the tail, or the first that is not `affordable`; a plan's cost
     grows with its size, so when the smallest, 16 points, is not affordable,
     that plan is returned before any tilt is solved."""
-    if math.isnan(threshold):
-        raise ParamOutOfRange("threshold must not be nan")
     xmin, g, rise, spread = _sublattice(model)
-    center = float(n * model.mean_fraction)
-    thr = float(_snap((threshold + center) * model.denom, center * model.denom)) - n * xmin
+    thr = _lattice_numerator(threshold, float(n * model.mean_fraction), model.denom) - n * xmin
     top = n * spread
     if thr > top * g:
         return -math.inf
@@ -830,37 +830,36 @@ def _power_sums(stack: np.ndarray, start: np.ndarray, n: int, tops: list[float]
 def exact_tail(table: TailTable, x) -> np.ndarray | float:
     """log P(W_n >= x sigma_n), inclusive at atoms; -inf beyond the support."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    suffix = _suffix_logsum(table.logp)
-    idx = np.searchsorted(table.offsets, _lattice_threshold(table, xs), side="left")
-    out = np.where(idx < table.offsets.size,
-                   suffix[np.minimum(idx, table.offsets.size - 1)], -np.inf)
+    out = _sum_log_tail(table, xs * table.sigma_n * np.sqrt(table.n))
     return out if np.ndim(x) else float(out[0])
+
+
+def _sum_log_tail(table: TailTable, thresholds):
+    """log P(S_n >= t) of the centred S_n at each threshold t, inclusive at atoms."""
+    k = _lattice_numerator(thresholds, table.center, table.denom)
+    return np.append(_suffix_logsum(table.logp), -np.inf)[table.offsets.searchsorted(k)]
 
 
 def exact_lower_tail(table: TailTable, x) -> np.ndarray | float:
     """log P(W_n <= -x sigma_n), inclusive at atoms (mirror of exact_tail)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    prefix = _prefix_logsum(table.logp)
-    idx = np.searchsorted(table.offsets, _lattice_threshold(table, -xs), side="right") - 1
-    out = np.where(idx >= 0, prefix[np.maximum(idx, 0)], -np.inf)
+    k = _lattice_numerator(-xs * table.sigma_n * np.sqrt(table.n), table.center, table.denom)
+    out = np.append(-np.inf, _prefix_logsum(table.logp))[table.offsets.searchsorted(k, "right")]
     return out if np.ndim(x) else float(out[0])
 
 
-def _lattice_threshold(table: TailTable, xs: np.ndarray) -> np.ndarray:
-    """W_n = xs sigma_n in lattice numerator units, snapped."""
-    if np.any(np.isnan(xs)):
+def _lattice_numerator(threshold, center: float, denom: int):
+    """Where a threshold of the centred S_n lands on the lattice: (threshold + center)
+    denom, snapped to an integer within SNAP_ULPS ulps of it or of center denom, so an
+    atom's own threshold hits the atom; a float for a scalar, NaN ParamOutOfRange."""
+    thr = (np.asarray(threshold, dtype=float) + center) * denom
+    if np.isnan(thr).any():
         raise ParamOutOfRange("tail thresholds must not be nan")
-    thr = (xs * table.sigma_n * np.sqrt(table.n) + table.center) * table.denom
-    return _snap(thr, table.center * table.denom)
-
-
-def _snap(thr, ref: float):
-    """A lattice numerator within rounding of an integer is snapped to it, so
-    an atom's own x hits the atom; ref is the size of the centring added."""
     near = np.rint(thr)
-    slack = SNAP_ULPS * np.spacing(np.maximum(np.abs(thr), abs(ref)))
-    with np.errstate(invalid="ignore"):  # x = +-inf has no lattice neighbour
-        return np.where(np.abs(thr - near) <= slack, near, thr)
+    slack = SNAP_ULPS * np.spacing(np.maximum(np.abs(thr), abs(center * denom)))
+    with np.errstate(invalid="ignore"):  # a threshold of +-inf has no lattice neighbour
+        out = np.where(np.abs(thr - near) <= slack, near, thr)
+    return out if np.ndim(threshold) else float(out)
 
 
 def _suffix_logsum(logp: np.ndarray) -> np.ndarray:

@@ -643,19 +643,19 @@ def sample_state_paths(model: FiniteLatticeModel, n: int, chains: int,
     n, chains = _require_count(n, "n"), _require_count(chains, "chains")
     seed = _require_count(seed, "seed", 0)
     _check_cost(f"sampling {chains} state paths to n = {n}", chains * (CHAIN_BYTES + 8 * (n + 1)),
-                _jump_seconds(model, n, chains, 1, _sublattice(model)[3]))
+                _jump_seconds(model, n, chains, 1))
     out = np.empty((chains, n + 1), dtype=np.int64)
     for t, (y, _) in enumerate(_simulate_states(model, n, chains, seed)):
         out[:, t] = y
     return out
 
 
-def _jump_seconds(model: FiniteLatticeModel, n: int, chains: int, k: int, spread: int) -> float:
+def _jump_seconds(model: FiniteLatticeModel, n: int, chains: int, k: int) -> float:
     """Estimated seconds of `chains` chains to n in k-step jumps, spread from `_sublattice`:
     k - 1 steps to K_k (`_jump_kernels`) at 9 us plus 0.14 ns per s^3 width, then ceil(n / k)
     jumps at 2 us plus log2(s (k spread + 1)) probes at 4 us plus 4.5 ns per chain (fitted
     on a shared 2-core x86 host: two_state, dyadic L=2..5, a 3-state and a 5-state chain)."""
-    s, width = model.n_states, k * spread + 1
+    s, width = model.n_states, k * _sublattice(model)[3] + 1
     build = (k - 1) * (9e-6 + 1.4e-10 * s ** 3 * (width + 1) / 2)  # mean step width
     jump = 2e-6 + math.log2(s * width) * (4e-6 + 4.5e-9 * chains)
     return build + -(-n // k) * jump
@@ -667,7 +667,7 @@ def _jump_length(model: FiniteLatticeModel, n: int, chains: int) -> int:
     s, spread = model.n_states, _sublattice(model)[3]
     best, k = (math.inf, 1), 1
     while True:
-        best = min(best, (_jump_seconds(model, n, chains, k, spread), k))
+        best = min(best, (_jump_seconds(model, n, chains, k), k))
         if 2 * k > n or s * s * (2 * k * spread + 1) > KERNEL_ENTRIES:
             return best[1]
         k *= 2

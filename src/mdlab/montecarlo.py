@@ -125,13 +125,13 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     seed = _require_count(seed, "seed", 0)
     k = _jump_length(model, n, chains) if model.tier == "exact" else 0  # 0: sampled
     _check_cost(f"simulating {chains} chains to n = {n}", chains * CHAIN_BYTES,
-                _jump_seconds(model, n, chains, k, _sublattice(model)[3]) if k
+                _jump_seconds(model, n, chains, k) if k
                 else chains * (model.burn_in + n) * INNOVATION_SECONDS)
     if k:
         sums = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
         for _, d in _simulate_states(model, n, chains, seed, k):
             sums += d  # raw lattice sums: exact in any order
-        out = sums / model.denom - n * float(model.mean_fraction)
+        out = sums / model.denom - float(n * model.mean_fraction)  # TailTable.center
     else:
         blocks = _innovation_blocks(model, n, chains, seed)  # the budget check comes first
         a = model.sum_weights(n)

@@ -68,6 +68,31 @@ def enum_max_abs_tail(model, n: int, x: float) -> float:
     return float(prob[peak >= x].sum())
 
 
+def fraction_max_abs_tail(model, n: int, xs) -> list[Fraction]:
+    """P(max_{1<=i<=n} |S_i| >= x) for each x by exhaustive enumeration in exact
+    Fractions throughout: the stationary law of `fraction_stationary`, the rows
+    renormalised as it does, and the centred payoff f_num / denom - mean_fraction.
+    Inclusive at atoms: an x a rounding (2^-20) above a reachable peak takes it."""
+    rows = [[Fraction(float(v)) for v in raw] for raw in model.transition]
+    rows = [[v / sum(r) for v in r] for r in rows]
+    x = [Fraction(int(f), model.denom) - model.mean_fraction for f in model.f_num]
+    law = {}  # peak -> probability
+
+    def walk(state, prob, total, peak, steps):
+        if steps == n:
+            law[peak] = law.get(peak, 0) + prob
+            return
+        for nxt, p in enumerate(rows[state]):
+            if p:
+                walk(nxt, prob * p, total + x[nxt], max(peak, abs(total + x[nxt])), steps + 1)
+
+    for start, p in enumerate(fraction_stationary(model.transition)):
+        if p:
+            walk(start, p, Fraction(0), Fraction(0), 0)
+    cuts = [Fraction(float(v)) - Fraction(1, 2 ** 20) for v in xs]
+    return [sum((p for peak, p in law.items() if peak >= cut), Fraction(0)) for cut in cuts]
+
+
 def log_dp_distribution(model, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Law of the raw lattice numerator of S_n as (offsets, logp), by a
     log-space DP over (state, lattice sum) that adds every transition term

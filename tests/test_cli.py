@@ -227,7 +227,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, doc, na
 @pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("count", [10 ** 11, DEFAULT_BUDGET_BYTES // X_POINT_BYTES + 1])
 def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, command, count):
-    # the smallest refused grid alone would take 32 MiB; the run stays far below
+    # the smallest refused grid alone would take 85 MiB; the run stays far below
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -243,8 +243,8 @@ def test_x_count_past_the_budget_exits_2_before_allocating(tmp_path, capsys, com
 
 
 def test_x_point_price_covers_a_traced_verify_run(tmp_path):
-    # verify at 10^5 x points traces about 220 bytes a point, its arrays and
-    # ratio.csv (built whole) included; X_POINT_BYTES must cover it
+    # verify at 10^5 x points traces about 90 bytes a point, its arrays and
+    # ratio.csv (streamed a block at a time) included; X_POINT_BYTES must cover it
     count = 10 ** 5
     tracemalloc.start()
     try:
@@ -593,3 +593,31 @@ def test_max_abs_tail_matches_enumeration(model, n, xs):
     for x in xs:
         expected = oracles.enum_max_abs_tail(model, n, x)
         assert _max_abs_tail(model, n, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def reached_peaks(model, n: int) -> list[Fraction]:
+    """Every |S_i - i mu|, i = 1..n, that a path of positive probability reaches."""
+    return sorted({abs(Fraction(int(k), model.denom) - i * model.mean_fraction)
+                   for i in range(1, n + 1) for k in oracles.enum_distribution(model, i)[0]})
+
+
+def test_max_abs_tail_at_every_tie_of_a_non_dyadic_mean(mean_13_12):
+    # |S_i| >= x is decided on the lattice, so a tie with a reachable |S_i| is
+    # inclusive whatever the float rounding of i mu (x = 4/3: 0.9628; a float
+    # test of |S_i - i mu| >= x misses ties and reads 0.9452)
+    model, n = mean_13_12, 6
+    assert model.mean_fraction == Fraction(13, 12)
+    xs = [float(v) for v in reached_peaks(model, n)]
+    for x, expected in zip(xs, oracles.fraction_max_abs_tail(model, n, xs)):
+        assert _max_abs_tail(model, n, x) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+@given(lattice_chains(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_max_abs_tail_at_ties_on_lattice_chains(model, n):
+    # every reachable |S_i - i mu| as the threshold, on chains whose mean is not a binary fraction
+    den = model.mean_fraction.denominator
+    assume(den & (den - 1))
+    xs = [float(v) for v in reached_peaks(model, n)]
+    for x, expected in zip(xs, oracles.fraction_max_abs_tail(model, n, xs)):
+        assert _max_abs_tail(model, n, x) == pytest.approx(float(expected), rel=1e-12, abs=0.0)

@@ -84,7 +84,7 @@ SIZED_CALLS = {
     "sample_state_paths": (lambda c: sample_state_paths(c.ts, 16, 8, 0), "sampling 8 state paths"),
     "sample_coupled_pairs": (lambda c: sample_coupled_pairs(c.transform, 10, 0),
                              "coupling 10 chains"),
-    "x grid": (lambda c: cli._x_grid({"x_count": 2}), "x-count 2"),
+    "x grid": (lambda c: cli._x_grid({"x_count": 6}), "x-count 6"),  # 6 points pass 1000 bytes
     "certified bounds": (lambda c: certified_coefficient_bounds(c.ma.decay, 64, 128, 1.0, 1.0),
                          "certified_coefficient_bounds at m = 64"),
     "eta_certificate": (lambda c: eta_certificate(c.ts, 8), "eta_certificate to lag 72"),

@@ -245,8 +245,16 @@ def test_jump_sums_match_a_per_chain_sampler(name, n, entries, slab_jumps, monke
     assert 1 < 2 * k < n and n % k
     kernels = models._jump_kernels(model, n, k)
     sums = oracles.jump_sums_by_chain(model, n, chains, seed, CHAIN_CHUNK, k, kernels)
-    w = (sums / model.denom - n * float(model.mean_fraction)) / math.sqrt(n)
+    w = (sums / model.denom - float(n * model.mean_fraction)) / math.sqrt(n)
     assert simulate_W(model, n, chains, seed).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 10, 13])
+def test_simulated_sums_are_the_tables_atoms(mean_13_12, n):
+    # simulate_W centres as TailTable does, so every draw is one of its atoms, bit for bit
+    atoms = distribution_of_Sn(mean_13_12, n).w_values
+    w = simulate_W(mean_13_12, n, 2000, 1)
+    assert np.isin(w.view(np.int64), atoms.view(np.int64)).all()
 
 
 def test_simulation_refuses_sizes_beyond_the_budget():
