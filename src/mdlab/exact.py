@@ -54,7 +54,7 @@ SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
 TILT_REACH = 300.0  # largest |theta| * spread: a product of two e^-300 stays normal
 TAIL_RTOL = 1e-13  # largest Chernoff bound on a tilted tail's relative truncation error
 ROUNDOFF_RTOL = 1e-4  # largest bound on a tilted tail's relative round-off; past it the DP answers
-TILT_S = 1e-3  # estimated seconds of a tilted tail's tilts and Chernoff bounds
+TILT_EVALS = 7  # jet powers a tilted tail's Newton solves and Chernoff bounds take (median)
 CSV_CHUNK = 4096  # rows `_csv_chunks` formats per block
 DRAW_CHUNK = 1 << 16  # values a quantile transform inverts per step; coupled draws per seed
 BLOCK_STEPS = 64  # most sum-law DP steps between two logs of the table
@@ -233,14 +233,16 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
 
 
 def sigma_any(model, n: int) -> float:
-    """sigma_n for either tier: exact on the lattice, or the lag-weighted sum
-    over a sampled model's autocovariances, which vanish past len(weights) - 1."""
+    """sigma_n for either tier: exact on the lattice; for a sampled model |a|^2 / n,
+    a = sum_weights(n) the weights of S_n = sum_j a_j eps_j, which gains one entry
+    sum(weights) a step past n = L = len(weights) - 1: n sigma_n^2 = |sum_weights(
+    min(n, L))|^2 + max(0, n - L) sum(weights)^2, with no loop over lags and no BLAS."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
-    lags = min(n, model.weights.size)
-    g = np.array([model.autocov(k) for k in range(lags)])
-    ks = np.arange(1, lags)
-    var = g[0] + 2.0 * float(np.sum((1.0 - ks / n) * g[1:]))
+    n, burn = _require_count(n, "n"), model.burn_in  # burn_in is L
+    a = model.sum_weights(min(n, burn))
+    total = float(np.cumsum(model.weights[::-1])[-1])  # as sum_weights sums it
+    var = (float(np.sum(a * a)) + max(0, n - burn) * total ** 2) / n
     if var <= 1e-14:
         raise DegenerateVariance(f"sigma_n^2 = {var!r} at n = {n}")
     return float(np.sqrt(var))
@@ -470,11 +472,13 @@ class _TiltPlan:
 
     @property
     def seconds(self) -> float:
-        """Estimated run time, its own fit (a batched complex s x s squaring, not
-        a real P @ B): per frequency and bit of n, 0.25 ns per s^3 and 0.8 us
-        besides; TILT_S per tail for its tilts and Chernoff bounds."""
-        bits = max(1, (self.n - 1).bit_length())
-        return (self.size // 2 + 1) * bits * (2.5e-10 * self.rise.size ** 3 + 8e-7) + TILT_S
+        """Estimated run time per bit of n: the transform by its own fit (a batched
+        complex s x s squaring, not a real P @ B), per frequency 0.25 ns per s^3 and
+        0.8 us besides; and TILT_EVALS jet powers for its tilts and Chernoff bounds,
+        each a (3s, 3s) dense step (`_dense_step_seconds`)."""
+        s, bits = self.rise.size, max(1, (self.n - 1).bit_length())
+        return bits * ((self.size // 2 + 1) * (2.5e-10 * s ** 3 + 8e-7)
+                       + TILT_EVALS * _dense_step_seconds(3 * s, 3 * s))
 
     @cached_property
     def log_outside(self) -> float:
@@ -526,7 +530,8 @@ def tilted_log_tail(model: FiniteLatticeModel, n: int, threshold: float) -> tupl
     pi^T (P D(e^theta z))^n 1 / E e^{theta K_n}, D(z) = diag(z^rise) (Dembo &
     Zeitouni, Large Deviations Techniques and Applications, 3.1).  theta puts
     its mean at the threshold, by Newton's method on the exact n-step moments
-    (binary powering of P D and its derivatives).  The function is evaluated
+    (a jet of P D and its first two derivatives, raised like the transform's
+    powers, TILT_EVALS of them priced in the plan).  The function is evaluated
     at the M/2 + 1 rfft frequencies by binary powering, in slabs of about
     SLAB_BYTES, and one irfft of length M gives q modulo M, read on a window
     of M points from the threshold down and up.  Chernoff bounds on the tilted
@@ -621,7 +626,8 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     the first power of two whose window the Chernoff bounds clear against a
     guess of the tail, or the first that is not `affordable`; a plan's cost
     grows with its size, so when the smallest, 16 points, is not affordable,
-    that plan is returned before any tilt is solved."""
+    that plan is returned before any powering; `_top_sum` is asked only when no
+    state of the top rise loops (one that does reaches n spread alone)."""
     xmin, g, rise, spread = _sublattice(model)
     thr = _lattice_numerator(threshold, float(n * model.mean_fraction), model.denom) - n * xmin
     top = n * spread
@@ -630,17 +636,16 @@ def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan
     if thr <= 0:
         return 0.0
     k = -int(-thr // g) if thr == int(thr) else math.ceil(thr / g)
-    p, pi = model.transition, model.pi
-    flip = k < n * float(pi @ rise)  # below the mean: the complement is the small tail
+    p = model.transition
+    flip = k < n * float(model.pi @ rise)  # below the mean: the complement is the small tail
     if flip:
         rise, k = spread - rise, top - k + 1
-    if k > _top_sum(p, rise, n):  # no path reaches k
-        return 0.0 if flip else -math.inf
     floor = _TiltPlan(model, rise, n, k, math.nan, math.nan, 16, flip)
-    if not floor.affordable:  # no larger plan is either: skip the tilt's Newton solve
+    if not floor.affordable:  # no larger plan is either
         return floor
-    theta, log_norm, sd = _solve_tilt(
-        lambda phi: _tilt_moments(p, pi, rise, n, phi, k / n), 0.0, TILT_REACH / spread)
+    if not (np.diag(p)[rise == spread] > 0).any() and k > _top_sum(p, rise, n):  # k unreached
+        return 0.0 if flip else -math.inf
+    theta, log_norm, sd = _solve_tilt(floor.moments(k), 0.0, TILT_REACH / spread)
     log_norm += theta * k  # log E e^{theta K_n}
     # a guess of the tilted tail: half the mass, or the peak over 1 - e^-theta
     log_guess = -math.log(2.0 * max(1.0, math.sqrt(2 * math.pi) * sd * -math.expm1(-theta)))
@@ -695,7 +700,8 @@ def _window_tail(plan: _TiltPlan) -> tuple[float, float, float]:
     for f in range(0, sums.size, plan.slab):
         fs = np.arange(f, min(f + plan.slab, sums.size))
         phase = np.exp(-2j * np.pi / size * (np.outer(fs, rise) % size))
-        sums[fs], log_scale = _power_sums(a[None] * phase[:, None, :], plan.model.pi, n, tops)
+        rows, log_scale = _power_sums(a[None] * phase[:, None, :], plan.model.pi, n, tops)
+        sums[fs] = rows.sum(axis=1)
     q, mass = np.fft.irfft(sums, size), float(sums[0].real)
     ks = np.arange(plan.k, min(plan.window[1], plan.top + 1))
     v, w = q[ks % size], np.exp(-plan.theta * (ks - plan.k))
@@ -729,39 +735,28 @@ def _top_sum(p: np.ndarray, rise: np.ndarray, n: int) -> int:
                             for i in range(0, rise.size, rows)])
 
 
-def _tilted(p: np.ndarray, rise: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
-    """(P diag(e^{phi rise - c}), c) with c = max(phi rise): entries at most 1."""
-    c = max(phi, 0.0) * int(rise.max())
-    return p * np.exp(phi * rise - c), c
+def _tilted(p: np.ndarray, d: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
+    """(P diag(e^{phi d - c}), c) with c = max(phi d): entries at most 1."""
+    c = float(np.max(phi * d))
+    return p * np.exp(phi * d - c), c
 
 
 def _tilt_moments(p: np.ndarray, pi: np.ndarray, rise: np.ndarray, n: int, phi: float,
                   t: float) -> tuple[float, float, float]:
     """(log E e^{phi (K_n - n t)}, E_phi K_n - n t, Var_phi K_n) under the tilt
-    of the law of K_n, exactly: binary powering of X = P diag(e^{phi (rise - t)})
-    together with its first two derivatives in phi, X' = X d and X'' = X d^2,
-    d = diag(rise - t), by the product rule."""
+    of the law of K_n, exactly: X = P diag(e^{phi d}), d = rise - t, carries
+    its first two derivatives in phi, X d and X d^2, in the jet J(X) = [[X, X d,
+    X d^2], [0, X, 2 X d], [0, 0, X]], and J(A) J(B) = J(AB) by the product
+    rule; so `_power_sums` raises it from [pi, 0, 0], and the three blocks of
+    that row sum to E e^{phi (K_n - n t)} and its two derivatives."""
     d = rise - t
-    c = float(np.max(phi * d))
-    x = p * np.exp(phi * d - c)
-    x1, x2 = x * d, x * d * d
-    u, u1, u2 = pi, np.zeros_like(pi), np.zeros_like(pi)
-    log_scale, log_x = n * c, 0.0
-    while True:
-        if n & 1:
-            u, u1, u2 = u @ x, u1 @ x + u @ x1, u2 @ x + 2.0 * (u1 @ x1) + u @ x2
-            top = float(u.max())
-            u, u1, u2 = u / top, u1 / top, u2 / top
-            log_scale += log_x + math.log(top)
-        n >>= 1
-        if not n:
-            break
-        x, x1, x2 = x @ x, x1 @ x + x @ x1, x2 @ x + 2.0 * (x1 @ x1) + x @ x2
-        top = float(x.max())
-        x, x1, x2 = x / top, x1 / top, x2 / top
-        log_x = 2.0 * log_x + math.log(top)
-    m0, mean = float(u.sum()), float(u1.sum() / u.sum())
-    return math.log(m0) + log_scale, mean, float(u2.sum() / m0) - mean * mean
+    x, c = _tilted(p, d, phi)
+    o = np.zeros_like(x)
+    jet = np.block([[x, x * d, x * d * d], [o, x, 2.0 * x * d], [o, o, x]])
+    (row,), log_scale = _power_sums(jet[None], np.concatenate([pi, 0 * pi, 0 * pi]), n, [])
+    m0, m1, m2 = row.reshape(3, -1).sum(axis=1).tolist()
+    mean = m1 / m0
+    return math.log(m0) + log_scale + n * c, mean, m2 / m0 - mean * mean
 
 
 def _solve_tilt(moments, phi: float, reach: float) -> tuple[float, float, float]:
@@ -793,7 +788,7 @@ def _solve_tilt(moments, phi: float, reach: float) -> tuple[float, float, float]
 
 def _power_sums(stack: np.ndarray, start: np.ndarray, n: int, tops: list[float]
                 ) -> tuple[np.ndarray, float]:
-    """start^T stack[f]^n 1 for every f, over a common factor e^{log_scale}
+    """The rows start^T stack[f]^n for every f, over a common factor e^{log_scale}
     returned with them, by binary powering in place (stack is consumed).
     Entries are rescaled by the largest of the z = 1 matrix's powers, which
     bound every other frequency's entrywise: an empty `tops` is the first slab,
@@ -817,7 +812,7 @@ def _power_sums(stack: np.ndarray, start: np.ndarray, n: int, tops: list[float]
             log_scale += log_x + rescale(u)
         n >>= 1
         if not n:
-            return u.sum(axis=1), log_scale
+            return u, log_scale
         np.matmul(x, x, out=spare)
         x, spare = spare, x
         log_x = 2.0 * log_x + rescale(x)

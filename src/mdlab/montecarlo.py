@@ -169,8 +169,11 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
                 coeffs: Optional[CoefficientSet] = None, envelope_c: float = 1.0,
                 gate_mode: str = "practical") -> RatioCurve:
     """Tail ratios P(W_n >= x sigma_n) / (1 - Phi(x)) and the mirrored left
-    ratio, either exact from the DP table or estimated from chains."""
+    ratio, either exact from the DP table or estimated from chains.  `coeffs`, its
+    envelope and its sigma_n (mc mode), must be this (n, m)'s, else ParamOutOfRange."""
     seed = _require_count(seed, "seed", 0)
+    if coeffs is not None and (coeffs.n, coeffs.m) != (n, m):
+        raise ParamOutOfRange(f"coefficient set of (n, m) = {coeffs.n, coeffs.m}, not {n, m}")
     xs = np.asarray(x_grid, dtype=float)
     if not np.all(xs >= 0):
         raise ParamOutOfRange("ratio grid must be nonnegative numbers")

@@ -394,6 +394,34 @@ def sigma_n_by_doubling(model, n: int) -> float:
     return float(np.sqrt(float(model.pi @ (x * x)) + 2.0 * float(model.pi @ (x * v))))
 
 
+def tilt_moments_by_product_rule(p, pi, rise, n: int, phi: float, t: float):
+    """(log E e^{phi (K_n - n t)}, E_phi K_n - n t, Var_phi K_n): binary powering
+    of X = P diag(e^{phi (rise - t)}) together with its first two derivatives in
+    phi, X' = X d and X'' = X d^2, d = diag(rise - t), by the product rule written
+    out, each power and row rescaled by the largest entry of its value part."""
+    d = rise - t
+    c = float(np.max(phi * d))
+    x = p * np.exp(phi * d - c)
+    x1, x2 = x * d, x * d * d
+    u, u1, u2 = pi, np.zeros_like(pi), np.zeros_like(pi)
+    log_scale, log_x = n * c, 0.0
+    while True:
+        if n & 1:
+            u, u1, u2 = u @ x, u1 @ x + u @ x1, u2 @ x + 2.0 * (u1 @ x1) + u @ x2
+            top = float(u.max())
+            u, u1, u2 = u / top, u1 / top, u2 / top
+            log_scale += log_x + math.log(top)
+        n >>= 1
+        if not n:
+            break
+        x, x1, x2 = x @ x, x1 @ x + x @ x1, x2 @ x + 2.0 * (x1 @ x1) + x @ x2
+        top = float(x.max())
+        x, x1, x2 = x / top, x1 / top, x2 / top
+        log_x = 2.0 * log_x + math.log(top)
+    m0, mean = float(u.sum()), float(u1.sum() / u.sum())
+    return math.log(m0) + log_scale, mean, float(u2.sum() / m0) - mean * mean
+
+
 def drift_series_every_step(model, m: int, sig: float, j: int) -> float:
     """gamma_m with J = j: all j mat-vecs u <- P^m u from the Poisson solution h
     (one linear solve), each norm ||h - u||_inf weighted by i^-1.5, plus the

@@ -28,12 +28,13 @@ from mdlab import (
 from mdlab import exact, models
 from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
 from mdlab.models import DEFAULT_BUDGET_BYTES
-from mdlab.exact import (_max_abs_tail, _prefix_logsum, _sum_law_steps,
+from mdlab.exact import (TILT_REACH, _max_abs_tail, _prefix_logsum, _sum_law_steps,
                          _suffix_logsum, _sum_law_tables, conditional_sum_norms, sigma_any,
                          tilted_log_tail)
 from mdlab.normal import normal_cdf, normal_log_sf
 
 import oracles
+from test_cli import lattice_chains
 
 
 # -- covariances and sigma_n -------------------------------------------------
@@ -578,6 +579,82 @@ def test_top_sum_matches_path_enumeration(name, enum_n, slab_rows, monkeypatch):
         assert exact._top_sum(model.transition, rise, n) == (int(offsets.max()) - n * xmin) // g
     for n in (63, 64, 100, 1000):
         assert exact._top_sum(model.transition, rise, n) == _top_sum_by_steps(model, rise, n)
+
+
+# -- the tilt's Newton moments: a jet raised by _power_sums ---------------------
+
+def _assert_jet_matches_the_product_rule(model):
+    """`_tilt_moments` (the jet) against the product rule written out, at n in
+    {1, 2, 63, 4096, 10^6} and phi in {-reach/2, 0, reach/2}, with t at the mean
+    and at 2/3 of the spread.  Both round every step's terms, so each gap is held
+    to a few eps of those terms' size: the log norm to 4 eps n (1 + |phi| spread),
+    the mean to 16 eps (|mean| + n spread), and the variance, which both form as
+    m2/m0 - mean^2 with the same cancellation, to 16 eps (var + mean^2 + n
+    spread^2).  On 80 random 2-3 state chains and dyadic L=6 the worst gaps were
+    1.3, 3.7 and 4.8 eps of those sizes."""
+    _, _, rise, spread = exact._sublattice(model)
+    p, pi, eps, reach = model.transition, model.pi, np.finfo(float).eps, TILT_REACH / spread
+    for n in (1, 2, 63, 4096, 10 ** 6):
+        for phi in (-reach / 2, 0.0, reach / 2):
+            for t in (float(pi @ rise), 2 * spread / 3):
+                log_norm, mean, var = exact._tilt_moments(p, pi, rise, n, phi, t)
+                want = oracles.tilt_moments_by_product_rule(p, pi, rise, n, phi, t)
+                case = (n, phi, t, want)
+                assert abs(log_norm - want[0]) <= 4 * eps * n * (1 + abs(phi) * spread), case
+                assert abs(mean - want[1]) <= 16 * eps * (abs(want[1]) + n * spread), case
+                scale = abs(want[2]) + want[1] ** 2 + n * spread ** 2
+                assert abs(var - want[2]) <= 16 * eps * scale, case
+
+
+@given(lattice_chains())
+@settings(max_examples=40, deadline=None)
+def test_tilt_jet_matches_the_product_rule_on_small_chains(model):
+    _assert_jet_matches_the_product_rule(model)
+
+
+def test_tilt_jet_matches_the_product_rule_on_64_states():
+    _assert_jet_matches_the_product_rule(_oracle_model("dyadic:6"))
+
+
+def test_tilt_plan_refuses_on_its_floor_before_any_powering(monkeypatch):
+    # "hi" never repeats, so the plan would ask _top_sum; with the cap just
+    # below the 16-point floor's price, the floor comes back before it and
+    # before any Newton solve, priced with TILT_EVALS (3s, 3s) jet powers a bit
+    model = build_finite_lattice_model(["lo", "hi"], [[0.5, 0.5], [1.0, 0.0]], [0, 1], 1)
+    n, thr = 4096, 4096 ** 0.75
+    plan = exact._tilt_plan(model, n, thr)
+    floor = dataclasses.replace(plan, size=16)
+    jet = 12 * exact.TILT_EVALS * models._dense_step_seconds(6, 6)
+    assert floor.seconds == pytest.approx(12 * 9 * (2.5e-10 * 8 + 8e-7) + jet, rel=1e-12)
+
+    def fail(*args):
+        raise AssertionError("powered before the floor was priced")
+    monkeypatch.setattr(exact, "_top_sum", fail)
+    monkeypatch.setattr(exact, "_solve_tilt", fail)
+    monkeypatch.setattr(models, "WORK_CAP_S", 0.999 * floor.seconds)
+    got = exact._tilt_plan(model, n, thr)
+    assert isinstance(got, exact._TiltPlan) and got.size == 16 and math.isnan(got.theta)
+    assert (got.k, got.flip, got.rise.tolist()) == (plan.k, plan.flip, plan.rise.tolist())
+    with pytest.raises(BudgetExceeded, match="^tilted transform of 16 points"):
+        tilted_log_tail(model, n, thr)
+
+
+@pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3"])
+def test_tilted_tail_skips_top_sum_where_a_top_state_loops(name, monkeypatch):
+    # a state of the top rise with a self-loop reaches n spread by itself, on
+    # either side of the mean (below it the rises are flipped, and the top
+    # state is the bottom one), so the max-plus powering is never asked
+    model, n = _oracle_model(name), 64
+    table = distribution_of_Sn(model, n)
+    sd = table.sigma_n * math.sqrt(n)
+
+    def fail(*args):
+        raise AssertionError("_top_sum was called")
+    monkeypatch.setattr(exact, "_top_sum", fail)
+    _no_dp_fallback(monkeypatch)
+    for thr in (-2.0 * sd, 0.5 * sd, 3.0 * sd, float(table.sum_values[-1])):
+        got, _ = tilted_log_tail(model, n, thr)
+        assert _close(got, float(exact_tail(table, thr / sd))), thr
 
 
 # -- tails at large n: the tilted transform ----------------------------------

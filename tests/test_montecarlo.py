@@ -7,6 +7,7 @@ import pytest
 
 from mdlab import (
     builtin,
+    coefficient_set,
     distribution_of_Sn,
     empirical_ks,
     estimate_tails,
@@ -506,6 +507,20 @@ def test_ratio_guards(two_state04):
         ratio_curve(ma, 16, 2, [1.0], mode="exact")
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_ratio_refuses_a_coefficient_set_of_another_horizon(two_state04, mode):
+    # the n = 1024 set would put its envelope beside n = 64 tails and, in mc
+    # mode, scale the thresholds by its own sigma_1024; another block length
+    # is refused too, and the set of (64, 4) gives the curve computed without one
+    xs, kw = [0.0, 1.0], {"mode": mode, "chains": 2000, "seed": 3}
+    for n, m in ((1024, 8), (1024, 4), (64, 8)):
+        with pytest.raises(ParamOutOfRange, match="coefficient set"):
+            ratio_curve(two_state04, 64, 4, xs, coeffs=coefficient_set(two_state04, n, m), **kw)
+    got = ratio_curve(two_state04, 64, 4, xs, coeffs=coefficient_set(two_state04, 64, 4), **kw)
+    want = ratio_curve(two_state04, 64, 4, xs, **kw)
+    assert np.array_equal(got.right, want.right) and np.array_equal(got.envelope, want.envelope)
+
+
 def test_exact_mc_coverage_over_seeds(two_state04):
     # the exact tail should sit inside the 95% interval at most grid points
     n, chains = 256, 100_000
@@ -774,10 +789,11 @@ def test_mdp_budget_is_checked_for_the_largest_n_before_any_step(monkeypatch):
 
 
 def test_mdp_refuses_before_solving_a_tilt_whose_smallest_plan_is_too_dear(monkeypatch):
-    # dyadic L=8 at n = 4096: a 16-point transform alone is estimated at about
-    # 0.45 s, past a cap of 0.25 s, so no tilt is solved before the DP refuses,
-    # not even n = 64's, whose own floor (about 0.23 s) is within the cap
-    monkeypatch.setattr(models, "WORK_CAP_S", 0.25)
+    # dyadic L=8 at n = 4096: a 16-point transform with its Newton solve's jet
+    # powers is estimated at about 2.4 s, past a cap of 1.5 s, so no tilt is
+    # solved before the DP refuses, not even n = 64's, whose own floor (about
+    # 1.2 s) is within the cap
+    monkeypatch.setattr(models, "WORK_CAP_S", 1.5)
     solves = []
     solve = exact._solve_tilt
     monkeypatch.setattr(exact, "_solve_tilt", lambda *a: solves.append(a) or solve(*a))
@@ -789,3 +805,16 @@ def test_mdp_refuses_before_solving_a_tilt_whose_smallest_plan_is_too_dear(monke
     with pytest.raises(BudgetExceeded, match="^tilted transform of 16 points"):
         exact.tilted_log_tail(model, 4096, 1.0 * 4096 ** 0.75)
     assert solves == []
+
+
+def test_mdp_refuses_a_1024_state_chain_before_any_powering(monkeypatch):
+    # dyadic L=10 at n = 64: the 16-point floor, with TILT_EVALS jet powers of
+    # 3072 x 3072, is past the 60 s cap, and one DP pass is estimated at about
+    # 112 s, so mdp refuses with no max-plus powering and no Newton solve
+    def fail(*args):
+        raise AssertionError("powered before refusing")
+    monkeypatch.setattr(exact, "_top_sum", fail)
+    monkeypatch.setattr(exact, "_solve_tilt", fail)
+    model = builtin("dyadic_contracting", L=10)
+    with pytest.raises(BudgetExceeded, match="^DP would run"):
+        mdp_diagnostic(model, 1.0, 0.25, [64])
