@@ -12,10 +12,10 @@ every bound downstream are
 plus tau^2 = delta^2 + m/n + 4 eps^2 for the Bernstein-type bound.
 
 The drift series converges like a zeta tail, so naive truncation at any
-useful tolerance is hopeless.  Instead the conditional-sum norms converge
-geometrically to the norm of the Poisson solution h, which lets the tail be
-summed in closed form (a Hurwitz zeta factor) with a certified geometric
-remainder.
+useful tolerance is hopeless.  Instead the conditional-sum norms converge to
+the norm of the Poisson solution h, which lets the tail be summed in closed
+form (a Hurwitz zeta factor); E[S_t | F_0] = h - P^t h, and P^t h is the
+series' own iterate, whose sup norm never grows and bounds the remainder.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .models import (
 )
 
 GAMMA_TOL = 1e-10  # certified bound on the drift series' truncation error
+MAX_DOUBLINGS = 22  # the drift series sums at most J = 2^22 terms
 
 # Admissibility gates.  Strict mode uses the paper-style constants (with the
 # proof's upper end 1/2 standing in for the existential alpha_0); practical
@@ -127,38 +128,6 @@ def admissibility(coeffs: CoefficientSet, mode: str = "practical") -> GateReport
 
 
 # ---------------------------------------------------------------------------
-# certified geometric envelopes
-# ---------------------------------------------------------------------------
-
-class _MixingEnvelope:
-    """phi_1(k) <= min(1, C r^k), certified via Dobrushin contraction."""
-
-    def __init__(self, model: FiniteLatticeModel):
-        try:
-            self.c, self.r, self.n0 = geometric_mixing_certificate(model)
-        except Exception as exc:
-            raise NoDecayCertificate(f"cannot certify geometric mixing: {exc}") from exc
-        self.bound_x = model.bound
-
-    def phi_bar(self, k: int) -> float:
-        if self.r == 0.0:
-            return 1.0 if k < self.n0 else 0.0
-        return min(1.0, self.c * self.r ** k)
-
-    def residual(self, n: int) -> float:
-        """Upper bound on max_s |sum_{k>n} E[X_k | Y_0 = s]| (and on the sum of
-        the conditional-mean norms beyond n)."""
-        if self.r == 0.0:
-            return 2.0 * self.bound_x * max(0, self.n0 - 1 - n)
-        # split where C r^k crosses 1
-        kstar = 0 if self.c <= 1.0 else math.ceil(math.log(self.c) / -math.log(self.r))
-        flat = max(0, kstar - 1 - n)
-        start = max(n + 1, kstar)
-        geo = self.c * self.r ** start / (1.0 - self.r)
-        return 2.0 * self.bound_x * (flat + geo)
-
-
-# ---------------------------------------------------------------------------
 # coefficient_set
 # ---------------------------------------------------------------------------
 
@@ -167,7 +136,7 @@ def coefficient_set(model: FiniteLatticeModel, n: int, m: int) -> CoefficientSet
 
     The drift series is summed term by term up to an index J, the remaining
     tail is replaced by the Hurwitz zeta closed form around the Poisson-limit
-    norm, and the certified remainder (below GAMMA_TOL) is reported.
+    norm, and the bound on what that misses (below GAMMA_TOL) is reported.
     """
     _require_exact(model)
     n, m = _require_count(n, "n"), _require_count(m, "m")
@@ -188,34 +157,35 @@ def coefficient_set(model: FiniteLatticeModel, n: int, m: int) -> CoefficientSet
 
 def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float, float]:
     """(gamma_m, its certified truncation error): ||h - P^{im} h||_inf weighted by i^-1.5
-    to J, then a zeta tail; once P^m u == u bit for bit, the later norms all equal u's."""
-    env = _MixingEnvelope(model)
+    to J, then the zeta tail ||h||_inf zeta(1.5, J + 1).  A stochastic P never raises a
+    sup norm, so ||P^{im} h||_inf falls with i and the tail is off by at most
+    zeta(1.5, J + 1) ||P^{Jm} h||_inf; J is the least power of two that puts this, over
+    sqrt(m) sigma_n, at most GAMMA_TOL, read off the squarings of P^m."""
+    s = model.n_states
+    _check_cost(f"drift series' power P to m = {m} and its {MAX_DOUBLINGS} squarings on {s} "
+                "states", secs=(m.bit_length() + m.bit_count() - 2 + MAX_DOUBLINGS)
+                * _dense_step_seconds(s, s))  # matrix_power's products, then the squarings
     scale = math.sqrt(m) * sig
     h = poisson_solution(model)
-    h_norm = float(np.max(np.abs(h)))
-
-    j = 64  # doubled until the tail is certified below GAMMA_TOL, or up to 2^22
-    while ((err := float(zeta(1.5, j + 1)) * env.residual(m * (j + 1)) / scale) > GAMMA_TOL
-           and j < 1 << 22):
-        j *= 2
+    p_m = np.linalg.matrix_power(model.transition, m)
+    power, j = p_m, 1  # P^{Jm}
+    while ((err := float(zeta(1.5, j + 1)) * float(np.max(np.abs(power @ h))) / scale)
+           > GAMMA_TOL and j < 1 << MAX_DOUBLINGS):
+        power, j = power @ power, 2 * j
     if err > GAMMA_TOL:
         raise NoDecayCertificate(
             f"drift series tail cannot be certified below {GAMMA_TOL} (J={j}, err={err})")
-    _check_cost(f"drift series to J = {j} on {model.n_states} states",
-                secs=j * _dense_step_seconds(model.n_states))  # J mat-vec steps
+    _check_cost(f"drift series to J = {j} on {s} states",
+                secs=j * _dense_step_seconds(s))  # J mat-vec steps
 
     # E[S_t | Y_0] = h - P^t h, stepped through t = m, 2m, ..., Jm with P^m
-    p_m = np.linalg.matrix_power(model.transition, m)
     u, norms = h, np.empty(j)
     for i in range(j):
-        u, last = p_m @ u, u
+        u = p_m @ u
         norms[i] = float(np.max(np.abs(h - u)))
-        if u.tobytes() == last.tobytes():
-            norms[i:] = norms[i]
-            break
     js = np.arange(1, j + 1, dtype=float)
     partial = float(np.sum(js ** -1.5 * norms))
-    tail = h_norm * float(zeta(1.5, j + 1))
+    tail = float(np.max(np.abs(h))) * float(zeta(1.5, j + 1))
     return (partial + tail) / scale, err
 
 
@@ -238,11 +208,15 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     _require_exact(model)
     n_max, window = _require_count(n_max, "n_max"), _require_count(window, "window", 0)
     try:
-        env = _MixingEnvelope(model)
-    except NoDecayCertificate as exc:
-        raise WindowTooSmall(str(exc)) from exc
+        c, r, n0 = geometric_mixing_certificate(model)
+    except Exception as exc:
+        raise WindowTooSmall(f"cannot certify geometric mixing: {exc}") from exc
+
+    def phi_bar(k: int) -> float:  # phi_1(k) <= min(1, C r^k), certified by Dobrushin
+        return float(k < n0) if r == 0.0 else min(1.0, c * r ** k)
+
     # r = 0: P^n0 has equal rows, so every eta is 0 from n0 on: rho = 0 past a window to n0 - 1
-    n_max = max(n_max, env.n0 - 1) if env.r == 0 else n_max
+    n_max = max(n_max, n0 - 1) if r == 0 else n_max
 
     p = model.transition
     x = model.x_values
@@ -263,7 +237,7 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
         u_norms[k - 1] = float(np.max(np.abs(u)))
         if k <= window:
             w[:, k] = x * u
-    tail1 = 2.0 * bx * env.phi_bar(far + 1)
+    tail1 = 2.0 * bx * phi_bar(far + 1)
     suffix = np.maximum.accumulate(u_norms[::-1])[::-1]
     eta1 = np.maximum(suffix[:n_max], tail1)
 
@@ -274,15 +248,15 @@ def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
     for i in range(1, far + 1):
         pw = p @ pw
         dev[i - 1] = np.max(np.abs(pw - means), axis=0)
-    tail_i = 2.0 * bx * bx * env.phi_bar(far + 1)
+    tail_i = 2.0 * bx * bx * phi_bar(far + 1)
     worst_by_i = dev.max(axis=1)
     suffix2 = np.maximum.accumulate(worst_by_i[::-1])[::-1]
-    phi = np.array([env.phi_bar(k) for k in range(1, n_max + 1)])
+    phi = np.array([phi_bar(k) for k in range(1, n_max + 1)])
     eta2 = np.maximum(np.maximum(suffix2[:n_max], tail_i),
-                      4.0 * bx * bx * phi * env.phi_bar(window + 1))
+                      4.0 * bx * bx * phi * phi_bar(window + 1))
     eta2 = np.maximum.accumulate(eta2[::-1])[::-1]  # enforce monotone after tails
 
-    return DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=env.r)
+    return DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=r)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +404,14 @@ class DedeckerReport:
 
 
 def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> DedeckerReport:
-    """Partial sums of sum_t t^{-3/2} ||E[S_t|F_0]||_inf with a certified tail,
-    and the trajectory of || (1/t) E[S_t^2|F_0] - sigma^2 ||_inf."""
+    """Partial sums of sum_t t^{-3/2} ||E[S_t|F_0]||_inf, the tail past n_max as
+    ||h||_inf zeta(1.5, n_max + 1), and the trajectory of
+    || (1/t) E[S_t^2|F_0] - sigma^2 ||_inf.  Each later norm differs from ||h||_inf
+    by at most ||P^t h||_inf <= ||h - a_{n_max}||_inf (P never raises a sup norm),
+    so series_uncertainty is zeta(1.5, n_max + 1) ||h - a_{n_max}||_inf, a_{n_max}
+    the mean of the last moment step."""
     _require_exact(model)
     n_max = _require_count(n_max, "n_max", 2)
-    env = _MixingEnvelope(model)
     sig_sq = long_run_variance(model)
     norms, dev = np.empty(n_max), np.empty(n_max)
     for t, (mean, second) in enumerate(_block_moments(model, n_max), start=1):
@@ -443,10 +420,10 @@ def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> Dedecker
     ts = np.arange(1, n_max + 1, dtype=float)
     partial = np.cumsum(ts ** -1.5 * norms)
 
-    h_norm = float(np.max(np.abs(poisson_solution(model))))
+    h = poisson_solution(model)
     ztail = float(zeta(1.5, n_max + 1))
-    tail = h_norm * ztail
-    uncertainty = env.residual(n_max + 1) * ztail
+    tail = float(np.max(np.abs(h))) * ztail
+    uncertainty = float(np.max(np.abs(h - mean))) * ztail  # h - a_{n_max} = P^{n_max} h
     value = float(partial[-1]) + tail
 
     anchor = dev[max(0, n_max // 10 - 1)]

@@ -151,12 +151,28 @@ class TailTable:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TailTable":
+        """The table `to_json_dict` wrote; OutOfRange unless it holds a law."""
         if obj.get("schema") != "tail_table/1":
             raise OutOfRange(f"unsupported tail table schema {obj.get('schema')!r}")
-        return cls(n=int(obj["n"]), denom=int(obj["denom"]),
-                   offsets=np.asarray(obj["offsets"], dtype=np.int64),
-                   logp=np.asarray(obj["logp"], dtype=float),
-                   sigma_n=float(obj["sigma_n"]), center=float(obj.get("center", 0.0)))
+        n, denom, sigma, offsets, logp = (obj[k] for k in ("n", "denom", "sigma_n", "offsets",
+                                                           "logp"))
+        center = obj.get("center", 0.0)
+        ints = lambda vs: all(isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63
+                              for v in vs)
+        reals = lambda vs: all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               and math.isfinite(v) for v in vs)
+        if not (ints([n, denom]) and min(n, denom) >= 1 and reals([sigma, center]) and sigma > 0):
+            raise OutOfRange(f"tail table n and denom must be integers >= 1, sigma_n finite and "
+                             f"> 0 and center finite, got {n!r}, {denom!r}, {sigma!r}, {center!r}")
+        if not (isinstance(offsets, list) and offsets and ints(offsets) and isinstance(logp, list)
+                and len(logp) == len(offsets) and reals(logp)
+                and all(a < b for a, b in zip(offsets, offsets[1:]))):
+            raise OutOfRange("tail table offsets must be strictly increasing integers, one finite "
+                             "logp each")
+        if abs(total := float(np.logaddexp.reduce(logp))) > MASS_TOL:
+            raise OutOfRange(f"tail table log total mass {total!r} is not within {MASS_TOL} of 0")
+        return cls(n=n, denom=denom, offsets=np.asarray(offsets, dtype=np.int64),
+                   logp=np.asarray(logp, dtype=float), sigma_n=float(sigma), center=float(center))
 
     def to_csv(self) -> str:
         return _csv("sum,logp", [self.offsets, self.logp])

@@ -41,6 +41,7 @@ WORK_CAP_S = 60.0  # the longest any run may take by its estimate (`_check_cost`
 MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficient < 1
 BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
 MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average weight is 0.0
+MA_MAX_C = math.sqrt(np.finfo(float).max / 2)  # past it eta2 = 2 eta1^2 overflows (9.48e153)
 
 
 @dataclass(frozen=True)
@@ -378,6 +379,9 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
 
 def _moving_average(c: float, L: int) -> SampledModel:
     c = _require_scale(c, "c")
+    if c > MA_MAX_C:
+        raise ParamOutOfRange(f"c must be at most {MA_MAX_C:.4g}, where the decay certificate's "
+                              f"eta2 = 2 eta1^2 stays finite, got {c!r}")
     if L > MA_MAX_LAG:
         raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L}")
     weights = c * 0.5 ** np.arange(L + 1)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 from mdlab import (
@@ -15,12 +16,16 @@ from mdlab import (
     eta_certificate,
     certified_coefficient_bounds,
     geometric_mixing_certificate,
+    parse_model_text,
     select_block_size,
     sigma_n,
 )
+from mdlab.coefficients import GAMMA_TOL
 from mdlab.errors import BetaOutOfRange, ParamOutOfRange
+from mdlab.exact import poisson_solution
 
 import oracles
+from test_cli import lattice_chains
 
 
 # -- coefficient_set -----------------------------------------------------------
@@ -380,18 +385,25 @@ def test_gates_reject_unknown_mode(rademacher):
 
 
 def test_runaway_drift_series_is_refused_before_its_first_mat_vec(monkeypatch, tmp_path, capsys):
-    # rho = 0.99999 needs J = 2^22 mat-vecs at m = 1: about 33 s on a 2-core host
+    # rho = 0.99999 needs J = 2^22 mat-vecs at m = 1: about 33 s on a 2-core host.
+    # The bound's one norm at each J = 1, 2, ..., 2^22 takes 23 calls of np.abs; a
+    # 24th would be the norm of the series' first step
     from mdlab import cli, coefficients, models
     from mdlab.errors import BudgetExceeded
+    from test_exact import NumpyCountingAbs
 
-    def no_power(*args):
-        raise AssertionError("the drift series stepped past its cap")
+    class Trap(NumpyCountingAbs):
+        def abs(self, a):
+            if self.abs_calls == coefficients.MAX_DOUBLINGS + 1:
+                raise AssertionError("the drift series stepped past its cap")
+            return super().abs(a)
 
     model = builtin("two_state", rho=0.99999)
     monkeypatch.setattr(models, "WORK_CAP_S", 1.0)
-    monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+    monkeypatch.setattr(coefficients, "np", Trap())
     with pytest.raises(BudgetExceeded, match="drift series to J = 4194304 on 2 states"):
         coefficients._drift_series(model, 1, 1.0)
+    monkeypatch.setattr(coefficients, "np", Trap())
     argv = ["coeffs", "--model", "two_state:rho=0.99999", "--n", "1000000", "--m", "1",
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
@@ -406,25 +418,126 @@ def test_runaway_drift_series_is_refused_before_its_first_mat_vec(monkeypatch, t
     ("dyadic_contracting", {"L": 3}, 100, 2), ("two_state", {"rho": 0.4}, 10 ** 6, 52),
     ("two_state", {"rho": 0.999}, 4096, 4)])
 def test_drift_series_stops_at_its_fixed_point_without_moving_a_bit(monkeypatch, name, kw, n, m):
-    # a dyadic chain forgets its start in L steps, so P^m u repeats u bit for bit
-    # after a step or two and the rest of the J norms are the last; the two-state
-    # chain never repeats and runs all J steps.  Either way gamma_m is bit for bit
-    # the loop that makes every one of the J mat-vecs
+    # the series stops at the least power of two J whose bound on the distance of
+    # P^{Jm} h from its fixed point 0 certifies the tail: J = 1 on the dyadic chains
+    # and on two_state(0.4) at m = 52, J = 8192 on two_state(0.999) at m = 4.  Either
+    # way gamma_m is bit for bit the loop that makes every one of the J mat-vecs, and
+    # the series makes each of them
     from mdlab import coefficients
     from test_exact import NumpyCountingAbs
+    model = builtin(name, **kw)
+    cs, j = _priced_drift(model, n, m)
+    assert cs.gamma_m == oracles.drift_series_every_step(model, m, cs.sigma_n, j)
+    counting = NumpyCountingAbs()
+    monkeypatch.setattr(coefficients, "np", counting)
+    assert coefficients._drift_series(model, m, cs.sigma_n)[0] == cs.gamma_m
+    # one norm for the bound at each J = 1, 2, ..., j, one a step, and ||h||_inf
+    steps = counting.abs_calls - j.bit_length() - 1
+    assert steps == j
+    assert j == (8192 if kw.get("rho") == 0.999 else 1)
+
+
+# -- the drift series' own tail bound -------------------------------------------
+
+def _priced_drift(model, n, m):
+    """coefficient_set(model, n, m) and the J its drift series priced."""
+    from mdlab import coefficients
     check, costs = coefficients._check_cost, []
 
     def recorded(what, *args, **kwargs):
         costs.append(what)
         return check(what, *args, **kwargs)
 
-    model = builtin(name, **kw)
-    monkeypatch.setattr(coefficients, "_check_cost", recorded)
-    cs = coefficient_set(model, n, m)
-    j = int(next(c for c in costs if c.startswith("drift series")).split("J = ")[1].split()[0])
-    assert cs.gamma_m == oracles.drift_series_every_step(model, m, cs.sigma_n, j)
-    counting = NumpyCountingAbs()
-    monkeypatch.setattr(coefficients, "np", counting)
-    assert coefficients._drift_series(model, m, cs.sigma_n)[0] == cs.gamma_m
-    steps = counting.abs_calls - 1  # one norm a step, after ||h||_inf
-    assert steps <= 3 if name == "dyadic_contracting" else steps == j
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficients, "_check_cost", recorded)
+        cs = coefficient_set(model, n, m)
+    return cs, int(next(c for c in costs if c.startswith("drift series to")).split()[5])
+
+
+def _tail_bound(model, m, sig, j):
+    """zeta(1.5, j + 1) ||P^{jm} h||_inf / (sqrt(m) sigma_n), P^{jm} squared from P^m."""
+    power = np.linalg.matrix_power(model.transition, m)
+    for _ in range(j.bit_length() - 1):
+        power = power @ power
+    h_norm = float(np.max(np.abs(power @ poisson_solution(model))))
+    return float(zeta(1.5, j + 1)) * h_norm / (math.sqrt(m) * sig)
+
+
+def _check_drift_series_is_sound(model, n, m):
+    # the series at 4J is off from the one at J by less than the reported bound:
+    # every term past J differs from ||h||_inf by at most ||P^{Jm} h||_inf; rounding
+    # is a few ulps of gamma (the two partial sums add in different orders)
+    cs, j = _priced_drift(model, n, m)
+    err = cs.gamma_truncation_error
+    assert err <= GAMMA_TOL
+    assert err == _tail_bound(model, m, cs.sigma_n, j)
+    assert j == 1 or _tail_bound(model, m, cs.sigma_n, j // 2) > GAMMA_TOL
+    far = oracles.drift_series_every_step(model, m, cs.sigma_n, 4 * j)
+    assert abs(cs.gamma_m - far) <= err + 4 * math.ulp(cs.gamma_m)
+
+
+@given(lattice_chains(), st.integers(1, 12), st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_drift_series_bound_holds_on_random_chains(model, m, extra):
+    _check_drift_series_is_sound(model, m + extra, m)
+
+
+@pytest.mark.parametrize("name, n, m", [
+    ("rademacher", 64, 3), ("two_state:0.4", 512, 6), ("two_state:0.4", 4096, 8),
+    ("two_state:0.99", 1024, 4), ("two_state:0.999", 4096, 1), ("asymmetric3", 1024, 8),
+    ("dyadic:3", 100, 2), ("dyadic:6", 48, 4), ("dyadic:9", 4096, 8), ("rare5", 256, 4),
+    ("tiny5", 256, 3)])
+def test_drift_series_bound_holds_on_the_example_chains(name, n, m):
+    from test_exact import _oracle_model
+    _check_drift_series_is_sound(_oracle_model(name), n, m)
+
+
+TWIN_TEXT = ("states = a0 a1 b0 b1\ndenom = 1\nf_num = -1 1 -1 1\ntransition = "
+             "0.699999999 0.3 0.000000001 0  0.3 0.699999999 0 0.000000001  "
+             "0.000000001 0 0.699999999 0.3  0 0.000000001 0.3 0.699999999")
+
+
+def test_weakly_linked_twin_of_two_state_is_certified(two_state04):
+    # a0 a1 and b0 b1 are each two_state(0.4), linked by a switch of 1e-9 that keeps
+    # the payoff: the payoff process is two_state(0.4)'s.  A Dobrushin rate of
+    # 1 - 2e-9 left its tail at about 2e5 at J = 2^22; the iterate's own bound
+    # certifies it
+    twin = parse_model_text(TWIN_TEXT)
+    got, ref = coefficient_set(twin, 4096, 8), coefficient_set(two_state04, 4096, 8)
+    assert got.gamma_truncation_error <= GAMMA_TOL
+    assert abs(got.gamma_m - ref.gamma_m) <= (got.gamma_truncation_error
+                                              + ref.gamma_truncation_error)
+    assert got.sigma_n == pytest.approx(ref.sigma_n, rel=1e-13)
+    assert got.delta_sq == pytest.approx(ref.delta_sq, rel=1e-13)
+
+
+DEDECKER_MODELS = ("two_state:0.4", "two_state:0.99", "two_state:-0.9", "dyadic:6",
+                   "asymmetric3")
+
+
+@pytest.mark.parametrize("n_max", [10, 100, 1000])
+@pytest.mark.parametrize("name", DEDECKER_MODELS)
+def test_dedecker_uncertainty_is_the_iterates_own_bound(name, n_max):
+    # the tail past n_max is off by at most zeta(1.5, n_max + 1) ||P^{n_max} h||_inf:
+    # closed form |rho|^{n_max + 1} / (1 - rho) zeta(...) on two_state; 55.2 on
+    # rho = 0.99 at n_max = 10, where the Dobrushin envelope said 110.  Rounding is
+    # the standard bound of n_max steps on ||h||_inf, and of 64 n_max summed terms
+    from test_exact import _oracle_model
+    model = _oracle_model(name)
+    rep, far = check_dedecker_conditions(model, n_max), check_dedecker_conditions(model, 64 * n_max)
+    ztail = float(zeta(1.5, n_max + 1))
+    h = poisson_solution(model)
+    h_norm = float(np.max(np.abs(h)))
+    if name.startswith("two_state"):
+        rho = float(name.split(":")[1])
+        expected = ztail * abs(rho) ** (n_max + 1) / (1 - rho)
+    else:
+        expected = ztail * float(np.max(np.abs(np.linalg.matrix_power(model.transition, n_max)
+                                                @ h)))
+    assert rep.series_uncertainty == pytest.approx(expected, rel=1e-9,
+                                                   abs=n_max * 2.0 ** -52 * ztail * h_norm)
+    if name == "two_state:0.99" and n_max == 10:
+        assert round(rep.series_uncertainty, 1) == 55.2
+    rounding = 64 * n_max * 2.0 ** -52 * far.series_value
+    assert abs(rep.series_value - far.series_value) <= (
+        rep.series_uncertainty + far.series_uncertainty + rounding)

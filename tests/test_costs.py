@@ -41,7 +41,7 @@ TIMED_CALLS = {
     "DP": (lambda m: distribution_of_Sn(m, 16), "DP "),
     "transform": (lambda m: tilted_log_tail(m, 64, 3.0), "tilted transform of 16 points"),
     "drift series": (lambda m: coefficients._drift_series(m, 4, 1.0),
-                     "drift series to J = 64 on 2 states"),
+                     "drift series' power P to m = 4 and its 22 squarings on 2 states"),
     "conditional_block_moments": (lambda m: conditional_block_moments(m, 4),
                                   "block moments to t = 4"),
     "conditional_sum_norms": (lambda m: conditional_sum_norms(m, 12),

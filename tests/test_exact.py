@@ -1084,6 +1084,25 @@ def test_tail_table_json_round_trip(table_two_state_256):
     assert back.sigma_n == table_two_state_256.sigma_n
 
 
+LAW = {"schema": "tail_table/1", "n": 2, "denom": 1, "sigma_n": 1.0, "center": 0.0,
+       "offsets": [-2, 0, 2], "logp": [math.log(0.25), math.log(0.5), math.log(0.25)]}
+
+
+@pytest.mark.parametrize("defect", [
+    {"offsets": [0, -2, 2]}, {"offsets": [-2, 0, 0]}, {"offsets": [-2, 0.5, 2]},
+    {"offsets": [-2, True, 2]}, {"offsets": []}, {"logp": [math.log(0.5), math.log(0.5)]},
+    {"logp": [0.0, -math.inf, -math.inf]}, {"logp": [-1.0, -1.0, -1.0]},
+    {"logp": [0.0, math.nan, -50.0]}, {"n": 0}, {"n": 2.0}, {"denom": 0}, {"sigma_n": -1.0},
+    {"sigma_n": 0.0}, {"sigma_n": math.inf}, {"center": math.nan}],
+    ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_tail_table_json_must_hold_a_law(defect):
+    # each of these was once read back without a word: at three atoms of log-mass -1
+    # (a log total mass of log 3 - 1) exact_tail gave log P = +0.099
+    TailTable.from_json_dict(LAW)
+    with pytest.raises(OutOfRange):
+        TailTable.from_json_dict({**LAW, **defect})
+
+
 def test_tail_table_csv_shape(rademacher):
     table = distribution_of_Sn(rademacher, 3)
     lines = table.to_csv().strip().splitlines()

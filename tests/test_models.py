@@ -596,6 +596,25 @@ def test_moving_average_past_the_last_nonzero_weight_is_refused_before_any_array
             builtin("moving_average", c=1.0, L_trunc=L)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moving_average_c_past_its_certificate_is_refused(tmp_path, capsys):
+    # eta2 = 2 eta1^2 with eta1 up to c: past sqrt(max double / 2) = 9.48e153 it
+    # overflowed, a RuntimeWarning, and without one the run said only "eta2 must be
+    # one or more finite entries"
+    from mdlab import cli, models
+    top = builtin("moving_average", c=models.MA_MAX_C, L_trunc=3)
+    assert np.all(np.isfinite(top.decay.eta2))
+    for c in (math.nextafter(models.MA_MAX_C, math.inf), 1e200):
+        with pytest.raises(ParamOutOfRange, match=r"^c must be at most 9\.481e\+153, .* got"):
+            builtin("moving_average", c=c, L_trunc=3)
+    out = tmp_path / "out"
+    argv = ["coeffs", "--model", "moving_average:c=1e200,L_trunc=3", "--n", "1024", "--m", "16",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "c must be at most 9.481e+153" in capsys.readouterr().err
+    assert not out.exists()
+
+
 
 # entry points that take a horizon, lag, block length, chain or draw count:
 # (least count, call of the test's models and the count)
