@@ -86,8 +86,7 @@ def decompose(model, trajectory: Trajectory, m: int,
     n = trajectory.n
     if n < m:
         raise TrajectoryTooShort(f"trajectory has n={n} < m={m}")
-    k = n // m
-    rem = n - k * m
+    k, rem = divmod(n, m)
     sig = sigma_any(model, n)
 
     values = trajectory.values  # block_sums: k blocks of m, then the remainder (0.0 if empty)
@@ -122,7 +121,7 @@ def _exact_predictable(model: FiniteLatticeModel, trajectory: Trajectory,
             cm = conditional_block_moments(model, length)
             starts = trajectory.states[lo * m:hi * m:m]
             predictable[lo:hi] = cm.mean_by_state[starts]
-            cond_var[lo:hi] = (cm.second_by_state - cm.mean_by_state ** 2)[starts]
+            cond_var[lo:hi] = cm.var_by_state[starts]
     return predictable, cond_var
 
 
@@ -171,19 +170,13 @@ def quadratic_characteristic_deviation(model: FiniteLatticeModel, coeffs: Coeffi
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     n, m = coeffs.n, coeffs.m
-    k = n // m
-    rem = n - k * m
-    cm = conditional_block_moments(model, m)
-    v = cm.second_by_state - cm.mean_by_state ** 2
-    hi = k * float(v.max())
-    lo = k * float(v.min())
+    k, rem = divmod(n, m)
+    v = conditional_block_moments(model, m).var_by_state
+    hi, lo = k * float(v.max()), k * float(v.min())
     if variant == "martingale_all" and rem:
-        cr = conditional_block_moments(model, rem)
-        vr = cr.second_by_state - cr.mean_by_state ** 2
-        hi += float(vr.max())
-        lo += float(vr.min())
+        vr = conditional_block_moments(model, rem).var_by_state
+        hi, lo = hi + float(vr.max()), lo + float(vr.min())
     scale = n * coeffs.sigma_n ** 2
     exact_value = max(abs(hi / scale - 1.0), abs(lo / scale - 1.0))
     bound = coeffs.tau_sq if variant == "martingale_all" else coeffs.delta_sq + m / n
-    return QuadCharDeviation(exact_value=exact_value, bound_value=bound,
-                             variant=variant)
+    return QuadCharDeviation(exact_value=exact_value, bound_value=bound, variant=variant)

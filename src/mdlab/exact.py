@@ -39,12 +39,7 @@ from itertools import chain, islice
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import (
-    DegenerateVariance,
-    MdlabError,
-    OutOfRange,
-    ParamOutOfRange,
-)
+from .errors import DegenerateVariance, MdlabError, OutOfRange, ParamOutOfRange
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
                      _dense_step_seconds, _require_count, _require_exact, _sublattice)
 from .normal import normal_cdf
@@ -60,6 +55,7 @@ DRAW_CHUNK = 1 << 16  # values a quantile transform inverts per step; coupled dr
 BLOCK_STEPS = 64  # most sum-law DP steps between two logs of the table
 LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE of their reference
 TAIL_NATS = 750.0  # e^-750 underflows to 0.0: a log-term further below the largest adds nothing
+VAR_RTOL = 1e-14  # a variance at most this share of Var(X_0) is degenerate
 BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (16 B, 30-40 ns measured)
 
 
@@ -195,6 +191,11 @@ class ConditionalMoments:
     def sup_mean(self) -> float:
         return float(np.max(np.abs(self.mean_by_state)))
 
+    @property
+    def var_by_state(self) -> np.ndarray:
+        """Var(S_m | Y_0 = s) per state: the second moment less the squared mean."""
+        return self.second_by_state - self.mean_by_state ** 2
+
     def sup_second_dev(self, sigma_n: float) -> float:
         """Uniform deviation of the normalized conditional second moment from 1,
         measured against the ambient n's sigma_n."""
@@ -242,26 +243,35 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
         power = power @ power
         length *= 2
     v = s_x - x - t_x / n
-    var = float(model.pi @ (x * x)) + 2.0 * float(model.pi @ (x * v))
-    if var <= 1e-14:
-        raise DegenerateVariance(f"sigma_n^2 = {var!r} at n = {n}")
-    return float(np.sqrt(var))
+    gamma0 = float(model.pi @ (x * x))
+    return float(np.sqrt(_variance(model, gamma0 + 2.0 * float(model.pi @ (x * v)), gamma0, n)))
 
 
 def sigma_any(model, n: int) -> float:
-    """sigma_n for either tier: exact on the lattice; for a sampled model |a|^2 / n,
-    a = sum_weights(n) the weights of S_n = sum_j a_j eps_j, which gains one entry
-    sum(weights) a step past n = L = len(weights) - 1: n sigma_n^2 = |sum_weights(
-    min(n, L))|^2 + max(0, n - L) sum(weights)^2, with no loop over lags and no BLAS."""
+    """sigma_n for either tier: exact on the lattice; for a sampled model, with the weights in
+    units of the largest |weight| w, a = sum_weights(k), k = min(n, L), L = len(weights) - 1,
+    and one entry sum(weights) more a step past L: sigma_n = w sqrt(|a|^2 / n + (n - k) / n
+    sum(weights)^2), with no loop over lags, no BLAS and no n sigma_n^2 (finite if sigma_n is)."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
-    n, burn = _require_count(n, "n"), model.burn_in  # burn_in is L
-    a = model.sum_weights(min(n, burn))
-    total = float(np.cumsum(model.weights[::-1])[-1])  # as sum_weights sums it
-    var = (float(np.sum(a * a)) + max(0, n - burn) * total ** 2) / n
-    if var <= 1e-14:
-        raise DegenerateVariance(f"sigma_n^2 = {var!r} at n = {n}")
-    return float(np.sqrt(var))
+    n, w = _require_count(n, "n"), float(np.abs(model.weights).max()) or 1.0
+    unit = replace(model, weights=model.weights / w)
+    k, b = min(n, unit.burn_in), unit.weights  # burn_in is L
+    a, total = unit.sum_weights(k), float(np.cumsum(b[::-1])[-1])  # as sum_weights sums it
+    var = float(np.sum(a * a)) / n + (n - k) / n * total * total
+    return w * math.sqrt(_variance(model, var, float(np.sum(b * b)), n))
+
+
+def _variance(model, var: float, gamma0: float, n: int | None = None) -> float:
+    """The one variance rule, for sigma_n^2 at n or (n None) the long-run variance: var, unless
+    it is not finite (OutOfRange) or at most VAR_RTOL times gamma0 = Var(X_0) in var's own
+    units (DegenerateVariance), a ratio, so no verdict depends on the payoff's units."""
+    what = f"{model.name}: " + ("long-run variance" if n is None else f"sigma_n^2 at n = {n}")
+    if not math.isfinite(var):
+        raise OutOfRange(f"{what} is {var!r}")
+    if var <= VAR_RTOL * gamma0:
+        raise DegenerateVariance(f"{what} is {var!r}, at most {VAR_RTOL} gamma(0) = {gamma0!r}")
+    return var
 
 
 def poisson_solution(model: FiniteLatticeModel) -> np.ndarray:
@@ -275,12 +285,10 @@ def poisson_solution(model: FiniteLatticeModel) -> np.ndarray:
 
 def long_run_variance(model: FiniteLatticeModel) -> float:
     """sigma^2 = gamma(0) + 2 sum_{k>=1} gamma(k), in closed form."""
-    x = model.x_values
     h = poisson_solution(model)
-    var = float(model.pi @ (x * x) + 2.0 * model.pi @ (x * h))
-    if var <= 1e-14:
-        raise DegenerateVariance(f"long-run variance {var!r}")
-    return var
+    x = model.x_values
+    gamma0 = model.pi @ (x * x)
+    return _variance(model, float(gamma0 + 2.0 * model.pi @ (x * h)), float(gamma0))
 
 
 def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:

@@ -225,13 +225,16 @@ def test_nested_resampling_matches_per_draw_convolution():
         assert dec.predictable_se[i] ** 2 * draws == pytest.approx(np.var(sums, ddof=1), abs=1e-12)
 
 
-@pytest.mark.parametrize("L, variant", [(6, "martingale_all"), (20, "split_remainder"),
-                                        (45, "martingale_all")])
-def test_nested_sums_are_the_shifted_add_path_sums_bit_for_bit(L, variant):
+@pytest.mark.parametrize("L, variant, m", [(6, "martingale_all", 30), (20, "split_remainder", 30),
+                                           (45, "martingale_all", 30), (6, "martingale_all", 25)],
+                         ids=["6-martingale_all", "20-split_remainder", "45-martingale_all",
+                              "6-martingale_all-m-divides-n"])
+def test_nested_sums_are_the_shifted_add_path_sums_bit_for_bit(L, variant, m):
     # c = 1: every weight is a power of two, so each redrawn window's weighted
-    # reduction is its path's sum exactly, whatever the order of the adds
+    # reduction is its path's sum exactly, whatever the order of the adds; where m
+    # divides n the martingalized remainder block is empty, with sum and variance 0
     ma = builtin("moving_average", c=1.0, L_trunc=L)
-    n, m, draws, seed = 100, 30, 16, 3
+    n, draws, seed = 100, 16, 3
     traj = sample_trajectory(ma, n, seed=9)
     dec = decompose(ma, traj, m, variant=variant, nested_draws=draws, seed=seed)
     burn = ma.burn_in

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mdlab import build_finite_lattice_model, builtin, cli
 from mdlab.cli import X_POINT_BYTES, _max_abs_tail, main
 from mdlab.errors import ReducibleChain
-from mdlab.models import DEFAULT_BUDGET_BYTES
+from mdlab.models import DEFAULT_BUDGET_BYTES, MA_MAX_C
 
 import oracles
 
@@ -424,6 +425,12 @@ def test_manifest_headers_share_config_hash(tmp_path):
 @pytest.mark.parametrize("body, code", [
     ("states =\ndenom = 1\nf_num =\ntransition =\n", 2),
     ("states = a b\ndenom = 1\nf_num = 1 -1\ntransition = nan nan 0.5 0.5\n", 3),
+    ("states = a b\ndenom 1\nf_num = 1 -1\ntransition = 0.5 0.5 0.5 0.5\n", 2),
+    ("states = a b\nscale = 1\ndenom = 1\nf_num = 1 -1\ntransition = 0.5 0.5 0.5 0.5\n", 2),
+    ("states = a b\ndenom = one\nf_num = 1 -1\ntransition = 0.5 0.5 0.5 0.5\n", 2),
+    ("states = a b\ndenom = 1\nf_num = 1 -1 0\ntransition = 0.5 0.5 0.5 0.5\n", 2),
+    ("states = a b\ndenom = 0\nf_num = 1 -1\ntransition = 0.5 0.5 0.5 0.5\n", 2),
+    ("states = a b\ndenom = 1\nf_num = 1 -1\ntransition = 1.5 -0.5 0.5 0.5\n", 3),
 ])
 def test_malformed_model_file_exit_code(tmp_path, capsys, body, code):
     model_file = tmp_path / "bad.model"
@@ -431,6 +438,86 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, body, code):
     assert main(["coeffs", "--model", str(model_file), "--n", "16", "--m", "2",
                  "--out", str(tmp_path)]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["coeffs", "--model", "two_state:rho", "--m", "4"], "bad model parameter 'rho'"),
+    (["coeffs", "--model", "two_state:rho=high", "--m", "4"], "'rho' must be numeric"),
+    (["coeffs", "--model", "two_state:rho=0.4,tilt=1", "--m", "4"], "unexpected parameters"),
+    (["coeffs", "--model", "rademacher", "--m", "4", "--config", "/nowhere/cfg.json"],
+     "config file not found"),
+    (["coeffs", "--model", "rademacher", "--m", "4", "--config", "BROKEN"], "not valid JSON"),
+    (["coeffs", "--model", "moving_average:c=1,L_trunc=3", "--m", "65"], "need 1 <= m <= n"),
+    (["coeffs", "--model", "moving_average:c=1,L_trunc=3"], "one of --m or --beta"),
+    (["verify", "--model", "rademacher", "--m", "4", "--x-min", "2", "--x-max", "1"],
+     "x grid needs 0 <= x-min <= x-max"),
+], ids=["param-without-value", "param-not-numeric", "unexpected-param", "config-missing",
+        "config-not-json", "m-past-n", "no-block-length", "x-grid-reversed"])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, named):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 64')
+    out = tmp_path / "out"
+    argv = [str(broken) if word == "BROKEN" else word for word in argv]
+    assert run_cli(argv + ["--n", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error:") and named in err
+    assert not out.exists()
+
+
+def test_report_with_a_failing_check_exits_4_and_records_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "peligrad_bound", lambda *args: 0.0)
+    out = tmp_path / "rep"
+    assert main(REPORT_SMALL + ["--out", str(out)]) == 4
+    results = read_json(out / "summary.json")["results"]
+    assert results["verify"].startswith("assertion failed: peligrad validity failed at x=4.0")
+    assert {k: v for k, v in results.items() if k != "verify"} == {
+        "coeffs": "ok", "coupling": "ok", "mdp": "ok"}
+
+
+# two_state:rho=0.4 with its payoff in units of 10^-8, on the builtin's own transition bits
+TWO_STATE_1E_8 = ("states = -1 +1\ndenom = 100000000\nf_num = -1 1\n"
+                  "transition = 0.7 0.30000000000000004  0.30000000000000004 0.7\n")
+
+
+def _cells_close(a: str, b: str) -> bool:
+    return a == b or float(a) == pytest.approx(float(b), rel=1e-12)
+
+
+def test_a_chain_in_units_of_1e_8_runs_like_the_unit_chain(tmp_path):
+    # its sigma_n^2 of 2.3e-16 once failed an absolute variance floor (exit 3); the
+    # rule reads sigma^2 against Var(X_0), and every output scaled by sigma_n is the same
+    model_file = tmp_path / "tiny.model"
+    model_file.write_text(TWO_STATE_1E_8)
+    for name, spec, c in (("tiny", str(model_file), "1e-8"), ("unit", "two_state:rho=0.4", "1")):
+        for cmd, *flags in (["coeffs"], ["verify"], ["mdp", "--c", c]):
+            assert main([cmd, "--model", spec, "--n", "1024", "--m", "8", *flags,
+                         "--out", str(tmp_path / name)]) == 0
+    for csv in ("ratio.csv", "bounds.csv", "mdp.csv"):
+        (_, tiny), (_, unit) = (read_csv(tmp_path / w / csv) for w in ("tiny", "unit"))
+        assert len(tiny) == len(unit) > 0
+        assert all(_cells_close(a, b) for r, q in zip(tiny, unit) for a, b in zip(r, q))
+    tiny, unit = (read_json(tmp_path / w / "ks.json") for w in ("tiny", "unit"))
+    assert tiny["ks_exact"] == pytest.approx(unit["ks_exact"], rel=1e-12)
+    for key in ("gamma_m", "delta_sq", "eps_m"):
+        assert tiny["coefficients"][key] == pytest.approx(unit["coefficients"][key], rel=1e-12)
+    assert tiny["coefficients"]["sigma_n"] == pytest.approx(
+        1e-8 * unit["coefficients"]["sigma_n"], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1024, 10 ** 12])
+@pytest.mark.parametrize("c", ["1e-8", "0.7", "1e150", repr(MA_MAX_C)])
+def test_moving_average_coefficients_do_not_depend_on_c(tmp_path, c, n):
+    # sigma_n is built in units of the largest weight and the certified sums over sigma_n:
+    # c = 9e153 once raised OverflowError (exit 1) and c past 7e147 exited 2 at n = 10^12
+    docs = {}
+    for v in (c, "1"):
+        assert main(["coeffs", "--model", f"moving_average:c={v},L_trunc=3", "--n", str(n),
+                     "--m", "16", "--out", str(tmp_path / v)]) == 0
+        docs[v] = read_json(tmp_path / v / "coefficients.json")["coefficients"]
+    assert all(math.isfinite(v) for v in docs[c].values() if not isinstance(v, str))
+    for key in ("eps_m", "gamma_bound", "delta_sq_bound"):
+        assert docs[c][key] == pytest.approx(docs["1"][key], rel=1e-12)
+    assert docs[c]["sigma_n"] == pytest.approx(float(c) * docs["1"]["sigma_n"], rel=1e-12)
 
 
 def test_verify_reports_the_first_violation_in_check_order(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,8 @@ from mdlab import (
     sigma_n,
 )
 from mdlab import exact, models
-from mdlab.errors import BudgetExceeded, OutOfRange, ParamOutOfRange, SampledTierUnsupported
+from mdlab.errors import (BudgetExceeded, DegenerateVariance, OutOfRange, ParamOutOfRange,
+                          SampledTierUnsupported)
 from mdlab.models import DEFAULT_BUDGET_BYTES
 from mdlab.exact import (TILT_REACH, _max_abs_tail, _prefix_logsum, _sum_law_steps,
                          _suffix_logsum, _sum_law_tables, conditional_sum_norms, sigma_any,
@@ -230,6 +232,61 @@ def test_moving_average_sigma_is_4c_times_its_dyadic_twins(L, c):
     twin = _oracle_model(f"dyadic:{L + 1}")
     for n in (1, 5, 64, 1000, 10 ** 6):
         assert sigma_any(ma, n) == pytest.approx(4 * c * sigma_n(twin, n), rel=1e-14)
+
+
+def _two_state_in_units(denom: int, stay: float = 0.7):
+    """The symmetric two-state chain with payoff +-1 / denom."""
+    trans = [[stay, 1.0 - stay], [1.0 - stay, stay]]
+    return build_finite_lattice_model(("-1", "+1"), trans, [-1, 1], denom)
+
+
+def test_sigma_scales_with_the_payoff(two_state04):
+    # two_state rho = 0.4 in units of 10^-8: sigma^2 = 2.3e-16 is no degenerate variance
+    tiny = _two_state_in_units(10 ** 8)
+    for n in (1, 7, 1024, 10 ** 6):
+        assert sigma_n(tiny, n) == pytest.approx(1e-8 * sigma_n(two_state04, n), rel=1e-15)
+        assert sigma_any(tiny, n) == sigma_n(tiny, n)
+    assert long_run_variance(tiny) == pytest.approx(1e-16 * long_run_variance(two_state04),
+                                                    rel=1e-15)
+
+
+@pytest.mark.parametrize("denom", [1, 10 ** 8])
+@pytest.mark.parametrize("stay, degenerate", [(1e-15, True), (1e-12, False)])
+def test_the_variance_verdict_is_the_same_in_every_unit(denom, stay, degenerate):
+    # rho = 2 stay - 1 near -1: sigma^2 = (1 + rho) / (1 - rho), about stay, against
+    # gamma(0) = denom^-2; the verdict reads their ratio, whatever the payoff's unit
+    model = _two_state_in_units(denom, stay)
+    for call in (lambda: long_run_variance(model), lambda: sigma_n(model, 1000)):
+        if degenerate:
+            with pytest.raises(DegenerateVariance, match="at most 1e-14 gamma"):
+                call()
+        else:
+            assert call() > 0.0
+
+
+@pytest.mark.parametrize("n", [None, 7])
+@pytest.mark.parametrize("var", [math.inf, math.nan])
+def test_a_variance_that_is_not_finite_names_the_model_and_n(two_state04, n, var):
+    where = "long-run variance" if n is None else "sigma_n^2 at n = 7"
+    with pytest.raises(OutOfRange, match=re.escape(f"two_state(rho=0.4): {where} is")):
+        exact._variance(two_state04, var, 1.0, n)
+
+
+def test_sampled_sigma_of_a_zero_filter_is_degenerate():
+    zero = models.SampledModel(name="zero", innovations=None, weights=[0.0, 0.0], bound=1.0,
+                               decay=models.DecayCertificate([0.0], [0.0], 0.5))
+    with pytest.raises(DegenerateVariance, match="zero: sigma_n"):
+        sigma_any(zero, 4)
+
+
+@pytest.mark.parametrize("c", [1e-8, 0.7, 1e150, 9e153, models.MA_MAX_C])
+def test_sampled_sigma_is_c_times_the_unit_filters_at_every_n(c):
+    # the sums run in units of the largest weight: no n sigma_n^2 overflows (c = 9e153
+    # once raised OverflowError at n = 1024, and every c past 7e147 gave inf at 10^12)
+    ma, unit = (builtin("moving_average", c=v, L_trunc=3) for v in (c, 1.0))
+    for n in (1, 3, 1024, 10 ** 12):
+        got = sigma_any(ma, n)
+        assert math.isfinite(got) and got == pytest.approx(c * sigma_any(unit, n), rel=1e-15)
 
 
 # -- conditional block moments -------------------------------------------------

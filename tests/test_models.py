@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mdlab import (
     DecayCertificate,
+    TailTable,
     build_finite_lattice_model,
     build_quantile_transform,
     builtin,
@@ -19,6 +20,7 @@ from mdlab import (
     eta_certificate,
     geometric_mixing_certificate,
     phi_mixing_coefficients,
+    quadratic_characteristic_deviation,
     sample_coupled_pairs,
     sample_trajectory,
     sigma_n,
@@ -27,10 +29,14 @@ from mdlab import (
 )
 from mdlab.errors import (
     DegeneratePayoff,
+    MissingNorms,
+    NonStochasticRow,
+    OutOfRange,
     ParamOutOfRange,
     PeriodicChain,
     ReducibleChain,
     SampledTierUnsupported,
+    TrajectoryTooShort,
     UnknownBuiltin,
 )
 from mdlab import blocking, coupling, models, montecarlo
@@ -40,7 +46,8 @@ from mdlab.coefficients import (
     select_block_size,
 )
 from mdlab.exact import autocovariance, conditional_sum_norms
-from mdlab.models import SampledModel, child_rng, parse_model_text, sample_state_paths
+from mdlab.models import (SampledModel, Trajectory, child_rng, parse_model_text,
+                          sample_state_paths)
 from mdlab.bounds import (
     berry_esseen_bound,
     cramer_envelope,
@@ -746,6 +753,38 @@ def test_bad_seeds_are_refused_before_any_work(count_models, monkeypatch, name, 
     monkeypatch.setattr(owner, step, reached)
     with pytest.raises(ParamOutOfRange, match="seed must be an integer >= 0, got"):
         call(count_models, seed)
+
+
+# input checks no other test reaches: the typed error and a call of the test's models
+TYPED_INPUT_CALLS = {
+    "transition shape": (NonStochasticRow, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5]], [0, 1], 1)),
+    "f_num length": (ParamOutOfRange, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [0, 1, 2], 1)),
+    "denom": (ParamOutOfRange, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [0, 1], 0)),
+    "negative entry": (NonStochasticRow, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[1.5, -0.5], [0.5, 0.5]], [0, 1], 1)),
+    "builtin extra parameter": (ParamOutOfRange, lambda c: builtin("rademacher", rho=0.4)),
+    "ratio_curve mode": (ParamOutOfRange, lambda c: ratio_curve(
+        c.ts, 16, 4, [0.5], mode="exactly", coeffs=c.coeffs)),
+    "peligrad_bound norms": (MissingNorms, lambda c: peligrad_bound(4.0, 12, 1.0, [-0.1] * 12)),
+    "certified m past n": (ParamOutOfRange, lambda c: certified_coefficient_bounds(
+        c.ma.decay, 17, 16, 1.0, 1.0)),
+    "tail table schema": (OutOfRange, lambda c: TailTable.from_json_dict(
+        {"schema": "tail_table/0"})),
+    "decompose without states": (TrajectoryTooShort, lambda c: decompose(
+        c.ts, Trajectory(values=c.path.values), 4)),
+    "quadratic characteristic variant": (ParamOutOfRange, lambda c: (
+        quadratic_characteristic_deviation(c.ts, c.coeffs, "bogus"))),
+}
+
+
+@pytest.mark.parametrize("name", TYPED_INPUT_CALLS)
+def test_bad_inputs_raise_their_typed_errors(count_models, name):
+    error, call = TYPED_INPUT_CALLS[name]
+    with pytest.raises(error):
+        call(count_models)
 
 
 # every scale: a call of the test's models and the value, and whether 0 is one
