@@ -86,7 +86,8 @@ def decompose(model, trajectory: Trajectory, m: int,
     n = trajectory.n
     if n < m:
         raise TrajectoryTooShort(f"trajectory has n={n} < m={m}")
-    k, rem = divmod(n, m)
+    k = n // m
+    rem = n - k * m
     sig = sigma_any(model, n)
 
     values = trajectory.values  # block_sums: k blocks of m, then the remainder (0.0 if empty)
@@ -170,13 +171,14 @@ def quadratic_characteristic_deviation(model: FiniteLatticeModel, coeffs: Coeffi
     if variant not in VARIANTS:
         raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     n, m = coeffs.n, coeffs.m
-    k, rem = divmod(n, m)
-    v = conditional_block_moments(model, m).var_by_state
-    hi, lo = k * float(v.max()), k * float(v.min())
-    if variant == "martingale_all" and rem:
-        vr = conditional_block_moments(model, rem).var_by_state
-        hi, lo = hi + float(vr.max()), lo + float(vr.min())
+    hi = lo = 0.0  # the largest and the least sum of the blocks' conditional variances
+    for length, count in ((m, n // m), (n % m if variant == "martingale_all" else 0, 1)):
+        if length:
+            v = conditional_block_moments(model, length).var_by_state
+            hi += count * float(v.max())
+            lo += count * float(v.min())
     scale = n * coeffs.sigma_n ** 2
     exact_value = max(abs(hi / scale - 1.0), abs(lo / scale - 1.0))
     bound = coeffs.tau_sq if variant == "martingale_all" else coeffs.delta_sq + m / n
-    return QuadCharDeviation(exact_value=exact_value, bound_value=bound, variant=variant)
+    return QuadCharDeviation(exact_value=exact_value, bound_value=bound,
+                             variant=variant)

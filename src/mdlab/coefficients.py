@@ -26,7 +26,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import BetaOutOfRange, NoDecayCertificate, ParamOutOfRange, WindowTooSmall
+from .errors import (
+    BetaOutOfRange,
+    NoDecayCertificate,
+    ParamOutOfRange,
+    WindowTooSmall,
+)
 from .exact import (
     _block_moments,
     conditional_block_moments,
@@ -294,17 +299,18 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
     sigma_n, bound_x0 = _require_scale(sigma_n, "sigma_n"), _require_scale(bound_x0, "bound_x0")
     _check_cost(f"certified_coefficient_bounds at m = {m}", 6 * 8 * m, of="six float arrays of m")
 
-    # every sum runs over eta1 / sigma_n and eta2 / sigma_n^2, so the payoff's scale cancels
-    eta1, eta2 = cert.eta1 / sigma_n, cert.eta2 / sigma_n / sigma_n
+    p = math.ldexp(1.0, math.frexp(sigma_n)[1] - 1)  # in units of p ~ sigma_n: exact, c cancels
+    eta1, eta2, sigma_n, bound_x0 = cert.eta1 / p, cert.eta2 / p / p, sigma_n / p, bound_x0 / p
     s_head = float(cert.upto(eta1, m).sum())
     series = float(cert.tail_sums(eta1, np.array([m]), over_sqrt=True)[0])
-    gamma_bound = 1.0 / math.sqrt(m) * (s_head + math.sqrt(m) * series)
+    gamma_bound = 1.0 / (math.sqrt(m) * sigma_n) * (s_head + math.sqrt(m) * series)
 
     ks = np.arange(1, m // 2 + 1)
     t_weighted = float(np.sum(ks * cert.upto(eta2, ks.size)))
-    t_cross = bound_x0 / sigma_n * float(np.sum(cert.tail_sums(eta1, 2 * ks)))
+    t_cross = bound_x0 * float(np.sum(cert.tail_sums(eta1, 2 * ks)))
     t_far = m * float(cert.tail_sums(eta2, np.array([max(1, ks.size)]))[0])
-    delta_sq_bound = 1.0 / m * (s_head * s_head + t_weighted + t_cross + t_far)
+    delta_sq_bound = 1.0 / (m * sigma_n ** 2) * (
+        s_head ** 2 + t_weighted + t_cross + t_far)
 
     return CertifiedCoefficientBounds(gamma_bound=gamma_bound, delta_sq_bound=delta_sq_bound,
                                       regime="m^-1/2")

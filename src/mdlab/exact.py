@@ -39,7 +39,12 @@ from itertools import chain, islice
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateVariance, MdlabError, OutOfRange, ParamOutOfRange
+from .errors import (
+    DegenerateVariance,
+    MdlabError,
+    OutOfRange,
+    ParamOutOfRange,
+)
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
                      _dense_step_seconds, _require_count, _require_exact, _sublattice)
 from .normal import normal_cdf
@@ -55,7 +60,7 @@ DRAW_CHUNK = 1 << 16  # values a quantile transform inverts per step; coupled dr
 BLOCK_STEPS = 64  # most sum-law DP steps between two logs of the table
 LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE of their reference
 TAIL_NATS = 750.0  # e^-750 underflows to 0.0: a log-term further below the largest adds nothing
-VAR_RTOL = 1e-14  # a variance at most this share of Var(X_0) is degenerate
+VAR_RTOL = 1e-14  # a variance at most this share of gamma(0) = Var(X_0) (same units) is degenerate
 BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (16 B, 30-40 ns measured)
 
 
@@ -193,7 +198,6 @@ class ConditionalMoments:
 
     @property
     def var_by_state(self) -> np.ndarray:
-        """Var(S_m | Y_0 = s) per state: the second moment less the squared mean."""
         return self.second_by_state - self.mean_by_state ** 2
 
     def sup_second_dev(self, sigma_n: float) -> float:
@@ -244,33 +248,32 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
         length *= 2
     v = s_x - x - t_x / n
     gamma0 = float(model.pi @ (x * x))
-    return float(np.sqrt(_variance(model, gamma0 + 2.0 * float(model.pi @ (x * v)), gamma0, n)))
+    var = gamma0 + 2.0 * float(model.pi @ (x * v))
+    return float(np.sqrt(_variance(model, var, gamma0, f"sigma_n^2 at n = {n}")))
 
 
 def sigma_any(model, n: int) -> float:
-    """sigma_n for either tier: exact on the lattice; for a sampled model, with the weights in
-    units of the largest |weight| w, a = sum_weights(k), k = min(n, L), L = len(weights) - 1,
-    and one entry sum(weights) more a step past L: sigma_n = w sqrt(|a|^2 / n + (n - k) / n
-    sum(weights)^2), with no loop over lags, no BLAS and no n sigma_n^2 (finite if sigma_n is)."""
+    """sigma_n for either tier: exact on the lattice; for a sampled model |a|^2 / n,
+    a = sum_weights(n) the weights of S_n = sum_j a_j eps_j, which gains one entry
+    sum(weights) a step past n = L = len(weights) - 1: n sigma_n^2 = |sum_weights(
+    min(n, L))|^2 + max(0, n - L) sum(weights)^2, no BLAS, in units of 2^k ~ max |weight|."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
-    n, w = _require_count(n, "n"), float(np.abs(model.weights).max()) or 1.0
-    unit = replace(model, weights=model.weights / w)
-    k, b = min(n, unit.burn_in), unit.weights  # burn_in is L
-    a, total = unit.sum_weights(k), float(np.cumsum(b[::-1])[-1])  # as sum_weights sums it
-    var = float(np.sum(a * a)) / n + (n - k) / n * total * total
-    return w * math.sqrt(_variance(model, var, float(np.sum(b * b)), n))
+    n, burn = _require_count(n, "n"), model.burn_in  # burn_in is L
+    w = math.ldexp(1.0, math.frexp(float(np.abs(model.weights).max()))[1] - 1)
+    a, b = model.sum_weights(min(n, burn)) / w, model.weights / w
+    total = float(np.cumsum(b[::-1])[-1])  # as sum_weights sums it
+    var = (float(np.sum(a * a)) + max(0, n - burn) * (total * total)) / n
+    return w * math.sqrt(_variance(model, var, float(np.sum(b * b)), f"sigma_n^2 at n = {n}"))
 
 
-def _variance(model, var: float, gamma0: float, n: int | None = None) -> float:
-    """The one variance rule, for sigma_n^2 at n or (n None) the long-run variance: var, unless
-    it is not finite (OutOfRange) or at most VAR_RTOL times gamma0 = Var(X_0) in var's own
-    units (DegenerateVariance), a ratio, so no verdict depends on the payoff's units."""
-    what = f"{model.name}: " + ("long-run variance" if n is None else f"sigma_n^2 at n = {n}")
+def _variance(model, var: float, gamma0: float, what: str) -> float:
+    """var, unless it is not finite (OutOfRange) or at most VAR_RTOL gamma0 (DegenerateVariance)."""
     if not math.isfinite(var):
-        raise OutOfRange(f"{what} is {var!r}")
+        raise OutOfRange(f"{model.name}: {what} is {var!r}")
     if var <= VAR_RTOL * gamma0:
-        raise DegenerateVariance(f"{what} is {var!r}, at most {VAR_RTOL} gamma(0) = {gamma0!r}")
+        raise DegenerateVariance(f"{model.name}: {what} is {var!r}, at most {VAR_RTOL} gamma(0) "
+                                 f"= {gamma0!r}")
     return var
 
 
@@ -287,8 +290,8 @@ def long_run_variance(model: FiniteLatticeModel) -> float:
     """sigma^2 = gamma(0) + 2 sum_{k>=1} gamma(k), in closed form."""
     h = poisson_solution(model)
     x = model.x_values
-    gamma0 = model.pi @ (x * x)
-    return _variance(model, float(gamma0 + 2.0 * model.pi @ (x * h)), float(gamma0))
+    gamma0 = float(model.pi @ (x * x))
+    return _variance(model, gamma0 + 2.0 * float(model.pi @ (x * h)), gamma0, "long-run variance")
 
 
 def conditional_sum_norms(model: FiniteLatticeModel, n_max: int) -> np.ndarray:

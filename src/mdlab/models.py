@@ -42,6 +42,7 @@ MAX_CONTRACTION_POWER = 4096  # largest P^n0 searched for a Dobrushin coefficien
 BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 at 512 states)
 MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average weight is 0.0
 MA_MAX_C = math.sqrt(np.finfo(float).max / 2)  # past it eta2 = 2 eta1^2 overflows (9.48e153)
+MA_MIN_C = math.sqrt(np.finfo(float).tiny)  # under it c^2 is subnormal: eta2 loses bits (1.49e-154)
 
 
 @dataclass(frozen=True)
@@ -269,15 +270,6 @@ def _exact_stationary(rows: list[dict]) -> list[Fraction]:
     return [Fraction(d * v, det) for d, v in zip(scale, x)]
 
 
-def _float_stationary(p: np.ndarray) -> np.ndarray:
-    """The same bordered system as ``_exact_stationary``, solved in floats."""
-    a = p.T - np.eye(p.shape[0])
-    a[-1] = 1.0
-    b = np.zeros(p.shape[0])
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
-
-
 def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
                                name: str = "lattice") -> FiniteLatticeModel:
     """Build and validate an exact-tier model.
@@ -330,8 +322,10 @@ def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
     if n <= EXACT_SOLVE_MAX_STATES:
         pi_frac = _exact_stationary(frac_rows)
         pi = np.array([float(v) for v in pi_frac])
-    else:
-        pi = _float_stationary(trans)
+    else:  # the same bordered system in floats: P^T - I, last row all ones, right side e_n
+        bordered = trans.T - np.eye(n)
+        bordered[-1] = 1.0
+        pi = np.linalg.solve(bordered, np.eye(1, n, n - 1)[0])
         pi_frac = [Fraction(float(v)) for v in pi]
 
     if np.any(pi < -1e-15):
@@ -379,9 +373,9 @@ def _dyadic_contracting(L: int) -> FiniteLatticeModel:
 
 def _moving_average(c: float, L: int) -> SampledModel:
     c = _require_scale(c, "c")
-    if c > MA_MAX_C:
+    if not MA_MIN_C <= c <= MA_MAX_C:
         raise ParamOutOfRange(f"c must be at most {MA_MAX_C:.4g}, where the decay certificate's "
-                              f"eta2 = 2 eta1^2 stays finite, got {c!r}")
+                              f"eta2 = 2 eta1^2 stays finite, and >= {MA_MIN_C:.4g}, got {c!r}")
     if L > MA_MAX_LAG:
         raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L}")
     weights = c * 0.5 ** np.arange(L + 1)
@@ -410,9 +404,6 @@ def builtin(name: str, **params):
     dyadic_contracting(L)     binary-shift chain on {j/2^L}, contraction 1/2
     moving_average(c,L_trunc) geometric moving average of i.i.d. signs (sampled)
     """
-    known = {"rademacher", "two_state", "dyadic_contracting", "moving_average"}
-    if name not in known:
-        raise UnknownBuiltin(f"unknown builtin model {name!r}")
     try:
         if name == "rademacher":
             model = _two_state(0.0, name="rademacher")
@@ -421,9 +412,11 @@ def builtin(name: str, **params):
             model = _two_state(rho, name=f"two_state(rho={rho})")
         elif name == "dyadic_contracting":
             model = _dyadic_contracting(_require_count(params.pop("L"), "L"))
-        else:
+        elif name == "moving_average":
             model = _moving_average(float(params.pop("c")),
                                     _require_count(params.pop("L_trunc"), "L_trunc"))
+        else:
+            raise UnknownBuiltin(f"unknown builtin model {name!r}")
     except KeyError as exc:
         raise ParamOutOfRange(f"missing parameter {exc} for builtin {name!r}") from None
     if params:
@@ -506,9 +499,8 @@ def geometric_mixing_certificate(model: FiniteLatticeModel) -> tuple[float, floa
     phi_1(k) <= delta(P^n0)^(k/n0 - 1).  Returns (C, r, n0).
     """
     _require_exact(model)
-    p = model.transition
     n0 = 1
-    pk = p.copy()
+    pk = model.transition.copy()
     while n0 <= MAX_CONTRACTION_POWER:
         d = _dobrushin(pk)
         if d == 0.0:

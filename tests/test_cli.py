@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mdlab import build_finite_lattice_model, builtin, cli
 from mdlab.cli import X_POINT_BYTES, _max_abs_tail, main
 from mdlab.errors import ReducibleChain
-from mdlab.models import DEFAULT_BUDGET_BYTES, MA_MAX_C
+from mdlab.models import DEFAULT_BUDGET_BYTES, MA_MAX_C, MA_MIN_C
 
 import oracles
 
@@ -505,13 +505,15 @@ def test_a_chain_in_units_of_1e_8_runs_like_the_unit_chain(tmp_path):
 
 
 @pytest.mark.parametrize("n", [1024, 10 ** 12])
-@pytest.mark.parametrize("c", ["1e-8", "0.7", "1e150", repr(MA_MAX_C)])
-def test_moving_average_coefficients_do_not_depend_on_c(tmp_path, c, n):
-    # sigma_n is built in units of the largest weight and the certified sums over sigma_n:
-    # c = 9e153 once raised OverflowError (exit 1) and c past 7e147 exited 2 at n = 10^12
+@pytest.mark.parametrize("L", [3, 1074])
+@pytest.mark.parametrize("c", [repr(MA_MIN_C), "1e-150", "1e-8", "0.7", "1e150", repr(MA_MAX_C)])
+def test_moving_average_coefficients_do_not_depend_on_c(tmp_path, c, n, L):
+    # sigma_n and the certified sums run in units of a power of two by the largest weight
+    # and by sigma_n: c = 9e153 once raised OverflowError (exit 1) and c past 7e147 exited
+    # 2 at n = 10^12; the least c keeps eta2's head normal, so no term underflows away
     docs = {}
     for v in (c, "1"):
-        assert main(["coeffs", "--model", f"moving_average:c={v},L_trunc=3", "--n", str(n),
+        assert main(["coeffs", "--model", f"moving_average:c={v},L_trunc={L}", "--n", str(n),
                      "--m", "16", "--out", str(tmp_path / v)]) == 0
         docs[v] = read_json(tmp_path / v / "coefficients.json")["coefficients"]
     assert all(math.isfinite(v) for v in docs[c].values() if not isinstance(v, str))

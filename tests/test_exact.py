@@ -269,7 +269,7 @@ def test_the_variance_verdict_is_the_same_in_every_unit(denom, stay, degenerate)
 def test_a_variance_that_is_not_finite_names_the_model_and_n(two_state04, n, var):
     where = "long-run variance" if n is None else "sigma_n^2 at n = 7"
     with pytest.raises(OutOfRange, match=re.escape(f"two_state(rho=0.4): {where} is")):
-        exact._variance(two_state04, var, 1.0, n)
+        exact._variance(two_state04, var, 1.0, where)
 
 
 def test_sampled_sigma_of_a_zero_filter_is_degenerate():
@@ -279,7 +279,7 @@ def test_sampled_sigma_of_a_zero_filter_is_degenerate():
         sigma_any(zero, 4)
 
 
-@pytest.mark.parametrize("c", [1e-8, 0.7, 1e150, 9e153, models.MA_MAX_C])
+@pytest.mark.parametrize("c", [models.MA_MIN_C, 1e-8, 0.7, 1e150, 9e153, models.MA_MAX_C])
 def test_sampled_sigma_is_c_times_the_unit_filters_at_every_n(c):
     # the sums run in units of the largest weight: no n sigma_n^2 overflows (c = 9e153
     # once raised OverflowError at n = 1024, and every c past 7e147 gave inf at 10^12)
@@ -287,6 +287,19 @@ def test_sampled_sigma_is_c_times_the_unit_filters_at_every_n(c):
     for n in (1, 3, 1024, 10 ** 12):
         got = sigma_any(ma, n)
         assert math.isfinite(got) and got == pytest.approx(c * sigma_any(unit, n), rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.7, 3.0, 1000.0, 1e-8, 1e100])
+@pytest.mark.parametrize("L", [1, 3, 12, 20, 1074])
+def test_sampled_sigma_in_units_of_a_power_of_two_is_the_plain_sum_bit_for_bit(c, L):
+    # scaling by a power of two is exact, so where n sigma_n^2 = |a|^2 + (n - L)+ total^2
+    # is finite in the weights' own units, the scaled sums give its root to the bit
+    ma = builtin("moving_average", c=c, L_trunc=L)
+    total = float(np.cumsum(ma.weights[::-1])[-1])
+    for n in (1, 2, 5, L, L + 1, 1000, 4000, 10 ** 6, 10 ** 9, 10 ** 12):
+        a = ma.sum_weights(min(n, L))
+        plain = (float(np.sum(a * a)) + max(0, n - L) * (total * total)) / n
+        assert sigma_any(ma, n) == math.sqrt(plain)
 
 
 # -- conditional block moments -------------------------------------------------

@@ -622,6 +622,25 @@ def test_moving_average_c_past_its_certificate_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moving_average_c_under_its_certificate_is_refused(tmp_path, capsys):
+    # under sqrt(least normal double) = 1.49e-154, c^2 is subnormal and eta2 = 2 eta1^2
+    # loses its digits (0.0 from about 1e-162): the certified bounds would drop whole
+    # terms and come out below those of c = 1, with exit 0
+    from mdlab import cli, models
+    low = builtin("moving_average", c=models.MA_MIN_C, L_trunc=3)
+    assert low.decay.eta2[0] >= np.finfo(float).tiny
+    for c in (math.nextafter(models.MA_MIN_C, 0.0), 1e-200, 1e-320, 5e-324):
+        with pytest.raises(ParamOutOfRange, match=r"and >= 1\.492e-154, got"):
+            builtin("moving_average", c=c, L_trunc=3)
+    out = tmp_path / "out"
+    argv = ["coeffs", "--model", "moving_average:c=1e-200,L_trunc=3", "--n", "1024", "--m", "16",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert ">= 1.492e-154, got 1e-200" in capsys.readouterr().err
+    assert not out.exists()
+
+
 
 # entry points that take a horizon, lag, block length, chain or draw count:
 # (least count, call of the test's models and the count)
