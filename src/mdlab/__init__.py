@@ -7,7 +7,7 @@ theory is evaluated against those exact oracles, and seeded Monte Carlo plus
 a quantile-coupling construction cover what the oracles cannot reach.
 """
 
-from .blocking import BlockDecomposition, decompose, quadratic_characteristic_deviation
+from .blocking import quadratic_characteristic_deviation
 from .bounds import (
     BoundCurve,
     bernstein_bound,
@@ -24,11 +24,9 @@ from .bounds import (
 from .coefficients import (
     BlockSizeChoice,
     CoefficientSet,
-    DedeckerReport,
     GateReport,
     CertifiedCoefficientBounds,
     admissibility,
-    check_dedecker_conditions,
     coefficient_set,
     eta_certificate,
     certified_coefficient_bounds,

@@ -91,7 +91,7 @@ def cramer_envelope(coeffs: CoefficientSet, x, c: float = 1.0):
     mn = coeffs.m / coeffs.n
     quad = coeffs.delta_sq + mn + g
     lin = xlnx(coeffs.eps_m) + g + coeffs.delta_m + math.sqrt(mn)
-    return _like(c * (xs ** 3 * coeffs.eps_m + xs ** 2 * quad + (1.0 + xs) * lin), x)
+    return _like(c * (xs ** 3 * coeffs.eps_m + xs * xs * quad + (1.0 + xs) * lin), x)
 
 
 def envelope_curve(coeffs: CoefficientSet, x_grid, c: float = 1.0,
@@ -116,7 +116,7 @@ def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
         raise ParamOutOfRange(f"iota must lie in [0, 1/2], got {iota}")
     c = _require_scale(c, "the envelope constant c")
     xs = _read_x(x, "the envelope")
-    return _like(c * (xs ** 3 * eps + xs ** 2 * iota ** 2 + (1.0 + xs) * (xlnx(eps) + iota)), x)
+    return _like(c * (xs ** 3 * eps + xs * xs * (iota * iota) + (1.0 + xs) * (xlnx(eps) + iota)), x)
 
 
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
@@ -152,11 +152,13 @@ def bernstein_bound(coeffs: CoefficientSet, x):
     g = xlnx(coeffs.gamma_m)
     if g >= 1.0:
         raise GammaTooLarge(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
-    first = np.exp(-(1.0 - g) ** 2 * fin ** 2
-                   / (2.0 * (1.0 + coeffs.tau_sq
-                             + (2.0 / 3.0) * coeffs.eps_m * (1.0 - g) * fin)))
-    second = (SQRT_E4 * np.exp(-(math.log(coeffs.gamma_m)) ** 2 * fin ** 2 / (2.0 * 81.0 ** 2))
-              if coeffs.gamma_m else 0.0)
+    one_g, fin_sq = 1.0 - g, fin * fin
+    first = np.exp(-(one_g * one_g) * fin_sq
+                   / (2.0 * (1.0 + coeffs.tau_sq + (2.0 / 3.0) * coeffs.eps_m * one_g * fin)))
+    second = 0.0
+    if coeffs.gamma_m:
+        log_gamma = math.log(coeffs.gamma_m)
+        second = SQRT_E4 * np.exp(-(log_gamma * log_gamma) * fin_sq / (2.0 * (81.0 * 81.0)))
     return _like(np.where(xs < math.inf, first + second, SQRT_E4 * (coeffs.gamma_m == 1.0)), x)
 
 
@@ -168,7 +170,7 @@ def freedman_bound(x, v2: float, a: float):
     v2, a = _require_scale(v2, "v2"), _require_scale(a, "a", zero=True)
     xs = _read_x(x, "Freedman's bound")
     fin = np.minimum(xs, X_CAP)  # the formula is NaN at +inf: its limit goes back
-    return _like(np.where(xs < math.inf, np.exp(-fin ** 2 / (2.0 * (v2 + a * fin / 3.0))), 0.0),
+    return _like(np.where(xs < math.inf, np.exp(-(fin * fin) / (2.0 * (v2 + a * fin / 3.0))), 0.0),
                  x)
 
 
@@ -190,7 +192,7 @@ def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
     xs = _read_x(x, "the maximal inequality")
     js = np.arange(1, n + 1, dtype=float)
     denom = bound_x1 + 80.0 * float(np.sum(js ** -1.5 * norms[:n]))
-    return _like(SQRT_E4 * np.exp(-xs ** 2 / (2.0 * n * denom ** 2)), x)
+    return _like(SQRT_E4 * np.exp(-(xs * xs) / (2.0 * n * (denom * denom))), x)
 
 
 def gaussian_tail_sandwich(x):
@@ -199,7 +201,7 @@ def gaussian_tail_sandwich(x):
         e^{-x^2/2} / (sqrt(2 pi) (1+x)) <= 1 - Phi(x) <= e^{-x^2/2} / (sqrt(pi) (1+x)).
     """
     xs = _read_x(x, "the sandwich")
-    core = np.exp(-xs ** 2 / 2.0) / (1.0 + xs)
+    core = np.exp(-(xs * xs) / 2.0) / (1.0 + xs)
     return _like(core / math.sqrt(2.0 * math.pi), x), _like(core / math.sqrt(math.pi), x)
 
 

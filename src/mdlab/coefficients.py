@@ -33,9 +33,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .exact import (
-    _block_moments,
     conditional_block_moments,
-    long_run_variance,
     poisson_solution,
     sigma_n as exact_sigma_n,
 )
@@ -47,6 +45,7 @@ from .models import (
     _dense_step_seconds,
     _require_count,
     _require_exact,
+    _require_horizon,
     _require_scale,
     geometric_mixing_certificate,
 )
@@ -146,10 +145,11 @@ def coefficient_set(model: FiniteLatticeModel, n: int, m: int) -> CoefficientSet
     eps = m * model.bound / (math.sqrt(n) * sig)
 
     moments = conditional_block_moments(model, m)
-    delta_sq = moments.sup_mean ** 2 / (m * sig ** 2) + moments.sup_second_dev(sig)
+    sup_mean = moments.sup_mean
+    delta_sq = sup_mean * sup_mean / (m * (sig * sig)) + moments.sup_second_dev(sig)
 
     gamma, trunc = _drift_series(model, m, sig)
-    tau_sq = delta_sq + m / n + 4.0 * eps ** 2
+    tau_sq = delta_sq + m / n + 4.0 * (eps * eps)
     return CoefficientSet(n=n, m=m, eps_m=eps, gamma_m=gamma, delta_sq=delta_sq,
                           tau_sq=tau_sq, sigma_n=sig,
                           gamma_truncation_error=trunc)
@@ -309,8 +309,8 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
     t_weighted = float(np.sum(ks * cert.upto(eta2, ks.size)))
     t_cross = bound_x0 * float(np.sum(cert.tail_sums(eta1, 2 * ks)))
     t_far = m * float(cert.tail_sums(eta2, np.array([max(1, ks.size)]))[0])
-    delta_sq_bound = 1.0 / (m * sigma_n ** 2) * (
-        s_head ** 2 + t_weighted + t_cross + t_far)
+    delta_sq_bound = 1.0 / (m * (sigma_n * sigma_n)) * (
+        s_head * s_head + t_weighted + t_cross + t_far)
 
     return CertifiedCoefficientBounds(gamma_bound=gamma_bound, delta_sq_bound=delta_sq_bound,
                                       regime="m^-1/2")
@@ -340,7 +340,7 @@ def select_block_size(n: int, beta: float, purpose: str) -> BlockSizeChoice:
     n^{-1/6} ln n; beta in (1, 2) gives m = floor(n^{1/(beta+1)}) with rate
     n^{-(beta-1)/(2 beta + 2)} ln n.
     """
-    n = _require_count(n, "n", 2)
+    n = _require_horizon(n, 2)
     if not beta > 1:
         raise BetaOutOfRange(f"beta must exceed 1, got {beta}")
     if purpose == "cramer":
@@ -369,71 +369,3 @@ def select_block_size(n: int, beta: float, purpose: str) -> BlockSizeChoice:
     m = max(1, min(m, n))
     return BlockSizeChoice(m=m, exponent=expo, range_scale=scale,
                            range_label=label, purpose=purpose)
-
-
-# ---------------------------------------------------------------------------
-# Dedecker-type condition checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DedeckerReport:
-    """Numerical status of the two summability conditions behind the theory:
-    the weighted drift series and the uniform variance stabilization."""
-
-    n_max: int
-    partial_sums: np.ndarray
-    series_value: float
-    series_uncertainty: float
-    closed_form_tail: float
-    second_moment_dev: np.ndarray
-    sigma_sq: float
-    series_converges: bool
-    variance_stabilizes: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "dedecker/1",
-            "n_max": self.n_max,
-            "series_value": self.series_value,
-            "series_uncertainty": self.series_uncertainty,
-            "closed_form_tail": self.closed_form_tail,
-            "sigma_sq": self.sigma_sq,
-            "series_converges": self.series_converges,
-            "variance_stabilizes": self.variance_stabilizes,
-            "partial_sum_final": float(self.partial_sums[-1]),
-            "second_moment_dev_final": float(self.second_moment_dev[-1]),
-        }
-
-
-def check_dedecker_conditions(model: FiniteLatticeModel, n_max: int) -> DedeckerReport:
-    """Partial sums of sum_t t^{-3/2} ||E[S_t|F_0]||_inf, the tail past n_max as
-    ||h||_inf zeta(1.5, n_max + 1), and the trajectory of
-    || (1/t) E[S_t^2|F_0] - sigma^2 ||_inf.  Each later norm differs from ||h||_inf
-    by at most ||P^t h||_inf <= ||h - a_{n_max}||_inf (P never raises a sup norm),
-    so series_uncertainty is zeta(1.5, n_max + 1) ||h - a_{n_max}||_inf, a_{n_max}
-    the mean of the last moment step."""
-    _require_exact(model)
-    n_max = _require_count(n_max, "n_max", 2)
-    sig_sq = long_run_variance(model)
-    norms, dev = np.empty(n_max), np.empty(n_max)
-    for t, (mean, second) in enumerate(_block_moments(model, n_max), start=1):
-        norms[t - 1] = np.max(np.abs(mean))
-        dev[t - 1] = np.max(np.abs(second / t - sig_sq))
-    ts = np.arange(1, n_max + 1, dtype=float)
-    partial = np.cumsum(ts ** -1.5 * norms)
-
-    h = poisson_solution(model)
-    ztail = float(zeta(1.5, n_max + 1))
-    tail = float(np.max(np.abs(h))) * ztail
-    uncertainty = float(np.max(np.abs(h - mean))) * ztail  # h - a_{n_max} = P^{n_max} h
-    value = float(partial[-1]) + tail
-
-    anchor = dev[max(0, n_max // 10 - 1)]
-    stabilizes = bool(dev[-1] <= max(1e-8, 0.5 * anchor))
-
-    return DedeckerReport(n_max=n_max, partial_sums=partial, series_value=value,
-                          series_uncertainty=float(uncertainty),
-                          closed_form_tail=float(tail),
-                          second_moment_dev=dev, sigma_sq=sig_sq,
-                          series_converges=bool(np.isfinite(value)),
-                          variance_stabilizes=stabilizes)

@@ -159,5 +159,6 @@ def _fit_survival_slope(sorted_g: np.ndarray) -> tuple[float, float, np.ndarray,
     resid = logs - a @ coef
     dof = xs.size - 2
     s2 = float(resid @ resid) / dof
-    se = math.sqrt(s2 / float(np.sum((xs - xs.mean()) ** 2)))
+    dev = xs - xs.mean()
+    se = math.sqrt(s2 / float(np.sum(dev * dev)))
     return float(coef[0]), se, xs, logs

@@ -61,10 +61,6 @@ class SampledTierUnsupported(ModelError):
     """Operation needs exact finite-state structure the model does not have."""
 
 
-class NestedEstimateUnavailable(ModelError):
-    """Sampled trajectory carries no innovations to resample from."""
-
-
 class NoDecayCertificate(ModelError):
     """No finite summable decay certificate could be established."""
 
@@ -84,10 +80,6 @@ class BudgetExceeded(ConfigError):
 
 
 class OutOfRange(ConfigError):
-    pass
-
-
-class TrajectoryTooShort(ConfigError):
     pass
 
 

@@ -46,7 +46,8 @@ from .errors import (
     ParamOutOfRange,
 )
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
-                     _dense_step_seconds, _require_count, _require_exact, _sublattice)
+                     _dense_step_seconds, _require_count, _require_exact, _require_horizon,
+                     _sublattice)
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
@@ -198,12 +199,13 @@ class ConditionalMoments:
 
     @property
     def var_by_state(self) -> np.ndarray:
-        return self.second_by_state - self.mean_by_state ** 2
+        mean = self.mean_by_state
+        return self.second_by_state - mean * mean
 
     def sup_second_dev(self, sigma_n: float) -> float:
         """Uniform deviation of the normalized conditional second moment from 1,
         measured against the ambient n's sigma_n."""
-        return float(np.max(np.abs(self.second_by_state / (self.m * sigma_n ** 2) - 1.0)))
+        return float(np.max(np.abs(self.second_by_state / (self.m * (sigma_n * sigma_n)) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def sigma_n(model: FiniteLatticeModel, n: int) -> float:
     2^-60 with 2L <= n, (S_L x, T_L x) stands for (S x, T x): what it drops is
     A^L S_{n-L} x and A^L (T_{n-L} x + L S_{n-L} x) / n, below 2^-59 of v."""
     _require_exact(model)
-    n = _require_count(n, "n")
+    n = _require_horizon(n)
     x = model.x_values
     power = model.transition - model.pi  # A^L, from L = 1
     s_blk, t_blk = x, np.zeros_like(x)
@@ -259,7 +261,7 @@ def sigma_any(model, n: int) -> float:
     min(n, L))|^2 + max(0, n - L) sum(weights)^2, no BLAS, in units of 2^k ~ max |weight|."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
-    n, burn = _require_count(n, "n"), model.burn_in  # burn_in is L
+    n, burn = _require_horizon(n), model.burn_in  # burn_in is L
     w = math.ldexp(1.0, math.frexp(float(np.abs(model.weights).max()))[1] - 1)
     a, b = model.sum_weights(min(n, burn)) / w, model.weights / w
     total = float(np.cumsum(b[::-1])[-1])  # as sum_weights sums it
@@ -534,13 +536,13 @@ class _TiltPlan:
     def slab(self) -> int:
         """Frequencies powered together: their two complex (slab, s, s) stacks
         hold about SLAB_BYTES."""
-        return max(1, SLAB_BYTES // (2 * 16 * self.rise.size ** 2))
+        return max(1, SLAB_BYTES // (2 * 16 * self.rise.size * self.rise.size))
 
     @property
     def need_bytes(self) -> int:
         """A slab's two complex stacks, and the M/2 + 1 complex sums, the M
         readings and the window's arrays, 48 bytes a point in all."""
-        return 2 * 16 * self.slab * self.rise.size ** 2 + 48 * self.size
+        return 2 * 16 * self.slab * self.rise.size * self.rise.size + 48 * self.size
 
     @property
     def affordable(self) -> bool:
@@ -751,7 +753,7 @@ def _top_sum(p: np.ndarray, rise: np.ndarray, n: int) -> int:
     powering of w[i, j] = rise[j] where P[i, j] > 0."""
     w = np.where(p > 0, rise.astype(float), -np.inf)
     best = np.zeros(rise.size)  # every state has a stationary start
-    rows = max(1, SLAB_BYTES // (8 * rise.size ** 2))  # a squaring block of about SLAB_BYTES
+    rows = max(1, SLAB_BYTES // (8 * rise.size * rise.size))  # a squaring block of about SLAB_BYTES
     while True:
         if n & 1:
             best = np.max(best[:, None] + w, axis=0)

@@ -43,6 +43,7 @@ BUILD_ENTRY_BYTES = 40  # peak bytes per transition entry of a dense build (~34 
 MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average weight is 0.0
 MA_MAX_C = math.sqrt(np.finfo(float).max / 2)  # past it eta2 = 2 eta1^2 overflows (9.48e153)
 MA_MIN_C = math.sqrt(np.finfo(float).tiny)  # under it c^2 is subnormal: eta2 loses bits (1.49e-154)
+HORIZON_MAX = 2 ** 1024 - 2 ** 970 - 1  # the largest n that float(n) holds (1.798e308)
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,11 @@ class Trajectory:
     """One simulated path.
 
     ``values`` holds the centered payoffs X_1..X_n.  Exact-tier paths also
-    carry the visited states Y_0..Y_n; sampled-tier paths carry the
-    burn_in + n innovations that generated them (needed for nested resampling).
+    carry the visited states Y_0..Y_n.
     """
 
     values: np.ndarray
     states: Optional[np.ndarray] = None
-    innovations: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -384,7 +383,7 @@ def _moving_average(c: float, L: int) -> SampledModel:
     # conditional-mean tail: sum_{i>=k} c 2^{-i}; cross terms square it
     ks = np.arange(1, L + 1)
     eta1 = c * (2.0 ** (1 - ks) - 2.0 ** (-L))
-    eta2 = 2.0 * eta1 ** 2
+    eta2 = 2.0 * (eta1 * eta1)
 
     def innovations(rng: np.random.Generator, shape) -> np.ndarray:
         count = math.prod(shape)
@@ -567,6 +566,16 @@ def _require_count(value, name: str, least: int = 1) -> int:
     return count
 
 
+def _require_horizon(value, least: int = 1) -> int:
+    """`value` as a horizon n: `_require_count`, and at most HORIZON_MAX, as sigma_n
+    and the coefficients read float(n); else ParamOutOfRange."""
+    n = _require_count(value, "n", least)
+    if n > HORIZON_MAX:
+        raise ParamOutOfRange(f"n must be at most {float(HORIZON_MAX):.4g}, the largest horizon "
+                              f"a float holds, got an integer of {n.bit_length()} bits")
+    return n
+
+
 def _require_scale(value, name: str, zero: bool = False) -> float:
     """`value` as a float if it is a finite real > 0 (>= 0 if `zero`), else
     ParamOutOfRange: NaN and +-inf fail."""
@@ -610,7 +619,7 @@ def sample_trajectory(model, n: int, seed: int) -> Trajectory:
     n, seed = _require_count(n, "n"), _require_count(seed, "seed", 0)
     if model.tier == "sampled":
         eps = next(_innovation_blocks(model, n, 1, seed))[0]
-        return Trajectory(values=model.path(eps), innovations=eps)
+        return Trajectory(values=model.path(eps))
     states = sample_state_paths(model, n, 1, seed)[0]
     return Trajectory(values=model.x_values[states[1:]], states=states)
 

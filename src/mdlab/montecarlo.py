@@ -47,7 +47,7 @@ from .exact import (
     sigma_any,
 )
 from .models import (CHAIN_BYTES, INNOVATION_SECONDS, _check_cost, _innovation_blocks,
-                     _jump_length, _jump_seconds, _require_count, _require_scale,
+                     _jump_length, _jump_seconds, _require_count, _require_horizon, _require_scale,
                      _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
@@ -62,7 +62,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     p = successes / trials
     z2 = z * z
     center = (p + z2 / (2 * trials)) / (1 + z2 / trials)
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials ** 2)) / (1 + z2 / trials)
+    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
@@ -264,7 +264,7 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
     c = _require_scale(c, "c", zero=True)
-    ns = np.array([_require_count(n, "n") for n in n_grid], dtype=np.int64)
+    ns = np.array([_require_horizon(n) for n in n_grid], dtype=np.int64)
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold of S_n is c sqrt(n) / a_n
     logp, bound = _grid_log_tails(model, ns.tolist(),
                                   [c / an * math.sqrt(n) for n, an in zip(ns, ans)])

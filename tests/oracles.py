@@ -735,13 +735,3 @@ def verify_bounds_csv(pos, exact_p, bern, env_value, env_valid) -> str:
 def coupling_pairs_csv(y, z) -> str:
     return rows_csv("z,y,gap", (f"{zv:.17g},{yv:.17g},{abs(yv - zv):.17g}"
                                 for yv, zv in zip(y, z)))
-
-
-def block_decomposition_csv(dec) -> str:
-    rows = []
-    for i, s in enumerate(dec.block_sums, start=1):
-        if i <= dec.diffs.size:
-            rows.append(f"{i},{s:.17g},{dec.predictable[i - 1]:.17g},{dec.diffs[i - 1]:.17g}")
-        else:
-            rows.append(f"{i},{s:.17g},,")
-    return rows_csv("i,block_sum,predictable,martingale_diff", rows)

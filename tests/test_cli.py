@@ -1,19 +1,25 @@
+import ast
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from mdlab import build_finite_lattice_model, builtin, cli
+import mdlab
+from mdlab import (build_finite_lattice_model, builtin, cli, coefficient_set, mdp_diagnostic,
+                   select_block_size)
 from mdlab.cli import X_POINT_BYTES, _max_abs_tail, main
-from mdlab.errors import ReducibleChain
-from mdlab.models import DEFAULT_BUDGET_BYTES, MA_MAX_C, MA_MIN_C
+from mdlab.errors import OutOfRange, ParamOutOfRange, ReducibleChain
+from mdlab.exact import sigma_any
+from mdlab.models import DEFAULT_BUDGET_BYTES, HORIZON_MAX, MA_MAX_C, MA_MIN_C
 
 import oracles
 
@@ -520,6 +526,56 @@ def test_moving_average_coefficients_do_not_depend_on_c(tmp_path, c, n, L):
     for key in ("eps_m", "gamma_bound", "delta_sq_bound"):
         assert docs[c][key] == pytest.approx(docs["1"][key], rel=1e-12)
     assert docs[c]["sigma_n"] == pytest.approx(float(c) * docs["1"]["sigma_n"], rel=1e-12)
+
+
+FLOAT_RANGE_MODELS = {
+    "rademacher": lambda: builtin("rademacher"),
+    "moving_average:c=1,L_trunc=3": lambda: builtin("moving_average", c=1.0, L_trunc=3),
+}
+
+
+@pytest.mark.parametrize("spec", FLOAT_RANGE_MODELS)
+def test_a_horizon_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, spec):
+    # float(n) overflowed in sigma_n or sigma_any (OverflowError, exit 1).  The ceiling
+    # is the largest n a float holds, so no n that ran before is refused: at it the
+    # i.i.d. signs still run, and the moving average's sigma_n^2 is inf (exit 2)
+    model, refused = FLOAT_RANGE_MODELS[spec](), "n must be at most 1.798e+308"
+    calls = [lambda n: sigma_any(model, n), lambda n: select_block_size(n, 2.0, "cramer")]
+    if model.tier == "exact":
+        calls += [lambda n: coefficient_set(model, n, 4),
+                  lambda n: mdp_diagnostic(model, 1.0, 0.25, [n])]
+    for call in calls:
+        with pytest.raises(ParamOutOfRange, match=re.escape(refused)):
+            call(HORIZON_MAX + 1)
+    if model.tier == "exact":
+        assert sigma_any(model, HORIZON_MAX) == 1.0
+    else:
+        with pytest.raises(OutOfRange, match="sigma_n\\^2 at n = .* is inf"):
+            sigma_any(model, HORIZON_MAX)
+    for args in (["--m", "4"], ["--beta", "2"]):
+        out = tmp_path / args[0].strip("-")
+        assert main(["coeffs", "--model", spec, "--n", str(10 ** 400), *args,
+                     "--out", str(out)]) == 2
+        assert refused in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_no_float_is_squared_by_pow():
+    # CPython's float ** 2 calls libm's pow, which is not correctly rounded on every
+    # build; x * x is, so no output bit depends on the libm
+    found = []
+    for path in sorted(Path(mdlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp):
+                op, exponent = node.op, node.right
+            elif isinstance(node, ast.AugAssign):
+                op, exponent = node.op, node.value
+            else:
+                continue
+            if (isinstance(op, ast.Pow) and isinstance(exponent, ast.Constant)
+                    and exponent.value == 2):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_verify_reports_the_first_violation_in_check_order(tmp_path, monkeypatch):

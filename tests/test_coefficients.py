@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,9 +8,7 @@ from scipy.special import zeta
 from mdlab import (
     DecayCertificate,
     admissibility,
-    build_finite_lattice_model,
     builtin,
-    check_dedecker_conditions,
     coefficient_set,
     eta_certificate,
     certified_coefficient_bounds,
@@ -287,76 +284,6 @@ def test_select_block_size_errors():
         select_block_size(1, 2.0, "cramer")
 
 
-# -- Dedecker conditions -------------------------------------------------------------
-
-def test_dedecker_rademacher_identically_zero(rademacher):
-    rep = check_dedecker_conditions(rademacher, 100)
-    assert rep.series_value == pytest.approx(0.0, abs=1e-14)
-    assert np.max(rep.second_moment_dev) <= 1e-12
-    assert rep.series_converges and rep.variance_stabilizes
-
-
-def test_dedecker_two_state_certified(two_state04):
-    n_max = 10 ** 4
-    rep = check_dedecker_conditions(two_state04, n_max)
-    assert rep.series_converges
-    assert rep.series_uncertainty < 1e-8
-    # oracle: closed-form norms rho(1 - rho^t)/(1 - rho) plus the zeta tail
-    ts = np.arange(1, n_max + 1, dtype=float)
-    head = float(np.sum(ts ** -1.5 * (0.4 * (1 - 0.4 ** ts) / 0.6)))
-    tail = (0.4 / 0.6) * float(zeta(1.5, n_max + 1))
-    assert rep.series_value == pytest.approx(head + tail, abs=1e-10)
-    assert rep.variance_stabilizes
-
-
-def test_dedecker_slow_chain_converges_with_large_constant():
-    slow = builtin("two_state", rho=0.99)
-    fast = builtin("two_state", rho=0.4)
-    rep_slow = check_dedecker_conditions(slow, 2000)
-    rep_fast = check_dedecker_conditions(fast, 2000)
-    assert rep_slow.series_converges
-    assert rep_slow.series_value > 20 * rep_fast.series_value
-    assert rep_slow.second_moment_dev[-1] > rep_fast.second_moment_dev[-1]
-
-
-def test_dedecker_report_json(two_state04):
-    rep = check_dedecker_conditions(two_state04, 200)
-    doc = json.loads(json.dumps(rep.to_json_dict()))
-    assert sorted(doc) == ["closed_form_tail", "n_max", "partial_sum_final", "schema",
-                           "second_moment_dev_final", "series_converges", "series_uncertainty",
-                           "series_value", "sigma_sq", "variance_stabilizes"]
-    assert doc["schema"] == "dedecker/1" and doc["n_max"] == 200
-    assert doc["partial_sum_final"] == float(rep.partial_sums[-1])
-    assert doc["second_moment_dev_final"] == float(rep.second_moment_dev[-1])
-    assert doc["series_value"] == rep.series_value and doc["sigma_sq"] == rep.sigma_sq
-    assert doc["series_converges"] is True and doc["variance_stabilizes"] is True
-
-
-@pytest.mark.parametrize("name", ["two_state", "dyadic6", "asymmetric3"])
-def test_dedecker_one_pass_matches_two_pass_reference(name):
-    model = {"two_state": lambda: builtin("two_state", rho=0.4),
-             "dyadic6": lambda: builtin("dyadic_contracting", L=6),
-             "asymmetric3": lambda: build_finite_lattice_model(
-                 ["lo", "mid", "hi"], [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]],
-                 [-2, 1, 3], 2)}[name]()
-    n_max = 2000
-    rep = check_dedecker_conditions(model, n_max)
-    # reference: the norms from the running sum of P^k x, the second moments
-    # from a separate forward pass
-    ts = np.arange(1, n_max + 1, dtype=float)
-    partial = np.cumsum(ts ** -1.5 * oracles.cond_sum_norms_by_powers(model, n_max))
-    _, seconds = oracles.forward_block_moments(model, n_max)
-    dev = np.max(np.abs(seconds / ts[:, None] - rep.sigma_sq), axis=1)
-    np.testing.assert_allclose(rep.partial_sums, partial, rtol=1e-12)
-    assert rep.series_value == pytest.approx(partial[-1] + rep.closed_form_tail, rel=1e-12)
-    # each deviation is a difference of terms of size sigma^2
-    np.testing.assert_allclose(rep.second_moment_dev, dev, rtol=1e-12,
-                               atol=1e-12 * rep.sigma_sq)
-    anchor = dev[n_max // 10 - 1]
-    assert rep.variance_stabilizes == (dev[-1] <= max(1e-8, 0.5 * anchor))
-    assert rep.series_converges
-
-
 # -- admissibility gates ---------------------------------------------------------------
 
 def test_gates_rademacher_pass_both_modes(rademacher):
@@ -509,35 +436,3 @@ def test_weakly_linked_twin_of_two_state_is_certified(two_state04):
                                               + ref.gamma_truncation_error)
     assert got.sigma_n == pytest.approx(ref.sigma_n, rel=1e-13)
     assert got.delta_sq == pytest.approx(ref.delta_sq, rel=1e-13)
-
-
-DEDECKER_MODELS = ("two_state:0.4", "two_state:0.99", "two_state:-0.9", "dyadic:6",
-                   "asymmetric3")
-
-
-@pytest.mark.parametrize("n_max", [10, 100, 1000])
-@pytest.mark.parametrize("name", DEDECKER_MODELS)
-def test_dedecker_uncertainty_is_the_iterates_own_bound(name, n_max):
-    # the tail past n_max is off by at most zeta(1.5, n_max + 1) ||P^{n_max} h||_inf:
-    # closed form |rho|^{n_max + 1} / (1 - rho) zeta(...) on two_state; 55.2 on
-    # rho = 0.99 at n_max = 10, where the Dobrushin envelope said 110.  Rounding is
-    # the standard bound of n_max steps on ||h||_inf, and of 64 n_max summed terms
-    from test_exact import _oracle_model
-    model = _oracle_model(name)
-    rep, far = check_dedecker_conditions(model, n_max), check_dedecker_conditions(model, 64 * n_max)
-    ztail = float(zeta(1.5, n_max + 1))
-    h = poisson_solution(model)
-    h_norm = float(np.max(np.abs(h)))
-    if name.startswith("two_state"):
-        rho = float(name.split(":")[1])
-        expected = ztail * abs(rho) ** (n_max + 1) / (1 - rho)
-    else:
-        expected = ztail * float(np.max(np.abs(np.linalg.matrix_power(model.transition, n_max)
-                                                @ h)))
-    assert rep.series_uncertainty == pytest.approx(expected, rel=1e-9,
-                                                   abs=n_max * 2.0 ** -52 * ztail * h_norm)
-    if name == "two_state:0.99" and n_max == 10:
-        assert round(rep.series_uncertainty, 1) == 55.2
-    rounding = 64 * n_max * 2.0 ** -52 * far.series_value
-    assert abs(rep.series_value - far.series_value) <= (
-        rep.series_uncertainty + far.series_uncertainty + rounding)

@@ -13,10 +13,8 @@ from mdlab import (
     build_quantile_transform,
     builtin,
     certified_coefficient_bounds,
-    check_dedecker_conditions,
     coefficient_set,
     conditional_block_moments,
-    decompose,
     distribution_of_Sn,
     eta_certificate,
     phi_mixing_coefficients,
@@ -26,7 +24,7 @@ from mdlab import (
     simulate_W,
     tilted_log_tail,
 )
-from mdlab import blocking, cli, coefficients, exact, models, montecarlo
+from mdlab import cli, coefficients, exact, models, montecarlo
 from mdlab.errors import BudgetExceeded
 from mdlab.exact import conditional_sum_norms
 
@@ -46,8 +44,6 @@ TIMED_CALLS = {
                                   "block moments to t = 4"),
     "conditional_sum_norms": (lambda m: conditional_sum_norms(m, 12),
                               "block moments to t = 12"),
-    "check_dedecker_conditions": (lambda m: check_dedecker_conditions(m, 8),
-                                  "block moments to t = 8"),
     "simulate_W": (lambda m: simulate_W(m, 64, 10, 0), "simulating 10 chains to n = 64"),
     "simulate_W sampled": (lambda m: simulate_W(builtin("moving_average", c=1.0, L_trunc=4),
                                                 64, 10, 0), "simulating 10 chains to n = 64"),
@@ -58,9 +54,6 @@ TIMED_CALLS = {
                            "sampling 3 state paths to n = 8"),
     "sample_trajectory": (lambda m: sample_trajectory(m, 8, 0), "sampling 1 state paths to n = 8"),
     "binomial tail": (lambda m: exact._binomial_log_tail(64, 0.0), "binomial tail at n = 64"),
-    "decompose sampled": (lambda m: decompose(ma := builtin("moving_average", c=1.0, L_trunc=4),
-                                              sample_trajectory(ma, 64, 0), 8, nested_draws=4),
-                          "nested resampling of 8 blocks x 4 draws"),
 }
 
 
@@ -142,11 +135,6 @@ HOLES = {
     "binomial tail at n = 10^15": (
         lambda: exact._binomial_log_tail(10 ** 15, 0.0),
         (np, "arange"), "binomial tail at n = 1000000000000000 needs"),
-    # 1.4 x 10^11 innovations read at about 4 ns each: about ten minutes
-    "decompose with 10^6 nested draws": (
-        lambda: decompose(ma := builtin("moving_average", c=1.0, L_trunc=20),
-                          sample_trajectory(ma, 10 ** 5, 0), 52, nested_draws=10 ** 6),
-        (blocking, "child_rng"), "nested resampling of 1923 blocks x 1000000 draws would run"),
 }
 
 

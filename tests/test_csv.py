@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdlab import (builtin, cli, coefficient_set, decompose, distribution_of_Sn, exact,
-                   mdp_diagnostic, ratio_curve, sample_trajectory)
-from mdlab.blocking import BlockDecomposition
+from mdlab import (builtin, cli, coefficient_set, distribution_of_Sn, exact, mdp_diagnostic,
+                   ratio_curve)
 from mdlab.bounds import BoundCurve
 from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
 from mdlab.exact import CSV_CHUNK, TailTable, _csv
@@ -85,24 +84,6 @@ def test_mdp_csv_is_byte_identical(rows, limit):
     diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.abs(_ints(rows, 17)),
                          scaled=_floats(rows, 18), limit=limit, error_bound=np.zeros(rows))
     assert_same(diag.to_csv(), oracles.mdp_csv(diag))
-
-
-@pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize("blank", [0, 1, 2])
-def test_block_decomposition_csv_is_byte_identical(rows, blank):
-    d = max(rows - blank, 0)
-    pred, diffs = _floats(d, 26), _floats(d, 27)[::-1]
-    dec = BlockDecomposition(n=rows, m=1, k=d, variant="split_remainder", sigma_n=1.0,
-                             block_sums=_floats(rows, 28), predictable=pred, diffs=diffs,
-                             xi=diffs, martingale_path=diffs, quad_char=diffs)
-    assert_same(dec.to_csv(), oracles.block_decomposition_csv(dec))
-
-
-@pytest.mark.parametrize("variant", ["split_remainder", "martingale_all"])
-def test_decomposition_of_a_path_writes_the_same_csv(two_state04, variant):
-    traj = sample_trajectory(two_state04, 50, seed=3)
-    dec = decompose(two_state04, traj, 7, variant=variant)
-    assert_same(dec.to_csv(), oracles.block_decomposition_csv(dec))
 
 
 def test_zero_rows_write_the_header_only():

@@ -15,7 +15,6 @@ from mdlab import (
     builtin,
     coefficient_set,
     conditional_block_moments,
-    decompose,
     distribution_of_Sn,
     eta_certificate,
     geometric_mixing_certificate,
@@ -36,18 +35,12 @@ from mdlab.errors import (
     PeriodicChain,
     ReducibleChain,
     SampledTierUnsupported,
-    TrajectoryTooShort,
     UnknownBuiltin,
 )
-from mdlab import blocking, coupling, models, montecarlo
-from mdlab.coefficients import (
-    certified_coefficient_bounds,
-    check_dedecker_conditions,
-    select_block_size,
-)
+from mdlab import coupling, models, montecarlo
+from mdlab.coefficients import certified_coefficient_bounds, select_block_size
 from mdlab.exact import autocovariance, conditional_sum_norms
-from mdlab.models import (SampledModel, Trajectory, child_rng, parse_model_text,
-                          sample_state_paths)
+from mdlab.models import SampledModel, child_rng, parse_model_text, sample_state_paths
 from mdlab.bounds import (
     berry_esseen_bound,
     cramer_envelope,
@@ -664,14 +657,11 @@ COUNT_CALLS = {
     "simulate_W chains": (1, lambda c, v: simulate_W(c.ts, 16, v, 0)),
     "simulate_W sampled": (1, lambda c, v: simulate_W(c.ma, v, 3, 0)),
     "sample_coupled_pairs": (1, lambda c, v: sample_coupled_pairs(c.transform, v, 0)),
-    "decompose": (1, lambda c, v: decompose(c.ts, c.path, v)),
     "wilson_interval": (1, lambda c, v: wilson_interval(0, v)),
     "peligrad_bound": (1, lambda c, v: peligrad_bound(4.0, v, 1.0, [0.1] * 65)),
     "autocovariance": (0, lambda c, v: autocovariance(c.ts, v)),
     "moving_average autocov": (0, lambda c, v: c.ma.autocov(v)),
     "select_block_size": (2, lambda c, v: select_block_size(v, 2.0, "cramer")),
-    "check_dedecker_conditions": (2, lambda c, v: check_dedecker_conditions(c.ts, v)),
-    "decompose nested_draws": (2, lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=v)),
     "mdp_diagnostic": (1, lambda c, v: mdp_diagnostic(c.ts, 1.0, 0.25, [v])),
     "mdp_diagnostic grid": (1, lambda c, v: mdp_diagnostic(c.ts, 1.0, 0.25, [16, v])),
 }
@@ -684,9 +674,7 @@ def count_models():
     return SimpleNamespace(ts=ts, rad=builtin("rademacher"), ma=ma,
                            coeffs=coefficient_set(ts, 16, 4),
                            samples=np.random.default_rng(3).standard_normal(1000),
-                           transform=build_quantile_transform(distribution_of_Sn(ts, 16)),
-                           path=sample_trajectory(ts, 16, 0),
-                           ma_path=sample_trajectory(ma, 16, 0))
+                           transform=build_quantile_transform(distribution_of_Sn(ts, 16)))
 
 
 @pytest.mark.parametrize("value", [64.5, float("nan"), "least - 1", -1, 2.0, True])
@@ -717,7 +705,6 @@ SEED_CALLS = {
     "ratio_curve": lambda c, v: ratio_curve(c.ts, 16, 4, [0.5], mode="mc", chains=10, seed=v),
     "sample_coupled_pairs": lambda c, v: sample_coupled_pairs(c.transform, 10, v),
     "coupling_report": lambda c, v: coupling_report(c.ts, c.coeffs, 10, v),
-    "decompose nested_draws": lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v),
 }
 
 
@@ -756,8 +743,6 @@ EARLY_SEED_CALLS = {
                                   lambda c, v: sample_trajectory(c.ma, 5, v)),
     "sample_state_paths": (models, "_check_cost",
                            lambda c, v: sample_state_paths(c.ts, 5, 3, v)),
-    "decompose": (blocking, "sigma_any",
-                  lambda c, v: decompose(c.ma, c.ma_path, 4, nested_draws=2, seed=v)),
 }
 
 
@@ -792,8 +777,6 @@ TYPED_INPUT_CALLS = {
         c.ma.decay, 17, 16, 1.0, 1.0)),
     "tail table schema": (OutOfRange, lambda c: TailTable.from_json_dict(
         {"schema": "tail_table/0"})),
-    "decompose without states": (TrajectoryTooShort, lambda c: decompose(
-        c.ts, Trajectory(values=c.path.values), 4)),
     "quadratic characteristic variant": (ParamOutOfRange, lambda c: (
         quadratic_characteristic_deviation(c.ts, c.coeffs, "bogus"))),
 }
