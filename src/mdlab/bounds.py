@@ -91,7 +91,7 @@ def cramer_envelope(coeffs: CoefficientSet, x, c: float = 1.0):
     mn = coeffs.m / coeffs.n
     quad = coeffs.delta_sq + mn + g
     lin = xlnx(coeffs.eps_m) + g + coeffs.delta_m + math.sqrt(mn)
-    return _like(c * (xs ** 3 * coeffs.eps_m + xs * xs * quad + (1.0 + xs) * lin), x)
+    return _like(c * (xs * xs * xs * coeffs.eps_m + xs * xs * quad + (1.0 + xs) * lin), x)
 
 
 def envelope_curve(coeffs: CoefficientSet, x_grid, c: float = 1.0,
@@ -116,7 +116,8 @@ def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
         raise ParamOutOfRange(f"iota must lie in [0, 1/2], got {iota}")
     c = _require_scale(c, "the envelope constant c")
     xs = _read_x(x, "the envelope")
-    return _like(c * (xs ** 3 * eps + xs * xs * (iota * iota) + (1.0 + xs) * (xlnx(eps) + iota)), x)
+    return _like(c * (xs * xs * xs * eps + xs * xs * (iota * iota)
+                      + (1.0 + xs) * (xlnx(eps) + iota)), x)
 
 
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
@@ -191,7 +192,7 @@ def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
         raise MissingNorms("conditional-sum norms must be >= 0")
     xs = _read_x(x, "the maximal inequality")
     js = np.arange(1, n + 1, dtype=float)
-    denom = bound_x1 + 80.0 * float(np.sum(js ** -1.5 * norms[:n]))
+    denom = bound_x1 + 80.0 * float(np.sum(1.0 / (js * np.sqrt(js)) * norms[:n]))
     return _like(SQRT_E4 * np.exp(-(xs * xs) / (2.0 * n * (denom * denom))), x)
 
 

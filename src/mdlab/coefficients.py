@@ -26,12 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import (
-    BetaOutOfRange,
-    NoDecayCertificate,
-    ParamOutOfRange,
-    WindowTooSmall,
-)
+from .errors import BetaOutOfRange, NoDecayCertificate, ParamOutOfRange
 from .exact import (
     conditional_block_moments,
     poisson_solution,
@@ -47,7 +42,6 @@ from .models import (
     _require_exact,
     _require_horizon,
     _require_scale,
-    geometric_mixing_certificate,
 )
 
 GAMMA_TOL = 1e-10  # certified bound on the drift series' truncation error
@@ -184,7 +178,7 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float,
         u = p_m @ u
         norms[i] = float(np.max(np.abs(h - u)))
     js = np.arange(1, j + 1, dtype=float)
-    partial = float(np.sum(js ** -1.5 * norms))
+    partial = float(np.sum(1.0 / (js * np.sqrt(js)) * norms))
     tail = float(np.max(np.abs(h))) * float(zeta(1.5, j + 1))
     return (partial + tail) / scale, err
 
@@ -193,70 +187,19 @@ def _drift_series(model: FiniteLatticeModel, m: int, sig: float) -> tuple[float,
 # decay certificates
 # ---------------------------------------------------------------------------
 
-def eta_certificate(model, n_max: int, window: int = 64) -> DecayCertificate:
-    """Decay certificate for the conditional-mean and conditional-cross
-    dependence sequences.
+def eta_certificate(model) -> DecayCertificate:
+    """The decay certificate of a sampled model's conditional-mean and
+    conditional-cross dependence sequences: its own analytic `model.decay`.
+    An exact-tier chain has no certificate here (NoDecayCertificate); its
+    coefficients come exactly from `coefficient_set`.
 
-    Exact tier: per-index suprema are exact up to n_max + window, with a
-    certified geometric bound of the mixing rate r standing in for everything
-    beyond; a chain that decouples at n0 (r = 0) keeps at least n0 - 1
-    entries, and every eta is zero past them.  Sampled builtins return their
-    analytic certificate.
+    Not called by any subcommand: kept only because perfbench/spans.py wraps
+    this name when tracing.
     """
     if isinstance(model, SampledModel):
         return model.decay
-    _require_exact(model)
-    n_max, window = _require_count(n_max, "n_max"), _require_count(window, "window", 0)
-    try:
-        c, r, n0 = geometric_mixing_certificate(model)
-    except Exception as exc:
-        raise WindowTooSmall(f"cannot certify geometric mixing: {exc}") from exc
-
-    def phi_bar(k: int) -> float:  # phi_1(k) <= min(1, C r^k), certified by Dobrushin
-        return float(k < n0) if r == 0.0 else min(1.0, c * r ** k)
-
-    # r = 0: P^n0 has equal rows, so every eta is 0 from n0 on: rho = 0 past a window to n0 - 1
-    n_max = max(n_max, n0 - 1) if r == 0 else n_max
-
-    p = model.transition
-    x = model.x_values
-    bx = model.bound
-    far, s = n_max + window, model.n_states
-    _check_cost(f"eta_certificate to lag {far} on {s} states",  # dev, then four s-row blocks
-                8 * ((far + 4 * s) * (window + 1) + 6 * far),
-                far * (_dense_step_seconds(s) + _dense_step_seconds(s, window + 1)))
-
-    # eta1: suffix maxima of ||P^k x||_inf, tail-bounded geometrically; the
-    # same pass keeps the columns w_d = x * P^d x, d = 0..window, for eta2
-    u = x.copy()
-    u_norms = np.empty(far)
-    w = np.empty((x.size, window + 1))
-    w[:, 0] = x * x
-    for k in range(1, far + 1):
-        u = p @ u
-        u_norms[k - 1] = float(np.max(np.abs(u)))
-        if k <= window:
-            w[:, k] = x * u
-    tail1 = 2.0 * bx * phi_bar(far + 1)
-    suffix = np.maximum.accumulate(u_norms[::-1])[::-1]
-    eta1 = np.maximum(suffix[:n_max], tail1)
-
-    # eta2: exact centered cross-moment deviations over a (lag i, gap d) grid
-    means = model.pi @ w
-    dev = np.empty((far, window + 1))
-    pw = w.copy()
-    for i in range(1, far + 1):
-        pw = p @ pw
-        dev[i - 1] = np.max(np.abs(pw - means), axis=0)
-    tail_i = 2.0 * bx * bx * phi_bar(far + 1)
-    worst_by_i = dev.max(axis=1)
-    suffix2 = np.maximum.accumulate(worst_by_i[::-1])[::-1]
-    phi = np.array([phi_bar(k) for k in range(1, n_max + 1)])
-    eta2 = np.maximum(np.maximum(suffix2[:n_max], tail_i),
-                      4.0 * bx * bx * phi * phi_bar(window + 1))
-    eta2 = np.maximum.accumulate(eta2[::-1])[::-1]  # enforce monotone after tails
-
-    return DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=r)
+    raise NoDecayCertificate(f"{getattr(model, 'name', model)!r} has no decay certificate: "
+                             "only a sampled model carries one")
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class NoDecayCertificate(ModelError):
     """No finite summable decay certificate could be established."""
 
 
-class WindowTooSmall(ModelError):
-    """Certificate window too short to certify the geometric tail."""
-
-
 # -- numerics ----------------------------------------------------------------
 
 class DegenerateVariance(ModelError):

@@ -258,14 +258,18 @@ def sigma_any(model, n: int) -> float:
     """sigma_n for either tier: exact on the lattice; for a sampled model |a|^2 / n,
     a = sum_weights(n) the weights of S_n = sum_j a_j eps_j, which gains one entry
     sum(weights) a step past n = L = len(weights) - 1: n sigma_n^2 = |sum_weights(
-    min(n, L))|^2 + max(0, n - L) sum(weights)^2, no BLAS, in units of 2^k ~ max |weight|."""
+    min(n, L))|^2 + max(0, n - L) sum(weights)^2, no BLAS, in units of 2^k ~ max |weight|;
+    past n = 2^960 the sum and n are also in units of 2^j ~ n / 2^960, exactly, so n sigma_n^2
+    stays finite up to HORIZON_MAX."""
     if getattr(model, "tier", None) == "exact":
         return sigma_n(model, n)
     n, burn = _require_horizon(n), model.burn_in  # burn_in is L
     w = math.ldexp(1.0, math.frexp(float(np.abs(model.weights).max()))[1] - 1)
     a, b = model.sum_weights(min(n, burn)) / w, model.weights / w
     total = float(np.cumsum(b[::-1])[-1])  # as sum_weights sums it
-    var = (float(np.sum(a * a)) + max(0, n - burn) * (total * total)) / n
+    j = max(0, n.bit_length() - 960)
+    var = (math.ldexp(float(np.sum(a * a)), -j)
+           + math.ldexp(max(0, n - burn), -j) * (total * total)) / math.ldexp(n, -j)
     return w * math.sqrt(_variance(model, var, float(np.sum(b * b)), f"sigma_n^2 at n = {n}"))
 
 
@@ -506,7 +510,7 @@ class _TiltPlan:
         0.8 us besides; and TILT_EVALS jet powers for its tilts and Chernoff bounds,
         each a (3s, 3s) dense step (`_dense_step_seconds`)."""
         s, bits = self.rise.size, max(1, (self.n - 1).bit_length())
-        return bits * ((self.size // 2 + 1) * (2.5e-10 * s ** 3 + 8e-7)
+        return bits * ((self.size // 2 + 1) * (2.5e-10 * (s * s * s) + 8e-7)
                        + TILT_EVALS * _dense_step_seconds(3 * s, 3 * s))
 
     @cached_property

@@ -661,7 +661,7 @@ def _jump_seconds(model: FiniteLatticeModel, n: int, chains: int, k: int) -> flo
     jumps at 2 us plus log2(s (k spread + 1)) probes at 4 us plus 4.5 ns per chain (fitted
     on a shared 2-core x86 host: two_state, dyadic L=2..5, a 3-state and a 5-state chain)."""
     s, width = model.n_states, k * _sublattice(model)[3] + 1
-    build = (k - 1) * (9e-6 + 1.4e-10 * s ** 3 * (width + 1) / 2)  # mean step width
+    build = (k - 1) * (9e-6 + 1.4e-10 * (s * s * s) * (width + 1) / 2)  # mean step width
     jump = 2e-6 + math.log2(s * width) * (4e-6 + 4.5e-9 * chains)
     return build + -(-n // k) * jump
 

@@ -264,11 +264,10 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     if not 0.0 < a_exponent < 0.5:
         raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
     c = _require_scale(c, "c", zero=True)
-    ns = np.array([_require_horizon(n) for n in n_grid], dtype=np.int64)
+    ns = [_require_horizon(n) for n in n_grid]  # Python ints until priced: 2^63 is refused
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold of S_n is c sqrt(n) / a_n
-    logp, bound = _grid_log_tails(model, ns.tolist(),
-                                  [c / an * math.sqrt(n) for n, an in zip(ns, ans)])
+    logp, bound = _grid_log_tails(model, ns, [c / an * math.sqrt(n) for n, an in zip(ns, ans)])
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * long_run_variance(model))
-    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=ns, scaled=scaled, limit=limit,
-                         error_bound=bound)
+    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=np.array(ns, dtype=np.int64),
+                         scaled=scaled, limit=limit, error_bound=bound)

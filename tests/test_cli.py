@@ -17,7 +17,7 @@ import mdlab
 from mdlab import (build_finite_lattice_model, builtin, cli, coefficient_set, mdp_diagnostic,
                    select_block_size)
 from mdlab.cli import X_POINT_BYTES, _max_abs_tail, main
-from mdlab.errors import OutOfRange, ParamOutOfRange, ReducibleChain
+from mdlab.errors import ParamOutOfRange, ReducibleChain
 from mdlab.exact import sigma_any
 from mdlab.models import DEFAULT_BUDGET_BYTES, HORIZON_MAX, MA_MAX_C, MA_MIN_C
 
@@ -373,6 +373,19 @@ def test_mdp_rejects_bad_grid_entries(tmp_path, capsys, model, grid):
     assert not (tmp_path / "mdp.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "rademacher", "--n", "1000000000000000000"],  # the default grid reaches 16n
+    ["--model", "two_state:rho=0.4", "--n", "64", "--n-grid", "9223372036854775808"],
+])
+def test_mdp_grids_past_int64_are_priced_not_overflowed(tmp_path, capsys, argv):
+    # the grid became an int64 array before it was priced: OverflowError, exit 1
+    out = tmp_path / "out"
+    assert main(["mdp", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error:") and "over the budget" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_coupling_subcommand(tmp_path):
     assert main(["coupling", "--model", "two_state:rho=0.4", "--n", "256",
                  "--m", "5", "--chains", "5000", "--out", str(tmp_path)]) == 0
@@ -538,7 +551,8 @@ FLOAT_RANGE_MODELS = {
 def test_a_horizon_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, spec):
     # float(n) overflowed in sigma_n or sigma_any (OverflowError, exit 1).  The ceiling
     # is the largest n a float holds, so no n that ran before is refused: at it the
-    # i.i.d. signs still run, and the moving average's sigma_n^2 is inf (exit 2)
+    # i.i.d. signs still run, and so does the moving average, whose n sigma_n^2 is
+    # summed in power-of-two units of n (it was inf from n of about 5e307)
     model, refused = FLOAT_RANGE_MODELS[spec](), "n must be at most 1.798e+308"
     calls = [lambda n: sigma_any(model, n), lambda n: select_block_size(n, 2.0, "cramer")]
     if model.tier == "exact":
@@ -547,11 +561,8 @@ def test_a_horizon_past_the_float_range_exits_2_and_writes_nothing(tmp_path, cap
     for call in calls:
         with pytest.raises(ParamOutOfRange, match=re.escape(refused)):
             call(HORIZON_MAX + 1)
-    if model.tier == "exact":
-        assert sigma_any(model, HORIZON_MAX) == 1.0
-    else:
-        with pytest.raises(OutOfRange, match="sigma_n\\^2 at n = .* is inf"):
-            sigma_any(model, HORIZON_MAX)
+    for n in (10 ** 308, HORIZON_MAX):
+        assert sigma_any(model, n) == (1.0 if model.tier == "exact" else 1.875)
     for args in (["--m", "4"], ["--beta", "2"]):
         out = tmp_path / args[0].strip("-")
         assert main(["coeffs", "--model", spec, "--n", str(10 ** 400), *args,
@@ -560,9 +571,18 @@ def test_a_horizon_past_the_float_range_exits_2_and_writes_nothing(tmp_path, cap
         assert not out.exists()
 
 
+def _signed_constant(node):
+    """The value of a literal such as 2 or -1.5 (a minus sign is an ast.UnaryOp), else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _signed_constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) else None
+
+
 def test_no_float_is_squared_by_pow():
-    # CPython's float ** 2 calls libm's pow, which is not correctly rounded on every
-    # build; x * x is, so no output bit depends on the libm
+    # CPython's float ** 2 calls libm's pow, and numpy's array ** 3 and ** -1.5 its own
+    # pow loop; neither is correctly rounded on every build, while x * x, x * x * x and
+    # 1 / (x sqrt(x)) are plain IEEE arithmetic, so no output bit depends on a pow loop
     found = []
     for path in sorted(Path(mdlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -572,8 +592,7 @@ def test_no_float_is_squared_by_pow():
                 op, exponent = node.op, node.value
             else:
                 continue
-            if (isinstance(op, ast.Pow) and isinstance(exponent, ast.Constant)
-                    and exponent.value == 2):
+            if isinstance(op, ast.Pow) and _signed_constant(exponent) in (2, 3, -1.5):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -12,13 +12,12 @@ from mdlab import (
     coefficient_set,
     eta_certificate,
     certified_coefficient_bounds,
-    geometric_mixing_certificate,
     parse_model_text,
     select_block_size,
     sigma_n,
 )
 from mdlab.coefficients import GAMMA_TOL
-from mdlab.errors import BetaOutOfRange, ParamOutOfRange
+from mdlab.errors import BetaOutOfRange, NoDecayCertificate, ParamOutOfRange
 from mdlab.exact import poisson_solution
 
 import oracles
@@ -95,31 +94,17 @@ def test_coefficient_json_fields(two_state04):
 
 # -- eta certificates ------------------------------------------------------------
 
-def test_eta1_two_state_geometric(two_state04):
-    cert = eta_certificate(two_state04, 12)
-    expected = 0.4 ** np.arange(1, 13)
-    assert np.max(np.abs(cert.eta1 - expected)) <= 1e-12
-    # conditional second moments are deterministic for this chain
-    assert np.max(cert.eta2) <= 1e-12
-
-
-def test_eta_rademacher_zero(rademacher):
-    cert = eta_certificate(rademacher, 8)
-    assert np.max(cert.eta1) <= 1e-15
-    assert np.max(cert.eta2) <= 1e-15
-
-
-def test_eta_dyadic_contraction():
-    model = builtin("dyadic_contracting", L=10)
-    cert = eta_certificate(model, 8, window=32)
-    for k in range(1, 9):
-        assert cert.eta1[k - 1] <= 2.0 ** -(k + 1) + 2.0 ** -9
-
-
 def test_eta_certificate_of_sampled_builtin():
     ma = builtin("moving_average", c=1.0, L_trunc=12)
-    cert = eta_certificate(ma, 6)
-    assert cert is ma.decay
+    assert eta_certificate(ma) is ma.decay
+
+
+def test_exact_models_have_no_eta_certificate(rademacher, two_state04):
+    # an exact chain's coefficients come exactly from coefficient_set
+    for model in (rademacher, two_state04, builtin("dyadic_contracting", L=3)):
+        with pytest.raises(NoDecayCertificate, match="has no decay certificate") as err:
+            eta_certificate(model)
+        assert err.value.exit_code == 3
 
 
 # -- certificate-driven coefficient bounds -----------------------------------------
@@ -152,99 +137,32 @@ def test_bounds_past_a_window_without_a_geometric_tail_are_refused():
     assert (rb.gamma_bound, rb.delta_sq_bound) == pytest.approx((gamma, delta_sq), rel=1e-13)
 
 
-@pytest.mark.parametrize("n_max", [12, 64, 192])
-@pytest.mark.parametrize("rho", [0.4, 0.9, 0.99])
-def test_geometric_chains_read_the_geometric_regime(rho, n_max):
-    # the certificate's own geometric rate sets the regime; a log-log slope
-    # fitted to eta would read m^-0.47993 at rho = 0.9, n_max = 64
-    model = builtin("two_state", rho=rho)
-    cert = eta_certificate(model, n_max)
-    assert 0 < cert.geometric_rho < 1 and cert.eta1.size == n_max
-    rb = certified_coefficient_bounds(cert, 4, 64, sigma_n(model, 64), model.bound)
-    assert rb.regime == "m^-1/2"
-
-
-@pytest.mark.parametrize("L", [3, 6])
-def test_chains_that_decouple_declare_no_decay_exponent(L):
-    # eta vanish from index L on (a fitted slope read beta = 2.02 at L = 6), and
-    # P^n0 has equal rows: rho = 0, zero past a window that reaches n0 - 1,
-    # which a shorter n_max is stretched to, so every window gets bounds
-    model = builtin("dyadic_contracting", L=L)
-    n0 = {3: 4, 6: 8}[L]
-    assert geometric_mixing_certificate(model) == (1.0, 0.0, n0)
-    sig = sigma_n(model, 64)
-    cert = eta_certificate(model, 64)
-    assert cert.geometric_rho == 0.0
-    assert not cert.eta1[L - 1:].any() and not cert.eta2[L - 1:].any()
-    assert not cert.upto(cert.eta1, 5000)[64:].any() and cert.upto(cert.eta2, 5000).size == 5000
-    for m in (1, 4, 63, 64, 65, 130, 5000):
-        got = certified_coefficient_bounds(cert, m, 5000, sig, model.bound)
-        gamma, delta_sq = oracles.certified_bounds_by_index(cert, m, sig, model.bound)
-        assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
-        assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
-        assert got.regime == "m^-1/2"
-    rb = certified_coefficient_bounds(cert, 4, 64, sig, model.bound)
-    assert (round(rb.gamma_bound, 3), round(rb.delta_sq_bound, 3)) == {
-        3: (0.287, 0.139), 6: (0.480, 0.424)}[L]
-    assert eta_certificate(model, n0 - 1).geometric_rho == 0.0
-    for short in (eta_certificate(model, n0 - 2), eta_certificate(model, 2)):
-        assert short.geometric_rho == 0.0
-        assert short.eta1.size == short.eta2.size == n0 - 1
-        for m in (1, 4, 64, 5000):
-            got = certified_coefficient_bounds(short, m, 5000, sig, model.bound)
-            gamma, delta_sq = oracles.certified_bounds_by_index(short, m, sig, model.bound)
-            assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
-            assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
-            assert got.regime == "m^-1/2"
-
-
 CERTIFIED_CASES = [f"moving_average:{c}:{L}" for c in (1.0, 0.7) for L in (1, 20, 1074)]
 
 
-@pytest.mark.parametrize("name", CERTIFIED_CASES + ["two_state:192"])
-def test_certified_bounds_match_the_per_index_sums(name, two_state04):
+# rho = 0: every eta is zero past a window that ends in zeros, as for a chain that decouples
+DECOUPLED = DecayCertificate(eta1=[0.5, 0.25, 0.125, 0.0], eta2=[0.25, 0.0625, 0.0, 0.0],
+                             geometric_rho=0.0)
+
+
+@pytest.mark.parametrize("name", CERTIFIED_CASES + ["decoupled"])
+def test_certified_bounds_match_the_per_index_sums(name):
     # suffix sums and one geometric closed form against the sums taken one
     # index at a time, at m below, at and past the stored window
     if name.startswith("moving_average"):
         _, c, L = name.split(":")
         model = builtin("moving_average", c=float(c), L_trunc=int(L))
-        cert = model.decay
+        cert, bound = model.decay, model.bound
     else:
-        model = two_state04
-        cert = eta_certificate(model, 192)
+        cert, bound = DECOUPLED, 1.0
+        assert not cert.upto(cert.eta1, 5000)[3:].any() and cert.upto(cert.eta2, 5000).size == 5000
     window = cert.eta1.size
     for m in sorted({1, 2, 8, window, window + 1, 52, 5000}):
-        got = certified_coefficient_bounds(cert, m, 5000, 0.9, model.bound)
-        gamma, delta_sq = oracles.certified_bounds_by_index(cert, m, 0.9, model.bound)
+        got = certified_coefficient_bounds(cert, m, 5000, 0.9, bound)
+        gamma, delta_sq = oracles.certified_bounds_by_index(cert, m, 0.9, bound)
         assert abs(got.gamma_bound - gamma) <= 1e-13 * gamma
         assert abs(got.delta_sq_bound - delta_sq) <= 1e-13 * delta_sq
-
-
-def test_gamma_bound_calibrated_at_largest_anchor_dominates(two_state04):
-    # the exact-to-shape ratio grows with m toward the zeta constant, so the
-    # anchor must sit at the top of the grid; with that constant the bound
-    # dominates every smaller m
-    n = 1024
-    cert = eta_certificate(two_state04, 192)
-    sig = sigma_n(two_state04, n)
-    ms = [1, 2, 4, 8, 16, 32, 64]
-    exact = {m: coefficient_set(two_state04, n, m).gamma_m for m in ms}
-    shape = {m: certified_coefficient_bounds(cert, m, n, sig, 1.0).gamma_bound for m in ms}
-    c1 = exact[64] / shape[64]
-    for m in ms:
-        assert c1 * shape[m] >= exact[m] - 1e-12
-
-
-def test_delta_bound_calibrated_at_smallest_anchor_dominates(two_state04):
-    n = 1024
-    cert = eta_certificate(two_state04, 192)
-    sig = sigma_n(two_state04, n)
-    ms = [1, 2, 4, 8, 16, 32, 64]
-    exact = {m: coefficient_set(two_state04, n, m).delta_sq for m in ms}
-    shape = {m: certified_coefficient_bounds(cert, m, n, sig, 1.0).delta_sq_bound for m in ms}
-    c2 = exact[1] / shape[1]
-    for m in ms:
-        assert c2 * shape[m] >= exact[m] - 1e-12
+        assert got.regime == "m^-1/2"
 
 
 # -- block-size selection ----------------------------------------------------------

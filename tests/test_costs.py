@@ -16,7 +16,6 @@ from mdlab import (
     coefficient_set,
     conditional_block_moments,
     distribution_of_Sn,
-    eta_certificate,
     phi_mixing_coefficients,
     sample_coupled_pairs,
     sample_state_paths,
@@ -47,7 +46,6 @@ TIMED_CALLS = {
     "simulate_W": (lambda m: simulate_W(m, 64, 10, 0), "simulating 10 chains to n = 64"),
     "simulate_W sampled": (lambda m: simulate_W(builtin("moving_average", c=1.0, L_trunc=4),
                                                 64, 10, 0), "simulating 10 chains to n = 64"),
-    "eta_certificate": (lambda m: eta_certificate(m, 8), "eta_certificate to lag 72 on 2 states"),
     "phi_mixing_coefficients": (lambda m: phi_mixing_coefficients(m, 8),
                                 "phi_mixing_coefficients to horizon 8 on 2 states"),
     "sample_state_paths": (lambda m: sample_state_paths(m, 8, 3, 0),
@@ -80,7 +78,6 @@ SIZED_CALLS = {
     "x grid": (lambda c: cli._x_grid({"x_count": 6}), "x-count 6"),  # 6 points pass 1000 bytes
     "certified bounds": (lambda c: certified_coefficient_bounds(c.ma.decay, 64, 128, 1.0, 1.0),
                          "certified_coefficient_bounds at m = 64"),
-    "eta_certificate": (lambda c: eta_certificate(c.ts, 8), "eta_certificate to lag 72"),
     "binomial tail": (lambda c: exact._binomial_log_tail(64, 0.0),
                       "binomial tail at n = 64 needs 1300 bytes"),
 }
@@ -154,12 +151,6 @@ def test_unpriced_runs_are_refused_before_their_first_step(monkeypatch, name):
 
 # loops stepping P against a block on 512 states: a call and the start of its refusal
 DENSE_HOLES = {
-    # about 0.8 ms a lag: over a minute
-    "eta_certificate at n_max = 10^5": (lambda m: eta_certificate(m, 10 ** 5),
-                                        "eta_certificate to lag 100064 on 512 states would run"),
-    # a lag-by-gap grid of 10^5 x 10^5 deviations, 80 GB (n_max stretches to n0 - 1 = 15)
-    "eta_certificate at window = 10^5": (lambda m: eta_certificate(m, 1, window=10 ** 5),
-                                         "eta_certificate to lag 100015 on 512 states needs"),
     # one 512 x 512 product a step, about 5 ms: nine minutes
     "phi_mixing_coefficients at horizon 10^5": (
         lambda m: phi_mixing_coefficients(m, 10 ** 5),

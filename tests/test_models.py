@@ -16,7 +16,6 @@ from mdlab import (
     coefficient_set,
     conditional_block_moments,
     distribution_of_Sn,
-    eta_certificate,
     geometric_mixing_certificate,
     phi_mixing_coefficients,
     quadratic_characteristic_deviation,
@@ -644,8 +643,6 @@ COUNT_CALLS = {
     "coefficient_set m": (1, lambda c, v: coefficient_set(c.ts, 64, v)),
     "conditional_block_moments": (1, lambda c, v: conditional_block_moments(c.ts, v)),
     "conditional_sum_norms": (1, lambda c, v: conditional_sum_norms(c.ts, v)),
-    "eta_certificate": (1, lambda c, v: eta_certificate(c.ts, v)),
-    "eta_certificate window": (0, lambda c, v: eta_certificate(c.ts, 8, v)),
     "tilted_log_tail": (1, lambda c, v: tilted_log_tail(c.ts, v, 3.0)),
     "tilted_log_tail binomial": (1, lambda c, v: tilted_log_tail(c.rad, v, 3.0)),
     "phi_mixing_coefficients": (1, lambda c, v: phi_mixing_coefficients(c.ts, v)),
