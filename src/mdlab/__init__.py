@@ -16,9 +16,7 @@ from .bounds import (
     envelope_curve,
     freedman_bound,
     gaussian_tail_sandwich,
-    martingale_cramer_envelope,
     peligrad_bound,
-    uniform_x_range,
     varsigma,
 )
 from .coefficients import (
@@ -43,7 +41,6 @@ from .coupling import (
 from .exact import (
     ConditionalMoments,
     TailTable,
-    autocovariance,
     conditional_block_moments,
     distribution_of_Sn,
     exact_lower_tail,
@@ -76,7 +73,6 @@ from .montecarlo import (
     mdp_diagnostic,
     ratio_curve,
     simulate_W,
-    tails_to_csv,
     wilson_interval,
 )
 

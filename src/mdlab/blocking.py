@@ -7,10 +7,8 @@ is a function of the state observed there.  The recentered blocks are bounded
 martingale differences; their normalized quadratic characteristic <M>, the sum
 of the blocks' conditional variances over n sigma_n^2, stays within
 delta^2 + m/n of one.  `quadratic_characteristic_deviation` gives the exact
-sup of |<M> - 1| over the block-start states, next to that bound.
-
-Two variants are provided: the remainder block can be carried additively
-("split_remainder") or recentered like the others ("martingale_all").
+sup of |<M> - 1| over the block-start states, next to that bound; the
+remainder block is carried additively and adds nothing to <M>.
 """
 
 from __future__ import annotations
@@ -18,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import CoefficientSet
-from .errors import ParamOutOfRange
 from .exact import conditional_block_moments
 from .models import FiniteLatticeModel, _require_exact
-
-VARIANTS = ("split_remainder", "martingale_all")
 
 
 @dataclass(frozen=True)
@@ -32,27 +27,19 @@ class QuadCharDeviation:
 
     exact_value: float
     bound_value: float
-    variant: str
 
 
-def quadratic_characteristic_deviation(model: FiniteLatticeModel, coeffs: CoefficientSet,
-                                       variant: str = "split_remainder") -> QuadCharDeviation:
+def quadratic_characteristic_deviation(model: FiniteLatticeModel,
+                                       coeffs: CoefficientSet) -> QuadCharDeviation:
     """Exact sup over block-start state assignments of |<M> - 1| at the
     horizon and block length of `coeffs`, the model's coefficient set,
-    together with the bound delta^2 + m/n (split_remainder) or tau^2
-    (martingale_all)."""
+    together with the bound delta^2 + m/n."""
     _require_exact(model)
-    if variant not in VARIANTS:
-        raise ParamOutOfRange(f"variant must be one of {VARIANTS}, got {variant!r}")
     n, m = coeffs.n, coeffs.m
-    hi = lo = 0.0  # the largest and the least sum of the blocks' conditional variances
-    for length, count in ((m, n // m), (n % m if variant == "martingale_all" else 0, 1)):
-        if length:
-            v = conditional_block_moments(model, length).var_by_state
-            hi += count * float(v.max())
-            lo += count * float(v.min())
+    v = conditional_block_moments(model, m).var_by_state
+    k = n // m
+    # the largest and the least sum of the blocks' conditional variances
+    hi, lo = k * float(v.max()), k * float(v.min())
     scale = n * (coeffs.sigma_n * coeffs.sigma_n)
     exact_value = max(abs(hi / scale - 1.0), abs(lo / scale - 1.0))
-    bound = coeffs.tau_sq if variant == "martingale_all" else coeffs.delta_sq + m / n
-    return QuadCharDeviation(exact_value=exact_value, bound_value=bound,
-                             variant=variant)
+    return QuadCharDeviation(exact_value=exact_value, bound_value=coeffs.delta_sq + m / n)

@@ -1,7 +1,7 @@
 """Deterministic evaluators for the explicit deviation inequalities.
 
 Two kinds of object live here.  Shape envelopes (the Cramér log-ratio
-envelope, its martingale specialization, the Berry-Esseen combination) carry
+envelope and the Berry-Esseen combination) carry
 an unknown absolute constant; they are evaluated with caller-supplied
 constants, default 1, and are reporting tools, not assertions.  Fully
 explicit bounds (the Bernstein-type tail bound, Freedman, the maximal
@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSet, GateReport, admissibility
-from .errors import GammaTooLarge, MissingNorms, NegativeX, ParamOutOfRange
-from .exact import _csv
+from .errors import GammaTooLarge, MissingNorms, NegativeX
 from .models import _require_count, _require_scale
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
@@ -64,16 +63,6 @@ class BoundCurve:
     gate_mode: str
     constants: dict = field(default_factory=dict)
 
-    def to_csv(self) -> str:
-        return _csv("x,value,valid", [self.x_grid, self.value, self.valid])
-
-    def to_json_dict(self) -> dict:
-        return {"schema": "bound_curve/1", "kind": self.kind,
-                "gate_mode": self.gate_mode, "constants": dict(self.constants),
-                "x": [float(v) for v in self.x_grid],
-                "value": [float(v) for v in self.value],
-                "valid": [bool(v) for v in self.valid]}
-
 
 # ---------------------------------------------------------------------------
 # Cramér-type envelopes (shape mode: constant supplied by caller)
@@ -105,19 +94,6 @@ def envelope_curve(coeffs: CoefficientSet, x_grid, c: float = 1.0,
                       value=np.asarray(cramer_envelope(coeffs, xs, c)),
                       valid=valid, gate_mode=gate_mode,
                       constants={"C": c})
-
-
-def martingale_cramer_envelope(eps: float, iota: float, x, c: float = 1.0):
-    """Martingale log-ratio envelope
-    c ( x^3 eps + x^2 iota^2 + (1+x)(eps|ln eps| + iota) )."""
-    if not 0.0 < eps <= 0.5:
-        raise ParamOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
-    if not 0.0 <= iota <= 0.5:
-        raise ParamOutOfRange(f"iota must lie in [0, 1/2], got {iota}")
-    c = _require_scale(c, "the envelope constant c")
-    xs = _read_x(x, "the envelope")
-    return _like(c * (xs * xs * xs * eps + xs * xs * (iota * iota)
-                      + (1.0 + xs) * (xlnx(eps) + iota)), x)
 
 
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
@@ -205,16 +181,3 @@ def gaussian_tail_sandwich(x):
     core = np.exp(-(xs * xs) / 2.0) / (1.0 + xs)
     return _like(core / math.sqrt(2.0 * math.pi), x), _like(core / math.sqrt(math.pi), x)
 
-
-def uniform_x_range(coeffs: CoefficientSet) -> float:
-    """Scale of the x range over which the tail ratio is claimed to approach 1:
-    min{ eps^{-1/3}, delta^{-1}, (n/m)^{1/2}, (gamma|ln gamma|)^{-1/2} },
-    with vanishing coefficients contributing +inf."""
-    g = xlnx(coeffs.gamma_m)
-    scales = [
-        coeffs.eps_m ** (-1.0 / 3.0) if coeffs.eps_m > 0 else math.inf,
-        1.0 / coeffs.delta_m if coeffs.delta_m > 0 else math.inf,
-        math.sqrt(coeffs.n / coeffs.m),
-        g ** -0.5 if g > 0 else math.inf,
-    ]
-    return float(min(scales))

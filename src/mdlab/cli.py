@@ -68,10 +68,7 @@ X_POINT_BYTES = 192  # peak bytes per x point, arrays and CSV rows (verify trace
 def _parse_model_arg(spec: str):
     """`name`, `name:key=val,...`, or a path to a model definition file."""
     if os.path.sep in spec or spec.endswith(".model") or os.path.isfile(spec):
-        if not os.path.isfile(spec):
-            raise ConfigError(f"model file not found: {spec}")
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_model_text(fh.read(), name=os.path.basename(spec))
+        return parse_model_text(_read_text(spec, "model file"), name=os.path.basename(spec))
     name, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -90,15 +87,23 @@ def _parse_model_arg(spec: str):
     return builtin(name.strip(), **params)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at `path`; ConfigError if it is missing or unreadable."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _config_argv(path: str) -> list:
     """The JSON object in `path` as `--flag=value` words; null values are skipped."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    try:
+        doc = json.loads(_read_text(path, "config file"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file must hold a JSON object, got a {type(doc).__name__}")
     odd = sorted(key for key in doc if "-" in key or key == "config")
@@ -352,7 +357,10 @@ def main(argv=None) -> int:
         run_coeffs = functools.cache(
             lambda: coefficient_set(model, cfg["n"], _pick_m(cfg, cfg["n"])))
         files, failure = _COMMANDS[args.command][0](cfg, model, run_coeffs)
-        os.makedirs(cfg["out"], exist_ok=True)
+        try:
+            os.makedirs(cfg["out"], exist_ok=True)
+        except OSError as exc:  # a file at --out or on its path
+            raise ConfigError(f"cannot make the output directory {cfg['out']}: {exc}") from None
         for name, chunks in files.items():
             with open(os.path.join(cfg["out"], name), "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)

@@ -26,26 +26,20 @@ from .models import _check_cost, _require_count, _require_scale, child_rng
 from .normal import normal_cdf, normal_quantile
 
 PAIR_BYTES = 128  # peak per draw of `mdlab coupling`, its CSV streamed (50-60 B measured)
-MIN_EMPIRICAL_SAMPLES = 1000
 
 
-def build_quantile_transform(source) -> QuantileTransform:
-    """Quantile transform of the normalized sum W_n / sigma_n.
+def build_quantile_transform(table: TailTable) -> QuantileTransform:
+    """Quantile transform of the normalized sum W_n / sigma_n: the exact
+    table's own, built once (`TailTable.transform`); anything else is
+    ParamOutOfRange.
 
-    Accepts an exact TailTable (its own transform, built once) or a sample
-    array (at least 1000 draws, which become the empirical CDF).
+    Kept as a name, not a read of `table.transform`, only because
+    perfbench/spans.py wraps it when tracing and perfbench/workloads.py calls it.
     """
-    if isinstance(source, TailTable):
-        return source.transform
-    samples = np.sort(np.asarray(source, dtype=float))
-    if samples.size < MIN_EMPIRICAL_SAMPLES:
-        raise TooFewSamples(
-            f"empirical transform needs >= {MIN_EMPIRICAL_SAMPLES} samples, "
-            f"got {samples.size}")
-    if not np.all(np.isfinite(samples)):
-        raise ParamOutOfRange("samples must be finite numbers")
-    cum = np.arange(1, samples.size + 1) / samples.size
-    return QuantileTransform(samples, cum)
+    if not isinstance(table, TailTable):
+        raise ParamOutOfRange(f"a quantile transform is built from a TailTable, "
+                              f"not a {type(table).__name__}")
+    return table.transform
 
 
 def induced_atom_probabilities(transform: QuantileTransform) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exact computations for finite lattice models.
 
-Everything here is deterministic linear algebra on the chain: stationary
-autocovariances, the normalized-sum standard deviation, per-state conditional
+Everything here is deterministic linear algebra on the chain: the
+normalized-sum standard deviation, per-state conditional
 block moments by one recursion on the first step (two mat-vecs with P per
 step, which also gives the conditional-sum norms), and the law of S_n by one
 forward DP over (state, lattice value) that steps only the sublattice
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
                      _dense_step_seconds, _require_count, _require_exact, _require_horizon,
-                     _sublattice)
+                     _require_lattice_horizon, _sublattice)
 from .normal import normal_cdf
 
 MASS_TOL = 1e-10
@@ -63,10 +63,6 @@ LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE o
 TAIL_NATS = 750.0  # e^-750 underflows to 0.0: a log-term further below the largest adds nothing
 VAR_RTOL = 1e-14  # a variance at most this share of gamma(0) = Var(X_0) (same units) is degenerate
 BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (16 B, 30-40 ns measured)
-
-
-def _csv(header: str, columns) -> str:
-    return "".join(_csv_chunks(header, columns))
 
 
 def _csv_chunks(header: str, columns):
@@ -140,45 +136,6 @@ class TailTable:
         cdf[-1] = 1.0
         return cdf
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "tail_table/1",
-            "n": self.n,
-            "denom": self.denom,
-            "sigma_n": self.sigma_n,
-            "center": self.center,
-            "offsets": [int(k) for k in self.offsets],
-            "logp": [float(v) for v in self.logp],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TailTable":
-        """The table `to_json_dict` wrote; OutOfRange unless it holds a law."""
-        if obj.get("schema") != "tail_table/1":
-            raise OutOfRange(f"unsupported tail table schema {obj.get('schema')!r}")
-        n, denom, sigma, offsets, logp = (obj[k] for k in ("n", "denom", "sigma_n", "offsets",
-                                                           "logp"))
-        center = obj.get("center", 0.0)
-        ints = lambda vs: all(isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63
-                              for v in vs)
-        reals = lambda vs: all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               and math.isfinite(v) for v in vs)
-        if not (ints([n, denom]) and min(n, denom) >= 1 and reals([sigma, center]) and sigma > 0):
-            raise OutOfRange(f"tail table n and denom must be integers >= 1, sigma_n finite and "
-                             f"> 0 and center finite, got {n!r}, {denom!r}, {sigma!r}, {center!r}")
-        if not (isinstance(offsets, list) and offsets and ints(offsets) and isinstance(logp, list)
-                and len(logp) == len(offsets) and reals(logp)
-                and all(a < b for a, b in zip(offsets, offsets[1:]))):
-            raise OutOfRange("tail table offsets must be strictly increasing integers, one finite "
-                             "logp each")
-        if abs(total := float(np.logaddexp.reduce(logp))) > MASS_TOL:
-            raise OutOfRange(f"tail table log total mass {total!r} is not within {MASS_TOL} of 0")
-        return cls(n=n, denom=denom, offsets=np.asarray(offsets, dtype=np.int64),
-                   logp=np.asarray(logp, dtype=float), sigma_n=float(sigma), center=float(center))
-
-    def to_csv(self) -> str:
-        return _csv("sum,logp", [self.offsets, self.logp])
-
     @cached_property
     def transform(self) -> "QuantileTransform":
         """The quantile transform of W_n / sigma_n, built once per table."""
@@ -211,15 +168,6 @@ class ConditionalMoments:
 # ---------------------------------------------------------------------------
 # covariances and sigma_n
 # ---------------------------------------------------------------------------
-
-def autocovariance(model: FiniteLatticeModel, k: int) -> float:
-    """Cov(X_0, X_k) of the centered payoff under the stationary law."""
-    _require_exact(model)
-    k = _require_count(k, "lag", 0)
-    x = model.x_values
-    a = model.transition - model.pi  # A = P - 1 pi^T: P^k x = A^k x, and A^k -> 0
-    return float(model.pi @ (x * (np.linalg.matrix_power(a, k) @ x)))
-
 
 def sigma_n(model: FiniteLatticeModel, n: int) -> float:
     """Standard deviation of W_n = S_n / sqrt(n): sigma_n^2 = gamma(0) + 2 pi(x v),
@@ -361,7 +309,8 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     a live entry could leave e^+-LIN_RANGE; where a column has an entry under
     2^-960 / min P of its largest, it is one step and sums such columns in log
     space.  Entries set to 0 (-inf where ref is None) drop out.  Priced before
-    the first step (`_check_cost`), its time by `_sum_law_seconds`."""
+    the first step (`_check_cost`), its time by `_sum_law_seconds`, and refused
+    there too if its int64 numerators could wrap (`_require_lattice_horizon`)."""
     _require_exact(model)
     n = _require_count(n, "n")
     p = model.transition
@@ -369,6 +318,7 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     s, width = model.n_states, n * spread + 1
     _check_cost("DP", s * width * (3 * 8 + 2) + 2 * width * 8, _sum_law_seconds(model, n),
                 f"{s} states x {width} sublattice points of step {g}, 3 float and 2 flag buffers")
+    _require_lattice_horizon(model, n)
     # three buffers, padded for a run's last skewed row: one joint buffer lifted peak RSS 5 %
     flat = [np.full(s * width + 2 * spread, -np.inf) for _ in range(3)]
     cur, nxt, spare = (b[:s * width].reshape(s, width) for b in flat)  # spare: factors, log sums

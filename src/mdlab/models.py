@@ -44,6 +44,7 @@ MA_MAX_LAG = 1074  # 2^-1074 is the least double: past it every moving-average w
 MA_MAX_C = math.sqrt(np.finfo(float).max / 2)  # past it eta2 = 2 eta1^2 overflows (9.48e153)
 MA_MIN_C = math.sqrt(np.finfo(float).tiny)  # under it c^2 is subnormal: eta2 loses bits (1.49e-154)
 HORIZON_MAX = 2 ** 1024 - 2 ** 970 - 1  # the largest n that float(n) holds (1.798e308)
+INT64_MAX = 2 ** 63 - 1  # raw lattice sums and their numerators are int64
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,6 @@ class Trajectory:
 
     values: np.ndarray
     states: Optional[np.ndarray] = None
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +275,10 @@ def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
     the payoff must be non-constant under the stationary law.
     """
     raw = np.asarray(transition, dtype=float)
-    fn = np.asarray(f_num, dtype=np.int64)
+    try:
+        fn = np.asarray(f_num, dtype=np.int64)
+    except OverflowError:
+        raise ParamOutOfRange(f"f_num entries must lie in [-2^63, {INT64_MAX}]") from None
     states = tuple(states)
     n = len(states)
     if raw.shape != (n, n):
@@ -289,6 +289,8 @@ def build_finite_lattice_model(states: Sequence, transition, f_num, denom: int,
         raise ParamOutOfRange("denom must be a positive integer")
     if n == 0:
         raise ParamOutOfRange("a model needs at least one state")
+    if int(fn.max()) - int(fn.min()) > INT64_MAX:
+        raise ParamOutOfRange(f"f_num's spread max - min must be at most {INT64_MAX}")
     if np.any(raw < 0):
         raise NonStochasticRow("transition entries must be nonnegative")
     sums = raw.sum(axis=1)
@@ -584,6 +586,16 @@ def _require_scale(value, name: str, zero: bool = False) -> float:
         raise ParamOutOfRange(f"{name} must be finite and {'>=' if zero else '>'} 0, "
                               f"got {value!r}")
     return scale
+
+
+def _require_lattice_horizon(model: FiniteLatticeModel, n: int) -> None:
+    """ParamOutOfRange unless n steps keep every raw lattice sum and its offset
+    from n min f_num in int64: n max(|min f_num|, |max f_num|, max - min) <= INT64_MAX.
+    The sum-law DP and exact `simulate_W` ask it before building any array."""
+    lo, hi = int(model.f_num.min()), int(model.f_num.max())
+    if n * max(abs(lo), abs(hi), hi - lo) > INT64_MAX:
+        raise ParamOutOfRange(f"{model.name}: lattice sums of n = {n} steps of f_num in "
+                              f"[{lo}, {hi}] pass the int64 range")
 
 
 def _sublattice(model: FiniteLatticeModel) -> tuple[int, int, np.ndarray, int]:

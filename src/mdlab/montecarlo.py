@@ -36,7 +36,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .exact import (
-    _csv,
     _csv_chunks,
     _grid_log_tails,
     _ks_sweep,
@@ -47,8 +46,8 @@ from .exact import (
     sigma_any,
 )
 from .models import (CHAIN_BYTES, INNOVATION_SECONDS, _check_cost, _innovation_blocks,
-                     _jump_length, _jump_seconds, _require_count, _require_horizon, _require_scale,
-                     _simulate_states, _sublattice)
+                     _jump_length, _jump_seconds, _require_count, _require_horizon,
+                     _require_lattice_horizon, _require_scale, _simulate_states, _sublattice)
 from .normal import normal_log_sf, normal_sf
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -78,11 +77,6 @@ class TailEstimate:
     seed: int
 
 
-def tails_to_csv(estimates: list["TailEstimate"]) -> str:
-    return _csv("x,p,lo,hi", [np.array([getattr(t, f) for t in estimates], dtype=float)
-                              for f in ("x", "estimate", "lo", "hi")])
-
-
 @dataclass(frozen=True)
 class RatioCurve:
     """Tail ratios against the normal tail, in both directions, with the
@@ -105,9 +99,6 @@ class RatioCurve:
                            [self.x_grid, self.right, self.right_lo, self.right_hi,
                             self.envelope, self.left, self.left_lo, self.left_hi])
 
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
-
 
 # ---------------------------------------------------------------------------
 # simulation
@@ -120,7 +111,9 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     its jumps (`_jump_seconds`); a sampled run is priced per innovation
     (INNOVATION_SECONDS).  A sampled S_n is the sum of
     `sample_trajectory`'s path where the arithmetic is exact (the moving average
-    at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it."""
+    at c = 1 with L_trunc + log2(2n) <= 52), else within rounding of it.  An
+    exact S_n is summed in int64, priced first and then refused where it could
+    wrap (`_require_lattice_horizon`)."""
     chains, n = _require_count(chains, "chains"), _require_count(n, "n")
     seed = _require_count(seed, "seed", 0)
     k = _jump_length(model, n, chains) if model.tier == "exact" else 0  # 0: sampled
@@ -128,6 +121,7 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
                 _jump_seconds(model, n, chains, k) if k
                 else chains * (model.burn_in + n) * INNOVATION_SECONDS)
     if k:
+        _require_lattice_horizon(model, n)
         sums = np.full(chains, n * _sublattice(model)[0], dtype=np.int64)
         for _, d in _simulate_states(model, n, chains, seed, k):
             sums += d  # raw lattice sums: exact in any order
@@ -247,9 +241,6 @@ class MdpDiagnostic:
     def csv_chunks(self):
         return _csv_chunks("n,scaled_log_tail,limit",
                            [self.n_grid, self.scaled, np.full(len(self.scaled), float(self.limit))])
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
 
 
 def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:

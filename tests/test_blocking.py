@@ -61,26 +61,21 @@ def test_quadratic_characteristic_deviation_two_state(two_state04):
 
 @pytest.mark.parametrize("n, m", [(7, 3), (11, 4), (5, 5)])
 def test_martingale_all_deviation_against_every_block_start(n, m):
-    # the remainder block is recentered too: brute force over the start states
-    # of all k + 1 blocks, with variances from path enumeration
+    # the rule verify runs: the k full blocks are recentered, the remainder is
+    # carried additively; brute force over the start states of all k blocks,
+    # with variances from path enumeration
     model = build_finite_lattice_model(
         ["lo", "mid", "hi"], [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.1, 0.4, 0.5]],
         [-2, 1, 3], 2)
     coeffs = coefficient_set(model, n, m)
-    qd = quadratic_characteristic_deviation(model, coeffs, variant="martingale_all")
-    k, rem = divmod(n, m)
-
-    def variances(length):
-        first, second = oracles.enum_block_moments(model, length)
-        return second[-1] - first[-1] ** 2
-
-    lengths = [m] * k + ([rem] if rem else [])
-    var = {length: variances(length) for length in set(lengths)}
+    qd = quadratic_characteristic_deviation(model, coeffs)
+    first, second = oracles.enum_block_moments(model, m)
+    var = second[-1] - first[-1] ** 2
     scale = n * oracles.sigma_n_by_lags(model, n) ** 2
-    expected = max(abs(sum(var[length][s] for length, s in zip(lengths, starts)) / scale - 1)
-                   for starts in itertools.product(range(model.n_states), repeat=len(lengths)))
+    expected = max(abs(sum(var[s] for s in starts) / scale - 1)
+                   for starts in itertools.product(range(model.n_states), repeat=n // m))
     assert qd.exact_value == pytest.approx(expected, rel=1e-12, abs=1e-14)
-    assert qd.bound_value == coeffs.tau_sq and qd.variant == "martingale_all"
+    assert qd.bound_value == coeffs.delta_sq + m / n
 
 
 def test_single_block_deviation_matches_full_conditional_moment(rademacher):

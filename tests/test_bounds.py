@@ -16,10 +16,8 @@ from mdlab import (
     exact_tail,
     freedman_bound,
     gaussian_tail_sandwich,
-    martingale_cramer_envelope,
     peligrad_bound,
     sample_state_paths,
-    uniform_x_range,
     wilson_interval,
 )
 from mdlab.bounds import xlnx
@@ -52,21 +50,6 @@ def test_cramer_envelope_at_zero_keeps_linear_block():
     cs = _coeffs(gamma=0.01, delta_sq=0.04)
     expected = (xlnx(0.01) + xlnx(0.25) + 0.2 + math.sqrt(5 / 400))
     assert cramer_envelope(cs, 0.0) == pytest.approx(expected, abs=1e-15)
-
-
-def test_martingale_envelope_displayed_polynomial():
-    x, eps, iota = 2.0, 0.1, 0.05
-    expected = (x ** 3 * eps + x ** 2 * iota ** 2
-                + (1 + x) * (eps * abs(math.log(eps)) + iota))
-    got = martingale_cramer_envelope(eps, iota, x)
-    assert got == pytest.approx(expected, abs=1e-15)
-    assert got == pytest.approx(1.6507755278982137, abs=1e-12)
-
-
-def test_martingale_envelope_iota_zero_monotone():
-    xs = np.linspace(0, 4, 50)
-    vals = martingale_cramer_envelope(0.2, 0.0, xs)
-    assert np.all(np.diff(vals) > 0)
 
 
 def test_berry_esseen_scalar():
@@ -128,16 +111,6 @@ def test_sandwich_constants():
     assert lo1 < float(normal_sf(1.0)) < hi1
 
 
-def test_uniform_x_range_scalars():
-    cs = _coeffs()  # rademacher shape: gamma = delta = 0
-    assert uniform_x_range(cs) == pytest.approx(0.25 ** (-1.0 / 3.0), abs=1e-12)
-    assert uniform_x_range(cs) == pytest.approx(1.5874010519681994, abs=1e-12)
-    dominated = _coeffs(delta_sq=0.01)  # delta = 0.1 on top of eps scale
-    assert uniform_x_range(dominated) == pytest.approx(min(10.0, 0.25 ** (-1 / 3)))
-    zero = _coeffs(eps=1e-12)  # the (n/m)^(1/2) scale still caps the range
-    assert uniform_x_range(zero) == pytest.approx(math.sqrt(400 / 5), abs=1e-12)
-
-
 # -- conventions and errors ---------------------------------------------------
 
 def test_xlnx_zero_convention():
@@ -152,10 +125,6 @@ def test_error_paths():
         cramer_envelope(cs, -0.5)
     with pytest.raises(NegativeX):
         gaussian_tail_sandwich(-1.0)
-    with pytest.raises(ParamOutOfRange):
-        martingale_cramer_envelope(0.0, 0.1, 1.0)
-    with pytest.raises(ParamOutOfRange):
-        martingale_cramer_envelope(0.1, 0.7, 1.0)
     with pytest.raises(GammaTooLarge):
         bernstein_bound(_coeffs(gamma=3.0), 1.0)
     with pytest.raises(MissingNorms):
@@ -172,7 +141,7 @@ def test_error_paths():
     lambda: peligrad_bound(4.0, 12.0, 1.0, [0.1] * 13),
     lambda: peligrad_bound(4.0, 0, 1.0, [0.1]),
     lambda: cramer_envelope(_coeffs(), 1.0, math.nan),
-    lambda: martingale_cramer_envelope(0.1, 0.1, 1.0, math.nan),
+    lambda: envelope_curve(_coeffs(), [1.0], math.nan),
     lambda: berry_esseen_bound(_coeffs(), math.nan),
 ])
 def test_nan_scales_and_non_integral_counts_are_refused(call):
@@ -181,10 +150,9 @@ def test_nan_scales_and_non_integral_counts_are_refused(call):
         call()
 
 
-# the six evaluators of an x grid, each with its smallest allowed x
+# the five evaluators of an x grid, each with its smallest allowed x
 X_CALLS = {
     "cramer_envelope": (0.0, lambda x: cramer_envelope(_coeffs(), x)),
-    "martingale_cramer_envelope": (0.0, lambda x: martingale_cramer_envelope(0.1, 0.1, x)),
     "bernstein_bound": (0.5, lambda x: bernstein_bound(_coeffs(gamma=0.01), x)),
     "freedman_bound": (0.0, lambda x: freedman_bound(x, 1.0, 0.5)),
     "peligrad_bound": (0.0, lambda x: peligrad_bound(x, 12, 1.0, [0.1] * 12)),
@@ -329,8 +297,5 @@ def test_envelope_curve_validity_flags(rademacher):
     coeffs = coefficient_set(rademacher, 400, 5)  # x_max = 0.5/0.25 = 2
     curve = envelope_curve(coeffs, np.linspace(0, 4, 9), gate_mode="practical")
     assert curve.valid.tolist() == [True] * 5 + [False] * 4
-    lines = curve.to_csv().strip().splitlines()
-    assert lines[0] == "x,value,valid"
-    assert len(lines) == 10
-    doc = curve.to_json_dict()
-    assert doc["kind"] == "cramer_envelope" and doc["gate_mode"] == "practical"
+    assert curve.kind == "cramer_envelope" and curve.gate_mode == "practical"
+    assert curve.constants == {"C": 1.0}

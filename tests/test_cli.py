@@ -386,6 +386,58 @@ def test_mdp_grids_past_int64_are_priced_not_overflowed(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# two_state:rho=0.4 written as the 0/1 chain in units of 2^-50: n steps sum to n 2^50 at most
+UNIT_2_50 = ("states = a b\ndenom = 1125899906842624\nf_num = 0 1125899906842624\n"
+             "transition = 0.7 0.3  0.3 0.7\n")
+INT64_EDGES = {"2^50 at n = 8192": (UNIT_2_50, "8192", "pass the int64 range"),
+               "2^50 at n = 16384": (UNIT_2_50, "16384", "pass the int64 range"),
+               "+-2^62": (UNIT_2_50.replace("0 1125899906842624\n",
+                                            "-4611686018427387904 4611686018427387904\n"),
+                          "4", "spread max - min"),
+               "2^63": (UNIT_2_50.replace("0 1125899906842624\n", "0 9223372036854775808\n"),
+                        "4", "f_num entries must lie in")}
+
+
+@pytest.mark.parametrize("case", INT64_EDGES)
+def test_lattice_sums_past_int64_exit_2_and_write_nothing(tmp_path, capsys, case):
+    # int64 sums wrapped: at n = 16384 ks_exact read 1.0 (the unit chain's is 0.00204),
+    # and f_num = +-2^62 or 2^63 raised OverflowError (exit 1)
+    body, n, named = INT64_EDGES[case]
+    model, out = tmp_path / "edge.model", tmp_path / "out"
+    model.write_text(body)
+    assert main(["verify", "--model", str(model), "--n", n, "--m", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error:") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["afile", "afile/sub"], ids=["on a file", "under a file"])
+def test_out_on_or_under_a_file_exits_2_and_writes_nothing(tmp_path, capsys, where):
+    # os.makedirs raised FileExistsError or NotADirectoryError (exit 1)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    assert main(["coeffs", "--model", "rademacher", "--n", "16", "--m", "2",
+                 "--out", str(tmp_path / where)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error: cannot make the output directory") and "Traceback" not in err
+    assert afile.read_text() == "kept" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("which", ["config", "model"])
+def test_a_file_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, which):
+    # reading it raised UnicodeDecodeError (exit 1)
+    bad = tmp_path / f"bad.{'json' if which == 'config' else 'model'}"
+    bad.write_bytes(b'{"n": 16}\xff' if which == "config" else
+                    b"states = a b\xff\ndenom = 1\nf_num = 0 1\ntransition = 0.5 0.5 0.5 0.5\n")
+    out = tmp_path / "out"
+    argv = ["coeffs", "--model", "rademacher", "--n", "16", "--m", "2", "--out", str(out)]
+    argv += ["--config", str(bad)] if which == "config" else ["--model", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdlab: error: cannot read {which} file") and "utf-8" in err
+    assert not out.exists()
+
+
 def test_coupling_subcommand(tmp_path):
     assert main(["coupling", "--model", "two_state:rho=0.4", "--n", "256",
                  "--m", "5", "--chains", "5000", "--out", str(tmp_path)]) == 0

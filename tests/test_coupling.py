@@ -15,7 +15,8 @@ from mdlab import (
     sample_coupled_pairs,
 )
 from mdlab.coupling import DRAW_CHUNK
-from mdlab.errors import ParamOutOfRange, TooFewSamples
+from mdlab.errors import ParamOutOfRange
+from mdlab.exact import QuantileTransform
 from mdlab.models import build_finite_lattice_model, child_rng
 from mdlab.normal import normal_cdf
 
@@ -84,18 +85,12 @@ def test_marginal_exactness_smaller_horizon(two_state04):
     assert np.max(np.abs(induced - table.probabilities())) <= 1e-12
 
 
-def test_empirical_transform_needs_enough_samples():
-    with pytest.raises(TooFewSamples):
-        build_quantile_transform(np.zeros(100))
-
-
-def test_empirical_transform_tracks_gaussian():
-    rng = np.random.default_rng(9)
-    samples = rng.standard_normal(50_000)
-    h = build_quantile_transform(samples)
-    for s in (0.25, 0.5, 0.9):
-        from mdlab.normal import normal_quantile
-        assert h(s) == pytest.approx(float(normal_quantile(s)), abs=0.03)
+@pytest.mark.parametrize("source", [np.zeros(1000), [0.0, 1.0], None],
+                         ids=["samples", "list", "None"])
+def test_transform_is_built_from_a_table_only(source):
+    # a sample array once became an empirical CDF; no command, workload or item built one
+    with pytest.raises(ParamOutOfRange, match="TailTable"):
+        build_quantile_transform(source)
 
 
 def test_gap_median_tightens_with_n(two_state04):
@@ -155,16 +150,20 @@ FILE_MODEL = build_finite_lattice_model(
 
 
 def _inverse_sources():
-    yield "two_state 4096", distribution_of_Sn(builtin("two_state", rho=0.4), 4096)
-    yield "dyadic L=6 48", distribution_of_Sn(builtin("dyadic_contracting", L=6), 48)
-    yield "file 1024", distribution_of_Sn(FILE_MODEL, 1024)
-    yield "rademacher 64", distribution_of_Sn(builtin("rademacher"), 64)
-    yield "empirical 1e5", np.random.default_rng(21).standard_normal(10 ** 5)
+    for name, model, n in (("two_state 4096", builtin("two_state", rho=0.4), 4096),
+                           ("dyadic L=6 48", builtin("dyadic_contracting", L=6), 48),
+                           ("file 1024", FILE_MODEL, 1024),
+                           ("rademacher 64", builtin("rademacher"), 64)):
+        yield name, build_quantile_transform(distribution_of_Sn(model, n))
+    # the empirical CDF of 10^5 normal draws: many atoms, each of mass 1e-5
+    samples = np.sort(np.random.default_rng(21).standard_normal(10 ** 5))
+    cum = np.arange(1, samples.size + 1) / samples.size
+    yield "empirical 1e5", QuantileTransform(samples, cum)
 
 
 @pytest.fixture(scope="module")
 def inverse_sources():
-    return {name: build_quantile_transform(src) for name, src in _inverse_sources()}
+    return dict(_inverse_sources())
 
 
 def _bucket_probes(h) -> np.ndarray:

@@ -10,8 +10,8 @@ from mdlab import (builtin, cli, coefficient_set, distribution_of_Sn, exact, mdp
                    ratio_curve)
 from mdlab.bounds import BoundCurve
 from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
-from mdlab.exact import CSV_CHUNK, TailTable, _csv
-from mdlab.montecarlo import MdpDiagnostic, RatioCurve, TailEstimate, tails_to_csv
+from mdlab.exact import CSV_CHUNK, TailTable
+from mdlab.montecarlo import MdpDiagnostic, RatioCurve, TailEstimate
 
 import oracles
 
@@ -38,6 +38,10 @@ def _bools(rows, seed):
     return np.random.default_rng(seed).random(rows) < 0.5
 
 
+def _csv(header, columns):
+    return "".join(exact._csv_chunks(header, columns))
+
+
 def assert_same(got, want):
     """Byte equality, failing with the first differing line: pytest's own diff
     of two 4097-row strings runs for minutes."""
@@ -47,17 +51,20 @@ def assert_same(got, want):
         pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} vs {len(w)} lines)")
 
 
+# a table's, a curve's and a tail list's columns: int + float, float + bool, four floats
+
 @pytest.mark.parametrize("rows", ROWS)
 def test_tail_table_csv_is_byte_identical(rows):
     table = TailTable(n=3, denom=1, offsets=_ints(rows, 1), logp=_floats(rows, 2), sigma_n=1.0)
-    assert_same(table.to_csv(), oracles.tail_table_csv(table))
+    assert_same(_csv("sum,logp", [table.offsets, table.logp]), oracles.tail_table_csv(table))
 
 
 @pytest.mark.parametrize("rows", ROWS)
 def test_bound_curve_csv_is_byte_identical(rows):
     curve = BoundCurve(kind="k", x_grid=_floats(rows, 3), value=_floats(rows, 4)[::-1],
                        valid=_bools(rows, 5), gate_mode="practical")
-    assert_same(curve.to_csv(), oracles.bound_curve_csv(curve))
+    assert_same(_csv("x,value,valid", [curve.x_grid, curve.value, curve.valid]),
+                oracles.bound_curve_csv(curve))
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -65,7 +72,7 @@ def test_tails_csv_is_byte_identical(rows):
     x, p, lo, hi = (_floats(rows, s) for s in (6, 7, 8, 9))
     estimates = [TailEstimate(x=float(a), estimate=float(b), lo=float(c), hi=float(d),
                               chains=10, seed=0) for a, b, c, d in zip(x, p, lo, hi)]
-    assert_same(tails_to_csv(estimates), oracles.tails_csv(estimates))
+    assert_same(_csv("x,p,lo,hi", [x, p, lo, hi]), oracles.tails_csv(estimates))
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -75,7 +82,7 @@ def test_ratio_curve_csv_is_byte_identical(rows, mc):
     bands = dict(right_lo=cols[3], right_hi=cols[4], left_lo=cols[5], left_hi=cols[6])
     curve = RatioCurve(x_grid=cols[0], right=cols[1], left=cols[2], source="mc" if mc else "exact",
                        envelope=None if mc else cols[3][::-1], **(bands if mc else {}))
-    assert_same(curve.to_csv(), oracles.ratio_curve_csv(curve))
+    assert_same("".join(curve.csv_chunks()), oracles.ratio_curve_csv(curve))
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -83,13 +90,13 @@ def test_ratio_curve_csv_is_byte_identical(rows, mc):
 def test_mdp_csv_is_byte_identical(rows, limit):
     diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.abs(_ints(rows, 17)),
                          scaled=_floats(rows, 18), limit=limit, error_bound=np.zeros(rows))
-    assert_same(diag.to_csv(), oracles.mdp_csv(diag))
+    assert_same("".join(diag.csv_chunks()), oracles.mdp_csv(diag))
 
 
 def test_zero_rows_write_the_header_only():
     diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.zeros(0, dtype=np.int64),
                          scaled=np.zeros(0), limit=-0.5, error_bound=np.zeros(0))
-    assert diag.to_csv() == "n,scaled_log_tail,limit\n"
+    assert "".join(diag.csv_chunks()) == "n,scaled_log_tail,limit\n"
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -143,7 +150,6 @@ def test_chunks_join_to_the_written_file(rows):
                                                   for lo in range(0, rows, CSV_CHUNK)]
     want = oracles.rows_csv(head, (f"{a:.17g},,{int(b)},{c:.17g},{int(d)}"
                                    for a, b, c, d in zip(x, k, y, flag)))
-    assert_same("".join(chunks), _csv(head, cols))
     assert_same("".join(chunks), want)
 
 
@@ -159,7 +165,6 @@ def test_each_block_decides_its_own_dedup():
     other = _floats(col.size, 37)
     want = oracles.rows_csv("rep,other", (f"{a:.17g},{b:.17g}" for a, b in zip(col, other)))
     assert_same("".join(exact._csv_chunks("rep,other", [col, other])), want)
-    assert_same(_csv("rep,other", [col, other]), want)
 
 
 
@@ -193,25 +198,24 @@ def test_coupling_holds_no_whole_file(tmp_path):
 
 @pytest.mark.parametrize("count", [3, CSV_CHUNK + 1])
 def test_ratio_file_is_the_curves_csv(tmp_path, count):
-    # ratio.csv is written a block at a time: the bytes of RatioCurve.to_csv()
+    # ratio.csv is written a block at a time: the curve's csv_chunks() joined
     assert cli.main(["verify", "--model", "two_state:rho=0.4", "--n", "16", "--m", "2",
                      "--x-count", str(count), "--out", str(tmp_path)]) == 0
     model = builtin("two_state", rho=0.4)
     curve = ratio_curve(model, 16, 2, np.linspace(0.0, 3.0, count),
                         coeffs=coefficient_set(model, 16, 2))
     text = (tmp_path / "ratio.csv").read_text(encoding="utf-8")
-    assert_same(text.split("\n", 1)[1], curve.to_csv())
-    assert "".join(curve.csv_chunks()) == curve.to_csv()
+    assert_same(text.split("\n", 1)[1], "".join(curve.csv_chunks()))
 
 
 @pytest.mark.parametrize("model, grid", [("rademacher", list(range(1, CSV_CHUNK + 2))),
                                          ("two_state:rho=0.4", [64, 256, 1024])])
 def test_mdp_file_is_the_diagnostics_csv(tmp_path, model, grid):
-    # mdp.csv is written a block at a time: the bytes of MdpDiagnostic.to_csv()
+    # mdp.csv is written a block at a time: the diagnostic's csv_chunks() joined
     assert cli.main(["mdp", "--model", model, "--n", "64", "--n-grid", ",".join(map(str, grid)),
                      "--out", str(tmp_path)]) == 0
     name, _, rho = model.partition(":rho=")
     diag = mdp_diagnostic(builtin(name, **({"rho": float(rho)} if rho else {})), 1.0, 0.25, grid)
     text = (tmp_path / "mdp.csv").read_text(encoding="utf-8")
-    assert_same(text.split("\n", 1)[1], diag.to_csv())
+    assert_same(text.split("\n", 1)[1], "".join(diag.csv_chunks()))
     assert text.count("\n") == len(grid) + 2  # the manifest, the header and a row an n

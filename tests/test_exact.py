@@ -12,7 +12,6 @@ from scipy import special
 from mdlab import (
     TailTable,
     mdp_diagnostic,
-    autocovariance,
     build_finite_lattice_model,
     build_quantile_transform,
     builtin,
@@ -25,6 +24,7 @@ from mdlab import (
     quantile,
     ratio_curve,
     sigma_n,
+    simulate_W,
 )
 from mdlab import exact, models
 from mdlab.errors import (BudgetExceeded, DegenerateVariance, OutOfRange, ParamOutOfRange,
@@ -40,17 +40,6 @@ from test_cli import lattice_chains
 
 
 # -- covariances and sigma_n -------------------------------------------------
-
-def test_autocovariance_rademacher_vanishes(rademacher):
-    assert autocovariance(rademacher, 0) == pytest.approx(1.0, abs=1e-14)
-    assert autocovariance(rademacher, 1) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_autocovariance_two_state_geometric(two_state04):
-    # diagonalizing the 2x2 kernel gives gamma(k) = rho^k
-    for k in (0, 1, 2, 5):
-        assert autocovariance(two_state04, k) == pytest.approx(0.4 ** k, abs=1e-12)
-
 
 def test_sigma_n_two_state_small_and_limit(two_state04):
     assert sigma_n(two_state04, 2) == pytest.approx(math.sqrt(1.4), abs=1e-12)
@@ -188,18 +177,10 @@ def test_sigma_n_stops_once_the_power_is_negligible(monkeypatch):
     assert counting.abs_calls == 6
 
 
-@pytest.mark.parametrize("name", ["two_state:0.999", "asymmetric3", "dyadic:6"])
-def test_autocovariance_matches_lag_recursion(name):
-    model = _oracle_model(name)
-    want = oracles.autocov_by_lags(model, 100)
-    got = np.array([autocovariance(model, k) for k in range(101)])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * want[0])
-
-
 def test_sampled_tier_rejected(rademacher):
     ma = builtin("moving_average", c=1.0, L_trunc=5)
     with pytest.raises(SampledTierUnsupported):
-        autocovariance(ma, 1)
+        sigma_n(ma, 4)
     with pytest.raises(SampledTierUnsupported):
         distribution_of_Sn(ma, 4)
 
@@ -1151,41 +1132,20 @@ def test_ks_distance_of_discretized_normal():
     assert ks_distance_exact(table) <= step
 
 
-# -- serialization -------------------------------------------------------------
-
-def test_tail_table_json_round_trip(table_two_state_256):
-    doc = table_two_state_256.to_json_dict()
-    back = TailTable.from_json_dict(doc)
-    assert back.n == table_two_state_256.n
-    assert np.array_equal(back.offsets, table_two_state_256.offsets)
-    assert np.array_equal(back.logp, table_two_state_256.logp)
-    assert back.sigma_n == table_two_state_256.sigma_n
-
-
-LAW = {"schema": "tail_table/1", "n": 2, "denom": 1, "sigma_n": 1.0, "center": 0.0,
-       "offsets": [-2, 0, 2], "logp": [math.log(0.25), math.log(0.5), math.log(0.25)]}
-
-
-@pytest.mark.parametrize("defect", [
-    {"offsets": [0, -2, 2]}, {"offsets": [-2, 0, 0]}, {"offsets": [-2, 0.5, 2]},
-    {"offsets": [-2, True, 2]}, {"offsets": []}, {"logp": [math.log(0.5), math.log(0.5)]},
-    {"logp": [0.0, -math.inf, -math.inf]}, {"logp": [-1.0, -1.0, -1.0]},
-    {"logp": [0.0, math.nan, -50.0]}, {"n": 0}, {"n": 2.0}, {"denom": 0}, {"sigma_n": -1.0},
-    {"sigma_n": 0.0}, {"sigma_n": math.inf}, {"center": math.nan}],
-    ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
-def test_tail_table_json_must_hold_a_law(defect):
-    # each of these was once read back without a word: at three atoms of log-mass -1
-    # (a log total mass of log 3 - 1) exact_tail gave log P = +0.099
-    TailTable.from_json_dict(LAW)
-    with pytest.raises(OutOfRange):
-        TailTable.from_json_dict({**LAW, **defect})
-
-
-def test_tail_table_csv_shape(rademacher):
-    table = distribution_of_Sn(rademacher, 3)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "sum,logp"
-    assert len(lines) == 1 + table.offsets.size
+def test_a_lattice_in_units_of_2_50_runs_like_the_unit_chain_until_int64_could_wrap():
+    # the 0/1 chain in units of 2^-50: its raw sums reach n 2^50, 2^62 at n = 4096 and
+    # 2^63 at n = 8192, where the DP's top atom read -12288 and simulated W wrapped
+    trans = [[0.7, 0.3], [0.3, 0.7]]
+    big = build_finite_lattice_model(["a", "b"], trans, [0, 2 ** 50], 2 ** 50)
+    unit = build_finite_lattice_model(["a", "b"], trans, [0, 1], 1)
+    tb, tu = distribution_of_Sn(big, 4096), distribution_of_Sn(unit, 4096)
+    assert tb.sum_values.tobytes() == tu.sum_values.tobytes()
+    assert tb.logp.tobytes() == tu.logp.tobytes()
+    assert simulate_W(big, 4096, 1000, 3).tobytes() == simulate_W(unit, 4096, 1000, 3).tobytes()
+    for call in (distribution_of_Sn, lambda m, n: _sum_law_tables(m, [16, n]),
+                 lambda m, n: _max_abs_tail(m, n, 1.0), lambda m, n: simulate_W(m, n, 10, 3)):
+        with pytest.raises(ParamOutOfRange, match="pass the int64 range"):
+            call(big, 8192)
 
 
 def test_invalid_inputs(two_state04):

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mdlab import (
     DecayCertificate,
-    TailTable,
     build_finite_lattice_model,
     build_quantile_transform,
     builtin,
@@ -18,7 +17,6 @@ from mdlab import (
     distribution_of_Sn,
     geometric_mixing_certificate,
     phi_mixing_coefficients,
-    quadratic_characteristic_deviation,
     sample_coupled_pairs,
     sample_trajectory,
     sigma_n,
@@ -29,7 +27,6 @@ from mdlab.errors import (
     DegeneratePayoff,
     MissingNorms,
     NonStochasticRow,
-    OutOfRange,
     ParamOutOfRange,
     PeriodicChain,
     ReducibleChain,
@@ -38,13 +35,12 @@ from mdlab.errors import (
 )
 from mdlab import coupling, models, montecarlo
 from mdlab.coefficients import certified_coefficient_bounds, select_block_size
-from mdlab.exact import autocovariance, conditional_sum_norms
+from mdlab.exact import conditional_sum_norms
 from mdlab.models import SampledModel, child_rng, parse_model_text, sample_state_paths
 from mdlab.bounds import (
     berry_esseen_bound,
     cramer_envelope,
     freedman_bound,
-    martingale_cramer_envelope,
     peligrad_bound,
 )
 from mdlab.coupling import coupling_report
@@ -656,7 +652,6 @@ COUNT_CALLS = {
     "sample_coupled_pairs": (1, lambda c, v: sample_coupled_pairs(c.transform, v, 0)),
     "wilson_interval": (1, lambda c, v: wilson_interval(0, v)),
     "peligrad_bound": (1, lambda c, v: peligrad_bound(4.0, v, 1.0, [0.1] * 65)),
-    "autocovariance": (0, lambda c, v: autocovariance(c.ts, v)),
     "moving_average autocov": (0, lambda c, v: c.ma.autocov(v)),
     "select_block_size": (2, lambda c, v: select_block_size(v, 2.0, "cramer")),
     "mdp_diagnostic": (1, lambda c, v: mdp_diagnostic(c.ts, 1.0, 0.25, [v])),
@@ -772,10 +767,14 @@ TYPED_INPUT_CALLS = {
     "peligrad_bound norms": (MissingNorms, lambda c: peligrad_bound(4.0, 12, 1.0, [-0.1] * 12)),
     "certified m past n": (ParamOutOfRange, lambda c: certified_coefficient_bounds(
         c.ma.decay, 17, 16, 1.0, 1.0)),
-    "tail table schema": (OutOfRange, lambda c: TailTable.from_json_dict(
-        {"schema": "tail_table/0"})),
-    "quadratic characteristic variant": (ParamOutOfRange, lambda c: (
-        quadratic_characteristic_deviation(c.ts, c.coeffs, "bogus"))),
+    "quantile transform of samples": (ParamOutOfRange, lambda c: build_quantile_transform(
+        c.samples)),
+    "f_num past int64": (ParamOutOfRange, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [0, 2 ** 63], 1)),
+    "f_num below int64": (ParamOutOfRange, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [-2 ** 63 - 1, 0], 1)),
+    "f_num spread past int64": (ParamOutOfRange, lambda c: build_finite_lattice_model(
+        ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [-2 ** 62, 2 ** 62], 1)),
 }
 
 
@@ -789,8 +788,6 @@ def test_bad_inputs_raise_their_typed_errors(count_models, name):
 # every scale: a call of the test's models and the value, and whether 0 is one
 SCALE_CALLS = {
     "cramer_envelope c": (False, lambda c, v: cramer_envelope(c.coeffs, 1.0, v)),
-    "martingale_cramer_envelope c": (False, lambda c, v: martingale_cramer_envelope(
-        0.1, 0.1, 1.0, v)),
     "berry_esseen_bound c": (False, lambda c, v: berry_esseen_bound(c.coeffs, v)),
     "freedman_bound v2": (False, lambda c, v: freedman_bound(1.0, v, 0.5)),
     "freedman_bound a": (True, lambda c, v: freedman_bound(1.0, 1.0, v)),
