@@ -9,7 +9,6 @@ a quantile-coupling construction cover what the oracles cannot reach.
 
 from .blocking import quadratic_characteristic_deviation
 from .bounds import (
-    BoundCurve,
     bernstein_bound,
     berry_esseen_bound,
     cramer_envelope,
@@ -20,7 +19,6 @@ from .bounds import (
     varsigma,
 )
 from .coefficients import (
-    BlockSizeChoice,
     CoefficientSet,
     GateReport,
     CertifiedCoefficientBounds,

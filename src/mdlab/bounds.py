@@ -16,12 +16,11 @@ martingale case of a vanishing drift coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import CoefficientSet, GateReport, admissibility
-from .errors import GammaTooLarge, MissingNorms, NegativeX
+from .errors import ParamOutOfRange
 from .models import _require_count, _require_scale
 
 SQRT_E4 = 4.0 * math.sqrt(math.e)
@@ -29,12 +28,12 @@ X_CAP = 1e150  # a larger finite x reads as this: x^2 terms stay finite; the bou
 
 
 def _read_x(x, what: str, strict: bool = False) -> np.ndarray:
-    """x as a float array, NegativeX unless every point is >= 0 (> 0 if
+    """x as a float array, ParamOutOfRange unless every point is >= 0 (> 0 if
     `strict`): NaN fails, +inf passes."""
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0 if strict else xs >= 0):
-        raise NegativeX(f"{what} is stated for x {'>' if strict else '>='} 0, "
-                        f"not for NaN or below")
+        raise ParamOutOfRange(f"{what} is stated for x {'>' if strict else '>='} 0, "
+                              f"not for NaN or below")
     return xs
 
 
@@ -49,19 +48,6 @@ def xlnx(t) -> np.ndarray | float:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ts > 0.0, ts * np.abs(np.log(np.where(ts > 0, ts, 1.0))), 0.0)
     return _like(out, t)
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """An evaluated inequality on an x grid, with per-point validity flags
-    recording whether the bound's stated preconditions hold there."""
-
-    kind: str
-    x_grid: np.ndarray
-    value: np.ndarray
-    valid: np.ndarray
-    gate_mode: str
-    constants: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +70,12 @@ def cramer_envelope(coeffs: CoefficientSet, x, c: float = 1.0):
 
 
 def envelope_curve(coeffs: CoefficientSet, x_grid, c: float = 1.0,
-                   gate_mode: str = "practical") -> BoundCurve:
-    """Cramér envelope on a grid, flagged valid where the admissibility gates
-    hold and x stays inside the admissible range."""
+                   gate_mode: str = "practical") -> tuple[np.ndarray, np.ndarray]:
+    """Cramér envelope on a grid and its validity flags: true where the
+    admissibility gates hold and x stays inside the admissible range."""
     gates: GateReport = admissibility(coeffs, gate_mode)
     xs = _read_x(x_grid, "the envelope")
-    valid = (xs <= gates.x_max) & gates.all_ok
-    return BoundCurve(kind="cramer_envelope", x_grid=xs,
-                      value=np.asarray(cramer_envelope(coeffs, xs, c)),
-                      valid=valid, gate_mode=gate_mode,
-                      constants={"C": c})
+    return np.asarray(cramer_envelope(coeffs, xs, c)), (xs <= gates.x_max) & gates.all_ok
 
 
 def berry_esseen_bound(coeffs: CoefficientSet, c: float = 1.0) -> float:
@@ -128,7 +110,7 @@ def bernstein_bound(coeffs: CoefficientSet, x):
     fin = np.minimum(xs, X_CAP)  # the formula is NaN at +inf: its limit goes back
     g = xlnx(coeffs.gamma_m)
     if g >= 1.0:
-        raise GammaTooLarge(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
+        raise ParamOutOfRange(f"gamma|ln gamma| = {g} >= 1; the bound degenerates")
     one_g, fin_sq = 1.0 - g, fin * fin
     first = np.exp(-(one_g * one_g) * fin_sq
                    / (2.0 * (1.0 + coeffs.tau_sq + (2.0 / 3.0) * coeffs.eps_m * one_g * fin)))
@@ -163,9 +145,9 @@ def peligrad_bound(x, n: int, bound_x1: float, cond_norms):
     n, bound_x1 = _require_count(n, "n"), _require_scale(bound_x1, "bound_x1")
     norms = np.asarray(cond_norms, dtype=float)
     if norms.size < n:
-        raise MissingNorms(f"need conditional-sum norms for j = 1..{n}, got {norms.size}")
+        raise ParamOutOfRange(f"need conditional-sum norms for j = 1..{n}, got {norms.size}")
     if np.any(norms[:n] < 0):
-        raise MissingNorms("conditional-sum norms must be >= 0")
+        raise ParamOutOfRange("conditional-sum norms must be >= 0")
     xs = _read_x(x, "the maximal inequality")
     js = np.arange(1, n + 1, dtype=float)
     denom = bound_x1 + 80.0 * float(np.sum(1.0 / (js * np.sqrt(js)) * norms[:n]))

@@ -10,10 +10,13 @@ is accepted and ignored, and is not part of the configuration hash.
 A `--config` JSON object is more flags: each key is a flag's name with `_`
 for `-`, appended after the command line (so the file wins) and parsed with
 that flag's type and choices.  Subcommands return their files (text chunks)
-and `main` writes them, so a run that rejects its input writes nothing.
+and `main` writes them, so a run that rejects its input writes nothing; it
+checks every target path before the first write, and an output it cannot
+write is a configuration error.
 
-Exit codes: 0 success, 2 configuration error, 3 model error, 4 a hard
-verification assertion failed.
+Exit codes: 0 success, 2 configuration error, 3 model error (a sampled model
+given to verify, coupling or mdp among them), 4 a hard verification assertion
+failed.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def _pick_m(cfg: dict, n: int) -> int:
             raise ConfigError(f"need 1 <= m <= n, got m={m}, n={n}")
         return m
     if cfg.get("beta") is not None:
-        return select_block_size(n, cfg["beta"], cfg.get("purpose", "cramer")).m
+        return select_block_size(n, cfg["beta"], cfg.get("purpose", "cramer"))
     raise ConfigError("one of --m or --beta is required")
 
 
@@ -190,8 +193,6 @@ def cmd_coeffs(cfg: dict, model, run_coeffs):
 
 
 def cmd_verify(cfg: dict, model, run_coeffs):
-    if model.tier != "exact":
-        raise ConfigError("verify needs an exact-tier model")
     _pick_m(cfg, cfg["n"])  # a bad block length is reported before a bad grid
     xs = _x_grid(cfg)
     gate_mode = cfg.get("gate_mode", "practical")
@@ -357,13 +358,20 @@ def main(argv=None) -> int:
         run_coeffs = functools.cache(
             lambda: coefficient_set(model, cfg["n"], _pick_m(cfg, cfg["n"])))
         files, failure = _COMMANDS[args.command][0](cfg, model, run_coeffs)
+        paths = [os.path.join(cfg["out"], name) for name in files]
+        for path in paths:  # every target is checked before the first write
+            if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
+                raise ConfigError(f"cannot write {path}: it is not a writable file")
         try:
             os.makedirs(cfg["out"], exist_ok=True)
         except OSError as exc:  # a file at --out or on its path
             raise ConfigError(f"cannot make the output directory {cfg['out']}: {exc}") from None
-        for name, chunks in files.items():
-            with open(os.path.join(cfg["out"], name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(chunks)
+        for path, chunks in zip(paths, files.values()):
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.writelines(chunks)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from None
         if failure:
             raise VerificationError(failure)
         return 0

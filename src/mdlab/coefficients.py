@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import BetaOutOfRange, NoDecayCertificate, ParamOutOfRange
+from .errors import NoDecayCertificate, ParamOutOfRange
 from .exact import (
     conditional_block_moments,
     poisson_solution,
@@ -263,16 +263,7 @@ def certified_coefficient_bounds(cert: DecayCertificate, m: int, n: int, sigma_n
 # block-size selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockSizeChoice:
-    m: int
-    exponent: float
-    range_scale: float
-    range_label: str
-    purpose: str
-
-
-def select_block_size(n: int, beta: float, purpose: str) -> BlockSizeChoice:
+def select_block_size(n: int, beta: float, purpose: str) -> int:
     """Rate-optimal block length for a polynomial decay exponent beta.
 
     purpose="cramer": beta >= 3/2 gives m = floor(n^{2/7}) with claimed
@@ -285,30 +276,11 @@ def select_block_size(n: int, beta: float, purpose: str) -> BlockSizeChoice:
     """
     n = _require_horizon(n, 2)
     if not beta > 1:
-        raise BetaOutOfRange(f"beta must exceed 1, got {beta}")
+        raise ParamOutOfRange(f"beta must exceed 1, got {beta}")
     if purpose == "cramer":
-        if beta >= 1.5:
-            expo = 2.0 / 7.0
-            scale = n ** (1.0 / 14.0) / math.sqrt(math.log(n))
-            label = "o(n^(1/14) / sqrt(ln n))"
-        else:
-            expo = 1.0 / (3.0 * beta - 1.0)
-            r = (beta - 1.0) / (6.0 * beta - 2.0)
-            scale = n ** r
-            label = f"o(n^{r:g})"
+        expo = 2.0 / 7.0 if beta >= 1.5 else 1.0 / (3.0 * beta - 1.0)
     elif purpose == "berry_esseen":
-        if beta >= 2.0:
-            expo = 1.0 / 3.0
-            scale = n ** (-1.0 / 6.0) * math.log(n)
-            label = "n^(-1/6) ln n"
-        else:
-            expo = 1.0 / (beta + 1.0)
-            r = (beta - 1.0) / (2.0 * beta + 2.0)
-            scale = n ** -r * math.log(n)
-            label = f"n^(-{r:g}) ln n"
+        expo = 1.0 / 3.0 if beta >= 2.0 else 1.0 / (beta + 1.0)
     else:
         raise ParamOutOfRange(f"purpose must be cramer or berry_esseen, got {purpose!r}")
-    m = int(math.floor(n ** expo + 1e-9))
-    m = max(1, min(m, n))
-    return BlockSizeChoice(m=m, exponent=expo, range_scale=scale,
-                           range_label=label, purpose=purpose)
+    return max(1, min(int(math.floor(n ** expo + 1e-9)), n))

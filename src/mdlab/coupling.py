@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .bounds import varsigma
-from .errors import DegenerateGap, ParamOutOfRange, TooFewSamples
+from .errors import ParamOutOfRange
 from .exact import DRAW_CHUNK, QuantileTransform, TailTable, distribution_of_Sn
 from .models import _check_cost, _require_count, _require_scale, child_rng
 from .normal import normal_cdf, normal_quantile
@@ -87,8 +87,6 @@ class CouplingReport:
     gap_median: float
     lambda_hat: float
     lambda_se: float
-    survival_x: np.ndarray
-    survival_logp: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,7 +115,7 @@ def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
     draws, seed = _require_count(draws, "draws"), _require_count(seed, "seed", 0)
     vs = varsigma(coeffs)
     if not (np.isfinite(vs) and vs > 1e-300):
-        raise DegenerateGap(f"varsigma underflows: {vs!r}")
+        raise ParamOutOfRange(f"varsigma underflows: {vs!r}")
     table = distribution_of_Sn(model, coeffs.n)
     y, z = sample_coupled_pairs(table.transform, draws, seed)
 
@@ -129,25 +127,24 @@ def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
     frac = violations / n_adm if n_adm else 0.0
 
     g = np.sort(gap / vs)
-    lam, se, sx, slog = _fit_survival_slope(g)
+    lam, se = _fit_survival_slope(g)
     return CouplingReport(n=coeffs.n, m=coeffs.m, draws=draws, seed=seed, varsigma_n=vs,
                           alpha=alpha, c_alpha=c_alpha, admissible_count=n_adm,
                           violation_fraction=frac,
                           gap_median=float(np.median(g)),
-                          lambda_hat=lam, lambda_se=se,
-                          survival_x=sx, survival_logp=slog)
+                          lambda_hat=lam, lambda_se=se)
 
 
-def _fit_survival_slope(sorted_g: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Least-squares slope of ln P(G >= g) against g over the upper decile
-    of the sorted normalized gaps (the survival's final point is dropped:
-    its log is -inf)."""
+def _fit_survival_slope(sorted_g: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of ln P(G >= g) against g, and its standard error,
+    over the upper decile of the sorted normalized gaps (the survival's final
+    point is dropped: its log is -inf)."""
     n = sorted_g.size
     start = int(0.9 * n)
     xs = sorted_g[start:n - 1]
     logs = np.log(1.0 - np.arange(start, n - 1) / n)
     if xs.size < 8 or np.ptp(xs) == 0.0:
-        raise TooFewSamples("not enough distinct upper-decile gaps for a slope fit")
+        raise ParamOutOfRange("not enough distinct upper-decile gaps for a slope fit")
     a = np.vstack([xs, np.ones_like(xs)]).T
     coef, _, _, _ = np.linalg.lstsq(a, logs, rcond=None)
     resid = logs - a @ coef
@@ -155,4 +152,4 @@ def _fit_survival_slope(sorted_g: np.ndarray) -> tuple[float, float, np.ndarray,
     s2 = float(resid @ resid) / dof
     dev = xs - xs.mean()
     se = math.sqrt(s2 / float(np.sum(dev * dev)))
-    return float(coef[0]), se, xs, logs
+    return float(coef[0]), se

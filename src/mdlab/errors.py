@@ -47,10 +47,6 @@ class DegeneratePayoff(ModelError):
     pass
 
 
-class UnknownBuiltin(ConfigError):
-    pass
-
-
 class ParamOutOfRange(ConfigError):
     pass
 
@@ -73,39 +69,3 @@ class DegenerateVariance(ModelError):
 
 class BudgetExceeded(ConfigError):
     """A run would pass the memory budget or, by estimate, the time cap (`models._check_cost`)."""
-
-
-class OutOfRange(ConfigError):
-    pass
-
-
-class BetaOutOfRange(ConfigError):
-    pass
-
-
-class NegativeX(ConfigError):
-    pass
-
-
-class GammaTooLarge(ConfigError):
-    pass
-
-
-class MissingNorms(ConfigError):
-    pass
-
-
-class TooFewSamples(ConfigError):
-    pass
-
-
-class ZeroDenominator(ConfigError):
-    pass
-
-
-class ExponentOutOfRange(ConfigError):
-    pass
-
-
-class DegenerateGap(ConfigError):
-    pass

@@ -42,7 +42,6 @@ from scipy.special import gammaln
 from .errors import (
     DegenerateVariance,
     MdlabError,
-    OutOfRange,
     ParamOutOfRange,
 )
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
@@ -222,9 +221,10 @@ def sigma_any(model, n: int) -> float:
 
 
 def _variance(model, var: float, gamma0: float, what: str) -> float:
-    """var, unless it is not finite (OutOfRange) or at most VAR_RTOL gamma0 (DegenerateVariance)."""
+    """var, unless it is not finite (ParamOutOfRange) or at most VAR_RTOL gamma0
+    (DegenerateVariance)."""
     if not math.isfinite(var):
-        raise OutOfRange(f"{model.name}: {what} is {var!r}")
+        raise ParamOutOfRange(f"{model.name}: {what} is {var!r}")
     if var <= VAR_RTOL * gamma0:
         raise DegenerateVariance(f"{model.name}: {what} is {var!r}, at most {VAR_RTOL} gamma(0) "
                                  f"= {gamma0!r}")
@@ -854,7 +854,7 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
     if np.any(np.isnan(ss)):
         raise ParamOutOfRange("quantile arguments must not be nan")
     if np.any((ss <= 0.0) | (ss >= 1.0)):
-        raise OutOfRange("quantile argument must lie strictly inside (0, 1)")
+        raise ParamOutOfRange("quantile argument must lie strictly inside (0, 1)")
     return table.transform(ss if np.ndim(s) else ss[0])
 
 

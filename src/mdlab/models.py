@@ -31,7 +31,6 @@ from .errors import (
     PeriodicChain,
     ReducibleChain,
     SampledTierUnsupported,
-    UnknownBuiltin,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -417,7 +416,7 @@ def builtin(name: str, **params):
             model = _moving_average(float(params.pop("c")),
                                     _require_count(params.pop("L_trunc"), "L_trunc"))
         else:
-            raise UnknownBuiltin(f"unknown builtin model {name!r}")
+            raise ParamOutOfRange(f"unknown builtin model {name!r}")
     except KeyError as exc:
         raise ParamOutOfRange(f"missing parameter {exc} for builtin {name!r}") from None
     if params:

@@ -21,7 +21,7 @@ tail count is a handful out of many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,11 +29,8 @@ import numpy as np
 from .bounds import envelope_curve
 from .coefficients import CoefficientSet, coefficient_set
 from .errors import (
-    ExponentOutOfRange,
     ParamOutOfRange,
     SampledTierUnsupported,
-    TooFewSamples,
-    ZeroDenominator,
 )
 from .exact import (
     _csv_chunks,
@@ -53,15 +50,14 @@ from .normal import normal_log_sf, normal_sf
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     trials = _require_count(trials, "trials")
     if not 0 <= successes <= trials:
         raise ParamOutOfRange(f"need 0 <= successes <= trials, got {successes}, {trials}")
-    p = successes / trials
-    z2 = z * z
+    p, z2 = successes / trials, Z95 * Z95
     center = (p + z2 / (2 * trials)) / (1 + z2 / trials)
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
+    half = Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
@@ -74,7 +70,6 @@ class TailEstimate:
     lo: float
     hi: float
     chains: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class RatioCurve:
     left_hi: Optional[np.ndarray] = None
     envelope: Optional[np.ndarray] = None
     envelope_valid: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def csv_chunks(self):
         return _csv_chunks("x,ratio,lo,hi,envelope,ratio_left,lo_left,hi_left",
@@ -133,16 +127,15 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
     return out / math.sqrt(n)
 
 
-def estimate_tails(model, n: int, x_grid, chains: int, seed: int,
-                   sigma: Optional[float] = None) -> list[TailEstimate]:
+def estimate_tails(model, n: int, x_grid, chains: int, seed: int) -> list[TailEstimate]:
     """Monte Carlo estimates of P(W_n >= x sigma_n) with 95% score intervals."""
     seed = _require_count(seed, "seed", 0)
     xs = np.asarray(x_grid, dtype=float)
     if np.any(np.isnan(xs)):
         raise ParamOutOfRange("tail thresholds must not be nan")
-    sig = sigma_any(model, n) if sigma is None else _require_scale(sigma, "sigma")
+    sig = sigma_any(model, n)
     upper, _ = _tail_counts(simulate_W(model, n, chains, seed), xs * sig)
-    return [TailEstimate(float(x), k / chains, *wilson_interval(k, chains), chains, seed)
+    return [TailEstimate(float(x), k / chains, *wilson_interval(k, chains), chains)
             for x, k in zip(xs, upper.tolist())]
 
 
@@ -173,14 +166,13 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
         raise ParamOutOfRange("ratio grid must be nonnegative numbers")
     sf = normal_sf(xs)
     if np.any(sf == 0.0):
-        raise ZeroDenominator("1 - Phi(x) underflows on this grid; keep x <= 37")
+        raise ParamOutOfRange("1 - Phi(x) underflows on this grid; keep x <= 37")
 
     if coeffs is None and model.tier == "exact":
         coeffs = coefficient_set(model, n, m)
     env = env_valid = None
     if coeffs is not None:
-        curve = envelope_curve(coeffs, xs, envelope_c, gate_mode)
-        env, env_valid = curve.value, curve.valid
+        env, env_valid = envelope_curve(coeffs, xs, envelope_c, gate_mode)
 
     if mode == "exact":
         if model.tier != "exact":
@@ -190,8 +182,7 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
         right = np.exp(exact_tail(table, xs) - log_sf)
         left = np.exp(exact_lower_tail(table, xs) - log_sf)
         return RatioCurve(x_grid=xs, right=right, left=left, source="exact",
-                          envelope=env, envelope_valid=env_valid,
-                          meta={"n": n, "m": m})
+                          envelope=env, envelope_valid=env_valid)
     if mode != "mc":
         raise ParamOutOfRange(f"mode must be exact or mc, got {mode!r}")
     if chains is None:
@@ -203,8 +194,7 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
         for counts in (kr, kl))
     return RatioCurve(x_grid=xs, right=kr / chains / sf, left=kl / chains / sf, source="mc",
                       right_lo=r_lo, right_hi=r_hi, left_lo=l_lo, left_hi=l_hi,
-                      envelope=env, envelope_valid=env_valid,
-                      meta={"n": n, "m": m, "chains": chains, "seed": seed})
+                      envelope=env, envelope_valid=env_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +207,7 @@ def empirical_ks(samples, sigma_n: float) -> float:
     w = np.sort(np.asarray(samples, dtype=float)) / _require_scale(sigma_n, "sigma_n")
     n = w.size
     if n < 100:
-        raise TooFewSamples(f"need at least 100 samples, got {n}")
+        raise ParamOutOfRange(f"need at least 100 samples, got {n}")
     if not np.all(np.isfinite(w)):
         raise ParamOutOfRange("samples must be finite numbers")
     return _ks_sweep(w, np.arange(1, n + 1) / n)
@@ -231,8 +221,6 @@ class MdpDiagnostic:
     binomial closed form or the DP; from the tilted transform, its truncation
     (at most TAIL_RTOL) plus its round-off (at most ROUNDOFF_RTOL)."""
 
-    c: float
-    a_exponent: float
     n_grid: np.ndarray
     scaled: np.ndarray
     limit: float
@@ -253,12 +241,12 @@ def mdp_diagnostic(model, c: float, a_exponent: float, n_grid) -> MdpDiagnostic:
     many states at small n), which also reads what the transform cannot.
     """
     if not 0.0 < a_exponent < 0.5:
-        raise ExponentOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
+        raise ParamOutOfRange(f"a_exponent must lie in (0, 1/2), got {a_exponent}")
     c = _require_scale(c, "c", zero=True)
     ns = [_require_horizon(n) for n in n_grid]  # Python ints until priced: 2^63 is refused
     ans = [float(n) ** -a_exponent for n in ns]  # a_n; the threshold of S_n is c sqrt(n) / a_n
     logp, bound = _grid_log_tails(model, ns, [c / an * math.sqrt(n) for n, an in zip(ns, ans)])
     scaled = np.array([an * an * lp for an, lp in zip(ans, logp)], dtype=float)
     limit = -c * c / (2.0 * long_run_variance(model))
-    return MdpDiagnostic(c=c, a_exponent=a_exponent, n_grid=np.array(ns, dtype=np.int64),
+    return MdpDiagnostic(n_grid=np.array(ns, dtype=np.int64),
                          scaled=scaled, limit=limit, error_bound=bound)

@@ -702,14 +702,14 @@ def tail_table_csv(table) -> str:
     return rows_csv("sum,logp", (f"{int(k)},{v:.17g}" for k, v in zip(table.offsets, table.logp)))
 
 
-def bound_curve_csv(curve) -> str:
+def bound_curve_csv(x_grid, value, valid) -> str:
     return rows_csv("x,value,valid", (f"{x:.17g},{v:.17g},{int(ok)}" for x, v, ok
-                                      in zip(curve.x_grid, curve.value, curve.valid)))
+                                      in zip(x_grid, value, valid)))
 
 
-def tails_csv(estimates) -> str:
-    return rows_csv("x,p,lo,hi", (f"{t.x:.17g},{t.estimate:.17g},{t.lo:.17g},{t.hi:.17g}"
-                                  for t in estimates))
+def tails_csv(x, p, lo, hi) -> str:
+    return rows_csv("x,p,lo,hi", (f"{float(a):.17g},{float(b):.17g},{float(c):.17g},"
+                                  f"{float(d):.17g}" for a, b, c, d in zip(x, p, lo, hi)))
 
 
 def ratio_curve_csv(curve) -> str:

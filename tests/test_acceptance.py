@@ -107,7 +107,7 @@ def test_criterion_3_bernstein_validity():
     with criterion(3, "Bernstein-type bound dominates exact tails (3 chains x 50 x)"):
         start = time.monotonic()
         n = 1024
-        m = select_block_size(n, 2.0, "cramer").m
+        m = select_block_size(n, 2.0, "cramer")
         xs = np.linspace(3.0 / 50.0, 3.0, 50)
         for rho in (0.2, 0.4, 0.7):
             model = builtin("two_state", rho=rho)
@@ -153,7 +153,7 @@ def test_criterion_6_cramer_ratio_trend():
         model = builtin("two_state", rho=0.4)
         sups = []
         for n in (400, 1600, 6400):
-            m = select_block_size(n, 2.0, "cramer").m
+            m = select_block_size(n, 2.0, "cramer")
             assert m == int(n ** (2.0 / 7.0) + 1e-9)
             table = distribution_of_Sn(model, n)
             sups.append(exact_sup_ratio_dev(table, 2.0))
@@ -168,7 +168,7 @@ def test_criterion_7_berry_esseen_trend():
         expected_m = {256: 6, 1024: 10, 4096: 16}
         ks = []
         for n in ns:
-            assert select_block_size(n, 2.0, "berry_esseen").m == expected_m[n]
+            assert select_block_size(n, 2.0, "berry_esseen") == expected_m[n]
             ks.append(ks_distance_exact(distribution_of_Sn(model, n)))
         assert ks[0] > ks[1] > ks[2], f"not strictly decreasing: {ks}"
         scaled = [d * n ** (1.0 / 6.0) / math.log(n) for d, n in zip(ks, ns)]
@@ -201,7 +201,7 @@ def test_criterion_9_coupling_marginal_exactness():
 def test_criterion_10_coupling_tail_shape():
     with criterion(10, "normalized-gap log-survival slope is significantly negative"):
         model = builtin("two_state", rho=0.4)
-        m = select_block_size(1024, 2.0, "cramer").m
+        m = select_block_size(1024, 2.0, "cramer")
         rep = coupling_report(model, coefficient_set(model, 1024, m), 100_000, seed=77)
         assert rep.lambda_hat < 0, f"slope {rep.lambda_hat}"
         assert abs(rep.lambda_hat) >= 3.0 * rep.lambda_se, (

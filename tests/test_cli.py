@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import math
 import re
@@ -301,13 +302,13 @@ def test_seed_must_be_non_negative(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--model", "rademacher", "--n", "64", "--m", "4", "--constant=nan"],
-    ["--model", "moving_average:c=1,L_trunc=12", "--n", "64", "--m", "4"],
-])
-def test_report_writes_nothing_when_a_step_rejects_its_input(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, code", [
+    (["--model", "rademacher", "--n", "64", "--m", "4", "--constant=nan"], 2),
+    (["--model", "moving_average:c=1,L_trunc=12", "--n", "64", "--m", "4"], 3),
+], ids=["argv0", "argv1"])
+def test_report_writes_nothing_when_a_step_rejects_its_input(tmp_path, capsys, argv, code):
     out = tmp_path / "rep"
-    assert run_cli(["report", *argv, "--out", str(out)]) == 2
+    assert run_cli(["report", *argv, "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith("mdlab: error:")
     assert not out.exists()
 
@@ -421,6 +422,42 @@ def test_out_on_or_under_a_file_exits_2_and_writes_nothing(tmp_path, capsys, whe
     err = capsys.readouterr().err
     assert err.startswith("mdlab: error: cannot make the output directory") and "Traceback" not in err
     assert afile.read_text() == "kept" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("name", ["ratio.csv", "ks.json"])
+def test_a_directory_at_an_output_name_exits_2_and_writes_nothing(tmp_path, capsys, name):
+    # verify wrote the files before it and then raised IsADirectoryError (exit 1)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["verify", "--model", "rademacher", "--n", "16", "--m", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdlab: error: cannot write {out / name}") and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
+
+
+def test_a_failed_write_exits_2(tmp_path, capsys, monkeypatch):
+    def full_disk(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    assert main(["coeffs", "--model", "rademacher", "--n", "16", "--m", "2",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: error: cannot write") and "No space left" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "coupling", "mdp", "report"])
+def test_a_sampled_model_exits_3_where_an_exact_one_is_needed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--model", "moving_average:c=1,L_trunc=3", "--n", "16", "--m", "2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "mdlab: error: 'moving_average(c=1.0, L_trunc=3)' is not an exact-tier model\n"
+    assert not out.exists()
+    if command in ("verify", "report"):  # a bad flag is still reported first
+        assert main(argv + ["--x-count", "0", "--out", str(out)]) == 2
+        assert "x grid needs" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("which", ["config", "model"])
@@ -674,10 +711,10 @@ def test_verify_evaluates_the_envelope_once(tmp_path, monkeypatch):
                  "--constant", "0.37", "--x-count", "11", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     coeffs = coefficient_set(builtin("two_state", rho=0.4), 512, 8)
-    want = bounds.envelope_curve(coeffs, np.linspace(0.0, 3.0, 11)[1:], 0.37, "practical")
+    value, valid = bounds.envelope_curve(coeffs, np.linspace(0.0, 3.0, 11)[1:], 0.37, "practical")
     _, rows = read_csv(tmp_path / "bounds.csv")
-    assert [r[3] for r in rows] == [f"{v:.17g}" for v in want.value]
-    assert [r[4] for r in rows] == [str(int(v)) for v in want.valid]
+    assert [r[3] for r in rows] == [f"{v:.17g}" for v in value]
+    assert [r[4] for r in rows] == [str(int(v)) for v in valid]
 
 
 def _count_calls(monkeypatch, fn):

@@ -17,7 +17,7 @@ from mdlab import (
     sigma_n,
 )
 from mdlab.coefficients import GAMMA_TOL
-from mdlab.errors import BetaOutOfRange, NoDecayCertificate, ParamOutOfRange
+from mdlab.errors import NoDecayCertificate, ParamOutOfRange
 from mdlab.exact import poisson_solution
 
 import oracles
@@ -168,33 +168,32 @@ def test_certified_bounds_match_the_per_index_sums(name):
 # -- block-size selection ----------------------------------------------------------
 
 def test_select_block_size_closed_forms():
-    assert select_block_size(128, 2.0, "cramer").m == 4
-    assert select_block_size(1000, 2.5, "berry_esseen").m == 10
-    assert select_block_size(1024, 1.5, "berry_esseen").m == 16
-    assert select_block_size(1024, 2.0, "cramer").m == 7
+    assert select_block_size(128, 2.0, "cramer") == 4
+    assert select_block_size(1000, 2.5, "berry_esseen") == 10
+    assert select_block_size(1024, 1.5, "berry_esseen") == 16
+    assert select_block_size(1024, 2.0, "cramer") == 7
 
 
 def test_select_block_size_powers_of_two():
     # closed forms at exact powers: 2^(2k/7) and 2^(k/3) floored
     for k in range(3, 15):
         n = 1 << k
-        assert select_block_size(n, 3.0, "cramer").m == math.floor(
+        assert select_block_size(n, 3.0, "cramer") == math.floor(
             2.0 ** (2.0 * k / 7.0) + 1e-9)
         choice = select_block_size(n, 2.0, "berry_esseen")
-        assert choice.m == math.floor(2.0 ** (k / 3.0) + 1e-9)
-        assert 1 <= choice.m <= n
+        assert choice == math.floor(2.0 ** (k / 3.0) + 1e-9)
+        assert 1 <= choice <= n
 
 
 def test_select_block_size_low_beta_branches():
     c = select_block_size(10 ** 4, 1.25, "cramer")
-    assert c.m == math.floor((10 ** 4) ** (1.0 / (3 * 1.25 - 1)) + 1e-9)
-    assert "o(n^" in c.range_label
+    assert c == math.floor((10 ** 4) ** (1.0 / (3 * 1.25 - 1)) + 1e-9)
     b = select_block_size(10 ** 4, 1.25, "berry_esseen")
-    assert b.m == math.floor((10 ** 4) ** (1.0 / 2.25) + 1e-9)
+    assert b == math.floor((10 ** 4) ** (1.0 / 2.25) + 1e-9)
 
 
 def test_select_block_size_errors():
-    with pytest.raises(BetaOutOfRange):
+    with pytest.raises(ParamOutOfRange, match="beta must exceed 1, got 1.0"):
         select_block_size(100, 1.0, "cramer")
     with pytest.raises(ParamOutOfRange):
         select_block_size(100, 2.0, "nonsense")

@@ -109,7 +109,6 @@ def test_coupling_report_shapes(two_state04):
     assert rep.lambda_se > 0
     assert 0 <= rep.violation_fraction <= 1
     assert rep.admissible_count > 0
-    assert np.all(np.diff(rep.survival_logp) <= 0)  # survival is non-increasing
     doc = rep.to_json_dict()
     for key in ("varsigma_n", "lambda_hat", "lambda_se", "violation_fraction",
                 "admissible_count", "alpha", "c_alpha"):

@@ -8,10 +8,9 @@ import pytest
 
 from mdlab import (builtin, cli, coefficient_set, distribution_of_Sn, exact, mdp_diagnostic,
                    ratio_curve)
-from mdlab.bounds import BoundCurve
 from mdlab.coupling import build_quantile_transform, sample_coupled_pairs
 from mdlab.exact import CSV_CHUNK, TailTable
-from mdlab.montecarlo import MdpDiagnostic, RatioCurve, TailEstimate
+from mdlab.montecarlo import MdpDiagnostic, RatioCurve
 
 import oracles
 
@@ -61,18 +60,14 @@ def test_tail_table_csv_is_byte_identical(rows):
 
 @pytest.mark.parametrize("rows", ROWS)
 def test_bound_curve_csv_is_byte_identical(rows):
-    curve = BoundCurve(kind="k", x_grid=_floats(rows, 3), value=_floats(rows, 4)[::-1],
-                       valid=_bools(rows, 5), gate_mode="practical")
-    assert_same(_csv("x,value,valid", [curve.x_grid, curve.value, curve.valid]),
-                oracles.bound_curve_csv(curve))
+    x, value, valid = _floats(rows, 3), _floats(rows, 4)[::-1], _bools(rows, 5)
+    assert_same(_csv("x,value,valid", [x, value, valid]), oracles.bound_curve_csv(x, value, valid))
 
 
 @pytest.mark.parametrize("rows", ROWS)
 def test_tails_csv_is_byte_identical(rows):
     x, p, lo, hi = (_floats(rows, s) for s in (6, 7, 8, 9))
-    estimates = [TailEstimate(x=float(a), estimate=float(b), lo=float(c), hi=float(d),
-                              chains=10, seed=0) for a, b, c, d in zip(x, p, lo, hi)]
-    assert_same(_csv("x,p,lo,hi", [x, p, lo, hi]), oracles.tails_csv(estimates))
+    assert_same(_csv("x,p,lo,hi", [x, p, lo, hi]), oracles.tails_csv(x, p, lo, hi))
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -88,14 +83,14 @@ def test_ratio_curve_csv_is_byte_identical(rows, mc):
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("limit", [-0.0, -3 / 14, np.nan])
 def test_mdp_csv_is_byte_identical(rows, limit):
-    diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.abs(_ints(rows, 17)),
-                         scaled=_floats(rows, 18), limit=limit, error_bound=np.zeros(rows))
+    diag = MdpDiagnostic(n_grid=np.abs(_ints(rows, 17)), scaled=_floats(rows, 18), limit=limit,
+                         error_bound=np.zeros(rows))
     assert_same("".join(diag.csv_chunks()), oracles.mdp_csv(diag))
 
 
 def test_zero_rows_write_the_header_only():
-    diag = MdpDiagnostic(c=1.0, a_exponent=0.25, n_grid=np.zeros(0, dtype=np.int64),
-                         scaled=np.zeros(0), limit=-0.5, error_bound=np.zeros(0))
+    diag = MdpDiagnostic(n_grid=np.zeros(0, dtype=np.int64), scaled=np.zeros(0), limit=-0.5,
+                         error_bound=np.zeros(0))
     assert "".join(diag.csv_chunks()) == "n,scaled_log_tail,limit\n"
 
 

@@ -27,7 +27,7 @@ from mdlab import (
     simulate_W,
 )
 from mdlab import exact, models
-from mdlab.errors import (BudgetExceeded, DegenerateVariance, OutOfRange, ParamOutOfRange,
+from mdlab.errors import (BudgetExceeded, DegenerateVariance, ParamOutOfRange,
                           SampledTierUnsupported)
 from mdlab.models import DEFAULT_BUDGET_BYTES
 from mdlab.exact import (TILT_REACH, _max_abs_tail, _prefix_logsum, _sum_law_steps,
@@ -249,7 +249,7 @@ def test_the_variance_verdict_is_the_same_in_every_unit(denom, stay, degenerate)
 @pytest.mark.parametrize("var", [math.inf, math.nan])
 def test_a_variance_that_is_not_finite_names_the_model_and_n(two_state04, n, var):
     where = "long-run variance" if n is None else "sigma_n^2 at n = 7"
-    with pytest.raises(OutOfRange, match=re.escape(f"two_state(rho=0.4): {where} is")):
+    with pytest.raises(ParamOutOfRange, match=re.escape(f"two_state(rho=0.4): {where} is")):
         exact._variance(two_state04, var, 1.0, where)
 
 
@@ -1069,9 +1069,10 @@ def test_quantile_two_point_law(rademacher):
     assert quantile(table, 0.3) == -1.0
     assert quantile(table, 0.7) == 1.0
     assert quantile(table, 0.5) == -1.0  # F(-1) = 0.5 >= s, inf attained at -1
-    with pytest.raises(OutOfRange):
+    inside = r"quantile argument must lie strictly inside \(0, 1\)"
+    with pytest.raises(ParamOutOfRange, match=inside):
         quantile(table, 0.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ParamOutOfRange, match=inside):
         quantile(table, 1.0)
 
 

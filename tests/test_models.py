@@ -25,13 +25,11 @@ from mdlab import (
 )
 from mdlab.errors import (
     DegeneratePayoff,
-    MissingNorms,
     NonStochasticRow,
     ParamOutOfRange,
     PeriodicChain,
     ReducibleChain,
     SampledTierUnsupported,
-    UnknownBuiltin,
 )
 from mdlab import coupling, models, montecarlo
 from mdlab.coefficients import certified_coefficient_bounds, select_block_size
@@ -122,7 +120,7 @@ def test_boundedness_matches_declared_norm(name, params):
 
 
 def test_unknown_builtin_and_bad_params():
-    with pytest.raises(UnknownBuiltin):
+    with pytest.raises(ParamOutOfRange, match="unknown builtin model 'ornstein'"):
         builtin("ornstein")
     with pytest.raises(ParamOutOfRange):
         builtin("two_state", rho=1.0)
@@ -764,7 +762,7 @@ TYPED_INPUT_CALLS = {
     "builtin extra parameter": (ParamOutOfRange, lambda c: builtin("rademacher", rho=0.4)),
     "ratio_curve mode": (ParamOutOfRange, lambda c: ratio_curve(
         c.ts, 16, 4, [0.5], mode="exactly", coeffs=c.coeffs)),
-    "peligrad_bound norms": (MissingNorms, lambda c: peligrad_bound(4.0, 12, 1.0, [-0.1] * 12)),
+    "peligrad_bound norms": (ParamOutOfRange, lambda c: peligrad_bound(4.0, 12, 1.0, [-0.1] * 12)),
     "certified m past n": (ParamOutOfRange, lambda c: certified_coefficient_bounds(
         c.ma.decay, 17, 16, 1.0, 1.0)),
     "quantile transform of samples": (ParamOutOfRange, lambda c: build_quantile_transform(
@@ -803,8 +801,6 @@ SCALE_CALLS = {
     "SampledModel bound": (False, lambda c, v: dataclasses.replace(c.ma, bound=v).describe()),
     "moving_average c": (False, lambda c, v: builtin("moving_average", c=v,
                                                      L_trunc=4).describe()),
-    "estimate_tails sigma": (False, lambda c, v: estimate_tails(c.ts, 16, [0.5], 10, 0,
-                                                                sigma=v)),
     "empirical_ks sigma_n": (False, lambda c, v: empirical_ks(c.samples, v)),
     "mdp_diagnostic c": (True, lambda c, v: mdp_diagnostic(c.rad, v, 0.25, [16])),
 }

@@ -22,11 +22,8 @@ from mdlab import (
 from mdlab import exact, models, montecarlo
 from mdlab.errors import (
     BudgetExceeded,
-    ExponentOutOfRange,
     ParamOutOfRange,
     SampledTierUnsupported,
-    TooFewSamples,
-    ZeroDenominator,
 )
 from mdlab.models import (
     CHAIN_CHUNK,
@@ -393,12 +390,9 @@ def test_wilson_interval_refuses_counts_off_zero_to_trials(successes, trials):
 
 @pytest.mark.parametrize("sigma", [math.nan, 0.0, -1.0, math.inf])
 def test_estimate_tails_and_empirical_ks_refuse_a_bad_scale(two_state04, sigma, monkeypatch):
-    # nan thresholds count no sample (estimate 0.0); sigma = 0 or < 0 flips or
-    # collapses every threshold; checked before any chain is simulated
+    # a nan scale reads no sample; 0 or < 0 flips or collapses every
+    # threshold (estimate_tails takes no scale: it uses sigma_any)
     samples = np.random.default_rng(3).standard_normal(1000)
-    monkeypatch.setattr(montecarlo, "simulate_W", None)
-    with pytest.raises(ParamOutOfRange, match="sigma"):
-        estimate_tails(two_state04, 16, [0.5], 100, 0, sigma=sigma)
     with pytest.raises(ParamOutOfRange, match="sigma"):
         empirical_ks(samples, sigma)
 
@@ -436,9 +430,9 @@ def test_tail_counts_are_inclusive_at_sample_atoms(two_state04):
     upper, lower = montecarlo._tail_counts(w, xs)
     assert upper.tolist() == [int(np.sum(w >= x)) for x in xs]
     assert lower.tolist() == [int(np.sum(w <= -x)) for x in xs]
-    est = estimate_tails(two_state04, n, xs, chains, seed, sigma=1.0)
-    assert [t.estimate for t in est] == [int(np.sum(w >= x)) / chains for x in xs]
     sig = sigma_n(two_state04, n)
+    est = estimate_tails(two_state04, n, xs / sig, chains, seed)
+    assert [t.estimate for t in est] == [int(np.sum(w >= x * sig)) / chains for x in xs / sig]
     grid = xs[:-1] / sig
     curve = ratio_curve(two_state04, n, 4, grid, mode="mc", chains=chains, seed=seed)
     for got, counts in ((curve.right, [np.sum(w >= x * sig) for x in grid]),
@@ -491,7 +485,8 @@ def test_ratio_mc_on_sampled_tier():
 
 
 def test_ratio_guards(two_state04):
-    with pytest.raises(ZeroDenominator):
+    underflow = r"1 - Phi\(x\) underflows on this grid; keep x <= 37"
+    with pytest.raises(ParamOutOfRange, match=underflow):
         ratio_curve(two_state04, 16, 2, [40.0], mode="exact")
     with pytest.raises(ParamOutOfRange):
         ratio_curve(two_state04, 16, 2, [1.0], mode="mc")
@@ -565,7 +560,7 @@ def test_empirical_ks_matches_exact_two_point(rademacher):
     ks = empirical_ks(w, 1.0)
     assert ks == pytest.approx(ks_distance_exact(table), abs=0.01)
     assert empirical_ks(w, 1.0) == ks  # same samples, same statistic
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(ParamOutOfRange, match="need at least 100 samples, got 50"):
         empirical_ks(w[:50], 1.0)
 
 
@@ -618,9 +613,9 @@ def test_mdp_two_state_limit_and_exact_route(two_state04):
 
 
 def test_mdp_exponent_guard(rademacher):
-    with pytest.raises(ExponentOutOfRange):
+    with pytest.raises(ParamOutOfRange, match=r"a_exponent must lie in \(0, 1/2\), got 0.5"):
         mdp_diagnostic(rademacher, 1.0, 0.5, [100])
-    with pytest.raises(ExponentOutOfRange):
+    with pytest.raises(ParamOutOfRange, match=r"a_exponent must lie in \(0, 1/2\), got 0.0"):
         mdp_diagnostic(rademacher, 1.0, 0.0, [100])
 
 
