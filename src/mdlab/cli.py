@@ -11,8 +11,9 @@ A `--config` JSON object is more flags: each key is a flag's name with `_`
 for `-`, appended after the command line (so the file wins) and parsed with
 that flag's type and choices.  Subcommands return their files (text chunks)
 and `main` writes them, so a run that rejects its input writes nothing; it
-checks every target path before the first write, and an output it cannot
-write is a configuration error.
+checks every target path before the first write, writes each file under a
+temporary name in the output directory and moves them into place only once
+all are written, and an output it cannot write is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 model error (a sampled model
 given to verify, coupling or mdp among them), 4 a hard verification assertion
@@ -22,6 +23,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -366,12 +368,21 @@ def main(argv=None) -> int:
             os.makedirs(cfg["out"], exist_ok=True)
         except OSError as exc:  # a file at --out or on its path
             raise ConfigError(f"cannot make the output directory {cfg['out']}: {exc}") from None
-        for path, chunks in zip(paths, files.values()):
-            try:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        temps = {}  # path -> its temporary in --out, until it is moved into place
+        try:
+            for path, chunks in zip(paths, files.values()):
+                with open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n") as fh:
+                    temps[path] = fh.name
                     fh.writelines(chunks)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc}") from None
+            for path in paths:  # only once every file is written
+                os.replace(temps[path], path)
+                del temps[path]
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        finally:
+            for temp in temps.values():
+                with contextlib.suppress(OSError):
+                    os.remove(temp)
         if failure:
             raise VerificationError(failure)
         return 0

@@ -32,6 +32,7 @@ computed, and reads every tail the DP answers for a grid off one pass.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
@@ -62,6 +63,7 @@ LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE o
 TAIL_NATS = 750.0  # e^-750 underflows to 0.0: a log-term further below the largest adds nothing
 VAR_RTOL = 1e-14  # a variance at most this share of gamma(0) = Var(X_0) (same units) is degenerate
 BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (16 B, 30-40 ns measured)
+_LAST_LAW = weakref.WeakKeyDictionary()  # model -> the last TailTable distribution_of_Sn built
 
 
 def _csv_chunks(header: str, columns):
@@ -297,6 +299,19 @@ def _sum_law_seconds(model: FiniteLatticeModel, n: int) -> float:
     return n * _dense_step_seconds(s, cols / n) + s * cols * (1.6e-9 + (8e-9 * s if rare else 0.0))
 
 
+def _admit_sum_law(model: FiniteLatticeModel, n: int) -> int:
+    """n as a count, once a sum-law pass to n on the model is priced (`_check_cost`, its time
+    by `_sum_law_seconds`) and its int64 numerators cannot wrap (`_require_lattice_horizon`)."""
+    _require_exact(model)
+    n = _require_count(n, "n")
+    _, g, _, spread = _sublattice(model)
+    s, width = model.n_states, n * spread + 1
+    _check_cost("DP", s * width * (3 * 8 + 2) + 2 * width * 8, _sum_law_seconds(model, n),
+                f"{s} states x {width} sublattice points of step {g}, 3 float and 2 flag buffers")
+    _require_lattice_horizon(model, n)
+    return n
+
+
 def _sum_law_steps(model: FiniteLatticeModel, n: int):
     """Yield (k0, g, table, ref) for t = 1..n from a stationary start: logp[j, i] =
     log P(Y_t = j, S_t = (k0 + g i) / denom) is `table` where ref is None, else
@@ -308,17 +323,12 @@ def _sum_law_steps(model: FiniteLatticeModel, n: int):
     exp(ref[c - d] - ref[c]); the last one logs the product.  A block ends before
     a live entry could leave e^+-LIN_RANGE; where a column has an entry under
     2^-960 / min P of its largest, it is one step and sums such columns in log
-    space.  Entries set to 0 (-inf where ref is None) drop out.  Priced before
-    the first step (`_check_cost`), its time by `_sum_law_seconds`, and refused
-    there too if its int64 numerators could wrap (`_require_lattice_horizon`)."""
-    _require_exact(model)
-    n = _require_count(n, "n")
+    space.  Entries set to 0 (-inf where ref is None) drop out.  Admitted and
+    priced before the first step (`_admit_sum_law`)."""
+    n = _admit_sum_law(model, n)
     p = model.transition
     xmin, g, rise, spread = _sublattice(model)
     s, width = model.n_states, n * spread + 1
-    _check_cost("DP", s * width * (3 * 8 + 2) + 2 * width * 8, _sum_law_seconds(model, n),
-                f"{s} states x {width} sublattice points of step {g}, 3 float and 2 flag buffers")
-    _require_lattice_horizon(model, n)
     # three buffers, padded for a run's last skewed row: one joint buffer lifted peak RSS 5 %
     flat = [np.full(s * width + 2 * spread, -np.inf) for _ in range(3)]
     cur, nxt, spare = (b[:s * width].reshape(s, width) for b in flat)  # spare: factors, log sums
@@ -386,8 +396,14 @@ def _rise_runs(rise: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def distribution_of_Sn(model: FiniteLatticeModel, n: int) -> TailTable:
-    """Exact law of S_n from a stationary start: the sum-law DP, marginalised."""
-    return _sum_law_tables(model, [n])[0]
+    """Exact law of S_n from a stationary start: the sum-law DP, marginalised.  Each model
+    keeps the last table built for it, released with the model; a call at that n, admitted
+    and priced as any other, returns the same read-only table."""
+    n = _admit_sum_law(model, n)
+    table = _LAST_LAW.get(model)
+    if table is None or table.n != n:
+        table = _LAST_LAW[model] = _sum_law_tables(model, [n])[0]
+    return table
 
 
 def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]:
@@ -404,7 +420,9 @@ def _sum_law_tables(model: FiniteLatticeModel, ns: list[int]) -> list[TailTable]
         total = float(np.logaddexp.reduce(marg[keep]))
         if abs(total) > MASS_TOL:
             raise MdlabError(f"DP mass check failed: log total mass {total!r}")
-        tables[t] = TailTable(n=t, denom=model.denom, offsets=k0 + g * keep, logp=marg[keep],
+        offsets, logp = k0 + g * keep, marg[keep]
+        offsets.flags.writeable = logp.flags.writeable = False  # shared by distribution_of_Sn
+        tables[t] = TailTable(n=t, denom=model.denom, offsets=offsets, logp=logp,
                               sigma_n=sigma_n(model, t), center=float(t * model.mean_fraction))
     return [tables[n] for n in ns]
 

@@ -447,6 +447,41 @@ def test_a_failed_write_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kept", [{}, {"ratio.csv": "an earlier run's\n"}], ids=["empty", "rerun"])
+def test_a_failed_write_leaves_no_file_of_the_run(tmp_path, capsys, monkeypatch, kept):
+    # verify wrote ratio.csv, then failed on bounds.csv and left ratio.csv in --out
+    out, opened = tmp_path / "out", []
+    out.mkdir()
+    for name, text in kept.items():
+        (out / name).write_text(text)
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.name = fh, fh.name
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            self.fh.write(next(iter(chunks)))
+            raise OSError(errno.ENOSPC, "No space left on device", self.name)
+
+    def second_fails(path, *args, **kwargs):
+        opened.append(fh := open(path, *args, **kwargs))
+        return FullDisk(fh) if len(opened) == 2 else fh
+    monkeypatch.setattr(cli, "open", second_fails, raising=False)
+    assert main(["verify", "--model", "rademacher", "--n", "16", "--m", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdlab: error: cannot write {out / 'bounds.csv'}: ")
+    assert "No space left" in err and "Traceback" not in err
+    assert len(opened) == 2
+    assert {p.name: p.read_text() for p in out.iterdir()} == kept
+
+
 @pytest.mark.parametrize("command", ["verify", "coupling", "mdp", "report"])
 def test_a_sampled_model_exits_3_where_an_exact_one_is_needed(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -742,6 +777,18 @@ def test_a_run_builds_its_model_and_coefficient_set_once(tmp_path, monkeypatch, 
     assert main([command, "--model", "two_state:rho=0.4", "--n", "128", "--m", "4", *flags,
                  "--out", str(tmp_path)]) == 0
     assert (len(sets), len(builds)) == (1, 1)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", []), ("coupling", ["--chains", "2000"]), ("report", ["--chains", "2000"])])
+def test_a_run_builds_its_law_of_s_n_once(tmp_path, monkeypatch, command, flags):
+    # verify's ratio curve and tails, and coupling's report and pairs, share one
+    # table; mdp's grid pass in report is its own
+    from mdlab import exact
+    passes = _count_calls(monkeypatch, exact._sum_law_tables)
+    assert main([command, "--model", "two_state:rho=0.4", "--n", "512", "--m", "6", *flags,
+                 "--out", str(tmp_path)]) == 0
+    assert [ns for _, ns in passes].count([512]) == 1
 
 
 def _without_manifest(path):

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -444,6 +446,63 @@ def test_grid_tables_from_one_pass_match_per_n_tables(name):
         assert np.array_equal(table.offsets, ref.offsets)
         assert table.logp.tobytes() == ref.logp.tobytes()
         assert (table.sigma_n, table.center) == (ref.sigma_n, ref.center)
+
+
+# -- each model's last law ------------------------------------------------------
+
+@pytest.fixture
+def dp_passes(monkeypatch):
+    """The horizon of every sum-law pass that starts."""
+    passes, steps = [], exact._sum_law_steps
+
+    def counted(model, n):
+        passes.append(n)
+        return steps(model, n)
+
+    monkeypatch.setattr(exact, "_sum_law_steps", counted)
+    return passes
+
+
+def test_a_repeat_call_returns_the_same_table_without_a_pass(dp_passes):
+    model = builtin("two_state", rho=0.4)
+    table = distribution_of_Sn(model, 64)
+    assert distribution_of_Sn(model, 64) is table and dp_passes == [64]
+    assert distribution_of_Sn(model, 64).transform is table.transform
+
+
+def test_another_horizon_runs_the_dp_and_takes_the_one_slot(dp_passes):
+    model = builtin("two_state", rho=0.4)
+    first = distribution_of_Sn(model, 64)
+    other = distribution_of_Sn(model, 32)
+    assert dp_passes == [64, 32] and exact._LAST_LAW[model] is other
+    again = distribution_of_Sn(model, 64)
+    assert again is not first and dp_passes == [64, 32, 64]
+    assert again.offsets.tobytes() == first.offsets.tobytes()
+    assert again.logp.tobytes() == first.logp.tobytes()
+
+
+def test_a_fresh_model_with_equal_parameters_misses(dp_passes):
+    table = distribution_of_Sn(builtin("two_state", rho=0.4), 64)
+    twin = distribution_of_Sn(builtin("two_state", rho=0.4), 64)
+    assert twin is not table and dp_passes == [64, 64]
+    assert twin.logp.tobytes() == table.logp.tobytes()
+
+
+def test_the_law_is_released_with_its_model():
+    model = builtin("two_state", rho=0.4)
+    distribution_of_Sn(model, 64)
+    gc.collect()
+    held, alive = len(exact._LAST_LAW), weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None and len(exact._LAST_LAW) == held - 1
+
+
+@pytest.mark.parametrize("field", ["offsets", "logp"])
+def test_a_shared_table_is_read_only(field):
+    column = getattr(distribution_of_Sn(builtin("two_state", rho=0.4), 16), field)
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = column[1]
 
 
 # -- the sublattice the sums occupy ---------------------------------------------
