@@ -98,9 +98,7 @@ class GateReport:
         return self.eps_ok and self.gamma_ok and self.variance_ok
 
     def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "eps_ok": self.eps_ok, "gamma_ok": self.gamma_ok,
-                "variance_ok": self.variance_ok, "x_max": self.x_max,
-                "all_ok": self.all_ok}
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def admissibility(coeffs: CoefficientSet, mode: str = "practical") -> GateReport:

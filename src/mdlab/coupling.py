@@ -14,7 +14,7 @@ configurable constants and fits the exponential slope for the record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,16 +89,7 @@ class CouplingReport:
     lambda_se: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "coupling_report/1",
-            "n": self.n, "m": self.m, "draws": self.draws, "seed": self.seed,
-            "varsigma_n": self.varsigma_n,
-            "alpha": self.alpha, "c_alpha": self.c_alpha,
-            "admissible_count": self.admissible_count,
-            "violation_fraction": self.violation_fraction,
-            "gap_median": self.gap_median,
-            "lambda_hat": self.lambda_hat, "lambda_se": self.lambda_se,
-        }
+        return {"schema": "coupling_report/1", **asdict(self)}
 
 
 def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,

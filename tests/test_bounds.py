@@ -250,6 +250,11 @@ def test_freedman_dominates_binomial():
         for x in np.linspace(0.1, 4.0, 20):
             exact = oracles.sign_sum_tail(n, x * math.sqrt(n))
             assert exact <= freedman_bound(x, 1.0, 1.0 / math.sqrt(n)) + 1e-15
+    # horizons the CLI reaches, on a 16-point grid of [0.25, 4]
+    for n in (4096, 10 ** 5):
+        for x in np.linspace(0.25, 4.0, 16):
+            exact = math.exp(oracles.sign_sum_log_tail(n, x * math.sqrt(n)))
+            assert exact <= freedman_bound(x, 1.0, 1.0 / math.sqrt(n))
 
 
 def test_peligrad_dominates_exhaustive_max(two_state04, rademacher):

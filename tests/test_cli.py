@@ -846,6 +846,15 @@ def test_verify_checks_maximal_inequality_on_the_model_itself(tmp_path):
     assert checks["violation"] is None
 
 
+def test_verify_checks_only_what_reads_the_model(tmp_path):
+    # the Rademacher-Freedman and Gaussian-sandwich rows read no model: they run in
+    # test_bounds and the acceptance suite, not in verify
+    assert main(["verify", "--model", "two_state:rho=0.4", "--n", "256", "--m", "4",
+                 "--out", str(tmp_path)]) == 0
+    checks = read_json(tmp_path / "ks.json")["checks"]
+    assert set(checks) == {"bernstein_points", "peligrad_reference", "violation"}
+
+
 @pytest.mark.parametrize("name, params, n, xs", [
     # atoms that the centred sums reach exactly: the tail is inclusive there
     ("rademacher", {}, 12, [1.0, 2.0, 4.0, 8.0, 12.0, 12.5]),
