@@ -129,18 +129,16 @@ def coupling_report(model, coeffs: CoefficientSet, draws: int, seed: int,
 def _fit_survival_slope(sorted_g: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of ln P(G >= g) against g, and its standard error,
     over the upper decile of the sorted normalized gaps (the survival's final
-    point is dropped: its log is -inf)."""
+    point is dropped: its log is -inf), in closed form from centred numpy sums:
+    no BLAS or LAPACK call, so the fit's bits do not depend on the kernel."""
     n = sorted_g.size
     start = int(0.9 * n)
     xs = sorted_g[start:n - 1]
     logs = np.log(1.0 - np.arange(start, n - 1) / n)
     if xs.size < 8 or np.ptp(xs) == 0.0:
         raise ParamOutOfRange("not enough distinct upper-decile gaps for a slope fit")
-    a = np.vstack([xs, np.ones_like(xs)]).T
-    coef, _, _, _ = np.linalg.lstsq(a, logs, rcond=None)
-    resid = logs - a @ coef
-    dof = xs.size - 2
-    s2 = float(resid @ resid) / dof
-    dev = xs - xs.mean()
-    se = math.sqrt(s2 / float(np.sum(dev * dev)))
-    return float(coef[0]), se
+    dx, dy = xs - xs.mean(), logs - logs.mean()
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * dy)) / sxx
+    resid = dy - slope * dx
+    return slope, math.sqrt(float(np.sum(resid * resid)) / (xs.size - 2) / sxx)

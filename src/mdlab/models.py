@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegeneratePayoff,
+    NoDecayCertificate,
     NonStochasticRow,
     ParamOutOfRange,
     PeriodicChain,
@@ -491,26 +492,20 @@ def phi_mixing_coefficients(model: FiniteLatticeModel, horizon: int) -> np.ndarr
     return out
 
 
-def geometric_mixing_certificate(model: FiniteLatticeModel) -> tuple[float, float, int]:
-    """Certified geometric envelope phi_1(k) <= C * r^k.
+def geometric_mixing_certificate(model: FiniteLatticeModel) -> tuple[float, int]:
+    """Certified envelope phi_1(k) <= d^floor(k/n0) for every k >= 1, as (d, n0).
 
-    Uses the Dobrushin contraction coefficient of the smallest matrix power
-    with coefficient < 1: delta(P^(a+b)) <= delta(P^a) delta(P^b), hence
-    phi_1(k) <= delta(P^n0)^(k/n0 - 1).  Returns (C, r, n0).
+    n0 is the least power of two <= MAX_CONTRACTION_POWER with d = delta(P^n0)
+    < 1 - 1e-12.  phi_1(k) <= delta(P^k), and delta is submultiplicative.
     """
     _require_exact(model)
-    n0 = 1
-    pk = model.transition.copy()
-    while n0 <= MAX_CONTRACTION_POWER:
+    pk = model.transition
+    for j in range(MAX_CONTRACTION_POWER.bit_length()):
         d = _dobrushin(pk)
-        if d == 0.0:
-            # rows of P^n0 are identical: exact independence after n0 steps
-            return (1.0, 0.0, n0)
         if d < 1.0 - 1e-12:
-            return (1.0 / d, d ** (1.0 / n0), n0)
+            return d, 1 << j
         pk = pk @ pk
-        n0 *= 2
-    raise ReducibleChain("no contracting power found; chain mixes too slowly")
+    raise NoDecayCertificate("no contracting power found; chain mixes too slowly")
 
 
 def _dobrushin(p: np.ndarray) -> float:

@@ -11,6 +11,7 @@ re-evaluated inline where they are checked.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -468,6 +469,22 @@ def certified_bounds_by_index(cert, m: int, sigma_n: float, bound_x0: float):
                              for i in range(1, half + 1))
     t_far = m * certificate_tail_sum(cert, cert.eta2, max(1, half))
     return gamma, (s_head ** 2 + t_weighted + t_cross + t_far) / (m * sigma_n ** 2)
+
+
+def exact_line_fit(xs, ys) -> tuple[float, float]:
+    """Least-squares slope of ys on xs and its standard error
+    sqrt(RSS / (N - 2) / Sxx), in exact rationals of the float points; the
+    square root is taken to 40 digits and rounded once."""
+    x, y = [Fraction(float(v)) for v in xs], [Fraction(float(v)) for v in ys]
+    n = len(x)
+    mx, my = sum(x) / n, sum(y) / n
+    sxx = sum((a - mx) * (a - mx) for a in x)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    rss = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    se2 = rss / (n - 2) / sxx
+    with decimal.localcontext(decimal.Context(prec=40)):
+        se = (decimal.Decimal(se2.numerator) / decimal.Decimal(se2.denominator)).sqrt()
+    return float(slope), float(se)
 
 
 def dense_renormalise(transition) -> np.ndarray:

@@ -114,6 +114,24 @@ def test_broken_chain_is_model_error(tmp_path, capsys):
     assert "period" in capsys.readouterr().err
 
 
+def test_an_uncertifiable_drift_tail_is_a_model_error(tmp_path, capsys):
+    # rho = 1 - 1e-7: ||P^{Jm} h|| still bounds the tail above GAMMA_TOL after every squaring
+    out = tmp_path / "out"
+    assert main(["coeffs", "--model", "two_state:rho=0.9999999", "--n", "1024", "--m", "1",
+                 "--out", str(out)]) == 3
+    assert "drift series tail cannot be certified" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_too_few_draws_for_the_slope_fit_is_a_config_error(tmp_path, capsys):
+    # 50 draws leave 4 upper-decile points, under the fit's 8
+    out = tmp_path / "out"
+    assert main(["report", "--model", "rademacher", "--n", "16", "--m", "2", "--chains", "50",
+                 "--out", str(out)]) == 2
+    assert "not enough distinct upper-decile gaps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_bundle_and_ratio_shape(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--model", "two_state:rho=0.4", "--n", "1024",

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from mdlab import (
     induced_atom_probabilities,
     sample_coupled_pairs,
 )
+from mdlab import coupling
+from mdlab.bounds import varsigma
 from mdlab.coupling import DRAW_CHUNK
 from mdlab.errors import ParamOutOfRange
 from mdlab.exact import QuantileTransform
@@ -113,6 +117,44 @@ def test_coupling_report_shapes(two_state04):
     for key in ("varsigma_n", "lambda_hat", "lambda_se", "violation_fraction",
                 "admissible_count", "alpha", "c_alpha"):
         assert key in doc
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, params, n", [("two_state", {"rho": 0.4}, 512),
+                                             ("two_state", {"rho": 0.4}, 4096),
+                                             ("rademacher", {}, 64)])
+def test_survival_slope_matches_the_exact_least_squares(name, params, n, seed):
+    # the fit's points rebuilt from the same draws: the upper decile of the sorted gaps
+    # over varsigma, the last one dropped, against log P(G >= g); within 1 eps measured
+    model = builtin(name, **params)
+    coeffs = coefficient_set(model, n, 4)
+    rep = coupling_report(model, coeffs, 10_000, seed)
+    y, z = sample_coupled_pairs(distribution_of_Sn(model, n).transform, 10_000, seed)
+    g = np.sort(np.abs(y - z) / varsigma(coeffs))
+    start = int(0.9 * g.size)
+    logs = np.log(1.0 - np.arange(start, g.size - 1) / g.size)
+    lam, se = oracles.exact_line_fit(g[start:-1], logs)
+    eps = np.finfo(float).eps
+    assert abs(rep.lambda_hat - lam) <= 4 * eps * abs(lam)
+    assert abs(rep.lambda_se - se) <= 4 * eps * se
+
+
+def test_slope_fit_refuses_too_few_draws(rademacher):
+    with pytest.raises(ParamOutOfRange, match="not enough distinct upper-decile gaps"):
+        coupling_report(rademacher, coefficient_set(rademacher, 16, 2), 50, seed=0)
+    with pytest.raises(ParamOutOfRange, match="not enough distinct upper-decile gaps"):
+        coupling._fit_survival_slope(np.full(1000, 0.5))
+
+
+def test_coupling_makes_no_blas_or_lapack_call():
+    # the draws, the gaps and the slope fit are elementwise numpy and np.sum, so no
+    # coupling.json byte depends on the kernel OpenBLAS picks
+    tree = ast.parse(Path(coupling.__file__).read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Attribute)
+             and node.attr in ("linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum")]
+    assert found == []
 
 
 def test_coupling_report_validation(two_state04):

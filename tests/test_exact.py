@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -504,6 +505,27 @@ def test_negating_the_payoff_mirrors_the_law(model, n):
     mirror = table.logp[::-1]
     assert np.array_equal(negated.offsets, -table.offsets[::-1])
     assert np.all(np.abs(negated.logp - mirror) <= META_TOL * np.maximum(1.0, np.abs(mirror)))
+
+
+# the reversed chain runs other products in the DP; the worst seen on 9800 random chains of
+# this family at n <= 512 was 1.7e-14 relative to max(1, |log p|), and the tolerance is about
+# twelve times that
+REVERSAL_TOL = 2e-13
+
+
+@given(lattice_chains(), st.integers(1, 512))
+@settings(max_examples=50, deadline=None)
+def test_reversing_time_keeps_the_law(model, n):
+    # P^(i, j) = pi_j P(j, i) / pi_i from the exact pi: each row sums to 1 within an ulp or two
+    pi, p = model.pi_exact, model.transition
+    s = model.n_states
+    reversed_p = [[float(pi[j] * Fraction(float(p[j, i])) / pi[i]) for j in range(s)]
+                  for i in range(s)]
+    table = distribution_of_Sn(model, n)
+    reversed_table = distribution_of_Sn(_rebuilt(model, reversed_p), n)
+    assert np.array_equal(reversed_table.offsets, table.offsets)
+    assert np.all(np.abs(reversed_table.logp - table.logp)
+                  <= REVERSAL_TOL * np.maximum(1.0, np.abs(table.logp)))
 
 
 # -- each model's last law ------------------------------------------------------

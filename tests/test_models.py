@@ -25,6 +25,7 @@ from mdlab import (
 )
 from mdlab.errors import (
     DegeneratePayoff,
+    NoDecayCertificate,
     NonStochasticRow,
     ParamOutOfRange,
     PeriodicChain,
@@ -49,6 +50,7 @@ from mdlab.montecarlo import (
     ratio_curve,
     wilson_interval,
 )
+from test_cli import lattice_chains
 
 
 def test_two_state_stationary_vector_solved_by_hand():
@@ -155,10 +157,69 @@ def test_phi_mixing_rejects_sampled_tier():
 
 def test_mixing_certificate_dominates_phi():
     model = builtin("two_state", rho=0.6)
-    c, r, n0 = geometric_mixing_certificate(model)
-    phis = phi_mixing_coefficients(model, 20)
-    ks = np.arange(1, 21)
-    assert np.all(phis <= np.minimum(1.0, c * r ** ks) + 1e-12)
+    assert geometric_mixing_certificate(model) == (pytest.approx(0.6, abs=1e-15), 1)
+    _assert_certificate_dominates_phi(model)
+
+
+def _dense_random_chain(states: int, seed: int):
+    p = np.random.default_rng(seed).random((states, states))
+    return build_finite_lattice_model(range(states), p / p.sum(axis=1, keepdims=True),
+                                      range(states), 1)
+
+
+def _assert_certificate_dominates_phi(model, horizon: int = 40):
+    d, n0 = geometric_mixing_certificate(model)
+    assert 0.0 <= d < 1.0 - 1e-12 and n0 & (n0 - 1) == 0 and n0 <= models.MAX_CONTRACTION_POWER
+    ks = np.arange(1, horizon + 1)
+    assert np.all(phi_mixing_coefficients(model, horizon) <= d ** (ks // n0) + 1e-12)
+
+
+CERTIFIED_CHAINS = {
+    **{f"dyadic{L}": lambda L=L: builtin("dyadic_contracting", L=L) for L in range(1, 8)},
+    **{f"two_state{rho}": lambda rho=rho: builtin("two_state", rho=rho) for rho in (0.4, -0.9)},
+    "file": lambda: parse_model_text("states = lo mid hi\ndenom = 2\nf_num = -2 1 3\n"
+                                     "transition = 0.5 0.3 0.2  0.25 0.5 0.25  0.1 0.4 0.5\n"),
+    "dense40": lambda: _dense_random_chain(40, 40),
+    "dense100": lambda: _dense_random_chain(100, 100),  # past 64 states: the Doeblin bound
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED_CHAINS)
+def test_mixing_certificate_bounds_phi_at_every_lag(name):
+    # phi_1(k) <= d^floor(k/n0): a dyadic chain's rows agree only after L steps, so it is
+    # no certificate of independence from the first step (phi_1(1) = 1/2 at L = 2)
+    _assert_certificate_dominates_phi(CERTIFIED_CHAINS[name]())
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_dyadic_certificate_decouples_at_the_first_power_of_two_past_its_depth(L):
+    # the rows of P^k agree from k = L on, and the entries are dyadic: exact in any order
+    assert geometric_mixing_certificate(builtin("dyadic_contracting", L=L)) == (
+        0.0, 1 << (L - 1).bit_length())
+
+
+@given(lattice_chains())
+@settings(max_examples=50, deadline=None)
+def test_mixing_certificate_bounds_phi_on_random_chains(model):
+    _assert_certificate_dominates_phi(model)
+
+
+def test_dense_doeblin_bound_is_at_least_the_pairwise_coefficient():
+    p = _dense_random_chain(100, 100).transition
+    pairwise = 0.5 * np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2).max()
+    assert pairwise <= models._dobrushin(p) < 1.0
+
+
+def test_a_slowly_mixing_chain_has_no_certificate():
+    # two copies of two_state:rho=0.4 linked by switches of 1e-17: irreducible, but no
+    # power up to MAX_CONTRACTION_POWER contracts by 1e-12
+    eps = 1e-17
+    model = build_finite_lattice_model(
+        ["a0", "a1", "b0", "b1"],
+        [[0.7, 0.3, eps, 0.0], [0.3, 0.7, 0.0, eps],
+         [eps, 0.0, 0.7, 0.3], [0.0, eps, 0.3, 0.7]], [-1, 1, -1, 1], 1)
+    with pytest.raises(NoDecayCertificate, match="no contracting power"):
+        geometric_mixing_certificate(model)
 
 
 def test_moving_average_certificate_and_determinism():
