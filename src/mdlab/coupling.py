@@ -23,7 +23,7 @@ from .bounds import varsigma
 from .errors import ParamOutOfRange
 from .exact import DRAW_CHUNK, QuantileTransform, TailTable, distribution_of_Sn
 from .models import _check_cost, _require_count, _require_scale, child_rng
-from .normal import normal_cdf, normal_quantile
+from .normal import normal_cdf
 
 PAIR_BYTES = 128  # peak per draw of `mdlab coupling`, its CSV streamed (50-60 B measured)
 
@@ -44,29 +44,26 @@ def build_quantile_transform(table: TailTable) -> QuantileTransform:
 
 def induced_atom_probabilities(transform: QuantileTransform) -> np.ndarray:
     """Analytic law of Y = H(Phi(Z)): the mass sent to each atom is the normal
-    measure of its quantile interval, Phi(z_k) - Phi(z_{k-1}) at the
-    breakpoints z_k = Phi^{-1}(cum_k).  No sampling involved."""
-    z = normal_quantile(np.clip(transform.cum, 0.0, 1.0))
-    phi = np.where(np.isposinf(z), 1.0, normal_cdf(z))
-    return np.diff(phi, prepend=0.0)
+    measure of its quantile interval, Phi(z_k) - Phi(z_{k-1}) at the sampler's own
+    breakpoints z_k = Phi^{-1}(cum_k) (`transform.normal`).  No sampling involved."""
+    return np.diff(normal_cdf(transform.normal.cum), prepend=0.0)
 
 
 def sample_coupled_pairs(transform: QuantileTransform, draws: int,
                          seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled pairs (Y, Z): Z i.i.d. standard normal, Y = H(Phi(Z)).
+    """Coupled pairs (Y, Z): Z i.i.d. standard normal, Y = H(Phi(Z)), the first atom
+    whose breakpoint Phi^{-1}(cum) in `transform.normal` is >= Z: no Phi is evaluated.
 
-    Y carries exactly the transform's law and is non-decreasing in Z.
-    Both are filled DRAW_CHUNK draws at a time, one child seed per chunk in
-    fixed order, so the pairs are reproducible and no full-length
-    intermediate is built.  Priced at PAIR_BYTES a draw (`_check_cost`).
-    """
+    Y carries exactly the transform's law and is non-decreasing in Z.  Both are filled
+    DRAW_CHUNK draws at a time, one child seed per chunk in fixed order, so the pairs are
+    reproducible and no full-length intermediate is built.  Priced at PAIR_BYTES a draw."""
     draws, seed = _require_count(draws, "draws"), _require_count(seed, "seed", 0)
     _check_cost(f"coupling {draws} chains", draws * PAIR_BYTES)
     y, z = np.empty(draws), np.empty(draws)
     for block, lo in enumerate(range(0, draws, DRAW_CHUNK)):
         hi = min(lo + DRAW_CHUNK, draws)
         child_rng(seed, block).standard_normal(out=z[lo:hi])
-        y[lo:hi] = transform(normal_cdf(z[lo:hi]))
+        y[lo:hi] = transform.normal(z[lo:hi])
     return y, z
 
 

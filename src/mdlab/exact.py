@@ -38,7 +38,6 @@ from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateVariance,
@@ -48,7 +47,7 @@ from .errors import (
 from .models import (SLAB_BYTES, FiniteLatticeModel, _affordable, _check_cost,
                      _dense_step_seconds, _require_count, _require_exact, _require_horizon,
                      _require_lattice_horizon, _sublattice)
-from .normal import normal_cdf
+from .normal import normal_cdf, normal_quantile
 
 MASS_TOL = 1e-10
 SNAP_ULPS = 16  # rounding slack of a threshold against the integer lattice
@@ -62,7 +61,15 @@ BLOCK_STEPS = 64  # most sum-law DP steps between two logs of the table
 LIN_RANGE = 1000 * math.log(2.0)  # a block holds live masses in e^+-LIN_RANGE of their reference
 TAIL_NATS = 750.0  # e^-750 underflows to 0.0: a log-term further below the largest adds nothing
 VAR_RTOL = 1e-14  # a variance at most this share of gamma(0) = Var(X_0) (same units) is degenerate
-BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (16 B, 30-40 ns measured)
+BINOM_TERM_BYTES, BINOM_TERM_SECONDS = 20, 1e-7  # a summed binomial term (8 B, about 45 ns measured)
+BINOM_CHUNK = 1 << 12  # binomial log-terms formed per step (about 10 buffers of it live)
+# Loader's stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k) for k = 0..15 (0 at k = 0)
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+_LN_2PI = math.log(2.0 * math.pi)
 _LAST_LAW = weakref.WeakKeyDictionary()  # model -> the last TailTable distribution_of_Sn built
 
 
@@ -589,36 +596,73 @@ def _grid_log_tails(model: FiniteLatticeModel, ns: list[int], thresholds: list[f
 def _binomial_log_tail(n: int, t: float) -> float:
     """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs, inclusive at atoms:
     S_n = 2 K - n, K binomial, whose threshold is t / 2 centred by n / 2 on denom 1.  Only
-    terms within TAIL_NATS of their peak, at max(k0, n // 2), are summed (the rest add exactly
-    0.0), once horizon n's widest window, 2 j + 1 terms with j = 375 + sqrt(375 (n + 375))
-    as log C(n, n/2 + j) / C(n, n/2) <= -j^2 / (n/2 + j), is priced."""
+    the terms within j = h + 1 + isqrt(h (n + h)), h = TAIL_NATS / 2, of their peak at
+    max(k0, n // 2) are summed, once priced: log C(n, n/2 + j) / C(n, n/2) <= -j^2 / (n/2 + j)
+    < -TAIL_NATS, and the log-binomial is concave, so every term past them adds exactly 0.0."""
     k0 = max(0, math.ceil(_lattice_numerator(t / 2.0, n / 2.0, 1)))
     if k0 > n:
         return -math.inf
-    terms = min(n + 1, 2 * (376 + math.isqrt(375 * (n + 375))) + 1)
+    h = int(TAIL_NATS) // 2
+    j = h + 1 + math.isqrt(h * (n + h))
+    terms = min(n + 1, 2 * j + 1)
     _check_cost(f"binomial tail at n = {n}", terms * BINOM_TERM_BYTES,
                 terms * BINOM_TERM_SECONDS, f"a window of {terms} terms")
-    c, log_term = max(k0, n // 2), lambda k: (gammaln(n + 1) - gammaln(k + 1)
-                                               - gammaln(n - k + 1) - n * math.log(2.0))
-    floor, ends = log_term(c) - TAIL_NATS, []
-    for end in (k0, n):  # bisection: the k furthest from c toward end whose term clears floor
-        near, far = c, end + (1 if end >= c else -1)
-        while abs(far - near) > 1:
-            mid = (near + far) // 2
-            near, far = (mid, far) if log_term(mid) >= floor else (near, mid)
-        ends.append(near)
-    # log-terms in two buffers (k + 1, n - k + 1), then scipy 1.17 logsumexp's steps in place
-    logs = np.arange(ends[0] + 1, ends[1] + 2, dtype=float)
-    rest = np.subtract(n + 2, logs)
-    np.subtract(gammaln(n + 1), gammaln(logs, out=logs), out=logs)
-    logs -= gammaln(rest, out=rest)
-    del rest
-    logs -= n * math.log(2.0)
+    c = max(k0, n // 2)
+    # the window's log-terms in one buffer, then scipy 1.17 logsumexp's steps in place
+    logs = _binomial_log_terms(n, max(k0, c - j), min(n, c + j))
     hit = logs == (top := logs.max())
     m = np.float64(np.count_nonzero(hit))
     logs[hit] = -np.inf
     s = np.exp(np.subtract(logs, top, out=logs), out=logs).sum()
     return float(np.log1p(s if s == 0 else s / m) + np.log(m) + top)
+
+
+def _binomial_log_terms(n: int, lo: int, hi: int) -> np.ndarray:
+    """log P(K = k) for K binomial(n, 1/2) and k = lo..hi, in Loader's saddle-point form
+    (C. Loader, "Fast and accurate computation of binomial probabilities", 2000):
+    stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n/2) - bd0(n - k, n/2)
+    - log(2 pi k (n - k) / n) / 2, with no difference of log-gammas as large as n log n;
+    n log(1/2) at k = 0 and n.  BINOM_CHUNK terms at a time."""
+    out, half = np.empty(hi - lo + 1), n / 2.0
+    head = _stirlerr(np.array([float(n)]))[0]
+    for at in range(lo, hi + 1, BINOM_CHUNK):
+        k = np.arange(at, min(at + BINOM_CHUNK, hi + 1), dtype=float)
+        inner = np.clip(k, 0.5, n - 0.5)  # k = 0 and n are set below
+        rest = n - inner
+        chunk = out[at - lo:at - lo + k.size]
+        np.subtract(head, _stirlerr(inner), out=chunk)
+        chunk -= _stirlerr(rest)
+        chunk -= _bd0(inner, half)
+        chunk -= _bd0(rest, half)
+        chunk -= 0.5 * (_LN_2PI + np.log(inner) + np.log1p(-inner / n))
+        chunk[(k == 0) | (k == n)] = -n * math.log(2.0)
+    return out
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Loader's stirlerr of integral floats k >= 0: the table to 15, then its series
+    1/(12k) - 1/(360k^3) + 1/(1260k^5) - 1/(1680k^7) + 1/(1188k^9)."""
+    big = np.maximum(k, 16.0)
+    kk = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
+    return np.where(k < 16.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], series)
+
+
+def _bd0(x: np.ndarray, m: float) -> np.ndarray:
+    """Loader's bd0(x, m) = x log(x / m) + m - x for x > 0: where |x - m| < (x + m) / 10,
+    (x - m) v + 2 x sum_j v^(2j+1) / (2j+1) with v = (x - m) / (x + m), summed until no
+    term moves it, so no cancellation; the closed form elsewhere."""
+    d = x - m
+    v = d / (x + m)
+    near = np.abs(d) < 0.1 * (x + m)
+    v2, s, ej = np.where(near, v * v, 0.0), d * v, 2.0 * x * v
+    for j in range(1, 1000):
+        ej *= v2
+        nxt = s + ej / (2 * j + 1)
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    return np.where(near, s, x * np.log(x / m) - d)
 
 
 def _tilt_plan(model: FiniteLatticeModel, n: int, threshold: float) -> _TiltPlan | float:
@@ -877,41 +921,44 @@ def quantile(table: TailTable, s) -> np.ndarray | float:
 
 
 class QuantileTransform:
-    """Left-continuous generalized inverse s -> inf{atoms[i] : cum[i] >= s} of
-    a discrete CDF with non-decreasing cum (the last atom past cum[-1]),
-    callable on arrays of s in [0, 1].
+    """Left-continuous generalized inverse s -> inf{atoms[i] : cum[i] >= s} of a discrete
+    CDF with non-decreasing cum (the last atom past cum[-1]), on arrays of s with key(s) in
+    [0, 1], key a monotone map of rounded steps (the identity on probabilities).  A table of
+    B = 2^k buckets, 2 to 4 per atom within [2^10, 2^20], holds edges[b] = #{key(cum) < b / B}:
+    s in bucket b = floor(key(s) B) has its answer in [edges[b], edges[b + 1]].  One probe of
+    cum settles a bucket with at most one breakpoint, np.searchsorted the crowded ones,
+    DRAW_CHUNK values of s at a time."""
 
-    A table of B = 2^k buckets, 2 to 4 per atom within [2^10, 2^20], holds
-    edges[b] = #{cum < b / B}; the answer for s in bucket b = floor(s B) lies
-    in [edges[b], edges[b + 1]].  One probe of cum settles a bucket with at
-    most one breakpoint, and np.searchsorted the few crowded ones, DRAW_CHUNK
-    values of s at a time."""
-
-    def __init__(self, atoms: np.ndarray, cum: np.ndarray):
-        self.atoms = np.asarray(atoms, dtype=float)
-        self.cum = np.asarray(cum, dtype=float)
+    def __init__(self, atoms: np.ndarray, cum: np.ndarray, key=lambda s: s):
+        self.atoms, self.cum, self.key = np.asarray(atoms, float), np.asarray(cum, float), key
         self._buckets = 1 << min(max((4 * self.cum.size).bit_length() - 1, 10), 20)
-        # cum < b / B iff floor(cum B) < b, exactly since B is a power of two,
-        # so edges is a running count; s = 1 is bucket B, which ends the table
-        slot = np.clip(np.floor(self.cum * self._buckets), -1, self._buckets).astype(np.intp)
+        # key < b / B iff floor(key B) < b, exactly since B is a power of two,
+        # so edges is a running count; key = 1 is bucket B, which ends the table
+        slot = np.clip(np.floor(key(self.cum) * self._buckets), -1, self._buckets).astype(np.intp)
         edges = np.cumsum(np.bincount(slot + 1, minlength=self._buckets + 1)[:self._buckets + 1])
         self._edges = np.append(edges, edges[-1])
         self._crowded = np.diff(self._edges) > 1
         self._cum = np.append(self.cum, np.inf)  # index cum.size answers s past cum[-1]
         self._atoms = np.append(self.atoms, self.atoms[-1])
 
+    @cached_property
+    def normal(self) -> "QuantileTransform":
+        """The inverse of a normal z, no Phi(z): breakpoints Phi^{-1}(cum), non-decreasing."""
+        return QuantileTransform(self.atoms, np.maximum.accumulate(normal_quantile(self.cum)),
+                                 lambda z: np.clip(z * (1.0 / 32.0) + 0.5, 0.0, 1.0))
+
     def __call__(self, s):
         ss = np.asarray(s, dtype=float)
-        if ss.size and not (ss.min() >= 0.0 and ss.max() <= 1.0):  # nan fails both
-            raise ParamOutOfRange(f"quantile arguments must lie in [0, 1], "
-                                  f"got values in [{ss.min()!r}, {ss.max()!r}]")
         flat, out = ss.ravel(), np.empty(ss.size)
         for lo in range(0, flat.size, DRAW_CHUNK):
             out[lo:lo + DRAW_CHUNK] = self._inverse(flat[lo:lo + DRAW_CHUNK])
         return out.reshape(ss.shape) if np.ndim(s) else float(out[0])
 
     def _inverse(self, s: np.ndarray) -> np.ndarray:
-        bucket = (s * self._buckets).astype(np.intp)  # exact: B is a power of two
+        key = self.key(s)
+        if not (key.min() >= 0.0 and key.max() <= 1.0):  # nan fails both
+            raise ParamOutOfRange(f"quantile arguments must lie in [0, 1]: {s.min()} to {s.max()}")
+        bucket = (key * self._buckets).astype(np.intp)  # exact: B is a power of two
         idx = self._edges[bucket]
         crowd = np.flatnonzero(self._crowded[bucket])
         idx += self._cum[idx] < s  # a probe past edges[b] still bounds the answer below

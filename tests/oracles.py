@@ -281,12 +281,12 @@ def binom_log_tail_from(n: int, k0: int) -> float:
 
 
 def binom_log_tail_every_term(n: int, k0: int) -> float:
-    """log P(Binomial(n, 1/2) >= k0) as one logsumexp over every k from k0 to
-    n of scipy's log-gamma terms: the same terms the windowed sum adds, and the
-    ones it leaves out, each e^-750 or less of the largest."""
-    ks = np.arange(max(k0, 0), n + 1)
-    return float(special.logsumexp(special.gammaln(n + 1) - special.gammaln(ks + 1)
-                                   - special.gammaln(n - ks + 1) - n * math.log(2.0)))
+    """log P(Binomial(n, 1/2) >= k0) as one scipy logsumexp over every k from k0
+    to n of the package's own log-terms (`exact._binomial_log_terms`, Loader's
+    form): the same terms the windowed sum adds, and the ones it leaves out, each
+    e^-750 or less of the largest."""
+    from mdlab.exact import _binomial_log_terms
+    return float(special.logsumexp(_binomial_log_terms(n, max(k0, 0), n)))
 
 
 def enum_block_moments(model, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +426,9 @@ def tilt_moments_by_product_rule(p, pi, rise, n: int, phi: float, t: float):
 def drift_series_every_step(model, m: int, sig: float, j: int) -> float:
     """gamma_m with J = j: all j mat-vecs u <- P^m u from the Poisson solution h
     (one linear solve), each norm ||h - u||_inf weighted by i^-1.5, plus the
-    Hurwitz zeta tail ||h||_inf zeta(1.5, j + 1), over sqrt(m) sigma_n."""
+    Hurwitz zeta tail ||h||_inf zeta(1.5, j + 1), over sqrt(m) sigma_n.  zeta is
+    the package's own (`coefficients._zeta_3_2`, held against mpmath on its own)."""
+    from mdlab.coefficients import _zeta_3_2
     p, n = model.transition, model.n_states
     h = np.linalg.solve(np.eye(n) - p + np.outer(np.ones(n), model.pi), p @ model.x_values)
     p_m = np.linalg.matrix_power(p, m)
@@ -435,7 +437,7 @@ def drift_series_every_step(model, m: int, sig: float, j: int) -> float:
         u = p_m @ u
         norms[i] = float(np.max(np.abs(h - u)))
     partial = float(np.sum(np.arange(1, j + 1, dtype=float) ** -1.5 * norms))
-    tail = float(np.max(np.abs(h))) * float(special.zeta(1.5, j + 1))
+    tail = float(np.max(np.abs(h))) * _zeta_3_2(j + 1)[0]
     return (partial + tail) / (math.sqrt(m) * sig)
 
 
@@ -652,10 +654,11 @@ def searchsorted_inverse(atoms: np.ndarray, cum: np.ndarray, s) -> np.ndarray:
 
 def empirical_ks_by_one_sided_maxima(samples, sigma_n: float) -> float:
     """max(D+, D-) with D+ = max_i (i/n - Phi(w_(i))) and D- = max_i (Phi(w_(i)) - (i-1)/n)
-    over the sorted standardised samples w_(1) <= ... <= w_(n)."""
+    over the sorted standardised samples w_(1) <= ... <= w_(n), Phi the package's own."""
+    from mdlab.normal import normal_cdf
     w = np.sort(np.asarray(samples, dtype=float)) / sigma_n
     n = w.size
-    phi = 0.5 * special.erfc(-w / np.sqrt(2.0))
+    phi = normal_cdf(w)
     return float(max(np.max(np.arange(1, n + 1) / n - phi), np.max(phi - np.arange(n) / n)))
 
 

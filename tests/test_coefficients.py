@@ -299,12 +299,14 @@ def _priced_drift(model, n, m):
 
 
 def _tail_bound(model, m, sig, j):
-    """zeta(1.5, j + 1) ||P^{jm} h||_inf / (sqrt(m) sigma_n), P^{jm} squared from P^m."""
+    """zeta(1.5, j + 1) ||P^{jm} h||_inf / (sqrt(m) sigma_n), P^{jm} squared from P^m, with
+    the upper end of the package's zeta (held against mpmath in test_special.py)."""
+    from mdlab.coefficients import _zeta_3_2
     power = np.linalg.matrix_power(model.transition, m)
     for _ in range(j.bit_length() - 1):
         power = power @ power
     h_norm = float(np.max(np.abs(power @ poisson_solution(model))))
-    return float(zeta(1.5, j + 1)) * h_norm / (math.sqrt(m) * sig)
+    return _zeta_3_2(j + 1)[1] * h_norm / (math.sqrt(m) * sig)
 
 
 def _check_drift_series_is_sound(model, n, m):

@@ -177,7 +177,8 @@ CLI_HOLES = {
                                         CERTIFICATE_READ),
     # past about 7.7 x 10^12 the widest binomial window passes the budget
     "mdp on fair signs at n = 10^16": (["mdp", "--model", "rademacher", "--n", "1000",
-                                        "--n-grid", "10000000000000000"], (exact, "gammaln")),
+                                        "--n-grid", "10000000000000000"],
+                                       (exact, "_binomial_log_terms")),
 }
 
 

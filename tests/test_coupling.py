@@ -22,7 +22,7 @@ from mdlab.coupling import DRAW_CHUNK
 from mdlab.errors import ParamOutOfRange
 from mdlab.exact import QuantileTransform
 from mdlab.models import build_finite_lattice_model, child_rng
-from mdlab.normal import normal_cdf
+from mdlab.normal import normal_cdf, normal_quantile
 
 
 def test_two_point_transform(rademacher):
@@ -246,8 +246,41 @@ def test_chunked_draws_match_one_search_and_the_seed_blocks(inverse_sources, dra
     assert np.array_equal(z, np.concatenate(blocks))
     assert np.array_equal(y, oracles.searchsorted_inverse(h.atoms, h.cum, normal_cdf(z)))
     assert np.array_equal(h(normal_cdf(z)), y)
+    # and, bit for bit, the first atom whose breakpoint Phi^{-1}(cum) is >= z
+    want = h.atoms[np.searchsorted(h.normal.cum, z, "left")]
+    assert np.array_equal(y.view(np.int64), want.view(np.int64))
     y_all, z_all = sample_coupled_pairs(h, 3 * DRAW_CHUNK + 7, seed=17)
     assert np.array_equal(y, y_all[:draws]) and np.array_equal(z, z_all[:draws])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _inverse_sources()])
+def test_breakpoints_never_decrease_and_carry_the_induced_law(inverse_sources, name):
+    # the sampler inverts z against Phi^{-1}(cum), and the induced law is Phi's mass
+    # between those same breakpoints, so the sampler's law is the induced law
+    h = inverse_sources[name]
+    breaks = h.normal.cum
+    assert np.all(breaks[1:] >= breaks[:-1]) and breaks[-1] == np.inf
+    assert np.array_equal(breaks, normal_quantile(h.cum))  # nothing to repair on these
+    induced = induced_atom_probabilities(h)
+    assert np.array_equal(induced, np.diff(normal_cdf(breaks), prepend=0.0))
+    assert np.max(np.abs(induced - np.diff(h.cum, prepend=0.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _inverse_sources()])
+def test_bucketed_normal_inverse_is_searchsorted_bit_for_bit(inverse_sources, name):
+    # the z-space twin keys z by z / 32 + 1/2 on [0, 1]: both ends, every breakpoint and
+    # its neighbours, a spread inside every crowded bucket and 10^6 normal draws
+    hz = inverse_sources[name].normal
+    breaks = hz.cum
+    probes = (_bucket_probes(hz) - 0.5) * 32.0
+    z = np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+                        [-np.inf, -40.0, 0.0, 40.0, np.inf], probes,
+                        np.random.default_rng(6).standard_normal(10 ** 6)])
+    want = oracles.searchsorted_inverse(hz.atoms, breaks, z)
+    got = hz(z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ParamOutOfRange, match=r"must lie in \[0, 1\]"):
+        hz(np.array([0.0, np.nan]))
 
 
 def test_coupled_draws_peak_memory_per_draw(inverse_sources):

@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1028,8 +1029,9 @@ def test_binomial_tail_window_adds_the_terms_of_the_full_sum(n):
 
 
 def test_binomial_tail_holds_its_window_only():
-    # 9185 of the 484189 terms from k0 on lie within e^-750 of the largest:
-    # the full sum peaked near 28 MB, the window holds well under a megabyte
+    # the window is the 19745 terms from k0 on (of 484189) that can lie within
+    # e^-750 of the largest: the full sum peaked near 28 MB, the window holds well
+    # under a megabyte
     tracemalloc.start()
     try:
         got = exact._binomial_log_tail(10 ** 6, (10 ** 6) ** 0.75)
@@ -1040,37 +1042,60 @@ def test_binomial_tail_holds_its_window_only():
     assert got == pytest.approx(oracles.binom_log_tail_every_term(10 ** 6, 515812), rel=1e-13)
 
 
-def _binomial_window(monkeypatch, n, t, keep=True):
-    """_binomial_log_tail(n, t) and the k + 1 of its window (or only their count),
-    read off its first array call of gammaln."""
-    seen, plain = [], exact.gammaln
+def _exact_binomial_log_tails(n: int, k0s) -> dict:
+    """log P(K >= k0) for K binomial(n, 1/2): the integer sum of C(n, k) for k >= k0
+    (math.comb at k = n, then C(n, k - 1) = C(n, k) k / (n - k + 1) exactly), its log
+    taken at 50 digits less n log 2."""
+    out, acc, k, c = {}, 0, n, math.comb(n, n)
+    for k0 in sorted(set(k0s), reverse=True):
+        while k >= k0:
+            acc, c, k = acc + c, c * k // (n - k + 1), k - 1
+        with mpmath.workdps(50):
+            out[k0] = float(mpmath.log(acc) - n * mpmath.log(2))
+    return out
 
-    def spy(x, *args, **kwargs):
-        if np.ndim(x) and not seen:
-            seen.append(np.array(x) if keep else np.size(x))
-        return plain(x, *args, **kwargs)
-    monkeypatch.setattr(exact, "gammaln", spy)
+
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 1000, 4096, 10 ** 5])
+def test_binomial_terms_match_exact_integer_sums(n):
+    # Loader's saddle-point terms hold the whole tail within 1e-13 (3.3e-16 measured);
+    # log-gamma differences lost n ln n eps, 1.4e-10 at n = 10^5
+    h, r = n // 2, math.isqrt(n)
+    k0s = [k for k in {0, 1, h - 1, h, (n + 1) // 2, h + r, h + 4 * r, h + 20 * r, n - 1, n}
+           if 0 <= k <= n]
+    for k0, want in _exact_binomial_log_tails(n, k0s).items():
+        got = exact._binomial_log_tail(n, float(2 * k0 - n))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k0, got, want)
+
+
+def _binomial_window(monkeypatch, n, t, keep=True):
+    """_binomial_log_tail(n, t) and the k of its window with their log-terms (or only
+    their count), read off its call of `_binomial_log_terms`."""
+    seen, plain = [], exact._binomial_log_terms
+
+    def spy(n, lo, hi):
+        out = plain(n, lo, hi)
+        seen.append((np.arange(lo, hi + 1), out.copy()) if keep else hi - lo + 1)
+        return out
+    monkeypatch.setattr(exact, "_binomial_log_terms", spy)
     return exact._binomial_log_tail(n, t), seen[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 48, 10 ** 6, 10 ** 11])
 def test_binomial_tail_sums_like_scipy_logsumexp(monkeypatch, n):
-    # bit for bit the scipy 1.17 logsumexp of the same log-terms, each as
-    # ((lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1)) - n log 2
+    # bit for bit the scipy 1.17 logsumexp of the same log-terms, each in Loader's
+    # saddle-point form (their accuracy: test_binomial_terms_match_exact_integer_sums)
     h = n // 2
     k0s = ({0, 1, h - 1, h, (n + 1) // 2, h + math.isqrt(n), n - 1, n} if n <= 10 ** 6
            else {h + 300 * math.isqrt(n), n - 1, n})  # windows of 2 x 10^5 terms or fewer
     for k0 in sorted(k for k in k0s if k >= 0):
-        got, k1 = _binomial_window(monkeypatch, n, float(2 * k0 - n))
-        k = k1.astype(np.int64) - 1
+        got, (k, terms) = _binomial_window(monkeypatch, n, float(2 * k0 - n))
         assert k[0] >= k0 and np.all(np.diff(k) == 1)
-        terms = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-        assert got == float(special.logsumexp(terms - n * math.log(2.0))), k0
+        assert got == float(special.logsumexp(terms)), k0
 
 
 def test_binomial_tail_holds_two_floats_a_term(monkeypatch):
-    # the widest window at n = 10^10, 3.9 x 10^6 terms: the log-terms and one
-    # buffer of n - k + 1, within the price of a term (scipy's logsumexp held 49 bytes)
+    # the widest window at n = 10^10, 3.9 x 10^6 terms: the log-terms and the
+    # buffers of one chunk of them, within the price of a term
     n = 10 ** 10
     tracemalloc.start()
     try:
