@@ -597,8 +597,10 @@ def _binomial_log_tail(n: int, t: float) -> float:
     """log P(S_n >= t) for S_n a sum of n i.i.d. fair signs, inclusive at atoms:
     S_n = 2 K - n, K binomial, whose threshold is t / 2 centred by n / 2 on denom 1.  Only
     the terms within j = h + 1 + isqrt(h (n + h)), h = TAIL_NATS / 2, of their peak at
-    max(k0, n // 2) are summed, once priced: log C(n, n/2 + j) / C(n, n/2) <= -j^2 / (n/2 + j)
-    < -TAIL_NATS, and the log-binomial is concave, so every term past them adds exactly 0.0."""
+    c = max(k0, n // 2) are summed, once priced: log C(n, n/2 + j) / C(n, n/2) <= -j^2 / (n/2 + j)
+    < -TAIL_NATS, and the log-binomial is concave, so every term past them adds exactly 0.0.
+    Past c a term is at most (n - c) / (c + 1) times the one before, so above the mean the
+    window also ends TAIL_NATS / log((c + 1) / (n - c)) terms after c."""
     k0 = max(0, math.ceil(_lattice_numerator(t / 2.0, n / 2.0, 1)))
     if k0 > n:
         return -math.inf
@@ -608,8 +610,10 @@ def _binomial_log_tail(n: int, t: float) -> float:
     _check_cost(f"binomial tail at n = {n}", terms * BINOM_TERM_BYTES,
                 terms * BINOM_TERM_SECONDS, f"a window of {terms} terms")
     c = max(k0, n // 2)
+    fall = math.log1p((2 * c + 1 - n) / (n - c)) if c < n else 0.0
+    reach = min(j, math.ceil(TAIL_NATS / fall)) if fall > 0.0 else j
     # the window's log-terms in one buffer, then scipy 1.17 logsumexp's steps in place
-    logs = _binomial_log_terms(n, max(k0, c - j), min(n, c + j))
+    logs = _binomial_log_terms(n, max(k0, c - j), min(n, c + reach))
     hit = logs == (top := logs.max())
     m = np.float64(np.count_nonzero(hit))
     logs[hit] = -np.inf

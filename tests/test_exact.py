@@ -1029,7 +1029,7 @@ def test_binomial_tail_window_adds_the_terms_of_the_full_sum(n):
 
 
 def test_binomial_tail_holds_its_window_only():
-    # the window is the 19745 terms from k0 on (of 484189) that can lie within
+    # the window is the 11855 terms from k0 on (of 484189) that can lie within
     # e^-750 of the largest: the full sum peaked near 28 MB, the window holds well
     # under a megabyte
     tracemalloc.start()
@@ -1091,6 +1091,9 @@ def test_binomial_tail_sums_like_scipy_logsumexp(monkeypatch, n):
         got, (k, terms) = _binomial_window(monkeypatch, n, float(2 * k0 - n))
         assert k[0] >= k0 and np.all(np.diff(k) == 1)
         assert got == float(special.logsumexp(terms)), k0
+        if k[-1] < n:  # the window ends only where the terms have fallen past TAIL_NATS
+            past = exact._binomial_log_terms(n, k[-1] + 1, k[-1] + 1)[0]
+            assert past < terms.max() - exact.TAIL_NATS, k0
 
 
 def test_binomial_tail_holds_two_floats_a_term(monkeypatch):
