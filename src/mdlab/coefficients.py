@@ -192,14 +192,15 @@ def _zeta_3_2(a: int) -> tuple[float, float]:
     N = max(a, ZETA_DIRECT) one by one, then Euler-Maclaurin at N, 2 N^-1/2 + N^-3/2 / 2
     + sum_k _EM[k] N^(-1/2 - 2k), all in one math.fsum.  Its summand is completely
     monotone, so the remainder after the sixth weight has the sign of the seventh term and
-    is at most it in size: the upper end adds that term where it is positive, then 4 ulps
-    for the rounding (the value is within 2 ulps of mpmath's)."""
+    is at most it in size; that term is positive (B_14 > 0), so the remainder lies in
+    [0, rest] and the upper end adds rest, then 4 ulps for the rounding (the value is
+    within 2 ulps of mpmath's)."""
     n = max(a, ZETA_DIRECT)
     value = math.fsum([1.0 / (i * math.sqrt(i)) for i in range(a, n)]
                       + [2.0 / math.sqrt(n), 0.5 / (n * math.sqrt(n))]
                       + [w * n ** (-0.5 - 2 * k) for k, w in enumerate(_EM[:-1], 1)])
     rest = _EM[-1] * n ** (-0.5 - 2 * len(_EM))
-    return value, (value + max(rest, 0.0)) * (1.0 + 2.0 ** -50)
+    return value, (value + rest) * (1.0 + 2.0 ** -50)
 
 
 # ---------------------------------------------------------------------------

@@ -953,16 +953,16 @@ class QuantileTransform:
 
     def __call__(self, s):
         ss = np.asarray(s, dtype=float)
+        low, high = self.key(np.array([ss.min(), ss.max()])) if ss.size else (0.0, 1.0)
+        if not (low >= 0.0 and high <= 1.0):  # key is monotone: its ends bound all; nan fails
+            raise ParamOutOfRange(f"quantile arguments' keys must lie in [0, 1]: {low} to {high}")
         flat, out = ss.ravel(), np.empty(ss.size)
         for lo in range(0, flat.size, DRAW_CHUNK):
             out[lo:lo + DRAW_CHUNK] = self._inverse(flat[lo:lo + DRAW_CHUNK])
         return out.reshape(ss.shape) if np.ndim(s) else float(out[0])
 
     def _inverse(self, s: np.ndarray) -> np.ndarray:
-        key = self.key(s)
-        if not (key.min() >= 0.0 and key.max() <= 1.0):  # nan fails both
-            raise ParamOutOfRange(f"quantile arguments must lie in [0, 1]: {s.min()} to {s.max()}")
-        bucket = (key * self._buckets).astype(np.intp)  # exact: B is a power of two
+        bucket = (self.key(s) * self._buckets).astype(np.intp)  # exact: B is a power of two
         idx = self._edges[bucket]
         crowd = np.flatnonzero(self._crowded[bucket])
         idx += self._cum[idx] < s  # a probe past edges[b] still bounds the answer below

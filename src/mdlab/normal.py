@@ -18,6 +18,7 @@ import numpy as np
 SQRT1_2 = math.sqrt(0.5)
 ERF_SPLIT, ERFCX_SPLIT = 0.46875, 4.0  # Cody's ranges of y = |x| / sqrt 2
 SF_ZERO = 40.0  # 1 - Phi(x) is 0.0 past about 38.5: x is clipped here to stay finite
+BLOCK = 1 << 14  # values a pass: a block's operands stay in a core's cache
 
 # Cody's coefficients, highest power first
 _ERF_NUM = [1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
@@ -79,37 +80,51 @@ def _erf(y):
 
 def _half_erfcx(y):
     """erfcx(y) / 2 = exp(y^2) erfc(y) / 2 for y > ERF_SPLIT (+inf gives 0)."""
-    out = np.empty_like(y)
-    mid = y <= ERFCX_SPLIT
-    out[mid] = _ratio(_MID_NUM, _MID_DEN, y[mid])
-    far = y[~mid]  # past 4: erfcx(y) = (1/sqrt(pi) - t R(t)) / y in t = 1 / y^2
-    t = np.square(1.0 / far)
-    out[~mid] = (_RSQRT_PI - t * _ratio(_FAR_NUM, _FAR_DEN, t)) / far
-    return 0.5 * out
+    mid = _ratio(_MID_NUM, _MID_DEN, y)
+    if np.all(y <= ERFCX_SPLIT):  # no value needs the far form (a nan does, and stays nan)
+        return 0.5 * mid
+    t = np.square(1.0 / y)  # past 4: erfcx(y) = (1/sqrt(pi) - t R(t)) / y in t = 1 / y^2
+    far = (_RSQRT_PI - t * _ratio(_FAR_NUM, _FAR_DEN, t)) / y
+    return 0.5 * np.where(y <= ERFCX_SPLIT, mid, far)
 
 
-def _split(x):
-    """(x, |x| / sqrt 2, whether that is past ERF_SPLIT) as float arrays."""
-    x = np.asarray(x, dtype=float)
-    y = np.abs(x) * SQRT1_2
-    return x, y, ~(y <= ERF_SPLIT)  # nan takes the far branch and stays nan
-
-
-def _far_sf(x, y):
-    """1 - Phi(|x|) past ERF_SPLIT: exp(-x^2 / 2) with an exact exponent, times erfcx / 2."""
+def _far_sf(x, half):
+    """1 - Phi(|x|) past ERF_SPLIT from half = erfcx(|x| / sqrt 2) / 2: exp(-x^2 / 2) with
+    an exact exponent, times half."""
     a = np.minimum(np.abs(x), SF_ZERO)
     hi = np.floor(a * 16.0) / 16.0  # few bits: hi * hi is exact, a - hi too
-    return np.exp(-0.5 * hi * hi) * (np.exp(-0.5 * (a - hi) * (a + hi)) * _half_erfcx(y))
+    return np.exp(-0.5 * hi * hi) * (np.exp(-0.5 * (a - hi) * (a + hi)) * half)
+
+
+def _blockwise(f, x):
+    """f over the float array x, BLOCK values at a time.  Every branch of f runs on every
+    value and np.where keeps one (so an unkept branch may overflow or divide by zero
+    unseen); blocks keep the hundred-odd passes over the values in cache."""
+    x = np.asarray(x, dtype=float)
+    flat, out = x.ravel(), np.empty(x.shape)
+    with np.errstate(all="ignore"):
+        for lo in range(0, flat.size, BLOCK):
+            out.flat[lo:lo + BLOCK] = f(flat[lo:lo + BLOCK])
+    return out[()]
+
+
+def _sf(x):
+    y = np.abs(x) * SQRT1_2
+    tail = _far_sf(x, _half_erfcx(y))
+    return np.where(y <= ERF_SPLIT, 0.5 - 0.5 * _erf(x * SQRT1_2),
+                    np.where(x > 0.0, tail, 1.0 - tail))  # nan takes the tail and stays nan
+
+
+def _log_sf(x):
+    y = np.abs(x) * SQRT1_2
+    half = _half_erfcx(y)  # -x^2 / 2 below is -inf past x = 1.9e154
+    return np.where(y <= ERF_SPLIT, np.log(0.5 - 0.5 * _erf(x * SQRT1_2)),
+                    np.where(x > 0.0, -0.5 * x * x + np.log(half), np.log1p(-_far_sf(x, half))))
 
 
 def normal_sf(x):
     """1 - Phi(x), accurate in the right tail (0.0 past about x = 38.5)."""
-    x, y, far = _split(x)
-    out = np.empty(x.shape)
-    out[~far] = 0.5 - 0.5 * _erf(x[~far] * SQRT1_2)
-    tail = _far_sf(x[far], y[far])
-    out[far] = np.where(x[far] > 0.0, tail, 1.0 - tail)
-    return out[()]
+    return _blockwise(_sf, x)
 
 
 def normal_cdf(x):
@@ -120,15 +135,7 @@ def normal_cdf(x):
 def normal_log_sf(x):
     """log(1 - Phi(x)): -x^2 / 2 + log(erfcx(x / sqrt 2) / 2) in the right tail, finite
     until x^2 / 2 passes the float range; log1p(-Phi(-x)) in the left."""
-    x, y, far = _split(x)
-    out = np.empty(x.shape)
-    out[~far] = np.log(0.5 - 0.5 * _erf(x[~far] * SQRT1_2))
-    xf, yf = x[far], y[far]
-    right = xf > 0.0
-    with np.errstate(over="ignore", divide="ignore"):  # -x^2 / 2 is -inf past x = 1.9e154
-        out[far] = np.where(right, -0.5 * xf * xf + np.log(_half_erfcx(yf)),
-                            np.log1p(-_far_sf(xf, yf)))
-    return out[()]
+    return _blockwise(_log_sf, x)
 
 
 def normal_quantile(s):
@@ -136,11 +143,13 @@ def normal_quantile(s):
     [0, 1] to nan.  AS 241 gives x = Phi^{-1}(t) <= 0 for t = min(s, 1 - s), then one
     Newton step x - (Phi(x) - t) / phi(x) takes Phi(x) - t where it has no cancellation:
     (1/2 - t) - erf(|x| / sqrt 2) / 2 near the centre, Phi(x) (1 - t / Phi(x)) past it."""
-    s = np.asarray(s, dtype=float)
+    return _blockwise(_quantile, s)
+
+
+def _quantile(s):
     t = np.where(s < 0.5, s, 1.0 - s)  # exact
     q = t - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0, and s outside [0, 1]
-        r = np.sqrt(-np.log(t))
+    r = np.sqrt(-np.log(t))  # nan outside [0, 1]
     c = 0.180625 - q * q
     rc = np.minimum(r, 28.0) - np.where(r <= 5.0, 1.6, 5.0)  # r <= 27.3 but at t = 0
     x = np.where(np.abs(q) <= 0.425, q * _ratio(_CENTRE_NUM, _CENTRE_DEN, c),
@@ -149,9 +158,9 @@ def normal_quantile(s):
     y = -np.maximum(x, -SF_ZERO) * SQRT1_2
     inner = y <= ERF_SPLIT
     y_in, y_out = np.where(inner, y, 0.0), np.where(inner, 1.0, y)
-    lower = _far_sf(x, y_out)
-    with np.errstate(divide="ignore", invalid="ignore"):  # Phi(x) = 0 deep in the denormals
-        step = np.where(inner, (-q - 0.5 * _erf(y_in)) * np.exp(y_in * y_in),
-                        (1.0 - t / lower) * _half_erfcx(y_out))
-        x = np.where(inner | (lower > 0.0) & (r <= 28.0), x - _SQRT_2PI * step, -r)
-    return np.where(s <= 0.5, x, -x)[()]
+    half = _half_erfcx(y_out)
+    lower = _far_sf(x, half)  # Phi(x) = 0 deep in the denormals
+    step = np.where(inner, (-q - 0.5 * _erf(y_in)) * np.exp(y_in * y_in),
+                    (1.0 - t / lower) * half)
+    x = np.where(inner | (lower > 0.0) & (r <= 28.0), x - _SQRT_2PI * step, -r)
+    return np.where(s <= 0.5, x, -x)

@@ -952,29 +952,15 @@ def test_max_abs_tail_at_ties_on_lattice_chains(model, n):
         assert _max_abs_tail(model, n, x) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
-NO_SCIPY_SCRIPT = """
-import sys
-import mdlab.cli
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-sys.modules["scipy"] = None  # any later import of scipy now raises ImportError
-out = sys.argv[1]
-codes = [mdlab.cli.main([cmd, "--model", model, "--n", "64", "--m", "4", "--out", f"{out}/{cmd}"]
-                        + extra)
-         for cmd, model, extra in [("verify", "two_state:rho=0.4", []),
-                                   ("coupling", "dyadic_contracting:L=3", ["--chains", "2000"]),
-                                   ("coeffs", "moving_average:c=1,L_trunc=3", []),
-                                   ("mdp", "rademacher", ["--n-grid", "64,1000000"]),
-                                   ("report", "two_state:rho=0.4", ["--chains", "2000"])]]
-print(codes)
-"""
-
-
-def test_the_package_runs_with_no_scipy(tmp_path):
-    # importing the CLI loads no scipy module, and every subcommand runs with scipy
-    # unimportable: no import deferred into a function body either
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter: the test session itself has scipy loaded as a reference.  That
+    # no subcommand imports scipy later, deferred into a function body, is CI's
+    # "No scipy at run time" step
     src = str(Path(mdlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY_SCRIPT,
-                          str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    script = ("import sys, mdlab.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0]"], run.stdout + run.stderr
+    assert run.stdout.splitlines() == ["[]"], run.stdout
