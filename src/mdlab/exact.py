@@ -972,7 +972,7 @@ class QuantileTransform:
 
 def ks_distance_exact(table: TailTable) -> float:
     """sup_x |P(W_n <= x sigma_n) - Phi(x)|, evaluating both sides of every atom."""
-    return _ks_sweep(table.transform.atoms, table.transform.cum)
+    return _ks_sweep(table.what_values, table.cdf_points())
 
 
 def _ks_sweep(atoms: np.ndarray, cdf: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 Two tiers are supported.  The exact tier is a finite-state Markov chain with a
 rational lattice payoff: everything downstream (sum distributions, conditional
 moments, mixing coefficients) can then be computed exactly.  The sampled tier
-is a causal linear filter of i.i.d. innovations (Wu 2005) carrying an analytic
-decay certificate; it is only accessible through simulation.
+is a causal linear filter of i.i.d. fair signs (Wu 2005) carrying an analytic
+decay certificate: its weights fix its draws and its bound, and it is only
+accessible through simulation.
 
 Construction is deliberately pedantic: transition rows are renormalized in
 exact rational arithmetic, the stationary vector is solved exactly for small
@@ -19,7 +20,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -155,31 +156,38 @@ class FiniteLatticeModel:
 
 @dataclass(frozen=True, eq=False)
 class SampledModel:
-    """Causal linear filter X_t = sum_k weights[k] eps_{t-k} of i.i.d.
-    innovations of mean 0 and variance 1, with an analytic decay certificate.
+    """Causal linear filter X_t = sum_k weights[k] eps_{t-k} of i.i.d. fair
+    signs eps = +-1, with an analytic decay certificate.
 
-    Under that unit-variance contract the weights fix every second moment:
-    ``autocov(k)`` is sum_j weights[j] weights[j + k], zero past lag
-    L = len(weights) - 1.  X_t reads the L + 1 innovations eps_{t-L}..eps_t,
-    so ``innovations(rng, shape)`` draws i.i.d. innovations and a path of
-    length n reads eps[..., :burn_in + n] along the last axis, with
-    ``burn_in`` = L: every drawn innovation is read.
+    The weights fix the rest: ``autocov(k)`` is sum_j weights[j] weights[j + k],
+    zero past lag L = len(weights) - 1, and ``bound`` is sum_k |weights[k]|.
+    X_t reads the L + 1 signs eps_{t-L}..eps_t, so ``innovations(rng, shape)``
+    draws i.i.d. signs and a path of length n reads eps[..., :burn_in + n]
+    along the last axis, with ``burn_in`` = L: every drawn sign is read.
     """
 
     name: str
-    innovations: Callable[[np.random.Generator, tuple], np.ndarray]
     weights: np.ndarray
-    bound: float
     decay: DecayCertificate
     params: dict = field(default_factory=dict)
 
     tier = "sampled"
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", _require_scale(self.bound, "bound"))
         object.__setattr__(self, "weights", w := np.asarray(self.weights, dtype=float))
         if w.ndim != 1 or not w.size or not np.all(np.isfinite(w)):
             raise ParamOutOfRange("weights must be one or more finite numbers")
+
+    @property
+    def bound(self) -> float:
+        """Uniform norm of X_t: sum |weights|, as every |eps| is 1."""
+        return float(np.abs(self.weights).sum())
+
+    def innovations(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Fair signs of the given shape: the bits of rng.bytes, each b read as 2b - 1."""
+        count = math.prod(shape)
+        bits = np.unpackbits(np.frombuffer(rng.bytes(-(-count // 8)), np.uint8), count=count)
+        return (bits * 2.0 - 1.0).reshape(shape)
 
     @property
     def burn_in(self) -> int:
@@ -380,20 +388,13 @@ def _moving_average(c: float, L: int) -> SampledModel:
     if L > MA_MAX_LAG:
         raise ParamOutOfRange(f"L_trunc must lie in [1, {MA_MAX_LAG}], got {L}")
     weights = c * 0.5 ** np.arange(L + 1)
-    bound = float(weights.sum())
 
     # conditional-mean tail: sum_{i>=k} c 2^{-i}; cross terms square it
     ks = np.arange(1, L + 1)
     eta1 = c * (2.0 ** (1 - ks) - 2.0 ** (-L))
     eta2 = 2.0 * (eta1 * eta1)
-
-    def innovations(rng: np.random.Generator, shape) -> np.ndarray:
-        count = math.prod(shape)
-        bits = np.unpackbits(np.frombuffer(rng.bytes(-(-count // 8)), np.uint8), count=count)
-        return (bits * 2.0 - 1.0).reshape(shape)
-
-    return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", innovations=innovations,
-                        weights=weights, bound=bound, params={"c": c, "L_trunc": L},
+    return SampledModel(name=f"moving_average(c={c}, L_trunc={L})", weights=weights,
+                        params={"c": c, "L_trunc": L},
                         decay=DecayCertificate(eta1=eta1, eta2=eta2, geometric_rho=0.5))
 
 

@@ -130,7 +130,7 @@ def simulate_W(model, n: int, chains: int, seed: int) -> np.ndarray:
 def estimate_tails(model, n: int, x_grid, chains: int, seed: int) -> list[TailEstimate]:
     """Monte Carlo estimates of P(W_n >= x sigma_n) with 95% score intervals."""
     seed = _require_count(seed, "seed", 0)
-    xs = np.asarray(x_grid, dtype=float)
+    xs = np.asarray(x_grid, dtype=float).ravel()
     if np.any(np.isnan(xs)):
         raise ParamOutOfRange("tail thresholds must not be nan")
     sig = sigma_any(model, n)
@@ -204,7 +204,7 @@ def ratio_curve(model, n: int, m: int, x_grid, mode: str = "exact",
 def empirical_ks(samples, sigma_n: float) -> float:
     """Kolmogorov distance between the empirical law of W_n / sigma_n and the
     standard normal, evaluated on both sides of every jump."""
-    w = np.sort(np.asarray(samples, dtype=float)) / _require_scale(sigma_n, "sigma_n")
+    w = np.sort(np.asarray(samples, dtype=float).ravel()) / _require_scale(sigma_n, "sigma_n")
     n = w.size
     if n < 100:
         raise ParamOutOfRange(f"need at least 100 samples, got {n}")

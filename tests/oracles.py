@@ -15,6 +15,7 @@ import decimal
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import sparse, special
 
@@ -351,6 +352,37 @@ def two_state_sigma_sq(rho: float, n: int) -> float:
     """sigma_n^2 for the symmetric two-state chain from gamma(k) = rho^k."""
     ks = np.arange(1, n)
     return float(1.0 + 2.0 * np.sum((1.0 - ks / n) * rho ** ks))
+
+
+def two_state_log_p(model, n: int, s: int) -> float:
+    """log P(S_n = s) for a symmetric two-state chain on -1, +1 from its uniform
+    stationary start, summed over flip counts in exact integers.
+
+    A path with k = (n + s) / 2 plus signs in r runs flips r - 1 times in its
+    n - 1 steps; its runs alternate in sign from a first run of either sign, the
+    plus runs composing k and the minus runs n - k.  The model's own transition
+    entries are read as exact rationals a / d and b / d, so the law is the sum
+    over r of ways(r) a^(n - r) b^(r - 1) / (2 d^(n - 1)), its log taken in
+    mpmath at 60 digits."""
+    top, bottom = model.transition.tolist()
+    assert top == bottom[::-1] and model.x_values.tolist() == [-1, 1]
+    stay, flip = Fraction(top[0]), Fraction(top[1])
+    d = math.lcm(stay.denominator, flip.denominator)
+    a, b = stay.numerator * (d // stay.denominator), flip.numerator * (d // flip.denominator)
+    k = (n + s) // 2
+
+    def ways(total: int, parts: int) -> int:  # compositions of total into parts parts
+        return math.comb(total - 1, parts - 1) if parts and total else int(total == parts)
+
+    runs = min(n, 2 * min(k, n - k) + 1)  # no more runs than that fit
+    acc, b_pow = 0, 1
+    for r in range(1, runs + 1):  # Horner in a: sum_r ways(r) a^(runs - r) b^(r - 1)
+        odd, even = (r + 1) // 2, r // 2
+        paths = ways(k, odd) * ways(n - k, even) + ways(k, even) * ways(n - k, odd)
+        acc = acc * a + paths * b_pow
+        b_pow *= b
+    with mpmath.workdps(60):
+        return float(mpmath.log(acc * a ** (n - runs)) - mpmath.log(2 * mpmath.mpf(d) ** (n - 1)))
 
 
 def autocov_by_lags(model, kmax: int) -> np.ndarray:

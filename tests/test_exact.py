@@ -258,7 +258,7 @@ def test_a_variance_that_is_not_finite_names_the_model_and_n(two_state04, n, var
 
 
 def test_sampled_sigma_of_a_zero_filter_is_degenerate():
-    zero = models.SampledModel(name="zero", innovations=None, weights=[0.0, 0.0], bound=1.0,
+    zero = models.SampledModel(name="zero", weights=[0.0, 0.0],
                                decay=models.DecayCertificate([0.0], [0.0], 0.5))
     with pytest.raises(DegenerateVariance, match="zero: sigma_n"):
         sigma_any(zero, 4)
@@ -429,6 +429,20 @@ def test_dp_matches_integer_law(name, n):
     offsets, logp = oracles.integer_law(model, n)
     assert np.array_equal(table.offsets, offsets)
     assert np.all(np.abs(table.logp - logp) <= 1e-13 * np.maximum(1.0, np.abs(logp)))
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.4, 0.9])
+def test_dp_matches_the_two_state_law_summed_over_flips(rho):
+    # the symmetric two-state law in exact integers over the model's own transition
+    # entries, at the atoms at 0, near 2 and 4 sigma sqrt(n) and at n: the worst gap
+    # measured was 2.2e-15 max(1, |log p|) (rho = -0.5, n = 2048, the atom at 0)
+    model, sig = builtin("two_state", rho=rho), math.sqrt((1 + rho) / (1 - rho))
+    for n in (64, 512, 2048):
+        table = distribution_of_Sn(model, n)
+        logp = dict(zip(table.offsets.tolist(), table.logp.tolist()))
+        for s in {0, n} | {min(n, 2 * round(z * sig * math.sqrt(n) / 2)) for z in (2, 4)}:
+            want = oracles.two_state_log_p(model, n, s)
+            assert abs(logp[s] - want) <= 2e-14 * max(1.0, abs(want)), (n, s)
 
 
 @pytest.mark.parametrize("name", ["two_state:0.4", "dyadic:3", "asymmetric3", "rare5",
@@ -1210,6 +1224,13 @@ def test_one_quantile_transform_per_table(monkeypatch):
     assert ks_distance_exact(table) == exact._ks_sweep(table.what_values, table.cdf_points())
     assert len(built) == 1
     assert h is built[0] is table.transform is build_quantile_transform(table)
+
+
+def test_ks_distance_reads_the_table_not_a_transform():
+    # the sweep reads the atoms and cdf points: no bucket table is built for it
+    table = distribution_of_Sn(builtin("two_state", rho=0.4), 512)
+    assert ks_distance_exact(table) == exact._ks_sweep(table.what_values, table.cdf_points())
+    assert "transform" not in vars(table)
 
 
 @pytest.mark.parametrize("name, n, g", ATOM_TABLES)

@@ -285,6 +285,27 @@ def test_moving_average_signs_fill_any_shape_and_repeat_per_generator_state(shap
     assert rng.random() == twin.random()
 
 
+def test_a_sampled_model_is_its_weights():
+    # the signs are the generator's bits read as 2b - 1, and the bound is
+    # sum |weights|: neither can be set against the weights
+    decay = DecayCertificate(eta1=[0.2, 0.1], eta2=[0.1, 0.0], geometric_rho=0.5)
+    model = SampledModel(name="filter", weights=[0.6, -0.3, 0.1], decay=decay)
+    for shape in ((1,), (9,), (3, 5), (2, 3, 13)):
+        rng, twin = child_rng(11, len(shape)), child_rng(11, len(shape))
+        count = math.prod(shape)
+        bits = np.unpackbits(np.frombuffer(twin.bytes(-(-count // 8)), np.uint8), count=count)
+        want = (bits * 2.0 - 1.0).reshape(shape)
+        assert model.innovations(rng, shape).tobytes() == want.tobytes()
+    assert model.bound == 0.6 + 0.3 + 0.1
+    for c in (1.0, 0.7, models.MA_MIN_C, models.MA_MAX_C):
+        for L in (1, 20, 1074):
+            ma = builtin("moving_average", c=c, L_trunc=L)
+            assert repr(ma.bound) == repr(float(ma.weights.sum()))
+    for extra in ("innovations", "bound"):
+        with pytest.raises(TypeError):
+            SampledModel(name="filter", weights=[1.0], decay=decay, **{extra: 1.0})
+
+
 def test_moving_average_autocov_matches_empirical():
     ma = builtin("moving_average", c=1.0, L_trunc=10)
     xs = sample_trajectory(ma, 200_000, seed=1).values
@@ -859,7 +880,6 @@ SCALE_CALLS = {
                                                                   alpha=v)),
     "coupling_report c_alpha": (False, lambda c, v: coupling_report(c.ts, c.coeffs, 100, 0,
                                                                     c_alpha=v)),
-    "SampledModel bound": (False, lambda c, v: dataclasses.replace(c.ma, bound=v).describe()),
     "moving_average c": (False, lambda c, v: builtin("moving_average", c=v,
                                                      L_trunc=4).describe()),
     "empirical_ks sigma_n": (False, lambda c, v: empirical_ks(c.samples, v)),

@@ -422,6 +422,16 @@ def test_estimate_tails_rejects_a_nan_level(two_state04, grid, monkeypatch):
         estimate_tails(two_state04, 16, grid, 100, 0)
 
 
+def test_estimate_tails_and_empirical_ks_read_any_shape(two_state04):
+    # a scalar or 2-D grid raised TypeError and 2-D samples numpy's broadcast
+    # ValueError; both now read flat, as exact_tail does
+    want = estimate_tails(two_state04, 32, [0.5, 1.0], chains=400, seed=2)
+    assert estimate_tails(two_state04, 32, [[0.5, 1.0]], chains=400, seed=2) == want
+    assert estimate_tails(two_state04, 32, 0.5, chains=400, seed=2) == want[:1]
+    samples = np.random.default_rng(6).standard_normal(1000)
+    assert empirical_ks(samples.reshape(20, 50), 1.0) == empirical_ks(samples, 1.0)
+
+
 def test_tail_counts_are_inclusive_at_sample_atoms(two_state04):
     # exact-tier samples sit on a lattice: a grid through every atom and x = 0
     n, chains, seed = 16, 3000, 4
